@@ -5,8 +5,9 @@ Three subcommands:
 
   run       build a session, evaluate every script query in order, write
             result tables, print the remaining budget
-  budget    dry-run the accounting only: parse the script, sum the spends,
-            and report what would remain; row data is never read
+  budget    dry-run a run without data: parse the script, compile every
+            query against the schema, sum the spends, and report what
+            would remain; row data is never read
   validate  check CSV files against the schema, no privacy machinery
 
 Exit codes are the contract: 0 success, 2 for config/parse/type errors
@@ -18,10 +19,12 @@ results to stdout or to --out.
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
+import functools
 import json
 import re
 import sys
+import typing
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -37,26 +40,16 @@ from .errors import (
 )
 from .metrics import INF, Measure, PureDP, ZCDP
 from .session import (
+    QUERY_NODES,
     AddMaxRows,
     AddRemoveId,
-    Average,
-    Count,
-    DEFAULT_GRANULARITY,
-    Filter,
-    FlatMap,
-    GroupBy,
-    JoinPrivate,
-    JoinPublic,
     KeySet,
-    Map,
     PrivacyBudget,
     PrivacyUnit,
-    Quantile,
     QueryExpr,
-    Source,
-    Sum,
-    TruncateById,
+    _session_domains,
     build_session,
+    compile_query,
     keyset_from_tuples,
     parse_budget_amount,
 )
@@ -64,11 +57,11 @@ from .tabledata import (
     ColumnType,
     Schema,
     Table,
-    TableDomain,
-    Value,
+    _csv_records,
     csv_text,
     load_csv,
     load_schema_file,
+    schema_from_json,
 )
 from .transformations import ExpansionBranch
 
@@ -98,8 +91,8 @@ class RunConfig:
 
 
 def _parse_unit(text: str) -> PrivacyUnit:
-    kind, _, rest = text.partition(":")
-    if kind == "add-max-rows":
+    unit, _, rest = text.partition(":")
+    if unit == "add-max-rows":
         try:
             k = int(rest)
         except ValueError:
@@ -107,7 +100,7 @@ def _parse_unit(text: str) -> PrivacyUnit:
         if k < 1:
             raise ConfigError(f"--unit add-max-rows needs a positive integer, got {k}")
         return AddMaxRows(k)
-    if kind == "add-remove-id":
+    if unit == "add-remove-id":
         if not rest:
             raise ConfigError("--unit add-remove-id needs a column name")
         return AddRemoveId(rest)
@@ -148,174 +141,111 @@ def _require(obj: Mapping, key: str, where: str):
     return obj[key]
 
 
-def _parse_schema_obj(obj, where: str) -> Schema:
-    if not isinstance(obj, Mapping) or "columns" not in obj:
-        raise ScriptError(f"{where}: expected a schema object with 'columns'")
-    columns = []
-    for entry in obj["columns"]:
-        if not isinstance(entry, Mapping) or "name" not in entry or "type" not in entry:
-            raise ScriptError(f"{where}: each column needs 'name' and 'type'")
-        try:
-            columns.append((entry["name"], ColumnType.from_name(entry["type"])))
-        except NoisegateError as exc:
-            raise ScriptError(f"{where}: {exc}") from exc
-    try:
-        return Schema(tuple(columns))
-    except NoisegateError as exc:
-        raise ScriptError(f"{where}: {exc}") from exc
-
-
-def _coerce_value(value, ctype: ColumnType, where: str) -> Value:
-    if ctype is ColumnType.INT64 and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if ctype is ColumnType.FLOAT64 and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if ctype is ColumnType.TEXT and isinstance(value, str):
-        return value
-    raise ScriptError(f"{where}: value {value!r} does not fit a {ctype.value} column")
-
-
-def _parse_rows(raw, schema: Schema, where: str) -> list[tuple]:
-    rows = []
-    for i, row in enumerate(raw):
-        if not isinstance(row, Sequence) or isinstance(row, str):
-            raise ScriptError(f"{where}: row {i} is not an array")
-        if len(row) != len(schema.columns):
-            raise ScriptError(
-                f"{where}: row {i} has {len(row)} values for "
-                f"{len(schema.columns)} columns"
-            )
-        rows.append(
-            tuple(
-                _coerce_value(v, ctype, f"{where} row {i}")
-                for v, (_, ctype) in zip(row, schema.columns)
-            )
-        )
-    return rows
-
-
-def _parse_inline_table(obj, where: str) -> Table:
-    schema = _parse_schema_obj(obj, where)
-    rows = _parse_rows(_require(obj, "rows", where), schema, where)
-    try:
-        return Table.of(schema, rows)
-    except NoisegateError as exc:
-        raise ScriptError(f"{where}: {exc}") from exc
-
-
-def _parse_keyset(obj, where: str) -> KeySet:
-    schema = _parse_schema_obj(obj, where)
-    rows = _parse_rows(_require(obj, "rows", where), schema, where)
-    try:
-        return keyset_from_tuples(schema.columns, rows)
-    except NoisegateError as exc:
-        raise ScriptError(f"{where}: {exc}") from exc
-
-
-def _parse_granularity(value, where: str) -> Fraction:
-    try:
-        grain = Fraction(str(value))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ScriptError(f"{where}: cannot parse granularity {value!r}") from exc
-    return grain
-
-
-def _parse_columns(obj, where: str) -> dict[str, str]:
-    if not isinstance(obj, Mapping):
-        raise ScriptError(f"{where}: 'columns' must map names to expressions")
-    for name, expr in obj.items():
-        if not isinstance(name, str) or not isinstance(expr, str):
-            raise ScriptError(f"{where}: 'columns' must map names to expressions")
-    return dict(obj)
-
-
-def _parse_number(value, where: str, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScriptError(f"{where}: {field!r} must be a number")
-    return float(value)
-
-
-def _parse_int(value, where: str, field: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScriptError(f"{where}: {field!r} must be an integer")
+def _check(value, types, what: str, where: str):
+    # bool is an int subclass but never a legal script value.
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ScriptError(f"{where}: expected {what}")
     return value
 
 
-def _parse_expr(obj, where: str) -> QueryExpr:
-    if not isinstance(obj, Mapping) or "kind" not in obj:
-        raise ScriptError(f"{where}: expected a query node object with 'kind'")
-    kind = obj["kind"]
-    sub = f"{where}/{kind}"
+def _array(value, where: str) -> Sequence:
+    return _check(value, (list, tuple), "an array", where)
 
-    def child(field: str = "child") -> QueryExpr:
-        return _parse_expr(_require(obj, field, sub), sub)
 
-    if kind == "Source":
-        table = _require(obj, "table", sub)
-        if not isinstance(table, str):
-            raise ScriptError(f"{sub}: 'table' must be a string")
-        return Source(table)
-    if kind == "Filter":
-        predicate = _require(obj, "predicate", sub)
-        if not isinstance(predicate, str):
-            raise ScriptError(f"{sub}: 'predicate' must be a string")
-        return Filter(child(), predicate)
-    if kind == "Map":
-        columns = _parse_columns(_require(obj, "columns", sub), sub)
-        schema = _parse_schema_obj(_require(obj, "schema", sub), sub)
-        return Map(child(), columns, schema)
-    if kind == "FlatMap":
-        branches = []
-        for i, branch in enumerate(_require(obj, "branches", sub)):
-            if not isinstance(branch, Mapping):
-                raise ScriptError(f"{sub}: branch {i} must be an object")
-            when = branch.get("when")
-            if when is not None and not isinstance(when, str):
-                raise ScriptError(f"{sub}: branch {i} 'when' must be a string")
-            columns = _parse_columns(
-                _require(branch, "columns", f"{sub} branch {i}"), f"{sub} branch {i}"
-            )
-            branches.append(ExpansionBranch(columns=columns, when=when))
-        schema = _parse_schema_obj(_require(obj, "schema", sub), sub)
-        max_rows = _parse_int(_require(obj, "max_rows", sub), sub, "max_rows")
-        return FlatMap(child(), tuple(branches), schema, max_rows)
-    if kind == "JoinPublic":
-        table = _parse_inline_table(_require(obj, "table", sub), sub)
-        on = _require(obj, "on", sub)
-        return JoinPublic(child(), table, tuple(on))
-    if kind == "JoinPrivate":
-        other = _parse_expr(_require(obj, "other", sub), sub)
-        on = _require(obj, "on", sub)
-        left_bound = _parse_int(_require(obj, "left_bound", sub), sub, "left_bound")
-        right_bound = _parse_int(_require(obj, "right_bound", sub), sub, "right_bound")
-        return JoinPrivate(child(), other, tuple(on), left_bound, right_bound)
-    if kind == "TruncateById":
-        bound = _parse_int(_require(obj, "bound", sub), sub, "bound")
-        return TruncateById(child(), bound)
-    if kind == "GroupBy":
-        keys = _parse_keyset(_require(obj, "keys", sub), sub)
-        return GroupBy(child(), keys)
-    if kind == "Count":
-        return Count(child())
-    if kind in ("Sum", "Average"):
-        column = _require(obj, "column", sub)
-        low = _parse_number(_require(obj, "low", sub), sub, "low")
-        high = _parse_number(_require(obj, "high", sub), sub, "high")
-        grain = (
-            _parse_granularity(obj["granularity"], sub)
-            if "granularity" in obj
-            else DEFAULT_GRANULARITY
-        )
-        node = Sum if kind == "Sum" else Average
-        return node(child(), column, low, high, grain)
-    if kind == "Quantile":
-        column = _require(obj, "column", sub)
-        q = _parse_number(_require(obj, "q", sub), sub, "q")
-        low = _parse_number(_require(obj, "low", sub), sub, "low")
-        high = _parse_number(_require(obj, "high", sub), sub, "high")
-        bins = _parse_int(_require(obj, "bins", sub), sub, "bins")
-        return Quantile(child(), column, q, low, high, bins)
-    raise ScriptError(f"{where}: unknown query node kind {kind!r}")
+def _decode_float(value, where: str) -> float:
+    try:
+        return float(_check(value, (int, float), "a number", where))
+    except OverflowError as exc:
+        raise ScriptError(f"{where}: {value} is outside the float64 range") from exc
+
+
+def _decode_fraction(value, where: str) -> Fraction:
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ScriptError(f"{where}: cannot parse {value!r} as an exact number") from exc
+
+
+def _decode_rows(value, where: str) -> tuple[Schema, list[tuple]]:
+    """A schema object with a 'rows' array, as inline tables and keysets are."""
+    schema = schema_from_json(value)
+    floats = {i for i, (_, ctype) in enumerate(schema.columns) if ctype is ColumnType.FLOAT64}
+    rows = []
+    for r, row in enumerate(_array(_require(value, "rows", where), f"{where}.rows")):
+        # JSON has one number type: whole numbers widen into float64 cells.
+        rows.append(tuple(
+            _decode_float(cell, f"{where}.rows[{r}]")
+            if i in floats and type(cell) is int else cell
+            for i, cell in enumerate(_array(row, f"{where}.rows[{r}]"))
+        ))
+    return schema, rows
+
+
+def _decode_keyset(value, where: str) -> KeySet:
+    schema, rows = _decode_rows(value, where)
+    return keyset_from_tuples(schema.columns, rows)
+
+
+def _decode_expressions(value, where: str) -> dict[str, str]:
+    return {
+        name: _check(expr, str, "a string", f"{where}.{name}")
+        for name, expr in _check(value, Mapping, "an object", where).items()
+    }
+
+
+_field_types = functools.cache(typing.get_type_hints)
+
+
+def _decode_object(cls: type, obj, where: str):
+    """Build a dataclass from a JSON object, decoding each field by its type."""
+    _check(obj, Mapping, "an object", where)
+    args = {}
+    for field in dataclasses.fields(cls):
+        name = field.name
+        if name in obj:
+            decode = _DECODERS[_field_types(cls)[name]]
+            try:
+                args[name] = decode(obj[name], f"{where}.{name}")
+            except ScriptError:
+                raise
+            except NoisegateError as exc:
+                raise ScriptError(f"{where}.{name}: {exc}") from exc
+        elif field.default is dataclasses.MISSING:
+            raise ScriptError(f"{where}: missing field {name!r}")
+    return cls(**args)
+
+
+def _decode_expr(obj, where: str) -> QueryExpr:
+    kind = obj.get("kind") if isinstance(obj, Mapping) else None
+    if not isinstance(kind, str) or kind not in QUERY_NODES:
+        raise ScriptError(f"{where}: expected a query node object with a known 'kind'")
+    return _decode_object(QUERY_NODES[kind], obj, f"{where}/{kind}")
+
+
+# One decoder per field type that query nodes declare; nodes are decoded by
+# their fields' names and types, so nothing here is specific to one kind.
+_DECODERS = {
+    QueryExpr: _decode_expr,
+    str: lambda value, where: _check(value, str, "a string", where),
+    str | None: lambda value, where: (
+        None if value is None else _check(value, str, "a string", where)
+    ),
+    int: lambda value, where: _check(value, int, "an integer", where),
+    float: _decode_float,
+    Fraction: _decode_fraction,
+    Schema: lambda value, where: schema_from_json(value),
+    Table: lambda value, where: Table.of(*_decode_rows(value, where)),
+    KeySet: _decode_keyset,
+    Mapping[str, str]: _decode_expressions,
+    tuple[str, ...]: lambda value, where: tuple(
+        _check(name, str, "a string", f"{where}[{i}]")
+        for i, name in enumerate(_array(value, where))
+    ),
+    tuple[ExpansionBranch, ...]: lambda value, where: tuple(
+        _decode_object(ExpansionBranch, branch, f"{where}[{i}]")
+        for i, branch in enumerate(_array(value, where))
+    ),
+}
 
 
 def parse_script(doc) -> list[ScriptQuery]:
@@ -324,10 +254,9 @@ def parse_script(doc) -> list[ScriptQuery]:
         raise ScriptError("a script is an object with a 'queries' array")
     queries = []
     seen = set()
-    for i, entry in enumerate(doc["queries"]):
+    for i, entry in enumerate(_array(doc["queries"], "queries")):
         where = f"queries[{i}]"
-        if not isinstance(entry, Mapping):
-            raise ScriptError(f"{where}: expected an object")
+        _check(entry, Mapping, "an object", where)
         name = _require(entry, "name", where)
         if not isinstance(name, str) or not _NAME_RE.match(name):
             raise ScriptError(
@@ -337,12 +266,11 @@ def parse_script(doc) -> list[ScriptQuery]:
             raise ScriptError(f"{where}: duplicate query name {name!r}")
         seen.add(name)
         spend_text = _require(entry, "spend", where)
-        if not isinstance(spend_text, str):
-            raise ScriptError(f"{where}: 'spend' must be a string, parsed exactly")
+        _check(spend_text, str, "'spend' as a string, parsed exactly", where)
         spend = parse_budget_amount(spend_text)
         if spend == INF:
             raise ScriptError(f"{where}: spends must be finite")
-        expr = _parse_expr(_require(entry, "expr", where), where)
+        expr = _decode_expr(_require(entry, "expr", where), where)
         queries.append(ScriptQuery(name, spend, expr))
     return queries
 
@@ -418,22 +346,16 @@ def _err(message: str) -> None:
 # Commands.
 
 
-def _load_tables(
-    domains: Mapping[str, TableDomain], data_dir: Path
-) -> dict[str, Table]:
-    tables = {}
-    for name in sorted(domains):
-        tables[name] = load_csv(data_dir / f"{name}.csv", domains[name].schema)
-    return tables
-
-
 def cmd_run(cfg: RunConfig) -> int:
     try:
         domains = load_schema_file(cfg.schema_path)
         script = _load_script(cfg.script_path)
         if cfg.data_dir is None:
             raise ConfigError("run needs --data")
-        tables = _load_tables(domains, cfg.data_dir)
+        tables = {
+            name: load_csv(cfg.data_dir / f"{name}.csv", domains[name].schema)
+            for name in sorted(domains)
+        }
         session = build_session(
             tables, cfg.unit, PrivacyBudget(cfg.measure, cfg.budget), cfg.seed
         )
@@ -456,36 +378,32 @@ def cmd_run(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _check_headers(domains: Mapping[str, TableDomain], data_dir: Path) -> None:
-    # Budget dry runs may confirm table shape but never ingest rows.
-    for name in sorted(domains):
-        path = data_dir / f"{name}.csv"
-        try:
-            with open(path, newline="", encoding="utf-8") as handle:
-                header = next(csv.reader(handle), None)
-        except OSError as exc:
-            raise MissingFile(f"cannot read {path}: {exc}") from exc
-        expected = list(domains[name].schema.names)
-        if header != expected:
-            raise ConfigError(
-                f"{path}: header {header!r} does not match schema columns {expected!r}"
-            )
-
-
 def cmd_budget(cfg: RunConfig) -> int:
     try:
-        domains = load_schema_file(cfg.schema_path)
+        schemas = {name: d.schema for name, d in load_schema_file(cfg.schema_path).items()}
         script = _load_script(cfg.script_path)
         if cfg.data_dir is not None:
-            _check_headers(domains, cfg.data_dir)
+            for name, schema in sorted(schemas.items()):
+                with _csv_records(cfg.data_dir / f"{name}.csv", schema):
+                    pass  # opening checks the header; no row is read
+        domains = _session_domains(schemas, cfg.unit)
     except NoisegateError as exc:
         _err(str(exc))
         return EXIT_CONFIG
     total = cfg.budget
-    spent = sum((item.spend for item in script), Fraction(0))
-    if total != INF and spent > total:
-        sys.stdout.write(f"deficit: {spent - total}\n")
-        return EXIT_BUDGET
+    spent = Fraction(0)
+    for item in script:
+        # Compile as run would, up to the first query run could not pay for.
+        try:
+            compile_query(item.expr, domains, cfg.unit, cfg.measure, item.spend)
+        except NoisegateError as exc:
+            _err(f"query {item.name!r}: {exc}")
+            return EXIT_COMPILE
+        spent += item.spend
+        if total != INF and spent > total:
+            deficit = sum((q.spend for q in script), Fraction(0)) - total
+            sys.stdout.write(f"deficit: {deficit}\n")
+            return EXIT_BUDGET
     remaining = INF if total == INF else total - spent
     sys.stdout.write(f"remaining_budget: {_format_amount(remaining)}\n")
     return EXIT_OK

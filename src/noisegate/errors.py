@@ -65,14 +65,6 @@ class MeasureMismatch(NoisegateError):
     """An operation received a guarantee under the wrong output measure."""
 
 
-class NotAPmf(NoisegateError):
-    """A probability vector is malformed (negative mass or wrong total)."""
-
-
-class BadAlpha(NoisegateError):
-    """A Renyi order is not a finite number greater than 1."""
-
-
 class EmptyList(NoisegateError):
     """A list argument that must be non-empty was empty."""
 

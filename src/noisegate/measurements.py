@@ -653,12 +653,3 @@ class Queryable:
             self._count += 1
             return result
 
-
-def make_queryable(
-    dataset,
-    input_metric: Metric,
-    output_measure: Measure,
-    total_budget,
-    rng: RngStream,
-) -> Queryable:
-    return Queryable(dataset, input_metric, output_measure, total_budget, rng)

@@ -5,10 +5,6 @@ loss between output distributions is quantified.  Distance maps tie the
 two together: every transformation carries a map bounding how much it can
 stretch input distances, and every measurement carries a map from input
 distance to privacy loss.  Maps are monotone and send 0 to 0.
-
-The module also holds the brute-force divergence oracles used throughout
-testing.  They work directly on finite probability mass functions and are
-deliberately independent of any sampling code.
 """
 
 from __future__ import annotations
@@ -17,16 +13,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Sequence, Union
 
-import mpmath
-
-from .errors import (
-    BadAlpha,
-    DomainMismatch,
-    NotAPmf,
-    SchemaMismatch,
-)
+from .errors import DomainMismatch, SchemaMismatch
 from .tabledata import Table, split_by_key
 
 INF = math.inf
@@ -250,94 +239,3 @@ def max_slope_map(maps: Sequence[DistanceMap]) -> DistanceMap:
             raise ValueError("max_slope_map needs linear maps")
         slopes.append(m.slope)
     return linear_map(max(slopes))
-
-
-# ---------------------------------------------------------------------------
-# Divergence oracles.
-#
-# These enumerate finite pmfs directly.  Probabilities may be floats,
-# Fractions, or mpmath values; all arithmetic happens in mpmath with enough
-# working precision that pmfs built over wide supports do not underflow.
-
-_DPS = 60
-_PMF_TOLERANCE = mpmath.mpf("1e-12")
-
-
-def _as_mpf(value) -> mpmath.mpf:
-    if isinstance(value, Fraction):
-        return mpmath.mpf(value.numerator) / mpmath.mpf(value.denominator)
-    return mpmath.mpf(value)
-
-
-def _check_pmf(p: Mapping) -> dict:
-    out = {}
-    total = mpmath.mpf(0)
-    for outcome, prob in p.items():
-        mass = _as_mpf(prob)
-        if mass < 0:
-            raise NotAPmf(f"negative mass {prob!r} at outcome {outcome!r}")
-        out[outcome] = mass
-        total += mass
-    if abs(total - 1) > _PMF_TOLERANCE:
-        raise NotAPmf(f"masses sum to {float(total)!r}, not 1")
-    return out
-
-
-def pure_dp_divergence(p: Mapping, q: Mapping) -> float:
-    """max over outcomes of |ln(p(o) / q(o))|.
-
-    Outcomes where both pmfs place zero mass contribute nothing; an outcome
-    where exactly one side has mass makes the divergence infinite.
-    """
-    with mpmath.workdps(_DPS):
-        pp = _check_pmf(p)
-        qq = _check_pmf(q)
-        worst = mpmath.mpf(0)
-        for outcome in set(pp) | set(qq):
-            a = pp.get(outcome, mpmath.mpf(0))
-            b = qq.get(outcome, mpmath.mpf(0))
-            if a == 0 and b == 0:
-                continue
-            if a == 0 or b == 0:
-                return INF
-            worst = max(worst, abs(mpmath.log(a / b)))
-        return float(worst)
-
-
-# The default grid of Renyi orders.  The reported value is a lower estimate
-# of the true supremum over all orders; refining the grid only increases it.
-DEFAULT_ALPHA_GRID: tuple[float, ...] = (1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
-
-
-def zcdp_divergence(
-    p: Mapping, q: Mapping, alphas: Sequence[float] = DEFAULT_ALPHA_GRID
-) -> float:
-    """max over the alpha grid of D_alpha(p || q) / alpha.
-
-    D_alpha is the Renyi divergence of order alpha.  Against the
-    zero-concentrated definition, which quantifies over every alpha > 1,
-    a finite grid yields a lower estimate.
-    """
-    alphas = list(alphas)
-    if not alphas:
-        raise BadAlpha("the alpha grid must be non-empty")
-    for alpha in alphas:
-        if not (alpha > 1) or alpha == INF or alpha != alpha:
-            raise BadAlpha(f"alpha must be finite and > 1, got {alpha!r}")
-    with mpmath.workdps(_DPS):
-        pp = _check_pmf(p)
-        qq = _check_pmf(q)
-        best = mpmath.mpf(0)
-        for alpha in alphas:
-            a = mpmath.mpf(alpha)
-            total = mpmath.mpf(0)
-            for outcome, mass in pp.items():
-                if mass == 0:
-                    continue
-                other = qq.get(outcome, mpmath.mpf(0))
-                if other == 0:
-                    return INF
-                total += mass ** a * other ** (1 - a)
-            divergence = mpmath.log(total) / (a - 1)
-            best = max(best, divergence / a)
-        return max(0.0, float(best))

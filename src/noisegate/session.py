@@ -40,11 +40,11 @@ from .errors import (
 from .measurements import (
     Measurement,
     PureDpNoise,
+    Queryable,
     ZcdpNoise,
     compose_per_group,
     make_average,
     make_count,
-    make_queryable,
     make_quantile,
     make_sum,
 )
@@ -65,7 +65,6 @@ from .tabledata import (
     Schema,
     Table,
     TableDomain,
-    TableTupleDomain,
     Value,
 )
 from . import transformations as tf
@@ -171,90 +170,164 @@ def keyset_from_tuples(
 ) -> KeySet:
     """Build a KeySet from typed columns and key tuples.
 
-    Tuples must match the declared types exactly; duplicates collapse to
-    their first occurrence.  An empty keyset is legal and makes any
-    grouped query return an empty table.
+    Every key must be a legal cell of its column, as in a Table;
+    duplicates collapse to their first occurrence.  An empty keyset is
+    legal and makes any grouped query return an empty table.
     """
     schema = Schema(tuple(columns))
-    seen = set()
-    rows: list[tuple] = []
-    for raw in tuples:
-        row = tuple(raw)
-        if len(row) != len(schema.columns):
-            raise TypeMismatch(
-                f"key tuple {row!r} has {len(row)} values for "
-                f"{len(schema.columns)} columns"
-            )
-        for value, (name, ctype) in zip(row, schema.columns):
-            ok = (
-                (ctype is ColumnType.INT64 and isinstance(value, int) and not isinstance(value, bool))
-                or (ctype is ColumnType.FLOAT64 and isinstance(value, float))
-                or (ctype is ColumnType.TEXT and isinstance(value, str))
-            )
-            if not ok:
-                raise TypeMismatch(
-                    f"key value {value!r} does not fit column {name!r} ({ctype.value})"
-                )
-        if row not in seen:
-            seen.add(row)
-            rows.append(row)
-    return KeySet(schema, tuple(rows))
+    try:
+        table = Table.of(schema, tuples)
+    except SchemaMismatch as exc:
+        raise TypeMismatch(f"bad key tuple: {exc}") from exc
+    return KeySet(schema, tuple(dict.fromkeys(table.rows)))
 
 
 # ---------------------------------------------------------------------------
 # Query expressions.
+#
+# Each node is declared once, as a dataclass: the builder makes nodes from
+# its fields, the CLI decodes script JSON by field name and type, and the
+# node's own method is its compile step.
 
 
 class QueryExpr:
     """Base class for query expression nodes."""
 
+    def _grouping(self) -> tuple[KeySet | None, QueryExpr]:
+        """The keyset an aggregation over this node reports (None when
+        ungrouped), and the relational part of the query below it."""
+        return None, self
+
+
+class _Relational(QueryExpr):
+    """A node whose _chain(upstream, tables) extends its child's compiled
+    transformation (None for a leaf) through itself; `tables` maps each
+    session table name to the transformation selecting it."""
+
+
+class _Aggregation(QueryExpr):
+    """A root node: _measurement(domain, noise) measures its child, per
+    group when the child is a GroupBy; value_column names the result."""
+
+
+def _require_rows(upstream: tf.Transformation, what: str) -> None:
+    if isinstance(upstream.output_metric, AddRemoveIds):
+        raise UnboundedSensitivity(
+            f"{what} under identifier accounting is unbounded; truncate_by_id first"
+        )
+
 
 @dataclass(frozen=True)
-class Source(QueryExpr):
+class Source(_Relational):
     table: str
 
+    def _chain(self, upstream, tables):
+        if self.table not in tables:
+            raise TypeCheckError(
+                f"unknown table {self.table!r}; the session has {sorted(tables)}"
+            )
+        return tables[self.table]
+
 
 @dataclass(frozen=True)
-class Filter(QueryExpr):
+class Filter(_Relational):
     child: QueryExpr
     predicate: str
 
+    def _chain(self, upstream, tables):
+        return tf.chain(upstream, tf.make_filter(
+            upstream.output_domain, self.predicate, metric=upstream.output_metric
+        ))
+
 
 @dataclass(frozen=True)
-class Map(QueryExpr):
+class Map(_Relational):
     child: QueryExpr
     columns: Mapping[str, str]
     schema: Schema
 
+    def _chain(self, upstream, tables):
+        return tf.chain(upstream, tf.make_map(
+            upstream.output_domain, self.columns, self.schema,
+            metric=upstream.output_metric,
+        ))
+
 
 @dataclass(frozen=True)
-class FlatMap(QueryExpr):
+class FlatMap(_Relational):
     child: QueryExpr
     branches: tuple[tf.ExpansionBranch, ...]
     schema: Schema
     max_rows: int
 
+    def _chain(self, upstream, tables):
+        _require_rows(upstream, "flat_map")
+        return tf.chain(upstream, tf.make_flat_map(
+            upstream.output_domain, self.branches, self.schema, self.max_rows
+        ))
+
 
 @dataclass(frozen=True)
-class JoinPublic(QueryExpr):
+class JoinPublic(_Relational):
     child: QueryExpr
     table: Table
     on: tuple[str, ...]
 
+    def _chain(self, upstream, tables):
+        _require_rows(upstream, "a public join")
+        return tf.chain(upstream, tf.make_public_join(
+            upstream.output_domain, self.table, self.on
+        ))
+
 
 @dataclass(frozen=True)
-class JoinPrivate(QueryExpr):
+class JoinPrivate(_Relational):
     child: QueryExpr
     other: QueryExpr
     on: tuple[str, ...]
     left_bound: int
     right_bound: int
 
+    def _chain(self, upstream, tables):
+        left, right = upstream, _build_chain(self.other, tables)
+        _require_rows(left, "the left side of a private join")
+        _require_rows(right, "the right side of a private join")
+        join = tf.make_private_join(
+            left.output_domain,
+            right.output_domain,
+            self.on,
+            self.left_bound,
+            self.right_bound,
+        )
+        slope = tf.private_join_distance_bound(
+            self.left_bound,
+            self.right_bound,
+            left.stability.slope,
+            right.stability.slope,
+        )
+        return tf.Transformation(
+            input_domain=left.input_domain,
+            output_domain=join.output_domain,
+            input_metric=left.input_metric,
+            output_metric=SymmetricDifference(),
+            stability=linear_map(slope),
+            _apply=lambda data: join.apply((left.apply(data), right.apply(data))),
+        )
+
 
 @dataclass(frozen=True)
-class TruncateById(QueryExpr):
+class TruncateById(_Relational):
     child: QueryExpr
     bound: int
+
+    def _chain(self, upstream, tables):
+        if not isinstance(upstream.output_metric, AddRemoveIds):
+            raise TypeCheckError(
+                "truncate_by_id applies only under identifier accounting"
+            )
+        return tf.chain(upstream, tf.make_truncate_by_id(
+            upstream.output_domain, self.bound
+        ))
 
 
 @dataclass(frozen=True)
@@ -262,32 +335,54 @@ class GroupBy(QueryExpr):
     child: QueryExpr
     keys: KeySet
 
+    def _grouping(self):
+        return self.keys, self.child
+
 
 @dataclass(frozen=True)
-class Count(QueryExpr):
+class Count(_Aggregation):
     child: QueryExpr
 
+    value_column = ("count", ColumnType.INT64)
+
+    def _measurement(self, domain, noise):
+        return make_count(domain, noise)
+
 
 @dataclass(frozen=True)
-class Sum(QueryExpr):
+class Sum(_Aggregation):
     child: QueryExpr
     column: str
     low: float
     high: float
     granularity: Fraction = DEFAULT_GRANULARITY
 
+    value_column = ("sum", ColumnType.FLOAT64)
+
+    def _measurement(self, domain, noise):
+        return make_sum(
+            domain, self.column, self.low, self.high, self.granularity, noise
+        )
+
 
 @dataclass(frozen=True)
-class Average(QueryExpr):
+class Average(_Aggregation):
     child: QueryExpr
     column: str
     low: float
     high: float
     granularity: Fraction = DEFAULT_GRANULARITY
 
+    value_column = ("average", ColumnType.FLOAT64)
+
+    def _measurement(self, domain, noise):
+        return make_average(
+            domain, self.column, self.low, self.high, self.granularity, noise
+        )
+
 
 @dataclass(frozen=True)
-class Quantile(QueryExpr):
+class Quantile(_Aggregation):
     child: QueryExpr
     column: str
     q: float
@@ -295,14 +390,31 @@ class Quantile(QueryExpr):
     high: float
     bins: int
 
+    value_column = ("quantile", ColumnType.FLOAT64)
 
-_AGG_NODES = (Count, Sum, Average, Quantile)
+    def _measurement(self, domain, noise):
+        if not isinstance(noise, PureDpNoise):
+            raise TypeCheckError("quantile queries need a pure-DP session")
+        return make_quantile(
+            domain, self.column, self.q, self.low, self.high, self.bins,
+            noise.epsilon_unit,
+        )
 
 
-class GroupedQuery:
-    """A grouped pipeline waiting for its aggregation."""
+# Every query node by kind name, as query scripts spell it.
+QUERY_NODES: dict[str, type[QueryExpr]] = {
+    node.__name__: node
+    for node in (
+        Source, Filter, Map, FlatMap, JoinPublic, JoinPrivate, TruncateById,
+        GroupBy, Count, Sum, Average, Quantile,
+    )
+}
 
-    def __init__(self, expr: GroupBy):
+
+class _Aggregations:
+    """The aggregation methods; each returns the finished expression."""
+
+    def __init__(self, expr: QueryExpr):
         self._expr = expr
 
     def count(self) -> QueryExpr:
@@ -318,7 +430,11 @@ class GroupedQuery:
         return Quantile(self._expr, column, q, low, high, bins)
 
 
-class QueryBuilder:
+class GroupedQuery(_Aggregations):
+    """A grouped pipeline waiting for its aggregation."""
+
+
+class QueryBuilder(_Aggregations):
     """Fluent construction of query expressions.
 
     Relational steps return a new builder; aggregation methods return the
@@ -326,7 +442,7 @@ class QueryBuilder:
     """
 
     def __init__(self, table: str):
-        self._expr: QueryExpr = Source(table)
+        super().__init__(Source(table))
 
     @classmethod
     def _wrap(cls, expr: QueryExpr) -> "QueryBuilder":
@@ -369,18 +485,6 @@ class QueryBuilder:
 
     def group_by(self, keys: KeySet) -> GroupedQuery:
         return GroupedQuery(GroupBy(self._expr, keys))
-
-    def count(self) -> QueryExpr:
-        return Count(self._expr)
-
-    def sum(self, column: str, low, high, granularity=DEFAULT_GRANULARITY) -> QueryExpr:
-        return Sum(self._expr, column, low, high, Fraction(str(granularity)))
-
-    def average(self, column: str, low, high, granularity=DEFAULT_GRANULARITY) -> QueryExpr:
-        return Average(self._expr, column, low, high, Fraction(str(granularity)))
-
-    def quantile(self, column: str, q: float, low, high, bins: int) -> QueryExpr:
-        return Quantile(self._expr, column, q, low, high, bins)
 
 
 def query(table: str) -> QueryBuilder:
@@ -437,127 +541,17 @@ def _root_parts(table_domains: Mapping[str, TableDomain], unit: PrivacyUnit):
 
 
 def _build_chain(
-    expr: QueryExpr,
-    names: list[str],
-    components: tuple[TableDomain, ...],
-    metrics,
+    expr: QueryExpr, tables: Mapping[str, tf.Transformation]
 ) -> tf.Transformation:
     """Compile the relational part of a query into one transformation."""
-    if isinstance(expr, Source):
-        if expr.table not in names:
-            raise TypeCheckError(
-                f"unknown table {expr.table!r}; the session has {names}"
-            )
-        return tf.make_select_table(components, metrics, names.index(expr.table))
-    if isinstance(expr, Filter):
-        upstream = _build_chain(expr.child, names, components, metrics)
-        step = tf.make_filter(
-            upstream.output_domain, expr.predicate, metric=upstream.output_metric
-        )
-        return tf.chain(upstream, step)
-    if isinstance(expr, Map):
-        upstream = _build_chain(expr.child, names, components, metrics)
-        step = tf.make_map(
-            upstream.output_domain,
-            expr.columns,
-            expr.schema,
-            metric=upstream.output_metric,
-        )
-        return tf.chain(upstream, step)
-    if isinstance(expr, FlatMap):
-        upstream = _build_chain(expr.child, names, components, metrics)
-        if isinstance(upstream.output_metric, AddRemoveIds):
-            raise UnboundedSensitivity(
-                "flat_map under identifier accounting is unbounded; "
-                "truncate_by_id first"
-            )
-        step = tf.make_flat_map(
-            upstream.output_domain, expr.branches, expr.schema, expr.max_rows
-        )
-        return tf.chain(upstream, step)
-    if isinstance(expr, JoinPublic):
-        upstream = _build_chain(expr.child, names, components, metrics)
-        if isinstance(upstream.output_metric, AddRemoveIds):
-            raise UnboundedSensitivity(
-                "a public join under identifier accounting is unbounded; "
-                "truncate_by_id first"
-            )
-        step = tf.make_public_join(upstream.output_domain, expr.table, expr.on)
-        return tf.chain(upstream, step)
-    if isinstance(expr, JoinPrivate):
-        left = _build_chain(expr.child, names, components, metrics)
-        right = _build_chain(expr.other, names, components, metrics)
-        for side, label in ((left, "left"), (right, "right")):
-            if isinstance(side.output_metric, AddRemoveIds):
-                raise UnboundedSensitivity(
-                    f"the {label} side of a private join is still under "
-                    "identifier accounting; truncate_by_id first"
-                )
-        join = tf.make_private_join(
-            left.output_domain,
-            right.output_domain,
-            expr.on,
-            expr.left_bound,
-            expr.right_bound,
-        )
-        slope = tf.private_join_distance_bound(
-            expr.left_bound,
-            expr.right_bound,
-            left.stability.slope,
-            right.stability.slope,
-        )
-        return tf.Transformation(
-            input_domain=TableTupleDomain(components),
-            output_domain=join.output_domain,
-            input_metric=TableTuple(metrics),
-            output_metric=SymmetricDifference(),
-            stability=linear_map(slope),
-            _apply=lambda data: join.apply((left.apply(data), right.apply(data))),
-        )
-    if isinstance(expr, TruncateById):
-        upstream = _build_chain(expr.child, names, components, metrics)
-        if not isinstance(upstream.output_metric, AddRemoveIds):
-            raise TypeCheckError(
-                "truncate_by_id applies only under identifier accounting"
-            )
-        step = tf.make_truncate_by_id(upstream.output_domain, expr.bound)
-        return tf.chain(upstream, step)
-    if isinstance(expr, (GroupBy,) + _AGG_NODES):
+    if not isinstance(expr, _Relational):
         raise TypeCheckError(
-            "aggregations and group-by may appear only at the root of a query"
+            f"{type(expr).__name__} cannot appear here: aggregations and "
+            "group-by may appear only at the root of a query"
         )
-    raise TypeCheckError(f"unknown query node {expr!r}")
-
-
-def _agg_parts(expr: QueryExpr, domain: TableDomain, noise, measure: Measure):
-    """Build the per-table aggregation measurement and its value column."""
-    if isinstance(expr, Count):
-        return make_count(domain, noise), ("count", ColumnType.INT64)
-    if isinstance(expr, Sum):
-        return (
-            make_sum(domain, expr.column, expr.low, expr.high, expr.granularity, noise),
-            ("sum", ColumnType.FLOAT64),
-        )
-    if isinstance(expr, Average):
-        return (
-            make_average(
-                domain, expr.column, expr.low, expr.high, expr.granularity, noise
-            ),
-            ("average", ColumnType.FLOAT64),
-        )
-    if isinstance(expr, Quantile):
-        if not isinstance(measure, PureDP):
-            raise TypeCheckError("quantile queries need a pure-DP session")
-        if not isinstance(noise, PureDpNoise):
-            raise TypeCheckError("quantile queries need a pure-DP session")
-        return (
-            make_quantile(
-                domain, expr.column, expr.q, expr.low, expr.high, expr.bins,
-                noise.epsilon_unit,
-            ),
-            ("quantile", ColumnType.FLOAT64),
-        )
-    raise TypeCheckError(f"queries must end in an aggregation, got {expr!r}")
+    child = getattr(expr, "child", None)
+    upstream = None if child is None else _build_chain(child, tables)
+    return expr._chain(upstream, tables)
 
 
 def _combine(chain: tf.Transformation, measurement: Measurement) -> Measurement:
@@ -609,18 +603,16 @@ def _compile(
 ) -> CompiledQuery:
     names, components, metrics = _root_parts(table_domains, unit)
     distance = _unit_distance(unit, len(names))
+    tables = {
+        name: tf.make_select_table(components, metrics, i)
+        for i, name in enumerate(names)
+    }
 
-    if not isinstance(expr, _AGG_NODES):
+    if not isinstance(expr, _Aggregation):
         raise TypeCheckError("queries must end in an aggregation")
-    inner = expr.child
-    keyset = None
-    if isinstance(inner, GroupBy):
-        keyset = inner.keys
-        relational = inner.child
-    else:
-        relational = inner
+    keyset, relational = expr.child._grouping()
 
-    chain = _build_chain(relational, names, components, metrics)
+    chain = _build_chain(relational, tables)
     if isinstance(chain.output_metric, AddRemoveIds):
         raise UnboundedSensitivity(
             "this query is still under identifier accounting at the "
@@ -660,7 +652,8 @@ def _compile(
     else:
         raise TypeCheckError(f"unknown measure {measure!r}")
 
-    per_table, value_column = _agg_parts(expr, chain.output_domain, noise, measure)
+    per_table = expr._measurement(chain.output_domain, noise)
+    value_column = expr.value_column
 
     if keyset is None:
         value_name, value_type = value_column
@@ -749,6 +742,20 @@ class Session:
         return compiled.wrap(raw)
 
 
+def _session_domains(
+    schemas: Mapping[str, Schema], unit: PrivacyUnit
+) -> dict[str, TableDomain]:
+    """The table domains a session over these schemas compiles against;
+    under AddRemoveId every table must carry the identifier column."""
+    if not schemas:
+        raise EmptyTables("a session needs at least one table")
+    id_column = unit.id_column if isinstance(unit, AddRemoveId) else None
+    for name in sorted(schemas):
+        if id_column is not None and not schemas[name].has_column(id_column):
+            raise MissingIdColumn(f"table {name!r} lacks the id column {id_column!r}")
+    return {name: TableDomain(schemas[name], id_column) for name in sorted(schemas)}
+
+
 def build_session(
     tables: Mapping[str, Table],
     unit: PrivacyUnit,
@@ -761,25 +768,14 @@ def build_session(
     int64 or text).  The seed fixes all randomness: the same seed and the
     same query sequence reproduce the same outputs bit for bit.
     """
-    if not tables:
-        raise EmptyTables("a session needs at least one table")
+    domains = _session_domains(
+        {name: table.schema for name, table in tables.items()}, unit
+    )
     if not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise TypeMismatch(f"the seed must be a 64-bit unsigned int, got {seed!r}")
-    domains: dict[str, TableDomain] = {}
-    for name in sorted(tables):
-        table = tables[name]
-        if isinstance(unit, AddRemoveId):
-            if not table.schema.has_column(unit.id_column):
-                raise MissingIdColumn(
-                    f"table {name!r} lacks the id column {unit.id_column!r}"
-                )
-            domains[name] = TableDomain(table.schema, unit.id_column)
-        else:
-            domains[name] = TableDomain(table.schema, None)
-    names, components, metrics = _root_parts(domains, unit)
-    dataset = tuple(tables[name] for name in names)
-    queryable = make_queryable(
-        dataset,
+    names, _, metrics = _root_parts(domains, unit)
+    queryable = Queryable(
+        tuple(tables[name] for name in names),
         TableTuple(metrics),
         budget.measure,
         budget.amount,

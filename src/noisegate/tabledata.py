@@ -19,6 +19,7 @@ import json
 import math
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -98,7 +99,8 @@ class Schema:
         return any(col == name for col, _ in self.columns)
 
 
-def _check_value(value: Value, ctype: ColumnType) -> None:
+def check_value(value: Value, ctype: ColumnType) -> None:
+    """Raise SchemaMismatch unless value is a legal cell of the column type."""
     if ctype is ColumnType.INT64:
         # bool is an int subclass; reject it explicitly.
         if not isinstance(value, int) or isinstance(value, bool):
@@ -136,7 +138,7 @@ class Table:
                     f"row {row!r} has {len(row)} values, schema has {width} columns"
                 )
             for value, (_, ctype) in zip(row, self.schema.columns):
-                _check_value(value, ctype)
+                check_value(value, ctype)
 
     @classmethod
     def of(cls, schema: Schema, rows: Iterable[Sequence[Value]]) -> "Table":
@@ -314,25 +316,34 @@ def _parse_cell(text: str, ctype: ColumnType, line: int, column: str) -> Value:
     return text
 
 
+@contextmanager
+def _csv_records(path: str | Path, schema: Schema) -> Iterator[Iterator[list[str]]]:
+    """Open a CSV file, check its header against the schema, and yield a
+    reader over the records after the header."""
+    path = Path(path)
+    try:
+        handle = path.open(newline="", encoding="utf-8")
+    except OSError as exc:
+        raise MissingFile(f"cannot read {path}: {exc}") from exc
+    with handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise HeaderMismatch(f"{path}: file is empty, expected a header row")
+        if tuple(header) != schema.names:
+            raise HeaderMismatch(
+                f"{path}: header {header!r} does not match schema {list(schema.names)}"
+            )
+        yield reader
+
+
 def load_csv(path: str | Path, schema: Schema) -> Table:
     """Load a CSV file whose header matches the schema, in order.
 
     The whole load aborts on the first malformed cell; there is no partial
     ingestion and no null handling.
     """
-    path = Path(path)
-    if not path.exists():
-        raise MissingFile(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise HeaderMismatch(f"{path}: file is empty, expected a header row")
-        if tuple(header) != schema.names:
-            raise HeaderMismatch(
-                f"{path}: header {header!r} does not match schema {list(schema.names)}"
-            )
+    with _csv_records(path, schema) as reader:
         rows: list[Row] = []
         for line_number, record in enumerate(reader, start=2):
             if len(record) != len(schema.columns):
@@ -376,23 +387,25 @@ def csv_text(table: Table) -> str:
     return buffer.getvalue()
 
 
-def domain_from_json(obj: Mapping) -> TableDomain:
-    """Build a TableDomain from a schema object.
+def schema_from_json(obj) -> Schema:
+    """Build a Schema from {"columns": [{"name": ..., "type": ...}, ...]}."""
+    columns = obj.get("columns") if isinstance(obj, Mapping) else None
+    if not isinstance(columns, (list, tuple)):
+        raise TypeParseError("a schema object needs a 'columns' list")
+    pairs = []
+    for entry in columns:
+        if not isinstance(entry, Mapping) or not isinstance(entry.get("name"), str):
+            raise TypeParseError(f"bad column entry {entry!r}: needs a 'name' string")
+        pairs.append((entry["name"], ColumnType.from_name(entry.get("type"))))
+    return Schema(tuple(pairs))
 
-    The object looks like {"columns": [{"name": ..., "type": ...}, ...]}
-    with an optional "id_column" entry.
-    """
-    if not isinstance(obj, Mapping) or "columns" not in obj:
-        raise TypeParseError("schema object needs a 'columns' list")
-    columns = []
-    for entry in obj["columns"]:
-        if not isinstance(entry, Mapping) or "name" not in entry or "type" not in entry:
-            raise TypeParseError(f"bad column entry {entry!r}")
-        columns.append((str(entry["name"]), ColumnType.from_name(str(entry["type"]))))
+
+def domain_from_json(obj: Mapping) -> TableDomain:
+    """Build a TableDomain from a schema_from_json object with an optional
+    "id_column" entry."""
+    schema = schema_from_json(obj)
     id_column = obj.get("id_column")
-    if id_column is not None:
-        id_column = str(id_column)
-    return TableDomain(Schema(tuple(columns)), id_column)
+    return TableDomain(schema, None if id_column is None else str(id_column))
 
 
 def domain_to_json(domain: TableDomain) -> dict:

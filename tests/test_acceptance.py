@@ -20,19 +20,21 @@ from helpers import (
     geometric_pmf,
     perturb_rows,
     product_pmf,
+    pure_dp_divergence,
     quantile_pmf,
     random_table,
     tv_distance,
+    zcdp_divergence,
 )
 from noisegate.errors import GuaranteeTooWeak, InsufficientBudget
 from noisegate.measurements import (
     PureDpNoise,
+    Queryable,
     compose_over_subsets,
     make_count,
     make_discrete_gaussian,
     make_geometric,
     make_quantile,
-    make_queryable,
 )
 from noisegate.metrics import (
     INF,
@@ -43,8 +45,6 @@ from noisegate.metrics import (
     ZCDP,
     compose_maps,
     dataset_distance,
-    pure_dp_divergence,
-    zcdp_divergence,
 )
 from noisegate.rng import RngStream
 from noisegate.session import (
@@ -389,7 +389,7 @@ def test_criterion_07_budget_ledger():
     total = Fraction(3)
 
     def fresh():
-        return make_queryable(
+        return Queryable(
             table, SymmetricDifference(), PureDP(), total, RngStream(31337)
         )
 

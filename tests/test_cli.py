@@ -1,8 +1,19 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+import typing
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from noisegate.cli import main
+import noisegate
+from noisegate import cli
+from noisegate.cli import main, parse_script
+from noisegate.session import QUERY_NODES, keyset_from_tuples, query
+from noisegate.tabledata import ColumnType
 
 SCHEMA_DOC = {
     "tables": {
@@ -29,6 +40,19 @@ SOURCE = {"kind": "Source", "table": "people"}
 
 def count_query(name, spend):
     return {"name": name, "spend": spend, "expr": {"kind": "Count", "child": SOURCE}}
+
+
+def script_of(expr):
+    return json.dumps({"queries": [{"name": "a", "spend": "1", "expr": expr}]})
+
+
+def join_on(on):
+    table = {"columns": [{"name": "zip", "type": "text"}], "rows": [["981"]]}
+    return {"kind": "Count", "child": {"kind": "JoinPublic", "child": SOURCE, "table": table, "on": on}}
+
+
+def grouped_by(keys):
+    return {"kind": "Count", "child": {"kind": "GroupBy", "child": SOURCE, "keys": keys}}
 
 
 def write_workspace(root, schema=SCHEMA_DOC, csv=PEOPLE_CSV, queries=()):
@@ -238,6 +262,21 @@ def test_budget_checks_headers_when_data_given(tmp_path, capsys):
     assert main(run_args(tmp_path, command="budget", budget="1")) == 2
 
 
+def test_budget_compile_error_exits_4_like_run(tmp_path, capsys):
+    bad = {
+        "name": "oops",
+        "spend": "1/2",
+        "expr": {
+            "kind": "Count",
+            "child": {"kind": "Filter", "predicate": "nope > 1", "child": SOURCE},
+        },
+    }
+    write_workspace(tmp_path, queries=[count_query("fine", "1/4"), bad])
+    assert main(run_args(tmp_path, command="budget", budget="1", data=None)) == 4
+    assert "oops" in capsys.readouterr().err
+    assert main(run_args(tmp_path, budget="1")) == 4
+
+
 # ---------------------------------------------------------------------------
 # validate
 
@@ -308,6 +347,12 @@ def test_bad_flags_exit_2(tmp_path, overrides, capsys):
         json.dumps({"queries": [count_query("a", "1"), count_query("a", "1")]}),
         json.dumps({"queries": [{"name": "a", "spend": "1", "expr": {"kind": "Explode", "child": SOURCE}}]}),
         json.dumps({"queries": [{"name": "a", "spend": "1"}]}),
+        json.dumps({"queries": 5}),
+        script_of(join_on(5)),
+        script_of(join_on("zip")),
+        script_of(grouped_by({"columns": [{"name": "zip", "type": "text"}], "rows": 5})),
+        script_of(grouped_by({"columns": 5, "rows": []})),
+        script_of({"kind": "Sum", "child": SOURCE, "column": 3, "low": 0, "high": 1}),
     ],
 )
 def test_bad_scripts_exit_2(tmp_path, script_text, capsys):
@@ -326,6 +371,46 @@ def test_missing_csv_exits_2(tmp_path, capsys):
     write_workspace(tmp_path, queries=[count_query("t", "1")])
     (tmp_path / "data" / "people.csv").unlink()
     assert main(run_args(tmp_path)) == 2
+
+
+# ---------------------------------------------------------------------------
+# the script decoder
+
+
+def test_every_node_field_type_has_a_decoder():
+    for node in QUERY_NODES.values():
+        hints = typing.get_type_hints(node)
+        for field in dataclasses.fields(node):
+            assert hints[field.name] in cli._DECODERS, (node.__name__, field.name)
+
+
+def test_demo_script_decodes_to_builder_queries():
+    demo = Path(__file__).resolve().parents[1] / "demo"
+    doc = json.loads((demo / "script.json").read_text())
+    zips = keyset_from_tuples(
+        [("zip", ColumnType.TEXT)], [("98101",), ("98102",), ("98103",)]
+    )
+    expected = [
+        ("population", Fraction(1, 2), query("people").count()),
+        (
+            "seniors_by_zip",
+            Fraction(1),
+            query("people").filter("age > 40").group_by(zips).count(),
+        ),
+        (
+            "median_income",
+            Fraction(1, 2),
+            query("people").quantile("income", 0.5, 0.0, 200000.0, 50),
+        ),
+    ]
+    assert [(q.name, q.spend, q.expr) for q in parse_script(doc)] == expected
+
+
+def test_cli_import_leaves_mpmath_out():
+    src = Path(noisegate.__file__).resolve().parents[1]
+    code = "import sys, noisegate.cli; sys.exit('mpmath' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_argparse_errors_return_codes(capsys):

@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import geometric_pmf, product_pmf, quantile_pmf, tv_distance
+from helpers import (
+    geometric_pmf,
+    product_pmf,
+    pure_dp_divergence,
+    quantile_pmf,
+    tv_distance,
+)
 from noisegate.errors import (
     BadBounds,
     BadQuantile,
@@ -27,6 +33,7 @@ from noisegate.measurements import (
     GeometricMechanism,
     Measurement,
     PureDpNoise,
+    Queryable,
     ZcdpNoise,
     ZERO_NOISE_RATE,
     compose_over_subsets,
@@ -37,7 +44,6 @@ from noisegate.measurements import (
     make_discrete_gaussian,
     make_geometric,
     make_quantile,
-    make_queryable,
     make_sum,
 )
 from noisegate.metrics import (
@@ -48,7 +54,6 @@ from noisegate.metrics import (
     SymmetricDifference,
     ZCDP,
     dataset_distance,
-    pure_dp_divergence,
 )
 from noisegate.rng import RngStream
 from noisegate.tabledata import ColumnType, Schema, Table, TableDomain
@@ -335,7 +340,7 @@ def test_compose_over_subsets():
 
 
 def _queryable(total=Fraction(1)):
-    return make_queryable(
+    return Queryable(
         T(("a", 1.0), ("b", 2.0), ("c", 3.0)),
         SymmetricDifference(),
         PureDP(),

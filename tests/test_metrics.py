@@ -7,8 +7,16 @@ from itertools import product
 import mpmath
 import pytest
 
-from helpers import ari_distance, grouped_distance, random_table, sd_distance
-from noisegate.errors import BadAlpha, NotAPmf
+from helpers import (
+    BadAlpha,
+    NotAPmf,
+    ari_distance,
+    grouped_distance,
+    pure_dp_divergence,
+    random_table,
+    sd_distance,
+    zcdp_divergence,
+)
 from noisegate.metrics import (
     INF,
     AddRemoveIds,
@@ -22,9 +30,7 @@ from noisegate.metrics import (
     general_map,
     linear_map,
     max_slope_map,
-    pure_dp_divergence,
     sum_maps,
-    zcdp_divergence,
 )
 from noisegate.tabledata import ColumnType, Schema, Table
 

@@ -95,6 +95,16 @@ def test_keyset_from_tuples():
         keyset_from_tuples([("zip", TEXT)], [(1,)])
     with pytest.raises(TypeMismatch):
         keyset_from_tuples([("zip", TEXT)], [("a", "b")])
+    for column, key in [
+        (("zip", TEXT), ""),
+        (("x", FLOAT64), math.nan),
+        (("x", FLOAT64), math.inf),
+        (("x", FLOAT64), -math.inf),
+        (("n", INT64), 2**63),
+        (("n", INT64), -(2**63) - 1),
+    ]:
+        with pytest.raises(TypeMismatch):
+            keyset_from_tuples([column], [(key,)])
 
 
 # ---------------------------------------------------------------------------

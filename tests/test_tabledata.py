@@ -192,3 +192,6 @@ def test_load_schema_file(tmp_path: Path):
     )
     domains = load_schema_file(path)
     assert domains["people"].schema == PEOPLE
+    path.write_text(json.dumps({"tables": {"people": {"columns": 5}}}))
+    with pytest.raises(TypeParseError):
+        load_schema_file(path)
