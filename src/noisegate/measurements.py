@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Sequence, Union
@@ -282,11 +283,22 @@ def _sum_setup(low, high, granularity):
 
 
 def _grain_total(table: Table, column: str, low: float, high: float, gamma: Fraction) -> int:
+    """The sum over rows of round(clamped value / gamma), half to even.
+
+    Exact integer arithmetic: value / gamma is n * g_den / (d * g_num) for
+    the value's exact ratio n / d, so no Fraction is built per row.
+    """
     index = table.schema.index_of(column)
+    g_num, g_den = gamma.numerator, gamma.denominator
     total = 0
     for row in table.rows:
-        clamped = min(max(row[index], low), high)
-        total += round(Fraction(clamped) / gamma)
+        n, d = min(max(row[index], low), high).as_integer_ratio()
+        divisor = d * g_num
+        quotient, remainder = divmod(n * g_den, divisor)
+        twice = 2 * remainder
+        if twice > divisor or (twice == divisor and quotient & 1):
+            quotient += 1
+        total += quotient
     return total
 
 
@@ -367,6 +379,17 @@ def make_average(
     )
 
 
+def _quantile_scores(values: Sequence, midpoints: Sequence[float], q: float) -> list:
+    """Each midpoint's score: -|(number of values below it) - q * len(values)|.
+
+    One sort, then bisect_left, which counts the values strictly below a
+    midpoint exactly as a scan comparing each value would.
+    """
+    values = sorted(values)
+    target = q * len(values)
+    return [-abs(bisect_left(values, mid) - target) for mid in midpoints]
+
+
 def make_quantile(
     domain: TableDomain,
     column: str,
@@ -399,11 +422,7 @@ def make_quantile(
     half_epsilon = float(epsilon_unit) / 2
 
     def evaluate(table: Table, rng: RngStream) -> float:
-        values = [row[index_of_column] for row in table.rows]
-        target = q * len(values)
-        scores = [
-            -abs(sum(1 for v in values if v < mid) - target) for mid in midpoints
-        ]
+        scores = _quantile_scores([row[index_of_column] for row in table.rows], midpoints, q)
         top = max(scores)
         weights = [math.exp(half_epsilon * (s - top)) for s in scores]
         total = math.fsum(weights)

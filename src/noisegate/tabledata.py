@@ -3,11 +3,15 @@
 A Table is a schema plus a multiset of rows.  Row order is an artifact of
 construction and is never observable through the public operations here:
 equality is multiset equality, and canonicalize produces the one fixed
-ordering used wherever determinism matters (truncation, serialization).
+ordering used wherever determinism matters (truncation).
 
 Values are plain Python ints, floats, and strings.  Floats must be finite
-and no cell may be empty; ingestion rejects anything else up front so the
-rest of the package never sees a null.
+and no cell may be empty.  Cells are checked where they enter: by
+load_csv as it parses them, and by Table(...) / Table.of for tables built
+from anything else (user tables, inline public tables, keysets, map
+outputs, results).  Operations that only select, regroup, reorder or
+concatenate rows of checked tables build their output with the private
+Table._trusted, which skips the per-cell check.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import re
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -125,6 +130,8 @@ class Table:
 
     Tables compare by identity; use table_equal for multiset equality so
     that incidental row order never leaks into program behavior.
+    Constructing one checks every cell against the schema; see _trusted
+    for the internal constructor that does not.
     """
 
     schema: Schema
@@ -139,6 +146,20 @@ class Table:
                 )
             for value, (_, ctype) in zip(row, self.schema.columns):
                 check_value(value, ctype)
+
+    @classmethod
+    def _trusted(cls, schema: Schema, rows: tuple[Row, ...]) -> "Table":
+        """A table whose cells are not checked again.
+
+        Only for rows that are legal under schema already: rows of checked
+        tables with the same schema, concatenations of such rows under the
+        joined schema, or cells parsed by load_csv.  Anything computed or
+        supplied from outside goes through Table(...).
+        """
+        table = object.__new__(cls)
+        object.__setattr__(table, "schema", schema)
+        object.__setattr__(table, "rows", rows)
+        return table
 
     @classmethod
     def of(cls, schema: Schema, rows: Iterable[Sequence[Value]]) -> "Table":
@@ -162,29 +183,17 @@ class Table:
         return Counter(self.rows)
 
 
-def _sort_key(schema: Schema) -> "callable":
-    # Lexicographic by column position; text compares by UTF-8 bytes, which
-    # agrees with code-point order and is stable across platforms.
-    text_positions = frozenset(
-        i for i, (_, ctype) in enumerate(schema.columns) if ctype is ColumnType.TEXT
-    )
-
-    def key(row: Row):
-        return tuple(
-            v.encode("utf-8") if i in text_positions else v for i, v in enumerate(row)
-        )
-
-    return key
-
-
 def canonicalize(table: Table) -> Table:
     """Return the table with rows in the fixed total order.
 
-    The order is lexicographic by column position, numeric columns by value
-    and text columns by encoded byte order.  This is the order truncation
-    operators and serialization rely on.
+    The order is plain tuple order: lexicographic by column position,
+    numeric columns by value and text columns by code point.  Code-point
+    order is the order of the UTF-8 encodings, so it is the same on every
+    platform, and unlike encoding it is defined for every str, including
+    lone surrogates.  Truncation keeps the first rows of each key group
+    in this order.
     """
-    return Table(table.schema, tuple(sorted(table.rows, key=_sort_key(table.schema))))
+    return Table._trusted(table.schema, tuple(sorted(table.rows)))
 
 
 def table_equal(a: Table, b: Table) -> bool:
@@ -200,12 +209,20 @@ def split_by_key(table: Table, key_columns: Sequence[str]) -> dict[tuple, Table]
     Every row lands in exactly one part and the parts' schemas equal the
     input schema.
     """
-    indices = [table.schema.index_of(name) for name in key_columns]
-    groups: dict[tuple, list[Row]] = {}
+    key_of = itemgetter(*[table.schema.index_of(name) for name in key_columns])
+    groups: dict[object, list[Row]] = {}
     for row in table.rows:
-        key = tuple(row[i] for i in indices)
-        groups.setdefault(key, []).append(row)
-    return {key: Table(table.schema, tuple(rows)) for key, rows in groups.items()}
+        key = key_of(row)
+        if key in groups:
+            groups[key].append(row)
+        else:
+            groups[key] = [row]
+    # itemgetter gives a bare value for one column; keys are always tuples.
+    single = len(key_columns) == 1
+    return {
+        ((key,) if single else key): Table._trusted(table.schema, tuple(rows))
+        for key, rows in groups.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -326,22 +343,27 @@ def _csv_records(path: str | Path, schema: Schema) -> Iterator[Iterator[list[str
     except OSError as exc:
         raise MissingFile(f"cannot read {path}: {exc}") from exc
     with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise HeaderMismatch(f"{path}: file is empty, expected a header row")
-        if tuple(header) != schema.names:
-            raise HeaderMismatch(
-                f"{path}: header {header!r} does not match schema {list(schema.names)}"
-            )
-        yield reader
+        try:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                raise HeaderMismatch(f"{path}: file is empty, expected a header row")
+            if tuple(header) != schema.names:
+                raise HeaderMismatch(
+                    f"{path}: header {header!r} does not match schema {list(schema.names)}"
+                )
+            yield reader
+        except UnicodeDecodeError as exc:
+            raise TypeParseError(f"{path}: not valid UTF-8: {exc}") from exc
 
 
 def load_csv(path: str | Path, schema: Schema) -> Table:
     """Load a CSV file whose header matches the schema, in order.
 
-    The whole load aborts on the first malformed cell; there is no partial
-    ingestion and no null handling.
+    The whole load aborts on the first malformed cell or on bytes that are
+    not UTF-8; there is no partial ingestion and no null handling.  Each
+    cell is checked as it is parsed, so the table is built without a
+    second check.
     """
     with _csv_records(path, schema) as reader:
         rows: list[Row] = []
@@ -357,7 +379,7 @@ def load_csv(path: str | Path, schema: Schema) -> Table:
                 for cell, (name, ctype) in zip(record, schema.columns)
             )
             rows.append(row)
-    return Table(schema, tuple(rows))
+    return Table._trusted(schema, tuple(rows))
 
 
 def _format_cell(value: Value) -> str:

@@ -110,7 +110,9 @@ def make_filter(domain: TableDomain, predicate: str, metric: Metric | None = Non
     compiled = compile_predicate(predicate, domain.schema)
 
     def apply(table: Table) -> Table:
-        return Table(table.schema, tuple(row for row in table.rows if compiled(row)))
+        return Table._trusted(
+            table.schema, tuple(row for row in table.rows if compiled(row))
+        )
 
     return Transformation(
         input_domain=domain,
@@ -294,7 +296,7 @@ def _join_rows(
         key = tuple(row[i] for i in left_key_idx)
         for extra in matches.get(key, ()):
             out.append(row + extra)
-    return Table(joined, tuple(out))
+    return Table._trusted(joined, tuple(out))
 
 
 def make_public_join(domain: TableDomain, public: Table, on: Sequence[str]) -> Transformation:
@@ -326,12 +328,15 @@ def make_public_join(domain: TableDomain, public: Table, on: Sequence[str]) -> T
 
 
 def _truncate_by_keys(table: Table, keys: Sequence[str], bound: int) -> Table:
-    """Keep the first `bound` rows of each key group, in canonical order."""
-    parts = split_by_key(table, keys)
+    """Keep the first `bound` rows of each key group, in canonical order.
+
+    The table is sorted once; each key group is a subsequence of the sorted
+    rows, so it comes out of split_by_key already in canonical order.
+    """
     out: list[Row] = []
-    for key in sorted(parts, key=lambda k: tuple(repr(v) for v in k)):
-        out.extend(canonicalize(parts[key]).rows[:bound])
-    return Table(table.schema, tuple(out))
+    for part in split_by_key(canonicalize(table), keys).values():
+        out.extend(part.rows[:bound])
+    return Table._trusted(table.schema, tuple(out))
 
 
 def private_join_distance_bound(
@@ -443,7 +448,7 @@ def make_overlapping_subsets(
                     )
             for index in indices[:contribution_bound]:
                 buckets[index].append(row)
-        return tuple(Table(table.schema, tuple(bucket)) for bucket in buckets)
+        return tuple(Table._trusted(table.schema, tuple(bucket)) for bucket in buckets)
 
     return Transformation(
         input_domain=domain,

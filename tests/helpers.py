@@ -288,3 +288,36 @@ def tv_distance(p: dict, q: dict) -> float:
 def empirical_pmf(samples: list) -> dict:
     n = len(samples)
     return {k: Fraction(c, n) for k, c in Counter(samples).items()}
+
+
+# ---------------------------------------------------------------------------
+# Plain references for the evaluation fast paths.
+
+
+def grain_total_reference(values, low, high, gamma) -> int:
+    """Sum of clamped values in grain steps, each rounded half to even in
+    exact Fraction arithmetic."""
+    gamma = Fraction(gamma)
+    return sum(round(Fraction(min(max(v, low), high)) / gamma) for v in values)
+
+
+def quantile_scores_reference(values, midpoints, q) -> list:
+    """Quantile bin scores by comparing every value with every midpoint."""
+    target = q * len(values)
+    return [-abs(sum(1 for v in values if v < mid) - target) for mid in midpoints]
+
+
+def truncate_reference(rows, key_positions, bound) -> Counter:
+    """The multiset kept by keeping, per key, the first `bound` rows with
+    text cells ordered by their UTF-8 bytes."""
+
+    def encoded(row):
+        return tuple(v.encode("utf-8") if isinstance(v, str) else v for v in row)
+
+    groups: dict = {}
+    for row in rows:
+        groups.setdefault(tuple(row[i] for i in key_positions), []).append(row)
+    kept: Counter = Counter()
+    for group in groups.values():
+        kept.update(sorted(group, key=encoded)[:bound])
+    return kept

@@ -257,9 +257,17 @@ def test_budget_never_reads_rows(tmp_path, capsys):
     assert capsys.readouterr().out == full
 
 
-def test_budget_checks_headers_when_data_given(tmp_path, capsys):
-    write_workspace(tmp_path, csv="wrong,header\n1,2\n")
+@pytest.mark.parametrize(
+    "data", [b"wrong,header\n1,2\n", b"id,zip,income\n0,\xff\xfe,1.0\n"]
+)
+def test_budget_checks_headers_when_data_given(tmp_path, data, capsys):
+    write_workspace(tmp_path)
+    (tmp_path / "data" / "people.csv").write_bytes(data)
     assert main(run_args(tmp_path, command="budget", budget="1")) == 2
+    assert main(run_args(tmp_path)) == 2
+    assert main(["validate", "--schema", str(tmp_path / "schema.json"),
+                 "--data", str(tmp_path / "data")]) == 2
+    assert capsys.readouterr().err.count("error:") == 3
 
 
 def test_budget_compile_error_exits_4_like_run(tmp_path, capsys):

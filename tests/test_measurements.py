@@ -1,4 +1,5 @@
 import math
+import random
 import threading
 from fractions import Fraction
 
@@ -6,9 +7,11 @@ import pytest
 
 from helpers import (
     geometric_pmf,
+    grain_total_reference,
     product_pmf,
     pure_dp_divergence,
     quantile_pmf,
+    quantile_scores_reference,
     tv_distance,
 )
 from noisegate.errors import (
@@ -29,6 +32,8 @@ from noisegate.errors import (
     UnknownColumn,
 )
 from noisegate.measurements import (
+    _grain_total,
+    _quantile_scores,
     GaussianMechanism,
     GeometricMechanism,
     Measurement,
@@ -156,6 +161,27 @@ def test_sum_clamps_and_rounds():
     assert m2.eval(T(("a", 1.125), ("b", 1.875)), stream()) == 3
 
 
+@pytest.mark.parametrize("gamma", [Fraction(1, 100), Fraction(1, 3), Fraction(1, 4), 1, 2, 5])
+def test_grain_total_matches_fraction_reference(gamma):
+    gamma = Fraction(gamma)
+    rng = random.Random(f"grain-{gamma}")
+    int_schema = Schema.of(("v", ColumnType.INT64))
+    float_schema = Schema.of(("v", ColumnType.FLOAT64))
+    for _ in range(500):
+        low = float(rng.randint(-50, 0))
+        high = float(rng.randint(0, 50))
+        ints = [rng.randint(-60, 60) for _ in range(rng.randrange(6))]
+        floats = [rng.uniform(-60, 60) for _ in range(rng.randrange(4))]
+        # Exact half-grain ties, both signs, and values on the bounds.
+        floats += [float(gamma * (rng.randint(-40, 40) + Fraction(1, 2))) for _ in range(2)]
+        floats += [low, high, -0.0]
+        for schema, values in ((int_schema, ints), (float_schema, floats)):
+            table = Table.of(schema, [(v,) for v in values])
+            assert _grain_total(table, "v", low, high, gamma) == grain_total_reference(
+                values, low, high, gamma
+            )
+
+
 def test_sum_sensitivity_scales_privacy():
     m = make_sum(DOMAIN, "v", 0, 3, 1, PureDpNoise(Fraction(1)))
     assert m.privacy_function(1) == 1
@@ -203,6 +229,22 @@ def test_average_splits_budget_evenly():
 def test_quantile_single_bin_returns_midpoint():
     m = make_quantile(DOMAIN, "v", 0.5, 0.0, 4.0, 1, Fraction(20))
     assert m.eval(T(("a", 3.0)), stream()) == 2.0
+
+
+def test_quantile_scores_match_brute_force():
+    rng = random.Random(5)
+    midpoints = [0.5 + i for i in range(8)]
+    cases = [
+        [],  # an empty table scores every bin 0
+        [1.5, 1.5, 2.5, 0.5, 7.5],  # values tied to midpoints
+        [3, 0, 8, 3, -1, 5],  # an int column
+    ] + [[rng.choice([rng.uniform(-1, 9), float(rng.randint(0, 8)) + 0.5])
+          for _ in range(rng.randrange(12))] for _ in range(200)]
+    for values in cases:
+        for q in (0.0, 0.25, 0.5, 1.0):
+            assert _quantile_scores(values, midpoints, q) == quantile_scores_reference(
+                values, midpoints, q
+            )
 
 
 def test_quantile_validation():

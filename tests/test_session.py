@@ -405,6 +405,26 @@ def test_add_remove_id_multi_table_distance():
     assert s.remaining_budget().amount == 0
 
 
+def test_lone_surrogate_cell_does_not_change_the_outcome():
+    # The canonical order is defined for every str, so a cell that has no
+    # UTF-8 encoding cannot make a compiled query fail where a plain cell
+    # would not.
+    schema = Schema.of(("id", INT64), ("name", TEXT))
+
+    def trajectory(cell):
+        table = Table.of(schema, [(0, cell), (0, "b"), (1, "c")])
+        s = build_session({"t": table}, AddRemoveId("id"), PrivacyBudget.pure(1), seed=5)
+        expr = query("t").truncate_by_id(1).count()
+        try:
+            outcome = type(s.evaluate(expr, PrivacyBudget.pure("1/2")))
+        except Exception as exc:
+            outcome = type(exc)
+        return outcome, s.remaining_budget()
+
+    assert trajectory("\ud800") == trajectory("a")
+    assert trajectory("a")[1] == PrivacyBudget.pure("1/2")
+
+
 # ---------------------------------------------------------------------------
 # build_session validation.
 

@@ -92,6 +92,9 @@ def test_canonicalize_orders_rows_deterministically():
     # Text sorts by code point, so the order is locale-independent.
     t = Table.of(Schema.of(("s", ColumnType.TEXT)), [("Z",), ("a",), ("B",)])
     assert canonicalize(t).rows == (("B",), ("Z",), ("a",))
+    # Every str has a place in the order, lone surrogates included.
+    odd = Table.of(Schema.of(("s", ColumnType.TEXT)), [("\U0001F600",), ("\ud800",), ("a",)])
+    assert canonicalize(odd).rows == (("a",), ("\ud800",), ("\U0001F600",))
 
 
 def test_split_by_key():
@@ -100,6 +103,9 @@ def test_split_by_key():
     assert set(parts) == {("a",), ("b",)}
     assert len(parts[("a",)]) == 2
     assert len(parts[("b",)]) == 1
+    pairs = split_by_key(t, ["name", "age"])
+    assert set(pairs) == {("a", 1), ("b", 2), ("a", 3)}
+    assert pairs[("a", 3)].rows == (("a", 3, 0.0),)
     with pytest.raises(UnknownColumn):
         split_by_key(t, ["nope"])
 
@@ -142,6 +148,15 @@ def test_load_csv_errors(tmp_path: Path):
 
     with pytest.raises(MissingFile):
         load_csv(tmp_path / "absent.csv", PEOPLE)
+
+    # Bytes that are not UTF-8, in the header or in a record far below it.
+    for data in (
+        b"\xff\xfename,age,score\n",
+        b"name,age,score\n" + b"ann,41,1.5\n" * 2000 + b"\xff\xfe,1,1.0\n",
+    ):
+        path.write_bytes(data)
+        with pytest.raises(TypeParseError):
+            load_csv(path, PEOPLE)
 
 
 def test_strict_cell_parsing(tmp_path: Path):

@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from helpers import ari_distance, random_table, sd_distance
+from helpers import ari_distance, random_table, sd_distance, truncate_reference
+from noisegate import tabledata
 from noisegate.errors import (
     BadIndex,
     DomainMismatch,
@@ -31,6 +33,7 @@ from noisegate.tabledata import (
     TableDomain,
     TableTupleDomain,
     canonicalize,
+    split_by_key,
     table_equal,
 )
 from noisegate.transformations import (
@@ -190,6 +193,77 @@ def test_truncate_by_id():
         make_truncate_by_id(DOMAIN, 2)
     with pytest.raises(NonPositiveBound):
         make_truncate_by_id(ID_DOMAIN, 0)
+
+
+TEXT_IDS = ["a", "ab", "Z", "é", "ÿ", "中", "～", "\U0001F600", "\U00010348", "b"]
+
+
+def _text_id_rows(rng, n):
+    rows = [
+        (rng.choice(TEXT_IDS), rng.choice(TEXT_IDS), rng.randrange(3))
+        for _ in range(n)
+    ]
+    return rows + rows[: n // 3]  # duplicate rows
+
+
+def test_truncation_keeps_first_rows_in_utf8_byte_order():
+    schema = Schema.of(
+        ("id", ColumnType.TEXT), ("tag", ColumnType.TEXT), ("v", ColumnType.INT64)
+    )
+    other = Schema.of(("id", ColumnType.TEXT), ("w", ColumnType.TEXT))
+    rng = random.Random(23)
+    for bound in (1, 2, 3):
+        truncate = make_truncate_by_id(TableDomain(schema, "id"), bound)
+        join = make_private_join(
+            TableDomain(schema, None), TableDomain(other, None), ["id"], bound, bound + 1
+        )
+        for _ in range(40):
+            rows = _text_id_rows(rng, rng.randrange(30))
+            cut = truncate.apply(Table.of(schema, rows))
+            assert cut.multiset() == truncate_reference(rows, (0,), bound)
+            # The output is a function of the multiset, not of the input order.
+            assert truncate.apply(Table.of(schema, rows[::-1])).rows == cut.rows
+
+            right_rows = [(rng.choice(TEXT_IDS), rng.choice(TEXT_IDS)) for _ in range(20)]
+            joined = join.apply((Table.of(schema, rows), Table.of(other, right_rows)))
+            kept_left = truncate_reference(rows, (0,), bound)
+            kept_right = truncate_reference(right_rows, (0,), bound + 1)
+            expected = Counter(
+                left + right[1:]
+                for left in kept_left.elements()
+                for right in kept_right.elements()
+                if left[0] == right[0]
+            )
+            assert joined.multiset() == expected
+
+
+def test_internal_tables_skip_the_cell_check(monkeypatch):
+    calls = []
+    real_check = tabledata.check_value
+    monkeypatch.setattr(
+        tabledata, "check_value", lambda *args: calls.append(args) or real_check(*args)
+    )
+    table = Table._trusted(SCHEMA, ((1, 5), (1, 3), (2, 7), (2, 7)))
+    other = Table._trusted(
+        Schema.of(("v", ColumnType.INT64), ("w", ColumnType.INT64)), ((7, 0), (3, 3))
+    )
+    make_filter(DOMAIN, "v > 4").apply(table)
+    split_by_key(table, ["id"])
+    canonicalize(table)
+    make_truncate_by_id(ID_DOMAIN, 1).apply(table)
+    make_public_join(DOMAIN, other, ["v"]).apply(table)
+    other_domain = TableDomain(other.schema, None)
+    make_private_join(DOMAIN, other_domain, ["v"], 1, 1).apply((table, other))
+    assert calls == []
+
+    # Cells a map or flat map computes are still checked.
+    ints = Schema.of(("x", ColumnType.INT64))
+    with pytest.raises(SchemaMismatch):
+        make_map(DOMAIN, {"x": "v * 4611686018427387904"}, ints).apply(table)
+    texts = Schema.of(("s", ColumnType.TEXT))
+    with pytest.raises(SchemaMismatch):
+        make_flat_map(DOMAIN, [ExpansionBranch({"s": "''"})], texts, 1).apply(table)
+    assert calls
 
 
 def test_truncate_is_idempotent():
