@@ -47,7 +47,6 @@ from .session import (
     Map,
     PrivacyBudget,
     Quantile,
-    QueryBuilder,
     QueryExpr,
     Session,
     Source,
@@ -93,7 +92,6 @@ __all__ = [
     "PrivacyBudget",
     "PureDP",
     "Quantile",
-    "QueryBuilder",
     "QueryExpr",
     "Schema",
     "Session",

@@ -280,10 +280,16 @@ def _load_script(path: Path) -> list[ScriptQuery]:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise MissingFile(f"cannot read script {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScriptError(f"{path} is not valid UTF-8: {exc}") from exc
     try:
         doc = json.loads(text)
+        # JSON escapes can spell lone surrogates, which no output can encode.
+        json.dumps(doc, ensure_ascii=False).encode("utf-8")
     except json.JSONDecodeError as exc:
         raise ScriptError(f"{path} is not valid JSON: {exc}") from exc
+    except UnicodeEncodeError as exc:
+        raise ScriptError(f"{path}: a string has no UTF-8 encoding: {exc}") from exc
     try:
         return parse_script(doc)
     except ScriptError as exc:

@@ -48,9 +48,6 @@ class CompiledExpression:
     result_type: ExprType
     fn: Callable[[Row], Union[Value, bool]]
 
-    def __call__(self, row: Row) -> Union[Value, bool]:
-        return self.fn(row)
-
 
 def _parse(text: str) -> ast.expr:
     try:
@@ -214,14 +211,12 @@ def compile_predicate(text: str, schema: Schema) -> CompiledExpression:
 def compile_projection(text: str, schema: Schema, target: ColumnType) -> CompiledExpression:
     """Compile an expression producing a value for a column of type target.
 
-    Integer expressions widen to float columns; nothing else coerces.
+    Integer expressions widen to float columns; nothing else coerces.  A
+    float expression already yields a Python float, so it is not wrapped.
     """
     compiled = compile_expression(text, schema)
     wanted = _COLUMN_TYPES[target]
     if compiled.result_type is wanted:
-        if wanted is ExprType.FLOAT:
-            inner = compiled.fn
-            return CompiledExpression(text, wanted, lambda row: float(inner(row)))
         return compiled
     if wanted is ExprType.FLOAT and compiled.result_type is ExprType.INT:
         inner = compiled.fn

@@ -27,15 +27,14 @@ from .errors import (
     EmptyList,
     GuaranteeTooWeak,
     InsufficientBudget,
-    KeyTypeMismatch,
     LengthMismatch,
     MeasureMismatch,
     MetricMismatch,
-    MissingKeyColumn,
     NonLinearPrivacyFunction,
     NonPositiveEpsilon,
     NonPositiveGranularity,
     NonPositiveSigma,
+    SchemaMismatch,
     UnknownColumn,
 )
 from .metrics import (
@@ -48,7 +47,6 @@ from .metrics import (
     Metric,
     PureDP,
     SymmetricDifference,
-    TableTuple,
     ZCDP,
     general_map,
     linear_map,
@@ -63,6 +61,8 @@ from .tabledata import (
     Table,
     TableDomain,
     TableListDomain,
+    check_key_columns,
+    result_cell,
     split_by_key,
 )
 
@@ -417,6 +417,8 @@ def make_quantile(
         raise NonPositiveEpsilon(f"epsilon must be positive, got {epsilon_unit}")
 
     width = (high - low) / bins
+    if not math.isfinite(width):
+        raise BadBounds(f"the bin width over [{low!r}, {high!r}] overflows float64")
     midpoints = [low + (i + 0.5) * width for i in range(bins)]
     index_of_column = domain.schema.index_of(column)
     half_epsilon = float(epsilon_unit) / 2
@@ -497,8 +499,10 @@ def compose_per_group(
     per-group privacy function applied to the total distance.  That
     argument needs a linear privacy function; anything else is rejected.
 
-    The output table has exactly one row per keyset key, whatever keys the
-    data contains.
+    The measurement's output is the result table: exactly one row per
+    keyset key, in keyset order, whatever keys the data contains, each
+    with its group's value released through result_cell.  The key rows
+    are checked once, here, and the value column must be numeric.
     """
     if not isinstance(per_group.input_metric, SymmetricDifference):
         raise MetricMismatch("per-group measurements run under SymmetricDifference")
@@ -506,33 +510,22 @@ def compose_per_group(
         raise NonLinearPrivacyFunction(
             "per-group composition needs a linear privacy function"
         )
-    key_columns = key_schema.names
-    for name, ctype in key_schema.columns:
-        if not domain.schema.has_column(name):
-            raise MissingKeyColumn(f"key column {name!r} is not in the data schema")
-        if domain.schema.type_of(name) is not ctype:
-            raise KeyTypeMismatch(
-                f"key column {name!r} is {domain.schema.type_of(name).value} "
-                f"in the data but {ctype.value} in the keyset"
-            )
+    check_key_columns(domain.schema, key_schema)
     value_name, value_type = value_column
+    if value_type is ColumnType.TEXT:
+        raise SchemaMismatch(f"the value column {value_name!r} must be numeric, not text")
     output_schema = Schema(tuple(key_schema.columns) + ((value_name, value_type),))
-
-    def convert(value):
-        if value_type is ColumnType.INT64:
-            return int(value)
-        if value_type is ColumnType.FLOAT64:
-            return float(value)
-        return str(value)
+    keys = [(row, _key_stream_label(row)) for row in Table.of(key_schema, keyset_rows).rows]
+    key_columns = key_schema.names
 
     def evaluate(table: Table, rng: RngStream) -> Table:
         groups = split_by_key(table, key_columns)
+        empty = Table._trusted(table.schema, ())
         rows = []
-        for key_row in keyset_rows:
-            part = groups.get(tuple(key_row), Table.empty(table.schema))
-            value = per_group.eval(part, rng.child(_key_stream_label(tuple(key_row))))
-            rows.append(tuple(key_row) + (convert(value),))
-        return Table(output_schema, tuple(rows))
+        for key_row, label in keys:
+            value = per_group.eval(groups.get(key_row, empty), rng.child(label))
+            rows.append(key_row + (result_cell(value, value_type),))
+        return Table._trusted(output_schema, tuple(rows))
 
     return Measurement(
         input_domain=domain,

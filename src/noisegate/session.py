@@ -2,10 +2,11 @@
 
 A Session owns private tables, a privacy unit saying what one unit of
 protected change is, and a budget in a chosen measure.  Analysts describe
-queries as small expression trees (usually through the fluent builder),
-and evaluate compiles each tree into a stability-tracked pipeline plus a
-calibrated measurement, charges the declared spend, and returns a result
-table.  Raw tables are reachable only through evaluate.
+queries as small expression trees (usually by chaining methods from
+query(table)), and evaluate compiles each tree into a stability-tracked
+pipeline plus a calibrated measurement whose output is the result table,
+runs it, and charges the declared spend.  Raw tables are reachable only
+through evaluate.
 
 Calibration is exact: the compiler solves the mechanism parameter so the
 end-to-end privacy function at the session's unit distance equals the
@@ -14,9 +15,9 @@ requested spend in rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Mapping, Sequence, Union
+from typing import Any, Iterable, Mapping, Sequence, Union
 
 from .errors import (
     EmptyTables,
@@ -66,6 +67,7 @@ from .tabledata import (
     Table,
     TableDomain,
     Value,
+    result_cell,
 )
 from . import transformations as tf
 
@@ -185,9 +187,12 @@ def keyset_from_tuples(
 # ---------------------------------------------------------------------------
 # Query expressions.
 #
-# Each node is declared once, as a dataclass: the builder makes nodes from
-# its fields, the CLI decodes script JSON by field name and type, and the
-# node's own method is its compile step.
+# Each node is declared once, as a dataclass: the CLI decodes script JSON
+# by field name and type, the node's own method is its compile step, and
+# its builder methods chain the next node onto it.  Relational nodes have
+# the relational and aggregation methods, GroupBy only the aggregation
+# methods, and aggregations none, so a chain of calls can only build a
+# query whose one aggregation is its root.
 
 
 class QueryExpr:
@@ -199,10 +204,53 @@ class QueryExpr:
         return None, self
 
 
-class _Relational(QueryExpr):
+class _Aggregable(QueryExpr):
+    """A node an aggregation can follow; each method returns the finished
+    query, with the aggregation as its root."""
+
+    def count(self) -> Count:
+        return Count(self)
+
+    def sum(self, column: str, low, high, granularity=DEFAULT_GRANULARITY) -> Sum:
+        return Sum(self, column, low, high, Fraction(str(granularity)))
+
+    def average(self, column: str, low, high, granularity=DEFAULT_GRANULARITY) -> Average:
+        return Average(self, column, low, high, Fraction(str(granularity)))
+
+    def quantile(self, column: str, q: float, low, high, bins: int) -> Quantile:
+        return Quantile(self, column, q, low, high, bins)
+
+
+class _Relational(_Aggregable):
     """A node whose _chain(upstream, tables) extends its child's compiled
     transformation (None for a leaf) through itself; `tables` maps each
-    session table name to the transformation selecting it."""
+    session table name to the transformation selecting it.  Each method
+    returns a new node over this one."""
+
+    def filter(self, predicate: str) -> Filter:
+        return Filter(self, predicate)
+
+    def map(self, columns: Mapping[str, str], schema: Schema) -> Map:
+        return Map(self, dict(columns), schema)
+
+    def flat_map(
+        self, branches: Sequence[tf.ExpansionBranch], schema: Schema, max_rows: int
+    ) -> FlatMap:
+        return FlatMap(self, tuple(branches), schema, max_rows)
+
+    def join_public(self, table: Table, on: Sequence[str]) -> JoinPublic:
+        return JoinPublic(self, table, tuple(on))
+
+    def join_private(
+        self, other: QueryExpr, on: Sequence[str], left_bound: int, right_bound: int
+    ) -> JoinPrivate:
+        return JoinPrivate(self, other, tuple(on), left_bound, right_bound)
+
+    def truncate_by_id(self, bound: int) -> TruncateById:
+        return TruncateById(self, bound)
+
+    def group_by(self, keys: KeySet) -> GroupBy:
+        return GroupBy(self, keys)
 
 
 class _Aggregation(QueryExpr):
@@ -331,7 +379,7 @@ class TruncateById(_Relational):
 
 
 @dataclass(frozen=True)
-class GroupBy(QueryExpr):
+class GroupBy(_Aggregable):
     child: QueryExpr
     keys: KeySet
 
@@ -411,84 +459,9 @@ QUERY_NODES: dict[str, type[QueryExpr]] = {
 }
 
 
-class _Aggregations:
-    """The aggregation methods; each returns the finished expression."""
-
-    def __init__(self, expr: QueryExpr):
-        self._expr = expr
-
-    def count(self) -> QueryExpr:
-        return Count(self._expr)
-
-    def sum(self, column: str, low, high, granularity=DEFAULT_GRANULARITY) -> QueryExpr:
-        return Sum(self._expr, column, low, high, Fraction(str(granularity)))
-
-    def average(self, column: str, low, high, granularity=DEFAULT_GRANULARITY) -> QueryExpr:
-        return Average(self._expr, column, low, high, Fraction(str(granularity)))
-
-    def quantile(self, column: str, q: float, low, high, bins: int) -> QueryExpr:
-        return Quantile(self._expr, column, q, low, high, bins)
-
-
-class GroupedQuery(_Aggregations):
-    """A grouped pipeline waiting for its aggregation."""
-
-
-class QueryBuilder(_Aggregations):
-    """Fluent construction of query expressions.
-
-    Relational steps return a new builder; aggregation methods return the
-    finished expression.
-    """
-
-    def __init__(self, table: str):
-        super().__init__(Source(table))
-
-    @classmethod
-    def _wrap(cls, expr: QueryExpr) -> "QueryBuilder":
-        builder = cls.__new__(cls)
-        builder._expr = expr
-        return builder
-
-    def filter(self, predicate: str) -> "QueryBuilder":
-        return QueryBuilder._wrap(Filter(self._expr, predicate))
-
-    def map(self, columns: Mapping[str, str], schema: Schema) -> "QueryBuilder":
-        return QueryBuilder._wrap(Map(self._expr, dict(columns), schema))
-
-    def flat_map(
-        self,
-        branches: Sequence[tf.ExpansionBranch],
-        schema: Schema,
-        max_rows: int,
-    ) -> "QueryBuilder":
-        return QueryBuilder._wrap(
-            FlatMap(self._expr, tuple(branches), schema, max_rows)
-        )
-
-    def join_public(self, table: Table, on: Sequence[str]) -> "QueryBuilder":
-        return QueryBuilder._wrap(JoinPublic(self._expr, table, tuple(on)))
-
-    def join_private(
-        self,
-        other: "QueryBuilder",
-        on: Sequence[str],
-        left_bound: int,
-        right_bound: int,
-    ) -> "QueryBuilder":
-        return QueryBuilder._wrap(
-            JoinPrivate(self._expr, other._expr, tuple(on), left_bound, right_bound)
-        )
-
-    def truncate_by_id(self, bound: int) -> "QueryBuilder":
-        return QueryBuilder._wrap(TruncateById(self._expr, bound))
-
-    def group_by(self, keys: KeySet) -> GroupedQuery:
-        return GroupedQuery(GroupBy(self._expr, keys))
-
-
-def query(table: str) -> QueryBuilder:
-    return QueryBuilder(table)
+def query(table: str) -> Source:
+    """The start of a query over a session table; chain nodes onto it."""
+    return Source(table)
 
 
 # ---------------------------------------------------------------------------
@@ -499,16 +472,17 @@ def query(table: str) -> QueryBuilder:
 class CompiledQuery:
     """The output of compiling one query expression.
 
-    `measurement` runs end to end on the session's table tuple; its
-    privacy function at `unit_distance` equals the requested spend.
-    `wrap` turns the raw measurement output into the result table.
+    `measurement` runs end to end on the session's table tuple and its
+    output is the result table, with schema `output_schema`: every value
+    is released inside it, so nothing about the data is computed after
+    it returns.  Its privacy function at `unit_distance` equals the
+    requested spend.
     """
 
     measurement: Measurement
     transformation: tf.Transformation
     output_schema: Schema
     unit_distance: int
-    wrap: Callable[[Any], Table]
 
 
 _TYPE_ERRORS = (
@@ -655,39 +629,26 @@ def _compile(
     per_table = expr._measurement(chain.output_domain, noise)
     value_column = expr.value_column
 
+    key_columns = () if keyset is None else tuple(keyset.schema.columns)
+    output_schema = Schema(key_columns + (value_column,))
     if keyset is None:
-        value_name, value_type = value_column
-        output_schema = Schema(((value_name, value_type),))
-        measurement = _combine(chain, per_table)
 
-        def wrap(result) -> Table:
-            if value_type is ColumnType.INT64:
-                value: Value = int(result)
-            else:
-                value = float(result)
-            return Table(output_schema, ((value,),))
+        def release(table: Table, rng: RngStream) -> Table:
+            value = result_cell(per_table.eval(table, rng), value_column[1])
+            return Table._trusted(output_schema, ((value,),))
 
-        return CompiledQuery(
-            measurement=measurement,
-            transformation=chain,
-            output_schema=output_schema,
-            unit_distance=distance,
-            wrap=wrap,
+        measured = replace(per_table, _eval=release)
+    else:
+        view = tf.make_grouped_view(chain.output_domain, keyset.schema)
+        measured = compose_per_group(
+            chain.output_domain, keyset.schema, keyset.rows, per_table, value_column
         )
-
-    view = tf.make_grouped_view(chain.output_domain, keyset.schema)
-    grouped = compose_per_group(
-        chain.output_domain, keyset.schema, keyset.rows, per_table, value_column
-    )
-    full_chain = tf.chain(chain, view)
-    measurement = _combine(full_chain, grouped)
-    output_schema = Schema(tuple(keyset.schema.columns) + (value_column,))
+        chain = tf.chain(chain, view)
     return CompiledQuery(
-        measurement=measurement,
-        transformation=full_chain,
+        measurement=_combine(chain, measured),
+        transformation=chain,
         output_schema=output_schema,
         unit_distance=distance,
-        wrap=lambda result: result,
     )
 
 
@@ -725,10 +686,12 @@ class Session:
         return PrivacyBudget(self._measure, self._queryable.remaining())
 
     def evaluate(self, expr: QueryExpr, spend: PrivacyBudget) -> Table:
-        """Compile, charge, and run one query.
+        """Compile, run and charge one query; return its result table.
 
-        The spend's measure must match the session's.  On success the
-        spend is deducted exactly; on any error nothing changes.
+        The spend's measure must match the session's.  The result table is
+        built inside the measurement, before the ledger charges, so an
+        evaluate that returns has charged exactly its spend and one that
+        raises has charged nothing and consumed no randomness.
         """
         if spend.measure != self._measure:
             raise MeasureMismatch(
@@ -738,8 +701,7 @@ class Session:
         compiled = compile_query(
             expr, self._table_domains, self._unit, self._measure, spend.amount
         )
-        raw = self._queryable.ask(compiled.measurement, spend.amount, self._distance)
-        return compiled.wrap(raw)
+        return self._queryable.ask(compiled.measurement, spend.amount, self._distance)
 
 
 def _session_domains(

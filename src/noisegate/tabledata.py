@@ -9,9 +9,10 @@ Values are plain Python ints, floats, and strings.  Floats must be finite
 and no cell may be empty.  Cells are checked where they enter: by
 load_csv as it parses them, and by Table(...) / Table.of for tables built
 from anything else (user tables, inline public tables, keysets, map
-outputs, results).  Operations that only select, regroup, reorder or
-concatenate rows of checked tables build their output with the private
-Table._trusted, which skips the per-cell check.
+outputs).  Operations that only select, regroup, reorder or concatenate
+rows of checked tables build their output with the private
+Table._trusted, which skips the per-cell check; so do result tables,
+whose cells are checked keys and values made legal by result_cell.
 """
 
 from __future__ import annotations
@@ -22,19 +23,21 @@ import io
 import json
 import math
 import re
+import sys
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
-    DomainMismatch,
     DuplicateColumn,
     HeaderMismatch,
+    KeyTypeMismatch,
     MissingFile,
     MissingIdColumn,
+    MissingKeyColumn,
     SchemaMismatch,
     TypeParseError,
     UnknownColumn,
@@ -124,6 +127,33 @@ def check_value(value: Value, ctype: ColumnType) -> None:
             raise SchemaMismatch("text values must be non-empty")
 
 
+def result_cell(value, ctype: ColumnType) -> Value:
+    """A noisy aggregate as a legal cell of an int64 or float64 column.
+
+    Post-processing of a value that is already noised, so it costs no
+    privacy: an int beyond the int64 range clamps to its nearest end, and
+    a number too large for a float becomes +-sys.float_info.max.
+    """
+    if ctype is ColumnType.INT64:
+        return min(max(int(value), _INT64_MIN), _INT64_MAX)
+    try:
+        return float(value)
+    except OverflowError:
+        return sys.float_info.max if value > 0 else -sys.float_info.max
+
+
+def check_key_columns(schema: Schema, key_schema: Schema) -> None:
+    """Raise unless every key column is in schema with the same type."""
+    for name, ctype in key_schema.columns:
+        if not schema.has_column(name):
+            raise MissingKeyColumn(f"key column {name!r} is not in the data schema")
+        if schema.type_of(name) is not ctype:
+            raise KeyTypeMismatch(
+                f"key column {name!r} is {schema.type_of(name).value} "
+                f"in the data but {ctype.value} in the keyset"
+            )
+
+
 @dataclass(frozen=True, eq=False)
 class Table:
     """A schema and a multiset of rows.
@@ -153,8 +183,9 @@ class Table:
 
         Only for rows that are legal under schema already: rows of checked
         tables with the same schema, concatenations of such rows under the
-        joined schema, or cells parsed by load_csv.  Anything computed or
-        supplied from outside goes through Table(...).
+        joined schema, cells parsed by load_csv, or checked keys followed
+        by a result_cell.  Anything else computed or supplied from outside
+        goes through Table(...).
         """
         table = object.__new__(cls)
         object.__setattr__(table, "schema", schema)
@@ -174,10 +205,6 @@ class Table:
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self.rows)
-
-    def column(self, name: str) -> tuple[Value, ...]:
-        i = self.schema.index_of(name)
-        return tuple(row[i] for row in self.rows)
 
     def multiset(self) -> Counter:
         return Counter(self.rows)
@@ -250,25 +277,12 @@ class TableDomain:
             if self.schema.type_of(self.id_column) is ColumnType.FLOAT64:
                 raise MissingIdColumn("id columns must be int64 or text")
 
-    def contains(self, value: object) -> bool:
-        return (
-            isinstance(value, Table)
-            and value.schema == self.schema
-        )
-
 
 @dataclass(frozen=True)
 class TableTupleDomain:
     """Fixed-length tuples of tables, one component domain per position."""
 
     components: tuple[TableDomain, ...]
-
-    def contains(self, value: object) -> bool:
-        return (
-            isinstance(value, tuple)
-            and len(value) == len(self.components)
-            and all(d.contains(v) for d, v in zip(self.components, value))
-        )
 
 
 @dataclass(frozen=True)
@@ -277,13 +291,6 @@ class TableListDomain:
 
     element: TableDomain
     length: int
-
-    def contains(self, value: object) -> bool:
-        return (
-            isinstance(value, (list, tuple))
-            and len(value) == self.length
-            and all(self.element.contains(v) for v in value)
-        )
 
 
 Domain = Union[TableDomain, TableTupleDomain, TableListDomain]

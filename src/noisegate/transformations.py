@@ -21,7 +21,6 @@ from .errors import (
     KeyTypeMismatch,
     MetricMismatch,
     MissingIdColumn,
-    MissingKeyColumn,
     NonPositiveBound,
     SchemaMismatch,
     UnknownColumn,
@@ -39,7 +38,6 @@ from .metrics import (
     linear_map,
 )
 from .tabledata import (
-    ColumnType,
     Row,
     Schema,
     Table,
@@ -47,6 +45,7 @@ from .tabledata import (
     TableListDomain,
     TableTupleDomain,
     canonicalize,
+    check_key_columns,
     split_by_key,
 )
 
@@ -107,11 +106,11 @@ def make_filter(domain: TableDomain, predicate: str, metric: Metric | None = Non
     AddRemoveIds since rows are filtered within each identifier.
     """
     metric = _check_row_metric(domain, metric or SymmetricDifference())
-    compiled = compile_predicate(predicate, domain.schema)
+    keep = compile_predicate(predicate, domain.schema).fn
 
     def apply(table: Table) -> Table:
         return Table._trusted(
-            table.schema, tuple(row for row in table.rows if compiled(row))
+            table.schema, tuple(row for row in table.rows if keep(row))
         )
 
     return Transformation(
@@ -157,7 +156,7 @@ def make_map(
                 f"the map must not change the type of {domain.id_column!r}"
             )
     compiled = [
-        compile_projection(columns[name], domain.schema, ctype)
+        compile_projection(columns[name], domain.schema, ctype).fn
         for name, ctype in new_schema.columns
     ]
     output_domain = TableDomain(new_schema, domain.id_column)
@@ -214,12 +213,12 @@ def make_flat_map(
                 f"has {sorted(new_schema.names)}"
             )
         guard = (
-            compile_predicate(branch.when, domain.schema)
+            compile_predicate(branch.when, domain.schema).fn
             if branch.when is not None
             else None
         )
         cells = [
-            compile_projection(branch.columns[name], domain.schema, ctype)
+            compile_projection(branch.columns[name], domain.schema, ctype).fn
             for name, ctype in new_schema.columns
         ]
         compiled.append((guard, cells))
@@ -466,14 +465,7 @@ def make_grouped_view(domain: TableDomain, key_schema: Schema) -> Transformation
     Groups partition the rows, so the grouped distance over any key
     columns equals the plain symmetric difference; the view is free.
     """
-    for name, ctype in key_schema.columns:
-        if not domain.schema.has_column(name):
-            raise MissingKeyColumn(f"key column {name!r} is not in the schema")
-        if domain.schema.type_of(name) is not ctype:
-            raise KeyTypeMismatch(
-                f"key column {name!r} is {domain.schema.type_of(name).value} "
-                f"in the data but {ctype.value} in the keyset"
-            )
+    check_key_columns(domain.schema, key_schema)
     return Transformation(
         input_domain=domain,
         output_domain=domain,

@@ -370,6 +370,45 @@ def test_bad_scripts_exit_2(tmp_path, script_text, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+DEMO = Path(__file__).resolve().parents[1] / "demo"
+
+
+@pytest.mark.parametrize(
+    "command, out", [("run", False), ("run", True), ("budget", False)]
+)
+def test_lone_surrogate_script_string_exits_2(tmp_path, command, out, capsys):
+    # "\ud800" is valid JSON and a legal keyset key, but no output format
+    # can encode it; the script is refused before any query is charged.
+    doc = json.loads((DEMO / "script.json").read_text())
+    doc["queries"][1]["expr"]["child"]["keys"]["rows"].append(["\ud800"])
+    (tmp_path / "script.json").write_text(json.dumps(doc))
+    argv = [
+        command,
+        "--schema", str(DEMO / "schema.json"),
+        "--data", str(DEMO / "data"),
+        "--script", str(tmp_path / "script.json"),
+        "--unit", "add-max-rows:1",
+        "--measure", "pure",
+        "--budget", "3",
+        "--seed", "2024",
+        "--format", "csv",
+    ]
+    if out:
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_script_that_is_not_utf8_exits_2(tmp_path, capsys):
+    write_workspace(tmp_path)
+    (tmp_path / "script.json").write_bytes(b'{"queries": [], "x": "\xff"}')
+    assert main(run_args(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_missing_schema_file_exits_2(tmp_path, capsys):
     write_workspace(tmp_path, queries=[count_query("t", "1")])
     assert main(run_args(tmp_path, schema=str(tmp_path / "nope.json"))) == 2

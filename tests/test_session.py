@@ -1,23 +1,31 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
 from noisegate.errors import (
+    BadBounds,
     EmptyTables,
     InsufficientBudget,
     MeasureMismatch,
     MissingIdColumn,
     NonPositiveBound,
+    SchemaMismatch,
     TypeCheckError,
     TypeMismatch,
     UnboundedSensitivity,
 )
+from noisegate.measurements import PureDpNoise, compose_per_group, make_count
 from noisegate.metrics import INF, PureDP, ZCDP
 from noisegate.session import (
     AddMaxRows,
     AddRemoveId,
+    Count,
+    Filter,
+    GroupBy,
     PrivacyBudget,
+    Source,
     build_session,
     compile_query,
     keyset_from_tuples,
@@ -228,6 +236,17 @@ def test_aggregations_only_at_root():
         compile_query(bad, DOMAINS, AddMaxRows(1), PureDP(), Fraction(1))
 
 
+def test_nodes_chain_only_in_legal_orders():
+    # Nodes are their own builder: relational nodes offer every step,
+    # GroupBy only aggregations, and an aggregation nothing more.
+    ks = keyset_from_tuples([("zip", TEXT)], [("981",)])
+    grouped = query("people").filter("income > 0").group_by(ks)
+    assert grouped.count() == Count(GroupBy(Filter(Source("people"), "income > 0"), ks))
+    assert not hasattr(grouped, "filter") and not hasattr(grouped, "group_by")
+    finished = query("people").count()
+    assert not hasattr(finished, "filter") and not hasattr(finished, "count")
+
+
 # ---------------------------------------------------------------------------
 # Sessions end to end.
 
@@ -423,6 +442,73 @@ def test_lone_surrogate_cell_does_not_change_the_outcome():
 
     assert trajectory("\ud800") == trajectory("a")
     assert trajectory("a")[1] == PrivacyBudget.pure("1/2")
+
+
+# Every evaluate either returns with exactly its spend charged or raises
+# with nothing charged, and which of the two happens must not depend on the
+# rows: the result table is built inside the measurement, before the charge.
+
+
+def _outcome(rows, expr, spend, budget):
+    schema = Schema.of(("g", TEXT), ("x", FLOAT64))
+    s = build_session(
+        {"t": Table.of(schema, rows)}, AddMaxRows(1), PrivacyBudget.pure(budget), seed=3
+    )
+    try:
+        result = s.evaluate(expr, PrivacyBudget.pure(spend))
+    except Exception as exc:
+        return type(exc), None, s.remaining_budget().amount
+    return Table, result.rows, s.remaining_budget().amount
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("grouped", [False, True])
+def test_overflowing_sum_saturates_instead_of_raising(grouped, sign):
+    source = query("t")
+    if grouped:
+        source = source.group_by(keyset_from_tuples([("g", TEXT)], [("a",)]))
+    low, high = sorted((0, sign * 1e308))
+    expr = source.sum("x", low, high, granularity="1e300")
+    one = _outcome([("a", sign * 1e308)], expr, 10**12, 10**13)
+    two = _outcome([("a", sign * 1e308)] * 2, expr, 10**12, 10**13)
+    assert one[0] is two[0] is Table
+    assert one[2] == two[2] == 10**13 - 10**12
+    assert one[1][0][-1] == sign * 1e308
+    assert two[1][0][-1] == sign * sys.float_info.max
+
+
+@pytest.mark.parametrize("grouped", [False, True])
+def test_count_beyond_int64_clamps_and_charges_once(grouped):
+    source = query("t")
+    if grouped:
+        source = source.group_by(keyset_from_tuples([("g", TEXT)], [("a",)]))
+    spend = Fraction(1, 10**25)
+    kind, rows, remaining = _outcome([("a", 1.0)], source.count(), spend, 1)
+    assert kind is Table
+    assert remaining == 1 - spend
+    value = rows[0][-1]
+    assert type(value) is int and -(2**63) <= value <= 2**63 - 1
+
+
+def test_quantile_bins_too_wide_for_float64_fail_before_the_charge():
+    expr = query("t").quantile("x", 0.5, -1e308, 1e308, 4)
+    assert _outcome([("a", 1.0)], expr, 1, 10) == (BadBounds, None, 10)
+
+
+def test_per_group_checks_keys_and_value_column_when_built():
+    domain = TableDomain(Schema.of(("g", TEXT), ("x", FLOAT64)))
+    per_group = make_count(domain, PureDpNoise(Fraction(1)))
+    keys = Schema.of(("g", TEXT))
+    count = ("count", INT64)
+    for key_rows in ([("a",), ("",)], [("a", "b")], [(1,)]):
+        with pytest.raises(SchemaMismatch):
+            compose_per_group(domain, keys, key_rows, per_group, count)
+    with pytest.raises(SchemaMismatch):
+        compose_per_group(
+            domain, Schema.of(("x", FLOAT64)), [(math.nan,)], per_group, count
+        )
+    with pytest.raises(SchemaMismatch):
+        compose_per_group(domain, keys, [("a",)], per_group, ("count", TEXT))
 
 
 # ---------------------------------------------------------------------------
