@@ -170,10 +170,6 @@ class UnboundedSensitivity(NoisegateError):
     """
 
 
-class NonLinearPath(NoisegateError):
-    """A grouped query needs a linear privacy function but got none."""
-
-
 class TypeMismatch(NoisegateError):
     """A literal value does not match its declared column type."""
 

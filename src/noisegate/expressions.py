@@ -3,9 +3,12 @@
 Expressions are written in Python syntax but only a closed subset is
 accepted: column names, int/float/string/bool literals, arithmetic,
 comparisons, and boolean connectives.  No calls, no attributes, no
-subscripts, no user code.  Every accepted expression is deterministic and
-total on rows of its schema, which is what lets row transformations carry
-their guarantees without inspecting data.
+subscripts, no user code.  Every accepted expression is deterministic on
+rows of its schema, but not total: arithmetic that yields a non-finite
+float raises ExpressionTypeError, and an int too large for a float
+raises OverflowError.  The row transformations catch both per row (a
+failing filter row is false, a failing map row is dropped), which is
+what lets them carry their guarantees without inspecting data.
 
 Division is defined everywhere by mapping division by zero to zero.  Text
 comparisons use code-point order, which matches the byte order used by

@@ -57,6 +57,7 @@ from .noise import sample_discrete_gaussian, sample_two_sided_geometric
 from .rng import RngStream
 from .tabledata import (
     ColumnType,
+    KeySet,
     Schema,
     Table,
     TableDomain,
@@ -196,15 +197,15 @@ class ZcdpNoise:
     """Discrete Gaussian noise costing rho_unit at distance 1.
 
     The natural privacy function is the quadratic rho_unit * d^2.  When
-    `linearize_at` is set, the declared map is instead the linear function
-    through that quadratic's value at d = linearize_at.  The linear form is
-    an upper bound on the true loss for every d <= linearize_at, which is
-    the regime a session quotes; it is what grouped queries use, since
-    parallel composition only accepts linear privacy functions.
+    `linearize_at`, a positive rational, is set, the declared map is the
+    line through that quadratic's value at d = linearize_at: an upper
+    bound on the true loss for every d <= linearize_at.  Grouped queries
+    use it, since parallel composition only accepts linear privacy
+    functions; the compiler sets it to the exact scaled distance.
     """
 
     rho_unit: Fraction
-    linearize_at: int | None = None
+    linearize_at: Fraction | None = None
 
 
 NoiseSpec = Union[PureDpNoise, ZcdpNoise]
@@ -223,9 +224,10 @@ def _noise_parts(noise: NoiseSpec, sensitivity: int):
         mechanism = make_discrete_gaussian(sigma_squared, sensitivity)
         if noise.linearize_at is None:
             return mechanism, mechanism.privacy_function, ZCDP()
-        if not isinstance(noise.linearize_at, int) or noise.linearize_at < 1:
-            raise ValueError("linearize_at must be a positive int")
-        return mechanism, linear_map(rho_unit * noise.linearize_at), ZCDP()
+        linearize_at = Fraction(noise.linearize_at)
+        if linearize_at <= 0:
+            raise ValueError(f"linearize_at must be positive, got {linearize_at}")
+        return mechanism, linear_map(rho_unit * linearize_at), ZCDP()
     raise TypeError(f"unknown noise spec {noise!r}")
 
 
@@ -487,8 +489,7 @@ def _key_stream_label(key_row: tuple) -> str:
 
 def compose_per_group(
     domain: TableDomain,
-    key_schema: Schema,
-    keyset_rows: Sequence[tuple],
+    keys: KeySet,
     per_group: Measurement,
     value_column: tuple[str, ColumnType],
 ) -> Measurement:
@@ -500,9 +501,10 @@ def compose_per_group(
     argument needs a linear privacy function; anything else is rejected.
 
     The measurement's output is the result table: exactly one row per
-    keyset key, in keyset order, whatever keys the data contains, each
-    with its group's value released through result_cell.  The key rows
-    are checked once, here, and the value column must be numeric.
+    key, in keyset order, whatever keys the data contains, each with its
+    group's value released through result_cell.  The key rows were
+    checked when the KeySet was built and are trusted here; the key
+    columns must match the domain and the value column must be numeric.
     """
     if not isinstance(per_group.input_metric, SymmetricDifference):
         raise MetricMismatch("per-group measurements run under SymmetricDifference")
@@ -510,19 +512,19 @@ def compose_per_group(
         raise NonLinearPrivacyFunction(
             "per-group composition needs a linear privacy function"
         )
-    check_key_columns(domain.schema, key_schema)
+    check_key_columns(domain.schema, keys.schema)
     value_name, value_type = value_column
     if value_type is ColumnType.TEXT:
         raise SchemaMismatch(f"the value column {value_name!r} must be numeric, not text")
-    output_schema = Schema(tuple(key_schema.columns) + ((value_name, value_type),))
-    keys = [(row, _key_stream_label(row)) for row in Table.of(key_schema, keyset_rows).rows]
-    key_columns = key_schema.names
+    output_schema = Schema(tuple(keys.schema.columns) + ((value_name, value_type),))
+    labelled = [(row, _key_stream_label(row)) for row in keys.rows]
+    key_columns = keys.schema.names
 
     def evaluate(table: Table, rng: RngStream) -> Table:
         groups = split_by_key(table, key_columns)
         empty = Table._trusted(table.schema, ())
         rows = []
-        for key_row, label in keys:
+        for key_row, label in labelled:
             value = per_group.eval(groups.get(key_row, empty), rng.child(label))
             rows.append(key_row + (result_cell(value, value_type),))
         return Table._trusted(output_schema, tuple(rows))

@@ -29,7 +29,6 @@ from .errors import (
     MeasureMismatch,
     MissingIdColumn,
     MissingKeyColumn,
-    NonLinearPath,
     NonPositiveBound,
     NonPositiveEpsilon,
     SchemaMismatch,
@@ -63,6 +62,7 @@ from .metrics import (
 from .rng import RngStream
 from .tabledata import (
     ColumnType,
+    KeySet,
     Schema,
     Table,
     TableDomain,
@@ -159,29 +159,18 @@ PrivacyUnit = Union[AddMaxRows, AddRemoveId]
 # Key sets.
 
 
-@dataclass(frozen=True)
-class KeySet:
-    """The explicit group-by keys a grouped query will report, exactly."""
-
-    schema: Schema
-    rows: tuple[tuple, ...]
-
-
 def keyset_from_tuples(
     columns: Sequence[tuple[str, ColumnType]], tuples: Iterable[Sequence[Value]]
 ) -> KeySet:
     """Build a KeySet from typed columns and key tuples.
 
-    Every key must be a legal cell of its column, as in a Table;
-    duplicates collapse to their first occurrence.  An empty keyset is
-    legal and makes any grouped query return an empty table.
+    The KeySet checks its keys and drops repeats as it is built; a key
+    that is not a legal cell of its column raises TypeMismatch here.
     """
-    schema = Schema(tuple(columns))
     try:
-        table = Table.of(schema, tuples)
+        return KeySet(Schema(tuple(columns)), tuples)
     except SchemaMismatch as exc:
         raise TypeMismatch(f"bad key tuple: {exc}") from exc
-    return KeySet(schema, tuple(dict.fromkeys(table.rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -587,42 +576,24 @@ def _compile(
     keyset, relational = expr.child._grouping()
 
     chain = _build_chain(relational, tables)
-    if isinstance(chain.output_metric, AddRemoveIds):
-        raise UnboundedSensitivity(
-            "this query is still under identifier accounting at the "
-            "aggregation; add a truncate_by_id step to bound each "
-            "identifier's contribution"
-        )
+    _require_rows(chain, "an aggregation")
 
     slope = chain.stability.slope
     scaled = slope * distance  # distance seen by the aggregation
+    # The spend is linear in the per-unit cost under PureDP, quadratic
+    # under zCDP; at stability 0 any positive per-unit cost is exact.
+    power = 2 if isinstance(measure, ZCDP) else 1
+    per_unit = spend / scaled**power if scaled else Fraction(1)
+    if per_unit <= 0:
+        raise NonPositiveEpsilon(
+            f"spend {spend} leaves no budget for noise at stability {slope}"
+        )
     if isinstance(measure, PureDP):
-        if scaled == 0:
-            noise = PureDpNoise(Fraction(1))
-        else:
-            epsilon_unit = spend / scaled
-            if epsilon_unit <= 0:
-                raise NonPositiveEpsilon(
-                    f"spend {spend} leaves no budget for noise at stability {slope}"
-                )
-            noise = PureDpNoise(epsilon_unit)
+        noise = PureDpNoise(per_unit)
     elif isinstance(measure, ZCDP):
-        if scaled == 0:
-            noise = ZcdpNoise(Fraction(1), linearize_at=1 if keyset is not None else None)
-        else:
-            rho_unit = spend / (scaled * scaled)
-            if rho_unit <= 0:
-                raise NonPositiveEpsilon(
-                    f"spend {spend} leaves no budget for noise at stability {slope}"
-                )
-            if keyset is not None:
-                if scaled.denominator != 1:
-                    raise NonLinearPath(
-                        f"grouped zCDP queries need an integer stability, got {scaled}"
-                    )
-                noise = ZcdpNoise(rho_unit, linearize_at=int(scaled))
-            else:
-                noise = ZcdpNoise(rho_unit)
+        # Grouped queries need a linear privacy function: the line through
+        # the quadratic at the scaled distance, which meets it there.
+        noise = ZcdpNoise(per_unit, linearize_at=None if keyset is None else scaled or 1)
     else:
         raise TypeCheckError(f"unknown measure {measure!r}")
 
@@ -640,9 +611,7 @@ def _compile(
         measured = replace(per_table, _eval=release)
     else:
         view = tf.make_grouped_view(chain.output_domain, keyset.schema)
-        measured = compose_per_group(
-            chain.output_domain, keyset.schema, keyset.rows, per_table, value_column
-        )
+        measured = compose_per_group(chain.output_domain, keyset, per_table, value_column)
         chain = tf.chain(chain, view)
     return CompiledQuery(
         measurement=_combine(chain, measured),
@@ -664,12 +633,11 @@ class Session:
     randomness is consumed.
     """
 
-    def __init__(self, *, _queryable, _table_domains, _unit, _measure, _distance):
+    def __init__(self, *, _queryable, _table_domains, _unit, _measure):
         self._queryable = _queryable
         self._table_domains = _table_domains
         self._unit = _unit
         self._measure = _measure
-        self._distance = _distance
 
     @property
     def privacy_unit(self) -> PrivacyUnit:
@@ -701,7 +669,9 @@ class Session:
         compiled = compile_query(
             expr, self._table_domains, self._unit, self._measure, spend.amount
         )
-        return self._queryable.ask(compiled.measurement, spend.amount, self._distance)
+        return self._queryable.ask(
+            compiled.measurement, spend.amount, compiled.unit_distance
+        )
 
 
 def _session_domains(
@@ -748,5 +718,4 @@ def build_session(
         _table_domains=domains,
         _unit=unit,
         _measure=budget.measure,
-        _distance=_unit_distance(unit, len(names)),
     )

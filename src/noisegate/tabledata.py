@@ -7,12 +7,12 @@ ordering used wherever determinism matters (truncation).
 
 Values are plain Python ints, floats, and strings.  Floats must be finite
 and no cell may be empty.  Cells are checked where they enter: by
-load_csv as it parses them, and by Table(...) / Table.of for tables built
-from anything else (user tables, inline public tables, keysets, map
-outputs).  Operations that only select, regroup, reorder or concatenate
-rows of checked tables build their output with the private
-Table._trusted, which skips the per-cell check; so do result tables,
-whose cells are checked keys and values made legal by result_cell.
+load_csv as it parses them, by Table(...) / Table.of for user and inline
+public tables, by KeySet(...) for group-by keys, and by the map and
+flat-map row step, which drops a row whose cell fails.  Everything else
+(rows of checked tables selected, regrouped, reordered or concatenated,
+and result tables of checked keys and result_cell values) is built with
+the private Table._trusted, which skips the per-cell check.
 """
 
 from __future__ import annotations
@@ -183,9 +183,9 @@ class Table:
 
         Only for rows that are legal under schema already: rows of checked
         tables with the same schema, concatenations of such rows under the
-        joined schema, cells parsed by load_csv, or checked keys followed
-        by a result_cell.  Anything else computed or supplied from outside
-        goes through Table(...).
+        joined schema, cells parsed by load_csv or checked as a map
+        computed them, or checked keys followed by a result_cell.  Anything
+        else supplied from outside goes through Table(...).
         """
         table = object.__new__(cls)
         object.__setattr__(table, "schema", schema)
@@ -208,6 +208,23 @@ class Table:
 
     def multiset(self) -> Counter:
         return Counter(self.rows)
+
+
+@dataclass(frozen=True)
+class KeySet:
+    """The explicit group-by keys a grouped query reports, exactly.
+
+    Building one checks every key as a Table cell of its column
+    (SchemaMismatch) and keeps the first of any repeated keys, in order,
+    so no KeySet holds an unchecked or repeated row.
+    """
+
+    schema: Schema
+    rows: tuple[Row, ...]
+
+    def __post_init__(self) -> None:
+        rows = Table.of(self.schema, self.rows).rows
+        object.__setattr__(self, "rows", tuple(dict.fromkeys(rows)))
 
 
 def canonicalize(table: Table) -> Table:

@@ -17,6 +17,7 @@ from .errors import (
     BadIndex,
     DomainMismatch,
     DuplicateColumn,
+    ExpressionTypeError,
     IdColumnDropped,
     KeyTypeMismatch,
     MetricMismatch,
@@ -46,8 +47,27 @@ from .tabledata import (
     TableTupleDomain,
     canonicalize,
     check_key_columns,
+    check_value,
     split_by_key,
 )
+
+# What evaluating one row can raise once its expressions have compiled: a
+# non-finite float, an int too large for a float, or a cell outside its
+# column (beyond int64, or empty text).  A filter row that fails counts as
+# false and a map row or flat-map branch that fails is dropped, so no row
+# can make a compiled query raise.
+_ROW_FAILURES = (ExpressionTypeError, OverflowError, SchemaMismatch)
+
+
+def _output_row(row: Row, cells) -> Row:
+    """Evaluate (expression, column type) pairs on a row and check each
+    cell; raises one of _ROW_FAILURES when the row fails."""
+    out = []
+    for fn, ctype in cells:
+        value = fn(row)
+        check_value(value, ctype)
+        out.append(value)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -103,15 +123,21 @@ def make_filter(domain: TableDomain, predicate: str, metric: Metric | None = Non
 
     Dropping rows can only shrink a difference between inputs, so the
     stability is linear(1) under SymmetricDifference, and likewise under
-    AddRemoveIds since rows are filtered within each identifier.
+    AddRemoveIds since rows are filtered within each identifier.  A row
+    whose predicate fails to evaluate counts as false.
     """
     metric = _check_row_metric(domain, metric or SymmetricDifference())
     keep = compile_predicate(predicate, domain.schema).fn
 
     def apply(table: Table) -> Table:
-        return Table._trusted(
-            table.schema, tuple(row for row in table.rows if keep(row))
-        )
+        kept = []
+        for row in table.rows:
+            try:
+                if keep(row):
+                    kept.append(row)
+            except _ROW_FAILURES:
+                pass
+        return Table._trusted(table.schema, tuple(kept))
 
     return Transformation(
         input_domain=domain,
@@ -131,10 +157,11 @@ def make_map(
 ) -> Transformation:
     """Rewrite each row through per-column expressions.
 
-    One output row per input row, so stability is linear(1).  When the
-    domain declares an ID column the map must carry it through as a bare
-    column reference; anything else would silently break the link between
-    rows and their contributor.
+    At most one output row per input row, so stability is linear(1): a
+    row whose cells fail to evaluate or to fit their columns is dropped.
+    When the domain declares an ID column the map must carry it through
+    as a bare column reference; anything else would silently break the
+    link between rows and their contributor.
     """
     metric = _check_row_metric(domain, metric or SymmetricDifference())
     if set(columns) != set(new_schema.names):
@@ -155,16 +182,20 @@ def make_map(
             raise IdColumnDropped(
                 f"the map must not change the type of {domain.id_column!r}"
             )
-    compiled = [
-        compile_projection(columns[name], domain.schema, ctype).fn
+    cells = [
+        (compile_projection(columns[name], domain.schema, ctype).fn, ctype)
         for name, ctype in new_schema.columns
     ]
     output_domain = TableDomain(new_schema, domain.id_column)
 
     def apply(table: Table) -> Table:
-        return Table(
-            new_schema, tuple(tuple(fn(row) for fn in compiled) for row in table.rows)
-        )
+        out: list[Row] = []
+        for row in table.rows:
+            try:
+                out.append(_output_row(row, cells))
+            except _ROW_FAILURES:
+                pass
+        return Table._trusted(new_schema, tuple(out))
 
     return Transformation(
         input_domain=domain,
@@ -198,8 +229,10 @@ def make_flat_map(
 
     Branches are evaluated in order and output stops after max_rows rows
     per input row, so one row's influence on the output is bounded and the
-    stability is linear in that bound.  Runs under SymmetricDifference
-    only; identifier-tracking pipelines must truncate before expanding.
+    stability is linear in that bound.  A branch whose guard or cells fail
+    to evaluate, or whose cells do not fit their columns, is dropped and
+    does not count toward max_rows.  Runs under SymmetricDifference only;
+    identifier-tracking pipelines must truncate before expanding.
     """
     if not isinstance(max_rows, int) or max_rows < 1:
         raise NonPositiveBound(f"max_rows must be a positive int, got {max_rows!r}")
@@ -218,7 +251,7 @@ def make_flat_map(
             else None
         )
         cells = [
-            compile_projection(branch.columns[name], domain.schema, ctype).fn
+            (compile_projection(branch.columns[name], domain.schema, ctype).fn, ctype)
             for name, ctype in new_schema.columns
         ]
         compiled.append((guard, cells))
@@ -231,11 +264,13 @@ def make_flat_map(
             for guard, cells in compiled:
                 if produced == max_rows:
                     break
-                if guard is not None and not guard(row):
-                    continue
-                out.append(tuple(fn(row) for fn in cells))
-                produced += 1
-        return Table(new_schema, tuple(out))
+                try:
+                    if guard is None or guard(row):
+                        out.append(_output_row(row, cells))
+                        produced += 1
+                except _ROW_FAILURES:
+                    pass
+        return Table._trusted(new_schema, tuple(out))
 
     return Transformation(
         input_domain=domain,

@@ -337,6 +337,7 @@ def test_validate_missing_file(tmp_path, capsys):
         {"seed": "-1"},
         {"seed": str(2**64)},
         {"budget": "0.1.2"},
+        {"unit": "add-remove-id:"},
     ],
 )
 def test_bad_flags_exit_2(tmp_path, overrides, capsys):
@@ -361,6 +362,7 @@ def test_bad_flags_exit_2(tmp_path, overrides, capsys):
         script_of(grouped_by({"columns": [{"name": "zip", "type": "text"}], "rows": 5})),
         script_of(grouped_by({"columns": 5, "rows": []})),
         script_of({"kind": "Sum", "child": SOURCE, "column": 3, "low": 0, "high": 1}),
+        script_of({"kind": "Count", "child": {"kind": "Filter", "child": SOURCE}}),
     ],
 )
 def test_bad_scripts_exit_2(tmp_path, script_text, capsys):
@@ -463,3 +465,44 @@ def test_cli_import_leaves_mpmath_out():
 def test_argparse_errors_return_codes(capsys):
     assert main(["run"]) == 2
     assert main(["frobnicate"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# flags, formats and decoding paths
+
+
+def test_run_under_add_remove_id(tmp_path, capsys):
+    schema = {"tables": {"people": {"columns": [
+        {"name": "user_id", "type": "int64"},
+        {"name": "income", "type": "float64"},
+    ]}}}
+    csv = "user_id,income\n0,10.0\n0,20.0\n1,30.0\n"
+    cut = {"kind": "TruncateById", "child": SOURCE, "bound": 1}
+    truncated = {"name": "t", "spend": "1", "expr": {"kind": "Count", "child": cut}}
+    write_workspace(tmp_path, schema=schema, csv=csv, queries=[truncated])
+    assert main(run_args(tmp_path, unit="add-remove-id:user_id")) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[0])["query"] == "t"
+    write_workspace(tmp_path, schema=schema, csv=csv, queries=[count_query("u", "1")])
+    assert main(run_args(tmp_path, unit="add-remove-id:user_id")) == 4
+    assert "'u'" in capsys.readouterr().err
+
+
+def test_run_csv_to_stdout_prints_query_blocks(tmp_path, capsys):
+    write_workspace(
+        tmp_path, queries=[count_query("a", "1000000000"), count_query("b", "1000000000")]
+    )
+    assert main(run_args(tmp_path, format="csv")) == 0
+    assert capsys.readouterr().out == (
+        "query: a\ncount\n4\n\nquery: b\ncount\n4\n\nremaining_budget: inf\n"
+    )
+
+
+def test_validate_missing_schema_file_exits_2(tmp_path, capsys):
+    write_workspace(tmp_path)
+    argv = [
+        "validate",
+        "--schema", str(tmp_path / "nope.json"),
+        "--data", str(tmp_path / "data"),
+    ]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")

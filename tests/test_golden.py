@@ -11,8 +11,12 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from noisegate.cli import main
 from noisegate.metrics import INF
+from noisegate.noise import sample_discrete_gaussian, sample_two_sided_geometric
+from noisegate.rng import RngStream
 from noisegate.session import (
     AddRemoveId,
     PrivacyBudget,
@@ -117,3 +121,73 @@ ID_SESSION_OUTPUT = [
 
 def test_id_session_outputs_are_golden():
     assert _id_session_outputs() == ID_SESSION_OUTPUT
+
+
+# The first 20 draws of each exact sampler from random.Random(seed), and
+# the generator's next getrandbits(32) after them, which pins how many
+# uniform bits the 20 draws consumed.  A sampler rewrite that keeps the
+# law but changes the draws or their cost moves these.
+SAMPLER_VECTORS = {
+    ("geometric", 11, Fraction(1, 3)): (
+        [5, 0, 5, -4, -1, -9, 0, -1, 3, 0, 0, 0, 2, -3, 6, 0, -2, 5, 2, 6],
+        1511115941,
+    ),
+    ("geometric", 11, Fraction(1)): (
+        [1, 0, 0, -1, 0, -1, 1, 0, 1, 0, 0, 0, 4, 2, 0, 2, 3, -1, -2, 0],
+        1986947328,
+    ),
+    ("geometric", 11, Fraction(7, 2)): ([0] * 20, 2362288140),
+    ("geometric", 2024, Fraction(1, 3)): (
+        [0, 1, 3, 4, 0, 8, 2, 5, -8, -1, -14, -9, -6, 1, -1, -3, -1, 5, 1, 1],
+        1828399750,
+    ),
+    ("geometric", 2024, Fraction(1)): (
+        [0, 0, -2, -1, 0, 0, -1, 0, 3, 0, 0, -2, -2, -2, 0, -1, 0, 0, 0, 0],
+        3837046377,
+    ),
+    ("geometric", 2024, Fraction(7, 2)): ([0] * 20, 845900241),
+    ("gaussian", 11, Fraction(1, 2)): (
+        [1, -1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, -1, 1, 0, -1, 0],
+        1458917957,
+    ),
+    ("gaussian", 11, Fraction(4)): (
+        [5, -4, 3, -2, -1, -6, 2, 2, -2, 1, -2, 2, 0, 2, 3, 4, -1, 0, 0, 1],
+        1327275234,
+    ),
+    ("gaussian", 11, Fraction(100)): (
+        [19, -24, 0, -17, -9, -4, -19, 0, -35, 4, -1, 3, -1, -9, -9, 8, 1, -9, -1, 13],
+        1404285183,
+    ),
+    ("gaussian", 2024, Fraction(1, 2)): (
+        [0, 0, 0, 0, -1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 1, 1, 0, 0, 0, 0],
+        1326636265,
+    ),
+    ("gaussian", 2024, Fraction(4)): (
+        [0, -2, -3, 1, 1, 2, -3, -1, 0, 0, -1, 1, 1, 2, -1, 2, -1, 1, -2, 0],
+        29843580,
+    ),
+    ("gaussian", 2024, Fraction(100)): (
+        [13, -6, 19, 7, -5, 12, -4, 2, -12, -3, 7, 15, -6, -3, 27, 7, -8, 17, -4, -6],
+        2242298767,
+    ),
+}
+
+SAMPLERS = {
+    "geometric": sample_two_sided_geometric,
+    "gaussian": sample_discrete_gaussian,
+}
+
+
+@pytest.mark.parametrize("sampler, seed, parameter", sorted(SAMPLER_VECTORS, key=str))
+def test_sampler_draws_are_golden(sampler, seed, parameter):
+    draws, next_bits = SAMPLER_VECTORS[sampler, seed, parameter]
+    generator = random.Random(seed)
+    assert [SAMPLERS[sampler](parameter, generator) for _ in range(20)] == draws
+    assert generator.getrandbits(32) == next_bits
+
+
+@pytest.mark.parametrize(
+    "seed, first", [(11, 1638562283106067334), (2024, 14950175168293070085)]
+)
+def test_stream_derivation_is_golden(seed, first):
+    assert RngStream(seed).child(0, "x").generator().getrandbits(64) == first

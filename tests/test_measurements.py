@@ -61,7 +61,7 @@ from noisegate.metrics import (
     dataset_distance,
 )
 from noisegate.rng import RngStream
-from noisegate.tabledata import ColumnType, Schema, Table, TableDomain
+from noisegate.tabledata import ColumnType, KeySet, Schema, Table, TableDomain
 
 SCHEMA = Schema.of(("g", ColumnType.TEXT), ("v", ColumnType.FLOAT64))
 DOMAIN = TableDomain(SCHEMA, None)
@@ -325,7 +325,7 @@ KEYS = Schema.of(("g", ColumnType.TEXT))
 def _grouped(noise=None, value=("count", ColumnType.INT64)):
     noise = noise or PureDpNoise(Fraction(4, 10))
     per_group = make_count(DOMAIN, noise)
-    return compose_per_group(DOMAIN, KEYS, [("a",), ("b",)], per_group, value)
+    return compose_per_group(DOMAIN, KeySet(KEYS, [("a",), ("b",)]), per_group, value)
 
 
 def test_per_group_keyset_contract():
@@ -338,7 +338,9 @@ def test_per_group_keyset_contract():
 def test_per_group_privacy_is_not_multiplied():
     per_group = make_count(DOMAIN, PureDpNoise(Fraction(4, 10)))
     keyset = [(str(i),) for i in range(10)]
-    m = compose_per_group(DOMAIN, KEYS, keyset, per_group, ("count", ColumnType.INT64))
+    m = compose_per_group(
+        DOMAIN, KeySet(KEYS, keyset), per_group, ("count", ColumnType.INT64)
+    )
     assert m.privacy_function(1) == Fraction(4, 10)
 
 
@@ -348,12 +350,12 @@ def test_per_group_rejects_nonlinear_and_bad_keys():
     per_group = make_count(DOMAIN, PureDpNoise(Fraction(1)))
     with pytest.raises(MissingKeyColumn):
         compose_per_group(
-            DOMAIN, Schema.of(("zip", ColumnType.TEXT)), [("x",)], per_group,
+            DOMAIN, KeySet(Schema.of(("zip", ColumnType.TEXT)), [("x",)]), per_group,
             ("count", ColumnType.INT64),
         )
     with pytest.raises(KeyTypeMismatch):
         compose_per_group(
-            DOMAIN, Schema.of(("g", ColumnType.INT64)), [(1,)], per_group,
+            DOMAIN, KeySet(Schema.of(("g", ColumnType.INT64)), [(1,)]), per_group,
             ("count", ColumnType.INT64),
         )
 

@@ -11,6 +11,7 @@ from noisegate.errors import (
     MeasureMismatch,
     MissingIdColumn,
     NonPositiveBound,
+    NonPositiveEpsilon,
     SchemaMismatch,
     TypeCheckError,
     TypeMismatch,
@@ -32,7 +33,7 @@ from noisegate.session import (
     parse_budget_amount,
     query,
 )
-from noisegate.tabledata import ColumnType, Schema, Table, TableDomain
+from noisegate.tabledata import ColumnType, KeySet, Schema, Table, TableDomain
 from noisegate.transformations import ExpansionBranch
 
 INT64 = ColumnType.INT64
@@ -227,13 +228,15 @@ def test_unbounded_sensitivity_without_truncation():
 
 
 def test_aggregations_only_at_root():
-    # The builder cannot express a filter over an aggregation, but a
-    # hand-built tree can; compilation must reject it.
-    from noisegate.session import Filter
-
-    bad = Filter(query("people").count(), "count > 0")
-    with pytest.raises(TypeCheckError):
-        compile_query(bad, DOMAINS, AddMaxRows(1), PureDP(), Fraction(1))
+    # The builder cannot express a filter over an aggregation or over a
+    # group-by, but a hand-built tree can; compilation must reject both.
+    keys = keyset_from_tuples([("zip", TEXT)], [("981",)])
+    for bad in (
+        Filter(query("people").count(), "count > 0"),
+        Count(Filter(GroupBy(query("people"), keys), "income > 0.0")),
+    ):
+        with pytest.raises(TypeCheckError):
+            compile_query(bad, DOMAINS, AddMaxRows(1), PureDP(), Fraction(1))
 
 
 def test_nodes_chain_only_in_legal_orders():
@@ -502,13 +505,13 @@ def test_per_group_checks_keys_and_value_column_when_built():
     count = ("count", INT64)
     for key_rows in ([("a",), ("",)], [("a", "b")], [(1,)]):
         with pytest.raises(SchemaMismatch):
-            compose_per_group(domain, keys, key_rows, per_group, count)
+            compose_per_group(domain, KeySet(keys, key_rows), per_group, count)
     with pytest.raises(SchemaMismatch):
         compose_per_group(
-            domain, Schema.of(("x", FLOAT64)), [(math.nan,)], per_group, count
+            domain, KeySet(Schema.of(("x", FLOAT64)), [(math.nan,)]), per_group, count
         )
     with pytest.raises(SchemaMismatch):
-        compose_per_group(domain, keys, [("a",)], per_group, ("count", TEXT))
+        compose_per_group(domain, KeySet(keys, [("a",)]), per_group, ("count", TEXT))
 
 
 # ---------------------------------------------------------------------------
@@ -539,3 +542,106 @@ def test_session_introspection():
     assert s.measure == ZCDP()
     assert s.table_schemas() == {"people": PEOPLE}
     assert s.remaining_budget() == PrivacyBudget.zcdp(Fraction(5, 2))
+
+
+# ---------------------------------------------------------------------------
+# Row failures: after a query compiles, no row can make it raise.  A row
+# whose filter predicate fails counts as false, and a map row or flat-map
+# branch that fails to evaluate or to fit its column is dropped.
+
+
+def _probe_trajectory(rows):
+    schema = Schema.of(("age", INT64), ("income", FLOAT64))
+    s = build_session(
+        {"t": Table.of(schema, rows)}, AddMaxRows(1), PrivacyBudget.pure(1), seed=11
+    )
+    big = Schema.of(("big", INT64))
+    probes = [
+        query("t").filter("income * 1e305 > 0.0").count(),
+        query("t").map({"big": "age * 1000000000000000"}, big).count(),
+        query("t")
+        .flat_map([ExpansionBranch({"big": "age * 1000000000000000"})], big, 1)
+        .count(),
+    ]
+    trajectory = []
+    for expr in probes:
+        try:
+            outcome = type(s.evaluate(expr, PrivacyBudget.pure("1/4")))
+        except Exception as exc:
+            outcome = type(exc)
+        trajectory.append((outcome, s.remaining_budget().amount))
+    return trajectory
+
+
+def test_a_failing_row_does_not_change_the_outcome():
+    plain = [(30, 100.0), (40, 200.0)]
+    clean = _probe_trajectory(plain)
+    assert clean == [
+        (Table, Fraction(3, 4)), (Table, Fraction(1, 2)), (Table, Fraction(1, 4))
+    ]
+    # income * 1e305 is not a finite float and age * 10**15 is outside
+    # int64 on this one row.
+    assert _probe_trajectory(plain + [(10**4, 1e4)]) == clean
+
+
+# ---------------------------------------------------------------------------
+# The compile rules: one noise solve for both measures, one identifier guard.
+
+
+@pytest.mark.parametrize("budget", [PrivacyBudget.pure, PrivacyBudget.zcdp])
+def test_zero_spend_is_refused_and_charges_nothing(budget):
+    s = fresh_session(budget=budget(1))
+    with pytest.raises(NonPositiveEpsilon):
+        s.evaluate(query("people").count(), budget(0))
+    assert s.remaining_budget() == budget(1)
+
+
+@pytest.mark.parametrize("grouped", [False, True])
+@pytest.mark.parametrize("budget", [PrivacyBudget.pure, PrivacyBudget.zcdp])
+def test_stability_zero_query_returns_and_charges_its_spend(budget, grouped):
+    # A join against an empty public table has fan-out 0, so the query
+    # cannot tell neighbouring tables apart.
+    nothing = Table.of(Schema.of(("zip", TEXT), ("region", TEXT)), [])
+    source = query("people").join_public(nothing, ["zip"])
+    keys = keyset_from_tuples([("zip", TEXT)], [("981",), ("982",)])
+    expr = (source.group_by(keys) if grouped else source).count()
+    s = fresh_session(budget=budget(1))
+    compiled = compile_query(expr, DOMAINS, AddMaxRows(1), s.measure, Fraction(1, 3))
+    assert compiled.transformation.stability.slope == 0
+    out = s.evaluate(expr, budget("1/3"))
+    assert [row[:-1] for row in out.rows] == ([("981",), ("982",)] if grouped else [()])
+    assert s.remaining_budget() == budget(Fraction(2, 3))
+
+
+def test_grouped_zcdp_linearizes_at_the_scaled_distance():
+    # Two tables under AddRemoveId give unit distance 2; truncate_by_id(3)
+    # scales it to 6, where the linearized map must meet the spend.
+    schema = Schema.of(("id", INT64), ("zip", TEXT))
+    domains = {name: TableDomain(schema, "id") for name in ("a", "b")}
+    keys = keyset_from_tuples([("zip", TEXT)], [("981",)])
+    expr = query("a").truncate_by_id(3).group_by(keys).count()
+    spend = Fraction(2, 7)
+    compiled = compile_query(expr, domains, AddRemoveId("id"), ZCDP(), spend)
+    assert compiled.unit_distance == 2
+    assert compiled.transformation.stability.slope == 3
+    assert compiled.measurement.privacy_function.shape == "linear"
+    assert compiled.measurement.privacy_function(compiled.unit_distance) == spend
+
+
+def test_row_steps_need_row_accounting():
+    schema = Schema.of(("id", INT64), ("zip", TEXT))
+    visits = Schema.of(("id", INT64), ("site", TEXT))
+    domains = {"people": TableDomain(schema, "id"), "visits": TableDomain(visits, "id")}
+    regions = Table.of(Schema.of(("zip", TEXT), ("region", TEXT)), [("981", "n")])
+    people, cut = query("people"), query("people").truncate_by_id(1)
+    unbounded = [
+        people.flat_map([ExpansionBranch({"zip": "zip"})], Schema.of(("zip", TEXT)), 1),
+        people.join_public(regions, ["zip"]),
+        people.join_private(query("visits").truncate_by_id(1), ["id"], 1, 1),
+        cut.join_private(query("visits"), ["id"], 1, 1),
+    ]
+    for relational in unbounded:
+        with pytest.raises(UnboundedSensitivity):
+            compile_query(
+                relational.count(), domains, AddRemoveId("id"), PureDP(), Fraction(1)
+            )

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import ari_distance, random_table, sd_distance, truncate_reference
-from noisegate import tabledata
+from noisegate import tabledata, transformations
 from noisegate.errors import (
     BadIndex,
     DomainMismatch,
@@ -240,9 +240,10 @@ def test_truncation_keeps_first_rows_in_utf8_byte_order():
 def test_internal_tables_skip_the_cell_check(monkeypatch):
     calls = []
     real_check = tabledata.check_value
-    monkeypatch.setattr(
-        tabledata, "check_value", lambda *args: calls.append(args) or real_check(*args)
-    )
+    for module in (tabledata, transformations):
+        monkeypatch.setattr(
+            module, "check_value", lambda *args: calls.append(args) or real_check(*args)
+        )
     table = Table._trusted(SCHEMA, ((1, 5), (1, 3), (2, 7), (2, 7)))
     other = Table._trusted(
         Schema.of(("v", ColumnType.INT64), ("w", ColumnType.INT64)), ((7, 0), (3, 3))
@@ -256,14 +257,37 @@ def test_internal_tables_skip_the_cell_check(monkeypatch):
     make_private_join(DOMAIN, other_domain, ["v"], 1, 1).apply((table, other))
     assert calls == []
 
-    # Cells a map or flat map computes are still checked.
+    # Cells a map or flat map computes are still checked, and a row with
+    # a cell that does not fit its column is dropped.
     ints = Schema.of(("x", ColumnType.INT64))
-    with pytest.raises(SchemaMismatch):
-        make_map(DOMAIN, {"x": "v * 4611686018427387904"}, ints).apply(table)
+    mapped = make_map(DOMAIN, {"x": "v * 2305843009213693952"}, ints).apply(table)
+    assert mapped.rows == ((3 * 2305843009213693952,),)
     texts = Schema.of(("s", ColumnType.TEXT))
-    with pytest.raises(SchemaMismatch):
-        make_flat_map(DOMAIN, [ExpansionBranch({"s": "''"})], texts, 1).apply(table)
+    empty_text = make_flat_map(DOMAIN, [ExpansionBranch({"s": "''"})], texts, 1)
+    assert empty_text.apply(table).rows == ()
     assert calls
+
+
+def test_failing_rows_count_as_false_or_are_dropped():
+    # 1e300 * 1e10 is not a finite float and v * 10**400 cannot widen to
+    # one; neither may raise once the query has compiled.
+    floats = Schema.of(("x", ColumnType.FLOAT64))
+    domain = TableDomain(floats)
+    table = Table.of(floats, [(1.0,), (1e300,)])
+    assert make_filter(domain, "x * 1e10 > 0.0").apply(table).rows == ((1.0,),)
+    assert make_filter(domain, "not (x * 1e10 > 0.0)").apply(table).rows == ()
+    assert make_map(domain, {"x": "x * 1e10"}, floats).apply(table).rows == ((1e10,),)
+    huge = "v * 1" + "0" * 400
+    assert make_map(DOMAIN, {"x": huge}, floats).apply(T((0, 0), (1, 1))).rows == ((0.0,),)
+    # A failing branch is dropped and does not use up max_rows; a failing
+    # guard skips its branch.
+    branches = [
+        ExpansionBranch({"x": "x * 1e10"}),
+        ExpansionBranch({"x": "x"}, when="x * 1e10 > 0.0"),
+        ExpansionBranch({"x": "x * 2.0"}),
+    ]
+    expanded = make_flat_map(domain, branches, floats, 1).apply(table)
+    assert expanded.rows == ((1e10,), (2e300,))
 
 
 def test_truncate_is_idempotent():
