@@ -14,9 +14,10 @@ sensitivities are integers and their accounting stays rational.
 from __future__ import annotations
 
 import math
+import random
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Callable, Sequence, Union
 
@@ -67,26 +68,24 @@ from .tabledata import (
     split_by_key,
 )
 
-# Noise rates this extreme short-circuit to zero noise.  A two-sided
-# geometric at rate 1e9 puts all but exp(-1e9) of its mass on zero, and the
-# matching Gaussian threshold keeps infinite-budget golden tests exact
-# without grinding through astronomically lopsided rejection loops.
-ZERO_NOISE_RATE = Fraction(10**9)
-ZERO_NOISE_SIGMA_SQUARED = Fraction(1, 10**18)
-
-
 @dataclass(frozen=True)
 class Measurement:
-    """A randomized computation with a declared privacy function."""
+    """A randomized computation with a declared privacy function.
+
+    `_eval(data, generator)` draws all of its randomness from the one
+    generator it is given, and compositions hand their parts that same
+    generator in a fixed order.
+    """
 
     input_domain: Any
     input_metric: Metric
     output_measure: Measure
     privacy_function: DistanceMap
-    _eval: Callable[[Any, RngStream], Any]
+    _eval: Callable[[Any, random.Random], Any]
 
-    def eval(self, data, rng: RngStream):
-        return self._eval(data, rng)
+    def eval(self, data, stream: RngStream):
+        """Evaluate on `data` with the one generator `stream` derives."""
+        return self._eval(data, stream.generator())
 
 
 # ---------------------------------------------------------------------------
@@ -114,17 +113,8 @@ class GeometricMechanism:
     def privacy_function(self) -> DistanceMap:
         return linear_map(self.epsilon_unit)
 
-    def add_noise(self, value: int, rng: RngStream) -> int:
-        if self.rate >= ZERO_NOISE_RATE:
-            return value
-        return value + sample_two_sided_geometric(self.rate, rng.generator())
-
-    def pmf(self, noise: int) -> float:
-        """The exact noise pmf, for inspection and tests."""
-        if self.rate >= ZERO_NOISE_RATE:
-            return 1.0 if noise == 0 else 0.0
-        alpha = math.exp(-float(self.rate))
-        return (1 - alpha) / (1 + alpha) * alpha ** abs(noise)
+    def add_noise(self, value: int, rng: random.Random) -> int:
+        return value + sample_two_sided_geometric(self.rate, rng)
 
 
 @dataclass(frozen=True)
@@ -152,10 +142,8 @@ class GaussianMechanism:
 
         return general_map(rho)
 
-    def add_noise(self, value: int, rng: RngStream) -> int:
-        if self.sigma_squared <= ZERO_NOISE_SIGMA_SQUARED:
-            return value
-        return value + sample_discrete_gaussian(self.sigma_squared, rng.generator())
+    def add_noise(self, value: int, rng: random.Random) -> int:
+        return value + sample_discrete_gaussian(self.sigma_squared, rng)
 
 
 def make_geometric(epsilon_unit, sensitivity: int = 1) -> GeometricMechanism:
@@ -245,7 +233,7 @@ def make_count(domain: TableDomain, noise: NoiseSpec) -> Measurement:
     """A noisy row count.  Sensitivity 1 per unit of symmetric difference."""
     mechanism, privacy, measure = _noise_parts(noise, 1)
 
-    def evaluate(table: Table, rng: RngStream) -> int:
+    def evaluate(table: Table, rng: random.Random) -> int:
         return mechanism.add_noise(len(table.rows), rng)
 
     return Measurement(
@@ -335,7 +323,7 @@ def make_sum(
 
     mechanism, privacy, measure = _noise_parts(noise, sensitivity)
 
-    def evaluate(table: Table, rng: RngStream) -> Fraction:
+    def evaluate(table: Table, rng: random.Random) -> Fraction:
         noisy = mechanism.add_noise(_grain_total(table, column, low, high, gamma), rng)
         return noisy * gamma
 
@@ -358,27 +346,20 @@ def make_average(
 ) -> Measurement:
     """A noisy clamped average: noisy sum over max(1, noisy count).
 
-    The stated budget is split evenly between the two parts, so the
-    privacy function is the sum of two half-cost maps and equals the full
-    cost at every distance.
+    The sequential composition of a sum and a count, each at half the
+    stated budget, so its privacy function is the sum of two half-cost
+    maps and equals the full cost at every distance.
     """
     half = _halve(noise)
-    sum_part = make_sum(domain, column, low, high, granularity, half)
-    count_part = make_count(domain, half)
-    privacy = sum_maps([sum_part.privacy_function, count_part.privacy_function])
+    both = compose_sequential(
+        [make_sum(domain, column, low, high, granularity, half), make_count(domain, half)]
+    )
 
-    def evaluate(table: Table, rng: RngStream) -> Fraction:
-        noisy_sum = sum_part.eval(table, rng.child("sum"))
-        noisy_count = count_part.eval(table, rng.child("count"))
+    def evaluate(table: Table, rng: random.Random) -> Fraction:
+        noisy_sum, noisy_count = both._eval(table, rng)
         return Fraction(noisy_sum) / max(1, noisy_count)
 
-    return Measurement(
-        input_domain=domain,
-        input_metric=SymmetricDifference(),
-        output_measure=sum_part.output_measure,
-        privacy_function=privacy,
-        _eval=evaluate,
-    )
+    return replace(both, _eval=evaluate)
 
 
 def _quantile_scores(values: Sequence, midpoints: Sequence[float], q: float) -> list:
@@ -425,12 +406,12 @@ def make_quantile(
     index_of_column = domain.schema.index_of(column)
     half_epsilon = float(epsilon_unit) / 2
 
-    def evaluate(table: Table, rng: RngStream) -> float:
+    def evaluate(table: Table, rng: random.Random) -> float:
         scores = _quantile_scores([row[index_of_column] for row in table.rows], midpoints, q)
         top = max(scores)
         weights = [math.exp(half_epsilon * (s - top)) for s in scores]
         total = math.fsum(weights)
-        draw = (rng.generator().getrandbits(64) + 0.5) / 2.0**64 * total
+        draw = (rng.getrandbits(64) + 0.5) / 2.0**64 * total
         running = 0.0
         for midpoint, weight in zip(midpoints, weights):
             running += weight
@@ -454,8 +435,8 @@ def make_quantile(
 def compose_sequential(parts: Sequence[Measurement]) -> Measurement:
     """Run all parts on the same data; privacy functions add.
 
-    Each part draws from its own stream, so one part's sampling cannot
-    perturb another's.
+    The parts draw from the one generator in list order; their noise is
+    still independent, since each part's draws are fresh uniform bits.
     """
     parts = list(parts)
     if not parts:
@@ -469,8 +450,8 @@ def compose_sequential(parts: Sequence[Measurement]) -> Measurement:
         if part.output_measure != first.output_measure:
             raise MeasureMismatch("sequential parts must share an output measure")
 
-    def evaluate(data, rng: RngStream) -> tuple:
-        return tuple(part.eval(data, rng.child(i)) for i, part in enumerate(parts))
+    def evaluate(data, rng: random.Random) -> tuple:
+        return tuple(part._eval(data, rng) for part in parts)
 
     return Measurement(
         input_domain=first.input_domain,
@@ -479,12 +460,6 @@ def compose_sequential(parts: Sequence[Measurement]) -> Measurement:
         privacy_function=sum_maps([p.privacy_function for p in parts]),
         _eval=evaluate,
     )
-
-
-def _key_stream_label(key_row: tuple) -> str:
-    # repr is injective on tuples of ints, floats, and strings, which is
-    # all a key row can hold.
-    return repr(key_row)
 
 
 def compose_per_group(
@@ -502,7 +477,8 @@ def compose_per_group(
 
     The measurement's output is the result table: exactly one row per
     key, in keyset order, whatever keys the data contains, each with its
-    group's value released through result_cell.  The key rows were
+    group's value released through result_cell.  Every group draws its
+    noise from the one generator, in keyset order.  The key rows were
     checked when the KeySet was built and are trusted here; the key
     columns must match the domain and the value column must be numeric.
     """
@@ -517,15 +493,14 @@ def compose_per_group(
     if value_type is ColumnType.TEXT:
         raise SchemaMismatch(f"the value column {value_name!r} must be numeric, not text")
     output_schema = Schema(tuple(keys.schema.columns) + ((value_name, value_type),))
-    labelled = [(row, _key_stream_label(row)) for row in keys.rows]
     key_columns = keys.schema.names
 
-    def evaluate(table: Table, rng: RngStream) -> Table:
+    def evaluate(table: Table, rng: random.Random) -> Table:
         groups = split_by_key(table, key_columns)
         empty = Table._trusted(table.schema, ())
         rows = []
-        for key_row, label in labelled:
-            value = per_group.eval(groups.get(key_row, empty), rng.child(label))
+        for key_row in keys.rows:
+            value = per_group._eval(groups.get(key_row, empty), rng)
             rows.append(key_row + (result_cell(value, value_type),))
         return Table._trusted(output_schema, tuple(rows))
 
@@ -561,12 +536,12 @@ def compose_over_subsets(parts: Sequence[Measurement]) -> Measurement:
                 "composition over subsets needs linear privacy functions"
             )
 
-    def evaluate(tables, rng: RngStream) -> tuple:
+    def evaluate(tables, rng: random.Random) -> tuple:
         if len(tables) != len(parts):
             raise LengthMismatch(
                 f"expected {len(parts)} subset tables, got {len(tables)}"
             )
-        return tuple(part.eval(tables[i], rng.child(i)) for i, part in enumerate(parts))
+        return tuple(part._eval(table, rng) for part, table in zip(parts, tables))
 
     return Measurement(
         input_domain=TableListDomain(element, len(parts)),
@@ -586,8 +561,9 @@ class Queryable:
 
     Asks are adaptive: each may depend on earlier answers.  A failed ask
     raises and changes nothing; a successful ask deducts its declared
-    spend exactly and evaluates with a stream derived from the ask's
-    ordinal, so replaying the same seed and sequence replays the answers.
+    spend exactly and evaluates with the one generator of the stream
+    derived from the ask's ordinal, so replaying the same seed and
+    sequence replays the answers.
     """
 
     def __init__(

@@ -1,109 +1,110 @@
 """Exact integer noise samplers.
 
-Both samplers work entirely in rational arithmetic on top of a PRNG's
+Both samplers work entirely in integer arithmetic on top of a PRNG's
 uniform integers, so the sampled distributions are exactly the stated ones
 and draws are reproducible bit for bit on any platform.  The construction
-is the usual ladder: exact Bernoulli(exp(-x)) coin flips build a geometric
-sampler, two mirrored geometrics build the two-sided geometric, and the
-discrete Gaussian comes from rejection against a two-sided geometric
-envelope.
+is the ladder of Canonne, Kamath and Steinke (2020): exact
+Bernoulli(exp(-x)) coin flips build a geometric sampler, two mirrored
+geometrics build the two-sided geometric, and the discrete Gaussian comes
+from rejection against a two-sided geometric envelope.
+
+Inside the ladder a rational x is an integer pair (n, d) in lowest terms,
+reduced by gcd at every step where a Fraction would normalise, so every
+coin asks the PRNG for the same randrange bound a Fraction ladder would.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 
-def _bernoulli(p: Fraction, rng: random.Random) -> bool:
-    # Exact coin with P(True) = p, for rational p in [0, 1].
-    return rng.randrange(p.denominator) < p.numerator
-
-
-def _bernoulli_exp_unit(x: Fraction, rng: random.Random) -> bool:
-    # Exact coin with P(True) = exp(-x), for 0 <= x <= 1.
+def _bernoulli_exp_unit(n: int, d: int, rng: random.Random) -> bool:
+    # Exact coin with P(True) = exp(-x), for x = n/d in [0, 1] in lowest
+    # terms: the successes of Bernoulli(x / k), k = 1, 2, ..., before the
+    # first failure are even in number with probability exp(-x).  x / k
+    # reduces by gcd(n, d k), which is gcd(n, k) since gcd(n, d) = 1.
     k = 1
-    while _bernoulli(x / k, rng):
+    while True:
+        g = math.gcd(n, k)
+        if rng.randrange(d * (k // g)) >= n // g:
+            return k % 2 == 1
         k += 1
-    return k % 2 == 1
 
 
-def _bernoulli_exp(x: Fraction, rng: random.Random) -> bool:
-    # Exact coin with P(True) = exp(-x), for any x >= 0.
-    while x > 1:
-        if not _bernoulli_exp_unit(Fraction(1), rng):
+def _bernoulli_exp(n: int, d: int, rng: random.Random) -> bool:
+    # Exact coin with P(True) = exp(-n/d), for any n/d >= 0 in lowest terms.
+    while n > d:
+        if not _bernoulli_exp_unit(1, 1, rng):
             return False
-        x = x - 1
-    return _bernoulli_exp_unit(x, rng)
+        n -= d
+    return _bernoulli_exp_unit(n, d, rng)
 
 
-def _geometric_exp_slow(x: Fraction, rng: random.Random) -> int:
-    # Count of leading successes of a Bernoulli(exp(-x)) coin, so
-    # P(G = k) = (1 - exp(-x)) exp(-k x).  Usable only for x >= 1ish.
-    k = 0
-    while _bernoulli_exp(x, rng):
-        k += 1
-    return k
-
-
-def sample_geometric_exp(rate: Fraction, rng: random.Random) -> int:
-    """A draw of G with P(G = k) = (1 - exp(-rate)) exp(-k rate), k >= 0."""
-    if rate < 0:
-        raise ValueError("rate must be non-negative")
-    if rate == 0:
-        raise ValueError("rate 0 has no normalizable geometric")
-    denominator = rate.denominator
+def _geometric_exp(n: int, d: int, rng: random.Random) -> int:
+    # G >= 0 with P(G = k) = (1 - exp(-n/d)) exp(-k n/d), for n/d > 0 in
+    # lowest terms: a uniform remainder accepted with Bernoulli(exp(-r/d)),
+    # plus d times a unit-rate geometric, then divided by n.
     while True:
-        shift = rng.randrange(denominator)
-        if _bernoulli_exp(Fraction(shift, denominator), rng):
+        shift = rng.randrange(d)
+        g = math.gcd(shift, d)
+        if _bernoulli_exp(shift // g, d // g, rng):
             break
-    coarse = _geometric_exp_slow(Fraction(1), rng)
-    return (coarse * denominator + shift) // rate.numerator
+    coarse = 0
+    while _bernoulli_exp_unit(1, 1, rng):
+        coarse += 1
+    return (coarse * d + shift) // n
 
 
-def sample_two_sided_geometric(rate: Fraction, rng: random.Random) -> int:
-    """A draw of Z with P(Z = k) proportional to exp(-|k| * rate).
-
-    Sign and magnitude are drawn independently and the double-counted
-    (negative, zero) outcome is rejected, which leaves exactly the
-    two-sided geometric law.
-    """
+def _two_sided_geometric(n: int, d: int, rng: random.Random) -> int:
+    # Sign and magnitude are drawn independently and the double-counted
+    # (negative, zero) outcome is rejected.
     while True:
-        negative = _bernoulli(Fraction(1, 2), rng)
-        magnitude = sample_geometric_exp(rate, rng)
+        negative = rng.randrange(2) < 1
+        magnitude = _geometric_exp(n, d, rng)
         if negative and magnitude == 0:
             continue
         return -magnitude if negative else magnitude
 
 
-def _floor_sqrt(x: Fraction) -> int:
-    # floor(sqrt(x)) by doubling then bisection, exact for rational x >= 0.
-    lower = 0
-    upper = 1
-    while upper * upper <= x:
-        upper *= 2
-    while lower + 1 < upper:
-        middle = (lower + upper) // 2
-        if middle * middle <= x:
-            lower = middle
-        else:
-            upper = middle
-    return lower
+def _rate_parts(rate: Fraction) -> tuple[int, int]:
+    if rate < 0:
+        raise ValueError("rate must be non-negative")
+    if rate == 0:
+        raise ValueError("rate 0 has no normalizable geometric")
+    return rate.numerator, rate.denominator
+
+
+def sample_geometric_exp(rate: Fraction, rng: random.Random) -> int:
+    """A draw of G with P(G = k) = (1 - exp(-rate)) exp(-k rate), k >= 0."""
+    return _geometric_exp(*_rate_parts(rate), rng)
+
+
+def sample_two_sided_geometric(rate: Fraction, rng: random.Random) -> int:
+    """A draw of Z with P(Z = k) proportional to exp(-|k| * rate)."""
+    return _two_sided_geometric(*_rate_parts(rate), rng)
 
 
 def sample_discrete_gaussian(sigma_squared: Fraction, rng: random.Random) -> int:
     """A draw of Z with P(Z = k) proportional to exp(-k^2 / (2 sigma^2)).
 
-    Candidates come from a two-sided geometric envelope with scale near
-    sigma; each candidate is accepted with the exact residual bias, so the
-    output law is exactly the discrete Gaussian.
+    Candidates come from a two-sided geometric envelope with scale
+    s = floor(sigma) + 1; a candidate c is accepted with the exact residual
+    bias exp(-(|c| - sigma^2 / s)^2 / (2 sigma^2)), so the output law is
+    exactly the discrete Gaussian.
     """
     if sigma_squared <= 0:
         raise ValueError("sigma_squared must be positive")
-    scale = _floor_sqrt(sigma_squared) + 1
+    p, q = sigma_squared.numerator, sigma_squared.denominator
+    scale = math.isqrt(p // q) + 1
+    # With sigma^2 = p/q the bias is (|c| q s - p)^2 / (2 p q s^2).
+    qs = q * scale
+    bias_denominator = 2 * p * qs * scale
     while True:
-        candidate = sample_two_sided_geometric(Fraction(1, scale), rng)
-        offset = abs(candidate) - sigma_squared / scale
-        bias = offset * offset / (2 * sigma_squared)
-        if _bernoulli_exp(bias, rng):
+        candidate = _two_sided_geometric(1, scale, rng)
+        offset = abs(candidate) * qs - p
+        numerator = offset * offset
+        g = math.gcd(numerator, bias_denominator)
+        if _bernoulli_exp(numerator // g, bias_denominator // g, rng):
             return candidate

@@ -2,9 +2,10 @@
 
 An RngStream is a root seed plus a derivation path.  The same seed and
 path always produce the same draws, and distinct paths behave as
-independent streams.  Mechanism evaluation threads these streams through
-compositions so that each component draws from its own path, which is what
-makes whole pipelines replayable from a single seed.
+independent streams.  A session derives one stream per ask, from the
+ask's ordinal, and the ask's measurement turns it into one generator that
+every part of the query draws from in a fixed order (stream v2), which is
+what makes whole pipelines replayable from a single seed.
 """
 
 from __future__ import annotations

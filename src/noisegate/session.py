@@ -15,6 +15,7 @@ requested spend in rational arithmetic.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence, Union
@@ -523,7 +524,7 @@ def _combine(chain: tf.Transformation, measurement: Measurement) -> Measurement:
         input_metric=chain.input_metric,
         output_measure=measurement.output_measure,
         privacy_function=compose_maps(measurement.privacy_function, chain.stability),
-        _eval=lambda data, rng: measurement.eval(chain.apply(data), rng),
+        _eval=lambda data, rng: measurement._eval(chain.apply(data), rng),
     )
 
 
@@ -604,8 +605,8 @@ def _compile(
     output_schema = Schema(key_columns + (value_column,))
     if keyset is None:
 
-        def release(table: Table, rng: RngStream) -> Table:
-            value = result_cell(per_table.eval(table, rng), value_column[1])
+        def release(table: Table, rng: random.Random) -> Table:
+            value = result_cell(per_table._eval(table, rng), value_column[1])
             return Table._trusted(output_schema, ((value,),))
 
         measured = replace(per_table, _eval=release)

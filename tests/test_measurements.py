@@ -1,4 +1,3 @@
-import math
 import random
 import threading
 from fractions import Fraction
@@ -6,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    empirical_pmf,
     geometric_pmf,
     grain_total_reference,
     product_pmf,
@@ -40,7 +40,6 @@ from noisegate.measurements import (
     PureDpNoise,
     Queryable,
     ZcdpNoise,
-    ZERO_NOISE_RATE,
     compose_over_subsets,
     compose_per_group,
     compose_sequential,
@@ -65,7 +64,7 @@ from noisegate.tabledata import ColumnType, KeySet, Schema, Table, TableDomain
 
 SCHEMA = Schema.of(("g", ColumnType.TEXT), ("v", ColumnType.FLOAT64))
 DOMAIN = TableDomain(SCHEMA, None)
-BIG = Fraction(10**10)  # drives every rate past the zero-noise short-circuit
+BIG = Fraction(10**10)  # rates this high put all but ~e^-1e10 of the noise on 0
 
 
 def T(*rows):
@@ -92,17 +91,18 @@ def test_geometric_mechanism_basics():
 
 
 def test_geometric_short_circuit():
-    mech = make_geometric(ZERO_NOISE_RATE * 2, sensitivity=1)
-    assert all(mech.add_noise(5, stream(str(i))) == 5 for i in range(20))
-    assert mech.pmf(0) == 1.0
+    # At rate 2e9 the exact sampler puts all but about 2 exp(-2e9) of the
+    # noise mass on zero.
+    mech = make_geometric(Fraction(2 * 10**9), sensitivity=1)
+    assert all(mech.add_noise(5, stream(str(i)).generator()) == 5 for i in range(20))
 
 
 def test_geometric_pmf_matches_closed_form():
-    mech = make_geometric(Fraction(1), sensitivity=1)
-    oracle = geometric_pmf(Fraction(1), 0, -80, 80)
-    for k in range(-10, 11):
-        assert math.isclose(mech.pmf(k), float(oracle[k]), rel_tol=1e-9)
-    assert mech.pmf(7) == mech.pmf(-7)
+    mech = make_geometric(Fraction(1), sensitivity=2)
+    rng = stream("pmf").generator()
+    samples = [mech.add_noise(3, rng) for _ in range(40000)]
+    oracle = geometric_pmf(mech.rate, 3, 3 - 80, 3 + 80)
+    assert tv_distance(empirical_pmf(samples), oracle) < 0.01
 
 
 def test_gaussian_mechanism_privacy_function():
@@ -117,7 +117,7 @@ def test_gaussian_mechanism_privacy_function():
 
 def test_gaussian_short_circuit():
     mech = GaussianMechanism(sigma_squared=Fraction(1, 10**19), sensitivity=1)
-    assert mech.add_noise(3, stream()) == 3
+    assert mech.add_noise(3, stream().generator()) == 3
 
 
 # ---------------------------------------------------------------------------
