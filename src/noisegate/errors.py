@@ -2,7 +2,8 @@
 
 Everything inherits from NoisegateError so callers can catch broadly.  The
 CLI maps these onto exit codes: configuration and data problems exit 2,
-budget exhaustion exits 3, and query compilation failures exit 4.
+budget exhaustion exits 3, and query compilation or evaluation failures
+exit 4.
 """
 
 from __future__ import annotations
@@ -147,6 +148,14 @@ class InsufficientBudget(NoisegateError):
 
 class GuaranteeTooWeak(NoisegateError):
     """A measurement's privacy loss exceeds the declared spend."""
+
+
+class EvaluationFailed(NoisegateError):
+    """A measurement raised while it ran on the data.
+
+    Its message is fixed, so nothing about the rows gets out through it,
+    and its spend was charged, so it is no free retry.
+    """
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .errors import (
     BadQuantile,
     DomainMismatch,
     EmptyList,
+    EvaluationFailed,
     GuaranteeTooWeak,
     InsufficientBudget,
     LengthMismatch,
@@ -477,10 +478,13 @@ def compose_per_group(
 
     The measurement's output is the result table: exactly one row per
     key, in keyset order, whatever keys the data contains, each with its
-    group's value released through result_cell.  Every group draws its
-    noise from the one generator, in keyset order.  The key rows were
-    checked when the KeySet was built and are trusted here; the key
-    columns must match the domain and the value column must be numeric.
+    group's value released through result_cell.  The rows are split in
+    one keyed pass into plain lists; only a keyset key found in the data
+    gets a Table of its own, and absent keys share one empty Table.
+    Every group draws its noise from the one generator, in keyset order.
+    The key rows were checked when the KeySet was built and are trusted
+    here; the key columns must match the domain and the value column
+    must be numeric.
     """
     if not isinstance(per_group.input_metric, SymmetricDifference):
         raise MetricMismatch("per-group measurements run under SymmetricDifference")
@@ -500,7 +504,9 @@ def compose_per_group(
         empty = Table._trusted(table.schema, ())
         rows = []
         for key_row in keys.rows:
-            value = per_group._eval(groups.get(key_row, empty), rng)
+            part = groups.get(key_row)
+            group = empty if part is None else Table._trusted(table.schema, tuple(part))
+            value = per_group._eval(group, rng)
             rows.append(key_row + (result_cell(value, value_type),))
         return Table._trusted(output_schema, tuple(rows))
 
@@ -559,11 +565,14 @@ def compose_over_subsets(parts: Sequence[Measurement]) -> Measurement:
 class Queryable:
     """Holds a dataset and answers measurements against a fixed budget.
 
-    Asks are adaptive: each may depend on earlier answers.  A failed ask
-    raises and changes nothing; a successful ask deducts its declared
-    spend exactly and evaluates with the one generator of the stream
-    derived from the ask's ordinal, so replaying the same seed and
-    sequence replays the answers.
+    Asks are adaptive: each may depend on earlier answers.  An ask the
+    checks refuse raises and changes nothing.  An ask they accept deducts
+    its declared spend exactly and evaluates with the one generator of
+    the stream derived from the ask's ordinal, so replaying the same seed
+    and sequence replays the answers.  If the evaluation raises, the
+    spend stays charged and the ordinal stays used, and the caller gets
+    EvaluationFailed with a fixed message: the failure depends on the
+    data, so it must be neither a free retry nor a channel for it.
     """
 
     def __init__(
@@ -638,8 +647,13 @@ class Queryable:
                 raise InsufficientBudget(
                     f"spend {spend} exceeds remaining budget {remaining}"
                 )
-            result = measurement.eval(self._data, self._rng.child(self._count))
+            stream = self._rng.child(self._count)
             self._spent += spend
             self._count += 1
-            return result
+            try:
+                return measurement.eval(self._data, stream)
+            except Exception:
+                raise EvaluationFailed(
+                    "the measurement failed on the data; its spend was charged"
+                ) from None
 

@@ -10,13 +10,9 @@ distance to privacy loss.  Maps are monotone and send 0 to 0.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
-
-from .errors import DomainMismatch, SchemaMismatch
-from .tabledata import Table, split_by_key
 
 INF = math.inf
 
@@ -107,75 +103,6 @@ class BoundedLists:
 
 
 Metric = Union[SymmetricDifference, AddRemoveIds, GroupedBy, TableTuple, BoundedLists]
-
-
-def _symmetric_difference(x: Table, y: Table) -> int:
-    if x.schema != y.schema:
-        raise SchemaMismatch("tables under SymmetricDifference must share a schema")
-    counts = Counter(x.rows)
-    counts.subtract(Counter(y.rows))
-    return sum(abs(c) for c in counts.values())
-
-
-def _add_remove_ids(metric: AddRemoveIds, x: Table, y: Table) -> int:
-    if x.schema != y.schema:
-        raise SchemaMismatch("tables under AddRemoveIds must share a schema")
-    idx = x.schema.index_of(metric.id_column)
-    groups_x: dict = {}
-    for row in x.rows:
-        groups_x.setdefault(row[idx], []).append(row)
-    groups_y: dict = {}
-    for row in y.rows:
-        groups_y.setdefault(row[idx], []).append(row)
-    total = 0
-    for ident in set(groups_x) | set(groups_y):
-        in_x = ident in groups_x
-        in_y = ident in groups_y
-        if in_x and in_y:
-            if Counter(groups_x[ident]) != Counter(groups_y[ident]):
-                total += 2
-        else:
-            total += 1
-    return total
-
-
-def dataset_distance(metric: Metric, x, y) -> Distance:
-    """The distance between two datasets under the given metric."""
-    if isinstance(metric, SymmetricDifference):
-        return _symmetric_difference(x, y)
-    if isinstance(metric, AddRemoveIds):
-        return _add_remove_ids(metric, x, y)
-    if isinstance(metric, GroupedBy):
-        if x.schema != y.schema:
-            raise SchemaMismatch("tables under GroupedBy must share a schema")
-        parts_x = split_by_key(x, metric.key_columns)
-        parts_y = split_by_key(y, metric.key_columns)
-        schema = x.schema
-        total: Distance = 0
-        for key in set(parts_x) | set(parts_y):
-            a = parts_x.get(key, Table.empty(schema))
-            b = parts_y.get(key, Table.empty(schema))
-            total += dataset_distance(metric.inner, a, b)
-        return total
-    if isinstance(metric, TableTuple):
-        if len(x) != len(metric.components) or len(y) != len(metric.components):
-            raise DomainMismatch(
-                f"expected tuples of {len(metric.components)} tables"
-            )
-        return sum(
-            dataset_distance(m, a, b) for m, a, b in zip(metric.components, x, y)
-        )
-    if isinstance(metric, BoundedLists):
-        xs = list(x)
-        ys = list(y)
-        if not xs and not ys:
-            return 0
-        schema = (xs[0] if xs else ys[0]).schema
-        length = max(len(xs), len(ys))
-        xs += [Table.empty(schema)] * (length - len(xs))
-        ys += [Table.empty(schema)] * (length - len(ys))
-        return sum(dataset_distance(metric.inner, a, b) for a, b in zip(xs, ys))
-    raise DomainMismatch(f"unknown metric {metric!r}")
 
 
 # ---------------------------------------------------------------------------

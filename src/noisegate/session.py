@@ -658,9 +658,12 @@ class Session:
         """Compile, run and charge one query; return its result table.
 
         The spend's measure must match the session's.  The result table is
-        built inside the measurement, before the ledger charges, so an
-        evaluate that returns has charged exactly its spend and one that
-        raises has charged nothing and consumed no randomness.
+        built inside the measurement, so an evaluate that returns has
+        charged exactly its spend.  One that is refused before it runs (a
+        compile error, a measure mismatch, a spend the budget cannot
+        cover) has charged nothing and consumed no randomness.  One whose
+        measurement raises on the data has charged its spend and raises
+        EvaluationFailed, whose message says nothing about the rows.
         """
         if spend.measure != self._measure:
             raise MeasureMismatch(

@@ -3,7 +3,9 @@
 A Table is a schema plus a multiset of rows.  Row order is an artifact of
 construction and is never observable through the public operations here:
 equality is multiset equality, and canonicalize produces the one fixed
-ordering used wherever determinism matters (truncation).
+ordering used wherever determinism matters (truncation).  split_by_key
+hands out plain row lists, so truncation, grouping and joins take one
+keyed pass and sort only the groups over a truncation bound.
 
 Values are plain Python ints, floats, and strings.  Floats must be finite
 and no cell may be empty.  Cells are checked where they enter: by
@@ -235,7 +237,8 @@ def canonicalize(table: Table) -> Table:
     order is the order of the UTF-8 encodings, so it is the same on every
     platform, and unlike encoding it is defined for every str, including
     lone surrogates.  Truncation keeps the first rows of each key group
-    in this order.
+    in this order; it sorts only the groups over the bound, then puts
+    the kept rows in this order.
     """
     return Table._trusted(table.schema, tuple(sorted(table.rows)))
 
@@ -247,11 +250,12 @@ def table_equal(a: Table, b: Table) -> bool:
     return a.multiset() == b.multiset()
 
 
-def split_by_key(table: Table, key_columns: Sequence[str]) -> dict[tuple, Table]:
+def split_by_key(table: Table, key_columns: Sequence[str]) -> dict[tuple, list[Row]]:
     """Partition rows by the tuple of values in key_columns.
 
-    Every row lands in exactly one part and the parts' schemas equal the
-    input schema.
+    Every row lands in exactly one list, and each list keeps the input
+    order.  No Table is built per key: callers wrap only the groups they
+    use, and truncation sorts only the groups over its bound.
     """
     key_of = itemgetter(*[table.schema.index_of(name) for name in key_columns])
     groups: dict[object, list[Row]] = {}
@@ -261,12 +265,10 @@ def split_by_key(table: Table, key_columns: Sequence[str]) -> dict[tuple, Table]
             groups[key].append(row)
         else:
             groups[key] = [row]
-    # itemgetter gives a bare value for one column; keys are always tuples.
-    single = len(key_columns) == 1
-    return {
-        ((key,) if single else key): Table._trusted(table.schema, tuple(rows))
-        for key, rows in groups.items()
-    }
+    if len(key_columns) == 1:
+        # itemgetter gives a bare value for one column; keys are always tuples.
+        return {(key,): rows for key, rows in groups.items()}
+    return groups
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ measurements downstream rely on their stability bounds.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -308,28 +308,44 @@ def _check_join_columns(
     return keys, Schema(tuple(left.columns) + tuple(carried))
 
 
-def _join_rows(
-    left_table: Table,
-    right_table: Table,
-    keys: Sequence[str],
-    joined: Schema,
-) -> Table:
-    key_idx = [right_table.schema.index_of(k) for k in keys]
-    carry_idx = [
-        i
-        for i, (name, _) in enumerate(right_table.schema.columns)
-        if name not in keys
-    ]
-    matches: dict[tuple, list[tuple]] = {}
-    for row in right_table.rows:
-        key = tuple(row[i] for i in key_idx)
-        matches.setdefault(key, []).append(tuple(row[i] for i in carry_idx))
-    left_key_idx = [left_table.schema.index_of(k) for k in keys]
+def _cells_of(indices: Sequence[int]) -> Callable[[Row], tuple]:
+    """A function from a row to the tuple of its cells at `indices`.
+
+    itemgetter gives a bare value for one index and needs at least one,
+    so those two cases are spelled out.
+    """
+    if not indices:
+        return lambda row: ()
+    if len(indices) == 1:
+        (index,) = indices
+        return lambda row: (row[index],)
+    return itemgetter(*indices)
+
+
+def _join_index(right_table: Table, keys: Sequence[str]) -> dict:
+    """The carried cells of right_table's rows, in a list per join key.
+
+    Keys are bare values for one key column and tuples for more, as
+    itemgetter reads them off the left rows.
+    """
+    carry = _cells_of(
+        [i for i, (name, _) in enumerate(right_table.schema.columns) if name not in keys]
+    )
+    single = len(keys) == 1
+    return {
+        (key[0] if single else key): [carry(row) for row in rows]
+        for key, rows in split_by_key(right_table, keys).items()
+    }
+
+
+def _join_rows(left_table: Table, index: dict, keys: Sequence[str], joined: Schema) -> Table:
+    key_of = itemgetter(*[left_table.schema.index_of(k) for k in keys])
     out: list[Row] = []
     for row in left_table.rows:
-        key = tuple(row[i] for i in left_key_idx)
-        for extra in matches.get(key, ()):
-            out.append(row + extra)
+        extras = index.get(key_of(row))
+        if extras is not None:
+            for extra in extras:
+                out.append(row + extra)
     return Table._trusted(joined, tuple(out))
 
 
@@ -342,14 +358,11 @@ def make_public_join(domain: TableDomain, public: Table, on: Sequence[str]) -> T
     could fan out without bound, so identifier pipelines truncate first.
     """
     keys, joined = _check_join_columns(domain.schema, public.schema, on)
-    key_idx = [public.schema.index_of(k) for k in keys]
-    multiplicity = Counter(
-        tuple(row[i] for i in key_idx) for row in public.rows
-    )
-    fan_out = max(multiplicity.values(), default=0)
+    index = _join_index(public, keys)
+    fan_out = max(map(len, index.values()), default=0)
 
     def apply(table: Table) -> Table:
-        return _join_rows(table, public, keys, joined)
+        return _join_rows(table, index, keys, joined)
 
     return Transformation(
         input_domain=domain,
@@ -364,13 +377,14 @@ def make_public_join(domain: TableDomain, public: Table, on: Sequence[str]) -> T
 def _truncate_by_keys(table: Table, keys: Sequence[str], bound: int) -> Table:
     """Keep the first `bound` rows of each key group, in canonical order.
 
-    The table is sorted once; each key group is a subsequence of the sorted
-    rows, so it comes out of split_by_key already in canonical order.
+    One keyed pass: a group within the bound is kept whole, and only a
+    group over it is sorted and cut.  The kept rows are then put in
+    canonical order, so the output does not depend on the input order.
     """
-    out: list[Row] = []
-    for part in split_by_key(canonicalize(table), keys).values():
-        out.extend(part.rows[:bound])
-    return Table._trusted(table.schema, tuple(out))
+    kept: list[Row] = []
+    for group in split_by_key(table, keys).values():
+        kept.extend(group if len(group) <= bound else sorted(group)[:bound])
+    return canonicalize(Table._trusted(table.schema, tuple(kept)))
 
 
 def private_join_distance_bound(
@@ -412,7 +426,7 @@ def make_private_join(
         left_table, right_table = tables
         cut_left = _truncate_by_keys(left_table, keys, left_bound)
         cut_right = _truncate_by_keys(right_table, keys, right_bound)
-        return _join_rows(cut_left, cut_right, keys, joined)
+        return _join_rows(cut_left, _join_index(cut_right, keys), keys, joined)
 
     return Transformation(
         input_domain=TableTupleDomain((left, right)),

@@ -16,6 +16,14 @@ from typing import Mapping, Sequence
 
 import mpmath
 
+from noisegate.errors import DomainMismatch, SchemaMismatch
+from noisegate.metrics import (
+    AddRemoveIds,
+    BoundedLists,
+    GroupedBy,
+    SymmetricDifference,
+    TableTuple,
+)
 from noisegate.tabledata import ColumnType, Schema, Table
 
 DPS = 60
@@ -76,6 +84,84 @@ def grouped_distance(a: Table, b: Table, key_columns: tuple[str, ...]) -> int:
             if tuple(row[i] for i in idxs) == g:
                 result += abs(ca.get(row, 0) - cb.get(row, 0))
     return result
+
+
+def _symmetric_difference(x: Table, y: Table) -> int:
+    if x.schema != y.schema:
+        raise SchemaMismatch("tables under SymmetricDifference must share a schema")
+    counts = Counter(x.rows)
+    counts.subtract(Counter(y.rows))
+    return sum(abs(c) for c in counts.values())
+
+
+def _add_remove_ids(metric: AddRemoveIds, x: Table, y: Table) -> int:
+    if x.schema != y.schema:
+        raise SchemaMismatch("tables under AddRemoveIds must share a schema")
+    idx = x.schema.index_of(metric.id_column)
+    groups_x: dict = {}
+    for row in x.rows:
+        groups_x.setdefault(row[idx], []).append(row)
+    groups_y: dict = {}
+    for row in y.rows:
+        groups_y.setdefault(row[idx], []).append(row)
+    total = 0
+    for ident in set(groups_x) | set(groups_y):
+        in_x = ident in groups_x
+        in_y = ident in groups_y
+        if in_x and in_y:
+            if Counter(groups_x[ident]) != Counter(groups_y[ident]):
+                total += 2
+        else:
+            total += 1
+    return total
+
+
+def _parts_by_key(table: Table, key_columns) -> dict:
+    idxs = [table.schema.index_of(c) for c in key_columns]
+    parts: dict = {}
+    for row in table.rows:
+        parts.setdefault(tuple(row[i] for i in idxs), []).append(row)
+    return {key: Table(table.schema, tuple(rows)) for key, rows in parts.items()}
+
+
+def dataset_distance(metric, x, y):
+    """The distance between two datasets under the given metric, for every
+    metric the library declares, nested ones included."""
+    if isinstance(metric, SymmetricDifference):
+        return _symmetric_difference(x, y)
+    if isinstance(metric, AddRemoveIds):
+        return _add_remove_ids(metric, x, y)
+    if isinstance(metric, GroupedBy):
+        if x.schema != y.schema:
+            raise SchemaMismatch("tables under GroupedBy must share a schema")
+        parts_x = _parts_by_key(x, metric.key_columns)
+        parts_y = _parts_by_key(y, metric.key_columns)
+        schema = x.schema
+        total = 0
+        for key in set(parts_x) | set(parts_y):
+            a = parts_x.get(key, Table.empty(schema))
+            b = parts_y.get(key, Table.empty(schema))
+            total += dataset_distance(metric.inner, a, b)
+        return total
+    if isinstance(metric, TableTuple):
+        if len(x) != len(metric.components) or len(y) != len(metric.components):
+            raise DomainMismatch(
+                f"expected tuples of {len(metric.components)} tables"
+            )
+        return sum(
+            dataset_distance(m, a, b) for m, a, b in zip(metric.components, x, y)
+        )
+    if isinstance(metric, BoundedLists):
+        xs = list(x)
+        ys = list(y)
+        if not xs and not ys:
+            return 0
+        schema = (xs[0] if xs else ys[0]).schema
+        length = max(len(xs), len(ys))
+        xs += [Table.empty(schema)] * (length - len(xs))
+        ys += [Table.empty(schema)] * (length - len(ys))
+        return sum(dataset_distance(metric.inner, a, b) for a, b in zip(xs, ys))
+    raise DomainMismatch(f"unknown metric {metric!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -321,3 +407,17 @@ def truncate_reference(rows, key_positions, bound) -> Counter:
     for group in groups.values():
         kept.update(sorted(group, key=encoded)[:bound])
     return kept
+
+
+def join_reference(left: Table, right: Table, keys) -> Counter:
+    """An inner join by nested loops: each left row followed by the non-key
+    cells of every right row whose key cells equal its own."""
+    left_pos = [left.schema.index_of(k) for k in keys]
+    right_pos = [right.schema.index_of(k) for k in keys]
+    carried = [i for i, (name, _) in enumerate(right.schema.columns) if name not in keys]
+    joined: Counter = Counter()
+    for lrow in left.rows:
+        for rrow in right.rows:
+            if all(lrow[a] == rrow[b] for a, b in zip(left_pos, right_pos)):
+                joined[lrow + tuple(rrow[i] for i in carried)] += 1
+    return joined

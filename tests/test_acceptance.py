@@ -15,6 +15,7 @@ import pytest
 
 from helpers import (
     INT_SCHEMA,
+    dataset_distance,
     empirical_pmf,
     gaussian_pmf,
     geometric_pmf,
@@ -44,7 +45,6 @@ from noisegate.metrics import (
     TableTuple,
     ZCDP,
     compose_maps,
-    dataset_distance,
 )
 from noisegate.rng import RngStream
 from noisegate.session import (

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import noisegate
-from noisegate import cli
+from noisegate import cli, session
 from noisegate.cli import main, parse_script
 from noisegate.session import QUERY_NODES, keyset_from_tuples, query
 from noisegate.tabledata import ColumnType
@@ -506,3 +507,65 @@ def test_validate_missing_schema_file_exits_2(tmp_path, capsys):
     ]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# Nothing but the noised results reaches the output.
+
+
+def test_a_failing_evaluation_prints_no_row_value(tmp_path, capsys, monkeypatch):
+    real_make_count = session.make_count
+
+    def leaky_count(domain, noise):
+        def leaky(table, rng):
+            raise ValueError(f"secret {table.rows}")
+
+        return dataclasses.replace(real_make_count(domain, noise), _eval=leaky)
+
+    monkeypatch.setattr(session, "make_count", leaky_count)
+    write_workspace(tmp_path, queries=[count_query("leak", "1/2")])
+    assert main(run_args(tmp_path, budget="1")) == 4
+    captured = capsys.readouterr()
+    printed = captured.out + captured.err
+    assert "'leak'" in captured.err
+    for cell in ("secret", "981", "982", "10.0", "40.0"):
+        assert cell not in printed
+
+
+def test_no_module_reads_the_clock():
+    # The exact samplers take longer for larger noise, so a timing would
+    # tell about the noise; timings belong to the operator's tracer only.
+    package = Path(noisegate.__file__).resolve().parent
+    modules = sorted(package.glob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in ("time", "datetime"), path.name
+
+
+def test_two_runs_with_one_seed_print_the_same_bytes(tmp_path):
+    keys = {"columns": [{"name": "zip", "type": "text"}], "rows": [["981"], ["983"]]}
+    grouped = {"name": "by_zip", "spend": "1/2", "expr": grouped_by(keys)}
+    summed = {
+        "name": "income",
+        "spend": "1/4",
+        "expr": {"kind": "Sum", "child": SOURCE, "column": "income", "low": 0, "high": 50},
+    }
+    queries = [count_query("total", "1/4"), grouped, summed, count_query("over", "1")]
+    write_workspace(tmp_path, queries=queries)
+    src = Path(noisegate.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "noisegate.cli", *run_args(tmp_path, budget="1", seed="31")]
+    first, second = (subprocess.run(argv, env=env, capture_output=True) for _ in range(2))
+    assert first.returncode == 3  # the last query is refused, so stderr says so
+    assert first.stderr and first.stdout
+    assert (first.returncode, first.stdout, first.stderr) == (
+        second.returncode, second.stdout, second.stderr
+    )

@@ -1,5 +1,6 @@
 import random
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from noisegate.errors import (
     BadBounds,
     BadQuantile,
     DomainMismatch,
+    EvaluationFailed,
     GuaranteeTooWeak,
     InsufficientBudget,
     KeyTypeMismatch,
@@ -57,7 +59,7 @@ from noisegate.metrics import (
     PureDP,
     SymmetricDifference,
     ZCDP,
-    dataset_distance,
+    linear_map,
 )
 from noisegate.rng import RngStream
 from noisegate.tabledata import ColumnType, KeySet, Schema, Table, TableDomain
@@ -335,6 +337,27 @@ def test_per_group_keyset_contract():
     assert isinstance(m.input_metric, GroupedBy)
 
 
+def test_per_group_gets_one_table_per_keyset_key():
+    seen = []
+
+    def evaluate(table, rng):
+        seen.append(table)
+        return len(table.rows)
+
+    exact_count = Measurement(DOMAIN, SymmetricDifference(), PureDP(), linear_map(1), evaluate)
+    # "absent" is not in the data, and "zzz" and "yyy" are not in the keyset.
+    keys = KeySet(KEYS, [("b",), ("absent",), ("a",)])
+    m = compose_per_group(DOMAIN, keys, exact_count, ("count", ColumnType.INT64))
+    data = T(("a", 1.0), ("zzz", 9.0), ("b", 2.0), ("a", 3.0), ("yyy", 4.0), ("a", 1.0))
+    assert m.eval(data, stream()).rows == (("b", 1), ("absent", 0), ("a", 3))
+    assert all(isinstance(table, Table) and table.schema == SCHEMA for table in seen)
+    assert [table.multiset() for table in seen] == [
+        Counter({("b", 2.0): 1}),
+        Counter(),
+        Counter({("a", 1.0): 2, ("a", 3.0): 1}),
+    ]
+
+
 def test_per_group_privacy_is_not_multiplied():
     per_group = make_count(DOMAIN, PureDpNoise(Fraction(4, 10)))
     keyset = [(str(i),) for i in range(10)]
@@ -473,6 +496,32 @@ def test_queryable_mismatch_checks():
     with pytest.raises(MetricMismatch):
         q.ask(grouped, Fraction(1, 100), 1)
     assert q.remaining() == 1
+
+
+def test_a_failing_evaluation_is_charged_once_and_says_nothing_of_the_rows():
+    def leaky(table, rng):
+        row = table.rows[0]
+        raise ValueError(f"secret {row}")
+
+    quarter = Fraction(1, 4)
+    failing = Measurement(DOMAIN, SymmetricDifference(), PureDP(), linear_map(quarter), leaky)
+    clean = _queryable()
+    clean_outputs = [clean.ask(_count_m(quarter), quarter, 1) for _ in range(3)]
+    assert clean_outputs[1] != clean_outputs[2]  # so the check below can tell
+
+    q = _queryable()
+    first = q.ask(_count_m(quarter), quarter, 1)
+    with pytest.raises(EvaluationFailed) as caught:
+        q.ask(failing, quarter, 1)
+    message = str(caught.value)
+    assert "secret" not in message and "'a'" not in message
+    assert caught.value.__cause__ is None and caught.value.__suppress_context__
+    assert q.spent() == Fraction(1, 2)
+    # The failed ask used up its ordinal: the next ask draws from the third
+    # stream, so the failure is no free retry of the second.
+    third = q.ask(_count_m(quarter), quarter, 1)
+    assert [first, third] == [clean_outputs[0], clean_outputs[2]]
+    assert q.spent() == 3 * quarter
 
 
 def test_queryable_serializes_concurrent_asks():

@@ -11,6 +11,7 @@ from helpers import (
     BadAlpha,
     NotAPmf,
     ari_distance,
+    dataset_distance,
     grouped_distance,
     pure_dp_divergence,
     random_table,
@@ -26,7 +27,6 @@ from noisegate.metrics import (
     SymmetricDifference,
     TableTuple,
     compose_maps,
-    dataset_distance,
     general_map,
     linear_map,
     max_slope_map,

@@ -105,7 +105,7 @@ def test_split_by_key():
     assert len(parts[("b",)]) == 1
     pairs = split_by_key(t, ["name", "age"])
     assert set(pairs) == {("a", 1), ("b", 2), ("a", 3)}
-    assert pairs[("a", 3)].rows == (("a", 3, 0.0),)
+    assert pairs[("a", 3)] == [("a", 3, 0.0)]
     with pytest.raises(UnknownColumn):
         split_by_key(t, ["nope"])
 

@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import ari_distance, random_table, sd_distance, truncate_reference
+from helpers import (
+    ari_distance,
+    dataset_distance,
+    join_reference,
+    random_table,
+    sd_distance,
+    truncate_reference,
+)
 from noisegate import tabledata, transformations
 from noisegate.errors import (
     BadIndex,
@@ -24,7 +31,6 @@ from noisegate.metrics import (
     GroupedBy,
     SymmetricDifference,
     TableTuple,
-    dataset_distance,
 )
 from noisegate.tabledata import (
     ColumnType,
@@ -235,6 +241,80 @@ def test_truncation_keeps_first_rows_in_utf8_byte_order():
                 if left[0] == right[0]
             )
             assert joined.multiset() == expected
+
+
+def test_truncation_by_a_later_column_ignores_the_input_order():
+    schema = Schema.of(
+        ("v", ColumnType.INT64), ("tag", ColumnType.TEXT), ("id", ColumnType.INT64)
+    )
+    rng = random.Random(41)
+    for bound in (1, 2, 3):
+        truncate = make_truncate_by_id(TableDomain(schema, "id"), bound)
+        for _ in range(30):
+            rows = [
+                (rng.randrange(4), rng.choice(TEXT_IDS), rng.randrange(5))
+                for _ in range(rng.randrange(25))
+            ]
+            cut = truncate.apply(Table.of(schema, rows))
+            assert cut.multiset() == truncate_reference(rows, (2,), bound)
+            shuffled = list(rows)
+            rng.shuffle(shuffled)
+            for reordered in (shuffled, rows[::-1]):
+                assert truncate.apply(Table.of(schema, reordered)).rows == cut.rows
+
+
+KEY_COLUMNS = (("k", ColumnType.INT64), ("k2", ColumnType.TEXT))
+CARRIED_COLUMNS = (("b0", ColumnType.INT64), ("b1", ColumnType.TEXT))
+
+
+def _join_tables(rng, key_width, carried):
+    """Random left and right tables for a join on the first key_width key
+    columns; the right side carries `carried` non-key columns, one of them
+    before its keys, and lists its keys in reverse order."""
+    keys = KEY_COLUMNS[:key_width]
+    extra = CARRIED_COLUMNS[:carried]
+    left = Schema.of(("a", ColumnType.INT64), *keys)
+    right = Schema.of(*extra[:1], *keys[::-1], *extra[1:])
+
+    def cell(ctype):
+        return rng.randrange(3) if ctype is ColumnType.INT64 else rng.choice("xy")
+
+    def rows(schema, n):
+        return [tuple(cell(ctype) for _, ctype in schema.columns) for _ in range(n)]
+
+    return (
+        [name for name, _ in keys],
+        Table.of(left, rows(left, rng.randrange(12))),
+        Table.of(right, rows(right, rng.randrange(12))),
+    )
+
+
+@pytest.mark.parametrize("carried", [0, 1, 2])
+@pytest.mark.parametrize("key_width", [1, 2])
+def test_joins_match_a_nested_loop_join(key_width, carried):
+    rng = random.Random(10 * key_width + carried)
+    for _ in range(25):
+        keys, left, right = _join_tables(rng, key_width, carried)
+        left_domain = TableDomain(left.schema, None)
+        public = make_public_join(left_domain, right, keys)
+        assert public.apply(left).multiset() == join_reference(left, right, keys)
+        key_positions = [right.schema.index_of(k) for k in keys]
+        multiplicity = Counter(tuple(row[i] for i in key_positions) for row in right.rows)
+        assert public.stability.slope == max(multiplicity.values(), default=0)
+
+        for left_bound, right_bound in ((1, 1), (1, 2), (2, 1)):
+            private = make_private_join(
+                left_domain, TableDomain(right.schema, None), keys, left_bound, right_bound
+            )
+            cut_left = Table.of(left.schema, truncate_reference(
+                left.rows, [left.schema.index_of(k) for k in keys], left_bound
+            ).elements())
+            cut_right = Table.of(right.schema, truncate_reference(
+                right.rows, key_positions, right_bound
+            ).elements())
+            assert private.apply((left, right)).multiset() == join_reference(
+                cut_left, cut_right, keys
+            )
 
 
 def test_internal_tables_skip_the_cell_check(monkeypatch):
