@@ -17,7 +17,7 @@ import math
 import random
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Callable, Sequence, Union
 
@@ -105,10 +105,11 @@ class GeometricMechanism:
 
     epsilon_unit: Fraction
     sensitivity: int
+    rate: Fraction = field(init=False, repr=False, compare=False)
 
-    @property
-    def rate(self) -> Fraction:
-        return self.epsilon_unit / self.sensitivity
+    def __post_init__(self) -> None:
+        # Solved once: every draw samples at this rate.
+        object.__setattr__(self, "rate", self.epsilon_unit / self.sensitivity)
 
     @property
     def privacy_function(self) -> DistanceMap:
@@ -273,16 +274,15 @@ def _sum_setup(low, high, granularity):
     return low, high, gamma, sensitivity
 
 
-def _grain_total(table: Table, column: str, low: float, high: float, gamma: Fraction) -> int:
-    """The sum over rows of round(clamped value / gamma), half to even.
+def _grain_total(rows, index: int, low: float, high: float, g_num: int, g_den: int) -> int:
+    """The sum over rows of round(clamped row[index] / gamma), half to even,
+    for gamma = g_num / g_den.
 
     Exact integer arithmetic: value / gamma is n * g_den / (d * g_num) for
     the value's exact ratio n / d, so no Fraction is built per row.
     """
-    index = table.schema.index_of(column)
-    g_num, g_den = gamma.numerator, gamma.denominator
     total = 0
-    for row in table.rows:
+    for row in rows:
         n, d = min(max(row[index], low), high).as_integer_ratio()
         divisor = d * g_num
         quotient, remainder = divmod(n * g_den, divisor)
@@ -323,10 +323,12 @@ def make_sum(
         )
 
     mechanism, privacy, measure = _noise_parts(noise, sensitivity)
+    index = domain.schema.index_of(column)
+    g_num, g_den = gamma.numerator, gamma.denominator
 
     def evaluate(table: Table, rng: random.Random) -> Fraction:
-        noisy = mechanism.add_noise(_grain_total(table, column, low, high, gamma), rng)
-        return noisy * gamma
+        total = _grain_total(table.rows, index, low, high, g_num, g_den)
+        return Fraction(mechanism.add_noise(total, rng) * g_num, g_den)
 
     return Measurement(
         input_domain=domain,
@@ -358,7 +360,7 @@ def make_average(
 
     def evaluate(table: Table, rng: random.Random) -> Fraction:
         noisy_sum, noisy_count = both._eval(table, rng)
-        return Fraction(noisy_sum) / max(1, noisy_count)
+        return noisy_sum / max(1, noisy_count)
 
     return replace(both, _eval=evaluate)
 

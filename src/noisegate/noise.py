@@ -9,8 +9,11 @@ geometrics build the two-sided geometric, and the discrete Gaussian comes
 from rejection against a two-sided geometric envelope.
 
 Inside the ladder a rational x is an integer pair (n, d) in lowest terms,
-reduced by gcd at every step where a Fraction would normalise, so every
-coin asks the PRNG for the same randrange bound a Fraction ladder would.
+reduced by gcd at every step where a Fraction would normalise.  Each
+uniform below m is drawn inline by the rejection loop that
+random.Random.randrange(m) runs on the generator's getrandbits: draw
+getrandbits(m.bit_length()) until the result is below m.  The stream is
+therefore defined by getrandbits alone.
 """
 
 from __future__ import annotations
@@ -20,70 +23,104 @@ import random
 from fractions import Fraction
 
 
-def _bernoulli_exp_unit(n: int, d: int, rng: random.Random) -> bool:
+def _bernoulli_exp_unit(n: int, d: int, getrandbits) -> bool:
     # Exact coin with P(True) = exp(-x), for x = n/d in [0, 1] in lowest
     # terms: the successes of Bernoulli(x / k), k = 1, 2, ..., before the
     # first failure are even in number with probability exp(-x).  x / k
-    # reduces by gcd(n, d k), which is gcd(n, k) since gcd(n, d) = 1.
-    k = 1
+    # reduces by gcd(n, d k), which is gcd(n, k) since gcd(n, d) = 1; the
+    # k-th coin succeeds when a uniform below d k / g is below n / g.
+    k, m, below = 1, d, n
     while True:
+        bits = m.bit_length()
+        r = getrandbits(bits)
+        while r >= m:
+            r = getrandbits(bits)
+        if r >= below:
+            return k % 2 == 1
+        k += 1
         g = math.gcd(n, k)
-        if rng.randrange(d * (k // g)) >= n // g:
+        m, below = d * (k // g), n // g
+
+
+def _bernoulli_exp_one(getrandbits) -> bool:
+    # _bernoulli_exp_unit(1, 1), the unit-rate coin of every geometric's
+    # coarse part, without its gcds: the k-th coin is a uniform below k
+    # that succeeds at 0.  The first, below 1, always succeeds but still
+    # spends its getrandbits(1) draws.
+    while getrandbits(1):
+        pass
+    k = 2
+    while True:
+        bits = k.bit_length()
+        r = getrandbits(bits)
+        while r >= k:
+            r = getrandbits(bits)
+        if r:
             return k % 2 == 1
         k += 1
 
 
-def _bernoulli_exp(n: int, d: int, rng: random.Random) -> bool:
+def _bernoulli_exp(n: int, d: int, getrandbits) -> bool:
     # Exact coin with P(True) = exp(-n/d), for any n/d >= 0 in lowest terms.
     while n > d:
-        if not _bernoulli_exp_unit(1, 1, rng):
+        if not _bernoulli_exp_one(getrandbits):
             return False
         n -= d
-    return _bernoulli_exp_unit(n, d, rng)
+    return _bernoulli_exp_unit(n, d, getrandbits)
 
 
-def _geometric_exp(n: int, d: int, rng: random.Random) -> int:
+def _geometric_exp(n: int, d: int, getrandbits) -> int:
     # G >= 0 with P(G = k) = (1 - exp(-n/d)) exp(-k n/d), for n/d > 0 in
-    # lowest terms: a uniform remainder accepted with Bernoulli(exp(-r/d)),
-    # plus d times a unit-rate geometric, then divided by n.
+    # lowest terms: a uniform remainder below d accepted with
+    # Bernoulli(exp(-shift/d)), plus d times a unit-rate geometric, then
+    # divided by n.
+    bits = d.bit_length()
     while True:
-        shift = rng.randrange(d)
+        shift = getrandbits(bits)
+        while shift >= d:
+            shift = getrandbits(bits)
         g = math.gcd(shift, d)
-        if _bernoulli_exp(shift // g, d // g, rng):
+        if _bernoulli_exp_unit(shift // g, d // g, getrandbits):
             break
     coarse = 0
-    while _bernoulli_exp_unit(1, 1, rng):
+    while _bernoulli_exp_one(getrandbits):
         coarse += 1
     return (coarse * d + shift) // n
 
 
-def _two_sided_geometric(n: int, d: int, rng: random.Random) -> int:
+def _two_sided_geometric(n: int, d: int, getrandbits) -> int:
     # Sign and magnitude are drawn independently and the double-counted
-    # (negative, zero) outcome is rejected.
+    # (negative, zero) outcome is rejected.  The sign is a uniform below
+    # 2, getrandbits(2) redrawn while it is 2 or 3, and 0 means negative.
     while True:
-        negative = rng.randrange(2) < 1
-        magnitude = _geometric_exp(n, d, rng)
-        if negative and magnitude == 0:
-            continue
-        return -magnitude if negative else magnitude
+        sign = getrandbits(2)
+        while sign >= 2:
+            sign = getrandbits(2)
+        magnitude = _geometric_exp(n, d, getrandbits)
+        if sign == 0:
+            if magnitude:
+                return -magnitude
+        else:
+            return magnitude
 
 
 def _rate_parts(rate: Fraction) -> tuple[int, int]:
-    if rate < 0:
+    n, d = rate.as_integer_ratio()
+    if n < 0:
         raise ValueError("rate must be non-negative")
-    if rate == 0:
+    if n == 0:
         raise ValueError("rate 0 has no normalizable geometric")
-    return rate.numerator, rate.denominator
+    return n, d
 
 
 def sample_geometric_exp(rate: Fraction, rng: random.Random) -> int:
     """A draw of G with P(G = k) = (1 - exp(-rate)) exp(-k rate), k >= 0."""
-    return _geometric_exp(*_rate_parts(rate), rng)
+    return _geometric_exp(*_rate_parts(rate), rng.getrandbits)
 
 
 def sample_two_sided_geometric(rate: Fraction, rng: random.Random) -> int:
     """A draw of Z with P(Z = k) proportional to exp(-|k| * rate)."""
-    return _two_sided_geometric(*_rate_parts(rate), rng)
+    return _two_sided_geometric(*_rate_parts(rate), rng.getrandbits)
 
 
 def sample_discrete_gaussian(sigma_squared: Fraction, rng: random.Random) -> int:
@@ -101,10 +138,11 @@ def sample_discrete_gaussian(sigma_squared: Fraction, rng: random.Random) -> int
     # With sigma^2 = p/q the bias is (|c| q s - p)^2 / (2 p q s^2).
     qs = q * scale
     bias_denominator = 2 * p * qs * scale
+    getrandbits = rng.getrandbits
     while True:
-        candidate = _two_sided_geometric(1, scale, rng)
+        candidate = _two_sided_geometric(1, scale, getrandbits)
         offset = abs(candidate) * qs - p
         numerator = offset * offset
         g = math.gcd(numerator, bias_denominator)
-        if _bernoulli_exp(numerator // g, bias_denominator // g, rng):
+        if _bernoulli_exp(numerator // g, bias_denominator // g, getrandbits):
             return candidate

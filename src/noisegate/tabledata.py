@@ -7,14 +7,17 @@ ordering used wherever determinism matters (truncation).  split_by_key
 hands out plain row lists, so truncation, grouping and joins take one
 keyed pass and sort only the groups over a truncation bound.
 
-Values are plain Python ints, floats, and strings.  Floats must be finite
-and no cell may be empty.  Cells are checked where they enter: by
+Values are plain Python ints, floats, and strings.  Floats must be finite,
+no cell may be empty, and no Table holds -0.0: it equals 0.0, so rows
+that differed only in the sign of a zero would tie in the canonical
+order.  Cells are checked, and -0.0 becomes 0.0, where they enter: by
 load_csv as it parses them, by Table(...) / Table.of for user and inline
-public tables, by KeySet(...) for group-by keys, and by the map and
-flat-map row step, which drops a row whose cell fails.  Everything else
-(rows of checked tables selected, regrouped, reordered or concatenated,
-and result tables of checked keys and result_cell values) is built with
-the private Table._trusted, which skips the per-cell check.
+public tables, by KeySet(...) for group-by keys, by the map and flat-map
+row step, which drops a row whose cell fails, and by result_cell for
+released aggregates.  Everything else (rows of checked tables selected,
+regrouped, reordered or concatenated, and result tables of checked keys
+and result_cell values) is built with the private Table._trusted, which
+skips the per-cell check.
 """
 
 from __future__ import annotations
@@ -109,8 +112,9 @@ class Schema:
         return any(col == name for col, _ in self.columns)
 
 
-def check_value(value: Value, ctype: ColumnType) -> None:
-    """Raise SchemaMismatch unless value is a legal cell of the column type."""
+def check_value(value: Value, ctype: ColumnType) -> Value:
+    """Raise SchemaMismatch unless value is a legal cell of the column
+    type; return the cell as a Table stores it (-0.0 as 0.0)."""
     if ctype is ColumnType.INT64:
         # bool is an int subclass; reject it explicitly.
         if not isinstance(value, int) or isinstance(value, bool):
@@ -122,11 +126,13 @@ def check_value(value: Value, ctype: ColumnType) -> None:
             raise SchemaMismatch(f"expected float64, got {value!r}")
         if not math.isfinite(value):
             raise SchemaMismatch(f"float values must be finite, got {value!r}")
+        return value + 0.0  # exact, except that -0.0 becomes 0.0
     else:
         if not isinstance(value, str):
             raise SchemaMismatch(f"expected text, got {value!r}")
         if value == "":
             raise SchemaMismatch("text values must be non-empty")
+    return value
 
 
 def result_cell(value, ctype: ColumnType) -> Value:
@@ -139,7 +145,7 @@ def result_cell(value, ctype: ColumnType) -> Value:
     if ctype is ColumnType.INT64:
         return min(max(int(value), _INT64_MIN), _INT64_MAX)
     try:
-        return float(value)
+        return float(value) + 0.0  # -0.0 becomes 0.0
     except OverflowError:
         return sys.float_info.max if value > 0 else -sys.float_info.max
 
@@ -162,22 +168,25 @@ class Table:
 
     Tables compare by identity; use table_equal for multiset equality so
     that incidental row order never leaks into program behavior.
-    Constructing one checks every cell against the schema; see _trusted
-    for the internal constructor that does not.
+    Constructing one checks every cell against the schema and stores
+    the rows as check_value returns them; see _trusted for the internal
+    constructor that does neither.
     """
 
     schema: Schema
     rows: tuple[Row, ...]
 
     def __post_init__(self) -> None:
-        width = len(self.schema.columns)
+        types = [ctype for _, ctype in self.schema.columns]
+        width = len(types)
+        rows = []
         for row in self.rows:
             if len(row) != width:
                 raise SchemaMismatch(
                     f"row {row!r} has {len(row)} values, schema has {width} columns"
                 )
-            for value, (_, ctype) in zip(row, self.schema.columns):
-                check_value(value, ctype)
+            rows.append(tuple(map(check_value, row, types)))
+        object.__setattr__(self, "rows", tuple(rows))
 
     @classmethod
     def _trusted(cls, schema: Schema, rows: tuple[Row, ...]) -> "Table":
@@ -196,7 +205,7 @@ class Table:
 
     @classmethod
     def of(cls, schema: Schema, rows: Iterable[Sequence[Value]]) -> "Table":
-        return cls(schema, tuple(tuple(row) for row in rows))
+        return cls(schema, tuple(rows))
 
     @classmethod
     def empty(cls, schema: Schema) -> "Table":
@@ -355,7 +364,7 @@ def _parse_cell(text: str, ctype: ColumnType, line: int, column: str) -> Value:
                 line=line,
                 column=column,
             )
-        return value
+        return value + 0.0  # -0.0 becomes 0.0
     return text
 
 

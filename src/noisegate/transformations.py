@@ -64,9 +64,7 @@ def _output_row(row: Row, cells) -> Row:
     cell; raises one of _ROW_FAILURES when the row fails."""
     out = []
     for fn, ctype in cells:
-        value = fn(row)
-        check_value(value, ctype)
-        out.append(value)
+        out.append(check_value(fn(row), ctype))
     return tuple(out)
 
 

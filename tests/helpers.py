@@ -421,3 +421,72 @@ def join_reference(left: Table, right: Table, keys) -> Counter:
             if all(lrow[a] == rrow[b] for a, b in zip(left_pos, right_pos)):
                 joined[lrow + tuple(rrow[i] for i in carried)] += 1
     return joined
+
+
+# ---------------------------------------------------------------------------
+# The exact-noise ladder with every uniform drawn by rng.randrange.  The
+# samplers in noisegate.noise draw theirs with randrange's rejection loop
+# on getrandbits, inlined, so they must match this ladder draw for draw
+# and leave the generator in the same state.
+
+
+def _randrange_bernoulli_exp_unit(n: int, d: int, rng: random.Random) -> bool:
+    k = 1
+    while True:
+        g = math.gcd(n, k)
+        if rng.randrange(d * (k // g)) >= n // g:
+            return k % 2 == 1
+        k += 1
+
+
+def _randrange_bernoulli_exp(n: int, d: int, rng: random.Random) -> bool:
+    while n > d:
+        if not _randrange_bernoulli_exp_unit(1, 1, rng):
+            return False
+        n -= d
+    return _randrange_bernoulli_exp_unit(n, d, rng)
+
+
+def _randrange_geometric_exp(n: int, d: int, rng: random.Random) -> int:
+    while True:
+        shift = rng.randrange(d)
+        g = math.gcd(shift, d)
+        if _randrange_bernoulli_exp(shift // g, d // g, rng):
+            break
+    coarse = 0
+    while _randrange_bernoulli_exp_unit(1, 1, rng):
+        coarse += 1
+    return (coarse * d + shift) // n
+
+
+def _randrange_two_sided_geometric(n: int, d: int, rng: random.Random) -> int:
+    while True:
+        negative = rng.randrange(2) < 1
+        magnitude = _randrange_geometric_exp(n, d, rng)
+        if negative and magnitude == 0:
+            continue
+        return -magnitude if negative else magnitude
+
+
+def randrange_two_sided_geometric(rate: Fraction, rng: random.Random) -> int:
+    """P(Z = k) proportional to exp(-|k| * rate), drawn through randrange."""
+    if rate <= 0:
+        raise ValueError("rate must be positive")
+    return _randrange_two_sided_geometric(rate.numerator, rate.denominator, rng)
+
+
+def randrange_discrete_gaussian(sigma_squared: Fraction, rng: random.Random) -> int:
+    """P(Z = k) proportional to exp(-k^2 / (2 sigma^2)), drawn through randrange."""
+    if sigma_squared <= 0:
+        raise ValueError("sigma_squared must be positive")
+    p, q = sigma_squared.numerator, sigma_squared.denominator
+    scale = math.isqrt(p // q) + 1
+    qs = q * scale
+    bias_denominator = 2 * p * qs * scale
+    while True:
+        candidate = _randrange_two_sided_geometric(1, scale, rng)
+        offset = abs(candidate) * qs - p
+        numerator = offset * offset
+        g = math.gcd(numerator, bias_denominator)
+        if _randrange_bernoulli_exp(numerator // g, bias_denominator // g, rng):
+            return candidate

@@ -179,9 +179,8 @@ def test_grain_total_matches_fraction_reference(gamma):
         floats += [low, high, -0.0]
         for schema, values in ((int_schema, ints), (float_schema, floats)):
             table = Table.of(schema, [(v,) for v in values])
-            assert _grain_total(table, "v", low, high, gamma) == grain_total_reference(
-                values, low, high, gamma
-            )
+            total = _grain_total(table.rows, 0, low, high, gamma.numerator, gamma.denominator)
+            assert total == grain_total_reference(values, low, high, gamma)
 
 
 def test_sum_sensitivity_scales_privacy():

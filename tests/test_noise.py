@@ -4,9 +4,19 @@ Fixed seeds make these deterministic: if a check passes once it passes
 always, so tolerances can be tight without flakes.
 """
 
+import random
 from fractions import Fraction
 
-from helpers import empirical_pmf, gaussian_pmf, geometric_pmf, tv_distance
+import pytest
+
+from helpers import (
+    empirical_pmf,
+    gaussian_pmf,
+    geometric_pmf,
+    randrange_discrete_gaussian,
+    randrange_two_sided_geometric,
+    tv_distance,
+)
 from noisegate.noise import (
     sample_discrete_gaussian,
     sample_geometric_exp,
@@ -91,3 +101,66 @@ def test_rng_stream_paths_are_independent_and_stable():
     assert root.child("a").generator().random() == a
     # Different label types never collide.
     assert root.child(1).generator().random() != root.child("1").generator().random()
+
+
+# Rates and variances whose uniforms span one bit to well past 64: tiny
+# and huge rates, a non-unit numerator, sigma^2 below 1 and near 10^17.
+LADDER_GRID = [
+    (sample_two_sided_geometric, randrange_two_sided_geometric, rate, 300)
+    for rate in (
+        Fraction(1, 5),
+        Fraction(1, 10),
+        Fraction(7, 2),
+        Fraction(1, 125_000_000),
+        Fraction(1, 250_000_000),
+        Fraction(10**40),
+    )
+] + [
+    (sample_discrete_gaussian, randrange_discrete_gaussian, sigma_squared, 200)
+    for sigma_squared in (
+        Fraction(1, 3),
+        Fraction(45, 7),
+        Fraction(625 * 10**14),
+        Fraction(1, 10**40),
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "sampler, oracle, parameter, draws",
+    LADDER_GRID,
+    ids=[f"{s.__name__}-{p}" for s, _, p, _ in LADDER_GRID],
+)
+def test_samplers_match_the_randrange_ladder_bit_for_bit(sampler, oracle, parameter, draws):
+    for seed in range(8):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert [sampler(parameter, ours) for _ in range(draws)] == [
+            oracle(parameter, theirs) for _ in range(draws)
+        ]
+        # Same draws and the same generator state after them.
+        assert ours.getrandbits(64) == theirs.getrandbits(64)
+
+
+class _GetrandbitsOnly(random.Random):
+    """A generator that can only answer getrandbits."""
+
+    def randrange(self, *args, **kwargs):
+        raise AssertionError("randrange called")
+
+    def random(self):
+        raise AssertionError("random called")
+
+    def _randbelow(self, n):
+        raise AssertionError("_randbelow called")
+
+
+def test_samplers_draw_from_getrandbits_alone():
+    for sampler, oracle, parameter in [
+        (sample_two_sided_geometric, randrange_two_sided_geometric, Fraction(1, 7)),
+        (sample_discrete_gaussian, randrange_discrete_gaussian, Fraction(45, 7)),
+    ]:
+        only, plain = _GetrandbitsOnly(11), random.Random(11)
+        assert [sampler(parameter, only) for _ in range(200)] == [
+            oracle(parameter, plain) for _ in range(200)
+        ]
+    assert sample_geometric_exp(Fraction(1, 3), _GetrandbitsOnly(5)) >= 0

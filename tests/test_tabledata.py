@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from noisegate.errors import (
 )
 from noisegate.tabledata import (
     ColumnType,
+    KeySet,
     Schema,
     Table,
     TableDomain,
@@ -25,10 +27,12 @@ from noisegate.tabledata import (
     domain_to_json,
     load_csv,
     load_schema_file,
+    result_cell,
     split_by_key,
     table_equal,
     write_csv,
 )
+from noisegate.transformations import make_map
 
 PEOPLE = Schema.of(
     ("name", ColumnType.TEXT), ("age", ColumnType.INT64), ("score", ColumnType.FLOAT64)
@@ -172,6 +176,24 @@ def test_strict_cell_parsing(tmp_path: Path):
     path.write_text(f"n,x\n{2**63},1.0\n")
     with pytest.raises(TypeParseError):
         load_csv(path, schema)
+
+
+def test_no_table_holds_a_negative_zero(tmp_path: Path):
+    schema = Schema.of(("n", ColumnType.INT64), ("x", ColumnType.FLOAT64))
+    path = tmp_path / "t.csv"
+    path.write_text("n,x\n1,-0.0\n2,-0\n3,-0e7\n4,-1.5\n")
+    positive = "((1, 0.0), (2, 0.0), (3, 0.0), (4, -1.5))"
+    assert repr(load_csv(path, schema).rows) == positive
+    checked = Table.of(schema, [[1, -0.0], (2, 0.0), (3, -0.0), (4, -1.5)])
+    assert repr(checked.rows) == positive
+    keys = KeySet(Schema.of(("x", ColumnType.FLOAT64)), ((-0.0,), (0.0,)))
+    assert repr(keys.rows) == "((0.0,),)"
+    # A released aggregate that underflows to a negative zero.
+    assert repr(result_cell(Fraction(-1, 10**400), ColumnType.FLOAT64)) == "0.0"
+    mapped = make_map(
+        TableDomain(schema, None), {"y": "x * -1.0"}, Schema.of(("y", ColumnType.FLOAT64))
+    ).apply(checked)
+    assert repr(mapped.rows) == "((0.0,), (0.0,), (0.0,), (1.5,))"
 
 
 def test_csv_text_quotes_and_terminates():

@@ -212,6 +212,16 @@ def _text_id_rows(rng, n):
     return rows + rows[: n // 3]  # duplicate rows
 
 
+def test_truncation_keeps_the_same_row_whatever_the_sign_of_a_zero():
+    # -0.0 == 0.0, so if a table could hold both, the two rows would tie
+    # in the canonical order and the kept row would follow input order.
+    schema = Schema.of(("id", ColumnType.INT64), ("v", ColumnType.FLOAT64))
+    truncate = make_truncate_by_id(TableDomain(schema, "id"), 1)
+    rows = [(1, -0.0), (1, 0.0)]
+    for order in (rows, rows[::-1]):
+        assert repr(truncate.apply(Table.of(schema, order)).rows) == "((1, 0.0),)"
+
+
 def test_truncation_keeps_first_rows_in_utf8_byte_order():
     schema = Schema.of(
         ("id", ColumnType.TEXT), ("tag", ColumnType.TEXT), ("v", ColumnType.INT64)
