@@ -274,16 +274,52 @@ def _sum_setup(low, high, granularity):
     return low, high, gamma, sensitivity
 
 
+# Float grain counts.  p = v * (g_den / g_num) is at most three roundings
+# from the exact x = v * g_den / g_num, each off by a relative u = 2^-53
+# (v to a float, for ints only; the ratio; the product), plus up to
+# 2^-1075 when the product is subnormal: |p - x| <= |x| ((1 + u)^3 - 1) +
+# 2^-1075, well under margin(p) = 2^-50 |p| + 2^-1074.  So when |p - r| <
+# 1/2 - margin(p) for r = round(p), |x - r| < 1/2: r is the integer
+# nearest x, and x is no tie.  The test's own arithmetic is exact where it
+# can matter, at |p - r| near 1/2, so |p| near 1/2 or more: p - r by
+# Sterbenz's lemma and 2^-50 |p| as a power-of-two scaling.  Only 1/2 -
+# margin(p) may round up, by at most 2^-55, which the room between 3u |x|
+# and 8u |p| covers.  From |p| = 2^49 on the test always fails, so large
+# counts take the exact path.
+_MARGIN_REL = 2.0**-50
+_MARGIN_SUBNORMAL = 2.0**-1074
+
+
 def _grain_total(rows, index: int, low: float, high: float, g_num: int, g_den: int) -> int:
     """The sum over rows of round(clamped row[index] / gamma), half to even,
     for gamma = g_num / g_den.
 
-    Exact integer arithmetic: value / gamma is n * g_den / (d * g_num) for
-    the value's exact ratio n / d, so no Fraction is built per row.
+    Exact: each row's count is first tried in floats, p = v * (g_den /
+    g_num), and round(p) is taken only when p is far enough from a half
+    integer that no rounding error can move it across (see margin above).
+    Any other row, and every row when g_num or g_den is 2^53 or more or
+    a clamped value's p could overflow, takes the integer path:
+    value / gamma is n * g_den / (d * g_num) for the value's exact ratio
+    n / d, rounded half to even with divmod.
     """
+    fast = g_num < 2**53 and g_den < 2**53
+    if fast:
+        scale = g_den / g_num
+        fast = max(-low, high) * scale < math.inf
     total = 0
     for row in rows:
-        n, d = min(max(row[index], low), high).as_integer_ratio()
+        value = row[index]
+        if value < low:
+            value = low
+        elif value > high:
+            value = high
+        if fast:
+            p = value * scale
+            r = round(p)
+            if abs(p - r) < 0.5 - (abs(p) * _MARGIN_REL + _MARGIN_SUBNORMAL):
+                total += r
+                continue
+        n, d = value.as_integer_ratio()
         divisor = d * g_num
         quotient, remainder = divmod(n * g_den, divisor)
         twice = 2 * remainder
@@ -291,6 +327,42 @@ def _grain_total(rows, index: int, low: float, high: float, g_num: int, g_den: i
             quotient += 1
         total += quotient
     return total
+
+
+def _make_grain_sum(domain: TableDomain, column: str, low, high, granularity, noise: NoiseSpec):
+    """A noisy clamped sum counted in grains, with the grain's (g_num,
+    g_den); make_sum and make_average scale it back."""
+    _check_numeric_column(domain, column)
+    low, high, gamma, sensitivity = _sum_setup(low, high, granularity)
+    g_num, g_den = gamma.numerator, gamma.denominator
+
+    if sensitivity == 0:
+        # Bounds pin every value to zero, so the sum is the constant 0 and
+        # costs nothing at any distance.
+        free = Measurement(
+            input_domain=domain,
+            input_metric=SymmetricDifference(),
+            output_measure=PureDP() if isinstance(noise, PureDpNoise) else ZCDP(),
+            privacy_function=linear_map(0),
+            _eval=lambda table, rng: 0,
+        )
+        return free, g_num, g_den
+
+    mechanism, privacy, measure = _noise_parts(noise, sensitivity)
+    index = domain.schema.index_of(column)
+
+    def evaluate(table: Table, rng: random.Random) -> int:
+        total = _grain_total(table.rows, index, low, high, g_num, g_den)
+        return mechanism.add_noise(total, rng)
+
+    grains = Measurement(
+        input_domain=domain,
+        input_metric=SymmetricDifference(),
+        output_measure=measure,
+        privacy_function=privacy,
+        _eval=evaluate,
+    )
+    return grains, g_num, g_den
 
 
 def make_sum(
@@ -305,38 +377,15 @@ def make_sum(
 
     Each value is clamped to [low, high] and rounded to a multiple of the
     granularity; noise is added to the integer total of grid steps and the
-    result is scaled back.  The per-row sensitivity in grid steps is
-    ceil(max(|low|, |high|) / granularity).
+    result is scaled back, as one correctly rounded float.  The per-row
+    sensitivity in grid steps is ceil(max(|low|, |high|) / granularity).
     """
-    _check_numeric_column(domain, column)
-    low, high, gamma, sensitivity = _sum_setup(low, high, granularity)
+    grains, g_num, g_den = _make_grain_sum(domain, column, low, high, granularity, noise)
 
-    if sensitivity == 0:
-        # Bounds pin every value to zero, so the sum is the constant 0 and
-        # costs nothing at any distance.
-        return Measurement(
-            input_domain=domain,
-            input_metric=SymmetricDifference(),
-            output_measure=PureDP() if isinstance(noise, PureDpNoise) else ZCDP(),
-            privacy_function=linear_map(0),
-            _eval=lambda table, rng: Fraction(0),
-        )
+    def evaluate(table: Table, rng: random.Random) -> float:
+        return result_cell(grains._eval(table, rng) * g_num, ColumnType.FLOAT64, g_den)
 
-    mechanism, privacy, measure = _noise_parts(noise, sensitivity)
-    index = domain.schema.index_of(column)
-    g_num, g_den = gamma.numerator, gamma.denominator
-
-    def evaluate(table: Table, rng: random.Random) -> Fraction:
-        total = _grain_total(table.rows, index, low, high, g_num, g_den)
-        return Fraction(mechanism.add_noise(total, rng) * g_num, g_den)
-
-    return Measurement(
-        input_domain=domain,
-        input_metric=SymmetricDifference(),
-        output_measure=measure,
-        privacy_function=privacy,
-        _eval=evaluate,
-    )
+    return replace(grains, _eval=evaluate)
 
 
 def make_average(
@@ -351,16 +400,18 @@ def make_average(
 
     The sequential composition of a sum and a count, each at half the
     stated budget, so its privacy function is the sum of two half-cost
-    maps and equals the full cost at every distance.
+    maps and equals the full cost at every distance.  The quotient is
+    rounded once, from the noisy grain total and count.
     """
     half = _halve(noise)
-    both = compose_sequential(
-        [make_sum(domain, column, low, high, granularity, half), make_count(domain, half)]
-    )
+    grains, g_num, g_den = _make_grain_sum(domain, column, low, high, granularity, half)
+    both = compose_sequential([grains, make_count(domain, half)])
 
-    def evaluate(table: Table, rng: random.Random) -> Fraction:
-        noisy_sum, noisy_count = both._eval(table, rng)
-        return noisy_sum / max(1, noisy_count)
+    def evaluate(table: Table, rng: random.Random) -> float:
+        noisy_total, noisy_count = both._eval(table, rng)
+        return result_cell(
+            noisy_total * g_num, ColumnType.FLOAT64, g_den * max(1, noisy_count)
+        )
 
     return replace(both, _eval=evaluate)
 

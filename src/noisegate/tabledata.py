@@ -3,9 +3,10 @@
 A Table is a schema plus a multiset of rows.  Row order is an artifact of
 construction and is never observable through the public operations here:
 equality is multiset equality, and canonicalize produces the one fixed
-ordering used wherever determinism matters (truncation).  split_by_key
-hands out plain row lists, so truncation, grouping and joins take one
-keyed pass and sort only the groups over a truncation bound.
+ordering used wherever determinism matters (truncation); a table
+remembers it once computed, so truncating the same table again takes one
+counting pass and no sort.  split_by_key hands out plain row lists, so
+grouping and joins take one keyed pass.
 
 Values are plain Python ints, floats, and strings.  Floats must be finite,
 no cell may be empty, and no Table holds -0.0: it equals 0.0, so rows
@@ -32,6 +33,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -135,17 +137,20 @@ def check_value(value: Value, ctype: ColumnType) -> Value:
     return value
 
 
-def result_cell(value, ctype: ColumnType) -> Value:
+def result_cell(value, ctype: ColumnType, denominator: int = 1) -> Value:
     """A noisy aggregate as a legal cell of an int64 or float64 column.
 
     Post-processing of a value that is already noised, so it costs no
     privacy: an int beyond the int64 range clamps to its nearest end, and
-    a number too large for a float becomes +-sys.float_info.max.
+    a number too large for a float becomes +-sys.float_info.max.  A
+    float64 cell is value / denominator (a positive int), rounded once:
+    an int value over a denominator is divided exactly and correctly
+    rounded, so a sum or average needs no Fraction on its way out.
     """
     if ctype is ColumnType.INT64:
         return min(max(int(value), _INT64_MIN), _INT64_MAX)
     try:
-        return float(value) + 0.0  # -0.0 becomes 0.0
+        return value / denominator + 0.0  # -0.0 becomes 0.0
     except OverflowError:
         return sys.float_info.max if value > 0 else -sys.float_info.max
 
@@ -220,6 +225,12 @@ class Table:
     def multiset(self) -> Counter:
         return Counter(self.rows)
 
+    @cached_property
+    def _canonical_rows(self) -> tuple[Row, ...]:
+        # Sorted the first time canonicalize asks, then remembered.  It
+        # holds the rows only, never a Table, so it makes no cycle.
+        return tuple(sorted(self.rows))
+
 
 @dataclass(frozen=True)
 class KeySet:
@@ -245,11 +256,13 @@ def canonicalize(table: Table) -> Table:
     numeric columns by value and text columns by code point.  Code-point
     order is the order of the UTF-8 encodings, so it is the same on every
     platform, and unlike encoding it is defined for every str, including
-    lone surrogates.  Truncation keeps the first rows of each key group
-    in this order; it sorts only the groups over the bound, then puts
-    the kept rows in this order.
+    lone surrogates.  A table sorts its rows the first time it is
+    canonicalized and remembers the order, so every later call on the same
+    table (every truncation of a session's source table) costs no sort;
+    table.rows keeps its own order.  Truncation keeps the first rows of
+    each key group in this order.
     """
-    return Table._trusted(table.schema, tuple(sorted(table.rows)))
+    return Table._trusted(table.schema, table._canonical_rows)
 
 
 def table_equal(a: Table, b: Table) -> bool:

@@ -375,14 +375,22 @@ def make_public_join(domain: TableDomain, public: Table, on: Sequence[str]) -> T
 def _truncate_by_keys(table: Table, keys: Sequence[str], bound: int) -> Table:
     """Keep the first `bound` rows of each key group, in canonical order.
 
-    One keyed pass: a group within the bound is kept whole, and only a
-    group over it is sorted and cut.  The kept rows are then put in
-    canonical order, so the output does not depend on the input order.
+    One counting pass over the table's canonical order, which the table
+    remembers after its first truncation: a row is kept while its key has
+    fewer than `bound` kept rows.  The kept rows are a subsequence of the
+    canonical order, so the output is canonical too and does not depend
+    on the input order.
     """
+    key_of = itemgetter(*[table.schema.index_of(name) for name in keys])
+    kept_per_key: dict = {}
     kept: list[Row] = []
-    for group in split_by_key(table, keys).values():
-        kept.extend(group if len(group) <= bound else sorted(group)[:bound])
-    return canonicalize(Table._trusted(table.schema, tuple(kept)))
+    for row in canonicalize(table).rows:
+        key = key_of(row)
+        count = kept_per_key.get(key, 0)
+        if count < bound:
+            kept_per_key[key] = count + 1
+            kept.append(row)
+    return Table._trusted(table.schema, tuple(kept))
 
 
 def private_join_distance_bound(

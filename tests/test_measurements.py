@@ -1,4 +1,6 @@
+import math
 import random
+import sys
 import threading
 from collections import Counter
 from fractions import Fraction
@@ -163,12 +165,37 @@ def test_sum_clamps_and_rounds():
     assert m2.eval(T(("a", 1.125), ("b", 1.875)), stream()) == 3
 
 
-@pytest.mark.parametrize("gamma", [Fraction(1, 100), Fraction(1, 3), Fraction(1, 4), 1, 2, 5])
+def _near_half_grains(rng, gamma, largest):
+    """Values one and two ulps either side of a half grain, both signs,
+    for grain counts up to `largest`."""
+    values = []
+    for k in (rng.randint(0, 40), rng.randint(0, largest)):
+        half = float(gamma * (k + Fraction(1, 2)))
+        for sign in (1.0, -1.0):
+            below = above = sign * half
+            for _ in range(2):
+                below = math.nextafter(below, -math.inf)
+                above = math.nextafter(above, math.inf)
+                values += [below, above]
+    return values
+
+
+@pytest.mark.parametrize(
+    "gamma",
+    [
+        Fraction(1, 100), Fraction(1, 3), Fraction(1, 4), 1, 2, 5,
+        # Granularities whose reciprocal is no float, and one whose
+        # denominator is past 2^53, so every row takes the exact path.
+        Fraction(3, 10), Fraction(7, 2), Fraction(2, 3), Fraction(1, 2**53 + 1),
+    ],
+)
 def test_grain_total_matches_fraction_reference(gamma):
     gamma = Fraction(gamma)
     rng = random.Random(f"grain-{gamma}")
     int_schema = Schema.of(("v", ColumnType.INT64))
     float_schema = Schema.of(("v", ColumnType.FLOAT64))
+    int64_end = 2.0**63
+    tiny = [5e-324, -5e-324, 2.5e-320, sys.float_info.min, -sys.float_info.min]
     for _ in range(500):
         low = float(rng.randint(-50, 0))
         high = float(rng.randint(0, 50))
@@ -177,10 +204,23 @@ def test_grain_total_matches_fraction_reference(gamma):
         # Exact half-grain ties, both signs, and values on the bounds.
         floats += [float(gamma * (rng.randint(-40, 40) + Fraction(1, 2))) for _ in range(2)]
         floats += [low, high, -0.0]
-        for schema, values in ((int_schema, ints), (float_schema, floats)):
+        # Grain counts of 2^50 to 2^52, near half grains, int64 ends and
+        # subnormals, under bounds at the int64 ends.
+        big = [float(gamma * rng.randint(2**50, 2**52)) for _ in range(2)]
+        wide_floats = _near_half_grains(rng, gamma, 2**52) + big + tiny
+        wide_ints = [-(2**63), 2**63 - 1, 2**53 + 1, -(2**53) - 1, rng.randint(-(2**63), 2**63 - 1)]
+        cases = [
+            (int_schema, ints, low, high),
+            (float_schema, floats, low, high),
+            (float_schema, wide_floats, -int64_end, int64_end),
+            (int_schema, wide_ints, -int64_end, int64_end),
+            # Bounds whose grain counts overflow a float.
+            (float_schema, [1e308, -1e308, 0.5], -sys.float_info.max, sys.float_info.max),
+        ]
+        for schema, values, lo, hi in cases:
             table = Table.of(schema, [(v,) for v in values])
-            total = _grain_total(table.rows, 0, low, high, gamma.numerator, gamma.denominator)
-            assert total == grain_total_reference(values, low, high, gamma)
+            total = _grain_total(table.rows, 0, lo, hi, gamma.numerator, gamma.denominator)
+            assert total == grain_total_reference(values, lo, hi, gamma)
 
 
 def test_sum_sensitivity_scales_privacy():

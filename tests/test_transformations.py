@@ -273,6 +273,40 @@ def test_truncation_by_a_later_column_ignores_the_input_order():
                 assert truncate.apply(Table.of(schema, reordered)).rows == cut.rows
 
 
+@pytest.mark.parametrize("before", ["nothing", "a truncation", "canonicalize", "a filter"])
+def test_truncation_matches_the_reference_whatever_came_before(before):
+    # A table remembers its canonical order once sorted; truncating it
+    # again, or a canonicalized or filtered table, must keep the same rows.
+    schema = Schema.of(
+        ("v", ColumnType.INT64), ("tag", ColumnType.TEXT), ("id", ColumnType.INT64)
+    )
+    domain = TableDomain(schema, "id")
+    rng = random.Random(f"before {before}")
+    for bound in (1, 2, 3):
+        truncate = make_truncate_by_id(domain, bound)
+        for _ in range(30):
+            rows = [
+                (rng.randrange(4), rng.choice(TEXT_IDS), rng.randrange(5))
+                for _ in range(rng.randrange(25))
+            ]
+            table = Table.of(schema, rows)
+            if before == "a truncation":
+                truncate.apply(table)
+            elif before == "canonicalize":
+                table = canonicalize(table)
+            elif before == "a filter":
+                table = make_filter(domain, "v != 1").apply(table)
+            built = table.rows
+            cut = truncate.apply(table)
+            assert cut.multiset() == truncate_reference(built, (2,), bound)
+            assert cut.rows == tuple(sorted(cut.rows))
+            assert truncate.apply(table).rows == cut.rows
+            # The remembered order leaves the table's own rows as built.
+            assert table.rows == built
+            if before in ("nothing", "a truncation"):
+                assert table.rows == tuple(rows)
+
+
 KEY_COLUMNS = (("k", ColumnType.INT64), ("k2", ColumnType.TEXT))
 CARRIED_COLUMNS = (("b0", ColumnType.INT64), ("b1", ColumnType.TEXT))
 
@@ -322,9 +356,11 @@ def test_joins_match_a_nested_loop_join(key_width, carried):
             cut_right = Table.of(right.schema, truncate_reference(
                 right.rows, key_positions, right_bound
             ).elements())
-            assert private.apply((left, right)).multiset() == join_reference(
-                cut_left, cut_right, keys
-            )
+            # Twice: the second join truncates from the remembered orders.
+            for _ in range(2):
+                assert private.apply((left, right)).multiset() == join_reference(
+                    cut_left, cut_right, keys
+                )
 
 
 def test_internal_tables_skip_the_cell_check(monkeypatch):
