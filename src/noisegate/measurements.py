@@ -42,7 +42,6 @@ from .errors import (
 from .metrics import (
     INF,
     BoundedLists,
-    Distance,
     DistanceMap,
     GroupedBy,
     Measure,
@@ -50,7 +49,6 @@ from .metrics import (
     PureDP,
     SymmetricDifference,
     ZCDP,
-    general_map,
     linear_map,
     max_slope_map,
     sum_maps,
@@ -133,16 +131,7 @@ class GaussianMechanism:
 
     @property
     def privacy_function(self) -> DistanceMap:
-        s = self.sensitivity
-        sigma_squared = self.sigma_squared
-
-        def rho(d: Distance) -> Distance:
-            if d == INF:
-                return INF
-            shift = Fraction(d) * s
-            return shift * shift / (2 * sigma_squared)
-
-        return general_map(rho)
+        return DistanceMap(0, Fraction(self.sensitivity**2) / (2 * self.sigma_squared))
 
     def add_noise(self, value: int, rng: random.Random) -> int:
         return value + sample_discrete_gaussian(self.sigma_squared, rng)
@@ -186,16 +175,12 @@ class PureDpNoise:
 class ZcdpNoise:
     """Discrete Gaussian noise costing rho_unit at distance 1.
 
-    The natural privacy function is the quadratic rho_unit * d^2.  When
-    `linearize_at`, a positive rational, is set, the declared map is the
-    line through that quadratic's value at d = linearize_at: an upper
-    bound on the true loss for every d <= linearize_at.  Grouped queries
-    use it, since parallel composition only accepts linear privacy
-    functions; the compiler sets it to the exact scaled distance.
+    The privacy function is the quadratic rho_unit * d^2.  Parallel
+    composition needs a linear one, so for a grouped query the compiler
+    replaces it by the line through it at the scaled distance.
     """
 
     rho_unit: Fraction
-    linearize_at: Fraction | None = None
 
 
 NoiseSpec = Union[PureDpNoise, ZcdpNoise]
@@ -212,19 +197,14 @@ def _noise_parts(noise: NoiseSpec, sensitivity: int):
             raise NonPositiveEpsilon(f"rho must be positive, got {rho_unit}")
         sigma_squared = Fraction(sensitivity * sensitivity) / (2 * rho_unit)
         mechanism = make_discrete_gaussian(sigma_squared, sensitivity)
-        if noise.linearize_at is None:
-            return mechanism, mechanism.privacy_function, ZCDP()
-        linearize_at = Fraction(noise.linearize_at)
-        if linearize_at <= 0:
-            raise ValueError(f"linearize_at must be positive, got {linearize_at}")
-        return mechanism, linear_map(rho_unit * linearize_at), ZCDP()
+        return mechanism, mechanism.privacy_function, ZCDP()
     raise TypeError(f"unknown noise spec {noise!r}")
 
 
 def _halve(noise: NoiseSpec) -> NoiseSpec:
     if isinstance(noise, PureDpNoise):
         return PureDpNoise(Fraction(noise.epsilon_unit) / 2)
-    return ZcdpNoise(Fraction(noise.rho_unit) / 2, noise.linearize_at)
+    return ZcdpNoise(Fraction(noise.rho_unit) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +521,7 @@ def compose_per_group(
     """
     if not isinstance(per_group.input_metric, SymmetricDifference):
         raise MetricMismatch("per-group measurements run under SymmetricDifference")
-    if per_group.privacy_function.shape != "linear":
+    if per_group.privacy_function.quadratic:
         raise NonLinearPrivacyFunction(
             "per-group composition needs a linear privacy function"
         )
@@ -590,7 +570,7 @@ def compose_over_subsets(parts: Sequence[Measurement]) -> Measurement:
             raise MetricMismatch("subset parts run under SymmetricDifference")
         if part.output_measure != parts[0].output_measure:
             raise MeasureMismatch("subset parts must share an output measure")
-        if part.privacy_function.shape != "linear":
+        if part.privacy_function.quadratic:
             raise NonLinearPrivacyFunction(
                 "composition over subsets needs linear privacy functions"
             )

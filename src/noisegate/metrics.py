@@ -4,7 +4,9 @@ A metric says how far apart two datasets are; a measure says how privacy
 loss between output distributions is quantified.  Distance maps tie the
 two together: every transformation carries a map bounding how much it can
 stretch input distances, and every measurement carries a map from input
-distance to privacy loss.  Maps are monotone and send 0 to 0.
+distance to privacy loss.  A map is two non-negative rational
+coefficients, d -> slope * d + quadratic * d^2, so maps are monotone,
+send 0 to 0, and hold no code.
 """
 
 from __future__ import annotations
@@ -12,32 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 INF = math.inf
 
 Distance = Union[int, Fraction, float]
-
-# Rational arithmetic everywhere, with math.inf as the one non-rational
-# distance.  These helpers keep 0 * inf from ever appearing.
-
-
-def scale_distance(slope: Fraction, d: Distance) -> Distance:
-    if slope == 0:
-        return Fraction(0)
-    if d == INF:
-        return INF
-    return slope * Fraction(d)
-
-
-def add_distances(values: Sequence[Distance]) -> Distance:
-    if any(v == INF for v in values):
-        return INF
-    total = Fraction(0)
-    for v in values:
-        total += Fraction(v)
-    return total
-
 
 # ---------------------------------------------------------------------------
 # Output measures.
@@ -111,41 +92,46 @@ Metric = Union[SymmetricDifference, AddRemoveIds, GroupedBy, TableTuple, Bounded
 
 @dataclass(frozen=True)
 class DistanceMap:
-    """A monotone map from input distance to output distance.
+    """The monotone map d -> slope * d + quadratic * d^2.
 
-    The shape tag drives composition rules: linear maps compose and sum by
-    slope arithmetic and are the only shape parallel composition accepts.
-    Everything else is tagged general and treated as opaque.
+    Both coefficients are non-negative rationals, so every map is data
+    and prints as its two numbers.  Stabilities and pure-DP privacy
+    functions are linear (quadratic 0); a zCDP privacy function is the
+    quadratic rho * d^2 (Bun & Steinke 2016).  The form is closed under
+    sums and under composition with a linear map, the only compositions
+    the compiler makes.  Distances are rational, with math.inf as the one
+    non-rational distance, and 0 * inf is 0.
     """
 
-    shape: str  # "linear" or "general"
-    slope: Fraction | None = None
-    fn: Callable[[Distance], Distance] | None = None
+    slope: Fraction
+    quadratic: Fraction = Fraction(0)
+
+    def __post_init__(self) -> None:
+        for name in ("slope", "quadratic"):
+            value = Fraction(getattr(self, name))
+            if value < 0:
+                raise ValueError(f"a distance map's {name} must be non-negative, got {value}")
+            object.__setattr__(self, name, value)
 
     def __call__(self, d: Distance) -> Distance:
-        if d != INF and d < 0:
+        if d == INF:
+            return INF if self.slope or self.quadratic else Fraction(0)
+        if d < 0:
             raise ValueError(f"distances are non-negative, got {d!r}")
-        if self.shape == "linear":
-            return scale_distance(self.slope, d)
-        return self.fn(d)
+        d = Fraction(d)
+        return self.slope * d + self.quadratic * d * d
 
 
 def linear_map(slope: Fraction | int) -> DistanceMap:
-    slope = Fraction(slope)
-    if slope < 0:
-        raise ValueError("a distance map's slope must be non-negative")
-    return DistanceMap(shape="linear", slope=slope)
-
-
-def general_map(fn: Callable[[Distance], Distance]) -> DistanceMap:
-    return DistanceMap(shape="general", fn=fn)
+    return DistanceMap(slope)
 
 
 def compose_maps(outer: DistanceMap, inner: DistanceMap) -> DistanceMap:
-    """The map d -> outer(inner(d))."""
-    if outer.shape == "linear" and inner.shape == "linear":
-        return linear_map(outer.slope * inner.slope)
-    return general_map(lambda d: outer(inner(d)))
+    """The map d -> outer(inner(d)), for a linear inner map."""
+    if inner.quadratic:
+        raise ValueError("compose_maps needs a linear inner map")
+    s = inner.slope
+    return DistanceMap(outer.slope * s, outer.quadratic * s * s)
 
 
 def sum_maps(maps: Sequence[DistanceMap]) -> DistanceMap:
@@ -153,16 +139,11 @@ def sum_maps(maps: Sequence[DistanceMap]) -> DistanceMap:
     maps = list(maps)
     if not maps:
         raise ValueError("sum_maps needs at least one map")
-    if all(m.shape == "linear" for m in maps):
-        return linear_map(sum((m.slope for m in maps), Fraction(0)))
-    return general_map(lambda d: add_distances([m(d) for m in maps]))
+    return DistanceMap(sum(m.slope for m in maps), sum(m.quadratic for m in maps))
 
 
 def max_slope_map(maps: Sequence[DistanceMap]) -> DistanceMap:
     """linear(max slope) over linear maps, for composition over subsets."""
-    slopes = []
-    for m in maps:
-        if m.shape != "linear":
-            raise ValueError("max_slope_map needs linear maps")
-        slopes.append(m.slope)
-    return linear_map(max(slopes))
+    if any(m.quadratic for m in maps):
+        raise ValueError("max_slope_map needs linear maps")
+    return linear_map(max(m.slope for m in maps))

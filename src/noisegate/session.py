@@ -592,9 +592,7 @@ def _compile(
     if isinstance(measure, PureDP):
         noise = PureDpNoise(per_unit)
     elif isinstance(measure, ZCDP):
-        # Grouped queries need a linear privacy function: the line through
-        # the quadratic at the scaled distance, which meets it there.
-        noise = ZcdpNoise(per_unit, linearize_at=None if keyset is None else scaled or 1)
+        noise = ZcdpNoise(per_unit)
     else:
         raise TypeCheckError(f"unknown measure {measure!r}")
 
@@ -611,8 +609,14 @@ def _compile(
 
         measured = replace(per_table, _eval=release)
     else:
+        # Parallel composition needs a linear privacy function: the line
+        # through the map at the scaled distance s meets it there and lies
+        # above the zCDP quadratic below s.  A pure-DP map is that line.
+        s = scaled or 1
+        f = per_table.privacy_function
+        line = replace(per_table, privacy_function=linear_map(f(s) / s))
         view = tf.make_grouped_view(chain.output_domain, keyset.schema)
-        measured = compose_per_group(chain.output_domain, keyset, per_table, value_column)
+        measured = compose_per_group(chain.output_domain, keyset, line, value_column)
         chain = tf.chain(chain, view)
     return CompiledQuery(
         measurement=_combine(chain, measured),

@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -423,9 +424,12 @@ def test_per_group_rejects_nonlinear_and_bad_keys():
 
 
 def test_per_group_linearized_zcdp_is_accepted():
-    m = _grouped(ZcdpNoise(Fraction(1), linearize_at=2))
-    assert m.privacy_function.shape == "linear"
-    # Slope rho_unit * linearize_at, agreeing with the quadratic at d = 2.
+    count = make_count(DOMAIN, ZcdpNoise(Fraction(1)))
+    # The line through the quadratic d^2 at d = 2, agreeing with it there.
+    line = replace(count, privacy_function=linear_map(count.privacy_function(2) / 2))
+    m = compose_per_group(
+        DOMAIN, KeySet(KEYS, [("a",), ("b",)]), line, ("count", ColumnType.INT64)
+    )
     assert m.privacy_function(2) == 4
     assert m.privacy_function(1) == 2
 

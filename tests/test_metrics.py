@@ -27,7 +27,6 @@ from noisegate.metrics import (
     SymmetricDifference,
     TableTuple,
     compose_maps,
-    general_map,
     linear_map,
     max_slope_map,
     sum_maps,
@@ -151,7 +150,7 @@ def test_bounded_lists_pads_with_empty_tables():
 def test_distance_map_algebra():
     two = linear_map(2)
     three = linear_map(Fraction(3))
-    assert two.shape == "linear"
+    assert two.quadratic == 0
     assert two(5) == 10
     assert two(0) == 0
     assert compose_maps(two, three)(1) == 6
@@ -160,16 +159,56 @@ def test_distance_map_algebra():
     assert max_slope_map([two, three]).slope == Fraction(3)
     with pytest.raises(ValueError):
         two(-1)
+    quad = DistanceMap(0, 1)
+    with pytest.raises(ValueError):
+        quad(-1)
+    with pytest.raises(ValueError):
+        DistanceMap(-1)
+    with pytest.raises(ValueError):
+        DistanceMap(0, -1)
+    with pytest.raises(ValueError):
+        linear_map(-1)
+    with pytest.raises(ValueError):
+        compose_maps(two, quad)  # only a linear inner map keeps the closed form
+    with pytest.raises(ValueError):
+        max_slope_map([two, quad])
 
 
 def test_distance_map_general_shape():
-    quad = general_map(lambda d: d * d)
-    assert quad.shape == "general"
+    quad = DistanceMap(0, 1)
+    assert quad.quadratic == 1
     assert quad(3) == 9
     combined = compose_maps(quad, linear_map(2))
-    assert combined.shape == "general"
+    assert combined.quadratic == 4
     assert combined(3) == 36
     assert sum_maps([quad, linear_map(1)])(2) == 6
+
+
+# Coefficient pairs with a zero in either place, and the distances at
+# which the algebra must agree with pointwise evaluation.
+ALGEBRA_MAPS = [
+    DistanceMap(0),
+    DistanceMap(2),
+    DistanceMap(0, Fraction(3, 4)),
+    DistanceMap(Fraction(1, 3), 5),
+]
+ALGEBRA_DISTANCES = [0, 1, Fraction(5, 3), 7, INF]
+
+
+def _times(s, d):
+    """s * d with 0 * inf = 0, computed without a DistanceMap."""
+    return Fraction(0) if s == 0 else s * d
+
+
+@pytest.mark.parametrize("d", ALGEBRA_DISTANCES)
+@pytest.mark.parametrize("f", ALGEBRA_MAPS)
+def test_distance_map_algebra_is_pointwise(f, d):
+    if d != INF:
+        assert f(d) == f.slope * d + f.quadratic * d * d
+    for s in (0, 1, Fraction(2, 3), 4):
+        assert compose_maps(f, linear_map(s))(d) == f(_times(s, d))
+    for maps in ([f], [f, f], [f] + ALGEBRA_MAPS):
+        assert sum_maps(maps)(d) == sum(m(d) for m in maps)
 
 
 def test_distance_map_handles_infinity():

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -26,6 +28,8 @@ from noisegate.session import (
     Filter,
     GroupBy,
     PrivacyBudget,
+    QUERY_NODES,
+    Quantile,
     Source,
     build_session,
     compile_query,
@@ -164,7 +168,7 @@ def test_grouped_zcdp_linearization_exact():
     expr = query("people").group_by(ks).count()
     compiled = compile_query(expr, DOMAINS, AddMaxRows(3), ZCDP(), Fraction(2, 7))
     f = compiled.measurement.privacy_function
-    assert f.shape == "linear"
+    assert f.quadratic == 0
     assert f(3) == Fraction(2, 7)
 
 
@@ -624,8 +628,72 @@ def test_grouped_zcdp_linearizes_at_the_scaled_distance():
     compiled = compile_query(expr, domains, AddRemoveId("id"), ZCDP(), spend)
     assert compiled.unit_distance == 2
     assert compiled.transformation.stability.slope == 3
-    assert compiled.measurement.privacy_function.shape == "linear"
+    assert compiled.measurement.privacy_function.quadratic == 0
     assert compiled.measurement.privacy_function(compiled.unit_distance) == spend
+
+
+def _every_kind_queries(source):
+    """One query per shape, together using every node kind, over `source`."""
+    visits = source("visits")
+    regions = Table.of(Schema.of(("zip", TEXT), ("region", TEXT)), [("981", "west")])
+    keys = keyset_from_tuples([("zip", TEXT)], [("981",), ("982",)])
+    branches = [ExpansionBranch({"income": f"income + {i}"}) for i in range(2)]
+    twice = Schema.of(("twice", FLOAT64))
+    return [
+        source("people").count(),
+        source("people").filter("income > 20").sum("income", 0, 100),
+        source("people").map({"twice": "income * 2"}, twice).average("twice", 0, 200),
+        source("people").flat_map(branches, Schema.of(("income", FLOAT64)), 2).count(),
+        source("people").join_public(regions, ["zip"]).group_by(keys).count(),
+        source("people").join_private(visits, ["id"], 1, 2).group_by(keys).sum("income", 0, 9),
+        source("people").group_by(keys).average("income", 0, 100),
+        source("people").quantile("income", 0.5, 0, 100, 10),
+    ]
+
+
+def _truncated(name):
+    return query(name).truncate_by_id(3)
+
+
+def _node_kinds(expr):
+    kinds = {type(expr).__name__}
+    for field in dataclasses.fields(expr):
+        value = getattr(expr, field.name)
+        if isinstance(value, tuple(QUERY_NODES.values())):
+            kinds |= _node_kinds(value)
+    return kinds
+
+
+@pytest.mark.parametrize("id_unit", [False, True])
+def test_every_node_kind_compiles_to_an_exact_closed_form_map(id_unit):
+    people = Schema.of(("id", INT64), ("zip", TEXT), ("income", FLOAT64))
+    visits = Schema.of(("id", INT64), ("site", TEXT))
+    id_column = "id" if id_unit else None
+    domains = {
+        "people": TableDomain(people, id_column),
+        "visits": TableDomain(visits, id_column),
+    }
+    # A new node kind fails here until the list gains a query using it.
+    covered = set().union(*map(_node_kinds, _every_kind_queries(_truncated)))
+    assert covered == set(QUERY_NODES)
+    unit, source = (AddRemoveId("id"), _truncated) if id_unit else (AddMaxRows(2), query)
+    queries = _every_kind_queries(source)
+    for expr, measure, spend in itertools.product(
+        queries, (PureDP(), ZCDP()), (Fraction(1, 3), Fraction(7, 2))
+    ):
+        if isinstance(expr, Quantile) and isinstance(measure, ZCDP):
+            with pytest.raises(TypeCheckError):
+                compile_query(expr, domains, unit, measure, spend)
+            continue
+        compiled = compile_query(expr, domains, unit, measure, spend)
+        f, u = compiled.measurement.privacy_function, compiled.unit_distance
+        assert f(u) == spend
+        if isinstance(expr.child, GroupBy) or isinstance(measure, PureDP):
+            assert f.quadratic == 0
+            assert f(2 * u) == 2 * spend
+        else:
+            assert f.slope == 0
+            assert f(2 * u) == 4 * spend
 
 
 def test_row_steps_need_row_accounting():
