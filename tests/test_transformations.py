@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -25,6 +26,7 @@ from noisegate.errors import (
     SchemaMismatch,
     UnknownColumn,
 )
+from noisegate.expressions import compile_projection
 from noisegate.metrics import (
     AddRemoveIds,
     BoundedLists,
@@ -414,6 +416,44 @@ def test_failing_rows_count_as_false_or_are_dropped():
     ]
     expanded = make_flat_map(domain, branches, floats, 1).apply(table)
     assert expanded.rows == ((1e10,), (2e300,))
+
+
+def test_map_cells_are_stored_as_a_table_stores_them():
+    floats = Schema.of(("x", ColumnType.FLOAT64))
+    domain = TableDomain(floats)
+    zero = Table.of(floats, [(0.0,)])
+    # A zero's sign never reaches a stored cell.
+    for text in ("-x", "x * -1.0", "-0.0", "x / -1.0", "-(x + 0.0)"):
+        (cell,), = make_map(domain, {"x": text}, floats).apply(zero).rows
+        assert math.copysign(1.0, cell) == 1.0, text
+    # Int arithmetic past int64 drops the row, in a map and in a flat map.
+    ints = Schema.of(("x", ColumnType.INT64))
+    ends = T((1, 1), (2, 2), (3, -(2**63)))
+    assert make_map(DOMAIN, {"x": "v * 4611686018427387904"}, ints).apply(ends).rows == (
+        (4611686018427387904,),
+    )
+    assert make_map(DOMAIN, {"x": "-v"}, ints).apply(ends).rows == ((-1,), (-2,))
+    assert make_map(DOMAIN, {"x": "v - 1"}, ints).apply(ends).rows == ((0,), (1,))
+    # An int too large for a float cannot widen into a float column.
+    widened = compile_projection("v * 1" + "0" * 400, SCHEMA, ColumnType.FLOAT64)
+    with pytest.raises(OverflowError):
+        widened.fn((1, 1))
+    assert make_map(DOMAIN, {"x": "v * 1" + "0" * 400}, floats).apply(ends).rows == ()
+    assert make_map(DOMAIN, {"x": "v"}, floats).apply(ends).rows == (
+        (1.0,), (2.0,), (-(2.0**63),),
+    )
+    # An empty text literal drops every row.
+    texts = Schema.of(("s", ColumnType.TEXT))
+    assert make_map(DOMAIN, {"s": "''"}, texts).apply(ends).rows == ()
+    assert make_map(DOMAIN, {"s": "'a'"}, texts).apply(ends).rows == (("a",),) * 3
+    # A failing branch does not count toward max_rows.
+    branches = [
+        ExpansionBranch({"x": "v * 4611686018427387904"}),
+        ExpansionBranch({"x": "v"}),
+        ExpansionBranch({"x": "v + 1"}),
+    ]
+    expanded = make_flat_map(DOMAIN, branches, ints, 1).apply(ends)
+    assert expanded.rows == ((4611686018427387904,), (2,), (-(2**63),))
 
 
 def test_truncate_is_idempotent():
