@@ -10,6 +10,15 @@ raises OverflowError.  The row transformations catch both per row (a
 failing filter row is false, a failing map row is dropped), which is
 what lets them carry their guarantees without inspecting data.
 
+Each node of the checked syntax tree compiles to a closure specialised to
+its shape: a column is read as row[i], a literal is bound once, a single
+comparison is one `operator` call and `and`/`or` nest as `a(row) and
+b(row)`.  No source text is generated, so no literal is ever spliced into
+code.  A projection for a map cell (compile_projection) returns the cell
+a Table stores and keeps only the checks its type does not prove; a cell
+that fails its column raises SchemaMismatch, which the row
+transformations catch like the two errors above.
+
 Division is defined everywhere by mapping division by zero to zero.  Text
 comparisons use code-point order, which matches the byte order used by
 table canonicalization.
@@ -19,12 +28,13 @@ from __future__ import annotations
 
 import ast
 import enum
-import math
+import operator
 from dataclasses import dataclass
+from math import isfinite
 from typing import Callable, Union
 
 from .errors import ExpressionSyntaxError, ExpressionTypeError, UnknownColumn
-from .tabledata import ColumnType, Row, Schema, Value
+from .tabledata import ColumnType, Row, Schema, Value, check_value
 
 
 class ExprType(enum.Enum):
@@ -45,11 +55,16 @@ _NUMERIC = (ExprType.INT, ExprType.FLOAT)
 
 @dataclass(frozen=True)
 class CompiledExpression:
-    """A checked expression: its result type and a row evaluator."""
+    """A checked expression: its result type and a row evaluator.
+
+    `column` is the index of the input column when the expression is that
+    bare column, so its value is the cell itself.
+    """
 
     text: str
     result_type: ExprType
     fn: Callable[[Row], Union[Value, bool]]
+    column: int | None = None
 
 
 def _parse(text: str) -> ast.expr:
@@ -76,10 +91,57 @@ def _div(a, b):
     return a / b
 
 
-def _check_finite(value: float, text: str) -> float:
-    if not math.isfinite(value):
+_ARITHMETIC = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+
+_COMPARISONS = {
+    ast.Eq: operator.eq,
+    ast.NotEq: operator.ne,
+    ast.Lt: operator.lt,
+    ast.LtE: operator.le,
+    ast.Gt: operator.gt,
+    ast.GtE: operator.ge,
+}
+
+
+def _binary(op, left: ast.expr, left_fn, right: ast.expr, right_fn, schema: Schema):
+    """A row evaluator for op(left, right), left evaluated first.
+
+    A literal side is bound once and a bare column beside it is read as
+    row[i], so `column op literal` costs one call of op per row.
+    """
+    if isinstance(right, ast.Constant):
+        value = right.value
+        if isinstance(left, ast.Name):
+            index = schema.index_of(left.id)
+            return lambda row: op(row[index], value)
+        return lambda row: op(left_fn(row), value)
+    if isinstance(left, ast.Constant):
+        value = left.value
+        if isinstance(right, ast.Name):
+            index = schema.index_of(right.id)
+            return lambda row: op(value, row[index])
+        return lambda row: op(value, right_fn(row))
+    return lambda row: op(left_fn(row), right_fn(row))
+
+
+def _finite(fn, text: str):
+    """fn, raising ExpressionTypeError where it yields a non-finite float."""
+
+    def checked(row: Row) -> float:
+        value = fn(row)
+        if isfinite(value):
+            return value
         raise _fail(text, "arithmetic produced a non-finite float")
-    return value
+
+    return checked
+
+
+def _and(a, b):
+    return lambda row: a(row) and b(row)
+
+
+def _or(a, b):
+    return lambda row: a(row) or b(row)
 
 
 def _build(node: ast.expr, schema: Schema, text: str):
@@ -91,7 +153,7 @@ def _build(node: ast.expr, schema: Schema, text: str):
         if isinstance(value, int):
             return (lambda row: value), ExprType.INT
         if isinstance(value, float):
-            if not math.isfinite(value):
+            if not isfinite(value):
                 raise _fail(text, "float literals must be finite")
             return (lambda row: value), ExprType.FLOAT
         if isinstance(value, str):
@@ -125,10 +187,11 @@ def _build(node: ast.expr, schema: Schema, text: str):
         parts = [_build(v, schema, text) for v in node.values]
         if any(t is not ExprType.BOOL for _, t in parts):
             raise _fail(text, "'and'/'or' need boolean operands")
-        fns = [f for f, _ in parts]
-        if isinstance(node.op, ast.And):
-            return (lambda row: all(f(row) for f in fns)), ExprType.BOOL
-        return (lambda row: any(f(row) for f in fns)), ExprType.BOOL
+        join = _and if isinstance(node.op, ast.And) else _or
+        fn = parts[0][0]
+        for nxt, _ in parts[1:]:
+            fn = join(fn, nxt)
+        return fn, ExprType.BOOL
 
     if isinstance(node, ast.BinOp):
         left, lt = _build(node.left, schema, text)
@@ -136,18 +199,16 @@ def _build(node: ast.expr, schema: Schema, text: str):
         if lt not in _NUMERIC or rt not in _NUMERIC:
             raise _fail(text, "arithmetic needs numeric operands")
         if isinstance(node.op, ast.Div):
-            return (lambda row: _check_finite(_div(left(row), right(row)), text)), ExprType.FLOAT
-        if isinstance(node.op, ast.Add):
-            op = lambda a, b: a + b
-        elif isinstance(node.op, ast.Sub):
-            op = lambda a, b: a - b
-        elif isinstance(node.op, ast.Mult):
-            op = lambda a, b: a * b
+            nonzero = isinstance(node.right, ast.Constant) and node.right.value != 0
+            op = operator.truediv if nonzero else _div
+        elif type(node.op) in _ARITHMETIC:
+            op = _ARITHMETIC[type(node.op)]
         else:
             raise _unsupported(text, f"unsupported operator {type(node.op).__name__}")
-        if lt is ExprType.FLOAT or rt is ExprType.FLOAT:
-            return (lambda row: _check_finite(op(left(row), right(row)), text)), ExprType.FLOAT
-        return (lambda row: op(left(row), right(row))), ExprType.INT
+        fn = _binary(op, node.left, left, node.right, right, schema)
+        if isinstance(node.op, ast.Div) or ExprType.FLOAT in (lt, rt):
+            return _finite(fn, text), ExprType.FLOAT
+        return fn, ExprType.INT
 
     if isinstance(node, ast.Compare):
         operands = [_build(node.left, schema, text)]
@@ -160,24 +221,16 @@ def _build(node: ast.expr, schema: Schema, text: str):
                 continue
             raise _fail(text, f"cannot compare {a.value} with {b.value}")
         ops = []
-        for op_node, (_, t) in zip(node.ops, operands[1:]):
-            if isinstance(op_node, ast.Eq):
-                ops.append(lambda a, b: a == b)
-            elif isinstance(op_node, ast.NotEq):
-                ops.append(lambda a, b: a != b)
-            elif isinstance(op_node, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)):
-                if t is ExprType.BOOL:
-                    raise _fail(text, "booleans only support == and !=")
-                table = {
-                    ast.Lt: lambda a, b: a < b,
-                    ast.LtE: lambda a, b: a <= b,
-                    ast.Gt: lambda a, b: a > b,
-                    ast.GtE: lambda a, b: a >= b,
-                }
-                ops.append(table[type(op_node)])
-            else:
+        for op_node, t in zip(node.ops, types[1:]):
+            if type(op_node) not in _COMPARISONS:
                 raise _unsupported(text, f"unsupported comparison {type(op_node).__name__}")
+            if t is ExprType.BOOL and not isinstance(op_node, (ast.Eq, ast.NotEq)):
+                raise _fail(text, "booleans only support == and !=")
+            ops.append(_COMPARISONS[type(op_node)])
         fns = [f for f, _ in operands]
+        if len(ops) == 1:
+            (right,) = node.comparators
+            return _binary(ops[0], node.left, fns[0], right, fns[1], schema), ExprType.BOOL
 
         def compare(row: Row) -> bool:
             prev = fns[0](row)
@@ -197,8 +250,10 @@ def compile_expression(text: str, schema: Schema) -> CompiledExpression:
     """Parse and type-check an expression against a schema."""
     if not isinstance(text, str) or not text.strip():
         raise ExpressionSyntaxError("expressions must be non-empty strings")
-    fn, result_type = _build(_parse(text), schema, text)
-    return CompiledExpression(text=text, result_type=result_type, fn=fn)
+    node = _parse(text)
+    fn, result_type = _build(node, schema, text)
+    column = schema.index_of(node.id) if isinstance(node, ast.Name) else None
+    return CompiledExpression(text, result_type, fn, column)
 
 
 def compile_predicate(text: str, schema: Schema) -> CompiledExpression:
@@ -212,22 +267,41 @@ def compile_predicate(text: str, schema: Schema) -> CompiledExpression:
 
 
 def compile_projection(text: str, schema: Schema, target: ColumnType) -> CompiledExpression:
-    """Compile an expression producing a value for a column of type target.
+    """Compile an expression yielding the cell a column of type target stores.
 
-    Integer expressions widen to float columns; nothing else coerces.  A
-    float expression already yields a Python float, so it is not wrapped.
+    Integer expressions widen to float columns; nothing else coerces.  The
+    evaluator returns the cell as a Table stores it and checks only what
+    the expression's type does not prove:
+    - a bare column of the target type is already a legal cell;
+    - a float expression is already finite (a literal is checked when it
+      compiles, a column holds finite floats, unary minus keeps them so
+      and arithmetic checks its result), so `+ 0.0` only turns -0.0 into
+      0.0;
+    - widening an int with float() raises OverflowError beyond the float
+      range and never gives -0.0;
+    - int arithmetic, a negated int and every literal go through
+      check_value (the int64 range, non-empty text).
+    A row that fails raises ExpressionTypeError, OverflowError or
+    SchemaMismatch, as evaluating and checking it always did.
     """
     compiled = compile_expression(text, schema)
+    fn, result_type = compiled.fn, compiled.result_type
     wanted = _COLUMN_TYPES[target]
-    if compiled.result_type is wanted:
-        return compiled
-    if wanted is ExprType.FLOAT and compiled.result_type is ExprType.INT:
-        inner = compiled.fn
-        return CompiledExpression(text, wanted, lambda row: float(inner(row)))
-    raise ExpressionTypeError(
-        f"expression {text!r} has type {compiled.result_type.value}, "
-        f"column needs {target.value}"
-    )
+    if result_type is wanted:
+        if compiled.column is not None:
+            return compiled
+        if wanted is ExprType.FLOAT:
+            cell = lambda row: fn(row) + 0.0
+        else:
+            cell = lambda row: check_value(fn(row), target)
+    elif wanted is ExprType.FLOAT and result_type is ExprType.INT:
+        cell = lambda row: float(fn(row))
+    else:
+        raise ExpressionTypeError(
+            f"expression {text!r} has type {result_type.value}, "
+            f"column needs {target.value}"
+        )
+    return CompiledExpression(text, wanted, cell)
 
 
 def is_bare_column(text: str, name: str) -> bool:

@@ -17,6 +17,7 @@ import math
 import random
 import threading
 from bisect import bisect_left
+from operator import itemgetter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Callable, Sequence, Union
@@ -531,13 +532,15 @@ def compose_per_group(
         raise SchemaMismatch(f"the value column {value_name!r} must be numeric, not text")
     output_schema = Schema(tuple(keys.schema.columns) + ((value_name, value_type),))
     key_columns = keys.schema.names
+    # A keyset row read as split_by_key keys its groups.
+    group_key = itemgetter(*range(len(key_columns)))
 
     def evaluate(table: Table, rng: random.Random) -> Table:
         groups = split_by_key(table, key_columns)
         empty = Table._trusted(table.schema, ())
         rows = []
         for key_row in keys.rows:
-            part = groups.get(key_row)
+            part = groups.get(group_key(key_row))
             group = empty if part is None else Table._trusted(table.schema, tuple(part))
             value = per_group._eval(group, rng)
             rows.append(key_row + (result_cell(value, value_type),))

@@ -272,12 +272,13 @@ def table_equal(a: Table, b: Table) -> bool:
     return a.multiset() == b.multiset()
 
 
-def split_by_key(table: Table, key_columns: Sequence[str]) -> dict[tuple, list[Row]]:
-    """Partition rows by the tuple of values in key_columns.
+def split_by_key(table: Table, key_columns: Sequence[str]) -> dict:
+    """Partition rows by their cells in key_columns.
 
-    Every row lands in exactly one list, and each list keeps the input
-    order.  No Table is built per key: callers wrap only the groups they
-    use, and truncation sorts only the groups over its bound.
+    Keys are as itemgetter reads them off a row: the bare cell for one
+    key column, the tuple of cells for more.  Every row lands in exactly
+    one list, and each list keeps the input order.  No Table is built per
+    key: callers wrap only the groups they use.
     """
     key_of = itemgetter(*[table.schema.index_of(name) for name in key_columns])
     groups: dict[object, list[Row]] = {}
@@ -287,9 +288,6 @@ def split_by_key(table: Table, key_columns: Sequence[str]) -> dict[tuple, list[R
             groups[key].append(row)
         else:
             groups[key] = [row]
-    if len(key_columns) == 1:
-        # itemgetter gives a bare value for one column; keys are always tuples.
-        return {(key,): rows for key, rows in groups.items()}
     return groups
 
 

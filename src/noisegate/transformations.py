@@ -26,7 +26,12 @@ from .errors import (
     SchemaMismatch,
     UnknownColumn,
 )
-from .expressions import compile_predicate, compile_projection, is_bare_column
+from .expressions import (
+    CompiledExpression,
+    compile_predicate,
+    compile_projection,
+    is_bare_column,
+)
 from .metrics import (
     AddRemoveIds,
     BoundedLists,
@@ -47,7 +52,6 @@ from .tabledata import (
     TableTupleDomain,
     canonicalize,
     check_key_columns,
-    check_value,
     split_by_key,
 )
 
@@ -59,13 +63,23 @@ from .tabledata import (
 _ROW_FAILURES = (ExpressionTypeError, OverflowError, SchemaMismatch)
 
 
-def _output_row(row: Row, cells) -> Row:
-    """Evaluate (expression, column type) pairs on a row and check each
-    cell; raises one of _ROW_FAILURES when the row fails."""
-    out = []
-    for fn, ctype in cells:
-        out.append(check_value(fn(row), ctype))
-    return tuple(out)
+def _row_of(cells: Sequence[CompiledExpression]) -> Callable[[Row], Row]:
+    """The output row from compiled projections, which yield stored cells
+    already; raises one of _ROW_FAILURES when the row fails."""
+    columns = [cell.column for cell in cells]
+    if None not in columns:
+        return _cells_of(columns)
+    fns = [cell.fn for cell in cells]
+    # Python 3.11 makes a function object for every list comprehension it
+    # runs, which doubles the cost of a two-cell row; maps are mostly one
+    # or two cells wide.
+    if len(fns) == 1:
+        (first,) = fns
+        return lambda row: (first(row),)
+    if len(fns) == 2:
+        first, second = fns
+        return lambda row: (first(row), second(row))
+    return lambda row: tuple([fn(row) for fn in fns])
 
 
 @dataclass(frozen=True)
@@ -180,17 +194,17 @@ def make_map(
             raise IdColumnDropped(
                 f"the map must not change the type of {domain.id_column!r}"
             )
-    cells = [
-        (compile_projection(columns[name], domain.schema, ctype).fn, ctype)
+    row_of = _row_of([
+        compile_projection(columns[name], domain.schema, ctype)
         for name, ctype in new_schema.columns
-    ]
+    ])
     output_domain = TableDomain(new_schema, domain.id_column)
 
     def apply(table: Table) -> Table:
         out: list[Row] = []
         for row in table.rows:
             try:
-                out.append(_output_row(row, cells))
+                out.append(row_of(row))
             except _ROW_FAILURES:
                 pass
         return Table._trusted(new_schema, tuple(out))
@@ -248,23 +262,23 @@ def make_flat_map(
             if branch.when is not None
             else None
         )
-        cells = [
-            (compile_projection(branch.columns[name], domain.schema, ctype).fn, ctype)
+        row_of = _row_of([
+            compile_projection(branch.columns[name], domain.schema, ctype)
             for name, ctype in new_schema.columns
-        ]
-        compiled.append((guard, cells))
+        ])
+        compiled.append((guard, row_of))
     bound = min(max_rows, len(branches))
 
     def apply(table: Table) -> Table:
         out: list[Row] = []
         for row in table.rows:
             produced = 0
-            for guard, cells in compiled:
+            for guard, row_of in compiled:
                 if produced == max_rows:
                     break
                 try:
                     if guard is None or guard(row):
-                        out.append(_output_row(row, cells))
+                        out.append(row_of(row))
                         produced += 1
                 except _ROW_FAILURES:
                     pass
@@ -324,14 +338,13 @@ def _join_index(right_table: Table, keys: Sequence[str]) -> dict:
     """The carried cells of right_table's rows, in a list per join key.
 
     Keys are bare values for one key column and tuples for more, as
-    itemgetter reads them off the left rows.
+    itemgetter reads them off the left rows and split_by_key gives them.
     """
     carry = _cells_of(
         [i for i, (name, _) in enumerate(right_table.schema.columns) if name not in keys]
     )
-    single = len(keys) == 1
     return {
-        (key[0] if single else key): [carry(row) for row in rows]
+        key: [carry(row) for row in rows]
         for key, rows in split_by_key(right_table, keys).items()
     }
 

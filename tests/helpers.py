@@ -8,6 +8,7 @@ never against the library itself.
 
 from __future__ import annotations
 
+import ast
 import math
 import random
 from collections import Counter
@@ -16,7 +17,14 @@ from typing import Mapping, Sequence
 
 import mpmath
 
-from noisegate.errors import DomainMismatch, SchemaMismatch
+from noisegate.errors import (
+    DomainMismatch,
+    ExpressionSyntaxError,
+    ExpressionTypeError,
+    SchemaMismatch,
+    UnknownColumn,
+)
+from noisegate.expressions import ExprType
 from noisegate.metrics import (
     AddRemoveIds,
     BoundedLists,
@@ -24,7 +32,7 @@ from noisegate.metrics import (
     SymmetricDifference,
     TableTuple,
 )
-from noisegate.tabledata import ColumnType, Schema, Table
+from noisegate.tabledata import ColumnType, Schema, Table, check_value
 
 DPS = 60
 
@@ -490,3 +498,212 @@ def randrange_discrete_gaussian(sigma_squared: Fraction, rng: random.Random) -> 
         g = math.gcd(numerator, bias_denominator)
         if _randrange_bernoulli_exp(numerator // g, bias_denominator // g, rng):
             return candidate
+
+
+# ---------------------------------------------------------------------------
+# Expression oracle: the closure tree-walker the expression compiler
+# replaced, kept verbatim, and the row loops that checked every map cell.
+
+_COLUMN_TYPES = {
+    ColumnType.INT64: ExprType.INT,
+    ColumnType.FLOAT64: ExprType.FLOAT,
+    ColumnType.TEXT: ExprType.TEXT,
+}
+
+_NUMERIC = (ExprType.INT, ExprType.FLOAT)
+
+ROW_FAILURES = (ExpressionTypeError, OverflowError, SchemaMismatch)
+
+
+def _fail(text: str, message: str) -> ExpressionTypeError:
+    return ExpressionTypeError(f"in {text!r}: {message}")
+
+
+def _unsupported(text: str, message: str) -> ExpressionSyntaxError:
+    return ExpressionSyntaxError(f"in {text!r}: {message}")
+
+
+def _div(a, b):
+    if b == 0:
+        return 0.0
+    return a / b
+
+
+def _check_finite(value: float, text: str) -> float:
+    if not math.isfinite(value):
+        raise _fail(text, "arithmetic produced a non-finite float")
+    return value
+
+
+def _build(node: ast.expr, schema: Schema, text: str):
+    """Return (evaluator, type) for a node, rejecting anything off-menu."""
+    if isinstance(node, ast.Constant):
+        value = node.value
+        if isinstance(value, bool):
+            return (lambda row: value), ExprType.BOOL
+        if isinstance(value, int):
+            return (lambda row: value), ExprType.INT
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise _fail(text, "float literals must be finite")
+            return (lambda row: value), ExprType.FLOAT
+        if isinstance(value, str):
+            return (lambda row: value), ExprType.TEXT
+        raise _unsupported(text, f"unsupported literal {value!r}")
+
+    if isinstance(node, ast.Name):
+        try:
+            index = schema.index_of(node.id)
+        except UnknownColumn:
+            raise UnknownColumn(
+                f"in {text!r}: no column named {node.id!r}; "
+                f"have {list(schema.names)}"
+            )
+        ctype = _COLUMN_TYPES[schema.columns[index][1]]
+        return (lambda row: row[index]), ctype
+
+    if isinstance(node, ast.UnaryOp):
+        operand, otype = _build(node.operand, schema, text)
+        if isinstance(node.op, ast.Not):
+            if otype is not ExprType.BOOL:
+                raise _fail(text, "'not' needs a boolean operand")
+            return (lambda row: not operand(row)), ExprType.BOOL
+        if isinstance(node.op, ast.USub):
+            if otype not in _NUMERIC:
+                raise _fail(text, "unary minus needs a numeric operand")
+            return (lambda row: -operand(row)), otype
+        raise _unsupported(text, f"unsupported unary operator {type(node.op).__name__}")
+
+    if isinstance(node, ast.BoolOp):
+        parts = [_build(v, schema, text) for v in node.values]
+        if any(t is not ExprType.BOOL for _, t in parts):
+            raise _fail(text, "'and'/'or' need boolean operands")
+        fns = [f for f, _ in parts]
+        if isinstance(node.op, ast.And):
+            return (lambda row: all(f(row) for f in fns)), ExprType.BOOL
+        return (lambda row: any(f(row) for f in fns)), ExprType.BOOL
+
+    if isinstance(node, ast.BinOp):
+        left, lt = _build(node.left, schema, text)
+        right, rt = _build(node.right, schema, text)
+        if lt not in _NUMERIC or rt not in _NUMERIC:
+            raise _fail(text, "arithmetic needs numeric operands")
+        if isinstance(node.op, ast.Div):
+            return (lambda row: _check_finite(_div(left(row), right(row)), text)), ExprType.FLOAT
+        if isinstance(node.op, ast.Add):
+            op = lambda a, b: a + b
+        elif isinstance(node.op, ast.Sub):
+            op = lambda a, b: a - b
+        elif isinstance(node.op, ast.Mult):
+            op = lambda a, b: a * b
+        else:
+            raise _unsupported(text, f"unsupported operator {type(node.op).__name__}")
+        if lt is ExprType.FLOAT or rt is ExprType.FLOAT:
+            return (lambda row: _check_finite(op(left(row), right(row)), text)), ExprType.FLOAT
+        return (lambda row: op(left(row), right(row))), ExprType.INT
+
+    if isinstance(node, ast.Compare):
+        operands = [_build(node.left, schema, text)]
+        operands += [_build(c, schema, text) for c in node.comparators]
+        types = [t for _, t in operands]
+        for a, b in zip(types, types[1:]):
+            if a in _NUMERIC and b in _NUMERIC:
+                continue
+            if a is b and a in (ExprType.TEXT, ExprType.BOOL):
+                continue
+            raise _fail(text, f"cannot compare {a.value} with {b.value}")
+        ops = []
+        for op_node, (_, t) in zip(node.ops, operands[1:]):
+            if isinstance(op_node, ast.Eq):
+                ops.append(lambda a, b: a == b)
+            elif isinstance(op_node, ast.NotEq):
+                ops.append(lambda a, b: a != b)
+            elif isinstance(op_node, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)):
+                if t is ExprType.BOOL:
+                    raise _fail(text, "booleans only support == and !=")
+                table = {
+                    ast.Lt: lambda a, b: a < b,
+                    ast.LtE: lambda a, b: a <= b,
+                    ast.Gt: lambda a, b: a > b,
+                    ast.GtE: lambda a, b: a >= b,
+                }
+                ops.append(table[type(op_node)])
+            else:
+                raise _unsupported(text, f"unsupported comparison {type(op_node).__name__}")
+        fns = [f for f, _ in operands]
+
+        def compare(row) -> bool:
+            prev = fns[0](row)
+            for op, fn in zip(ops, fns[1:]):
+                nxt = fn(row)
+                if not op(prev, nxt):
+                    return False
+                prev = nxt
+            return True
+
+        return compare, ExprType.BOOL
+
+    raise _unsupported(text, f"unsupported syntax {type(node).__name__}")
+
+
+def oracle_expression(text: str, schema: Schema):
+    """(evaluator, result type) of an expression, by the tree-walker."""
+    return _build(ast.parse(text, mode="eval").body, schema, text)
+
+
+def oracle_projection(text: str, schema: Schema, target: ColumnType):
+    """An evaluator for a column of type target: ints widen to float
+    columns, and the cell is not yet checked against its column."""
+    fn, result_type = oracle_expression(text, schema)
+    wanted = _COLUMN_TYPES[target]
+    if result_type is wanted:
+        return fn
+    if wanted is ExprType.FLOAT and result_type is ExprType.INT:
+        return lambda row: float(fn(row))
+    raise ExpressionTypeError(f"{text!r} has type {result_type.value}")
+
+
+def oracle_filter(rows, keep) -> tuple:
+    """The rows whose predicate holds; a row whose predicate fails is dropped."""
+    kept = []
+    for row in rows:
+        try:
+            if keep(row):
+                kept.append(row)
+        except ROW_FAILURES:
+            pass
+    return tuple(kept)
+
+
+def _oracle_row(row, cells):
+    return tuple(check_value(fn(row), ctype) for fn, ctype in cells)
+
+
+def oracle_map(rows, cells) -> tuple:
+    """Each row through (evaluator, column type) cells, every cell checked
+    with check_value; a row with a failing cell is dropped."""
+    out = []
+    for row in rows:
+        try:
+            out.append(_oracle_row(row, cells))
+        except ROW_FAILURES:
+            pass
+    return tuple(out)
+
+
+def oracle_flat_map(rows, branches, max_rows: int) -> tuple:
+    """Each row through (guard or None, cells) branches, in order, up to
+    max_rows outputs; a failing branch is dropped and not counted."""
+    out = []
+    for row in rows:
+        produced = 0
+        for guard, cells in branches:
+            if produced == max_rows:
+                break
+            try:
+                if guard is None or guard(row):
+                    out.append(_oracle_row(row, cells))
+                    produced += 1
+            except ROW_FAILURES:
+                pass
+    return tuple(out)

@@ -550,6 +550,21 @@ def test_no_module_reads_the_clock():
                 assert name.split(".")[0] not in ("time", "datetime"), path.name
 
 
+def test_no_module_generates_code_at_run_time():
+    # Expressions compile to closures over the checked syntax tree; no
+    # source text is built, so no literal can be spliced into code.
+    # Method calls such as re.compile do not count.
+    package = Path(noisegate.__file__).resolve().parent
+    modules = sorted(package.glob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id not in ("exec", "eval", "compile"), (
+                    f"{path.name}:{node.lineno}"
+                )
+
+
 def test_two_runs_with_one_seed_print_the_same_bytes(tmp_path):
     keys = {"columns": [{"name": "zip", "type": "text"}], "rows": [["981"], ["983"]]}
     grouped = {"name": "by_zip", "spend": "1/2", "expr": grouped_by(keys)}

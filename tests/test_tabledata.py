@@ -103,10 +103,10 @@ def test_canonicalize_orders_rows_deterministically():
 
 def test_split_by_key():
     t = Table.of(PEOPLE, [("a", 1, 0.0), ("b", 2, 0.0), ("a", 3, 0.0)])
-    parts = split_by_key(t, ["name"])
-    assert set(parts) == {("a",), ("b",)}
-    assert len(parts[("a",)]) == 2
-    assert len(parts[("b",)]) == 1
+    parts = split_by_key(t, ["name"])  # one key column: bare keys
+    assert set(parts) == {"a", "b"}
+    assert parts["a"] == [("a", 1, 0.0), ("a", 3, 0.0)]
+    assert len(parts["b"]) == 1
     pairs = split_by_key(t, ["name", "age"])
     assert set(pairs) == {("a", 1), ("b", 2), ("a", 3)}
     assert pairs[("a", 3)] == [("a", 3, 0.0)]

@@ -13,7 +13,7 @@ from helpers import (
     sd_distance,
     truncate_reference,
 )
-from noisegate import tabledata, transformations
+from noisegate import expressions, tabledata
 from noisegate.errors import (
     BadIndex,
     DomainMismatch,
@@ -368,7 +368,7 @@ def test_joins_match_a_nested_loop_join(key_width, carried):
 def test_internal_tables_skip_the_cell_check(monkeypatch):
     calls = []
     real_check = tabledata.check_value
-    for module in (tabledata, transformations):
+    for module in (tabledata, expressions):
         monkeypatch.setattr(
             module, "check_value", lambda *args: calls.append(args) or real_check(*args)
         )
