@@ -13,11 +13,12 @@ what lets them carry their guarantees without inspecting data.
 Each node of the checked syntax tree compiles to a closure specialised to
 its shape: a column is read as row[i], a literal is bound once, a single
 comparison is one `operator` call and `and`/`or` nest as `a(row) and
-b(row)`.  No source text is generated, so no literal is ever spliced into
-code.  A projection for a map cell (compile_projection) returns the cell
-a Table stores and keeps only the checks its type does not prove; a cell
-that fails its column raises SchemaMismatch, which the row
-transformations catch like the two errors above.
+b(row)` in a balanced tree.  No source text is generated, so no literal
+is ever spliced into code.  A projection for a map cell
+(compile_projection) returns the cell a Table stores and keeps only the
+checks its type does not prove; a cell that fails its column raises
+SchemaMismatch, which the row transformations catch like the two errors
+above.
 
 Division is defined everywhere by mapping division by zero to zero.  Text
 comparisons use code-point order, which matches the byte order used by
@@ -106,8 +107,8 @@ _COMPARISONS = {
 def _binary(op, left: ast.expr, left_fn, right: ast.expr, right_fn, schema: Schema):
     """A row evaluator for op(left, right), left evaluated first.
 
-    A literal side is bound once and a bare column beside it is read as
-    row[i], so `column op literal` costs one call of op per row.
+    A literal on the right is bound once and a bare column beside it is
+    read as row[i], so `column op literal` costs one call of op per row.
     """
     if isinstance(right, ast.Constant):
         value = right.value
@@ -115,12 +116,6 @@ def _binary(op, left: ast.expr, left_fn, right: ast.expr, right_fn, schema: Sche
             index = schema.index_of(left.id)
             return lambda row: op(row[index], value)
         return lambda row: op(left_fn(row), value)
-    if isinstance(left, ast.Constant):
-        value = left.value
-        if isinstance(right, ast.Name):
-            index = schema.index_of(right.id)
-            return lambda row: op(value, row[index])
-        return lambda row: op(value, right_fn(row))
     return lambda row: op(left_fn(row), right_fn(row))
 
 
@@ -136,11 +131,16 @@ def _finite(fn, text: str):
     return checked
 
 
-def _and(a, b):
-    return lambda row: a(row) and b(row)
-
-
-def _or(a, b):
+def _connect(fns: list, both: bool):
+    """fns joined by `and` (both) or `or`, left to right with the same
+    short-circuit, as a balanced tree so that a row of n operands is
+    evaluated about log2(n) calls deep rather than n."""
+    if len(fns) == 1:
+        return fns[0]
+    half = len(fns) // 2
+    a, b = _connect(fns[:half], both), _connect(fns[half:], both)
+    if both:
+        return lambda row: a(row) and b(row)
     return lambda row: a(row) or b(row)
 
 
@@ -187,11 +187,8 @@ def _build(node: ast.expr, schema: Schema, text: str):
         parts = [_build(v, schema, text) for v in node.values]
         if any(t is not ExprType.BOOL for _, t in parts):
             raise _fail(text, "'and'/'or' need boolean operands")
-        join = _and if isinstance(node.op, ast.And) else _or
-        fn = parts[0][0]
-        for nxt, _ in parts[1:]:
-            fn = join(fn, nxt)
-        return fn, ExprType.BOOL
+        fns = [fn for fn, _ in parts]
+        return _connect(fns, isinstance(node.op, ast.And)), ExprType.BOOL
 
     if isinstance(node, ast.BinOp):
         left, lt = _build(node.left, schema, text)

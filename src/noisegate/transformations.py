@@ -66,16 +66,9 @@ _ROW_FAILURES = (ExpressionTypeError, OverflowError, SchemaMismatch)
 def _row_of(cells: Sequence[CompiledExpression]) -> Callable[[Row], Row]:
     """The output row from compiled projections, which yield stored cells
     already; raises one of _ROW_FAILURES when the row fails."""
-    columns = [cell.column for cell in cells]
-    if None not in columns:
-        return _cells_of(columns)
     fns = [cell.fn for cell in cells]
     # Python 3.11 makes a function object for every list comprehension it
-    # runs, which doubles the cost of a two-cell row; maps are mostly one
-    # or two cells wide.
-    if len(fns) == 1:
-        (first,) = fns
-        return lambda row: (first(row),)
+    # runs, which doubles the cost of a two-cell row.
     if len(fns) == 2:
         first, second = fns
         return lambda row: (first(row), second(row))

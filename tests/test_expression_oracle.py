@@ -168,6 +168,25 @@ def test_expressions_match_the_tree_walker(seed):
     assert compiled_count > 100
 
 
+@pytest.mark.parametrize("connective", ["or", "and"])
+def test_long_connectives_match_the_tree_walker(connective):
+    # Set membership is written as a long `or` of equalities, since `in` is
+    # off the menu; 2000 operands is past the default recursion limit, so a
+    # chain of nested closures would fail every row.
+    rng = random.Random(f"connective:{connective}")
+    table = Table.of(SCHEMA, rows(rng, 40) + [(k, 1, 1.5, 0.0, "a", "b") for k in (5, 1999)])
+    equality = "==" if connective == "or" else "!="
+    terms = [f"i {equality} {k}" for k in range(2000)]
+    # Terms that fail on some rows, so that evaluation order shows.
+    terms[700] = "(x * 1e308 > y)"
+    terms[1400] = "(1e308 / x > 0.0)"
+    where = f" {connective} ".join(terms)
+    keep, _ = oracle_expression(where, SCHEMA)
+    kept = make_filter(DOMAIN, where).apply(table).rows
+    assert same(kept, oracle_filter(table.rows, keep))
+    assert 0 < len(kept) < len(table.rows)
+
+
 TARGETS = {
     ColumnType.INT64: ["int"],
     ColumnType.FLOAT64: ["int", "float"],
@@ -207,7 +226,7 @@ def random_columns(rng: random.Random, schema: Schema) -> dict:
     columns = {}
     for name, ctype in schema.columns:
         if rng.random() < 0.3:
-            # A bare column of the same type, so all-bare rows are covered.
+            # A bare column of the same type, so rows of bare cells are covered.
             bare = [n for n, t in SCHEMA.columns if t is ctype]
             columns[name] = rng.choice(bare)
         else:
