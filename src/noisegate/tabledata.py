@@ -3,10 +3,13 @@
 A Table is a schema plus a multiset of rows.  Row order is an artifact of
 construction and is never observable through the public operations here:
 equality is multiset equality, and canonicalize produces the one fixed
-ordering used wherever determinism matters (truncation); a table
-remembers it once computed, so truncating the same table again takes one
-counting pass and no sort.  split_by_key hands out plain row lists, so
-grouping and joins take one keyed pass.
+ordering used wherever determinism matters (truncation).  A table
+remembers that order once computed, and it remembers each truncation
+taken from it, keyed by key column indices and bound, as a tuple of rows:
+cutting the same table again at the same keys and bound is a lookup.  A
+cut is built by Table._sorted, so it is canonical already and knows it is
+cut there.  split_by_key hands out plain row lists, so grouping and joins
+take one keyed pass.
 
 Values are plain Python ints, floats, and strings.  Floats must be finite,
 no cell may be empty, and no Table holds -0.0: it equals 0.0, so rows
@@ -209,6 +212,21 @@ class Table:
         return table
 
     @classmethod
+    def _sorted(cls, schema: Schema, rows: tuple[Row, ...], cut=None) -> "Table":
+        """A trusted table whose rows are in canonical order already.
+
+        The rows are remembered as its canonical order, so no later
+        canonicalize sorts them.  With cut=(key column indices, bound),
+        they are remembered as its cut there too: the rows are that cut
+        of some table, and cutting them again keeps them all.
+        """
+        table = cls._trusted(schema, rows)
+        table.__dict__["_canonical_rows"] = rows
+        if cut is not None:
+            table._cuts[cut] = rows
+        return table
+
+    @classmethod
     def of(cls, schema: Schema, rows: Iterable[Sequence[Value]]) -> "Table":
         return cls(schema, tuple(rows))
 
@@ -230,6 +248,14 @@ class Table:
         # Sorted the first time canonicalize asks, then remembered.  It
         # holds the rows only, never a Table, so it makes no cycle.
         return tuple(sorted(self.rows))
+
+    @cached_property
+    def _cuts(self) -> dict:
+        # (key column indices, bound) -> the rows truncation keeps there,
+        # filled by transformations._truncate_by_keys.  Rows only, never a
+        # Table, and only this table's: a filtered or rebuilt table starts
+        # with none.
+        return {}
 
 
 @dataclass(frozen=True)
@@ -262,7 +288,7 @@ def canonicalize(table: Table) -> Table:
     table.rows keeps its own order.  Truncation keeps the first rows of
     each key group in this order.
     """
-    return Table._trusted(table.schema, table._canonical_rows)
+    return Table._sorted(table.schema, table._canonical_rows)
 
 
 def table_equal(a: Table, b: Table) -> bool:

@@ -381,22 +381,31 @@ def make_public_join(domain: TableDomain, public: Table, on: Sequence[str]) -> T
 def _truncate_by_keys(table: Table, keys: Sequence[str], bound: int) -> Table:
     """Keep the first `bound` rows of each key group, in canonical order.
 
-    One counting pass over the table's canonical order, which the table
-    remembers after its first truncation: a row is kept while its key has
-    fewer than `bound` kept rows.  The kept rows are a subsequence of the
-    canonical order, so the output is canonical too and does not depend
-    on the input order.
+    The first cut of a table at these keys and bound is one counting pass
+    over its canonical order: a row is kept while its key has fewer than
+    `bound` kept rows.  The table remembers the result, so every later cut
+    there is a lookup.  The kept rows are a subsequence of the canonical
+    order, so the output is canonical too, does not depend on the input
+    order, and knows it is this cut.  A cut that keeps every row is
+    remembered as the canonical tuple itself.
     """
-    key_of = itemgetter(*[table.schema.index_of(name) for name in keys])
-    kept_per_key: dict = {}
-    kept: list[Row] = []
-    for row in canonicalize(table).rows:
-        key = key_of(row)
-        count = kept_per_key.get(key, 0)
-        if count < bound:
-            kept_per_key[key] = count + 1
-            kept.append(row)
-    return Table._trusted(table.schema, tuple(kept))
+    indices = tuple(table.schema.index_of(name) for name in keys)
+    cut = (indices, bound)
+    kept = table._cuts.get(cut)
+    if kept is None:
+        rows = canonicalize(table).rows
+        key_of = itemgetter(*indices)
+        kept_per_key: dict = {}
+        out: list[Row] = []
+        for row in rows:
+            key = key_of(row)
+            count = kept_per_key.get(key, 0)
+            if count < bound:
+                kept_per_key[key] = count + 1
+                out.append(row)
+        kept = rows if len(out) == len(rows) else tuple(out)
+        table._cuts[cut] = kept
+    return Table._sorted(table.schema, kept, cut)
 
 
 def private_join_distance_bound(
@@ -457,6 +466,9 @@ def make_truncate_by_id(domain: TableDomain, bound: int) -> Transformation:
     adding or removing one identifier moves the output by at most `bound`
     rows, so the stability from AddRemoveIds to SymmetricDifference is
     linear(bound).  Truncating an already-truncated table changes nothing.
+    The input table remembers the cut, so truncating the same table again
+    at the same bound (a session's source table, in every session built
+    on it) skips the counting pass, and the output knows it is that cut.
     """
     if domain.id_column is None:
         raise MissingIdColumn("truncation needs a domain with an id column")

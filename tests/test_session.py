@@ -1,11 +1,19 @@
 import dataclasses
 import itertools
 import math
+import random
 import sys
 from fractions import Fraction
 
 import pytest
 
+from helpers import (
+    dataset_distance,
+    join_reference,
+    perturb_rows,
+    random_table,
+    truncate_reference,
+)
 from noisegate.errors import (
     BadBounds,
     EmptyTables,
@@ -713,3 +721,83 @@ def test_row_steps_need_row_accounting():
             compile_query(
                 relational.count(), domains, AddRemoveId("id"), PureDP(), Fraction(1)
             )
+
+
+# ---------------------------------------------------------------------------
+# Compiled identifier chains with a private join, on neighbouring inputs.
+
+ID_LEFT = Schema.of(("id", INT64), ("k", INT64), ("v", INT64))
+ID_RIGHT = Schema.of(("id", INT64), ("k", INT64), ("w", INT64))
+# The right side after its truncation, per join key: its schema and the
+# ID_RIGHT position of each column.  A map renames the columns the left
+# side also has but the join does not use.
+RIGHT_VIEWS = {
+    ("id", "k"): (ID_RIGHT, (0, 1, 2)),
+    ("id",): (Schema.of(("id", INT64), ("rk", INT64), ("w", INT64)), (0, 1, 2)),
+    ("k",): (Schema.of(("k", INT64), ("rid", INT64), ("w", INT64)), (1, 0, 2)),
+}
+# (join keys, left cut, right cut, left join bound, right join bound).  The
+# first two join at the bound their input was cut at already.
+ID_JOINS = [
+    (("id",), 2, 1, 2, 1),
+    (("id", "k"), 1, 2, 1, 2),
+    (("k",), 3, 2, 2, 1),
+    (("id",), 1, 3, 3, 2),
+]
+
+
+def _id_join_query(keys, left_cut, right_cut, left_bound, right_bound):
+    schema, positions = RIGHT_VIEWS[keys]
+    right = query("b").truncate_by_id(right_cut)
+    if schema != ID_RIGHT:
+        right = right.map(
+            {name: ID_RIGHT.names[p] for name, p in zip(schema.names, positions)}, schema
+        )
+    left = query("a").truncate_by_id(left_cut)
+    return left.join_private(right, list(keys), left_bound, right_bound).count()
+
+
+def _id_join_reference(tables, keys, left_cut, right_cut, left_bound, right_bound):
+    a, b = tables
+    schema, positions = RIGHT_VIEWS[keys]
+    left = list(truncate_reference(a.rows, (0,), left_cut).elements())
+    right = [
+        tuple(row[p] for p in positions)
+        for row in truncate_reference(b.rows, (0,), right_cut).elements()
+    ]
+    left = truncate_reference(left, [ID_LEFT.index_of(k) for k in keys], left_bound)
+    right = truncate_reference(right, [schema.index_of(k) for k in keys], right_bound)
+    return join_reference(
+        Table.of(ID_LEFT, left.elements()), Table.of(schema, right.elements()), keys
+    )
+
+
+def test_compiled_private_joins_are_stable_on_neighbours_cold_and_warm():
+    domains = {"a": TableDomain(ID_LEFT, "id"), "b": TableDomain(ID_RIGHT, "id")}
+    chains = []
+    spend = Fraction(1, 3)
+    for spec in ID_JOINS:
+        for measure in (PureDP(), ZCDP()):
+            expr = _id_join_query(*spec)
+            compiled = compile_query(expr, domains, AddRemoveId("id"), measure, spend)
+            assert compiled.measurement.privacy_function(compiled.unit_distance) == spend
+        chains.append((spec, compiled.transformation))
+    rng = random.Random(1212)
+    for _ in range(150):
+        x = (random_table(rng, 6, ID_LEFT), random_table(rng, 6, ID_RIGHT))
+        y = tuple(perturb_rows(rng, t, rng.randrange(3)) for t in x)
+        cold = {}
+        # Cold, then warm: every table already holds the cuts of the other
+        # chains, at other bounds and keys, when a chain runs on it again.
+        for warm in (False, True):
+            for i, (spec, chain) in enumerate(chains):
+                out = [chain.apply(x), chain.apply(y)]
+                for tables, result in zip((x, y), out):
+                    assert result.multiset() == _id_join_reference(tables, *spec)
+                if warm:
+                    assert [t.rows for t in out] == cold[i]
+                else:
+                    cold[i] = [t.rows for t in out]
+                d_in = dataset_distance(chain.input_metric, x, y)
+                d_out = dataset_distance(chain.output_metric, *out)
+                assert d_out <= chain.stability(d_in), (spec, d_in, d_out)

@@ -13,7 +13,7 @@ from helpers import (
     sd_distance,
     truncate_reference,
 )
-from noisegate import expressions, tabledata
+from noisegate import expressions, tabledata, transformations
 from noisegate.errors import (
     BadIndex,
     DomainMismatch,
@@ -307,6 +307,145 @@ def test_truncation_matches_the_reference_whatever_came_before(before):
             assert table.rows == built
             if before in ("nothing", "a truncation"):
                 assert table.rows == tuple(rows)
+
+
+CUT_SCHEMA = Schema.of(
+    ("v", ColumnType.INT64), ("tag", ColumnType.TEXT), ("id", ColumnType.INT64)
+)
+CUT_DOMAIN = TableDomain(CUT_SCHEMA, "id")
+PARTNERS = Schema.of(
+    ("id", ColumnType.INT64), ("tag", ColumnType.TEXT), ("w", ColumnType.INT64)
+)
+OTHERS = Schema.of(("tag", ColumnType.TEXT), ("w", ColumnType.INT64))
+
+
+def _cut_rows(rng, n=25):
+    return [
+        (rng.randrange(4), rng.choice("xyz"), rng.randrange(5)) for _ in range(n)
+    ]
+
+
+def _assert_cuts_match_the_reference(table):
+    # Every remembered cut, whoever took it, is the cut at its own key.
+    for (indices, bound), kept in table._cuts.items():
+        assert isinstance(kept, tuple)
+        assert Counter(kept) == truncate_reference(table.rows, indices, bound)
+
+
+def test_a_warm_truncation_returns_the_remembered_cut():
+    rng = random.Random(61)
+    for _ in range(20):
+        rows = _cut_rows(rng)
+        table = Table.of(CUT_SCHEMA, rows)
+        for bound in (1, 2, 1, 3, 2):
+            expected = truncate_reference(rows, (2,), bound)
+            cold_or_warm = make_truncate_by_id(CUT_DOMAIN, bound).apply(table)
+            assert cold_or_warm.multiset() == expected
+            warm = make_truncate_by_id(CUT_DOMAIN, bound).apply(table)
+            assert warm.rows is cold_or_warm.rows
+            assert warm.rows is table._cuts[((2,), bound)]
+        assert set(table._cuts) == {((2,), 1), ((2,), 2), ((2,), 3)}
+        _assert_cuts_match_the_reference(table)
+        # The table's own rows keep the order they were built with.
+        assert table.rows == tuple(rows)
+
+
+def test_cuts_at_other_bounds_or_keys_never_share_an_entry():
+    rng = random.Random(62)
+    for _ in range(20):
+        rows = _cut_rows(rng)
+        partners = Table.of(PARTNERS, [
+            (rng.randrange(5), rng.choice("xyz"), rng.randrange(3)) for _ in range(15)
+        ])
+        others = Table.of(
+            OTHERS, [(rng.choice("xyz"), rng.randrange(3)) for _ in range(8)]
+        )
+        table = Table.of(CUT_SCHEMA, rows)
+        two_keys = make_private_join(
+            CUT_DOMAIN, TableDomain(PARTNERS, None), ["id", "tag"], 2, 1
+        )
+        by_tag = make_private_join(CUT_DOMAIN, TableDomain(OTHERS, None), ["tag"], 2, 2)
+        for _ in range(2):  # cold, then warm
+            for bound in (2, 1):
+                cut = make_truncate_by_id(CUT_DOMAIN, bound).apply(table)
+                assert cut.multiset() == truncate_reference(rows, (2,), bound)
+            on_two = two_keys.apply((table, partners))
+            on_tag = by_tag.apply((table, others))
+            kept = Table.of(CUT_SCHEMA, truncate_reference(rows, (2, 1), 2).elements())
+            kept_partners = Table.of(
+                PARTNERS, truncate_reference(partners.rows, (0, 1), 1).elements()
+            )
+            assert on_two.multiset() == join_reference(kept, kept_partners, ["id", "tag"])
+            kept = Table.of(CUT_SCHEMA, truncate_reference(rows, (1,), 2).elements())
+            kept_others = Table.of(
+                OTHERS, truncate_reference(others.rows, (0,), 2).elements()
+            )
+            assert on_tag.multiset() == join_reference(kept, kept_others, ["tag"])
+        # The two-column key is read in the join's order, from each side.
+        assert set(table._cuts) == {((2,), 1), ((2,), 2), ((2, 1), 2), ((1,), 2)}
+        assert set(partners._cuts) == {((0, 1), 1)}
+        for cut_table in (table, partners, others):
+            _assert_cuts_match_the_reference(cut_table)
+
+
+def test_another_table_does_not_reuse_the_cuts():
+    rng = random.Random(63)
+    truncate = make_truncate_by_id(CUT_DOMAIN, 1)
+    for _ in range(20):
+        rows = _cut_rows(rng)
+        table = Table.of(CUT_SCHEMA, rows)
+        first = truncate.apply(table)
+        rebuilt = Table.of(CUT_SCHEMA, rows)
+        assert rebuilt._cuts == {}
+        again = truncate.apply(rebuilt)
+        assert again.rows == first.rows and again.rows is not first.rows
+        filtered = make_filter(CUT_DOMAIN, "v != 1").apply(table)
+        assert filtered._cuts == {}
+        assert truncate.apply(filtered).multiset() == truncate_reference(
+            filtered.rows, (2,), 1
+        )
+
+
+def test_a_cut_that_keeps_every_row_is_the_canonical_tuple():
+    rng = random.Random(64)
+    for _ in range(20):
+        rows = _cut_rows(rng)
+        table = Table.of(CUT_SCHEMA, rows)
+        cut = make_truncate_by_id(CUT_DOMAIN, len(rows) + 1).apply(table)
+        assert cut.rows is table._canonical_rows
+        assert table._cuts[((2,), len(rows) + 1)] is table._canonical_rows
+        assert table.rows == tuple(rows)
+
+
+def test_cutting_a_cut_again_needs_no_sort(monkeypatch):
+    rng = random.Random(65)
+    tables = [Table.of(CUT_SCHEMA, _cut_rows(rng)) for _ in range(20)]
+    cuts = [make_truncate_by_id(CUT_DOMAIN, 3).apply(table) for table in tables]
+    ids = Schema.of(("id", ColumnType.INT64), ("w", ColumnType.INT64))
+    right = Table.of(ids, [(i, 0) for i in range(5)])
+    join = make_private_join(CUT_DOMAIN, TableDomain(ids, None), ["id"], 3, 1)
+    join.apply((tables[0], right))  # the right side is no cut: cut it first
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("a cut was sorted again")
+
+    passes = []
+    monkeypatch.setattr(tabledata, "sorted", no_sort, raising=False)
+    monkeypatch.setattr(
+        transformations, "canonicalize", lambda t: passes.append(t) or canonicalize(t)
+    )
+    for table, cut in zip(tables, cuts):
+        assert cut._cuts == {((2,), 3): cut.rows}
+        assert make_truncate_by_id(CUT_DOMAIN, 3).apply(cut).rows is cut.rows
+        # The private join's own truncation of a cut is a lookup too.
+        join.apply((cut, right))
+        assert passes == []
+        # A lower bound takes a pass over the cut, in its remembered order.
+        lower = make_truncate_by_id(CUT_DOMAIN, 2).apply(cut)
+        assert passes == [cut]
+        passes.clear()
+        assert lower.multiset() == truncate_reference(table.rows, (2,), 2)
+        assert canonicalize(cut).rows is cut.rows
 
 
 KEY_COLUMNS = (("k", ColumnType.INT64), ("k2", ColumnType.TEXT))
