@@ -115,7 +115,8 @@ class BadIndex(NoisegateError):
 
 
 class NonPositiveEpsilon(NoisegateError):
-    """An epsilon parameter must be strictly positive."""
+    """An epsilon parameter must be strictly positive (and, for a quantile,
+    within the float64 range)."""
 
 
 class NonPositiveSigma(NoisegateError):

@@ -62,15 +62,15 @@ class CompiledExpression:
     bare column, so its value is the cell itself.
     """
 
-    text: str
     result_type: ExprType
     fn: Callable[[Row], Union[Value, bool]]
     column: int | None = None
 
 
 def _parse(text: str) -> ast.expr:
+    # Surrounding whitespace is no part of an expression.
     try:
-        tree = ast.parse(text, mode="eval")
+        tree = ast.parse(text.strip(), mode="eval")
     except SyntaxError as exc:
         raise ExpressionSyntaxError(f"cannot parse {text!r}: {exc.msg}") from exc
     return tree.body
@@ -250,7 +250,7 @@ def compile_expression(text: str, schema: Schema) -> CompiledExpression:
     node = _parse(text)
     fn, result_type = _build(node, schema, text)
     column = schema.index_of(node.id) if isinstance(node, ast.Name) else None
-    return CompiledExpression(text, result_type, fn, column)
+    return CompiledExpression(result_type, fn, column)
 
 
 def compile_predicate(text: str, schema: Schema) -> CompiledExpression:
@@ -298,13 +298,4 @@ def compile_projection(text: str, schema: Schema, target: ColumnType) -> Compile
             f"expression {text!r} has type {result_type.value}, "
             f"column needs {target.value}"
         )
-    return CompiledExpression(text, wanted, cell)
-
-
-def is_bare_column(text: str, name: str) -> bool:
-    """True when the expression is exactly a reference to the named column."""
-    try:
-        node = _parse(text.strip())
-    except ExpressionSyntaxError:
-        return False
-    return isinstance(node, ast.Name) and node.id == name
+    return CompiledExpression(wanted, cell)

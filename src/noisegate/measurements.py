@@ -2,9 +2,13 @@
 
 A Measurement pairs an evaluation function with a privacy function, a
 monotone map from input distance to privacy loss under its output
-measure.  Aggregations add exact integer noise; composition operators
-combine measurements while combining their privacy functions; and the
-Queryable enforces a privacy budget across an adaptive sequence of asks.
+measure.  A noisy aggregation is a statistic under a mechanism: an
+integer function of a table's rows with a known sensitivity, plus exact
+integer noise from the mechanism the noise spec names, and one
+constructor (_noisy) builds every count and grain sum that way.
+Composition operators combine measurements while combining their privacy
+functions, and the Queryable enforces a privacy budget across an
+adaptive sequence of asks.
 
 All noise is integer-domain and exactly distributed (see noise.py).
 Real-valued aggregations discretize to a fixed-point grid first, so their
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import threading
 from bisect import bisect_left
 from operator import itemgetter
@@ -59,6 +64,7 @@ from .rng import RngStream
 from .tabledata import (
     ColumnType,
     KeySet,
+    Row,
     Schema,
     Table,
     TableDomain,
@@ -171,6 +177,8 @@ class PureDpNoise:
 
     epsilon_unit: Fraction
 
+    measure = PureDP()
+
 
 @dataclass(frozen=True)
 class ZcdpNoise:
@@ -183,23 +191,10 @@ class ZcdpNoise:
 
     rho_unit: Fraction
 
+    measure = ZCDP()
+
 
 NoiseSpec = Union[PureDpNoise, ZcdpNoise]
-
-
-def _noise_parts(noise: NoiseSpec, sensitivity: int):
-    """Build (mechanism, privacy map, measure) for an integer aggregation."""
-    if isinstance(noise, PureDpNoise):
-        mechanism = make_geometric(Fraction(noise.epsilon_unit), sensitivity)
-        return mechanism, mechanism.privacy_function, PureDP()
-    if isinstance(noise, ZcdpNoise):
-        rho_unit = Fraction(noise.rho_unit)
-        if rho_unit <= 0:
-            raise NonPositiveEpsilon(f"rho must be positive, got {rho_unit}")
-        sigma_squared = Fraction(sensitivity * sensitivity) / (2 * rho_unit)
-        mechanism = make_discrete_gaussian(sigma_squared, sensitivity)
-        return mechanism, mechanism.privacy_function, ZCDP()
-    raise TypeError(f"unknown noise spec {noise!r}")
 
 
 def _halve(noise: NoiseSpec) -> NoiseSpec:
@@ -212,20 +207,40 @@ def _halve(noise: NoiseSpec) -> NoiseSpec:
 # Aggregations.
 
 
-def make_count(domain: TableDomain, noise: NoiseSpec) -> Measurement:
-    """A noisy row count.  Sensitivity 1 per unit of symmetric difference."""
-    mechanism, privacy, measure = _noise_parts(noise, 1)
+def _noisy(domain: TableDomain, noise: NoiseSpec, sensitivity: int, statistic) -> Measurement:
+    """statistic(table.rows), an int that moves by at most `sensitivity`
+    per unit of symmetric difference, plus noise from the spec's mechanism.
+
+    At sensitivity 0 the statistic takes one value on every input, its
+    value on no rows, which is released as it is: free, and drawing nothing.
+    """
+    if sensitivity == 0:
+        value = statistic(())
+        return Measurement(
+            domain, SymmetricDifference(), noise.measure, linear_map(0),
+            lambda table, rng: value,
+        )
+    if isinstance(noise, PureDpNoise):
+        mechanism = make_geometric(noise.epsilon_unit, sensitivity)
+    else:
+        rho_unit = Fraction(noise.rho_unit)
+        if rho_unit <= 0:
+            raise NonPositiveEpsilon(f"rho must be positive, got {rho_unit}")
+        sigma_squared = Fraction(sensitivity * sensitivity) / (2 * rho_unit)
+        mechanism = make_discrete_gaussian(sigma_squared, sensitivity)
+    add_noise = mechanism.add_noise
 
     def evaluate(table: Table, rng: random.Random) -> int:
-        return mechanism.add_noise(len(table.rows), rng)
+        return add_noise(statistic(table.rows), rng)
 
     return Measurement(
-        input_domain=domain,
-        input_metric=SymmetricDifference(),
-        output_measure=measure,
-        privacy_function=privacy,
-        _eval=evaluate,
+        domain, SymmetricDifference(), noise.measure, mechanism.privacy_function, evaluate
     )
+
+
+def make_count(domain: TableDomain, noise: NoiseSpec) -> Measurement:
+    """A noisy row count.  Sensitivity 1 per unit of symmetric difference."""
+    return _noisy(domain, noise, 1, len)
 
 
 def _check_numeric_column(domain: TableDomain, column: str) -> ColumnType:
@@ -271,9 +286,9 @@ _MARGIN_REL = 2.0**-50
 _MARGIN_SUBNORMAL = 2.0**-1074
 
 
-def _grain_total(rows, index: int, low: float, high: float, g_num: int, g_den: int) -> int:
-    """The sum over rows of round(clamped row[index] / gamma), half to even,
-    for gamma = g_num / g_den.
+def _grain_total(index: int, low: float, high: float, g_num: int, g_den: int):
+    """The function from rows to the sum over them of round(clamped
+    row[index] / gamma), half to even, for gamma = g_num / g_den.
 
     Exact: each row's count is first tried in floats, p = v * (g_den /
     g_num), and round(p) is taken only when p is far enough from a half
@@ -287,27 +302,31 @@ def _grain_total(rows, index: int, low: float, high: float, g_num: int, g_den: i
     if fast:
         scale = g_den / g_num
         fast = max(-low, high) * scale < math.inf
-    total = 0
-    for row in rows:
-        value = row[index]
-        if value < low:
-            value = low
-        elif value > high:
-            value = high
-        if fast:
-            p = value * scale
-            r = round(p)
-            if abs(p - r) < 0.5 - (abs(p) * _MARGIN_REL + _MARGIN_SUBNORMAL):
-                total += r
-                continue
-        n, d = value.as_integer_ratio()
-        divisor = d * g_num
-        quotient, remainder = divmod(n * g_den, divisor)
-        twice = 2 * remainder
-        if twice > divisor or (twice == divisor and quotient & 1):
-            quotient += 1
-        total += quotient
-    return total
+
+    def total_of(rows: Sequence[Row]) -> int:
+        total = 0
+        for row in rows:
+            value = row[index]
+            if value < low:
+                value = low
+            elif value > high:
+                value = high
+            if fast:
+                p = value * scale
+                r = round(p)
+                if abs(p - r) < 0.5 - (abs(p) * _MARGIN_REL + _MARGIN_SUBNORMAL):
+                    total += r
+                    continue
+            n, d = value.as_integer_ratio()
+            divisor = d * g_num
+            quotient, remainder = divmod(n * g_den, divisor)
+            twice = 2 * remainder
+            if twice > divisor or (twice == divisor and quotient & 1):
+                quotient += 1
+            total += quotient
+        return total
+
+    return total_of
 
 
 def _make_grain_sum(domain: TableDomain, column: str, low, high, granularity, noise: NoiseSpec):
@@ -316,34 +335,8 @@ def _make_grain_sum(domain: TableDomain, column: str, low, high, granularity, no
     _check_numeric_column(domain, column)
     low, high, gamma, sensitivity = _sum_setup(low, high, granularity)
     g_num, g_den = gamma.numerator, gamma.denominator
-
-    if sensitivity == 0:
-        # Bounds pin every value to zero, so the sum is the constant 0 and
-        # costs nothing at any distance.
-        free = Measurement(
-            input_domain=domain,
-            input_metric=SymmetricDifference(),
-            output_measure=PureDP() if isinstance(noise, PureDpNoise) else ZCDP(),
-            privacy_function=linear_map(0),
-            _eval=lambda table, rng: 0,
-        )
-        return free, g_num, g_den
-
-    mechanism, privacy, measure = _noise_parts(noise, sensitivity)
-    index = domain.schema.index_of(column)
-
-    def evaluate(table: Table, rng: random.Random) -> int:
-        total = _grain_total(table.rows, index, low, high, g_num, g_den)
-        return mechanism.add_noise(total, rng)
-
-    grains = Measurement(
-        input_domain=domain,
-        input_metric=SymmetricDifference(),
-        output_measure=measure,
-        privacy_function=privacy,
-        _eval=evaluate,
-    )
-    return grains, g_num, g_den
+    statistic = _grain_total(domain.schema.index_of(column), low, high, g_num, g_den)
+    return _noisy(domain, noise, sensitivity, statistic), g_num, g_den
 
 
 def make_sum(
@@ -433,6 +426,8 @@ def make_quantile(
     epsilon_unit = Fraction(epsilon_unit)
     if epsilon_unit <= 0:
         raise NonPositiveEpsilon(f"epsilon must be positive, got {epsilon_unit}")
+    if epsilon_unit > sys.float_info.max:
+        raise NonPositiveEpsilon("epsilon is beyond the float64 range the bin weights use")
 
     width = (high - low) / bins
     if not math.isfinite(width):

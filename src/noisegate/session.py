@@ -202,10 +202,10 @@ class _Aggregable(QueryExpr):
         return Count(self)
 
     def sum(self, column: str, low, high, granularity=DEFAULT_GRANULARITY) -> Sum:
-        return Sum(self, column, low, high, Fraction(str(granularity)))
+        return Sum(self, column, low, high, granularity)
 
     def average(self, column: str, low, high, granularity=DEFAULT_GRANULARITY) -> Average:
-        return Average(self, column, low, high, Fraction(str(granularity)))
+        return Average(self, column, low, high, granularity)
 
     def quantile(self, column: str, q: float, low, high, bins: int) -> Quantile:
         return Quantile(self, column, q, low, high, bins)
@@ -388,13 +388,24 @@ class Count(_Aggregation):
 
 
 @dataclass(frozen=True)
-class Sum(_Aggregation):
+class _Clamped(_Aggregation):
+    """A sum or an average of one column clamped to [low, high], counted
+    in grains of the given granularity."""
+
     child: QueryExpr
     column: str
     low: float
     high: float
     granularity: Fraction = DEFAULT_GRANULARITY
 
+    def __post_init__(self) -> None:
+        # A float granularity is the decimal it prints as (0.1 is 1/10),
+        # however the node was built.
+        object.__setattr__(self, "granularity", Fraction(str(self.granularity)))
+
+
+@dataclass(frozen=True)
+class Sum(_Clamped):
     value_column = ("sum", ColumnType.FLOAT64)
 
     def _measurement(self, domain, noise):
@@ -404,13 +415,7 @@ class Sum(_Aggregation):
 
 
 @dataclass(frozen=True)
-class Average(_Aggregation):
-    child: QueryExpr
-    column: str
-    low: float
-    high: float
-    granularity: Fraction = DEFAULT_GRANULARITY
-
+class Average(_Clamped):
     value_column = ("average", ColumnType.FLOAT64)
 
     def _measurement(self, domain, noise):

@@ -30,7 +30,6 @@ from .expressions import (
     CompiledExpression,
     compile_predicate,
     compile_projection,
-    is_bare_column,
 )
 from .metrics import (
     AddRemoveIds,
@@ -61,6 +60,19 @@ from .tabledata import (
 # false and a map row or flat-map branch that fails is dropped, so no row
 # can make a compiled query raise.
 _ROW_FAILURES = (ExpressionTypeError, OverflowError, SchemaMismatch)
+
+
+def _compile_branch(
+    columns: Mapping[str, str], schema: Schema, new_schema: Schema
+) -> list[CompiledExpression]:
+    """A map or flat-map branch's projections over rows of `schema`, in
+    new_schema's column order; the branch must name exactly its columns."""
+    if set(columns) != set(new_schema.names):
+        raise SchemaMismatch(
+            f"expressions cover {sorted(columns)} but the new schema has "
+            f"{sorted(new_schema.names)}"
+        )
+    return [compile_projection(columns[name], schema, ctype) for name, ctype in new_schema.columns]
 
 
 def _row_of(cells: Sequence[CompiledExpression]) -> Callable[[Row], Row]:
@@ -169,29 +181,20 @@ def make_map(
     link between rows and their contributor.
     """
     metric = _check_row_metric(domain, metric or SymmetricDifference())
-    if set(columns) != set(new_schema.names):
-        raise SchemaMismatch(
-            f"expressions cover {sorted(columns)} but the new schema has "
-            f"{sorted(new_schema.names)}"
-        )
-    if domain.id_column is not None:
-        if not new_schema.has_column(domain.id_column) or not is_bare_column(
-            columns[domain.id_column], domain.id_column
-        ):
-            raise IdColumnDropped(
-                f"the map must carry {domain.id_column!r} through unchanged"
-            )
-        if new_schema.type_of(domain.id_column) is not domain.schema.type_of(
-            domain.id_column
-        ):
-            raise IdColumnDropped(
-                f"the map must not change the type of {domain.id_column!r}"
-            )
-    row_of = _row_of([
-        compile_projection(columns[name], domain.schema, ctype)
-        for name, ctype in new_schema.columns
-    ])
-    output_domain = TableDomain(new_schema, domain.id_column)
+    id_column = domain.id_column
+    # The id's column and type are checked before compiling, so that an id
+    # of another type is refused as dropped and not as a type error.
+    if id_column is not None and (
+        (id_column, domain.schema.type_of(id_column)) not in new_schema.columns
+    ):
+        raise IdColumnDropped(f"the map must carry {id_column!r} through unchanged")
+    cells = _compile_branch(columns, domain.schema, new_schema)
+    if id_column is not None and (
+        cells[new_schema.index_of(id_column)].column != domain.schema.index_of(id_column)
+    ):
+        raise IdColumnDropped(f"the map must carry {id_column!r} through unchanged")
+    row_of = _row_of(cells)
+    output_domain = TableDomain(new_schema, id_column)
 
     def apply(table: Table) -> Table:
         out: list[Row] = []
@@ -245,20 +248,12 @@ def make_flat_map(
         raise NonPositiveBound("a flat map needs at least one branch")
     compiled = []
     for branch in branches:
-        if set(branch.columns) != set(new_schema.names):
-            raise UnknownColumn(
-                f"branch covers {sorted(branch.columns)} but the new schema "
-                f"has {sorted(new_schema.names)}"
-            )
+        row_of = _row_of(_compile_branch(branch.columns, domain.schema, new_schema))
         guard = (
             compile_predicate(branch.when, domain.schema).fn
             if branch.when is not None
             else None
         )
-        row_of = _row_of([
-            compile_projection(branch.columns[name], domain.schema, ctype)
-            for name, ctype in new_schema.columns
-        ])
         compiled.append((guard, row_of))
     bound = min(max_rows, len(branches))
 

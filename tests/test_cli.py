@@ -286,6 +286,33 @@ def test_budget_compile_error_exits_4_like_run(tmp_path, capsys):
     assert main(run_args(tmp_path, budget="1")) == 4
 
 
+@pytest.mark.parametrize("command", ["run", "budget"])
+def test_a_quantile_spend_beyond_float64_exits_4(tmp_path, command, capsys):
+    # A per-unit epsilon of 1e400 has no float: the quantile is refused
+    # when it compiles, as any other compile error, and charges nothing.
+    huge = {
+        "name": "huge",
+        "spend": "1e400",
+        "expr": {"kind": "Quantile", "child": SOURCE, "column": "income",
+                 "q": 0.5, "low": 0.0, "high": 50.0, "bins": 5},
+    }
+    write_workspace(tmp_path, queries=[huge])
+    assert main(run_args(tmp_path, command=command)) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "huge" in captured.err
+    schema = cli.load_schema_file(tmp_path / "schema.json")["people"].schema
+    table = cli.load_csv(tmp_path / "data" / "people.csv", schema)
+    budget = session.PrivacyBudget.pure("1e401")
+    session_ = session.build_session({"people": table}, session.AddMaxRows(1), budget, seed=1)
+    with pytest.raises(noisegate.NoisegateError):
+        session_.evaluate(
+            query("people").quantile("income", 0.5, 0.0, 50.0, 5),
+            session.PrivacyBudget.pure("1e400"),
+        )
+    assert session_.remaining_budget().amount == Fraction(10) ** 401
+
+
 # ---------------------------------------------------------------------------
 # validate
 

@@ -10,7 +10,6 @@ from noisegate.expressions import (
     compile_expression,
     compile_predicate,
     compile_projection,
-    is_bare_column,
 )
 from noisegate.tabledata import ColumnType, Schema
 
@@ -141,8 +140,12 @@ def test_projection_widens_int_to_float_only():
     assert text.fn(ROW) == "10001"
 
 
-def test_is_bare_column():
-    assert is_bare_column("age", "age")
-    assert is_bare_column("  age  ", "age")
-    assert not is_bare_column("age + 0", "age")
-    assert not is_bare_column("age", "income")
+def test_surrounding_whitespace_is_no_part_of_an_expression():
+    # One parse rule: a leading space is no "unexpected indent".
+    assert compile_predicate(" age > 40", SCHEMA).fn(ROW) is True
+    assert compile_predicate("\tage > 40\n", SCHEMA).fn(ROW) is True
+    assert compile_expression("  age  ", SCHEMA).column == 0
+    assert compile_expression("(age)", SCHEMA).column == 0
+    assert compile_expression("age + 0", SCHEMA).column is None
+    with pytest.raises(ExpressionSyntaxError):
+        compile_expression("   ", SCHEMA)

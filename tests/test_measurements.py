@@ -220,7 +220,7 @@ def test_grain_total_matches_fraction_reference(gamma):
         ]
         for schema, values, lo, hi in cases:
             table = Table.of(schema, [(v,) for v in values])
-            total = _grain_total(table.rows, 0, lo, hi, gamma.numerator, gamma.denominator)
+            total = _grain_total(0, lo, hi, gamma.numerator, gamma.denominator)(table.rows)
             assert total == grain_total_reference(values, lo, hi, gamma)
 
 
@@ -237,9 +237,14 @@ def test_sum_sensitivity_scales_privacy():
 
 
 def test_sum_zero_sensitivity_is_free():
-    m = make_sum(DOMAIN, "v", 0, 0, 1, PureDpNoise(Fraction(1)))
-    assert m.privacy_function(100) == 0
-    assert m.eval(T(("a", 5.0)), stream()) == 0
+    for noise in (PureDpNoise(Fraction(1)), ZcdpNoise(Fraction(1, 2))):
+        m = make_sum(DOMAIN, "v", 0, 0, 1, noise)
+        assert m.output_measure == noise.measure
+        assert m.privacy_function(1) == m.privacy_function(100) == 0
+        # It draws nothing: the generator's next word is its first.
+        generator = random.Random(11)
+        assert m._eval(T(("a", 5.0), ("b", -2.5)), generator) == 0.0
+        assert generator.getrandbits(64) == random.Random(11).getrandbits(64)
 
 
 def test_sum_validation():

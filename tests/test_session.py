@@ -32,6 +32,7 @@ from noisegate.metrics import INF, PureDP, ZCDP
 from noisegate.session import (
     AddMaxRows,
     AddRemoveId,
+    Average,
     Count,
     Filter,
     GroupBy,
@@ -39,6 +40,7 @@ from noisegate.session import (
     QUERY_NODES,
     Quantile,
     Source,
+    Sum,
     build_session,
     compile_query,
     keyset_from_tuples,
@@ -144,6 +146,22 @@ def test_count_calibration_pure():
     )
     assert compiled.unit_distance == 1
     assert compiled.measurement.privacy_function(1) == 1
+
+
+@pytest.mark.parametrize("node, method", [(Sum, "sum"), (Average, "average")])
+def test_a_granularity_means_the_same_however_the_node_is_built(node, method):
+    # A float granularity is the decimal it prints as: 0.1 is 1/10, not
+    # the binary fraction nearest it, for the builder and the node alike.
+    table = Table.of(Schema.of(("v", FLOAT64)), [(0.25,), (0.35,), (1.05,)])
+    built = getattr(query("t"), method)("v", 0, 2, 0.1)
+    direct = node(query("t"), "v", 0, 2, 0.1)
+    assert built == direct
+    assert direct.granularity == Fraction(1, 10)
+    released = []
+    for expr in (built, direct):
+        s = build_session({"t": table}, AddMaxRows(1), PrivacyBudget.pure(10), seed=7)
+        released.append(s.evaluate(expr, PrivacyBudget.pure(10)).rows)
+    assert released[0] == released[1]
 
 
 def test_flat_map_calibration():

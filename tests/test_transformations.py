@@ -24,6 +24,7 @@ from noisegate.errors import (
     MissingIdColumn,
     NonPositiveBound,
     SchemaMismatch,
+    TypeCheckError,
     UnknownColumn,
 )
 from noisegate.expressions import compile_projection
@@ -31,9 +32,11 @@ from noisegate.metrics import (
     AddRemoveIds,
     BoundedLists,
     GroupedBy,
+    PureDP,
     SymmetricDifference,
     TableTuple,
 )
+from noisegate.session import AddMaxRows, PrivacyBudget, build_session, query
 from noisegate.tabledata import (
     ColumnType,
     Schema,
@@ -94,15 +97,41 @@ def test_map_projects_rows():
 
 def test_map_must_carry_the_id_column():
     out_schema = Schema.of(("id", ColumnType.INT64), ("w", ColumnType.INT64))
-    m = make_map(ID_DOMAIN, {"id": "id", "w": "v + 1"}, out_schema,
-                 metric=AddRemoveIds("id"))
-    assert m.output_domain.id_column == "id"
-    with pytest.raises(IdColumnDropped):
-        make_map(ID_DOMAIN, {"id": "id + 0", "w": "v"}, out_schema,
-                 metric=AddRemoveIds("id"))
-    no_id = Schema.of(("w", ColumnType.INT64))
-    with pytest.raises(IdColumnDropped):
-        make_map(ID_DOMAIN, {"w": "v"}, no_id, metric=AddRemoveIds("id"))
+    for carried in ("id", "(id)", "  id  "):
+        m = make_map(ID_DOMAIN, {"id": carried, "w": "v + 1"}, out_schema,
+                     metric=AddRemoveIds("id"))
+        assert m.output_domain.id_column == "id"
+        assert m.apply(T((4, 3), (5, -1))).rows == ((4, 4), (5, 0))
+    float_ids = Schema.of(("id", ColumnType.FLOAT64), ("w", ColumnType.INT64))
+    text_ids = TableDomain(Schema.of(("id", ColumnType.TEXT), ("v", ColumnType.INT64)), "id")
+    refused = [
+        (ID_DOMAIN, {"id": "id + 0", "w": "v"}, out_schema),
+        (ID_DOMAIN, {"id": "v", "w": "id"}, out_schema),  # another int64 column
+        (ID_DOMAIN, {"id": "id", "w": "v"}, float_ids),  # widened
+        (text_ids, {"id": "id", "w": "v"}, out_schema),  # text id to int64
+        (ID_DOMAIN, {"w": "v"}, Schema.of(("w", ColumnType.INT64))),  # dropped
+    ]
+    for domain, columns, new_schema in refused:
+        with pytest.raises(IdColumnDropped):
+            make_map(domain, columns, new_schema, metric=AddRemoveIds("id"))
+
+
+def test_a_flat_map_branch_must_cover_the_new_schema():
+    out = Schema.of(("x", ColumnType.INT64), ("y", ColumnType.INT64))
+    full = ExpansionBranch(columns={"x": "v", "y": "id"})
+    for partial in ({"x": "v"}, {"x": "v", "y": "id", "z": "v"}, {"x": "v", "z": "id"}):
+        branches = (full, ExpansionBranch(columns=partial))
+        with pytest.raises(SchemaMismatch):
+            make_flat_map(DOMAIN, branches, out, max_rows=2)
+        session = build_session(
+            {"t": T((1, 2))}, AddMaxRows(1), PrivacyBudget(PureDP(), 1), seed=3
+        )
+        with pytest.raises(TypeCheckError):
+            session.evaluate(
+                query("t").flat_map(branches, out, max_rows=2).count(),
+                PrivacyBudget(PureDP(), 1),
+            )
+        assert session.remaining_budget().amount == 1
 
 
 def test_flat_map_expands_and_caps():
