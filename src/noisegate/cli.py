@@ -172,12 +172,18 @@ def _decode_rows(value, where: str) -> tuple[Schema, list[tuple]]:
     floats = {i for i, (_, ctype) in enumerate(schema.columns) if ctype is ColumnType.FLOAT64}
     rows = []
     for r, row in enumerate(_array(_require(value, "rows", where), f"{where}.rows")):
-        # JSON has one number type: whole numbers widen into float64 cells.
-        rows.append(tuple(
-            _decode_float(cell, f"{where}.rows[{r}]")
-            if i in floats and type(cell) is int else cell
-            for i, cell in enumerate(_array(row, f"{where}.rows[{r}]"))
-        ))
+        # The location is formatted only for a row or cell that may fail:
+        # keysets run to thousands of rows.
+        if not isinstance(row, (list, tuple)):
+            _array(row, f"{where}.rows[{r}]")  # raises
+        if floats:
+            # JSON has one number type: whole numbers widen into float64 cells.
+            row = [
+                _decode_float(cell, f"{where}.rows[{r}]")
+                if i in floats and type(cell) is int else cell
+                for i, cell in enumerate(row)
+            ]
+        rows.append(tuple(row))
     return schema, rows
 
 

@@ -37,6 +37,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -61,8 +62,14 @@ _INT64_MAX = 2**63 - 1
 
 # Locale-independent numeric literals: no underscores, no whitespace, no
 # textual infinities.  Anything fancier than this is a parse error.
-_INT_RE = re.compile(r"^-?[0-9]+$")
-_FLOAT_RE = re.compile(r"^-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?$")
+# Matched with fullmatch: "$" would also match before a trailing newline.
+_INT_RE = re.compile(r"-?[0-9]+")
+_FLOAT_RE = re.compile(r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+# load_csv parses this many records at a time, one column at a time:
+# enough to spread each column's calls over many cells, few enough that a
+# block's strings add little to peak memory.
+_BLOCK_RECORDS = 2048
 
 
 class ColumnType(enum.Enum):
@@ -373,7 +380,7 @@ def _parse_cell(text: str, ctype: ColumnType, line: int, column: str) -> Value:
             column=column,
         )
     if ctype is ColumnType.INT64:
-        if not _INT_RE.match(text):
+        if not _INT_RE.fullmatch(text):
             raise TypeParseError(
                 f"line {line}, column {column!r}: {text!r} is not an int64",
                 line=line,
@@ -388,7 +395,7 @@ def _parse_cell(text: str, ctype: ColumnType, line: int, column: str) -> Value:
             )
         return value
     if ctype is ColumnType.FLOAT64:
-        if not _FLOAT_RE.match(text):
+        if not _FLOAT_RE.fullmatch(text):
             raise TypeParseError(
                 f"line {line}, column {column!r}: {text!r} is not a float64",
                 line=line,
@@ -405,52 +412,137 @@ def _parse_cell(text: str, ctype: ColumnType, line: int, column: str) -> Value:
     return text
 
 
+def _parse_rows(block: list[list[str]], line: int, schema: Schema, path: Path) -> list[Row]:
+    """The rows of a block whose first record is on the given line, parsed
+    one record at a time; raise TypeParseError at the first bad record or
+    cell in row order."""
+    rows = []
+    width = len(schema.columns)
+    for line_number, record in enumerate(block, start=line):
+        if len(record) != width:
+            raise TypeParseError(
+                f"{path}: line {line_number}: expected {width} cells, got {len(record)}",
+                line=line_number,
+            )
+        rows.append(tuple(
+            _parse_cell(cell, ctype, line_number, name)
+            for cell, (name, ctype) in zip(record, schema.columns)
+        ))
+    return rows
+
+
+def _parse_columns(
+    block: list[list[str]], types: list[ColumnType]
+) -> Iterable[Row] | None:
+    """The rows of a block parsed one column at a time, or None when any
+    record or cell is bad.  It passes exactly the blocks that _parse_rows
+    parses without raising, and gives the same rows."""
+    if set(map(len, block)) != {len(types)}:
+        return None
+    columns = []
+    for cells, ctype in zip(zip(*block), types):
+        if ctype is ColumnType.INT64:
+            if not all(map(_INT_RE.fullmatch, cells)):
+                return None
+            try:
+                values = list(map(int, cells))
+            except ValueError:  # more digits than int() converts
+                return None
+            if min(values) < _INT64_MIN or max(values) > _INT64_MAX:
+                return None
+        elif ctype is ColumnType.FLOAT64:
+            if not all(map(_FLOAT_RE.fullmatch, cells)):
+                return None
+            values = [value + 0.0 for value in map(float, cells)]  # -0.0 becomes 0.0
+            if not all(map(math.isfinite, values)):
+                return None
+        else:
+            if "" in cells:
+                return None
+            values = cells
+        columns.append(values)
+    return zip(*columns)
+
+
+def _read_error(path: Path, line: int, exc: Exception) -> TypeParseError:
+    if isinstance(exc, UnicodeDecodeError):
+        return TypeParseError(f"{path}: not valid UTF-8: {exc}")
+    return TypeParseError(f"{path}: line {line}: {exc}", line=line)
+
+
+def _record_blocks(reader, path: Path) -> Iterator[tuple[int, list[list[str]]]]:
+    """(line of the first record, records) for each block of up to
+    _BLOCK_RECORDS records after the header.
+
+    When reading fails, the records read before the failure come as one
+    more block, and the next step raises the failure as a TypeParseError,
+    so a bad cell among those records is reported first.
+    """
+    line = 2
+    while True:
+        block: list[list[str]] = []
+        try:
+            block.extend(islice(reader, _BLOCK_RECORDS))
+        except (csv.Error, UnicodeDecodeError) as exc:
+            if block:
+                yield line, block
+            raise _read_error(path, line + len(block), exc) from exc
+        if not block:
+            return
+        yield line, block
+        line += len(block)
+
+
 @contextmanager
-def _csv_records(path: str | Path, schema: Schema) -> Iterator[Iterator[list[str]]]:
-    """Open a CSV file, check its header against the schema, and yield a
-    reader over the records after the header."""
+def _csv_records(
+    path: str | Path, schema: Schema
+) -> Iterator[Iterator[tuple[int, list[list[str]]]]]:
+    """Open a CSV file, check its header against the schema, and yield
+    the blocks of records after the header, as _record_blocks gives them.
+
+    Bytes that are not UTF-8 and records the csv module cannot read, such
+    as a field over its length limit, raise TypeParseError; a record
+    counts as one line, the header as line 1.
+    """
     path = Path(path)
     try:
         handle = path.open(newline="", encoding="utf-8")
     except OSError as exc:
         raise MissingFile(f"cannot read {path}: {exc}") from exc
     with handle:
+        reader = csv.reader(handle)
         try:
-            reader = csv.reader(handle)
             header = next(reader, None)
-            if header is None:
-                raise HeaderMismatch(f"{path}: file is empty, expected a header row")
-            if tuple(header) != schema.names:
-                raise HeaderMismatch(
-                    f"{path}: header {header!r} does not match schema {list(schema.names)}"
-                )
-            yield reader
-        except UnicodeDecodeError as exc:
-            raise TypeParseError(f"{path}: not valid UTF-8: {exc}") from exc
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise _read_error(path, 1, exc) from exc
+        if header is None:
+            raise HeaderMismatch(f"{path}: file is empty, expected a header row")
+        if tuple(header) != schema.names:
+            raise HeaderMismatch(
+                f"{path}: header {header!r} does not match schema {list(schema.names)}"
+            )
+        yield _record_blocks(reader, path)
 
 
 def load_csv(path: str | Path, schema: Schema) -> Table:
     """Load a CSV file whose header matches the schema, in order.
 
     The whole load aborts on the first malformed cell or on bytes that are
-    not UTF-8; there is no partial ingestion and no null handling.  Each
-    cell is checked as it is parsed, so the table is built without a
+    not UTF-8; there is no partial ingestion and no null handling.  Records
+    are parsed in blocks of _BLOCK_RECORDS, one column at a time; a block
+    that fails any check is parsed again row by row, so the error is still
+    the first bad record or cell in row order, with its line and column.
+    Each cell is checked as it is parsed, so the table is built without a
     second check.
     """
-    with _csv_records(path, schema) as reader:
-        rows: list[Row] = []
-        for line_number, record in enumerate(reader, start=2):
-            if len(record) != len(schema.columns):
-                raise TypeParseError(
-                    f"{path}: line {line_number}: expected "
-                    f"{len(schema.columns)} cells, got {len(record)}",
-                    line=line_number,
-                )
-            row = tuple(
-                _parse_cell(cell, ctype, line_number, name)
-                for cell, (name, ctype) in zip(record, schema.columns)
-            )
-            rows.append(row)
+    types = [ctype for _, ctype in schema.columns]
+    rows: list[Row] = []
+    with _csv_records(path, schema) as blocks:
+        for line, block in blocks:
+            parsed = _parse_columns(block, types)
+            if parsed is None:
+                parsed = _parse_rows(block, line, schema, path)
+            rows.extend(parsed)
     return Table._trusted(schema, tuple(rows))
 
 

@@ -9,8 +9,10 @@ never against the library itself.
 from __future__ import annotations
 
 import ast
+import csv
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -22,6 +24,7 @@ from noisegate.errors import (
     ExpressionSyntaxError,
     ExpressionTypeError,
     SchemaMismatch,
+    TypeParseError,
     UnknownColumn,
 )
 from noisegate.expressions import ExprType
@@ -429,6 +432,67 @@ def join_reference(left: Table, right: Table, keys) -> Counter:
             if all(lrow[a] == rrow[b] for a, b in zip(left_pos, right_pos)):
                 joined[lrow + tuple(rrow[i] for i in carried)] += 1
     return joined
+
+
+# ---------------------------------------------------------------------------
+# CSV ingest one record at a time: load_csv as it was before it parsed
+# blocks of records per column, with numbers matched by fullmatch.
+
+_INT_CELL = re.compile(r"-?[0-9]+")
+_FLOAT_CELL = re.compile(r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
+def _reference_cell(text: str, ctype: ColumnType, line: int, column: str):
+    def fail(why):
+        raise TypeParseError(f"line {line}, column {column!r}: {why}", line=line, column=column)
+
+    if text == "":
+        fail("empty cells are not allowed")
+    if ctype is ColumnType.INT64:
+        if not _INT_CELL.fullmatch(text):
+            fail(f"{text!r} is not an int64")
+        value = int(text)
+        if not -(2**63) <= value < 2**63:
+            fail(f"{text!r} overflows int64")
+        return value
+    if ctype is ColumnType.FLOAT64:
+        if not _FLOAT_CELL.fullmatch(text):
+            fail(f"{text!r} is not a float64")
+        value = float(text)
+        if not math.isfinite(value):
+            fail(f"{text!r} overflows float64")
+        return value + 0.0
+    return text
+
+
+def load_csv_reference(path, schema: Schema) -> tuple:
+    """The rows of a CSV file whose header matches schema, parsed cell by
+    cell as each record is read; raise TypeParseError at the first bad
+    record, cell or read in file order.  Records count as lines, the
+    header as line 1."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        line = 0
+        try:
+            assert tuple(next(reader)) == schema.names
+            line, rows = 1, []
+            for line, record in enumerate(reader, start=2):
+                if len(record) != len(schema.columns):
+                    raise TypeParseError(
+                        f"{path}: line {line}: expected {len(schema.columns)} cells, "
+                        f"got {len(record)}",
+                        line=line,
+                    )
+                rows.append(tuple(
+                    _reference_cell(cell, ctype, line, name)
+                    for cell, (name, ctype) in zip(record, schema.columns)
+                ))
+        except UnicodeDecodeError as exc:
+            raise TypeParseError(f"{path}: not valid UTF-8: {exc}") from exc
+        except csv.Error as exc:
+            # The record being read is the one after the last one read.
+            raise TypeParseError(f"{path}: line {line + 1}: {exc}", line=line + 1) from exc
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 import noisegate
 from noisegate import cli, session
 from noisegate.cli import main, parse_script
+from noisegate.errors import ScriptError
 from noisegate.session import QUERY_NODES, keyset_from_tuples, query
 from noisegate.tabledata import ColumnType
 
@@ -340,6 +341,32 @@ def test_validate_reports_cell_position(tmp_path, capsys):
     assert "people.csv:3:id:" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "budget"])
+def test_an_over_long_field_exits_2(tmp_path, command, capsys):
+    # Over the csv module's field limit: in a record for validate and run,
+    # in the header for budget, which reads no record.
+    long = "z" * 140_000
+    if command == "budget":
+        csv_text = f"id,zip,{long}\n"
+    else:
+        csv_text = PEOPLE_CSV + f"4,{long},50.0\n"
+    write_workspace(tmp_path, csv=csv_text, queries=[count_query("t", "1")])
+    if command == "validate":
+        argv = [
+            "validate",
+            "--schema", str(tmp_path / "schema.json"),
+            "--data", str(tmp_path / "data"),
+        ]
+    else:
+        argv = run_args(tmp_path, command)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "field larger than field limit" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_validate_missing_file(tmp_path, capsys):
     write_workspace(tmp_path)
     (tmp_path / "data" / "people.csv").unlink()
@@ -459,6 +486,21 @@ def test_every_node_field_type_has_a_decoder():
         hints = typing.get_type_hints(node)
         for field in dataclasses.fields(node):
             assert hints[field.name] in cli._DECODERS, (node.__name__, field.name)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[1.5], 5], "expected an array"),
+        ([[1.5], [2], [2**1024]], f"{2**1024} is outside the float64 range"),
+    ],
+)
+def test_a_bad_keyset_row_is_named_by_its_index(rows, message):
+    keys = {"columns": [{"name": "income", "type": "float64"}], "rows": rows}
+    with pytest.raises(ScriptError) as exc:
+        parse_script(json.loads(script_of(grouped_by(keys))))
+    where = f"queries[0]/Count.child/GroupBy.keys.rows[{len(rows) - 1}]"
+    assert str(exc.value) == f"{where}: {message}"
 
 
 def test_demo_script_decodes_to_builder_queries():

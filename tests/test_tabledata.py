@@ -1,8 +1,12 @@
+import csv
+import io
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from helpers import load_csv_reference
 
 from noisegate.errors import (
     DuplicateColumn,
@@ -13,6 +17,7 @@ from noisegate.errors import (
     TypeParseError,
     UnknownColumn,
 )
+from noisegate import tabledata
 from noisegate.tabledata import (
     ColumnType,
     KeySet,
@@ -169,13 +174,126 @@ def test_strict_cell_parsing(tmp_path: Path):
     path.write_text("n,x\n007,1.5\n-3,2e3\n")
     t = load_csv(path, schema)
     assert t.rows == ((7, 1.5), (-3, 2000.0))
-    for bad in ["1_000,1.0", "1.0,1.0", ",1.0", "1,nan", "1,inf", "1,1_0.0", "1,"]:
+    bad_cells = [
+        "1_000,1.0", "1.0,1.0", ",1.0", "1,nan", "1,inf", "1,1_0.0", "1,",
+        '"12\n",1.0', '1,"1.5\n"',
+    ]
+    for bad in bad_cells:
         path.write_text(f"n,x\n{bad}\n")
         with pytest.raises(TypeParseError):
             load_csv(path, schema)
     path.write_text(f"n,x\n{2**63},1.0\n")
     with pytest.raises(TypeParseError):
         load_csv(path, schema)
+
+
+def test_an_over_long_field_is_a_parse_error(tmp_path: Path):
+    # The csv module refuses a field over its limit (131,072 characters by
+    # default); the load reports it at the record's line, and the
+    # process-wide limit is left as it was.
+    limit = csv.field_size_limit()
+    schema = Schema.of(("a", ColumnType.INT64), ("b", ColumnType.TEXT))
+    path = tmp_path / "t.csv"
+    long = "z" * (limit + 1)
+    path.write_text(f"a,b\n0,y\n1,{long}\n2,y\n")
+    with pytest.raises(TypeParseError, match="field larger than field limit") as exc:
+        load_csv(path, schema)
+    assert (exc.value.line, exc.value.column) == (3, None)
+    path.write_text(f"a,{long}\n")
+    with pytest.raises(TypeParseError) as exc:
+        load_csv(path, schema)
+    assert exc.value.line == 1
+    assert csv.field_size_limit() == limit
+
+
+B = tabledata._BLOCK_RECORDS
+MIXED = Schema.of(
+    ("n", ColumnType.INT64),
+    ("x", ColumnType.FLOAT64),
+    ("s", ColumnType.TEXT),
+    ("m", ColumnType.INT64),
+)
+NOT_UTF8 = "@not-utf-8@"  # replaced by bytes that do not decode
+
+# Each defect makes a record, or the read of it, fail.
+DEFECTS = {
+    "bad int": lambda r: r.__setitem__(0, "1x"),
+    "int64 overflow": lambda r: r.__setitem__(3, str(2**63)),
+    "bad float": lambda r: r.__setitem__(1, "1.5.2"),
+    "float overflow": lambda r: r.__setitem__(1, "1e400"),
+    "empty cell": lambda r: r.__setitem__(2, ""),
+    "trailing newline": lambda r: r.__setitem__(0, "12\n"),
+    "short record": lambda r: r.pop(),
+    "long record": lambda r: r.append("9"),
+    "over-long field": lambda r: r.__setitem__(2, "z" * 131_073),
+    "not UTF-8": lambda r: r.__setitem__(2, NOT_UTF8),
+    # Two defects in one row: the leftmost column is reported.
+    "two in one row": lambda r: (r.__setitem__(3, "x"), r.__setitem__(1, "1e400")),
+}
+
+
+def _mixed_record(rng: random.Random) -> list[str]:
+    return [
+        rng.choice(["0", "-0", "007", str(rng.randrange(-(2**63), 2**63))]),
+        rng.choice(["-0.0", "1e3", ".5", "7.", repr(rng.uniform(-1e6, 1e6))]),
+        rng.choice(["a", "b,c", 'q"uote', "two\nlines", "-0", " "]),
+        str(rng.randrange(2**63)),
+    ]
+
+
+def _write_records(path: Path, records) -> None:
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([MIXED.names, *records])
+    path.write_bytes(text.getvalue().encode().replace(NOT_UTF8.encode(), b"\xff\xfe"))
+
+
+def _load_outcome(load, path: Path):
+    try:
+        return "rows", repr(load(path))
+    except Exception as exc:  # the outcome is compared, whatever it is
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+def _assert_loads_as_reference(path: Path, records, defective: bool) -> None:
+    _write_records(path, records)
+    expected = _load_outcome(lambda p: load_csv_reference(p, MIXED), path)
+    assert _load_outcome(lambda p: load_csv(p, MIXED).rows, path) == expected
+    assert expected[0] is (TypeParseError if defective else "rows")
+
+
+@pytest.mark.parametrize("size", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+def test_block_parsing_matches_the_row_by_row_reference(tmp_path: Path, size: int):
+    rng = random.Random(size)
+    clean = [_mixed_record(rng) for _ in range(size)]
+    path = tmp_path / "t.csv"
+    _assert_loads_as_reference(path, clean, defective=False)
+    edges = sorted({p for p in (0, B - 1, B, B + 1, size - 1) if 0 <= p < size})
+    for name, defect in DEFECTS.items():
+        for position in edges:
+            records = [list(record) for record in clean]
+            defect(records[position])
+            _assert_loads_as_reference(path, records, defective=True)
+    # Several defects in one file: the first in row order is reported,
+    # whichever block holds the others, and a read that fails after a
+    # bad cell (bytes that are not UTF-8, a field over the limit) loses
+    # to it, in the same block or a later one.
+    for pairs in [
+        (("bad float", B + 1), ("bad int", 2 * B + 2)),
+        (("empty cell", 0), ("short record", B)),
+        (("int64 overflow", B - 1), ("long record", B)),
+        (("bad int", 1), ("not UTF-8", 3)),
+        (("bad int", 1), ("not UTF-8", B - 1)),
+        (("float overflow", B - 2), ("not UTF-8", B + 1)),
+        (("not UTF-8", 0), ("bad int", B - 1)),
+        (("empty cell", 2), ("over-long field", 5)),
+        (("over-long field", 2), ("empty cell", 5)),
+    ]:
+        if max(position for _, position in pairs) >= size:
+            continue
+        records = [list(record) for record in clean]
+        for name, position in pairs:
+            DEFECTS[name](records[position])
+        _assert_loads_as_reference(path, records, defective=True)
 
 
 def test_no_table_holds_a_negative_zero(tmp_path: Path):
