@@ -33,7 +33,6 @@ from typing import Any, Mapping, Sequence
 from .errors import (
     ConfigError,
     InsufficientBudget,
-    MissingFile,
     NoisegateError,
     ScriptError,
     TypeParseError,
@@ -58,6 +57,7 @@ from .tabledata import (
     Schema,
     Table,
     _csv_records,
+    _read_json,
     csv_text,
     load_csv,
     load_schema_file,
@@ -70,7 +70,7 @@ EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 EXIT_COMPILE = 4
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9_\-]+$")
+_NAME_RE = re.compile(r"[A-Za-z0-9_\-]+")
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +264,7 @@ def parse_script(doc) -> list[ScriptQuery]:
         where = f"queries[{i}]"
         _check(entry, Mapping, "an object", where)
         name = _require(entry, "name", where)
-        if not isinstance(name, str) or not _NAME_RE.match(name):
+        if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
             raise ScriptError(
                 f"{where}: 'name' must match [A-Za-z0-9_-]+, got {name!r}"
             )
@@ -282,20 +282,7 @@ def parse_script(doc) -> list[ScriptQuery]:
 
 
 def _load_script(path: Path) -> list[ScriptQuery]:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise MissingFile(f"cannot read script {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ScriptError(f"{path} is not valid UTF-8: {exc}") from exc
-    try:
-        doc = json.loads(text)
-        # JSON escapes can spell lone surrogates, which no output can encode.
-        json.dumps(doc, ensure_ascii=False).encode("utf-8")
-    except json.JSONDecodeError as exc:
-        raise ScriptError(f"{path} is not valid JSON: {exc}") from exc
-    except UnicodeEncodeError as exc:
-        raise ScriptError(f"{path}: a string has no UTF-8 encoding: {exc}") from exc
+    doc = _read_json(path, ScriptError)
     try:
         return parse_script(doc)
     except ScriptError as exc:
@@ -320,8 +307,6 @@ class _Emitter:
     def __init__(self, out: Path | None, fmt: str):
         self.out = out
         self.fmt = fmt
-        if out is not None:
-            out.mkdir(parents=True, exist_ok=True)
 
     def emit(self, name: str, table: Table, remaining) -> None:
         if self.fmt == "json":
@@ -371,6 +356,11 @@ def cmd_run(cfg: RunConfig) -> int:
         session = build_session(
             tables, cfg.unit, PrivacyBudget(cfg.measure, cfg.budget), cfg.seed
         )
+        if cfg.out is not None:
+            try:
+                cfg.out.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot create --out directory: {exc}") from exc
     except NoisegateError as exc:
         _err(str(exc))
         return EXIT_CONFIG

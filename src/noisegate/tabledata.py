@@ -15,7 +15,9 @@ Values are plain Python ints, floats, and strings.  Floats must be finite,
 no cell may be empty, and no Table holds -0.0: it equals 0.0, so rows
 that differed only in the sign of a zero would tie in the canonical
 order.  Cells are checked, and -0.0 becomes 0.0, where they enter: by
-load_csv as it parses them, by Table(...) / Table.of for user and inline
+load_csv as it parses them, under one rule per column type for text
+cells, whether for a block's column or, to name a failing block's first
+bad cell, one cell at a time; by Table(...) / Table.of for user and inline
 public tables, by KeySet(...) for group-by keys, by the map and flat-map
 row step, which drops a row whose cell fails, and by result_cell for
 released aggregates.  Everything else (rows of checked tables selected,
@@ -49,6 +51,7 @@ from .errors import (
     MissingFile,
     MissingIdColumn,
     MissingKeyColumn,
+    NoisegateError,
     SchemaMismatch,
     TypeParseError,
     UnknownColumn,
@@ -372,96 +375,63 @@ Domain = Union[TableDomain, TableTupleDomain, TableListDomain]
 # CSV and schema-file ingestion.
 
 
-def _parse_cell(text: str, ctype: ColumnType, line: int, column: str) -> Value:
-    if text == "":
-        raise TypeParseError(
-            f"line {line}, column {column!r}: empty cells are not allowed",
-            line=line,
-            column=column,
-        )
+_EMPTY_CELL = "empty cells are not allowed"
+
+
+def _parse_column(cells: Sequence[str], ctype: ColumnType) -> Sequence[Value] | str:
+    """The values of text cells of one column type, or, when a cell breaks
+    the type's one rule (not empty, the type's grammar in full, converts,
+    int64 in range or float64 finite), why: a template that takes the cell."""
     if ctype is ColumnType.INT64:
-        if not _INT_RE.fullmatch(text):
-            raise TypeParseError(
-                f"line {line}, column {column!r}: {text!r} is not an int64",
-                line=line,
-                column=column,
-            )
-        value = int(text)
-        if not _INT64_MIN <= value <= _INT64_MAX:
-            raise TypeParseError(
-                f"line {line}, column {column!r}: {text!r} overflows int64",
-                line=line,
-                column=column,
-            )
-        return value
+        if not all(map(_INT_RE.fullmatch, cells)):
+            return _EMPTY_CELL if "" in cells else "{!r} is not an int64"
+        try:
+            values = list(map(int, cells))
+        except ValueError:  # more digits than int() converts
+            return "{!r} has too many digits for an int64"
+        if min(values) < _INT64_MIN or max(values) > _INT64_MAX:
+            return "{!r} overflows int64"
+        return values
     if ctype is ColumnType.FLOAT64:
-        if not _FLOAT_RE.fullmatch(text):
-            raise TypeParseError(
-                f"line {line}, column {column!r}: {text!r} is not a float64",
-                line=line,
-                column=column,
-            )
-        value = float(text)
-        if not math.isfinite(value):
-            raise TypeParseError(
-                f"line {line}, column {column!r}: {text!r} overflows float64",
-                line=line,
-                column=column,
-            )
-        return value + 0.0  # -0.0 becomes 0.0
-    return text
+        if not all(map(_FLOAT_RE.fullmatch, cells)):
+            return _EMPTY_CELL if "" in cells else "{!r} is not a float64"
+        values = [value + 0.0 for value in map(float, cells)]  # -0.0 becomes 0.0
+        if not all(map(math.isfinite, values)):
+            return "{!r} overflows float64"
+        return values
+    return _EMPTY_CELL if "" in cells else cells
 
 
-def _parse_rows(block: list[list[str]], line: int, schema: Schema, path: Path) -> list[Row]:
+def _parse_block(block: list[list[str]], line: int, schema: Schema, path: Path) -> Iterable[Row]:
     """The rows of a block whose first record is on the given line, parsed
-    one record at a time; raise TypeParseError at the first bad record or
-    cell in row order."""
-    rows = []
+    one column at a time; if that fails, the block is checked again cell
+    by cell in row order, by the same rule, to raise TypeParseError at the
+    first bad record or cell."""
     width = len(schema.columns)
+    if set(map(len, block)) == {width}:
+        columns = []
+        for cells, (_, ctype) in zip(zip(*block), schema.columns):
+            values = _parse_column(cells, ctype)
+            if isinstance(values, str):
+                break
+            columns.append(values)
+        else:
+            return zip(*columns)
     for line_number, record in enumerate(block, start=line):
         if len(record) != width:
             raise TypeParseError(
                 f"{path}: line {line_number}: expected {width} cells, got {len(record)}",
                 line=line_number,
             )
-        rows.append(tuple(
-            _parse_cell(cell, ctype, line_number, name)
-            for cell, (name, ctype) in zip(record, schema.columns)
-        ))
-    return rows
-
-
-def _parse_columns(
-    block: list[list[str]], types: list[ColumnType]
-) -> Iterable[Row] | None:
-    """The rows of a block parsed one column at a time, or None when any
-    record or cell is bad.  It passes exactly the blocks that _parse_rows
-    parses without raising, and gives the same rows."""
-    if set(map(len, block)) != {len(types)}:
-        return None
-    columns = []
-    for cells, ctype in zip(zip(*block), types):
-        if ctype is ColumnType.INT64:
-            if not all(map(_INT_RE.fullmatch, cells)):
-                return None
-            try:
-                values = list(map(int, cells))
-            except ValueError:  # more digits than int() converts
-                return None
-            if min(values) < _INT64_MIN or max(values) > _INT64_MAX:
-                return None
-        elif ctype is ColumnType.FLOAT64:
-            if not all(map(_FLOAT_RE.fullmatch, cells)):
-                return None
-            values = [value + 0.0 for value in map(float, cells)]  # -0.0 becomes 0.0
-            if not all(map(math.isfinite, values)):
-                return None
-        else:
-            if "" in cells:
-                return None
-            values = cells
-        columns.append(values)
-    return zip(*columns)
+        for cell, (name, ctype) in zip(record, schema.columns):
+            reason = _parse_column((cell,), ctype)
+            if isinstance(reason, str):
+                raise TypeParseError(
+                    f"line {line_number}, column {name!r}: {reason.format(cell)}",
+                    line=line_number,
+                    column=name,
+                )
+    raise AssertionError("a block broke a column rule that none of its cells breaks")
 
 
 def _read_error(path: Path, line: int, exc: Exception) -> TypeParseError:
@@ -528,21 +498,18 @@ def load_csv(path: str | Path, schema: Schema) -> Table:
     """Load a CSV file whose header matches the schema, in order.
 
     The whole load aborts on the first malformed cell or on bytes that are
-    not UTF-8; there is no partial ingestion and no null handling.  Records
-    are parsed in blocks of _BLOCK_RECORDS, one column at a time; a block
-    that fails any check is parsed again row by row, so the error is still
-    the first bad record or cell in row order, with its line and column.
-    Each cell is checked as it is parsed, so the table is built without a
-    second check.
+    not UTF-8; there is no partial ingestion and no null handling.  Each
+    column type has one rule for its text cells, and records are parsed
+    by it in blocks of _BLOCK_RECORDS, one column at a time.  A block that
+    fails is checked again one cell at a time with that same rule, so the
+    error is the first bad record or cell in row order, with its line and
+    column.  Each cell is checked as it is parsed, so the table is built
+    without a second check.
     """
-    types = [ctype for _, ctype in schema.columns]
     rows: list[Row] = []
     with _csv_records(path, schema) as blocks:
         for line, block in blocks:
-            parsed = _parse_columns(block, types)
-            if parsed is None:
-                parsed = _parse_rows(block, line, schema, path)
-            rows.extend(parsed)
+            rows.extend(_parse_block(block, line, schema, path))
     return Table._trusted(schema, tuple(rows))
 
 
@@ -571,6 +538,27 @@ def csv_text(table: Table) -> str:
     for row in table.rows:
         writer.writerow([_format_cell(v) for v in row])
     return buffer.getvalue()
+
+
+def _read_json(path: Path, error: type[NoisegateError]):
+    """The JSON document in a file, whose strings all have a UTF-8
+    encoding.  A file that cannot be read raises MissingFile; any other
+    fault raises error."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise MissingFile(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not valid UTF-8: {exc}") from exc
+    try:
+        doc = json.loads(text)
+        # JSON escapes can spell lone surrogates, which no output can encode.
+        json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:  # a ValueError, so caught first
+        raise error(f"{path}: a string has no UTF-8 encoding: {exc}") from exc
+    except ValueError as exc:  # also an integer of more digits than int() converts
+        raise error(f"{path} is not valid JSON: {exc}") from exc
+    return doc
 
 
 def schema_from_json(obj) -> Schema:
@@ -609,15 +597,11 @@ def load_schema_file(path: str | Path) -> dict[str, TableDomain]:
     """Load a schema file mapping table names to their domains.
 
     The file is a JSON object {"tables": {name: schema-object, ...}} where
-    each schema object follows the domain_from_json format.
+    each schema object follows the domain_from_json format.  A file that
+    cannot be read raises MissingFile; any other fault TypeParseError.
     """
     path = Path(path)
-    if not path.exists():
-        raise MissingFile(f"no such file: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise TypeParseError(f"{path}: not valid JSON: {exc}") from exc
+    raw = _read_json(path, TypeParseError)
     if not isinstance(raw, Mapping) or "tables" not in raw:
         raise TypeParseError(f"{path}: expected an object with a 'tables' entry")
     tables = raw["tables"]

@@ -451,7 +451,10 @@ def _reference_cell(text: str, ctype: ColumnType, line: int, column: str):
     if ctype is ColumnType.INT64:
         if not _INT_CELL.fullmatch(text):
             fail(f"{text!r} is not an int64")
-        value = int(text)
+        try:
+            value = int(text)
+        except ValueError:
+            fail(f"{text!r} has too many digits for an int64")
         if not -(2**63) <= value < 2**63:
             fail(f"{text!r} overflows int64")
         return value

@@ -367,6 +367,28 @@ def test_an_over_long_field_exits_2(tmp_path, command, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize(
+    "cell", ["0" * 5000 + "1", "1" + "0" * 4300], ids=["small value", "past int64"]
+)
+def test_an_int_cell_longer_than_int_converts_exits_2(tmp_path, command, cell, capsys):
+    csv_text = PEOPLE_CSV + f"{cell},981,50.0\n"
+    write_workspace(tmp_path, csv=csv_text, queries=[count_query("t", "1")])
+    if command == "validate":
+        argv = [
+            "validate",
+            "--schema", str(tmp_path / "schema.json"),
+            "--data", str(tmp_path / "data"),
+        ]
+    else:
+        argv = run_args(tmp_path, command)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "line 6, column 'id'" in captured.err
+    assert captured.out == ""
+
+
 def test_validate_missing_file(tmp_path, capsys):
     write_workspace(tmp_path)
     (tmp_path / "data" / "people.csv").unlink()
@@ -418,6 +440,8 @@ def test_bad_flags_exit_2(tmp_path, overrides, capsys):
         script_of(grouped_by({"columns": 5, "rows": []})),
         script_of({"kind": "Sum", "child": SOURCE, "column": 3, "low": 0, "high": 1}),
         script_of({"kind": "Count", "child": {"kind": "Filter", "child": SOURCE}}),
+        # More digits than int() converts: json.loads raises a plain ValueError.
+        pytest.param('{"queries": [], "x": 1' + "0" * 4300 + "}", id="long int"),
     ],
 )
 def test_bad_scripts_exit_2(tmp_path, script_text, capsys):
@@ -469,6 +493,45 @@ def test_script_that_is_not_utf8_exits_2(tmp_path, capsys):
 def test_missing_schema_file_exits_2(tmp_path, capsys):
     write_workspace(tmp_path, queries=[count_query("t", "1")])
     assert main(run_args(tmp_path, schema=str(tmp_path / "nope.json"))) == 2
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "budget"])
+@pytest.mark.parametrize("schema", ["directory", "not UTF-8", "long int"])
+def test_an_unreadable_schema_file_exits_2(tmp_path, command, schema, capsys):
+    write_workspace(tmp_path, queries=[count_query("t", "1")])
+    path = tmp_path / "schema.json"
+    if schema == "directory":
+        path.unlink()
+        path.mkdir()
+    elif schema == "not UTF-8":
+        path.write_bytes(json.dumps(SCHEMA_DOC).encode()[:-1] + b', "x": "\xff"}')
+    else:
+        path.write_text(json.dumps(SCHEMA_DOC)[:-1] + ', "x": 1' + "0" * 4300 + "}")
+    if command == "validate":
+        argv = ["validate", "--schema", str(path), "--data", str(tmp_path / "data")]
+    else:
+        argv = run_args(tmp_path, command)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_out_naming_a_file_exits_2_before_any_query(tmp_path, capsys):
+    write_workspace(tmp_path, queries=[count_query("t", "1")])
+    out = tmp_path / "out"
+    out.write_text("not a directory")
+    assert main(run_args(tmp_path, budget="1", out=str(out))) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot create --out directory")
+    assert captured.out == ""
+    assert out.read_text() == "not a directory"
+
+
+def test_a_query_name_may_not_end_in_a_newline():
+    with pytest.raises(ScriptError, match="'name' must match"):
+        parse_script({"queries": [count_query("a\n", "1")]})
 
 
 def test_missing_csv_exits_2(tmp_path, capsys):

@@ -227,6 +227,10 @@ DEFECTS = {
     "long record": lambda r: r.append("9"),
     "over-long field": lambda r: r.__setitem__(2, "z" * 131_073),
     "not UTF-8": lambda r: r.__setitem__(2, NOT_UTF8),
+    # More digits than int() converts (4,300 on Python 3.11+), whether the
+    # value would fit an int64 or not.
+    "over-long int": lambda r: r.__setitem__(0, "0" * 5000 + "1"),
+    "over-long int past int64": lambda r: r.__setitem__(3, "1" + "0" * 4300),
     # Two defects in one row: the leftmost column is reported.
     "two in one row": lambda r: (r.__setitem__(3, "x"), r.__setitem__(1, "1e400")),
 }
