@@ -11,9 +11,9 @@ Three subcommands:
   validate  check CSV files against the schema, no privacy machinery
 
 Exit codes are the contract: 0 success, 2 for config/parse/type errors
-raised before any query runs, 3 when the budget runs out (results written
-so far are kept), 4 for query compile errors.  Messages go to stderr,
-results to stdout or to --out.
+raised before any query runs and for a result that cannot be written, 3
+when the budget runs out (results written so far are kept), 4 for query
+compile errors.  Messages go to stderr, results to stdout or to --out.
 """
 
 from __future__ import annotations
@@ -97,8 +97,6 @@ def _parse_unit(text: str) -> PrivacyUnit:
             k = int(rest)
         except ValueError:
             raise ConfigError(f"--unit add-max-rows needs an integer, got {rest!r}")
-        if k < 1:
-            raise ConfigError(f"--unit add-max-rows needs a positive integer, got {k}")
         return AddMaxRows(k)
     if unit == "add-remove-id":
         if not rest:
@@ -287,6 +285,8 @@ def _load_script(path: Path) -> list[ScriptQuery]:
         return parse_script(doc)
     except ScriptError as exc:
         raise ScriptError(f"{path}: {exc}") from exc
+    except RecursionError:
+        raise ScriptError(f"{path}: the script nests too deeply to decode") from None
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +308,9 @@ class _Emitter:
         self.out = out
         self.fmt = fmt
 
+    def target(self, name: str) -> Path:
+        return self.out / f"{name}.{self.fmt}"
+
     def emit(self, name: str, table: Table, remaining) -> None:
         if self.fmt == "json":
             payload = {
@@ -324,8 +327,7 @@ class _Emitter:
             else:
                 sys.stdout.write(text)
         else:
-            suffix = "json" if self.fmt == "json" else "csv"
-            (self.out / f"{name}.{suffix}").write_text(text, encoding="utf-8")
+            self.target(name).write_text(text, encoding="utf-8")
 
     def finish(self, remaining) -> None:
         amount = _format_amount(remaining)
@@ -344,6 +346,7 @@ def _err(message: str) -> None:
 
 
 def cmd_run(cfg: RunConfig) -> int:
+    emitter = _Emitter(cfg.out, cfg.format)
     try:
         domains = load_schema_file(cfg.schema_path)
         script = _load_script(cfg.script_path)
@@ -361,10 +364,13 @@ def cmd_run(cfg: RunConfig) -> int:
                 cfg.out.mkdir(parents=True, exist_ok=True)
             except OSError as exc:
                 raise ConfigError(f"cannot create --out directory: {exc}") from exc
+            for item in script:
+                target = emitter.target(item.name)
+                if target.exists() and not target.is_file():
+                    raise ConfigError(f"query {item.name!r}: {target} is not a regular file")
     except NoisegateError as exc:
         _err(str(exc))
         return EXIT_CONFIG
-    emitter = _Emitter(cfg.out, cfg.format)
     for item in script:
         try:
             result = session.evaluate(item.expr, PrivacyBudget(cfg.measure, item.spend))
@@ -375,7 +381,11 @@ def cmd_run(cfg: RunConfig) -> int:
         except NoisegateError as exc:
             _err(f"query {item.name!r}: {exc}")
             return EXIT_COMPILE
-        emitter.emit(item.name, result, session.remaining_budget().amount)
+        try:
+            emitter.emit(item.name, result, session.remaining_budget().amount)
+        except OSError as exc:
+            _err(f"query {item.name!r}: cannot write its result: {exc}")
+            return EXIT_CONFIG
     emitter.finish(session.remaining_budget().amount)
     return EXIT_OK
 

@@ -57,6 +57,7 @@ from .metrics import (
     ZCDP,
     linear_map,
     max_slope_map,
+    parse_budget_amount,
     sum_maps,
 )
 from .noise import sample_discrete_gaussian, sample_two_sided_geometric
@@ -603,7 +604,9 @@ class Queryable:
     and sequence replays the answers.  If the evaluation raises, the
     spend stays charged and the ordinal stays used, and the caller gets
     EvaluationFailed with a fixed message: the failure depends on the
-    data, so it must be neither a free retry nor a channel for it.
+    data, so it must be neither a free retry nor a channel for it.  The
+    total and every spend are read by parse_budget_amount, so all are
+    exact.
     """
 
     def __init__(
@@ -614,14 +617,10 @@ class Queryable:
         total_budget,
         rng: RngStream,
     ):
-        if total_budget != INF:
-            total_budget = Fraction(total_budget)
-            if total_budget < 0:
-                raise ValueError("the total budget must be non-negative")
         self._data = dataset
         self._metric = input_metric
         self._measure = output_measure
-        self._total = total_budget
+        self._total = parse_budget_amount(total_budget)
         self._spent = Fraction(0)
         self._count = 0
         self._rng = rng
@@ -650,13 +649,11 @@ class Queryable:
         exceed the spend, and the spend must fit in the remaining budget.
         """
         with self._lock:
+            spend = parse_budget_amount(spend)
             if spend == INF:
                 # An infinite budget already admits any finite spend, so an
                 # infinite spend is never needed and would poison the ledger.
                 raise ValueError("spends must be finite")
-            spend = Fraction(spend)
-            if spend < 0:
-                raise ValueError("spends must be non-negative")
             if measurement.input_metric != self._metric:
                 raise MetricMismatch(
                     f"queryable holds data under {self._metric!r}, measurement "

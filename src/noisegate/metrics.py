@@ -16,7 +16,30 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
+from .errors import TypeMismatch
+
 INF = math.inf
+
+
+def parse_budget_amount(amount):
+    """The one rule for a budget or a spend: text ('inf', 'a/b' or a
+    decimal), an int, a Fraction or INF becomes a non-negative Fraction or
+    INF.  A float (so accounting never inherits binary rounding) or a
+    negative amount raises TypeMismatch."""
+    if amount == INF or (
+        isinstance(amount, str) and amount.strip().lower() in ("inf", "infinity")
+    ):
+        return INF
+    if isinstance(amount, float):
+        raise TypeMismatch(f"budget amounts must be exact, not the float {amount!r}")
+    try:
+        value = Fraction(amount)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise TypeMismatch(f"cannot parse budget amount {amount!r}") from exc
+    if value < 0:
+        raise TypeMismatch(f"budget amounts are non-negative, got {value}")
+    return value
+
 
 Distance = Union[int, Fraction, float]
 

@@ -59,6 +59,7 @@ from .metrics import (
     ZCDP,
     compose_maps,
     linear_map,
+    parse_budget_amount,
 )
 from .rng import RngStream
 from .tabledata import (
@@ -79,50 +80,19 @@ DEFAULT_GRANULARITY = Fraction(1, 100)
 # Budgets and privacy units.
 
 
-def parse_budget_amount(text: str):
-    """Parse an exact budget amount: 'inf', 'a/b', or a decimal string."""
-    text = text.strip()
-    if text.lower() in ("inf", "infinity"):
-        return INF
-    try:
-        amount = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise TypeMismatch(f"cannot parse budget amount {text!r}") from exc
-    if amount < 0:
-        raise TypeMismatch(f"budget amounts are non-negative, got {text!r}")
-    return amount
-
-
-def _exact_amount(amount):
-    if amount == INF:
-        return INF
-    if isinstance(amount, float):
-        raise TypeMismatch(
-            "budget amounts must be exact: pass an int, a Fraction, or a "
-            "decimal string, not a float"
-        )
-    if isinstance(amount, str):
-        return parse_budget_amount(amount)
-    amount = Fraction(amount)
-    if amount < 0:
-        raise TypeMismatch(f"budget amounts are non-negative, got {amount}")
-    return amount
-
-
 @dataclass(frozen=True)
 class PrivacyBudget:
     """An exact amount of privacy loss under a measure.
 
-    Amounts are rationals (math.inf is allowed for a bottomless session).
-    Finite floats are rejected so accounting never inherits binary
-    rounding; write Fraction('0.4') or just '0.4'.
+    The amount is whatever parse_budget_amount accepts, held as a
+    Fraction (or INF, for a bottomless session).
     """
 
     measure: Measure
     amount: Any
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "amount", _exact_amount(self.amount))
+        object.__setattr__(self, "amount", parse_budget_amount(self.amount))
 
     @classmethod
     def pure(cls, amount) -> "PrivacyBudget":
@@ -135,9 +105,13 @@ class PrivacyBudget:
 
 @dataclass(frozen=True)
 class AddMaxRows:
-    """Protect any change of at most max_rows rows, across all tables."""
+    """Protect any change of at most max_rows rows, across all tables:
+    rows are counted by symmetric difference, and a unit spans max_rows."""
 
     max_rows: int
+
+    metric = SymmetricDifference()
+    id_column = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.max_rows, int) or self.max_rows < 1:
@@ -145,14 +119,27 @@ class AddMaxRows:
                 f"max_rows must be a positive int, got {self.max_rows!r}"
             )
 
+    def distance(self, table_count: int) -> int:
+        return self.max_rows
+
 
 @dataclass(frozen=True)
 class AddRemoveId:
-    """Protect the presence of one identifier, with all its rows."""
+    """Protect the presence of one identifier, with all its rows, in the
+    id_column every table carries.  One identifier may add rows to every
+    table at once, so a unit spans one distance per table."""
 
     id_column: str
 
+    @property
+    def metric(self) -> AddRemoveIds:
+        return AddRemoveIds(self.id_column)
 
+    def distance(self, table_count: int) -> int:
+        return table_count
+
+
+# All the compiler reads of a unit: metric, distance(table_count), id_column.
 PrivacyUnit = Union[AddMaxRows, AddRemoveId]
 
 
@@ -494,19 +481,13 @@ _TYPE_ERRORS = (
 )
 
 
-def _unit_metric(unit: PrivacyUnit):
-    if isinstance(unit, AddMaxRows):
-        return SymmetricDifference()
-    if isinstance(unit, AddRemoveId):
-        return AddRemoveIds(unit.id_column)
-    raise TypeCheckError(f"unknown privacy unit {unit!r}")
-
-
-def _root_parts(table_domains: Mapping[str, TableDomain], unit: PrivacyUnit):
-    names = sorted(table_domains)
-    components = tuple(table_domains[name] for name in names)
-    metrics = tuple(_unit_metric(unit) for _ in names)
-    return names, components, metrics
+def _root_parts(tables: Mapping[str, Any], unit: PrivacyUnit):
+    """The table names in order, the tables (or their domains) in that
+    order, and the unit's metric for each."""
+    if not isinstance(unit, (AddMaxRows, AddRemoveId)):
+        raise TypeCheckError(f"unknown privacy unit {unit!r}")
+    names = sorted(tables)
+    return names, tuple(tables[name] for name in names), (unit.metric,) * len(names)
 
 
 def _build_chain(
@@ -545,7 +526,7 @@ def compile_query(
     The mechanism parameter is solved so the end-to-end privacy function
     at the unit distance equals `spend` exactly.
     """
-    spend = _exact_amount(spend)
+    spend = parse_budget_amount(spend)
     if spend == INF:
         raise TypeCheckError(
             "spends must be finite; an infinite budget admits any finite spend"
@@ -556,13 +537,6 @@ def compile_query(
         raise TypeCheckError(str(exc)) from exc
 
 
-def _unit_distance(unit: PrivacyUnit, table_count: int) -> int:
-    if isinstance(unit, AddMaxRows):
-        return unit.max_rows
-    # One identifier may contribute rows to every table at once.
-    return table_count
-
-
 def _compile(
     expr: QueryExpr,
     table_domains: Mapping[str, TableDomain],
@@ -571,7 +545,7 @@ def _compile(
     spend: Fraction,
 ) -> CompiledQuery:
     names, components, metrics = _root_parts(table_domains, unit)
-    distance = _unit_distance(unit, len(names))
+    distance = unit.distance(len(names))
     tables = {
         name: tf.make_select_table(components, metrics, i)
         for i, name in enumerate(names)
@@ -691,10 +665,10 @@ def _session_domains(
     schemas: Mapping[str, Schema], unit: PrivacyUnit
 ) -> dict[str, TableDomain]:
     """The table domains a session over these schemas compiles against;
-    under AddRemoveId every table must carry the identifier column."""
+    every table must carry the unit's id column, if it has one."""
     if not schemas:
         raise EmptyTables("a session needs at least one table")
-    id_column = unit.id_column if isinstance(unit, AddRemoveId) else None
+    id_column = unit.id_column
     for name in sorted(schemas):
         if id_column is not None and not schemas[name].has_column(id_column):
             raise MissingIdColumn(f"table {name!r} lacks the id column {id_column!r}")
@@ -713,14 +687,14 @@ def build_session(
     int64 or text).  The seed fixes all randomness: the same seed and the
     same query sequence reproduce the same outputs bit for bit.
     """
+    _, data, metrics = _root_parts(tables, unit)
     domains = _session_domains(
         {name: table.schema for name, table in tables.items()}, unit
     )
     if not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise TypeMismatch(f"the seed must be a 64-bit unsigned int, got {seed!r}")
-    names, _, metrics = _root_parts(domains, unit)
     queryable = Queryable(
-        tuple(tables[name] for name in names),
+        data,
         TableTuple(metrics),
         budget.measure,
         budget.amount,

@@ -558,6 +558,8 @@ def _read_json(path: Path, error: type[NoisegateError]):
         raise error(f"{path}: a string has no UTF-8 encoding: {exc}") from exc
     except ValueError as exc:  # also an integer of more digits than int() converts
         raise error(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise error(f"{path} nests too deeply to read") from None
     return doc
 
 
@@ -574,31 +576,14 @@ def schema_from_json(obj) -> Schema:
     return Schema(tuple(pairs))
 
 
-def domain_from_json(obj: Mapping) -> TableDomain:
-    """Build a TableDomain from a schema_from_json object with an optional
-    "id_column" entry."""
-    schema = schema_from_json(obj)
-    id_column = obj.get("id_column")
-    return TableDomain(schema, None if id_column is None else str(id_column))
-
-
-def domain_to_json(domain: TableDomain) -> dict:
-    obj: dict = {
-        "columns": [
-            {"name": name, "type": ctype.value} for name, ctype in domain.schema.columns
-        ]
-    }
-    if domain.id_column is not None:
-        obj["id_column"] = domain.id_column
-    return obj
-
-
 def load_schema_file(path: str | Path) -> dict[str, TableDomain]:
     """Load a schema file mapping table names to their domains.
 
     The file is a JSON object {"tables": {name: schema-object, ...}} where
-    each schema object follows the domain_from_json format.  A file that
-    cannot be read raises MissingFile; any other fault TypeParseError.
+    each schema object follows the schema_from_json format and holds
+    nothing but "columns".  No domain has an id column: that comes only
+    from the privacy unit.  A file that cannot be read raises
+    MissingFile; any other fault TypeParseError.
     """
     path = Path(path)
     raw = _read_json(path, TypeParseError)
@@ -607,4 +592,11 @@ def load_schema_file(path: str | Path) -> dict[str, TableDomain]:
     tables = raw["tables"]
     if not isinstance(tables, Mapping) or not tables:
         raise TypeParseError(f"{path}: 'tables' must be a non-empty object")
-    return {str(name): domain_from_json(obj) for name, obj in tables.items()}
+    for name, obj in tables.items():
+        extra = sorted(set(obj) - {"columns"}) if isinstance(obj, Mapping) else []
+        if extra:
+            raise TypeParseError(
+                f"{path}: table {name!r} may hold only 'columns', not {extra[0]!r} "
+                "(an id column comes from the privacy unit)"
+            )
+    return {str(name): TableDomain(schema_from_json(obj)) for name, obj in tables.items()}

@@ -529,6 +529,103 @@ def test_out_naming_a_file_exits_2_before_any_query(tmp_path, capsys):
     assert out.read_text() == "not a directory"
 
 
+def _no_evaluate(self, expr, spend):
+    raise AssertionError("a query was evaluated")
+
+
+def _command_args(root, command):
+    if command == "validate":
+        return ["validate", "--schema", str(root / "schema.json"), "--data", str(root / "data")]
+    return run_args(root, command)
+
+
+def _refused_before_any_query(captured):
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_an_out_target_that_is_a_directory_exits_2_before_any_query(
+    tmp_path, fmt, capsys, monkeypatch
+):
+    write_workspace(tmp_path, queries=[count_query("a", "1"), count_query("b", "1")])
+    out = tmp_path / "out"
+    (out / f"b.{fmt}").mkdir(parents=True)
+    monkeypatch.setattr(session.Session, "evaluate", _no_evaluate)
+    assert main(run_args(tmp_path, budget="2", out=str(out), format=fmt)) == 2
+    captured = capsys.readouterr()
+    _refused_before_any_query(captured)
+    assert "query 'b'" in captured.err
+    assert not (out / f"a.{fmt}").exists()
+
+
+def test_a_result_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch):
+    write_workspace(tmp_path, queries=[count_query("a", "1")])
+    out = tmp_path / "out"
+    evaluate = session.Session.evaluate
+
+    def evaluate_then_block_the_target(self, expr, spend):
+        (out / "a.json").mkdir()  # after run checked the target
+        return evaluate(self, expr, spend)
+
+    monkeypatch.setattr(session.Session, "evaluate", evaluate_then_block_the_target)
+    assert main(run_args(tmp_path, budget="1", out=str(out))) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: query 'a': cannot write its result")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "budget"])
+def test_a_schema_file_id_column_exits_2(tmp_path, command, capsys, monkeypatch):
+    # The id column comes only from --unit add-remove-id:<column>.
+    schema = json.loads(json.dumps(SCHEMA_DOC))
+    schema["tables"]["people"]["id_column"] = "zip"
+    write_workspace(tmp_path, schema=schema, queries=[count_query("t", "1")])
+    monkeypatch.setattr(session.Session, "evaluate", _no_evaluate)
+    assert main(_command_args(tmp_path, command)) == 2
+    captured = capsys.readouterr()
+    _refused_before_any_query(captured)
+    assert "'id_column'" in captured.err
+
+
+DEEP_ARRAY = "[" * 100000 + "]" * 100000
+
+
+def _filter_nest_script(depth):
+    # Spelled as text: json.dumps itself recurses once per level.
+    filters = '{"kind": "Filter", "predicate": "id > 0", "child": ' * depth
+    expr = '{"kind": "Count", "child": ' + filters + json.dumps(SOURCE) + "}" * (depth + 1)
+    return '{"queries": [{"name": "a", "spend": "1", "expr": ' + expr + "}]}"
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "budget"])
+def test_a_deeply_nested_schema_file_exits_2(tmp_path, command, capsys, monkeypatch):
+    write_workspace(tmp_path, queries=[count_query("t", "1")])
+    (tmp_path / "schema.json").write_text(DEEP_ARRAY)
+    monkeypatch.setattr(session.Session, "evaluate", _no_evaluate)
+    assert main(_command_args(tmp_path, command)) == 2
+    _refused_before_any_query(capsys.readouterr())
+
+
+@pytest.mark.parametrize("command", ["run", "budget"])
+@pytest.mark.parametrize(
+    "script_text",
+    [
+        pytest.param(DEEP_ARRAY, id="deep array"),
+        pytest.param(_filter_nest_script(600), id="600 filters"),
+        pytest.param(_filter_nest_script(2000), id="2000 filters"),
+    ],
+)
+def test_a_deeply_nested_script_exits_2(tmp_path, command, script_text, capsys, monkeypatch):
+    write_workspace(tmp_path)
+    (tmp_path / "script.json").write_text(script_text)
+    monkeypatch.setattr(session.Session, "evaluate", _no_evaluate)
+    assert main(run_args(tmp_path, command, budget="1")) == 2
+    _refused_before_any_query(capsys.readouterr())
+
+
 def test_a_query_name_may_not_end_in_a_newline():
     with pytest.raises(ScriptError, match="'name' must match"):
         parse_script({"queries": [count_query("a\n", "1")]})

@@ -34,6 +34,7 @@ from noisegate.errors import (
     NonPositiveEpsilon,
     NonPositiveGranularity,
     NonPositiveSigma,
+    TypeMismatch,
     UnknownColumn,
 )
 from noisegate.measurements import (
@@ -544,6 +545,20 @@ def test_queryable_mismatch_checks():
     with pytest.raises(MetricMismatch):
         q.ask(grouped, Fraction(1, 100), 1)
     assert q.remaining() == 1
+
+
+def test_queryable_refuses_float_amounts():
+    # 0.3 and 0.1 are binary fractions, not the decimals they print as.
+    with pytest.raises(TypeMismatch):
+        _queryable(0.3)
+    q = _queryable()
+    with pytest.raises(TypeMismatch):
+        q.ask(_count_m("1/10"), 0.1, 1)
+    assert q.spent() == 0
+    # The refused ask used no randomness: the next ask is a fresh first ask.
+    tenth = Fraction(1, 10)
+    assert q.ask(_count_m(tenth), tenth, 1) == _queryable().ask(_count_m(tenth), tenth, 1)
+    assert q.spent() == tenth
 
 
 def test_a_failing_evaluation_is_charged_once_and_says_nothing_of_the_rows():

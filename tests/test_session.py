@@ -28,7 +28,8 @@ from noisegate.errors import (
     UnboundedSensitivity,
 )
 from noisegate.measurements import PureDpNoise, compose_per_group, make_count
-from noisegate.metrics import INF, PureDP, ZCDP
+from noisegate import metrics
+from noisegate.metrics import INF, AddRemoveIds, PureDP, SymmetricDifference, ZCDP
 from noisegate.session import (
     AddMaxRows,
     AddRemoveId,
@@ -107,6 +108,34 @@ def test_privacy_unit_validation():
     with pytest.raises(NonPositiveBound):
         AddMaxRows(-3)
     assert AddRemoveId("id").id_column == "id"
+
+
+def test_every_amount_goes_through_one_rule():
+    assert parse_budget_amount is metrics.parse_budget_amount
+    assert parse_budget_amount(2) == 2
+    assert parse_budget_amount(Fraction(1, 3)) == Fraction(1, 3)
+    assert parse_budget_amount(INF) == INF
+    for bad in (0.5, -1, Fraction(-1, 2), "-1/2", None):
+        with pytest.raises(TypeMismatch):
+            parse_budget_amount(bad)
+    with pytest.raises(TypeMismatch):
+        compile_query(query("people").count(), DOMAINS, AddMaxRows(1), PureDP(), 0.5)
+
+
+def test_privacy_units_carry_their_metric_and_distance():
+    assert AddMaxRows(3).distance(2) == 3
+    assert AddRemoveId("u").distance(2) == 2
+    assert AddMaxRows(3).metric == SymmetricDifference()
+    assert AddRemoveId("u").metric == AddRemoveIds("u")
+    assert AddMaxRows(3).id_column is None
+
+
+def test_an_object_that_is_not_a_privacy_unit_is_a_type_check_error():
+    expr = query("people").count()
+    with pytest.raises(TypeCheckError):
+        compile_query(expr, DOMAINS, object(), PureDP(), Fraction(1))
+    with pytest.raises(TypeCheckError):
+        build_session({"people": people_table()}, object(), PrivacyBudget.pure(1), seed=0)
 
 
 def test_keyset_from_tuples():

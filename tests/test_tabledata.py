@@ -28,8 +28,6 @@ from noisegate.tabledata import (
     TableTupleDomain,
     canonicalize,
     csv_text,
-    domain_from_json,
-    domain_to_json,
     load_csv,
     load_schema_file,
     result_cell,
@@ -321,15 +319,6 @@ def test_no_table_holds_a_negative_zero(tmp_path: Path):
 def test_csv_text_quotes_and_terminates():
     t = Table.of(Schema.of(("s", ColumnType.TEXT)), [("a,b",)])
     assert csv_text(t) == 's\n"a,b"\n'
-
-
-def test_domain_json_round_trip():
-    d = TableDomain(PEOPLE, "name")
-    obj = domain_to_json(d)
-    assert domain_from_json(obj) == d
-    assert json.loads(json.dumps(obj)) == obj
-    bare = domain_to_json(TableDomain(PEOPLE, None))
-    assert "id_column" not in bare or bare["id_column"] is None
 
 
 def test_load_schema_file(tmp_path: Path):
