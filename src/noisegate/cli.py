@@ -19,13 +19,12 @@ compile errors.  Messages go to stderr, results to stdout or to --out.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import re
 import sys
 import typing
-from dataclasses import dataclass
+from dataclasses import MISSING
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -37,7 +36,8 @@ from .errors import (
     ScriptError,
     TypeParseError,
 )
-from .metrics import INF, Measure, PureDP, ZCDP
+from .metrics import INF, Measure, PureDP, ZCDP, _parse_fraction
+from .records import Record, record_fields
 from .session import (
     QUERY_NODES,
     AddMaxRows,
@@ -77,8 +77,7 @@ _NAME_RE = re.compile(r"[A-Za-z0-9_\-]+")
 # Config.
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     schema_path: Path
     data_dir: Path | None
     script_path: Path
@@ -126,8 +125,7 @@ def _parse_seed(value: int) -> int:
 # exists; no expression is compiled and no table is read.
 
 
-@dataclass(frozen=True)
-class ScriptQuery:
+class ScriptQuery(Record):
     name: str
     spend: Fraction
     expr: QueryExpr
@@ -159,7 +157,7 @@ def _decode_float(value, where: str) -> float:
 
 def _decode_fraction(value, where: str) -> Fraction:
     try:
-        return Fraction(str(value))
+        return _parse_fraction(str(value))
     except (ValueError, ZeroDivisionError) as exc:
         raise ScriptError(f"{where}: cannot parse {value!r} as an exact number") from exc
 
@@ -201,11 +199,12 @@ _field_types = functools.cache(typing.get_type_hints)
 
 
 def _decode_object(cls: type, obj, where: str):
-    """Build a dataclass from a JSON object, decoding each field by its type."""
+    """Build a record (a query node or a flat-map branch) from a JSON
+    object, decoding each of its fields by the field's annotated type; a
+    field with a default may be left out."""
     _check(obj, Mapping, "an object", where)
     args = {}
-    for field in dataclasses.fields(cls):
-        name = field.name
+    for name, default in record_fields(cls).items():
         if name in obj:
             decode = _DECODERS[_field_types(cls)[name]]
             try:
@@ -214,7 +213,7 @@ def _decode_object(cls: type, obj, where: str):
                 raise
             except NoisegateError as exc:
                 raise ScriptError(f"{where}.{name}: {exc}") from exc
-        elif field.default is dataclasses.MISSING:
+        elif default is MISSING:
             raise ScriptError(f"{where}: missing field {name!r}")
     return cls(**args)
 

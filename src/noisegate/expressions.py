@@ -30,11 +30,11 @@ from __future__ import annotations
 import ast
 import enum
 import operator
-from dataclasses import dataclass
 from math import isfinite
 from typing import Callable, Union
 
 from .errors import ExpressionSyntaxError, ExpressionTypeError, UnknownColumn
+from .records import Record
 from .tabledata import ColumnType, Row, Schema, Value, check_value
 
 
@@ -54,8 +54,7 @@ _COLUMN_TYPES = {
 _NUMERIC = (ExprType.INT, ExprType.FLOAT)
 
 
-@dataclass(frozen=True)
-class CompiledExpression:
+class CompiledExpression(Record):
     """A checked expression: its result type and a row evaluator.
 
     `column` is the index of the input column when the expression is that
@@ -247,8 +246,14 @@ def compile_expression(text: str, schema: Schema) -> CompiledExpression:
     """Parse and type-check an expression against a schema."""
     if not isinstance(text, str) or not text.strip():
         raise ExpressionSyntaxError("expressions must be non-empty strings")
-    node = _parse(text)
-    fn, result_type = _build(node, schema, text)
+    try:
+        node = _parse(text)
+        fn, result_type = _build(node, schema, text)
+    except (RecursionError, MemoryError):
+        # Refused here, at compile time, before any spend is charged.
+        raise ExpressionSyntaxError(
+            f"an expression of {len(text)} characters nests too deeply to compile"
+        ) from None
     column = schema.index_of(node.id) if isinstance(node, ast.Name) else None
     return CompiledExpression(result_type, fn, column)
 

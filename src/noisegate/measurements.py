@@ -23,7 +23,7 @@ import sys
 import threading
 from bisect import bisect_left
 from operator import itemgetter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Callable, Sequence, Union
 
@@ -61,6 +61,7 @@ from .metrics import (
     sum_maps,
 )
 from .noise import sample_discrete_gaussian, sample_two_sided_geometric
+from .records import Record
 from .rng import RngStream
 from .tabledata import (
     ColumnType,
@@ -75,6 +76,8 @@ from .tabledata import (
     split_by_key,
 )
 
+# A dataclass, not a Record: compositions and tracers rebuild one with
+# dataclasses.replace.
 @dataclass(frozen=True)
 class Measurement:
     """A randomized computation with a declared privacy function.
@@ -99,8 +102,7 @@ class Measurement:
 # Noise primitives.
 
 
-@dataclass(frozen=True)
-class GeometricMechanism:
+class GeometricMechanism(Record):
     """Adds two-sided geometric noise with P(k) proportional to
     exp(-|k| epsilon_unit / sensitivity).
 
@@ -111,10 +113,10 @@ class GeometricMechanism:
 
     epsilon_unit: Fraction
     sensitivity: int
-    rate: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # Solved once: every draw samples at this rate.
+        # Solved once: every draw samples at this rate.  Not a field: it
+        # follows from the two that are.
         object.__setattr__(self, "rate", self.epsilon_unit / self.sensitivity)
 
     @property
@@ -125,8 +127,7 @@ class GeometricMechanism:
         return value + sample_two_sided_geometric(self.rate, rng)
 
 
-@dataclass(frozen=True)
-class GaussianMechanism:
+class GaussianMechanism(Record):
     """Adds discrete Gaussian noise with variance parameter sigma_squared.
 
     For integer statistics that move by at most `sensitivity` per unit of
@@ -172,8 +173,7 @@ def make_discrete_gaussian(sigma_squared, sensitivity: int = 1) -> GaussianMecha
 # parameters reproduce the requested loss in rational arithmetic.
 
 
-@dataclass(frozen=True)
-class PureDpNoise:
+class PureDpNoise(Record):
     """Two-sided geometric noise costing epsilon_unit per unit distance."""
 
     epsilon_unit: Fraction
@@ -181,8 +181,7 @@ class PureDpNoise:
     measure = PureDP()
 
 
-@dataclass(frozen=True)
-class ZcdpNoise:
+class ZcdpNoise(Record):
     """Discrete Gaussian noise costing rho_unit at distance 1.
 
     The privacy function is the quadratic rho_unit * d^2.  Parallel

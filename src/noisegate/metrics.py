@@ -12,20 +12,35 @@ send 0 to 0, and hold no code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import TypeMismatch
+from .records import Record
 
 INF = math.inf
+
+# The most decimal digits int() converts by default.  A decimal exponent
+# beyond it is refused before Fraction builds a power of ten that long:
+# Fraction("1e1000000") alone takes a quarter of a second.
+_MAX_EXPONENT = 4300
+
+
+def _parse_fraction(text: str) -> Fraction:
+    """Fraction(text), but ValueError for a decimal exponent beyond
+    ±_MAX_EXPONENT, whatever its mantissa."""
+    _, marker, exponent = text.lower().partition("e")
+    if marker and abs(int(exponent)) > _MAX_EXPONENT:
+        raise ValueError(f"decimal exponents are at most {_MAX_EXPONENT} in size")
+    return Fraction(text)
 
 
 def parse_budget_amount(amount):
     """The one rule for a budget or a spend: text ('inf', 'a/b' or a
     decimal), an int, a Fraction or INF becomes a non-negative Fraction or
-    INF.  A float (so accounting never inherits binary rounding) or a
-    negative amount raises TypeMismatch."""
+    INF.  A float (so accounting never inherits binary rounding), a
+    negative amount or a decimal exponent beyond ±4300 raises
+    TypeMismatch."""
     if amount == INF or (
         isinstance(amount, str) and amount.strip().lower() in ("inf", "infinity")
     ):
@@ -33,7 +48,7 @@ def parse_budget_amount(amount):
     if isinstance(amount, float):
         raise TypeMismatch(f"budget amounts must be exact, not the float {amount!r}")
     try:
-        value = Fraction(amount)
+        value = _parse_fraction(amount) if isinstance(amount, str) else Fraction(amount)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise TypeMismatch(f"cannot parse budget amount {amount!r}") from exc
     if value < 0:
@@ -47,13 +62,11 @@ Distance = Union[int, Fraction, float]
 # Output measures.
 
 
-@dataclass(frozen=True)
-class PureDP:
+class PureDP(Record):
     """Privacy loss is the max-divergence bound epsilon."""
 
 
-@dataclass(frozen=True)
-class ZCDP:
+class ZCDP(Record):
     """Privacy loss is the zero-concentrated bound rho."""
 
 
@@ -64,13 +77,11 @@ Measure = Union[PureDP, ZCDP]
 # Dataset metrics.
 
 
-@dataclass(frozen=True)
-class SymmetricDifference:
+class SymmetricDifference(Record):
     """Multiset symmetric difference between two tables."""
 
 
-@dataclass(frozen=True)
-class AddRemoveIds:
+class AddRemoveIds(Record):
     """Distance counts whole-identifier additions and removals.
 
     Replacing the rows of one identifier costs 2 (remove it, add it back
@@ -80,23 +91,20 @@ class AddRemoveIds:
     id_column: str
 
 
-@dataclass(frozen=True)
-class GroupedBy:
+class GroupedBy(Record):
     """Partition both tables by key columns, sum inner distances per key."""
 
     key_columns: tuple[str, ...]
     inner: "Metric"
 
 
-@dataclass(frozen=True)
-class TableTuple:
+class TableTuple(Record):
     """Componentwise distances over a tuple of tables, reduced by L1 sum."""
 
     components: tuple["Metric", ...]
 
 
-@dataclass(frozen=True)
-class BoundedLists:
+class BoundedLists(Record):
     """Positionwise inner distances over lists of tables, summed.
 
     Lists of unequal length are compared by padding the shorter one with
@@ -113,8 +121,7 @@ Metric = Union[SymmetricDifference, AddRemoveIds, GroupedBy, TableTuple, Bounded
 # Distance maps.
 
 
-@dataclass(frozen=True)
-class DistanceMap:
+class DistanceMap(Record):
     """The monotone map d -> slope * d + quadratic * d^2.
 
     Both coefficients are non-negative rationals, so every map is data

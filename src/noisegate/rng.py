@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+
+from .records import Record
 
 _LABEL_SEPARATOR = b"\x1f"
 
@@ -30,8 +31,7 @@ def _encode_label(label) -> bytes:
     raise TypeError(f"labels must be int, str, or bytes, got {type(label).__name__}")
 
 
-@dataclass(frozen=True)
-class RngStream:
+class RngStream(Record):
     """A seed plus a path of labels identifying one random stream."""
 
     seed: int

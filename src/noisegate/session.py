@@ -16,7 +16,7 @@ requested spend in rational arithmetic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence, Union
 
@@ -57,10 +57,12 @@ from .metrics import (
     SymmetricDifference,
     TableTuple,
     ZCDP,
+    _parse_fraction,
     compose_maps,
     linear_map,
     parse_budget_amount,
 )
+from .records import Record
 from .rng import RngStream
 from .tabledata import (
     ColumnType,
@@ -80,8 +82,7 @@ DEFAULT_GRANULARITY = Fraction(1, 100)
 # Budgets and privacy units.
 
 
-@dataclass(frozen=True)
-class PrivacyBudget:
+class PrivacyBudget(Record):
     """An exact amount of privacy loss under a measure.
 
     The amount is whatever parse_budget_amount accepts, held as a
@@ -103,8 +104,7 @@ class PrivacyBudget:
         return cls(ZCDP(), amount)
 
 
-@dataclass(frozen=True)
-class AddMaxRows:
+class AddMaxRows(Record):
     """Protect any change of at most max_rows rows, across all tables:
     rows are counted by symmetric difference, and a unit spans max_rows."""
 
@@ -123,8 +123,7 @@ class AddMaxRows:
         return self.max_rows
 
 
-@dataclass(frozen=True)
-class AddRemoveId:
+class AddRemoveId(Record):
     """Protect the presence of one identifier, with all its rows, in the
     id_column every table carries.  One identifier may add rows to every
     table at once, so a unit spans one distance per table."""
@@ -164,15 +163,16 @@ def keyset_from_tuples(
 # ---------------------------------------------------------------------------
 # Query expressions.
 #
-# Each node is declared once, as a dataclass: the CLI decodes script JSON
-# by field name and type, the node's own method is its compile step, and
+# Each node is declared once, as a record (QueryExpr is a Record, so each
+# annotation in a node's body is a field): the CLI decodes script JSON by
+# field name and type, the node's own method is its compile step, and
 # its builder methods chain the next node onto it.  Relational nodes have
 # the relational and aggregation methods, GroupBy only the aggregation
 # methods, and aggregations none, so a chain of calls can only build a
 # query whose one aggregation is its root.
 
 
-class QueryExpr:
+class QueryExpr(Record):
     """Base class for query expression nodes."""
 
     def _grouping(self) -> tuple[KeySet | None, QueryExpr]:
@@ -242,7 +242,6 @@ def _require_rows(upstream: tf.Transformation, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
 class Source(_Relational):
     table: str
 
@@ -254,7 +253,6 @@ class Source(_Relational):
         return tables[self.table]
 
 
-@dataclass(frozen=True)
 class Filter(_Relational):
     child: QueryExpr
     predicate: str
@@ -265,7 +263,6 @@ class Filter(_Relational):
         ))
 
 
-@dataclass(frozen=True)
 class Map(_Relational):
     child: QueryExpr
     columns: Mapping[str, str]
@@ -278,7 +275,6 @@ class Map(_Relational):
         ))
 
 
-@dataclass(frozen=True)
 class FlatMap(_Relational):
     child: QueryExpr
     branches: tuple[tf.ExpansionBranch, ...]
@@ -292,7 +288,6 @@ class FlatMap(_Relational):
         ))
 
 
-@dataclass(frozen=True)
 class JoinPublic(_Relational):
     child: QueryExpr
     table: Table
@@ -305,7 +300,6 @@ class JoinPublic(_Relational):
         ))
 
 
-@dataclass(frozen=True)
 class JoinPrivate(_Relational):
     child: QueryExpr
     other: QueryExpr
@@ -340,7 +334,6 @@ class JoinPrivate(_Relational):
         )
 
 
-@dataclass(frozen=True)
 class TruncateById(_Relational):
     child: QueryExpr
     bound: int
@@ -355,7 +348,6 @@ class TruncateById(_Relational):
         ))
 
 
-@dataclass(frozen=True)
 class GroupBy(_Aggregable):
     child: QueryExpr
     keys: KeySet
@@ -364,7 +356,6 @@ class GroupBy(_Aggregable):
         return self.keys, self.child
 
 
-@dataclass(frozen=True)
 class Count(_Aggregation):
     child: QueryExpr
 
@@ -374,7 +365,6 @@ class Count(_Aggregation):
         return make_count(domain, noise)
 
 
-@dataclass(frozen=True)
 class _Clamped(_Aggregation):
     """A sum or an average of one column clamped to [low, high], counted
     in grains of the given granularity."""
@@ -387,11 +377,14 @@ class _Clamped(_Aggregation):
 
     def __post_init__(self) -> None:
         # A float granularity is the decimal it prints as (0.1 is 1/10),
-        # however the node was built.
-        object.__setattr__(self, "granularity", Fraction(str(self.granularity)))
+        # however the node was built; text is read by the same rule.  An
+        # exact number is kept as it is: str() of one past 4300 digits fails.
+        granularity = self.granularity
+        if not isinstance(granularity, (int, Fraction)):
+            granularity = _parse_fraction(str(granularity))
+        object.__setattr__(self, "granularity", Fraction(granularity))
 
 
-@dataclass(frozen=True)
 class Sum(_Clamped):
     value_column = ("sum", ColumnType.FLOAT64)
 
@@ -401,7 +394,6 @@ class Sum(_Clamped):
         )
 
 
-@dataclass(frozen=True)
 class Average(_Clamped):
     value_column = ("average", ColumnType.FLOAT64)
 
@@ -411,7 +403,6 @@ class Average(_Clamped):
         )
 
 
-@dataclass(frozen=True)
 class Quantile(_Aggregation):
     child: QueryExpr
     column: str
@@ -450,8 +441,7 @@ def query(table: str) -> Source:
 # Compilation.
 
 
-@dataclass(frozen=True)
-class CompiledQuery:
+class CompiledQuery(Record):
     """The output of compiling one query expression.
 
     `measurement` runs end to end on the session's table tuple and its

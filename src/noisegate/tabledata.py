@@ -37,7 +37,6 @@ import re
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from operator import itemgetter
@@ -56,6 +55,7 @@ from .errors import (
     TypeParseError,
     UnknownColumn,
 )
+from .records import Record
 
 Value = Union[int, float, str]
 Row = tuple[Value, ...]
@@ -88,8 +88,7 @@ class ColumnType(enum.Enum):
         raise TypeParseError(f"unknown column type {name!r}")
 
 
-@dataclass(frozen=True)
-class Schema:
+class Schema(Record):
     """An ordered list of (name, type) columns with unique, non-empty names."""
 
     columns: tuple[tuple[str, ColumnType], ...]
@@ -180,8 +179,7 @@ def check_key_columns(schema: Schema, key_schema: Schema) -> None:
             )
 
 
-@dataclass(frozen=True, eq=False)
-class Table:
+class Table(Record):
     """A schema and a multiset of rows.
 
     Tables compare by identity; use table_equal for multiset equality so
@@ -193,6 +191,9 @@ class Table:
 
     schema: Schema
     rows: tuple[Row, ...]
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __post_init__(self) -> None:
         types = [ctype for _, ctype in self.schema.columns]
@@ -268,8 +269,7 @@ class Table:
         return {}
 
 
-@dataclass(frozen=True)
-class KeySet:
+class KeySet(Record):
     """The explicit group-by keys a grouped query reports, exactly.
 
     Building one checks every key as a Table cell of its column
@@ -331,8 +331,7 @@ def split_by_key(table: Table, key_columns: Sequence[str]) -> dict:
 # Domains.
 
 
-@dataclass(frozen=True)
-class TableDomain:
+class TableDomain(Record):
     """All tables with a given schema, optionally carrying an ID column.
 
     The ID column, when set, names the column holding a contribution
@@ -353,15 +352,13 @@ class TableDomain:
                 raise MissingIdColumn("id columns must be int64 or text")
 
 
-@dataclass(frozen=True)
-class TableTupleDomain:
+class TableTupleDomain(Record):
     """Fixed-length tuples of tables, one component domain per position."""
 
     components: tuple[TableDomain, ...]
 
 
-@dataclass(frozen=True)
-class TableListDomain:
+class TableListDomain(Record):
     """Fixed-length lists of tables sharing one element domain."""
 
     element: TableDomain

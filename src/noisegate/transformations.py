@@ -42,6 +42,7 @@ from .metrics import (
     compose_maps,
     linear_map,
 )
+from .records import Record
 from .tabledata import (
     Row,
     Schema,
@@ -87,6 +88,8 @@ def _row_of(cells: Sequence[CompiledExpression]) -> Callable[[Row], Row]:
     return lambda row: tuple([fn(row) for fn in fns])
 
 
+# A dataclass, not a Record, like measurements.Measurement: callers rebuild
+# one with dataclasses.replace.
 @dataclass(frozen=True)
 class Transformation:
     """A pure function between domains with a stability bound."""
@@ -215,8 +218,7 @@ def make_map(
     )
 
 
-@dataclass(frozen=True)
-class ExpansionBranch:
+class ExpansionBranch(Record):
     """One candidate output row of a flat map.
 
     `columns` maps output column names to expressions over the input row;

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import typing
 from fractions import Fraction
 from pathlib import Path
@@ -14,6 +15,7 @@ import noisegate
 from noisegate import cli, session
 from noisegate.cli import main, parse_script
 from noisegate.errors import ScriptError
+from noisegate.records import record_fields
 from noisegate.session import QUERY_NODES, keyset_from_tuples, query
 from noisegate.tabledata import ColumnType
 
@@ -451,6 +453,54 @@ def test_bad_scripts_exit_2(tmp_path, script_text, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def _clamped_sum(granularity):
+    return {
+        "kind": "Sum", "child": SOURCE, "column": "income",
+        "low": 0, "high": 100, "granularity": granularity,
+    }
+
+
+@pytest.mark.parametrize("amount", ["1e1000000000", "1e-1000000000"])
+@pytest.mark.parametrize("where", ["budget", "granularity"])
+@pytest.mark.parametrize("command", ["run", "budget"])
+def test_a_huge_decimal_exponent_exits_2_at_once(tmp_path, capsys, amount, where, command):
+    # Fraction would build a power of ten with a billion digits first.
+    granularity = amount if where == "granularity" else "1"
+    write_workspace(tmp_path, queries=[{"name": "a", "spend": "1", "expr": _clamped_sum(granularity)}])
+    budget = amount if where == "budget" else "10"
+    start = time.perf_counter()
+    assert main(run_args(tmp_path, command, budget=budget)) == 2
+    assert time.perf_counter() - start < 0.1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["1e40", "1e4300", "1e-4300"])
+def test_a_granularity_exponent_up_to_4300_is_read_exactly(text):
+    doc = {"queries": [{"name": "a", "spend": "1", "expr": _clamped_sum(text)}]}
+    assert parse_script(doc)[0].expr.granularity == Fraction(text)
+
+
+def test_a_budget_of_1e40_is_accepted(tmp_path, capsys):
+    write_workspace(tmp_path, queries=[count_query("a", "1")])
+    assert main(run_args(tmp_path, "budget", budget="1e40")) == 0
+    assert capsys.readouterr().out == f"remaining_budget: {10**40 - 1}\n"
+
+
+@pytest.mark.parametrize("terms", [1000, 5000])
+@pytest.mark.parametrize("command", ["run", "budget"])
+def test_a_predicate_too_deep_to_compile_is_a_compile_error(tmp_path, capsys, terms, command):
+    # Like any predicate that does not compile: exit 4, one error line,
+    # nothing charged and no traceback.
+    predicate = "income > 0 and " + " + ".join(["income"] * terms) + " > 0"
+    expr = {"kind": "Count", "child": {"kind": "Filter", "child": SOURCE, "predicate": predicate}}
+    write_workspace(tmp_path, queries=[{"name": "a", "spend": "1", "expr": expr}])
+    assert main(run_args(tmp_path, command, budget="10")) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: query 'a': ") and err.count("\n") == 1
+    assert "nests too deeply" in err
+
+
 DEMO = Path(__file__).resolve().parents[1] / "demo"
 
 
@@ -644,8 +694,8 @@ def test_missing_csv_exits_2(tmp_path, capsys):
 def test_every_node_field_type_has_a_decoder():
     for node in QUERY_NODES.values():
         hints = typing.get_type_hints(node)
-        for field in dataclasses.fields(node):
-            assert hints[field.name] in cli._DECODERS, (node.__name__, field.name)
+        for name in record_fields(node):
+            assert hints[name] in cli._DECODERS, (node.__name__, name)
 
 
 @pytest.mark.parametrize(

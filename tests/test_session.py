@@ -1,8 +1,8 @@
-import dataclasses
 import itertools
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -30,6 +30,7 @@ from noisegate.errors import (
 from noisegate.measurements import PureDpNoise, compose_per_group, make_count
 from noisegate import metrics
 from noisegate.metrics import INF, AddRemoveIds, PureDP, SymmetricDifference, ZCDP
+from noisegate.records import record_fields
 from noisegate.session import (
     AddMaxRows,
     AddRemoveId,
@@ -120,6 +121,21 @@ def test_every_amount_goes_through_one_rule():
             parse_budget_amount(bad)
     with pytest.raises(TypeMismatch):
         compile_query(query("people").count(), DOMAINS, AddMaxRows(1), PureDP(), 0.5)
+
+
+@pytest.mark.parametrize("text", ["1e1000000000", "1e-1000000000", "1E+4301", "2.5e-4301"])
+def test_a_decimal_exponent_beyond_4300_is_refused_at_once(text):
+    start = time.perf_counter()
+    with pytest.raises(TypeMismatch):
+        parse_budget_amount(text)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_a_decimal_exponent_up_to_4300_is_read_exactly():
+    assert parse_budget_amount("1e40") == 10**40
+    assert parse_budget_amount("1e4300") == 10**4300
+    assert parse_budget_amount("1e-4300") == Fraction(1, 10**4300)
+    assert parse_budget_amount(" 2.5E+3 ") == 2500
 
 
 def test_privacy_units_carry_their_metric_and_distance():
@@ -334,6 +350,15 @@ def test_failed_evaluate_charges_nothing():
     expr = query("people").count()
     assert a.evaluate(expr, spend).rows == b.evaluate(expr, spend).rows
     assert b.remaining_budget().amount == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("terms", [1000, 5000])
+def test_a_predicate_too_deep_to_compile_is_refused_before_any_charge(terms):
+    s = fresh_session(budget=PrivacyBudget.pure(1))
+    predicate = "id > 0 and " + " + ".join(["id"] * terms) + " > 0"
+    with pytest.raises(TypeCheckError, match="nests too deeply"):
+        s.evaluate(query("people").filter(predicate).count(), PrivacyBudget.pure("1/2"))
+    assert s.remaining_budget().amount == 1
 
 
 def test_session_measure_mismatch():
@@ -712,8 +737,8 @@ def _truncated(name):
 
 def _node_kinds(expr):
     kinds = {type(expr).__name__}
-    for field in dataclasses.fields(expr):
-        value = getattr(expr, field.name)
+    for name in record_fields(expr):
+        value = getattr(expr, name)
         if isinstance(value, tuple(QUERY_NODES.values())):
             kinds |= _node_kinds(value)
     return kinds
