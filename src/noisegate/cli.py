@@ -36,7 +36,7 @@ from .errors import (
     ScriptError,
     TypeParseError,
 )
-from .metrics import INF, Measure, PureDP, ZCDP, _parse_fraction
+from .metrics import INF, Measure, PureDP, ZCDP, _parse_fraction, format_amount
 from .records import Record, record_fields
 from .session import (
     QUERY_NODES,
@@ -292,10 +292,6 @@ def _load_script(path: Path) -> list[ScriptQuery]:
 # Output.
 
 
-def _format_amount(amount) -> str:
-    return "inf" if amount == INF else str(Fraction(amount))
-
-
 def _row_objects(table: Table) -> list[dict]:
     return [dict(zip(table.schema.names, row)) for row in table.rows]
 
@@ -315,7 +311,7 @@ class _Emitter:
             payload = {
                 "query": name,
                 "rows": _row_objects(table),
-                "remaining_budget": _format_amount(remaining),
+                "remaining_budget": format_amount(remaining),
             }
             text = json.dumps(payload) + "\n"
         else:
@@ -329,7 +325,7 @@ class _Emitter:
             self.target(name).write_text(text, encoding="utf-8")
 
     def finish(self, remaining) -> None:
-        amount = _format_amount(remaining)
+        amount = format_amount(remaining)
         if self.fmt == "json" and self.out is None:
             sys.stdout.write(json.dumps({"remaining_budget": amount}) + "\n")
         else:
@@ -413,10 +409,10 @@ def cmd_budget(cfg: RunConfig) -> int:
         spent += item.spend
         if total != INF and spent > total:
             deficit = sum((q.spend for q in script), Fraction(0)) - total
-            sys.stdout.write(f"deficit: {deficit}\n")
+            sys.stdout.write(f"deficit: {format_amount(deficit)}\n")
             return EXIT_BUDGET
     remaining = INF if total == INF else total - spent
-    sys.stdout.write(f"remaining_budget: {_format_amount(remaining)}\n")
+    sys.stdout.write(f"remaining_budget: {format_amount(remaining)}\n")
     return EXIT_OK
 
 

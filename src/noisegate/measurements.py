@@ -55,6 +55,7 @@ from .metrics import (
     PureDP,
     SymmetricDifference,
     ZCDP,
+    format_amount,
     linear_map,
     max_slope_map,
     parse_budget_amount,
@@ -220,18 +221,27 @@ def _noisy(domain: TableDomain, noise: NoiseSpec, sensitivity: int, statistic) -
             domain, SymmetricDifference(), noise.measure, linear_map(0),
             lambda table, rng: value,
         )
+    # Each evaluation is the mechanism's add_noise written out, one
+    # statistic and one draw; the sampler is read from this module on
+    # every call, so a caller that swaps it sees each draw.
     if isinstance(noise, PureDpNoise):
         mechanism = make_geometric(noise.epsilon_unit, sensitivity)
+        rate = mechanism.rate
+
+        def evaluate(table: Table, rng: random.Random) -> int:
+            return statistic(table.rows) + sample_two_sided_geometric(rate, rng)
+
     else:
         rho_unit = Fraction(noise.rho_unit)
         if rho_unit <= 0:
             raise NonPositiveEpsilon(f"rho must be positive, got {rho_unit}")
-        sigma_squared = Fraction(sensitivity * sensitivity) / (2 * rho_unit)
-        mechanism = make_discrete_gaussian(sigma_squared, sensitivity)
-    add_noise = mechanism.add_noise
+        mechanism = make_discrete_gaussian(
+            Fraction(sensitivity * sensitivity) / (2 * rho_unit), sensitivity
+        )
+        sigma_squared = mechanism.sigma_squared
 
-    def evaluate(table: Table, rng: random.Random) -> int:
-        return add_noise(statistic(table.rows), rng)
+        def evaluate(table: Table, rng: random.Random) -> int:
+            return statistic(table.rows) + sample_discrete_gaussian(sigma_squared, rng)
 
     return Measurement(
         domain, SymmetricDifference(), noise.measure, mechanism.privacy_function, evaluate
@@ -280,8 +290,17 @@ def _sum_setup(low, high, granularity):
 # can matter, at |p - r| near 1/2, so |p| near 1/2 or more: p - r by
 # Sterbenz's lemma and 2^-50 |p| as a power-of-two scaling.  Only 1/2 -
 # margin(p) may round up, by at most 2^-55, which the room between 3u |x|
-# and 8u |p| covers.  From |p| = 2^49 on the test always fails, so large
-# counts take the exact path.
+# and 8u |p| covers.
+#
+# One bound serves every row of a measurement.  A clamped value has |v| <=
+# max(-low, high), and rounded float products, sums and differences are
+# monotone in their operands, so with top = max(-low, high) * (g_den /
+# g_num), every row's |p| <= top and bound = 1/2 - margin(top) <= 1/2 -
+# margin(p).  A row with |p - r| < bound passes its own test, so its r is
+# right; a row that fails it takes the exact integer path, which gives
+# the same count.  The bound only moves work: a row nearer a half grain
+# than bound is counted exactly even where its own margin would have let
+# it through.  From top = 2^49 on, bound <= 0 and every row is exact.
 _MARGIN_REL = 2.0**-50
 _MARGIN_SUBNORMAL = 2.0**-1074
 
@@ -291,17 +310,21 @@ def _grain_total(index: int, low: float, high: float, g_num: int, g_den: int):
     row[index] / gamma), half to even, for gamma = g_num / g_den.
 
     Exact: each row's count is first tried in floats, p = v * (g_den /
-    g_num), and round(p) is taken only when p is far enough from a half
-    integer that no rounding error can move it across (see margin above).
-    Any other row, and every row when g_num or g_den is 2^53 or more or
-    a clamped value's p could overflow, takes the integer path:
-    value / gamma is n * g_den / (d * g_num) for the value's exact ratio
-    n / d, rounded half to even with divmod.
+    g_num), and round(p) is taken only when |p - round(p)| is under the
+    bound solved once for the clamp range (see above), so no rounding
+    error can have moved p across a half integer.  Any other row, and
+    every row when g_num or g_den is 2^53 or more or the range's top p
+    overflows (a bound of 0 then), takes the integer path: value / gamma
+    is n * g_den / (d * g_num) for the value's exact ratio n / d, rounded
+    half to even with divmod.
     """
-    fast = g_num < 2**53 and g_den < 2**53
-    if fast:
-        scale = g_den / g_num
-        fast = max(-low, high) * scale < math.inf
+    scale = bound = 0.0
+    if g_num < 2**53 and g_den < 2**53:
+        ratio = g_den / g_num
+        top = max(-low, high) * ratio
+        if top < math.inf:
+            scale = ratio
+            bound = 0.5 - (top * _MARGIN_REL + _MARGIN_SUBNORMAL)
 
     def total_of(rows: Sequence[Row]) -> int:
         total = 0
@@ -311,12 +334,11 @@ def _grain_total(index: int, low: float, high: float, g_num: int, g_den: int):
                 value = low
             elif value > high:
                 value = high
-            if fast:
-                p = value * scale
-                r = round(p)
-                if abs(p - r) < 0.5 - (abs(p) * _MARGIN_REL + _MARGIN_SUBNORMAL):
-                    total += r
-                    continue
+            p = value * scale
+            r = round(p)
+            if abs(p - r) < bound:
+                total += r
+                continue
             n, d = value.as_integer_ratio()
             divisor = d * g_num
             quotient, remainder = divmod(n * g_den, divisor)
@@ -379,10 +401,15 @@ def make_average(
     """
     half = _halve(noise)
     grains, g_num, g_den = _make_grain_sum(domain, column, low, high, granularity, half)
-    both = compose_sequential([grains, make_count(domain, half)])
+    count = make_count(domain, half)
+    # The composition checks the parts and adds their privacy functions;
+    # evaluation calls the parts itself, in the composition's order.
+    both = compose_sequential([grains, count])
+    total_of, count_of = grains._eval, count._eval
 
     def evaluate(table: Table, rng: random.Random) -> float:
-        noisy_total, noisy_count = both._eval(table, rng)
+        noisy_total = total_of(table, rng)
+        noisy_count = count_of(table, rng)
         return result_cell(
             noisy_total * g_num, ColumnType.FLOAT64, g_den * max(1, noisy_count)
         )
@@ -510,7 +537,12 @@ def compose_per_group(
     group's value released through result_cell.  The rows are split in
     one keyed pass into plain lists; only a keyset key found in the data
     gets a Table of its own, and absent keys share one empty Table.
-    Every group draws its noise from the one generator, in keyset order.
+    Each key then costs one call of the per-group measurement on its
+    Table and one result cell, and nothing is summed across keys: the
+    per-group part is any Measurement on tables (a quantile reads its
+    group's rows whole), and the benchmark's tracer counts released and
+    empty groups from these calls.  Every group draws its noise from the
+    one generator, in keyset order.
     The key rows were checked when the KeySet was built and are trusted
     here; the key columns must match the domain and the value column
     must be numeric.
@@ -531,15 +563,18 @@ def compose_per_group(
     group_key = itemgetter(*range(len(key_columns)))
 
     def evaluate(table: Table, rng: random.Random) -> Table:
-        groups = split_by_key(table, key_columns)
-        empty = Table._trusted(table.schema, ())
+        find = split_by_key(table, key_columns).get
+        trusted = Table._trusted
+        release = per_group._eval
+        schema = table.schema
+        empty = trusted(schema, ())
         rows = []
+        append = rows.append
         for key_row in keys.rows:
-            part = groups.get(group_key(key_row))
-            group = empty if part is None else Table._trusted(table.schema, tuple(part))
-            value = per_group._eval(group, rng)
-            rows.append(key_row + (result_cell(value, value_type),))
-        return Table._trusted(output_schema, tuple(rows))
+            part = find(group_key(key_row))
+            value = release(empty if part is None else trusted(schema, tuple(part)), rng)
+            append(key_row + (result_cell(value, value_type),))
+        return trusted(output_schema, tuple(rows))
 
     return Measurement(
         input_domain=domain,
@@ -666,13 +701,14 @@ class Queryable:
             loss = measurement.privacy_function(at_distance)
             if loss > spend:
                 raise GuaranteeTooWeak(
-                    f"measurement loses {loss} at distance {at_distance}, "
-                    f"more than the declared spend {spend}"
+                    f"measurement loses {format_amount(loss)} at distance "
+                    f"{at_distance}, more than the declared spend {format_amount(spend)}"
                 )
             remaining = self.remaining()
             if spend > remaining:
                 raise InsufficientBudget(
-                    f"spend {spend} exceeds remaining budget {remaining}"
+                    f"spend {format_amount(spend)} exceeds remaining budget "
+                    f"{format_amount(remaining)}"
                 )
             stream = self._rng.child(self._count)
             self._spent += spend

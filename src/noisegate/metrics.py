@@ -12,6 +12,7 @@ send 0 to 0, and hold no code.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -54,6 +55,21 @@ def parse_budget_amount(amount):
     if value < 0:
         raise TypeMismatch(f"budget amounts are non-negative, got {value}")
     return value
+
+
+def format_amount(amount) -> str:
+    """An exact amount or INF as text: "inf", or the Fraction as str()
+    writes it ("n" or "n/d").  The digits go through Decimal, which writes
+    an int of any length: str() refuses one of more than 4,300 digits, and
+    accounting reaches that from amounts parse_budget_amount accepts (a
+    budget of 1e4300 less a spend of 1/2)."""
+    if amount == INF:
+        return "inf"
+    amount = Fraction(amount)
+    numerator = str(Decimal(amount.numerator))
+    if amount.denominator == 1:
+        return numerator
+    return f"{numerator}/{Decimal(amount.denominator)}"
 
 
 Distance = Union[int, Fraction, float]

@@ -160,7 +160,10 @@ def result_cell(value, ctype: ColumnType, denominator: int = 1) -> Value:
     rounded, so a sum or average needs no Fraction on its way out.
     """
     if ctype is ColumnType.INT64:
-        return min(max(int(value), _INT64_MIN), _INT64_MAX)
+        value = int(value)
+        if _INT64_MIN <= value <= _INT64_MAX:
+            return value
+        return _INT64_MAX if value > 0 else _INT64_MIN
     try:
         return value / denominator + 0.0  # -0.0 becomes 0.0
     except OverflowError:
@@ -218,8 +221,9 @@ class Table(Record):
         else supplied from outside goes through Table(...).
         """
         table = object.__new__(cls)
-        object.__setattr__(table, "schema", schema)
-        object.__setattr__(table, "rows", rows)
+        fields = table.__dict__
+        fields["schema"] = schema
+        fields["rows"] = rows
         return table
 
     @classmethod

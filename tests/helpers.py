@@ -398,6 +398,25 @@ def grain_total_reference(values, low, high, gamma) -> int:
     return sum(round(Fraction(min(max(v, low), high)) / gamma) for v in values)
 
 
+def per_group_reference(release, keys, value_type: ColumnType, table: Table, rng) -> tuple:
+    """compose_per_group's result rows the plain way: for each keyset key,
+    in keyset order, a checked Table of the rows whose key cells equal it
+    (empty for a key the data lacks), release(that table, rng) for its
+    value, and the value, an int clamped to the int64 range."""
+    positions = [table.schema.index_of(name) for name in keys.schema.names]
+    rows = []
+    for key_row in keys.rows:
+        group = Table(
+            table.schema,
+            tuple(row for row in table.rows if tuple(row[i] for i in positions) == key_row),
+        )
+        value = release(group, rng)
+        if value_type is ColumnType.INT64:
+            value = min(max(value, -(2**63)), 2**63 - 1)
+        rows.append(key_row + (value,))
+    return tuple(rows)
+
+
 def quantile_scores_reference(values, midpoints, q) -> list:
     """Quantile bin scores by comparing every value with every midpoint."""
     target = q * len(values)

@@ -487,6 +487,37 @@ def test_a_budget_of_1e40_is_accepted(tmp_path, capsys):
     assert capsys.readouterr().out == f"remaining_budget: {10**40 - 1}\n"
 
 
+@pytest.mark.parametrize("command", ["run", "budget"])
+def test_a_remaining_budget_past_4300_digits_is_printed_exactly(tmp_path, capsys, command):
+    # 10^4300 - 1/2 - 1/3 has a numerator of 4,301 digits, past what str()
+    # of an int writes.
+    write_workspace(tmp_path, queries=[count_query("a", "1/2"), count_query("b", "1/3")])
+    args = run_args(tmp_path, command, budget="1e4300")
+    if command == "run":
+        args += ["--format", "csv"]
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    # Exactly (6 * 10^4300 - 5) / 6.
+    assert captured.out.splitlines()[-1] == "remaining_budget: 5" + "9" * 4299 + "5/6"
+
+
+@pytest.mark.parametrize("command", ["run", "budget"])
+def test_a_budget_short_by_4300_digits_is_reported_exactly(tmp_path, capsys, command):
+    # A spend of 1/2 against 10^-4300: run's refusal and budget's deficit
+    # write amounts whose numerator or denominator passes 4,300 digits.
+    write_workspace(tmp_path, queries=[count_query("a", "1/2")])
+    assert main(run_args(tmp_path, command, budget="1e-4300")) == 3
+    captured = capsys.readouterr()
+    tiny = "1/1" + "0" * 4300
+    if command == "run":
+        assert captured.err == f"error: query 'a': spend 1/2 exceeds remaining budget {tiny}\n"
+        assert json.loads(captured.out) == {"remaining_budget": tiny}
+    else:
+        # 1/2 - 10^-4300, exactly.
+        assert captured.out == "deficit: " + "4" + "9" * 4299 + "/1" + "0" * 4300 + "\n"
+
+
 @pytest.mark.parametrize("terms", [1000, 5000])
 @pytest.mark.parametrize("command", ["run", "budget"])
 def test_a_predicate_too_deep_to_compile_is_a_compile_error(tmp_path, capsys, terms, command):

@@ -5,6 +5,7 @@ import threading
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -12,10 +13,13 @@ from helpers import (
     empirical_pmf,
     geometric_pmf,
     grain_total_reference,
+    per_group_reference,
     product_pmf,
     pure_dp_divergence,
     quantile_pmf,
     quantile_scores_reference,
+    randrange_discrete_gaussian,
+    randrange_two_sided_geometric,
     tv_distance,
 )
 from noisegate.errors import (
@@ -38,6 +42,8 @@ from noisegate.errors import (
     UnknownColumn,
 )
 from noisegate.measurements import (
+    _MARGIN_REL,
+    _MARGIN_SUBNORMAL,
     _grain_total,
     _quantile_scores,
     GaussianMechanism,
@@ -167,6 +173,20 @@ def test_sum_clamps_and_rounds():
     assert m2.eval(T(("a", 1.125), ("b", 1.875)), stream()) == 3
 
 
+def _past_the_shared_bound(rng, gamma, bound):
+    """Values at grain counts up to 40, both signs, whose p is farther
+    than `bound` from the nearest integer but not near a half grain: each
+    row's own margin would let round(p) through, the one bound for the
+    clamp range does not."""
+    lowest = max(bound, 0.0) + 1e-9
+    offsets = [lowest] + [rng.uniform(lowest, 0.49) for _ in range(3)]
+    return [
+        sign * float(gamma * (rng.randint(0, 40) + Fraction(offset)))
+        for offset in offsets
+        for sign in (1.0, -1.0)
+    ]
+
+
 def _near_half_grains(rng, gamma, largest):
     """Values one and two ulps either side of a half grain, both signs,
     for grain counts up to `largest`."""
@@ -219,6 +239,19 @@ def test_grain_total_matches_fraction_reference(gamma):
             # Bounds whose grain counts overflow a float.
             (float_schema, [1e308, -1e308, 0.5], -sys.float_info.max, sys.float_info.max),
         ]
+        if gamma.numerator < 2**53 and gamma.denominator < 2**53:
+            # Clamp ranges of 2^46 and 2^48 grains (bounds near 7/16 and
+            # 1/4) and at the int64 ends (a bound of 0 or less): rows that
+            # the one bound sends to the exact path.
+            scale = gamma.denominator / gamma.numerator
+            for edge in (float(gamma * 2**46), float(gamma * 2**48), int64_end):
+                bound = 0.5 - (edge * scale * _MARGIN_REL + _MARGIN_SUBNORMAL)
+                values = _past_the_shared_bound(rng, gamma, bound)
+                for v in values:
+                    p = v * scale
+                    margin = abs(p) * _MARGIN_REL + _MARGIN_SUBNORMAL
+                    assert bound <= abs(p - round(p)) < 0.5 - margin
+                cases.append((float_schema, values, -edge, edge))
         for schema, values, lo, hi in cases:
             table = Table.of(schema, [(v,) for v in values])
             total = _grain_total(0, lo, hi, gamma.numerator, gamma.denominator)(table.rows)
@@ -402,6 +435,77 @@ def test_per_group_gets_one_table_per_keyset_key():
         Counter(),
         Counter({("a", 1.0): 2, ("a", 3.0): 1}),
     ]
+
+
+GROUPED = Schema.of(("g", ColumnType.TEXT), ("k", ColumnType.INT64), ("v", ColumnType.FLOAT64))
+GROUPED_DOMAIN = TableDomain(GROUPED, None)
+
+
+def _per_group_parts():
+    """A count, a sum and an average under each noise spec, each with the
+    linear privacy function per-group composition needs, and the value
+    each releases computed from the oracles: the grain reference, the
+    randrange samplers and exact division, an average's sum drawn first."""
+    clamp = (-2, 10, Fraction(1, 4))  # 40 grains per row at most
+
+    def grains(table):
+        return grain_total_reference([row[2] for row in table.rows], *clamp)
+
+    def draw(noise, sensitivity, rng):
+        if isinstance(noise, PureDpNoise):
+            return randrange_two_sided_geometric(noise.epsilon_unit / sensitivity, rng)
+        return randrange_discrete_gaussian(Fraction(sensitivity**2) / (2 * noise.rho_unit), rng)
+
+    for noise, half in (
+        (PureDpNoise(Fraction(1, 2)), PureDpNoise(Fraction(1, 4))),
+        (ZcdpNoise(Fraction(1, 2)), ZcdpNoise(Fraction(1, 4))),
+    ):
+
+        def count(table, rng, noise=noise):
+            return len(table.rows) + draw(noise, 1, rng)
+
+        def total(table, rng, noise=noise):
+            return float(Fraction(grains(table) + draw(noise, 40, rng), 4))
+
+        def average(table, rng, half=half):
+            noisy_total = grains(table) + draw(half, 40, rng)
+            noisy_count = len(table.rows) + draw(half, 1, rng)
+            return float(Fraction(noisy_total, 4 * max(1, noisy_count)))
+
+        for part, reference, value_type in (
+            (make_count(GROUPED_DOMAIN, noise), count, ColumnType.INT64),
+            (make_sum(GROUPED_DOMAIN, "v", *clamp, noise), total, ColumnType.FLOAT64),
+            (make_average(GROUPED_DOMAIN, "v", *clamp, noise), average, ColumnType.FLOAT64),
+        ):
+            line = linear_map(part.privacy_function(1))
+            yield replace(part, privacy_function=line), reference, value_type
+
+
+@pytest.mark.parametrize("key_names", [("g",), ("k",), ("k", "g")])
+def test_per_group_matches_the_per_key_reference(key_names):
+    # Same rows and the same draws, in the same order: after each release
+    # the generator's next word is the reference's.
+    key_schema = Schema.of(*[(name, GROUPED.type_of(name)) for name in key_names])
+    cells = {"g": "abcd", "k": range(4)}  # "d" and 3 are in no table
+    candidates = list(product(*[cells[name] for name in key_names]))
+    parts = list(_per_group_parts())
+    for seed in range(100):
+        rng = random.Random(f"per-group-{key_names}-{seed}")
+        # Every fifth table is empty; a value is uniform or a multiple of
+        # 1/8, so some are half grains.
+        rows = [
+            (rng.choice("abc"), rng.randrange(3), rng.choice(
+                [rng.uniform(-5, 15), rng.randint(-40, 120) / 8]))
+            for _ in range(0 if seed % 5 == 0 else rng.randrange(1, 40))
+        ]
+        table = Table.of(GROUPED, rows)
+        keys = KeySet(key_schema, rng.sample(candidates, rng.randint(1, len(candidates))))
+        for part, reference, value_type in parts:
+            released = compose_per_group(GROUPED_DOMAIN, keys, part, ("value", value_type))
+            generator, expected = random.Random(seed), random.Random(seed)
+            out = released._eval(table, generator)
+            assert out.rows == per_group_reference(reference, keys, value_type, table, expected)
+            assert generator.getrandbits(64) == expected.getrandbits(64)
 
 
 def test_per_group_privacy_is_not_multiplied():

@@ -27,6 +27,7 @@ from noisegate.metrics import (
     SymmetricDifference,
     TableTuple,
     compose_maps,
+    format_amount,
     linear_map,
     max_slope_map,
     sum_maps,
@@ -250,3 +251,12 @@ def test_divergences_tolerate_tiny_normalization_error():
     p = {0: 0.5 + 5e-14, 1: 0.5}
     q = {0: 0.5, 1: 0.5 + 5e-14}
     assert pure_dp_divergence(p, q) < 1e-12
+
+
+def test_format_amount_writes_any_exact_amount_as_str_does():
+    for amount in (Fraction(0), Fraction(1, 2), Fraction(10**40 - 1), Fraction(7, 10**50)):
+        assert format_amount(amount) == str(amount)
+    assert format_amount(INF) == "inf"
+    # Past the 4,300 digits str() writes of an int.
+    assert format_amount(Fraction(10**4300 + 1, 3)) == "1" + "0" * 4299 + "1/3"
+    assert format_amount(Fraction(1, 10**5000)) == "1/1" + "0" * 5000

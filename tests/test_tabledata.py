@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -314,6 +315,18 @@ def test_no_table_holds_a_negative_zero(tmp_path: Path):
         TableDomain(schema, None), {"y": "x * -1.0"}, Schema.of(("y", ColumnType.FLOAT64))
     ).apply(checked)
     assert repr(mapped.rows) == "((0.0,), (0.0,), (0.0,), (1.5,))"
+
+
+def test_result_cell_clamps_a_release_to_its_column_range():
+    low, high = -(2**63), 2**63 - 1
+    for value, cell in [
+        (0, 0), (-7, -7), (low, low), (high, high), (low - 1, low), (high + 1, high),
+        (-(10**30), low), (10**30, high),
+    ]:
+        assert result_cell(value, ColumnType.INT64) == cell
+        assert type(result_cell(value, ColumnType.INT64)) is int
+    assert result_cell(10**400, ColumnType.FLOAT64) == sys.float_info.max
+    assert result_cell(-(10**400), ColumnType.FLOAT64, 3) == -sys.float_info.max
 
 
 def test_csv_text_quotes_and_terminates():
