@@ -297,10 +297,11 @@ def _sum_setup(low, high, granularity):
 # monotone in their operands, so with top = max(-low, high) * (g_den /
 # g_num), every row's |p| <= top and bound = 1/2 - margin(top) <= 1/2 -
 # margin(p).  A row with |p - r| < bound passes its own test, so its r is
-# right; a row that fails it takes the exact integer path, which gives
-# the same count.  The bound only moves work: a row nearer a half grain
-# than bound is counted exactly even where its own margin would have let
-# it through.  From top = 2^49 on, bound <= 0 and every row is exact.
+# right.  A row that fails it tries its own test, and a row that fails
+# that too takes the exact integer path, which gives the same count.  The
+# shared bound only saves work: it is the per-row test with |p| read as
+# top.  From top = 2^49 on, bound <= 0 and every row pays its own test;
+# rows of |p| under 2^49 still pass it.
 _MARGIN_REL = 2.0**-50
 _MARGIN_SUBNORMAL = 2.0**-1074
 
@@ -311,12 +312,13 @@ def _grain_total(index: int, low: float, high: float, g_num: int, g_den: int):
 
     Exact: each row's count is first tried in floats, p = v * (g_den /
     g_num), and round(p) is taken only when |p - round(p)| is under the
-    bound solved once for the clamp range (see above), so no rounding
-    error can have moved p across a half integer.  Any other row, and
-    every row when g_num or g_den is 2^53 or more or the range's top p
-    overflows (a bound of 0 then), takes the integer path: value / gamma
-    is n * g_den / (d * g_num) for the value's exact ratio n / d, rounded
-    half to even with divmod.
+    bound solved once for the clamp range or else under the row's own
+    1/2 - margin(p) (see above), so no rounding error can have moved p
+    across a half integer.  Any other row, and every row when g_num or
+    g_den is 2^53 or more or the range's top p overflows (a scale of 0
+    then), takes the integer path: value / gamma is n * g_den / (d *
+    g_num) for the value's exact ratio n / d, rounded half to even with
+    divmod.
     """
     scale = bound = 0.0
     if g_num < 2**53 and g_den < 2**53:
@@ -337,6 +339,9 @@ def _grain_total(index: int, low: float, high: float, g_num: int, g_den: int):
             p = value * scale
             r = round(p)
             if abs(p - r) < bound:
+                total += r
+                continue
+            if scale and abs(p - r) < 0.5 - (abs(p) * _MARGIN_REL + _MARGIN_SUBNORMAL):
                 total += r
                 continue
             n, d = value.as_integer_ratio()

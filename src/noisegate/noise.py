@@ -12,8 +12,15 @@ Inside the ladder a rational x is an integer pair (n, d) in lowest terms,
 reduced by gcd at every step where a Fraction would normalise.  Each
 uniform below m is drawn inline by the rejection loop that
 random.Random.randrange(m) runs on the generator's getrandbits: draw
-getrandbits(m.bit_length()) until the result is below m.  The stream is
-therefore defined by getrandbits alone.
+getrandbits(m.bit_length()) until the result is below m.
+
+The coins are written out where they are flipped, not called: the
+geometric's remainder coin and unit-rate coin inside _geometric_exp, which
+every noisy value runs, and the same two coins inside _bernoulli_exp, which
+the discrete Gaussian's acceptance runs.  The stream is therefore defined
+by the sequence of getrandbits(k) calls alone, each k and its order, and
+the tests pin that sequence against a ladder that draws every uniform with
+randrange.
 """
 
 from __future__ import annotations
@@ -23,12 +30,38 @@ import random
 from fractions import Fraction
 
 
-def _bernoulli_exp_unit(n: int, d: int, getrandbits) -> bool:
-    # Exact coin with P(True) = exp(-x), for x = n/d in [0, 1] in lowest
-    # terms: the successes of Bernoulli(x / k), k = 1, 2, ..., before the
-    # first failure are even in number with probability exp(-x).  x / k
-    # reduces by gcd(n, d k), which is gcd(n, k) since gcd(n, d) = 1; the
-    # k-th coin succeeds when a uniform below d k / g is below n / g.
+def _bernoulli_exp(n: int, d: int, getrandbits) -> bool:
+    # Exact coin with P(True) = exp(-n/d), for any n/d >= 0 in lowest terms:
+    # one unit-rate coin per whole unit while n/d > 1, then the coin for the
+    # rest, n/d in [0, 1].
+    while n > d:
+        # exp(-1): the k-th uniform is below k and succeeds at 0, and the
+        # coin is True when the first failure comes at an odd k.  The first,
+        # below 1, always succeeds but still spends its getrandbits(1) draws.
+        while getrandbits(1):
+            pass
+        r = getrandbits(2)
+        while r >= 2:
+            r = getrandbits(2)
+        if r:
+            return False
+        k = 3
+        while True:
+            bits = k.bit_length()
+            r = getrandbits(bits)
+            while r >= k:
+                r = getrandbits(bits)
+            if r:
+                break
+            k += 1
+        if not k % 2:
+            return False
+        n -= d
+    # exp(-x) for x = n/d in [0, 1]: the successes of Bernoulli(x / k),
+    # k = 1, 2, ..., before the first failure are even in number with
+    # probability exp(-x).  x / k reduces by gcd(n, d k), which is gcd(n, k)
+    # since gcd(n, d) = 1; the k-th coin succeeds when a uniform below
+    # d k / g is below n / g.
     k, m, below = 1, d, n
     while True:
         bits = m.bit_length()
@@ -42,48 +75,58 @@ def _bernoulli_exp_unit(n: int, d: int, getrandbits) -> bool:
         m, below = d * (k // g), n // g
 
 
-def _bernoulli_exp_one(getrandbits) -> bool:
-    # _bernoulli_exp_unit(1, 1), the unit-rate coin of every geometric's
-    # coarse part, without its gcds: the k-th coin is a uniform below k
-    # that succeeds at 0.  The first, below 1, always succeeds but still
-    # spends its getrandbits(1) draws.
-    while getrandbits(1):
-        pass
-    k = 2
-    while True:
-        bits = k.bit_length()
-        r = getrandbits(bits)
-        while r >= k:
-            r = getrandbits(bits)
-        if r:
-            return k % 2 == 1
-        k += 1
-
-
-def _bernoulli_exp(n: int, d: int, getrandbits) -> bool:
-    # Exact coin with P(True) = exp(-n/d), for any n/d >= 0 in lowest terms.
-    while n > d:
-        if not _bernoulli_exp_one(getrandbits):
-            return False
-        n -= d
-    return _bernoulli_exp_unit(n, d, getrandbits)
-
-
 def _geometric_exp(n: int, d: int, getrandbits) -> int:
     # G >= 0 with P(G = k) = (1 - exp(-n/d)) exp(-k n/d), for n/d > 0 in
     # lowest terms: a uniform remainder below d accepted with
     # Bernoulli(exp(-shift/d)), plus d times a unit-rate geometric, then
-    # divided by n.
+    # divided by n.  Both coins are _bernoulli_exp's, written out.
     bits = d.bit_length()
     while True:
         shift = getrandbits(bits)
         while shift >= d:
             shift = getrandbits(bits)
-        g = math.gcd(shift, d)
-        if _bernoulli_exp_unit(shift // g, d // g, getrandbits):
+        if not shift:
+            # exp(-0/1): the first uniform, below 1, is 0 and not below
+            # n = 0, so the coin is True at k = 1.
+            while getrandbits(1):
+                pass
             break
+        g = math.gcd(shift, d)
+        top, unit = shift // g, d // g
+        k, m, below = 1, unit, top
+        while True:
+            m_bits = m.bit_length()
+            r = getrandbits(m_bits)
+            while r >= m:
+                r = getrandbits(m_bits)
+            if r >= below:
+                break
+            k += 1
+            g = math.gcd(top, k)
+            m, below = unit * (k // g), top // g
+        if k % 2:
+            break
+    # The unit-rate geometric counts exp(-1) coins until one fails.
     coarse = 0
-    while _bernoulli_exp_one(getrandbits):
+    while True:
+        while getrandbits(1):
+            pass
+        r = getrandbits(2)
+        while r >= 2:
+            r = getrandbits(2)
+        if r:
+            break
+        k = 3
+        while True:
+            k_bits = k.bit_length()
+            r = getrandbits(k_bits)
+            while r >= k:
+                r = getrandbits(k_bits)
+            if r:
+                break
+            k += 1
+        if not k % 2:
+            break
         coarse += 1
     return (coarse * d + shift) // n
 
@@ -104,23 +147,26 @@ def _two_sided_geometric(n: int, d: int, getrandbits) -> int:
             return magnitude
 
 
-def _rate_parts(rate: Fraction) -> tuple[int, int]:
-    n, d = rate.as_integer_ratio()
+def _rate_error(n: int) -> ValueError:
     if n < 0:
-        raise ValueError("rate must be non-negative")
-    if n == 0:
-        raise ValueError("rate 0 has no normalizable geometric")
-    return n, d
+        return ValueError("rate must be non-negative")
+    return ValueError("rate 0 has no normalizable geometric")
 
 
 def sample_geometric_exp(rate: Fraction, rng: random.Random) -> int:
     """A draw of G with P(G = k) = (1 - exp(-rate)) exp(-k rate), k >= 0."""
-    return _geometric_exp(*_rate_parts(rate), rng.getrandbits)
+    n, d = rate.as_integer_ratio()
+    if n <= 0:
+        raise _rate_error(n)
+    return _geometric_exp(n, d, rng.getrandbits)
 
 
 def sample_two_sided_geometric(rate: Fraction, rng: random.Random) -> int:
     """A draw of Z with P(Z = k) proportional to exp(-|k| * rate)."""
-    return _two_sided_geometric(*_rate_parts(rate), rng.getrandbits)
+    n, d = rate.as_integer_ratio()
+    if n <= 0:
+        raise _rate_error(n)
+    return _two_sided_geometric(n, d, rng.getrandbits)
 
 
 def sample_discrete_gaussian(sigma_squared: Fraction, rng: random.Random) -> int:

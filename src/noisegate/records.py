@@ -20,11 +20,25 @@ dataclasses.replace.
 from __future__ import annotations
 
 from dataclasses import MISSING, FrozenInstanceError
+from decimal import Decimal
+from fractions import Fraction
 from operator import attrgetter
 
 
 def _no_values(record) -> tuple:
     return ()
+
+
+def _field_repr(value) -> str:
+    """repr(value), with the digits of an int or a Fraction written through
+    Decimal, which writes an int of any length: repr refuses one of more
+    than 4,300 digits, and exact accounting reaches that (a budget of
+    10^4300 less a spend of 1/2)."""
+    if type(value) is int:
+        return str(Decimal(value))
+    if type(value) is Fraction:
+        return f"Fraction({Decimal(value.numerator)}, {Decimal(value.denominator)})"
+    return repr(value)
 
 
 class Record:
@@ -119,7 +133,7 @@ class Record:
 
     def __repr__(self) -> str:
         body = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self._record_names
+            f"{name}={_field_repr(getattr(self, name))}" for name in self._record_names
         )
         return f"{type(self).__qualname__}({body})"
 

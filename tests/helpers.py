@@ -562,6 +562,13 @@ def _randrange_two_sided_geometric(n: int, d: int, rng: random.Random) -> int:
         return -magnitude if negative else magnitude
 
 
+def randrange_geometric_exp(rate: Fraction, rng: random.Random) -> int:
+    """P(G = k) = (1 - exp(-rate)) exp(-k rate), k >= 0, drawn through randrange."""
+    if rate <= 0:
+        raise ValueError("rate must be positive")
+    return _randrange_geometric_exp(rate.numerator, rate.denominator, rng)
+
+
 def randrange_two_sided_geometric(rate: Fraction, rng: random.Random) -> int:
     """P(Z = k) proportional to exp(-|k| * rate), drawn through randrange."""
     if rate <= 0:

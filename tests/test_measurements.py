@@ -239,6 +239,11 @@ def test_grain_total_matches_fraction_reference(gamma):
             # Bounds whose grain counts overflow a float.
             (float_schema, [1e308, -1e308, 0.5], -sys.float_info.max, sys.float_info.max),
         ]
+        # Clamp ranges of 2^49 grains or more, whose shared bound is 0 or
+        # less: every row tries its own margin before the exact path.
+        for edge in (int64_end, 1e300):
+            cases.append((float_schema, floats + wide_floats, -edge, edge))
+            cases.append((int_schema, ints + wide_ints, -edge, edge))
         if gamma.numerator < 2**53 and gamma.denominator < 2**53:
             # Clamp ranges of 2^46 and 2^48 grains (bounds near 7/16 and
             # 1/4) and at the int64 ends (a bound of 0 or less): rows that

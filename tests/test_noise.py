@@ -14,6 +14,7 @@ from helpers import (
     gaussian_pmf,
     geometric_pmf,
     randrange_discrete_gaussian,
+    randrange_geometric_exp,
     randrange_two_sided_geometric,
     tv_distance,
 )
@@ -105,16 +106,27 @@ def test_rng_stream_paths_are_independent_and_stable():
 
 # Rates and variances whose uniforms span one bit to well past 64: tiny
 # and huge rates, a non-unit numerator, sigma^2 below 1 and near 10^17.
+# Among the rates, 6/35 draws remainders that share a factor with 35 under
+# a numerator above 1, 3/64 has a power-of-two denominator, 1/(2^40 + 15)
+# draws uniforms of several 32-bit words, and 10^40 draws only the
+# remainder 0.
+LADDER_RATES = (
+    Fraction(1, 5),
+    Fraction(1, 10),
+    Fraction(7, 2),
+    Fraction(1, 125_000_000),
+    Fraction(1, 250_000_000),
+    Fraction(10**40),
+    Fraction(6, 35),
+    Fraction(3, 64),
+    Fraction(1, 2**40 + 15),
+)
 LADDER_GRID = [
     (sample_two_sided_geometric, randrange_two_sided_geometric, rate, 300)
-    for rate in (
-        Fraction(1, 5),
-        Fraction(1, 10),
-        Fraction(7, 2),
-        Fraction(1, 125_000_000),
-        Fraction(1, 250_000_000),
-        Fraction(10**40),
-    )
+    for rate in LADDER_RATES
+] + [
+    (sample_geometric_exp, randrange_geometric_exp, rate, 300)
+    for rate in LADDER_RATES
 ] + [
     (sample_discrete_gaussian, randrange_discrete_gaussian, sigma_squared, 200)
     for sigma_squared in (
@@ -139,6 +151,42 @@ def test_samplers_match_the_randrange_ladder_bit_for_bit(sampler, oracle, parame
         ]
         # Same draws and the same generator state after them.
         assert ours.getrandbits(64) == theirs.getrandbits(64)
+
+
+class _LoggingRandom(random.Random):
+    """A generator that records the k of every getrandbits(k) call."""
+
+    def __init__(self, seed):
+        self.calls = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.calls.append(k)
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize(
+    "sampler, oracle, parameter, draws",
+    LADDER_GRID,
+    ids=[f"{s.__name__}-{p}" for s, _, p, _ in LADDER_GRID],
+)
+def test_samplers_make_the_randrange_ladders_getrandbits_calls(sampler, oracle, parameter, draws):
+    # Equal draws could still come from different calls; the stream is
+    # defined by the calls, so pin the k of each one, in order.
+    for seed in range(3):
+        ours, theirs = _LoggingRandom(seed), _LoggingRandom(seed)
+        for _ in range(draws):
+            assert sampler(parameter, ours) == oracle(parameter, theirs)
+        assert ours.calls == theirs.calls
+        assert len(ours.calls) >= draws
+
+
+def test_geometric_rates_are_positive():
+    for sampler in (sample_geometric_exp, sample_two_sided_geometric):
+        with pytest.raises(ValueError, match="rate 0 has no normalizable geometric"):
+            sampler(Fraction(0), random.Random(0))
+        with pytest.raises(ValueError, match="rate must be non-negative"):
+            sampler(Fraction(-1, 3), random.Random(0))
 
 
 class _GetrandbitsOnly(random.Random):

@@ -126,6 +126,13 @@ def test_repr_is_the_dataclass_text():
     assert repr(mechanism) == "GeometricMechanism(epsilon_unit=Fraction(1, 1), sensitivity=2)"
 
 
+def test_repr_writes_an_int_or_fraction_of_any_length():
+    assert repr(Point(True, -3)) == "Point(x=True, y=-3, label='p')"
+    assert repr(Point(Fraction(-1, 3), 10**4300)) == (
+        f"Point(x=Fraction(-1, 3), y=1{'0' * 4300}, label='p')"
+    )
+
+
 def test_only_measurement_and_transformation_are_dataclasses():
     dataclasses_found = set()
     records = 0

@@ -339,6 +339,15 @@ def test_session_ledger_and_exhaustion():
         s.evaluate(query("people").count(), PrivacyBudget.pure("1/100"))
 
 
+def test_a_remaining_budget_of_more_than_4300_digits_has_a_repr():
+    s = fresh_session(budget=PrivacyBudget.pure("1e4300"))
+    s.evaluate(query("people").count(), PrivacyBudget.pure("1/2"))
+    remaining = s.remaining_budget()
+    assert remaining.amount == Fraction(2 * 10**4300 - 1, 2)
+    text = f"PrivacyBudget(measure=PureDP(), amount=Fraction(1{'9' * 4300}, 2))"
+    assert repr(remaining) == str(remaining) == text
+
+
 def test_failed_evaluate_charges_nothing():
     a = fresh_session(budget=PrivacyBudget.pure(1))
     b = fresh_session(budget=PrivacyBudget.pure(1))
