@@ -75,6 +75,31 @@ def _parse(text: str) -> ast.expr:
     return tree.body
 
 
+# How many levels an expression may nest.  Evaluating a row takes at most
+# two Python frames per level, and compiling about two, so this cap, and not
+# the rows, bounds the stack an expression needs.
+_MAX_LEVELS = 64
+
+
+def _levels(node: ast.expr) -> int:
+    """How many levels deep a parsed expression nests, found with an
+    explicit stack.  An and/or of n operands counts the ceil(log2 n)
+    levels of the balanced tree _connect builds for it."""
+    deepest = 0
+    stack = [(node, 1)]
+    while stack:
+        node, level = stack.pop()
+        if isinstance(node, ast.BoolOp):
+            level += (len(node.values) - 1).bit_length() - 1
+        deepest = max(deepest, level)
+        stack.extend(
+            (child, level + 1)
+            for child in ast.iter_child_nodes(node)
+            if isinstance(child, ast.expr)
+        )
+    return deepest
+
+
 def _fail(text: str, message: str) -> ExpressionTypeError:
     return ExpressionTypeError(f"in {text!r}: {message}")
 
@@ -248,12 +273,17 @@ def compile_expression(text: str, schema: Schema) -> CompiledExpression:
         raise ExpressionSyntaxError("expressions must be non-empty strings")
     try:
         node = _parse(text)
-        fn, result_type = _build(node, schema, text)
+        too_deep = _levels(node) > _MAX_LEVELS
+        if not too_deep:
+            fn, result_type = _build(node, schema, text)
     except (RecursionError, MemoryError):
+        too_deep = True
+    if too_deep:
         # Refused here, at compile time, before any spend is charged.
         raise ExpressionSyntaxError(
-            f"an expression of {len(text)} characters nests too deeply to compile"
-        ) from None
+            f"an expression of {len(text)} characters nests too deeply to "
+            f"compile; the limit is {_MAX_LEVELS} levels"
+        )
     column = schema.index_of(node.id) if isinstance(node, ast.Name) else None
     return CompiledExpression(result_type, fn, column)
 

@@ -16,6 +16,7 @@ requested spend in rational arithmetic.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence, Union
@@ -175,11 +176,6 @@ def keyset_from_tuples(
 class QueryExpr(Record):
     """Base class for query expression nodes."""
 
-    def _grouping(self) -> tuple[KeySet | None, QueryExpr]:
-        """The keyset an aggregation over this node reports (None when
-        ungrouped), and the relational part of the query below it."""
-        return None, self
-
 
 class _Aggregable(QueryExpr):
     """A node an aggregation can follow; each method returns the finished
@@ -199,10 +195,12 @@ class _Aggregable(QueryExpr):
 
 
 class _Relational(_Aggregable):
-    """A node whose _chain(upstream, tables) extends its child's compiled
-    transformation (None for a leaf) through itself; `tables` maps each
-    session table name to the transformation selecting it.  Each method
-    returns a new node over this one."""
+    """A node of a chain: _step(last, tables) is its own transformation,
+    built from the output domain and metric of `last`, the step of the
+    node below it in the chain (None for a Source or JoinPrivate, which
+    starts a chain); `tables` maps each session table name to the
+    transformation selecting it.  Each method returns a new node over this
+    one."""
 
     def filter(self, predicate: str) -> Filter:
         return Filter(self, predicate)
@@ -235,8 +233,8 @@ class _Aggregation(QueryExpr):
     group when the child is a GroupBy; value_column names the result."""
 
 
-def _require_rows(upstream: tf.Transformation, what: str) -> None:
-    if isinstance(upstream.output_metric, AddRemoveIds):
+def _require_rows(last: tf.Transformation, what: str) -> None:
+    if isinstance(last.output_metric, AddRemoveIds):
         raise UnboundedSensitivity(
             f"{what} under identifier accounting is unbounded; truncate_by_id first"
         )
@@ -245,7 +243,7 @@ def _require_rows(upstream: tf.Transformation, what: str) -> None:
 class Source(_Relational):
     table: str
 
-    def _chain(self, upstream, tables):
+    def _step(self, last, tables):
         if self.table not in tables:
             raise TypeCheckError(
                 f"unknown table {self.table!r}; the session has {sorted(tables)}"
@@ -257,10 +255,10 @@ class Filter(_Relational):
     child: QueryExpr
     predicate: str
 
-    def _chain(self, upstream, tables):
-        return tf.chain(upstream, tf.make_filter(
-            upstream.output_domain, self.predicate, metric=upstream.output_metric
-        ))
+    def _step(self, last, tables):
+        return tf.make_filter(
+            last.output_domain, self.predicate, metric=last.output_metric
+        )
 
 
 class Map(_Relational):
@@ -268,11 +266,10 @@ class Map(_Relational):
     columns: Mapping[str, str]
     schema: Schema
 
-    def _chain(self, upstream, tables):
-        return tf.chain(upstream, tf.make_map(
-            upstream.output_domain, self.columns, self.schema,
-            metric=upstream.output_metric,
-        ))
+    def _step(self, last, tables):
+        return tf.make_map(
+            last.output_domain, self.columns, self.schema, metric=last.output_metric
+        )
 
 
 class FlatMap(_Relational):
@@ -281,11 +278,11 @@ class FlatMap(_Relational):
     schema: Schema
     max_rows: int
 
-    def _chain(self, upstream, tables):
-        _require_rows(upstream, "flat_map")
-        return tf.chain(upstream, tf.make_flat_map(
-            upstream.output_domain, self.branches, self.schema, self.max_rows
-        ))
+    def _step(self, last, tables):
+        _require_rows(last, "flat_map")
+        return tf.make_flat_map(
+            last.output_domain, self.branches, self.schema, self.max_rows
+        )
 
 
 class JoinPublic(_Relational):
@@ -293,11 +290,9 @@ class JoinPublic(_Relational):
     table: Table
     on: tuple[str, ...]
 
-    def _chain(self, upstream, tables):
-        _require_rows(upstream, "a public join")
-        return tf.chain(upstream, tf.make_public_join(
-            upstream.output_domain, self.table, self.on
-        ))
+    def _step(self, last, tables):
+        _require_rows(last, "a public join")
+        return tf.make_public_join(last.output_domain, self.table, self.on)
 
 
 class JoinPrivate(_Relational):
@@ -307,8 +302,8 @@ class JoinPrivate(_Relational):
     left_bound: int
     right_bound: int
 
-    def _chain(self, upstream, tables):
-        left, right = upstream, _build_chain(self.other, tables)
+    def _step(self, last, tables):
+        left, right = _build_chain(self.child, tables), _build_chain(self.other, tables)
         _require_rows(left, "the left side of a private join")
         _require_rows(right, "the right side of a private join")
         join = tf.make_private_join(
@@ -330,7 +325,7 @@ class JoinPrivate(_Relational):
             input_metric=left.input_metric,
             output_metric=SymmetricDifference(),
             stability=linear_map(slope),
-            _apply=lambda data: join.apply((left.apply(data), right.apply(data))),
+            _apply=lambda data: join._apply((left._apply(data), right._apply(data))),
         )
 
 
@@ -338,22 +333,23 @@ class TruncateById(_Relational):
     child: QueryExpr
     bound: int
 
-    def _chain(self, upstream, tables):
-        if not isinstance(upstream.output_metric, AddRemoveIds):
+    def _step(self, last, tables):
+        if not isinstance(last.output_metric, AddRemoveIds):
             raise TypeCheckError(
                 "truncate_by_id applies only under identifier accounting"
             )
-        return tf.chain(upstream, tf.make_truncate_by_id(
-            upstream.output_domain, self.bound
-        ))
+        return tf.make_truncate_by_id(last.output_domain, self.bound)
 
 
 class GroupBy(_Aggregable):
     child: QueryExpr
     keys: KeySet
 
-    def _grouping(self):
-        return self.keys, self.child
+    def _step(self, last, tables):
+        # A GroupBy sits only under a query's root aggregation, and its
+        # grouped view ends the root's chain.
+        _require_rows(last, "an aggregation")
+        return tf.make_grouped_view(last.output_domain, self.keys.schema)
 
 
 class Count(_Aggregation):
@@ -480,18 +476,61 @@ def _root_parts(tables: Mapping[str, Any], unit: PrivacyUnit):
     return names, tuple(tables[name] for name in names), (unit.metric,) * len(names)
 
 
+# How deeply private joins may nest.  Each nested join adds two frames to
+# the stack that compiling and evaluating a query need.
+_MAX_JOIN_NESTING = 8
+
+# The frames evaluate needs below its own: the deepest query that the caps
+# allow (a 64-level predicate under private joins nested 8 deep, grouped)
+# takes at most 152 on CPython 3.11; the rest is a margin for other versions.
+_FRAME_BUDGET = 200
+
+
+def _join_nesting(expr: QueryExpr) -> int:
+    """How deeply private joins nest in a query, walked with an explicit
+    stack."""
+    deepest, stack = 0, [(expr, 0)]
+    while stack:
+        node, joins = stack.pop()
+        if isinstance(node, JoinPrivate):
+            joins += 1
+            stack.append((node.other, joins))
+        deepest = max(deepest, joins)
+        child = getattr(node, "child", None)
+        if child is not None:
+            stack.append((child, joins))
+    return deepest
+
+
 def _build_chain(
-    expr: QueryExpr, tables: Mapping[str, tf.Transformation]
+    expr: QueryExpr,
+    tables: Mapping[str, tf.Transformation],
+    grouping: GroupBy | None = None,
 ) -> tf.Transformation:
-    """Compile the relational part of a query into one transformation."""
-    if not isinstance(expr, _Relational):
-        raise TypeCheckError(
-            f"{type(expr).__name__} cannot appear here: aggregations and "
-            "group-by may appear only at the root of a query"
-        )
-    child = getattr(expr, "child", None)
-    upstream = None if child is None else _build_chain(child, tables)
-    return expr._chain(upstream, tables)
+    """Compile a chain of relational nodes into one transformation.
+
+    A loop walks down the child links from `expr` to the Source or
+    JoinPrivate that starts the chain; then each node builds its step on
+    the step below it, and tf.chain composes the steps once.  A private
+    join compiles each of its sides with a call of its own, so only
+    private joins nest.  `grouping`, the root's GroupBy when there is one,
+    adds its grouped view as the last step.
+    """
+    nodes = [] if grouping is None else [grouping]
+    while True:
+        if not isinstance(expr, _Relational):
+            raise TypeCheckError(
+                f"{type(expr).__name__} cannot appear here: aggregations and "
+                "group-by may appear only at the root of a query"
+            )
+        nodes.append(expr)
+        if isinstance(expr, (Source, JoinPrivate)):
+            break
+        expr = expr.child
+    steps = []
+    for node in reversed(nodes):
+        steps.append(node._step(steps[-1] if steps else None, tables))
+    return tf.chain(*steps)
 
 
 def _combine(chain: tf.Transformation, measurement: Measurement) -> Measurement:
@@ -543,9 +582,12 @@ def _compile(
 
     if not isinstance(expr, _Aggregation):
         raise TypeCheckError("queries must end in an aggregation")
-    keyset, relational = expr.child._grouping()
-
-    chain = _build_chain(relational, tables)
+    if _join_nesting(expr) > _MAX_JOIN_NESTING:
+        raise TypeCheckError(
+            f"private joins nest too deeply; the limit is {_MAX_JOIN_NESTING}"
+        )
+    grouping = expr.child if isinstance(expr.child, GroupBy) else None
+    chain = _build_chain((grouping or expr).child, tables, grouping)
     _require_rows(chain, "an aggregation")
 
     slope = chain.stability.slope
@@ -568,9 +610,9 @@ def _compile(
     per_table = expr._measurement(chain.output_domain, noise)
     value_column = expr.value_column
 
-    key_columns = () if keyset is None else tuple(keyset.schema.columns)
+    key_columns = () if grouping is None else tuple(grouping.keys.schema.columns)
     output_schema = Schema(key_columns + (value_column,))
-    if keyset is None:
+    if grouping is None:
 
         def release(table: Table, rng: random.Random) -> Table:
             value = result_cell(per_table._eval(table, rng), value_column[1])
@@ -584,9 +626,7 @@ def _compile(
         s = scaled or 1
         f = per_table.privacy_function
         line = replace(per_table, privacy_function=linear_map(f(s) / s))
-        view = tf.make_grouped_view(chain.output_domain, keyset.schema)
-        measured = compose_per_group(chain.output_domain, keyset, line, value_column)
-        chain = tf.chain(chain, view)
+        measured = compose_per_group(chain.output_domain, grouping.keys, line, value_column)
     return CompiledQuery(
         measurement=_combine(chain, measured),
         transformation=chain,
@@ -637,11 +677,23 @@ class Session:
         cover) has charged nothing and consumed no randomness.  One whose
         measurement raises on the data has charged its spend and raises
         EvaluationFailed, whose message says nothing about the rows.
+
+        A query that compiles needs at most _FRAME_BUDGET frames of stack,
+        whatever its size and its rows, so a caller with less headroom
+        below the recursion limit is refused before anything compiles.
         """
         if spend.measure != self._measure:
             raise MeasureMismatch(
                 f"the session accounts in {self._measure!r}, "
                 f"the spend is in {spend.measure!r}"
+            )
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        if sys.getrecursionlimit() - depth < _FRAME_BUDGET:
+            raise TypeCheckError(
+                f"evaluate needs {_FRAME_BUDGET} frames of stack below the "
+                f"recursion limit and has {sys.getrecursionlimit() - depth}"
             )
         compiled = compile_query(
             expr, self._table_domains, self._unit, self._measure, spend.amount

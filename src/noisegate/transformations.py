@@ -105,23 +105,39 @@ class Transformation:
         return self._apply(data)
 
 
-def chain(first: Transformation, second: Transformation) -> Transformation:
-    """Compose two transformations; stabilities compose along with them."""
-    if second.input_domain != first.output_domain:
-        raise DomainMismatch(
-            "cannot chain: the second transformation expects a different domain"
-        )
-    if second.input_metric != first.output_metric:
-        raise MetricMismatch(
-            "cannot chain: the second transformation expects a different metric"
-        )
+def chain(*steps: Transformation) -> Transformation:
+    """Compose transformations, first to last, into one pipeline.
+
+    Each step must take the domain and metric the one before it yields,
+    and the stabilities compose along the chain.  The pipeline calls the
+    steps' functions one after another in a loop, so running a chain of
+    any length takes the same stack depth as running one step.
+    """
+    stability = steps[0].stability
+    for before, after in zip(steps, steps[1:]):
+        if after.input_domain != before.output_domain:
+            raise DomainMismatch(
+                "cannot chain: a step expects a different domain from the step before it"
+            )
+        if after.input_metric != before.output_metric:
+            raise MetricMismatch(
+                "cannot chain: a step expects a different metric from the step before it"
+            )
+        stability = compose_maps(after.stability, stability)
+    functions = tuple(step._apply for step in steps)
+
+    def apply(data):
+        for function in functions:
+            data = function(data)
+        return data
+
     return Transformation(
-        input_domain=first.input_domain,
-        output_domain=second.output_domain,
-        input_metric=first.input_metric,
-        output_metric=second.output_metric,
-        stability=compose_maps(second.stability, first.stability),
-        _apply=lambda data: second.apply(first.apply(data)),
+        input_domain=steps[0].input_domain,
+        output_domain=steps[-1].output_domain,
+        input_metric=steps[0].input_metric,
+        output_metric=steps[-1].output_metric,
+        stability=stability,
+        _apply=apply,
     )
 
 

@@ -120,6 +120,26 @@ def test_syntax_errors_and_disallowed_nodes():
             compile_expression(text, SCHEMA)
 
 
+@pytest.mark.parametrize(
+    "text, levels",
+    [
+        # A comparison, n unary minuses and a column: n + 2 levels.
+        ("-" * 62 + "income != 0", 64),
+        ("-" * 63 + "income != 0", 65),
+        # An and/or of n operands counts ceil(log2 n) levels.
+        (" and ".join(["-" * 61 + "income != 0"] * 2), 64),
+        (" and ".join(["-" * 60 + "income != 0"] * 4), 64),
+        (" and ".join(["-" * 60 + "income != 0"] * 5), 65),
+    ],
+)
+def test_an_expression_nests_at_most_64_levels(text, levels):
+    if levels <= 64:
+        assert compile_predicate(text, SCHEMA).fn(ROW) is True
+    else:
+        with pytest.raises(ExpressionSyntaxError, match="nests too deeply"):
+            compile_predicate(text, SCHEMA)
+
+
 def test_predicate_requires_bool():
     assert compile_predicate("age > 40", SCHEMA).result_type is ExprType.BOOL
     with pytest.raises(ExpressionTypeError):

@@ -4,6 +4,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,7 @@ from noisegate.errors import (
     InsufficientBudget,
     MeasureMismatch,
     MissingIdColumn,
+    NoisegateError,
     NonPositiveBound,
     NonPositiveEpsilon,
     SchemaMismatch,
@@ -32,6 +34,8 @@ from noisegate import metrics
 from noisegate.metrics import INF, AddRemoveIds, PureDP, SymmetricDifference, ZCDP
 from noisegate.records import record_fields
 from noisegate.session import (
+    _FRAME_BUDGET,
+    _MAX_JOIN_NESTING,
     AddMaxRows,
     AddRemoveId,
     Average,
@@ -49,7 +53,15 @@ from noisegate.session import (
     parse_budget_amount,
     query,
 )
-from noisegate.tabledata import ColumnType, KeySet, Schema, Table, TableDomain
+from noisegate.tabledata import (
+    ColumnType,
+    KeySet,
+    Schema,
+    Table,
+    TableDomain,
+    load_csv,
+    load_schema_file,
+)
 from noisegate.transformations import ExpansionBranch
 
 INT64 = ColumnType.INT64
@@ -675,6 +687,122 @@ def test_a_failing_row_does_not_change_the_outcome():
     # income * 1e305 is not a finite float and age * 10**15 is outside
     # int64 on this one row.
     assert _probe_trajectory(plain + [(10**4, 1e4)]) == clean
+
+
+# ---------------------------------------------------------------------------
+# Stack depth: a compiled query needs at most _FRAME_BUDGET frames, so no
+# outcome can depend on the rows through the recursion limit.
+
+DEMO = Path(__file__).resolve().parents[1] / "demo"
+
+
+@pytest.fixture(scope="module")
+def demo_people():
+    schema = load_schema_file(DEMO / "schema.json")["people"].schema
+    return load_csv(DEMO / "data" / "people.csv", schema)
+
+
+def _demo_session(people):
+    return build_session({"people": people}, AddMaxRows(1), PrivacyBudget.pure(10), 1)
+
+
+def _frames_here():
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def _at_depth(depth, fn):
+    return fn() if depth == 0 else _at_depth(depth - 1, fn)
+
+
+def _outcome_class(session, expr):
+    """A result, or the name of the error; the budget says what was charged."""
+    try:
+        session.evaluate(expr, PrivacyBudget.pure(1))
+    except (NoisegateError, RecursionError) as exc:
+        assert session.remaining_budget().amount == 10
+        return type(exc).__name__
+    assert session.remaining_budget().amount == 9
+    return "result"
+
+
+def _item_1_query(threshold, column, terms):
+    # `and` short-circuits, so the sum runs only on rows older than the
+    # threshold; the demo data's oldest person is 79.
+    predicate = f"age > {threshold} and " + " + ".join([column] * terms) + " > 0"
+    expr = query("people").filter(predicate)
+    for _ in range(100):
+        expr = expr.filter("age > -1")
+    return expr.count()
+
+
+@pytest.mark.parametrize(
+    "column, terms, shallow",
+    [("age", 800, "TypeCheckError"), ("income", 60, "result")],
+    ids=["past the expression cap", "within it"],
+)
+def test_no_outcome_depends_on_the_rows_at_any_caller_depth(
+    demo_people, column, terms, shallow
+):
+    for depth in range(0, 901, 50):
+        outcomes = {
+            threshold: _at_depth(
+                depth,
+                lambda: _outcome_class(
+                    _demo_session(demo_people), _item_1_query(threshold, column, terms)
+                ),
+            )
+            for threshold in (78, 1_000_000)
+        }
+        assert outcomes[78] == outcomes[1_000_000], (depth, outcomes)
+        assert outcomes[78] in ("result", "TypeCheckError"), (depth, outcomes)
+        if depth == 0:
+            assert outcomes[78] == shallow
+
+
+def _evaluate_with_headroom(session, expr, headroom):
+    limit = sys.getrecursionlimit()
+    # evaluate's own frame is one below this one.
+    sys.setrecursionlimit(_frames_here() + 1 + headroom)
+    try:
+        return session.evaluate(expr, PrivacyBudget.pure(1))
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_the_deepest_allowed_query_evaluates_within_the_frame_budget(demo_people):
+    # A 64-level float predicate under private joins nested as deeply as
+    # they may be, grouped: 62 terms, their comparison and the `and`.
+    predicate = "age > -1 and " + " + ".join(["income"] * 62) + " > 0"
+    expr = query("people").filter(predicate)
+    zips = query("people").map({"zip": "zip"}, Schema.of(("zip", TEXT)))
+    for _ in range(_MAX_JOIN_NESTING):
+        expr = expr.join_private(zips, ["zip"], 1, 1)
+    keys = keyset_from_tuples([("zip", TEXT)], [("98101",), ("98102",)])
+
+    s = _demo_session(demo_people)
+    result = _evaluate_with_headroom(s, expr.group_by(keys).count(), _FRAME_BUDGET)
+    assert len(result.rows) == 2
+    assert s.remaining_budget().amount == 9
+
+    s = _demo_session(demo_people)
+    with pytest.raises(TypeCheckError, match="frames of stack"):
+        _evaluate_with_headroom(s, expr.group_by(keys).count(), _FRAME_BUDGET - 1)
+    with pytest.raises(TypeCheckError, match="nest too deeply"):
+        s.evaluate(expr.join_private(zips, ["zip"], 1, 1).count(), PrivacyBudget.pure(1))
+    assert s.remaining_budget().amount == 10
+
+
+@pytest.mark.parametrize("filters", [600, 1500])
+def test_a_long_chain_of_filters_is_counted_and_charged_once(filters):
+    s = fresh_session(budget=PrivacyBudget.pure(1))
+    expr = query("people")
+    for _ in range(filters):
+        expr = expr.filter("id > -1")
+    assert len(s.evaluate(expr.count(), PrivacyBudget.pure("1/2")).rows) == 1
+    assert s.remaining_budget().amount == Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------

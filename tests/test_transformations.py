@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -685,6 +686,27 @@ def test_chain_checks_and_composes():
             make_truncate_by_id(ID_DOMAIN, 1),
             make_filter(DOMAIN, "v > 0", metric=AddRemoveIds("id")),
         )
+
+
+def test_a_chain_runs_its_steps_at_the_depth_of_one_step():
+    plus_one = make_map(DOMAIN, {"id": "id", "v": "v + 1"}, SCHEMA)
+    steps = [make_filter(DOMAIN, "v > 0"), plus_one] * 750
+    composed = chain(*steps)
+    assert composed.stability.slope == 1
+    table = T((1, 1), (2, 0))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    # Room for apply, the chain's loop and one step, but not for 1,500
+    # nested steps.
+    sys.setrecursionlimit(depth + 20)
+    try:
+        out = composed.apply(table)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out.rows == ((1, 751),)
+    assert chain(steps[0]).apply(table).rows == ((1, 1),)
 
 
 def test_filter_under_id_metric_requires_matching_column():
