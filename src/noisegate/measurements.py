@@ -23,7 +23,7 @@ import sys
 import threading
 from bisect import bisect_left
 from operator import itemgetter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Sequence, Union
 
@@ -65,6 +65,8 @@ from .noise import sample_discrete_gaussian, sample_two_sided_geometric
 from .records import Record
 from .rng import RngStream
 from .tabledata import (
+    INT64_MAX,
+    INT64_MIN,
     ColumnType,
     KeySet,
     Row,
@@ -208,49 +210,60 @@ def _halve(noise: NoiseSpec) -> NoiseSpec:
 # Aggregations.
 
 
-def _noisy(domain: TableDomain, noise: NoiseSpec, sensitivity: int, statistic) -> Measurement:
-    """statistic(table.rows), an int that moves by at most `sensitivity`
-    per unit of symmetric difference, plus noise from the spec's mechanism.
+# Every draw looks its sampler up here, by the name _noisy gives, when it
+# is made: a caller that swaps this module's sample_two_sided_geometric or
+# sample_discrete_gaussian sees each draw.
+_SAMPLERS = globals()
 
-    At sensitivity 0 the statistic takes one value on every input, its
-    value on no rows, which is released as it is: free, and drawing nothing.
+
+def _no_noise(parameter, rng: random.Random) -> int:
+    """The draw a statistic of sensitivity 0 gets: none."""
+    return 0
+
+
+def _noisy(noise: NoiseSpec, sensitivity: int) -> tuple[DistanceMap, str, Any]:
+    """The noise for an int statistic that moves by at most `sensitivity`
+    per unit of symmetric difference, solved once from the spec's
+    mechanism: (privacy function, sampler name, parameter).
+
+    Each aggregation's evaluation is one closure over table.rows that adds
+    _SAMPLERS[sampler](parameter, rng), one draw, to its statistic and
+    finishes its own value: the mechanism's add_noise written out.  So a
+    key of a grouped release costs that closure, the statistic (len, or
+    one total_of for a sum), one sampler call per draw (the geometric's
+    runs its sign loop itself and one _geometric_exp per attempt), and
+    for a sum or an average one result_cell.  At sensitivity 0 the
+    statistic takes one value on every input, which is released as it
+    is: free, and drawing nothing.
     """
     if sensitivity == 0:
-        value = statistic(())
-        return Measurement(
-            domain, SymmetricDifference(), noise.measure, linear_map(0),
-            lambda table, rng: value,
-        )
-    # Each evaluation is the mechanism's add_noise written out, one
-    # statistic and one draw; the sampler is read from this module on
-    # every call, so a caller that swaps it sees each draw.
+        return linear_map(0), "_no_noise", None
     if isinstance(noise, PureDpNoise):
         mechanism = make_geometric(noise.epsilon_unit, sensitivity)
-        rate = mechanism.rate
-
-        def evaluate(table: Table, rng: random.Random) -> int:
-            return statistic(table.rows) + sample_two_sided_geometric(rate, rng)
-
-    else:
-        rho_unit = Fraction(noise.rho_unit)
-        if rho_unit <= 0:
-            raise NonPositiveEpsilon(f"rho must be positive, got {rho_unit}")
-        mechanism = make_discrete_gaussian(
-            Fraction(sensitivity * sensitivity) / (2 * rho_unit), sensitivity
-        )
-        sigma_squared = mechanism.sigma_squared
-
-        def evaluate(table: Table, rng: random.Random) -> int:
-            return statistic(table.rows) + sample_discrete_gaussian(sigma_squared, rng)
-
-    return Measurement(
-        domain, SymmetricDifference(), noise.measure, mechanism.privacy_function, evaluate
+        return mechanism.privacy_function, "sample_two_sided_geometric", mechanism.rate
+    rho_unit = Fraction(noise.rho_unit)
+    if rho_unit <= 0:
+        raise NonPositiveEpsilon(f"rho must be positive, got {rho_unit}")
+    mechanism = make_discrete_gaussian(
+        Fraction(sensitivity * sensitivity) / (2 * rho_unit), sensitivity
     )
+    return mechanism.privacy_function, "sample_discrete_gaussian", mechanism.sigma_squared
+
+
+def _aggregation(
+    domain: TableDomain, noise: NoiseSpec, privacy_function: DistanceMap, evaluate
+) -> Measurement:
+    return Measurement(domain, SymmetricDifference(), noise.measure, privacy_function, evaluate)
 
 
 def make_count(domain: TableDomain, noise: NoiseSpec) -> Measurement:
     """A noisy row count.  Sensitivity 1 per unit of symmetric difference."""
-    return _noisy(domain, noise, 1, len)
+    privacy_function, sampler, parameter = _noisy(noise, 1)
+
+    def evaluate(table: Table, rng: random.Random) -> int:
+        return len(table.rows) + _SAMPLERS[sampler](parameter, rng)
+
+    return _aggregation(domain, noise, privacy_function, evaluate)
 
 
 def _check_numeric_column(domain: TableDomain, column: str) -> ColumnType:
@@ -268,16 +281,6 @@ def _clamp_bounds(low, high):
     if low > high:
         raise BadBounds(f"low {low!r} exceeds high {high!r}")
     return low, high
-
-
-def _sum_setup(low, high, granularity):
-    low, high = _clamp_bounds(low, high)
-    gamma = Fraction(granularity)
-    if gamma <= 0:
-        raise NonPositiveGranularity(f"granularity must be positive, got {granularity}")
-    # Per-row contribution to the grain-domain total, after clamping.
-    sensitivity = math.ceil(max(abs(Fraction(low)), abs(Fraction(high))) / gamma)
-    return low, high, gamma, sensitivity
 
 
 # Float grain counts.  p = v * (g_den / g_num) is at most three roundings
@@ -356,14 +359,20 @@ def _grain_total(index: int, low: float, high: float, g_num: int, g_den: int):
     return total_of
 
 
-def _make_grain_sum(domain: TableDomain, column: str, low, high, granularity, noise: NoiseSpec):
-    """A noisy clamped sum counted in grains, with the grain's (g_num,
-    g_den); make_sum and make_average scale it back."""
+def _grains(domain: TableDomain, column: str, low, high, granularity):
+    """A clamped column's grain total, counted in grains of the given
+    granularity: (total_of, its sensitivity in grains, g_num, g_den).
+
+    The per-row sensitivity is ceil(max(|low|, |high|) / granularity)."""
     _check_numeric_column(domain, column)
-    low, high, gamma, sensitivity = _sum_setup(low, high, granularity)
+    low, high = _clamp_bounds(low, high)
+    gamma = Fraction(granularity)
+    if gamma <= 0:
+        raise NonPositiveGranularity(f"granularity must be positive, got {granularity}")
+    sensitivity = math.ceil(max(abs(Fraction(low)), abs(Fraction(high))) / gamma)
     g_num, g_den = gamma.numerator, gamma.denominator
-    statistic = _grain_total(domain.schema.index_of(column), low, high, g_num, g_den)
-    return _noisy(domain, noise, sensitivity, statistic), g_num, g_den
+    total_of = _grain_total(domain.schema.index_of(column), low, high, g_num, g_den)
+    return total_of, sensitivity, g_num, g_den
 
 
 def make_sum(
@@ -378,15 +387,17 @@ def make_sum(
 
     Each value is clamped to [low, high] and rounded to a multiple of the
     granularity; noise is added to the integer total of grid steps and the
-    result is scaled back, as one correctly rounded float.  The per-row
-    sensitivity in grid steps is ceil(max(|low|, |high|) / granularity).
+    result is scaled back, as one correctly rounded float.
     """
-    grains, g_num, g_den = _make_grain_sum(domain, column, low, high, granularity, noise)
+    total_of, sensitivity, g_num, g_den = _grains(domain, column, low, high, granularity)
+    privacy_function, sampler, parameter = _noisy(noise, sensitivity)
+    float64 = ColumnType.FLOAT64
 
     def evaluate(table: Table, rng: random.Random) -> float:
-        return result_cell(grains._eval(table, rng) * g_num, ColumnType.FLOAT64, g_den)
+        total = total_of(table.rows) + _SAMPLERS[sampler](parameter, rng)
+        return result_cell(total * g_num, float64, g_den)
 
-    return replace(grains, _eval=evaluate)
+    return _aggregation(domain, noise, privacy_function, evaluate)
 
 
 def make_average(
@@ -405,21 +416,25 @@ def make_average(
     rounded once, from the noisy grain total and count.
     """
     half = _halve(noise)
-    grains, g_num, g_den = _make_grain_sum(domain, column, low, high, granularity, half)
-    count = make_count(domain, half)
-    # The composition checks the parts and adds their privacy functions;
-    # evaluation calls the parts itself, in the composition's order.
-    both = compose_sequential([grains, count])
-    total_of, count_of = grains._eval, count._eval
+    total_of, sensitivity, g_num, g_den = _grains(domain, column, low, high, granularity)
+    sum_function, sum_sampler, sum_parameter = _noisy(half, sensitivity)
+    count_function, count_sampler, count_parameter = _noisy(half, 1)
+    float64 = ColumnType.FLOAT64
 
     def evaluate(table: Table, rng: random.Random) -> float:
-        noisy_total = total_of(table, rng)
-        noisy_count = count_of(table, rng)
-        return result_cell(
-            noisy_total * g_num, ColumnType.FLOAT64, g_den * max(1, noisy_count)
-        )
+        rows = table.rows
+        total = total_of(rows) + _SAMPLERS[sum_sampler](sum_parameter, rng)
+        count = len(rows) + _SAMPLERS[count_sampler](count_parameter, rng)
+        return result_cell(total * g_num, float64, g_den * max(1, count))
 
-    return replace(both, _eval=evaluate)
+    # The composition checks the two parts and adds their privacy
+    # functions; only that is used.  The evaluation is the average's own,
+    # the sum's draw first, in the composition's order.
+    both = compose_sequential([
+        _aggregation(domain, half, sum_function, evaluate),
+        _aggregation(domain, half, count_function, evaluate),
+    ])
+    return _aggregation(domain, noise, both.privacy_function, evaluate)
 
 
 def _quantile_scores(values: Sequence, midpoints: Sequence[float], q: float) -> list:
@@ -539,15 +554,18 @@ def compose_per_group(
 
     The measurement's output is the result table: exactly one row per
     key, in keyset order, whatever keys the data contains, each with its
-    group's value released through result_cell.  The rows are split in
-    one keyed pass into plain lists; only a keyset key found in the data
+    group's value as result_cell gives it.  The rows are split in one
+    keyed pass into plain lists; only a keyset key found in the data
     gets a Table of its own, and absent keys share one empty Table.
     Each key then costs one call of the per-group measurement on its
-    Table and one result cell, and nothing is summed across keys: the
-    per-group part is any Measurement on tables (a quantile reads its
-    group's rows whole), and the benchmark's tracer counts released and
-    empty groups from these calls.  Every group draws its noise from the
-    one generator, in keyset order.
+    Table, which draws and finishes its own value (see _noisy), and
+    nothing is summed across keys: the per-group part is any Measurement
+    on tables (a quantile reads its group's rows whole), and the
+    benchmark's tracer counts released and empty groups from these
+    calls.  result_cell itself runs only for a value whose cell is not
+    already known: a float in a float64 column is its cell plus 0.0, an
+    int64-range int in an int64 column is its own cell.  Every group
+    draws its noise from the one generator, in keyset order.
     The key rows were checked when the KeySet was built and are trusted
     here; the key columns must match the domain and the value column
     must be numeric.
@@ -564,21 +582,31 @@ def compose_per_group(
         raise SchemaMismatch(f"the value column {value_name!r} must be numeric, not text")
     output_schema = Schema(tuple(keys.schema.columns) + ((value_name, value_type),))
     key_columns = keys.schema.names
-    # A keyset row read as split_by_key keys its groups.
-    group_key = itemgetter(*range(len(key_columns)))
+    key_rows = keys.rows
+    # Each keyset row read as split_by_key keys its groups, once.
+    group_keys = list(map(itemgetter(*range(len(key_columns))), key_rows))
+    # A value of type `known` within [low, high] has the cell value + zero.
+    if value_type is ColumnType.FLOAT64:
+        known, low, high, zero = float, -math.inf, math.inf, 0.0
+    else:
+        known, low, high, zero = int, INT64_MIN, INT64_MAX, 0
+    release = per_group._eval
 
     def evaluate(table: Table, rng: random.Random) -> Table:
         find = split_by_key(table, key_columns).get
         trusted = Table._trusted
-        release = per_group._eval
         schema = table.schema
         empty = trusted(schema, ())
         rows = []
         append = rows.append
-        for key_row in keys.rows:
-            part = find(group_key(key_row))
+        for key_row, key in zip(key_rows, group_keys):
+            part = find(key)
             value = release(empty if part is None else trusted(schema, tuple(part)), rng)
-            append(key_row + (result_cell(value, value_type),))
+            if type(value) is known and low <= value <= high:
+                value += zero
+            else:
+                value = result_cell(value, value_type)
+            append(key_row + (value,))
         return trusted(output_schema, tuple(rows))
 
     return Measurement(

@@ -17,9 +17,13 @@ getrandbits(m.bit_length()) until the result is below m.
 The coins are written out where they are flipped, not called: the
 geometric's remainder coin and unit-rate coin inside _geometric_exp, which
 every noisy value runs, and the same two coins inside _bernoulli_exp, which
-the discrete Gaussian's acceptance runs.  The stream is therefore defined
-by the sequence of getrandbits(k) calls alone, each k and its order, and
-the tests pin that sequence against a ladder that draws every uniform with
+the discrete Gaussian's acceptance runs.  The two-sided geometric's sign
+loop is written out too: sample_two_sided_geometric runs it itself, so a
+geometric draw costs that call, the rate's as_integer_ratio and one
+_geometric_exp per attempt; the discrete Gaussian's envelope runs the same
+loop in _two_sided_geometric.  The stream is therefore defined by the
+sequence of getrandbits(k) calls alone, each k and its order, and the
+tests pin that sequence against a ladder that draws every uniform with
 randrange.
 """
 
@@ -135,6 +139,7 @@ def _two_sided_geometric(n: int, d: int, getrandbits) -> int:
     # Sign and magnitude are drawn independently and the double-counted
     # (negative, zero) outcome is rejected.  The sign is a uniform below
     # 2, getrandbits(2) redrawn while it is 2 or 3, and 0 means negative.
+    # sample_two_sided_geometric runs this same loop itself.
     while True:
         sign = getrandbits(2)
         while sign >= 2:
@@ -166,7 +171,18 @@ def sample_two_sided_geometric(rate: Fraction, rng: random.Random) -> int:
     n, d = rate.as_integer_ratio()
     if n <= 0:
         raise _rate_error(n)
-    return _two_sided_geometric(n, d, rng.getrandbits)
+    # _two_sided_geometric's sign loop, written out: one frame less per draw.
+    getrandbits = rng.getrandbits
+    while True:
+        sign = getrandbits(2)
+        while sign >= 2:
+            sign = getrandbits(2)
+        magnitude = _geometric_exp(n, d, getrandbits)
+        if sign == 0:
+            if magnitude:
+                return -magnitude
+        else:
+            return magnitude
 
 
 def sample_discrete_gaussian(sigma_squared: Fraction, rng: random.Random) -> int:
@@ -177,9 +193,13 @@ def sample_discrete_gaussian(sigma_squared: Fraction, rng: random.Random) -> int
     bias exp(-(|c| - sigma^2 / s)^2 / (2 sigma^2)), so the output law is
     exactly the discrete Gaussian.
     """
-    if sigma_squared <= 0:
+    if isinstance(sigma_squared, float):
+        raise TypeError("sigma_squared must be an exact number, not a float")
+    # One read of the ratio: Fraction's comparisons and its numerator and
+    # denominator properties are Python-level calls.
+    p, q = sigma_squared.as_integer_ratio()
+    if p <= 0:
         raise ValueError("sigma_squared must be positive")
-    p, q = sigma_squared.numerator, sigma_squared.denominator
     scale = math.isqrt(p // q) + 1
     # With sigma^2 = p/q the bias is (|c| q s - p)^2 / (2 p q s^2).
     qs = q * scale

@@ -60,8 +60,8 @@ from .records import Record
 Value = Union[int, float, str]
 Row = tuple[Value, ...]
 
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
+INT64_MIN = -(2**63)
+INT64_MAX = 2**63 - 1
 
 # Locale-independent numeric literals: no underscores, no whitespace, no
 # textual infinities.  Anything fancier than this is a parse error.
@@ -133,7 +133,7 @@ def check_value(value: Value, ctype: ColumnType) -> Value:
         # bool is an int subclass; reject it explicitly.
         if not isinstance(value, int) or isinstance(value, bool):
             raise SchemaMismatch(f"expected int64, got {value!r}")
-        if not _INT64_MIN <= value <= _INT64_MAX:
+        if not INT64_MIN <= value <= INT64_MAX:
             raise SchemaMismatch(f"{value} is outside the int64 range")
     elif ctype is ColumnType.FLOAT64:
         if not isinstance(value, float):
@@ -161,9 +161,9 @@ def result_cell(value, ctype: ColumnType, denominator: int = 1) -> Value:
     """
     if ctype is ColumnType.INT64:
         value = int(value)
-        if _INT64_MIN <= value <= _INT64_MAX:
+        if INT64_MIN <= value <= INT64_MAX:
             return value
-        return _INT64_MAX if value > 0 else _INT64_MIN
+        return INT64_MAX if value > 0 else INT64_MIN
     try:
         return value / denominator + 0.0  # -0.0 becomes 0.0
     except OverflowError:
@@ -390,7 +390,7 @@ def _parse_column(cells: Sequence[str], ctype: ColumnType) -> Sequence[Value] | 
             values = list(map(int, cells))
         except ValueError:  # more digits than int() converts
             return "{!r} has too many digits for an int64"
-        if min(values) < _INT64_MIN or max(values) > _INT64_MAX:
+        if min(values) < INT64_MIN or max(values) > INT64_MAX:
             return "{!r} overflows int64"
         return values
     if ctype is ColumnType.FLOAT64:

@@ -71,8 +71,9 @@ from noisegate.metrics import (
     ZCDP,
     linear_map,
 )
+from noisegate import measurements, session
 from noisegate.rng import RngStream
-from noisegate.tabledata import ColumnType, KeySet, Schema, Table, TableDomain
+from noisegate.tabledata import ColumnType, KeySet, Schema, Table, TableDomain, result_cell
 
 SCHEMA = Schema.of(("g", ColumnType.TEXT), ("v", ColumnType.FLOAT64))
 DOMAIN = TableDomain(SCHEMA, None)
@@ -511,6 +512,132 @@ def test_per_group_matches_the_per_key_reference(key_names):
             out = released._eval(table, generator)
             assert out.rows == per_group_reference(reference, keys, value_type, table, expected)
             assert generator.getrandbits(64) == expected.getrandbits(64)
+
+
+def test_per_group_costs_one_part_call_and_its_own_draws_per_key(monkeypatch):
+    # What the benchmark's tracer counts: each keyset key is one call of the
+    # part's _eval on a Table, and every draw goes through this module's
+    # sampler globals, one per key, or two for an average, its sum's first.
+    draws = []
+    for name in ("sample_two_sided_geometric", "sample_discrete_gaussian"):
+
+        def logged(parameter, rng, name=name, sample=getattr(measurements, name)):
+            draws.append((name, parameter))
+            return sample(parameter, rng)
+
+        monkeypatch.setattr(measurements, name, logged)
+    geometric = "sample_two_sided_geometric"
+    gaussian = "sample_discrete_gaussian"
+    # Per key, with 40 grains per row at most; the average's halves sample
+    # at half the spec's budget.
+    per_key = [
+        [(geometric, Fraction(1, 2))],
+        [(geometric, Fraction(1, 80))],
+        [(geometric, Fraction(1, 160)), (geometric, Fraction(1, 4))],
+        [(gaussian, Fraction(1))],
+        [(gaussian, Fraction(1600))],
+        [(gaussian, Fraction(3200)), (gaussian, Fraction(2))],
+    ]
+    keys = KeySet(
+        Schema.of(("g", ColumnType.TEXT), ("k", ColumnType.INT64)),
+        [("b", 1), ("absent", 0), ("a", 0), ("a", 9), ("c", 2)],
+    )
+    table = Table.of(GROUPED, [
+        ("a", 0, 2.5), ("b", 1, -1.0), ("a", 0, 11.0), ("c", 2, 0.125), ("z", 5, 3.0),
+    ])
+    parts = list(_per_group_parts())
+    assert len(parts) == len(per_key)
+    for (part, reference, value_type), expected_draws in zip(parts, per_key):
+        seen = []
+
+        def counted(group, rng, release=part._eval):
+            seen.append(group)
+            return release(group, rng)
+
+        released = compose_per_group(
+            GROUPED_DOMAIN, keys, replace(part, _eval=counted), ("value", value_type)
+        )
+        draws.clear()
+        generator, expected = random.Random(5), random.Random(5)
+        out = released._eval(table, generator)
+        assert len(seen) == len(keys.rows)
+        assert all(type(group) is Table for group in seen)
+        assert [len(group.rows) for group in seen] == [1, 0, 2, 0, 1]
+        assert draws == expected_draws * len(keys.rows)
+        assert out.rows == per_group_reference(reference, keys, value_type, table, expected)
+        assert generator.getrandbits(64) == expected.getrandbits(64)
+
+
+# Values a per-group part or an ungrouped aggregation might return, and the
+# column types they are released into.
+_CELL_CASES = [
+    (-0.0, ColumnType.FLOAT64),
+    (-0.0, ColumnType.INT64),
+    (2.5, ColumnType.FLOAT64),
+    (2**70, ColumnType.INT64),
+    (-(2**70), ColumnType.INT64),
+    (2**63 - 1, ColumnType.INT64),
+    (10**400, ColumnType.FLOAT64),
+    (-(10**400), ColumnType.FLOAT64),
+    (2.75, ColumnType.INT64),
+    (-1e300, ColumnType.INT64),
+    (Fraction(7, 2), ColumnType.FLOAT64),
+    (Fraction(-7, 2), ColumnType.INT64),
+    (True, ColumnType.INT64),
+    (True, ColumnType.FLOAT64),
+    (5, ColumnType.FLOAT64),
+    (math.inf, ColumnType.FLOAT64),
+]
+
+
+def _same_cell(cell, value, value_type):
+    # repr tells -0.0 from 0.0 and True from 1; type tells 1 from 1.0.
+    expected = result_cell(value, value_type)
+    return type(cell) is type(expected) and repr(cell) == repr(expected)
+
+
+def test_per_group_cells_are_result_cell_exactly():
+    keys = KeySet(KEYS, [("a",), ("absent",)])
+    data = T(("a", 1.0))
+    for value, value_type in _CELL_CASES:
+        constant = Measurement(
+            DOMAIN, SymmetricDifference(), PureDP(), linear_map(1),
+            lambda table, rng, value=value: value,
+        )
+        m = compose_per_group(DOMAIN, keys, constant, ("value", value_type))
+        for row in m.eval(data, stream()).rows:
+            assert _same_cell(row[1], value, value_type), (value, value_type, row)
+
+
+def test_ungrouped_and_grouped_query_cells_are_result_cell_exactly(monkeypatch):
+    # The session's aggregations are swapped for ones that return the value
+    # itself: a count releases into int64, a sum into float64.
+    people = Schema.of(("zip", ColumnType.TEXT), ("income", ColumnType.FLOAT64))
+    table = Table.of(people, [("981", 10.0), ("982", 20.0)])
+    zips = session.keyset_from_tuples([("zip", ColumnType.TEXT)], [("981",), ("000",)])
+    for value, value_type in _CELL_CASES:
+
+        def constant(domain, *args, value=value):
+            noise = args[-1]
+            return Measurement(
+                domain, SymmetricDifference(), noise.measure, linear_map(1),
+                lambda table, rng: value,
+            )
+
+        if value_type is ColumnType.INT64:
+            monkeypatch.setattr(session, "make_count", constant)
+            plain = session.query("people").count()
+            grouped = session.query("people").group_by(zips).count()
+        else:
+            monkeypatch.setattr(session, "make_sum", constant)
+            plain = session.query("people").sum("income", 0, 100)
+            grouped = session.query("people").group_by(zips).sum("income", 0, 100)
+        budget = session.PrivacyBudget.pure
+        s = session.build_session({"people": table}, session.AddMaxRows(1), budget(2), seed=1)
+        (released,) = s.evaluate(plain, budget(1)).rows
+        assert _same_cell(released[0], value, value_type), (value, value_type)
+        for row in s.evaluate(grouped, budget(1)).rows:
+            assert _same_cell(row[1], value, value_type), (value, value_type, row)
 
 
 def test_per_group_privacy_is_not_multiplied():

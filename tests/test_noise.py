@@ -189,6 +189,20 @@ def test_geometric_rates_are_positive():
             sampler(Fraction(-1, 3), random.Random(0))
 
 
+def test_gaussian_variance_is_positive_and_exact():
+    for sigma_squared in (Fraction(0), Fraction(-3, 2), 0, -1):
+        with pytest.raises(ValueError, match="sigma_squared must be positive"):
+            sample_discrete_gaussian(sigma_squared, random.Random(0))
+    for sigma_squared in (0.5, 2.0, -1.0):
+        with pytest.raises(TypeError, match="not a float"):
+            sample_discrete_gaussian(sigma_squared, random.Random(0))
+    # An int variance is exact, and draws as its Fraction does.
+    ints, fractions = random.Random(4), random.Random(4)
+    assert [sample_discrete_gaussian(3, ints) for _ in range(20)] == [
+        sample_discrete_gaussian(Fraction(3), fractions) for _ in range(20)
+    ]
+
+
 class _GetrandbitsOnly(random.Random):
     """A generator that can only answer getrandbits."""
 
