@@ -4,8 +4,9 @@ A Measurement pairs an evaluation function with a privacy function, a
 monotone map from input distance to privacy loss under its output
 measure.  A noisy aggregation is a statistic under a mechanism: an
 integer function of a table's rows with a known sensitivity, plus exact
-integer noise from the mechanism the noise spec names, and one
-constructor (_noisy) builds every count and grain sum that way.
+integer noise from the mechanism the noise spec names.  _noisy solves
+that mechanism once per aggregation, and make_count, make_sum and
+make_average each add its draw to their statistic in their own closure.
 Composition operators combine measurements while combining their privacy
 functions, and the Queryable enforces a privacy budget across an
 adaptive sequence of asks.
@@ -65,8 +66,6 @@ from .noise import sample_discrete_gaussian, sample_two_sided_geometric
 from .records import Record
 from .rng import RngStream
 from .tabledata import (
-    INT64_MAX,
-    INT64_MIN,
     ColumnType,
     KeySet,
     Row,
@@ -231,10 +230,11 @@ def _noisy(noise: NoiseSpec, sensitivity: int) -> tuple[DistanceMap, str, Any]:
     finishes its own value: the mechanism's add_noise written out.  So a
     key of a grouped release costs that closure, the statistic (len, or
     one total_of for a sum), one sampler call per draw (the geometric's
-    runs its sign loop itself and one _geometric_exp per attempt), and
-    for a sum or an average one result_cell.  At sensitivity 0 the
-    statistic takes one value on every input, which is released as it
-    is: free, and drawing nothing.
+    runs _two_sided_geometric, with one _geometric_exp per attempt), for
+    a sum or an average one result_cell, and compose_per_group's
+    result_cell of the value.  At sensitivity 0 the statistic takes one
+    value on every input, which is released as it is: free, and drawing
+    nothing.
     """
     if sensitivity == 0:
         return linear_map(0), "_no_noise", None
@@ -428,11 +428,12 @@ def make_average(
         return result_cell(total * g_num, float64, g_den * max(1, count))
 
     # The composition checks the two parts and adds their privacy
-    # functions; only that is used.  The evaluation is the average's own,
-    # the sum's draw first, in the composition's order.
+    # functions; only that is used, so the parts are never evaluated and
+    # have no _eval.  The evaluation is the average's own, the sum's draw
+    # first, in the composition's order.
     both = compose_sequential([
-        _aggregation(domain, half, sum_function, evaluate),
-        _aggregation(domain, half, count_function, evaluate),
+        _aggregation(domain, half, sum_function, None),
+        _aggregation(domain, half, count_function, None),
     ])
     return _aggregation(domain, noise, both.privacy_function, evaluate)
 
@@ -562,10 +563,8 @@ def compose_per_group(
     nothing is summed across keys: the per-group part is any Measurement
     on tables (a quantile reads its group's rows whole), and the
     benchmark's tracer counts released and empty groups from these
-    calls.  result_cell itself runs only for a value whose cell is not
-    already known: a float in a float64 column is its cell plus 0.0, an
-    int64-range int in an int64 column is its own cell.  Every group
-    draws its noise from the one generator, in keyset order.
+    calls.  Every group draws its noise from the one generator, in
+    keyset order.
     The key rows were checked when the KeySet was built and are trusted
     here; the key columns must match the domain and the value column
     must be numeric.
@@ -585,11 +584,6 @@ def compose_per_group(
     key_rows = keys.rows
     # Each keyset row read as split_by_key keys its groups, once.
     group_keys = list(map(itemgetter(*range(len(key_columns))), key_rows))
-    # A value of type `known` within [low, high] has the cell value + zero.
-    if value_type is ColumnType.FLOAT64:
-        known, low, high, zero = float, -math.inf, math.inf, 0.0
-    else:
-        known, low, high, zero = int, INT64_MIN, INT64_MAX, 0
     release = per_group._eval
 
     def evaluate(table: Table, rng: random.Random) -> Table:
@@ -602,11 +596,7 @@ def compose_per_group(
         for key_row, key in zip(key_rows, group_keys):
             part = find(key)
             value = release(empty if part is None else trusted(schema, tuple(part)), rng)
-            if type(value) is known and low <= value <= high:
-                value += zero
-            else:
-                value = result_cell(value, value_type)
-            append(key_row + (value,))
+            append(key_row + (result_cell(value, value_type),))
         return trusted(output_schema, tuple(rows))
 
     return Measurement(

@@ -18,13 +18,11 @@ The coins are written out where they are flipped, not called: the
 geometric's remainder coin and unit-rate coin inside _geometric_exp, which
 every noisy value runs, and the same two coins inside _bernoulli_exp, which
 the discrete Gaussian's acceptance runs.  The two-sided geometric's sign
-loop is written out too: sample_two_sided_geometric runs it itself, so a
-geometric draw costs that call, the rate's as_integer_ratio and one
-_geometric_exp per attempt; the discrete Gaussian's envelope runs the same
-loop in _two_sided_geometric.  The stream is therefore defined by the
-sequence of getrandbits(k) calls alone, each k and its order, and the
-tests pin that sequence against a ladder that draws every uniform with
-randrange.
+loop is in _two_sided_geometric alone, which sample_two_sided_geometric
+and the discrete Gaussian's envelope both call.  The stream is therefore
+defined by the sequence of getrandbits(k) calls alone, each k and its
+order, and the tests pin that sequence against a ladder that draws every
+uniform with randrange.
 """
 
 from __future__ import annotations
@@ -139,7 +137,6 @@ def _two_sided_geometric(n: int, d: int, getrandbits) -> int:
     # Sign and magnitude are drawn independently and the double-counted
     # (negative, zero) outcome is rejected.  The sign is a uniform below
     # 2, getrandbits(2) redrawn while it is 2 or 3, and 0 means negative.
-    # sample_two_sided_geometric runs this same loop itself.
     while True:
         sign = getrandbits(2)
         while sign >= 2:
@@ -171,18 +168,7 @@ def sample_two_sided_geometric(rate: Fraction, rng: random.Random) -> int:
     n, d = rate.as_integer_ratio()
     if n <= 0:
         raise _rate_error(n)
-    # _two_sided_geometric's sign loop, written out: one frame less per draw.
-    getrandbits = rng.getrandbits
-    while True:
-        sign = getrandbits(2)
-        while sign >= 2:
-            sign = getrandbits(2)
-        magnitude = _geometric_exp(n, d, getrandbits)
-        if sign == 0:
-            if magnitude:
-                return -magnitude
-        else:
-            return magnitude
+    return _two_sided_geometric(n, d, rng.getrandbits)
 
 
 def sample_discrete_gaussian(sigma_squared: Fraction, rng: random.Random) -> int:

@@ -60,8 +60,8 @@ from .records import Record
 Value = Union[int, float, str]
 Row = tuple[Value, ...]
 
-INT64_MIN = -(2**63)
-INT64_MAX = 2**63 - 1
+_INT64_MIN = -(2**63)
+_INT64_MAX = 2**63 - 1
 
 # Locale-independent numeric literals: no underscores, no whitespace, no
 # textual infinities.  Anything fancier than this is a parse error.
@@ -86,6 +86,12 @@ class ColumnType(enum.Enum):
             if member.value == name:
                 return member
         raise TypeParseError(f"unknown column type {name!r}")
+
+
+# Read once for result_cell, which runs once per released value: on
+# CPython 3.11 a member read through its Enum class costs about 150 ns,
+# since EnumType's __getattr__ keeps the read from being specialized.
+_INT64 = ColumnType.INT64
 
 
 class Schema(Record):
@@ -133,7 +139,7 @@ def check_value(value: Value, ctype: ColumnType) -> Value:
         # bool is an int subclass; reject it explicitly.
         if not isinstance(value, int) or isinstance(value, bool):
             raise SchemaMismatch(f"expected int64, got {value!r}")
-        if not INT64_MIN <= value <= INT64_MAX:
+        if not _INT64_MIN <= value <= _INT64_MAX:
             raise SchemaMismatch(f"{value} is outside the int64 range")
     elif ctype is ColumnType.FLOAT64:
         if not isinstance(value, float):
@@ -159,11 +165,11 @@ def result_cell(value, ctype: ColumnType, denominator: int = 1) -> Value:
     an int value over a denominator is divided exactly and correctly
     rounded, so a sum or average needs no Fraction on its way out.
     """
-    if ctype is ColumnType.INT64:
+    if ctype is _INT64:
         value = int(value)
-        if INT64_MIN <= value <= INT64_MAX:
+        if _INT64_MIN <= value <= _INT64_MAX:
             return value
-        return INT64_MAX if value > 0 else INT64_MIN
+        return _INT64_MAX if value > 0 else _INT64_MIN
     try:
         return value / denominator + 0.0  # -0.0 becomes 0.0
     except OverflowError:
@@ -390,7 +396,7 @@ def _parse_column(cells: Sequence[str], ctype: ColumnType) -> Sequence[Value] | 
             values = list(map(int, cells))
         except ValueError:  # more digits than int() converts
             return "{!r} has too many digits for an int64"
-        if min(values) < INT64_MIN or max(values) > INT64_MAX:
+        if min(values) < _INT64_MIN or max(values) > _INT64_MAX:
             return "{!r} overflows int64"
         return values
     if ctype is ColumnType.FLOAT64:
