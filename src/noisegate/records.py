@@ -13,6 +13,17 @@ and takes 0.010-0.015 s with Record (medians of 9 fresh processes, Python
 shared by every record class, which read the class's field list when they
 run, so creating a record class costs no more than creating a plain one.
 
+A record may nest to any depth: a query of 10,000 chained filters is a
+chain of 10,000 records.  So __eq__, __hash__ and __repr__ walk nested
+records, and plain tuples of them, with an explicit stack rather than
+recursion, and a deep query can be compared, hashed, logged and used as a
+key like any other value.  The walk costs about a microsecond per
+comparison: equality of an 8-column TableDomain went from 0.5-0.75 to
+1.7-1.85 us (timeit, Python 3.11.7), and evaluate makes 7 to 10 record
+comparisons per query.  Values of other types are compared, hashed and
+written as they are: a Map's columns and an ExpansionBranch's columns are
+dicts, so hashing a Map or a FlatMap node still raises TypeError.
+
 Measurement and Transformation stay dataclasses: callers rebuild them with
 dataclasses.replace.
 """
@@ -25,8 +36,18 @@ from fractions import Fraction
 from operator import attrgetter
 
 
-def _no_values(record) -> tuple:
-    return ()
+def _values_getter(names: tuple):
+    """A function of a record giving its field values, as a tuple."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    if names:
+        get = attrgetter(*names)
+        return lambda record: (get(record),)
+    return lambda record: ()
+
+
+class _Text(str):
+    """Literal text of a repr, as against a value to be written by repr."""
 
 
 def _field_repr(value) -> str:
@@ -51,7 +72,8 @@ class Record:
     call, so a class may rewrap it), and it may set fields with
     object.__setattr__.  Two records are equal when they are of the same
     class and their fields are equal, and they hash alike then; repr is
-    `QualName(field=value, ...)`.  Assigning or deleting any attribute
+    `QualName(field=value, ...)`.  None of the three recurses through
+    nested records or tuples.  Assigning or deleting any attribute
     raises FrozenInstanceError.
     """
 
@@ -61,7 +83,7 @@ class Record:
     _record_fields = {}
     _record_names = ()
     _record_tail = ()
-    _record_values = _no_values
+    _record_values = _values_getter(())
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -78,7 +100,7 @@ class Record:
         cls._record_fields = fields
         cls._record_names = tuple(fields)
         cls._record_tail = tuple(tail)
-        cls._record_values = attrgetter(*fields) if fields else _no_values
+        cls._record_values = _values_getter(cls._record_names)
 
     def __init__(self, *args, **kwargs) -> None:
         names = self._record_names
@@ -125,17 +147,68 @@ class Record:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
+        # Pairs of value tuples of one length (two records' fields, or the
+        # items of two tuples) whose items are still to be compared.
         values = type(self)._record_values
-        return values(self) == values(other)
+        pairs = [(values(self), values(other))]
+        while pairs:
+            for a, b in zip(*pairs.pop()):
+                if a is b:
+                    continue
+                kind = type(a)
+                if kind is not type(b):
+                    if a != b:
+                        return False
+                elif kind is tuple:
+                    if len(a) != len(b):
+                        return False
+                    pairs.append((a, b))
+                elif kind.__eq__ is Record.__eq__:
+                    pairs.append((kind._record_values(a), kind._record_values(b)))
+                elif a != b:
+                    return False
+        return True
 
     def __hash__(self) -> int:
-        return hash((type(self), type(self)._record_values(self)))
+        # Every value the walk meets, with each record's class and each
+        # tuple's length in front of the values inside it.  A tuple
+        # subclass is walked too: it may equal a plain tuple.
+        flat = [type(self)]
+        stack = [type(self)._record_values(self)]
+        while stack:
+            for value in stack.pop():
+                kind = type(value)
+                if isinstance(value, tuple):
+                    flat.append(len(value))
+                    stack.append(value)
+                elif kind.__hash__ is Record.__hash__:
+                    flat.append(kind)
+                    stack.append(kind._record_values(value))
+                else:
+                    flat.append(value)
+        return hash(tuple(flat))
 
     def __repr__(self) -> str:
-        body = ", ".join(
-            f"{name}={_field_repr(getattr(self, name))}" for name in self._record_names
-        )
-        return f"{type(self).__qualname__}({body})"
+        text, stack = [], [self]
+        while stack:
+            value = stack.pop()
+            kind = type(value)
+            if kind is tuple:
+                labels, items = [""] * len(value), value
+                opening, closing = "(", ",)" if len(value) == 1 else ")"
+            elif kind.__repr__ is Record.__repr__:
+                labels = [f"{name}=" for name in kind._record_names]
+                items = kind._record_values(value)
+                opening, closing = f"{kind.__qualname__}(", ")"
+            else:
+                text.append(value if kind is _Text else _field_repr(value))
+                continue
+            parts = [_Text(opening)]
+            for i, (label, item) in enumerate(zip(labels, items)):
+                parts += (_Text(f", {label}" if i else label), item)
+            parts.append(_Text(closing))
+            stack.extend(reversed(parts))
+        return "".join(text)
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

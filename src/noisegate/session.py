@@ -164,34 +164,45 @@ def keyset_from_tuples(
 # ---------------------------------------------------------------------------
 # Query expressions.
 #
-# Each node is declared once, as a record (QueryExpr is a Record, so each
-# annotation in a node's body is a field): the CLI decodes script JSON by
-# field name and type, the node's own method is its compile step, and
-# its builder methods chain the next node onto it.  Relational nodes have
-# the relational and aggregation methods, GroupBy only the aggregation
-# methods, and aggregations none, so a chain of calls can only build a
-# query whose one aggregation is its root.
+# Each node is declared once, as its class; the package's export list
+# names it too.  QueryExpr is a Record, so each annotation in a node's
+# body is a field, and __post_init__ normalises the fields however the
+# node is built.  Declaring a public node class adds it to QUERY_NODES,
+# by which the CLI decodes script JSON (by field name and type); its own
+# method is its compile step; and `builder="name"` in its class line adds
+# q.name(*args), which is Node(q, *args).  An aggregation's builder goes
+# on every node an aggregation can follow, any other on relational nodes
+# only, so GroupBy has only the aggregation builders and aggregations
+# none: a chain of calls can only build a query whose one aggregation is
+# its root.
+
+# Every query node by kind name, as query scripts spell it.
+QUERY_NODES: dict[str, type[QueryExpr]] = {}
 
 
 class QueryExpr(Record):
-    """Base class for query expression nodes."""
+    """Base class for query expression nodes; a node class's _builder is
+    the name of its builder method, or None."""
+
+    def __init_subclass__(cls, builder: str | None = None, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if not cls.__name__.startswith("_"):
+            QUERY_NODES[cls.__name__] = cls
+        cls._builder = builder
+        if builder is not None:
+            host = _Aggregable if issubclass(cls, _Aggregation) else _Relational
+
+            def build(self, *args, **kwargs):
+                return cls(self, *args, **kwargs)
+
+            build.__name__, build.__qualname__ = builder, f"{host.__name__}.{builder}"
+            build.__doc__ = f"{cls.__name__}(self, {', '.join(cls._record_names[1:])})"
+            setattr(host, builder, build)
 
 
 class _Aggregable(QueryExpr):
-    """A node an aggregation can follow; each method returns the finished
-    query, with the aggregation as its root."""
-
-    def count(self) -> Count:
-        return Count(self)
-
-    def sum(self, column: str, low, high, granularity=DEFAULT_GRANULARITY) -> Sum:
-        return Sum(self, column, low, high, granularity)
-
-    def average(self, column: str, low, high, granularity=DEFAULT_GRANULARITY) -> Average:
-        return Average(self, column, low, high, granularity)
-
-    def quantile(self, column: str, q: float, low, high, bins: int) -> Quantile:
-        return Quantile(self, column, q, low, high, bins)
+    """A node an aggregation can follow; each aggregation's builder
+    returns the finished query, with the aggregation as its root."""
 
 
 class _Relational(_Aggregable):
@@ -199,33 +210,8 @@ class _Relational(_Aggregable):
     built from the output domain and metric of `last`, the step of the
     node below it in the chain (None for a Source or JoinPrivate, which
     starts a chain); `tables` maps each session table name to the
-    transformation selecting it.  Each method returns a new node over this
-    one."""
-
-    def filter(self, predicate: str) -> Filter:
-        return Filter(self, predicate)
-
-    def map(self, columns: Mapping[str, str], schema: Schema) -> Map:
-        return Map(self, dict(columns), schema)
-
-    def flat_map(
-        self, branches: Sequence[tf.ExpansionBranch], schema: Schema, max_rows: int
-    ) -> FlatMap:
-        return FlatMap(self, tuple(branches), schema, max_rows)
-
-    def join_public(self, table: Table, on: Sequence[str]) -> JoinPublic:
-        return JoinPublic(self, table, tuple(on))
-
-    def join_private(
-        self, other: QueryExpr, on: Sequence[str], left_bound: int, right_bound: int
-    ) -> JoinPrivate:
-        return JoinPrivate(self, other, tuple(on), left_bound, right_bound)
-
-    def truncate_by_id(self, bound: int) -> TruncateById:
-        return TruncateById(self, bound)
-
-    def group_by(self, keys: KeySet) -> GroupBy:
-        return GroupBy(self, keys)
+    transformation selecting it.  Each relational node's builder returns a
+    new node over this one."""
 
 
 class _Aggregation(QueryExpr):
@@ -251,7 +237,7 @@ class Source(_Relational):
         return tables[self.table]
 
 
-class Filter(_Relational):
+class Filter(_Relational, builder="filter"):
     child: QueryExpr
     predicate: str
 
@@ -261,10 +247,13 @@ class Filter(_Relational):
         )
 
 
-class Map(_Relational):
+class Map(_Relational, builder="map"):
     child: QueryExpr
     columns: Mapping[str, str]
     schema: Schema
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "columns", dict(self.columns))
 
     def _step(self, last, tables):
         return tf.make_map(
@@ -272,11 +261,14 @@ class Map(_Relational):
         )
 
 
-class FlatMap(_Relational):
+class FlatMap(_Relational, builder="flat_map"):
     child: QueryExpr
     branches: tuple[tf.ExpansionBranch, ...]
     schema: Schema
     max_rows: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "branches", tuple(self.branches))
 
     def _step(self, last, tables):
         _require_rows(last, "flat_map")
@@ -285,22 +277,28 @@ class FlatMap(_Relational):
         )
 
 
-class JoinPublic(_Relational):
+class JoinPublic(_Relational, builder="join_public"):
     child: QueryExpr
     table: Table
     on: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "on", tuple(self.on))
 
     def _step(self, last, tables):
         _require_rows(last, "a public join")
         return tf.make_public_join(last.output_domain, self.table, self.on)
 
 
-class JoinPrivate(_Relational):
+class JoinPrivate(_Relational, builder="join_private"):
     child: QueryExpr
     other: QueryExpr
     on: tuple[str, ...]
     left_bound: int
     right_bound: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "on", tuple(self.on))
 
     def _step(self, last, tables):
         left, right = _build_chain(self.child, tables), _build_chain(self.other, tables)
@@ -329,7 +327,7 @@ class JoinPrivate(_Relational):
         )
 
 
-class TruncateById(_Relational):
+class TruncateById(_Relational, builder="truncate_by_id"):
     child: QueryExpr
     bound: int
 
@@ -341,7 +339,7 @@ class TruncateById(_Relational):
         return tf.make_truncate_by_id(last.output_domain, self.bound)
 
 
-class GroupBy(_Aggregable):
+class GroupBy(_Aggregable, builder="group_by"):
     child: QueryExpr
     keys: KeySet
 
@@ -352,7 +350,7 @@ class GroupBy(_Aggregable):
         return tf.make_grouped_view(last.output_domain, self.keys.schema)
 
 
-class Count(_Aggregation):
+class Count(_Aggregation, builder="count"):
     child: QueryExpr
 
     value_column = ("count", ColumnType.INT64)
@@ -381,7 +379,7 @@ class _Clamped(_Aggregation):
         object.__setattr__(self, "granularity", Fraction(granularity))
 
 
-class Sum(_Clamped):
+class Sum(_Clamped, builder="sum"):
     value_column = ("sum", ColumnType.FLOAT64)
 
     def _measurement(self, domain, noise):
@@ -390,7 +388,7 @@ class Sum(_Clamped):
         )
 
 
-class Average(_Clamped):
+class Average(_Clamped, builder="average"):
     value_column = ("average", ColumnType.FLOAT64)
 
     def _measurement(self, domain, noise):
@@ -399,7 +397,7 @@ class Average(_Clamped):
         )
 
 
-class Quantile(_Aggregation):
+class Quantile(_Aggregation, builder="quantile"):
     child: QueryExpr
     column: str
     q: float
@@ -416,16 +414,6 @@ class Quantile(_Aggregation):
             domain, self.column, self.q, self.low, self.high, self.bins,
             noise.epsilon_unit,
         )
-
-
-# Every query node by kind name, as query scripts spell it.
-QUERY_NODES: dict[str, type[QueryExpr]] = {
-    node.__name__: node
-    for node in (
-        Source, Filter, Map, FlatMap, JoinPublic, JoinPrivate, TruncateById,
-        GroupBy, Count, Sum, Average, Quantile,
-    )
-}
 
 
 def query(table: str) -> Source:

@@ -88,10 +88,12 @@ class ColumnType(enum.Enum):
         raise TypeParseError(f"unknown column type {name!r}")
 
 
-# Read once for result_cell, which runs once per released value: on
-# CPython 3.11 a member read through its Enum class costs about 150 ns,
-# since EnumType's __getattr__ keeps the read from being specialized.
+# Read once for check_value and result_cell, which run once per cell and
+# once per released value: on CPython 3.11 a member read through its Enum
+# class costs about 150 ns, since EnumType's __getattr__ keeps the read
+# from being specialized.
 _INT64 = ColumnType.INT64
+_FLOAT64 = ColumnType.FLOAT64
 
 
 class Schema(Record):
@@ -135,13 +137,13 @@ class Schema(Record):
 def check_value(value: Value, ctype: ColumnType) -> Value:
     """Raise SchemaMismatch unless value is a legal cell of the column
     type; return the cell as a Table stores it (-0.0 as 0.0)."""
-    if ctype is ColumnType.INT64:
+    if ctype is _INT64:
         # bool is an int subclass; reject it explicitly.
         if not isinstance(value, int) or isinstance(value, bool):
             raise SchemaMismatch(f"expected int64, got {value!r}")
         if not _INT64_MIN <= value <= _INT64_MAX:
             raise SchemaMismatch(f"{value} is outside the int64 range")
-    elif ctype is ColumnType.FLOAT64:
+    elif ctype is _FLOAT64:
         if not isinstance(value, float):
             raise SchemaMismatch(f"expected float64, got {value!r}")
         if not math.isfinite(value):

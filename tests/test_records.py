@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import importlib
 import inspect
@@ -145,3 +146,27 @@ def test_only_measurement_and_transformation_are_dataclasses():
             records += issubclass(cls, Record)
     assert dataclasses_found == {"Measurement", "Transformation"}
     assert records >= 40
+
+
+def _nested(depth, innermost):
+    # Each level holds the one below it inside a tuple, beside a field.
+    point = Point(innermost)
+    for i in range(depth):
+        point = Point((point, i), label=str(i % 2))
+    return point
+
+
+def test_records_nested_through_tuples_compare_hash_and_print_at_any_depth():
+    deep, twin, other = _nested(20_000, 1), _nested(20_000, 1), _nested(20_000, 2)
+    assert deep == twin and deep != other
+    assert hash(deep) == hash(twin)
+    assert len({deep, twin, other}) == 2
+    assert repr(deep) == repr(twin)
+    assert repr(_nested(2, 1)) == (
+        "Point(x=(Point(x=(Point(x=1, y=0, label='p'), 0), y=0, label='0'), 1), "
+        "y=0, label='1')"
+    )
+    assert repr(Point((), (1,), ("a", None))) == "Point(x=(), y=(1,), label=('a', None))"
+    pair = collections.namedtuple("pair", "a b")
+    assert Point((deep, 2)) == Point(pair(twin, 2))
+    assert hash(Point((deep, 2))) == hash(Point(pair(twin, 2)))

@@ -3,8 +3,10 @@ import math
 import random
 import sys
 import time
+import typing
 from fractions import Fraction
 from pathlib import Path
+from typing import Mapping
 
 import pytest
 
@@ -29,6 +31,7 @@ from noisegate.errors import (
     TypeMismatch,
     UnboundedSensitivity,
 )
+from noisegate.cli import parse_script
 from noisegate.measurements import PureDpNoise, compose_per_group, make_count
 from noisegate import metrics
 from noisegate.metrics import INF, AddRemoveIds, PureDP, SymmetricDifference, ZCDP
@@ -36,15 +39,20 @@ from noisegate.records import record_fields
 from noisegate.session import (
     _FRAME_BUDGET,
     _MAX_JOIN_NESTING,
+    _Aggregable,
+    _Relational,
     AddMaxRows,
     AddRemoveId,
     Average,
     Count,
     Filter,
+    FlatMap,
     GroupBy,
+    Map,
     PrivacyBudget,
     QUERY_NODES,
     Quantile,
+    QueryExpr,
     Source,
     Sum,
     build_session,
@@ -335,6 +343,78 @@ def test_nodes_chain_only_in_legal_orders():
     assert not hasattr(grouped, "filter") and not hasattr(grouped, "group_by")
     finished = query("people").count()
     assert not hasattr(finished, "filter") and not hasattr(finished, "count")
+
+
+def _builders(cls):
+    return {name for name, value in vars(cls).items() if callable(value) and name[0] != "_"}
+
+
+def test_each_node_class_adds_its_builder_where_the_node_may_follow():
+    assert _builders(_Relational) == {
+        "filter", "map", "flat_map", "join_public", "join_private", "truncate_by_id",
+        "group_by",
+    }
+    assert _builders(_Aggregable) == {"count", "sum", "average", "quantile"}
+    assert Source._builder is None
+    for node in QUERY_NODES.values():
+        assert _builders(node) == set(), node
+    assert query("p").sum("income", low=0, high=1) == Sum(Source("p"), "income", 0, 1)
+    columns = {"twice": "income * 2"}
+    mapped = query("p").map(columns, Schema.of(("twice", FLOAT64)))
+    columns["half"] = "income / 2"
+    assert mapped.columns == {"twice": "income * 2"}
+
+
+# One value per field type that query nodes declare: as script JSON, and as
+# a Python argument with every sequence given as a list.  A Table is equal
+# only to itself, so the Python side reuses the decoded one (None here).
+_FIELD_SAMPLES = {
+    QueryExpr: ({"kind": "Source", "table": "visits"}, Source("visits")),
+    str: ("income > 1", "income > 1"),
+    int: (3, 3),
+    float: (0.5, 0.5),
+    Fraction: ("0.1", 0.1),
+    Schema: ({"columns": [{"name": "zip", "type": "text"}]}, Schema.of(("zip", TEXT))),
+    Table: ({"columns": [{"name": "zip", "type": "text"}], "rows": [["981"]]}, None),
+    KeySet: (
+        {"columns": [{"name": "zip", "type": "text"}], "rows": [["981"], ["982"]]},
+        keyset_from_tuples([("zip", TEXT)], [("981",), ("982",)]),
+    ),
+    Mapping[str, str]: ({"zip": "zip"}, {"zip": "zip"}),
+    tuple[str, ...]: (["zip"], ["zip"]),
+    tuple[ExpansionBranch, ...]: (
+        [{"columns": {"zip": "zip"}, "when": "income > 1"}],
+        [ExpansionBranch({"zip": "zip"}, "income > 1")],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(QUERY_NODES))
+def test_a_builder_a_direct_node_and_a_script_give_one_node(kind):
+    node = QUERY_NODES[kind]
+    hints = typing.get_type_hints(node)
+    fields = [name for name in record_fields(node) if name != "child"]
+    doc = {"kind": kind, **{name: _FIELD_SAMPLES[hints[name]][0] for name in fields}}
+    if node is not Source:
+        doc["child"] = {"kind": "Source", "table": "people"}
+    script = {"queries": [{"name": "q", "spend": "1", "expr": doc}]}
+    decoded = parse_script(script)[0].expr
+    args = [
+        getattr(decoded, name) if hints[name] is Table else _FIELD_SAMPLES[hints[name]][1]
+        for name in fields
+    ]
+    if node is Source:
+        built, direct = query(*args), Source(*args)
+    else:
+        built = getattr(query("people"), node._builder)(*args)
+        direct = node(Source("people"), *args)
+    assert type(built) is node
+    assert built == direct == decoded
+    if node in (Map, FlatMap):
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(built)
+    else:
+        assert hash(built) == hash(direct) == hash(decoded)
 
 
 # ---------------------------------------------------------------------------
@@ -803,6 +883,38 @@ def test_a_long_chain_of_filters_is_counted_and_charged_once(filters):
         expr = expr.filter("id > -1")
     assert len(s.evaluate(expr.count(), PrivacyBudget.pure("1/2")).rows) == 1
     assert s.remaining_budget().amount == Fraction(1, 2)
+
+
+def _filters(table, count):
+    expr = query(table)
+    for i in range(count):
+        expr = expr.filter(f"id > {-1 - i % 3}")
+    return expr
+
+
+@pytest.mark.parametrize(
+    "build, filters",
+    [
+        (lambda n: _filters("people", n).count(), 10_000),
+        (
+            lambda n: query("people").join_private(_filters("visits", n), ["id"], 1, 1).count(),
+            2_000,
+        ),
+    ],
+    ids=["10,000 filters", "a join of a 2,000-filter chain"],
+)
+def test_a_deep_query_is_an_ordinary_value(build, filters):
+    expr, twin, shorter = build(filters), build(filters), build(filters - 1)
+    assert expr == twin and not expr != twin
+    assert expr != shorter and shorter != expr
+    assert hash(expr) == hash(twin)
+    assert {expr: "cached"}[twin] == "cached"
+    assert repr(expr) == repr(twin) != repr(shorter)
+    assert repr(expr).count("Filter(child=") == filters
+    visits = Table.of(Schema.of(("id", INT64), ("site", TEXT)), [(1, "a"), (2, "b")])
+    s = fresh_session(tables={"people": people_table(), "visits": visits})
+    assert len(s.evaluate(expr, PrivacyBudget.pure(1)).rows) == 1
+    assert s.remaining_budget().amount == 9
 
 
 # ---------------------------------------------------------------------------
