@@ -239,7 +239,7 @@ _DECODERS = {
     Schema: lambda value, where: schema_from_json(value),
     Table: lambda value, where: Table.of(*_decode_rows(value, where)),
     KeySet: _decode_keyset,
-    Mapping[str, str]: _decode_expressions,
+    tuple[tuple[str, str], ...]: _decode_expressions,
     tuple[str, ...]: lambda value, where: tuple(
         _check(name, str, "a string", f"{where}[{i}]")
         for i, name in enumerate(_array(value, where))

@@ -5,8 +5,9 @@ monotone map from input distance to privacy loss under its output
 measure.  A noisy aggregation is a statistic under a mechanism: an
 integer function of a table's rows with a known sensitivity, plus exact
 integer noise from the mechanism the noise spec names.  _noisy solves
-that mechanism once per aggregation, and make_count, make_sum and
-make_average each add its draw to their statistic in their own closure.
+that mechanism once per aggregation, when it is built, and hands back its
+sampler function; make_count, make_sum and make_average each call it once
+per draw and add the draw to their statistic in their own closure.
 Composition operators combine measurements while combining their privacy
 functions, and the Queryable enforces a privacy budget across an
 adaptive sequence of asks.
@@ -105,7 +106,7 @@ class Measurement:
 
 
 class GeometricMechanism(Record):
-    """Adds two-sided geometric noise with P(k) proportional to
+    """Two-sided geometric noise with P(k) proportional to
     exp(-|k| epsilon_unit / sensitivity).
 
     For integer statistics that move by at most `sensitivity` when the
@@ -125,12 +126,9 @@ class GeometricMechanism(Record):
     def privacy_function(self) -> DistanceMap:
         return linear_map(self.epsilon_unit)
 
-    def add_noise(self, value: int, rng: random.Random) -> int:
-        return value + sample_two_sided_geometric(self.rate, rng)
-
 
 class GaussianMechanism(Record):
-    """Adds discrete Gaussian noise with variance parameter sigma_squared.
+    """Discrete Gaussian noise with variance parameter sigma_squared.
 
     For integer statistics that move by at most `sensitivity` per unit of
     input distance, the privacy function under ZCDP is the quadratic
@@ -143,9 +141,6 @@ class GaussianMechanism(Record):
     @property
     def privacy_function(self) -> DistanceMap:
         return DistanceMap(0, Fraction(self.sensitivity**2) / (2 * self.sigma_squared))
-
-    def add_noise(self, value: int, rng: random.Random) -> int:
-        return value + sample_discrete_gaussian(self.sigma_squared, rng)
 
 
 def make_geometric(epsilon_unit, sensitivity: int = 1) -> GeometricMechanism:
@@ -209,45 +204,42 @@ def _halve(noise: NoiseSpec) -> NoiseSpec:
 # Aggregations.
 
 
-# Every draw looks its sampler up here, by the name _noisy gives, when it
-# is made: a caller that swaps this module's sample_two_sided_geometric or
-# sample_discrete_gaussian sees each draw.
-_SAMPLERS = globals()
-
-
 def _no_noise(parameter, rng: random.Random) -> int:
     """The draw a statistic of sensitivity 0 gets: none."""
     return 0
 
 
-def _noisy(noise: NoiseSpec, sensitivity: int) -> tuple[DistanceMap, str, Any]:
+def _noisy(noise: NoiseSpec, sensitivity: int) -> tuple[DistanceMap, Callable, Any]:
     """The noise for an int statistic that moves by at most `sensitivity`
     per unit of symmetric difference, solved once from the spec's
-    mechanism: (privacy function, sampler name, parameter).
+    mechanism: (privacy function, sampler, parameter).  The sampler is
+    sample_two_sided_geometric, sample_discrete_gaussian or _no_noise, read
+    from this module when the aggregation is built; every measurement is
+    built inside Session.evaluate, so a caller that swaps a sampler here
+    before evaluating sees every draw.
 
     Each aggregation's evaluation is one closure over table.rows that adds
-    _SAMPLERS[sampler](parameter, rng), one draw, to its statistic and
-    finishes its own value: the mechanism's add_noise written out.  So a
-    key of a grouped release costs that closure, the statistic (len, or
-    one total_of for a sum), one sampler call per draw (the geometric's
-    runs _two_sided_geometric, with one _geometric_exp per attempt), for
-    a sum or an average one result_cell, and compose_per_group's
-    result_cell of the value.  At sensitivity 0 the statistic takes one
-    value on every input, which is released as it is: free, and drawing
-    nothing.
+    sample(parameter, rng), one draw, to its statistic and finishes its
+    own value.  So a key of a grouped release costs that closure, the
+    statistic (len, or one total_of for a sum), one sampler call per draw
+    (the geometric's runs _two_sided_geometric, with one _geometric_exp
+    per attempt), for a sum or an average one result_cell, and
+    compose_per_group's result_cell of the value.  At sensitivity 0 the
+    statistic takes one value on every input, which is released as it is:
+    free, and drawing nothing.
     """
     if sensitivity == 0:
-        return linear_map(0), "_no_noise", None
+        return linear_map(0), _no_noise, None
     if isinstance(noise, PureDpNoise):
         mechanism = make_geometric(noise.epsilon_unit, sensitivity)
-        return mechanism.privacy_function, "sample_two_sided_geometric", mechanism.rate
+        return mechanism.privacy_function, sample_two_sided_geometric, mechanism.rate
     rho_unit = Fraction(noise.rho_unit)
     if rho_unit <= 0:
         raise NonPositiveEpsilon(f"rho must be positive, got {rho_unit}")
     mechanism = make_discrete_gaussian(
         Fraction(sensitivity * sensitivity) / (2 * rho_unit), sensitivity
     )
-    return mechanism.privacy_function, "sample_discrete_gaussian", mechanism.sigma_squared
+    return mechanism.privacy_function, sample_discrete_gaussian, mechanism.sigma_squared
 
 
 def _aggregation(
@@ -258,10 +250,10 @@ def _aggregation(
 
 def make_count(domain: TableDomain, noise: NoiseSpec) -> Measurement:
     """A noisy row count.  Sensitivity 1 per unit of symmetric difference."""
-    privacy_function, sampler, parameter = _noisy(noise, 1)
+    privacy_function, sample, parameter = _noisy(noise, 1)
 
     def evaluate(table: Table, rng: random.Random) -> int:
-        return len(table.rows) + _SAMPLERS[sampler](parameter, rng)
+        return len(table.rows) + sample(parameter, rng)
 
     return _aggregation(domain, noise, privacy_function, evaluate)
 
@@ -390,11 +382,11 @@ def make_sum(
     result is scaled back, as one correctly rounded float.
     """
     total_of, sensitivity, g_num, g_den = _grains(domain, column, low, high, granularity)
-    privacy_function, sampler, parameter = _noisy(noise, sensitivity)
+    privacy_function, sample, parameter = _noisy(noise, sensitivity)
     float64 = ColumnType.FLOAT64
 
     def evaluate(table: Table, rng: random.Random) -> float:
-        total = total_of(table.rows) + _SAMPLERS[sampler](parameter, rng)
+        total = total_of(table.rows) + sample(parameter, rng)
         return result_cell(total * g_num, float64, g_den)
 
     return _aggregation(domain, noise, privacy_function, evaluate)
@@ -410,32 +402,24 @@ def make_average(
 ) -> Measurement:
     """A noisy clamped average: noisy sum over max(1, noisy count).
 
-    The sequential composition of a sum and a count, each at half the
-    stated budget, so its privacy function is the sum of two half-cost
-    maps and equals the full cost at every distance.  The quotient is
-    rounded once, from the noisy grain total and count.
+    A sum and a count in sequence, each at half the stated budget and
+    the sum's draw first, so its privacy function is the sum of two
+    half-cost maps and equals the full cost at every distance.  The
+    quotient is rounded once, from the noisy grain total and count.
     """
     half = _halve(noise)
     total_of, sensitivity, g_num, g_den = _grains(domain, column, low, high, granularity)
-    sum_function, sum_sampler, sum_parameter = _noisy(half, sensitivity)
-    count_function, count_sampler, count_parameter = _noisy(half, 1)
+    sum_function, sample_sum, sum_parameter = _noisy(half, sensitivity)
+    count_function, sample_count, count_parameter = _noisy(half, 1)
     float64 = ColumnType.FLOAT64
 
     def evaluate(table: Table, rng: random.Random) -> float:
         rows = table.rows
-        total = total_of(rows) + _SAMPLERS[sum_sampler](sum_parameter, rng)
-        count = len(rows) + _SAMPLERS[count_sampler](count_parameter, rng)
+        total = total_of(rows) + sample_sum(sum_parameter, rng)
+        count = len(rows) + sample_count(count_parameter, rng)
         return result_cell(total * g_num, float64, g_den * max(1, count))
 
-    # The composition checks the two parts and adds their privacy
-    # functions; only that is used, so the parts are never evaluated and
-    # have no _eval.  The evaluation is the average's own, the sum's draw
-    # first, in the composition's order.
-    both = compose_sequential([
-        _aggregation(domain, half, sum_function, None),
-        _aggregation(domain, half, count_function, None),
-    ])
-    return _aggregation(domain, noise, both.privacy_function, evaluate)
+    return _aggregation(domain, noise, sum_maps([sum_function, count_function]), evaluate)
 
 
 def _quantile_scores(values: Sequence, midpoints: Sequence[float], q: float) -> list:

@@ -21,8 +21,7 @@ key like any other value.  The walk costs about a microsecond per
 comparison: equality of an 8-column TableDomain went from 0.5-0.75 to
 1.7-1.85 us (timeit, Python 3.11.7), and evaluate makes 7 to 10 record
 comparisons per query.  Values of other types are compared, hashed and
-written as they are: a Map's columns and an ExpansionBranch's columns are
-dicts, so hashing a Map or a FlatMap node still raises TypeError.
+written as they are.
 
 Measurement and Transformation stay dataclasses: callers rebuild them with
 dataclasses.replace.

@@ -63,11 +63,28 @@ from .tabledata import (
 _ROW_FAILURES = (ExpressionTypeError, OverflowError, SchemaMismatch)
 
 
+# A map's or a flat-map branch's expressions, as given by a caller.
+Columns = Mapping[str, str] | Iterable[tuple[str, str]]
+
+
+def column_pairs(columns: Columns) -> tuple[tuple[str, str], ...]:
+    """A map's or a flat-map branch's expressions, given as a mapping or as
+    (name, expression) pairs, as a tuple of pairs sorted by name: a value
+    that shares nothing with the caller, hashes, and is equal to another
+    that names the same expressions in any order."""
+    items = columns.items() if isinstance(columns, Mapping) else columns
+    pairs = tuple(sorted(((name, expr) for name, expr in items), key=itemgetter(0)))
+    if len({name for name, _ in pairs}) != len(pairs):
+        raise DuplicateColumn(f"a column has two expressions in {pairs}")
+    return pairs
+
+
 def _compile_branch(
-    columns: Mapping[str, str], schema: Schema, new_schema: Schema
+    columns: Columns, schema: Schema, new_schema: Schema
 ) -> list[CompiledExpression]:
     """A map or flat-map branch's projections over rows of `schema`, in
     new_schema's column order; the branch must name exactly its columns."""
+    columns = dict(column_pairs(columns))
     if set(columns) != set(new_schema.names):
         raise SchemaMismatch(
             f"expressions cover {sorted(columns)} but the new schema has "
@@ -187,7 +204,7 @@ def make_filter(domain: TableDomain, predicate: str, metric: Metric | None = Non
 
 def make_map(
     domain: TableDomain,
-    columns: Mapping[str, str],
+    columns: Columns,
     new_schema: Schema,
     metric: Metric | None = None,
 ) -> Transformation:
@@ -237,12 +254,16 @@ def make_map(
 class ExpansionBranch(Record):
     """One candidate output row of a flat map.
 
-    `columns` maps output column names to expressions over the input row;
-    `when`, if given, is a predicate guarding whether the branch fires.
+    `columns` pairs output column names with expressions over the input
+    row, and is given as a mapping or as pairs (see column_pairs); `when`,
+    if given, is a predicate guarding whether the branch fires.
     """
 
-    columns: Mapping[str, str]
+    columns: tuple[tuple[str, str], ...]
     when: str | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "columns", column_pairs(self.columns))
 
 
 def make_flat_map(

@@ -257,7 +257,7 @@ def test_row_transformations_match_the_oracle_row_loops(seed):
         expanded = make_flat_map(DOMAIN, branches, schema, max_rows).apply(table).rows
         oracle_branches = [
             (None if b.when is None else oracle_expression(b.when, SCHEMA)[0],
-             oracle_cells(b.columns, schema))
+             oracle_cells(dict(b.columns), schema))
             for b in branches
         ]
         assert same(expanded, oracle_flat_map(table.rows, oracle_branches, max_rows))

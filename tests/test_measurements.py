@@ -70,8 +70,10 @@ from noisegate.metrics import (
     SymmetricDifference,
     ZCDP,
     linear_map,
+    sum_maps,
 )
 from noisegate import measurements, session
+from noisegate.noise import sample_discrete_gaussian, sample_two_sided_geometric
 from noisegate.rng import RngStream
 from noisegate.tabledata import ColumnType, KeySet, Schema, Table, TableDomain, result_cell
 
@@ -107,13 +109,16 @@ def test_geometric_short_circuit():
     # At rate 2e9 the exact sampler puts all but about 2 exp(-2e9) of the
     # noise mass on zero.
     mech = make_geometric(Fraction(2 * 10**9), sensitivity=1)
-    assert all(mech.add_noise(5, stream(str(i)).generator()) == 5 for i in range(20))
+    assert all(
+        5 + sample_two_sided_geometric(mech.rate, stream(str(i)).generator()) == 5
+        for i in range(20)
+    )
 
 
 def test_geometric_pmf_matches_closed_form():
     mech = make_geometric(Fraction(1), sensitivity=2)
     rng = stream("pmf").generator()
-    samples = [mech.add_noise(3, rng) for _ in range(40000)]
+    samples = [3 + sample_two_sided_geometric(mech.rate, rng) for _ in range(40000)]
     oracle = geometric_pmf(mech.rate, 3, 3 - 80, 3 + 80)
     assert tv_distance(empirical_pmf(samples), oracle) < 0.01
 
@@ -130,7 +135,7 @@ def test_gaussian_mechanism_privacy_function():
 
 def test_gaussian_short_circuit():
     mech = GaussianMechanism(sigma_squared=Fraction(1, 10**19), sensitivity=1)
-    assert mech.add_noise(3, stream().generator()) == 3
+    assert 3 + sample_discrete_gaussian(mech.sigma_squared, stream().generator()) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +316,15 @@ def test_average_splits_budget_evenly():
     assert m.privacy_function(3) == 3
     zc = make_average(DOMAIN, "v", 0, 100, 1, ZcdpNoise(Fraction(1)))
     assert zc.privacy_function(1) == 1
+    # The average's privacy function is a sum and a count at half the spec.
+    for noise, half in (
+        (PureDpNoise(Fraction(3)), PureDpNoise(Fraction(3, 2))),
+        (ZcdpNoise(Fraction(3)), ZcdpNoise(Fraction(3, 2))),
+    ):
+        parts = [make_sum(DOMAIN, "v", 0, 100, 1, half), make_count(DOMAIN, half)]
+        assert make_average(DOMAIN, "v", 0, 100, 1, noise).privacy_function == sum_maps(
+            [part.privacy_function for part in parts]
+        )
 
 
 def test_quantile_single_bin_returns_midpoint():

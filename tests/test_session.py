@@ -6,7 +6,6 @@ import time
 import typing
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping
 
 import pytest
 
@@ -19,6 +18,7 @@ from helpers import (
 )
 from noisegate.errors import (
     BadBounds,
+    DuplicateColumn,
     EmptyTables,
     InsufficientBudget,
     MeasureMismatch,
@@ -33,7 +33,7 @@ from noisegate.errors import (
 )
 from noisegate.cli import parse_script
 from noisegate.measurements import PureDpNoise, compose_per_group, make_count
-from noisegate import metrics
+from noisegate import measurements, metrics
 from noisegate.metrics import INF, AddRemoveIds, PureDP, SymmetricDifference, ZCDP
 from noisegate.records import record_fields
 from noisegate.session import (
@@ -362,7 +362,7 @@ def test_each_node_class_adds_its_builder_where_the_node_may_follow():
     columns = {"twice": "income * 2"}
     mapped = query("p").map(columns, Schema.of(("twice", FLOAT64)))
     columns["half"] = "income / 2"
-    assert mapped.columns == {"twice": "income * 2"}
+    assert mapped.columns == (("twice", "income * 2"),)
 
 
 # One value per field type that query nodes declare: as script JSON, and as
@@ -380,7 +380,7 @@ _FIELD_SAMPLES = {
         {"columns": [{"name": "zip", "type": "text"}], "rows": [["981"], ["982"]]},
         keyset_from_tuples([("zip", TEXT)], [("981",), ("982",)]),
     ),
-    Mapping[str, str]: ({"zip": "zip"}, {"zip": "zip"}),
+    tuple[tuple[str, str], ...]: ({"zip": "zip"}, {"zip": "zip"}),
     tuple[str, ...]: (["zip"], ["zip"]),
     tuple[ExpansionBranch, ...]: (
         [{"columns": {"zip": "zip"}, "when": "income > 1"}],
@@ -410,11 +410,61 @@ def test_a_builder_a_direct_node_and_a_script_give_one_node(kind):
         direct = node(Source("people"), *args)
     assert type(built) is node
     assert built == direct == decoded
-    if node in (Map, FlatMap):
-        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
-            hash(built)
-    else:
-        assert hash(built) == hash(direct) == hash(decoded)
+    assert hash(built) == hash(direct) == hash(decoded)
+
+
+def test_a_map_or_flat_map_node_shares_no_mapping_with_its_caller():
+    schema = Schema.of(("twice", FLOAT64))
+    columns = {"twice": "income * 2"}
+    flat = query("p").flat_map([ExpansionBranch(columns, "income > 1")], schema, 1)
+    columns["twice"] = "income * 3"
+    columns["half"] = "income / 2"
+    branch = ExpansionBranch([("twice", "income * 2")], "income > 1")
+    assert flat.branches == (branch,)
+    assert flat == FlatMap(Source("p"), [branch], schema, 1)
+    assert {flat: "flat"}[FlatMap(Source("p"), [branch], schema, 1)] == "flat"
+    # The same expressions in any order, as a mapping or as pairs, are one node.
+    both = Schema.of(("a", FLOAT64), ("b", FLOAT64))
+    assert Map(Source("p"), {"b": "income", "a": "age"}, both) == Map(
+        Source("p"), [("a", "age"), ("b", "income")], both
+    )
+    with pytest.raises(DuplicateColumn):
+        ExpansionBranch([("a", "age"), ("a", "income")])
+
+
+def test_a_sampler_swapped_before_evaluate_sees_every_draw(monkeypatch):
+    # Each aggregation takes its sampler from `measurements` when it is
+    # built, inside evaluate: one draw per key for a count, two for an
+    # average (its sum's first, at 1/100 of the count's rate: 100 grains per
+    # row), and one for an ungrouped sum.
+    keys = keyset_from_tuples([("zip", TEXT)], [("981",), ("983",), ("982",)])
+    geometric, gaussian = "sample_two_sided_geometric", "sample_discrete_gaussian"
+    asks = [
+        (query("people").group_by(keys).count(), PrivacyBudget.pure(1),
+         [(geometric, Fraction(1))] * 3),
+        (query("people").group_by(keys).average("income", 0, 100, 1), PrivacyBudget.pure(2),
+         [(geometric, Fraction(1, 100)), (geometric, Fraction(1))] * 3),
+        (query("people").sum("income", 0, 100, 1), PrivacyBudget.zcdp("1/2"),
+         [(gaussian, Fraction(10000))]),
+    ]
+
+    def release(expr, spend):
+        budget = PrivacyBudget(spend.measure, 10)
+        return fresh_session(budget=budget).evaluate(expr, spend).rows
+
+    unpatched = [release(expr, spend) for expr, spend, _ in asks]
+    draws = []
+    for name in (geometric, gaussian):
+
+        def logged(parameter, rng, name=name, sample=getattr(measurements, name)):
+            draws.append((name, parameter))
+            return sample(parameter, rng)
+
+        monkeypatch.setattr(measurements, name, logged)
+    for (expr, spend, expected), rows in zip(asks, unpatched):
+        draws.clear()
+        assert release(expr, spend) == rows
+        assert draws == expected
 
 
 # ---------------------------------------------------------------------------
