@@ -70,10 +70,6 @@ class EmptyList(NoisegateError):
     """A list argument that must be non-empty was empty."""
 
 
-class NonLinearPrivacyFunction(NoisegateError):
-    """Parallel composition requires linear privacy functions."""
-
-
 class LengthMismatch(NoisegateError):
     """A list argument has the wrong number of elements."""
 

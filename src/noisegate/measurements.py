@@ -8,8 +8,10 @@ integer noise from the mechanism the noise spec names.  _noisy solves
 that mechanism once per aggregation, when it is built, and hands back its
 sampler function; make_count, make_sum and make_average each call it once
 per draw and add the draw to their statistic in their own closure.
-Composition operators combine measurements while combining their privacy
-functions, and the Queryable enforces a privacy budget across an
+Composition operators combine measurements and their privacy functions
+under either measure: sequential parts' maps add, and parallel parts
+(per group, over subsets) take one map at the total distance, since every
+map is superadditive.  The Queryable enforces a privacy budget across an
 adaptive sequence of asks.
 
 All noise is integer-domain and exactly distributed (see noise.py).
@@ -40,7 +42,6 @@ from .errors import (
     LengthMismatch,
     MeasureMismatch,
     MetricMismatch,
-    NonLinearPrivacyFunction,
     NonPositiveEpsilon,
     NonPositiveGranularity,
     NonPositiveSigma,
@@ -59,7 +60,7 @@ from .metrics import (
     ZCDP,
     format_amount,
     linear_map,
-    max_slope_map,
+    max_map,
     parse_budget_amount,
     sum_maps,
 )
@@ -181,9 +182,7 @@ class PureDpNoise(Record):
 class ZcdpNoise(Record):
     """Discrete Gaussian noise costing rho_unit at distance 1.
 
-    The privacy function is the quadratic rho_unit * d^2.  Parallel
-    composition needs a linear one, so for a grouped query the compiler
-    replaces it by the line through it at the scaled distance.
+    The privacy function is the quadratic rho_unit * d^2, grouped or not.
     """
 
     rho_unit: Fraction
@@ -532,10 +531,12 @@ def compose_per_group(
 ) -> Measurement:
     """Run one measurement on each keyset group; privacy does not add up.
 
-    Groups partition the data, so a unit of grouped distance is split
-    among the groups it touches and the total loss stays bounded by the
-    per-group privacy function applied to the total distance.  That
-    argument needs a linear privacy function; anything else is rejected.
+    Groups partition the data, so a grouped distance d is split among the
+    groups it touches, d_g each.  The groups' noise is independent, so
+    their max and Renyi divergences add (Bun & Steinke 2016), and the
+    total loss is at most the sum of f(d_g) over the groups, where f is
+    the per-group privacy function.  Every DistanceMap is superadditive,
+    so that sum is at most f(d): f is the composition's privacy function.
 
     The measurement's output is the result table: exactly one row per
     key, in keyset order, whatever keys the data contains, each with its
@@ -555,10 +556,6 @@ def compose_per_group(
     """
     if not isinstance(per_group.input_metric, SymmetricDifference):
         raise MetricMismatch("per-group measurements run under SymmetricDifference")
-    if per_group.privacy_function.quadratic:
-        raise NonLinearPrivacyFunction(
-            "per-group composition needs a linear privacy function"
-        )
     check_key_columns(domain.schema, keys.schema)
     value_name, value_type = value_column
     if value_type is ColumnType.TEXT:
@@ -595,9 +592,10 @@ def compose_per_group(
 def compose_over_subsets(parts: Sequence[Measurement]) -> Measurement:
     """Run the i-th measurement on the i-th table of a bounded list.
 
-    A row may appear in several subsets, so the loss is bounded by the
-    worst per-subset slope times the total list distance.  Linear privacy
-    functions only.
+    A row may appear in several subsets, so the list distance d is the
+    sum of the subsets' distances d_i, and the loss is at most the sum of
+    f_i(d_i).  max_map bounds every f_i and is superadditive, so its
+    value at d bounds that sum.
     """
     parts = list(parts)
     if not parts:
@@ -610,10 +608,6 @@ def compose_over_subsets(parts: Sequence[Measurement]) -> Measurement:
             raise MetricMismatch("subset parts run under SymmetricDifference")
         if part.output_measure != parts[0].output_measure:
             raise MeasureMismatch("subset parts must share an output measure")
-        if part.privacy_function.quadratic:
-            raise NonLinearPrivacyFunction(
-                "composition over subsets needs linear privacy functions"
-            )
 
     def evaluate(tables, rng: random.Random) -> tuple:
         if len(tables) != len(parts):
@@ -626,7 +620,7 @@ def compose_over_subsets(parts: Sequence[Measurement]) -> Measurement:
         input_domain=TableListDomain(element, len(parts)),
         input_metric=BoundedLists(SymmetricDifference()),
         output_measure=parts[0].output_measure,
-        privacy_function=max_slope_map([p.privacy_function for p in parts]),
+        privacy_function=max_map([p.privacy_function for p in parts]),
         _eval=evaluate,
     )
 

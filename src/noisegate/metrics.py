@@ -144,9 +144,10 @@ class DistanceMap(Record):
     and prints as its two numbers.  Stabilities and pure-DP privacy
     functions are linear (quadratic 0); a zCDP privacy function is the
     quadratic rho * d^2 (Bun & Steinke 2016).  The form is closed under
-    sums and under composition with a linear map, the only compositions
-    the compiler makes.  Distances are rational, with math.inf as the one
-    non-rational distance, and 0 * inf is 0.
+    sums, coefficient-wise maxima and composition with a linear map, the
+    only combinations the compiler makes, and every map is superadditive:
+    f(a) + f(b) <= f(a + b).  Distances are rational, with math.inf as the
+    one non-rational distance, and 0 * inf is 0.
     """
 
     slope: Fraction
@@ -188,8 +189,7 @@ def sum_maps(maps: Sequence[DistanceMap]) -> DistanceMap:
     return DistanceMap(sum(m.slope for m in maps), sum(m.quadratic for m in maps))
 
 
-def max_slope_map(maps: Sequence[DistanceMap]) -> DistanceMap:
-    """linear(max slope) over linear maps, for composition over subsets."""
-    if any(m.quadratic for m in maps):
-        raise ValueError("max_slope_map needs linear maps")
-    return linear_map(max(m.slope for m in maps))
+def max_map(maps: Sequence[DistanceMap]) -> DistanceMap:
+    """The coefficient-wise maximum of maps, for composition over subsets:
+    at every distance it is at least each of them."""
+    return DistanceMap(max(m.slope for m in maps), max(m.quadratic for m in maps))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence, Union
 
@@ -470,7 +469,7 @@ _MAX_JOIN_NESTING = 8
 
 # The frames evaluate needs below its own: the deepest query that the caps
 # allow (a 64-level predicate under private joins nested 8 deep, grouped)
-# evaluates with 147 frames of headroom, and not with 146, on CPython
+# evaluates with 146 frames of headroom, and not with 145, on CPython
 # 3.10.13, 3.11.7, 3.12.1 and 3.13.0; the rest is a margin.
 _FRAME_BUDGET = 200
 
@@ -520,16 +519,6 @@ def _build_chain(
     for node in reversed(nodes):
         steps.append(node._step(steps[-1] if steps else None, tables))
     return tf.chain(*steps)
-
-
-def _combine(chain: tf.Transformation, measurement: Measurement) -> Measurement:
-    return Measurement(
-        input_domain=chain.input_domain,
-        input_metric=chain.input_metric,
-        output_measure=measurement.output_measure,
-        privacy_function=compose_maps(measurement.privacy_function, chain.stability),
-        _eval=lambda data, rng: measurement._eval(chain.apply(data), rng),
-    )
 
 
 def compile_query(
@@ -596,28 +585,29 @@ def _compile(
     else:
         raise TypeCheckError(f"unknown measure {measure!r}")
 
-    per_table = expr._measurement(chain.output_domain, noise)
+    measured = expr._measurement(chain.output_domain, noise)
     value_column = expr.value_column
 
     key_columns = () if grouping is None else tuple(grouping.keys.schema.columns)
     output_schema = Schema(key_columns + (value_column,))
     if grouping is None:
+        value_type, evaluate = value_column[1], measured._eval
 
         def release(table: Table, rng: random.Random) -> Table:
-            value = result_cell(per_table._eval(table, rng), value_column[1])
+            value = result_cell(evaluate(table, rng), value_type)
             return Table._trusted(output_schema, ((value,),))
-
-        measured = replace(per_table, _eval=release)
     else:
-        # Parallel composition needs a linear privacy function: the line
-        # through the map at the scaled distance s meets it there and lies
-        # above the zCDP quadratic below s.  A pure-DP map is that line.
-        s = scaled or 1
-        f = per_table.privacy_function
-        line = replace(per_table, privacy_function=linear_map(f(s) / s))
-        measured = compose_per_group(chain.output_domain, grouping.keys, line, value_column)
+        measured = compose_per_group(chain.output_domain, grouping.keys, measured, value_column)
+        release = measured._eval
+    apply = chain._apply
     return CompiledQuery(
-        measurement=_combine(chain, measured),
+        measurement=Measurement(
+            input_domain=chain.input_domain,
+            input_metric=chain.input_metric,
+            output_measure=measured.output_measure,
+            privacy_function=compose_maps(measured.privacy_function, chain.stability),
+            _eval=lambda data, rng: release(apply(data), rng),
+        ),
         transformation=chain,
         output_schema=output_schema,
         unit_distance=distance,

@@ -551,16 +551,28 @@ def csv_text(table: Table) -> str:
 
 def _read_json(path: Path, error: type[NoisegateError]):
     """The JSON document in a file, whose strings all have a UTF-8
-    encoding.  A file that cannot be read raises MissingFile; any other
-    fault raises error."""
+    encoding and whose objects repeat no key.  A file that cannot be read
+    raises MissingFile; any other fault raises error."""
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise MissingFile(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise error(f"{path} is not valid UTF-8: {exc}") from exc
+
+    def unique_keys(pairs: list) -> dict:
+        # json keeps the last of repeated keys; a repeat is refused instead.
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise error(f"{path}: an object repeats the key {key!r}")
+                seen.add(key)
+        return obj
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
         # JSON escapes can spell lone surrogates, which no output can encode.
         json.dumps(doc, ensure_ascii=False).encode("utf-8")
     except UnicodeEncodeError as exc:  # a ValueError, so caught first

@@ -707,6 +707,41 @@ def test_a_deeply_nested_script_exits_2(tmp_path, command, script_text, capsys, 
     _refused_before_any_query(capsys.readouterr())
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "budget"])
+def test_a_schema_file_that_repeats_a_table_exits_2(tmp_path, command, capsys, monkeypatch):
+    # json.loads would keep the last "people" silently.
+    write_workspace(tmp_path, queries=[count_query("t", "1")])
+    people = json.dumps(SCHEMA_DOC["tables"]["people"])
+    (tmp_path / "schema.json").write_text(
+        '{"tables": {"people": ' + people + ', "people": ' + people + "}}"
+    )
+    monkeypatch.setattr(session.Session, "evaluate", _no_evaluate)
+    assert main(_command_args(tmp_path, command)) == 2
+    captured = capsys.readouterr()
+    _refused_before_any_query(captured)
+    assert "repeats the key 'people'" in captured.err
+
+
+@pytest.mark.parametrize("command", ["run", "budget"])
+def test_a_script_object_that_repeats_a_key_exits_2(tmp_path, command, capsys, monkeypatch):
+    # A map of {"x": "id", "x": "income"} would decode as x = income alone.
+    write_workspace(tmp_path)
+    mapped = (
+        '{"kind": "Map", "child": ' + json.dumps(SOURCE) + ', "columns": '
+        '{"x": "id", "x": "income"}, "schema": '
+        '{"columns": [{"name": "x", "type": "float64"}]}}'
+    )
+    (tmp_path / "script.json").write_text(
+        '{"queries": [{"name": "a", "spend": "1", "expr": '
+        '{"kind": "Sum", "child": ' + mapped + ', "column": "x", "low": 0, "high": 1}}]}'
+    )
+    monkeypatch.setattr(session.Session, "evaluate", _no_evaluate)
+    assert main(run_args(tmp_path, command, budget="1")) == 2
+    captured = capsys.readouterr()
+    _refused_before_any_query(captured)
+    assert "repeats the key 'x'" in captured.err
+
+
 def test_a_query_name_may_not_end_in_a_newline():
     with pytest.raises(ScriptError, match="'name' must match"):
         parse_script({"queries": [count_query("a\n", "1")]})

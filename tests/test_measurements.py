@@ -34,7 +34,6 @@ from noisegate.errors import (
     MeasureMismatch,
     MetricMismatch,
     MissingKeyColumn,
-    NonLinearPrivacyFunction,
     NonPositiveEpsilon,
     NonPositiveGranularity,
     NonPositiveSigma,
@@ -65,6 +64,7 @@ from noisegate.measurements import (
 from noisegate.metrics import (
     INF,
     BoundedLists,
+    DistanceMap,
     GroupedBy,
     PureDP,
     SymmetricDifference,
@@ -462,8 +462,7 @@ GROUPED_DOMAIN = TableDomain(GROUPED, None)
 
 
 def _per_group_parts():
-    """A count, a sum and an average under each noise spec, each with the
-    linear privacy function per-group composition needs, and the value
+    """A count, a sum and an average under each noise spec, and the value
     each releases computed from the oracles: the grain reference, the
     randrange samplers and exact division, an average's sum drawn first."""
     clamp = (-2, 10, Fraction(1, 4))  # 40 grains per row at most
@@ -497,8 +496,7 @@ def _per_group_parts():
             (make_sum(GROUPED_DOMAIN, "v", *clamp, noise), total, ColumnType.FLOAT64),
             (make_average(GROUPED_DOMAIN, "v", *clamp, noise), average, ColumnType.FLOAT64),
         ):
-            line = linear_map(part.privacy_function(1))
-            yield replace(part, privacy_function=line), reference, value_type
+            yield part, reference, value_type
 
 
 @pytest.mark.parametrize("key_names", [("g",), ("k",), ("k", "g")])
@@ -663,9 +661,11 @@ def test_per_group_privacy_is_not_multiplied():
     assert m.privacy_function(1) == Fraction(4, 10)
 
 
-def test_per_group_rejects_nonlinear_and_bad_keys():
-    with pytest.raises(NonLinearPrivacyFunction):
-        _grouped(ZcdpNoise(Fraction(1)))  # bare zCDP is quadratic in distance
+def test_per_group_accepts_any_map_and_rejects_bad_keys():
+    # A zCDP count's map is the quadratic d^2; the groups keep it.
+    quadratic = make_count(DOMAIN, ZcdpNoise(Fraction(1))).privacy_function
+    assert quadratic == DistanceMap(0, 1)
+    assert _grouped(ZcdpNoise(Fraction(1))).privacy_function == quadratic
     per_group = make_count(DOMAIN, PureDpNoise(Fraction(1)))
     with pytest.raises(MissingKeyColumn):
         compose_per_group(
@@ -688,6 +688,18 @@ def test_per_group_linearized_zcdp_is_accepted():
     )
     assert m.privacy_function(2) == 4
     assert m.privacy_function(1) == 2
+
+
+def test_compose_over_subsets_bounds_every_split_of_the_distance():
+    # Two zCDP counts, quadratic maps of different widths: the list distance
+    # d splits as (a, d - a) across the parts, each costing its own map.
+    parts = [make_count(DOMAIN, ZcdpNoise(rho)) for rho in (Fraction(1, 2), Fraction(1, 5))]
+    m = compose_over_subsets(parts)
+    first, second = (part.privacy_function for part in parts)
+    for d in range(5):
+        for a in range(d + 1):
+            assert m.privacy_function(d) >= first(a) + second(d - a), (d, a)
+    assert m.privacy_function(1) == Fraction(1, 2)
 
 
 def test_compose_over_subsets():

@@ -29,7 +29,7 @@ from noisegate.metrics import (
     compose_maps,
     format_amount,
     linear_map,
-    max_slope_map,
+    max_map,
     sum_maps,
 )
 from noisegate.tabledata import ColumnType, Schema, Table
@@ -157,7 +157,7 @@ def test_distance_map_algebra():
     assert compose_maps(two, three)(1) == 6
     assert compose_maps(two, three).slope == Fraction(6)
     assert sum_maps([two, three]).slope == Fraction(5)
-    assert max_slope_map([two, three]).slope == Fraction(3)
+    assert max_map([two, three]) == three
     with pytest.raises(ValueError):
         two(-1)
     quad = DistanceMap(0, 1)
@@ -171,8 +171,7 @@ def test_distance_map_algebra():
         linear_map(-1)
     with pytest.raises(ValueError):
         compose_maps(two, quad)  # only a linear inner map keeps the closed form
-    with pytest.raises(ValueError):
-        max_slope_map([two, quad])
+    assert max_map([two, quad]) == DistanceMap(2, 1)
 
 
 def test_distance_map_general_shape():

@@ -11,10 +11,12 @@ import pytest
 
 from helpers import (
     dataset_distance,
+    gaussian_pmf,
     join_reference,
     perturb_rows,
     random_table,
     truncate_reference,
+    zcdp_divergence,
 )
 from noisegate.errors import (
     BadBounds,
@@ -254,12 +256,12 @@ def test_calibration_exact_at_unit_distance(spend, k):
         assert compiled.measurement.privacy_function(k) == spend
 
 
-def test_grouped_zcdp_linearization_exact():
+def test_grouped_zcdp_map_is_the_quadratic_exact_at_the_unit():
     ks = keyset_from_tuples([("zip", TEXT)], [("981",), ("982",)])
     expr = query("people").group_by(ks).count()
     compiled = compile_query(expr, DOMAINS, AddMaxRows(3), ZCDP(), Fraction(2, 7))
     f = compiled.measurement.privacy_function
-    assert f.quadratic == 0
+    assert f.slope == 0
     assert f(3) == Fraction(2, 7)
 
 
@@ -996,9 +998,9 @@ def test_stability_zero_query_returns_and_charges_its_spend(budget, grouped):
     assert s.remaining_budget() == budget(Fraction(2, 3))
 
 
-def test_grouped_zcdp_linearizes_at_the_scaled_distance():
+def test_grouped_zcdp_map_meets_the_spend_at_the_scaled_distance():
     # Two tables under AddRemoveId give unit distance 2; truncate_by_id(3)
-    # scales it to 6, where the linearized map must meet the spend.
+    # scales it to 6, where the quadratic must meet the spend.
     schema = Schema.of(("id", INT64), ("zip", TEXT))
     domains = {name: TableDomain(schema, "id") for name in ("a", "b")}
     keys = keyset_from_tuples([("zip", TEXT)], [("981",)])
@@ -1007,8 +1009,34 @@ def test_grouped_zcdp_linearizes_at_the_scaled_distance():
     compiled = compile_query(expr, domains, AddRemoveId("id"), ZCDP(), spend)
     assert compiled.unit_distance == 2
     assert compiled.transformation.stability.slope == 3
-    assert compiled.measurement.privacy_function.quadratic == 0
+    assert compiled.measurement.privacy_function.slope == 0
     assert compiled.measurement.privacy_function(compiled.unit_distance) == spend
+
+
+def test_a_grouped_zcdp_count_declares_at_least_its_noise_divergence(monkeypatch):
+    # Neighbours d rows apart with every changed row in one group shift that
+    # group's count by d and leave the other's alone, so the release
+    # diverges as the group's discrete Gaussian does under a shift of d.
+    keys = keyset_from_tuples([("zip", TEXT)], [("981",), ("982",)])
+    expr = query("people").group_by(keys).count()
+    draws, sample = [], measurements.sample_discrete_gaussian
+
+    def logged(sigma_squared, rng):
+        draws.append(sigma_squared)
+        return sample(sigma_squared, rng)
+
+    monkeypatch.setattr(measurements, "sample_discrete_gaussian", logged)
+    fresh_session(budget=PrivacyBudget.zcdp(1)).evaluate(expr, PrivacyBudget.zcdp("1/2"))
+    assert draws == [Fraction(1)] * 2
+    f = compile_query(
+        expr, DOMAINS, AddMaxRows(1), ZCDP(), Fraction(1, 2)
+    ).measurement.privacy_function
+    for d in (1, 2, 3):
+        p = gaussian_pmf(Fraction(1), 0, -40, d + 40)
+        q = gaussian_pmf(Fraction(1), d, -40, d + 40)
+        rho = zcdp_divergence(p, q)
+        assert f(d) >= rho - 1e-9, (d, f(d), rho)
+        assert rho >= 0.9 * f(d), (d, f(d), rho)
 
 
 def _every_kind_queries(source):
@@ -1067,7 +1095,7 @@ def test_every_node_kind_compiles_to_an_exact_closed_form_map(id_unit):
         compiled = compile_query(expr, domains, unit, measure, spend)
         f, u = compiled.measurement.privacy_function, compiled.unit_distance
         assert f(u) == spend
-        if isinstance(expr.child, GroupBy) or isinstance(measure, PureDP):
+        if isinstance(measure, PureDP):
             assert f.quadratic == 0
             assert f(2 * u) == 2 * spend
         else:
