@@ -11,14 +11,15 @@ failing filter row is false, a failing map row is dropped), which is
 what lets them carry their guarantees without inspecting data.
 
 Each node of the checked syntax tree compiles to a closure specialised to
-its shape: a column is read as row[i], a literal is bound once, a single
-comparison is one `operator` call and `and`/`or` nest as `a(row) and
-b(row)` in a balanced tree.  No source text is generated, so no literal
-is ever spliced into code.  A projection for a map cell
+its shape: a column is an operator.itemgetter, a literal is bound once, a
+single comparison is one `operator` call and `and`/`or` nest as `a(row)
+and b(row)` in a balanced tree.  No source text is generated, so no
+literal is ever spliced into code.  A projection for a map cell
 (compile_projection) returns the cell a Table stores and keeps only the
-checks its type does not prove; a cell that fails its column raises
-SchemaMismatch, which the row transformations catch like the two errors
-above.
+checks its type does not prove; float arithmetic turns -0.0 into 0.0 in
+the closure that checks it is finite.  A cell that fails its column
+raises SchemaMismatch, which the row transformations catch like the two
+errors above.
 
 Division is defined everywhere by mapping division by zero to zero.  Text
 comparisons use code-point order, which matches the byte order used by
@@ -76,8 +77,9 @@ def _parse(text: str) -> ast.expr:
 
 
 # How many levels an expression may nest.  Evaluating a row takes at most
-# two Python frames per level, and compiling about two, so this cap, and not
-# the rows, bounds the stack an expression needs.
+# two Python frames per level (float arithmetic and its finiteness check; a
+# column is read in C), and compiling about two, so this cap, and not the
+# rows, bounds the stack an expression needs.
 _MAX_LEVELS = 64
 
 
@@ -143,11 +145,13 @@ def _binary(op, left: ast.expr, left_fn, right: ast.expr, right_fn, schema: Sche
     return lambda row: op(left_fn(row), right_fn(row))
 
 
-def _finite(fn, text: str):
-    """fn, raising ExpressionTypeError where it yields a non-finite float."""
+def _finite(fn, text: str, zero: float):
+    """fn plus zero, raising ExpressionTypeError where it yields a
+    non-finite float.  Adding -0.0 leaves every float as it is; adding 0.0
+    also turns -0.0 into 0.0, as a stored cell needs."""
 
     def checked(row: Row) -> float:
-        value = fn(row)
+        value = fn(row) + zero
         if isfinite(value):
             return value
         raise _fail(text, "arithmetic produced a non-finite float")
@@ -168,8 +172,11 @@ def _connect(fns: list, both: bool):
     return lambda row: a(row) or b(row)
 
 
-def _build(node: ast.expr, schema: Schema, text: str):
-    """Return (evaluator, type) for a node, rejecting anything off-menu."""
+def _build(node: ast.expr, schema: Schema, text: str, zero: float = -0.0):
+    """Return (evaluator, type) for a node, rejecting anything off-menu.
+
+    Float arithmetic at this node, not in its operands, adds `zero` to its
+    value (see _finite)."""
     if isinstance(node, ast.Constant):
         value = node.value
         if isinstance(value, bool):
@@ -193,7 +200,7 @@ def _build(node: ast.expr, schema: Schema, text: str):
                 f"have {list(schema.names)}"
             )
         ctype = _COLUMN_TYPES[schema.columns[index][1]]
-        return (lambda row: row[index]), ctype
+        return operator.itemgetter(index), ctype
 
     if isinstance(node, ast.UnaryOp):
         operand, otype = _build(node.operand, schema, text)
@@ -228,7 +235,7 @@ def _build(node: ast.expr, schema: Schema, text: str):
             raise _unsupported(text, f"unsupported operator {type(node.op).__name__}")
         fn = _binary(op, node.left, left, node.right, right, schema)
         if isinstance(node.op, ast.Div) or ExprType.FLOAT in (lt, rt):
-            return _finite(fn, text), ExprType.FLOAT
+            return _finite(fn, text, zero), ExprType.FLOAT
         return fn, ExprType.INT
 
     if isinstance(node, ast.Compare):
@@ -267,15 +274,16 @@ def _build(node: ast.expr, schema: Schema, text: str):
     raise _unsupported(text, f"unsupported syntax {type(node).__name__}")
 
 
-def compile_expression(text: str, schema: Schema) -> CompiledExpression:
-    """Parse and type-check an expression against a schema."""
+def _compile(text: str, schema: Schema, zero: float):
+    """Parse, bound and build an expression: (its node, evaluator, type).
+    Float arithmetic at the top adds `zero` to its value (see _finite)."""
     if not isinstance(text, str) or not text.strip():
         raise ExpressionSyntaxError("expressions must be non-empty strings")
     try:
         node = _parse(text)
         too_deep = _levels(node) > _MAX_LEVELS
         if not too_deep:
-            fn, result_type = _build(node, schema, text)
+            fn, result_type = _build(node, schema, text, zero)
     except (RecursionError, MemoryError):
         too_deep = True
     if too_deep:
@@ -284,6 +292,12 @@ def compile_expression(text: str, schema: Schema) -> CompiledExpression:
             f"an expression of {len(text)} characters nests too deeply to "
             f"compile; the limit is {_MAX_LEVELS} levels"
         )
+    return node, fn, result_type
+
+
+def compile_expression(text: str, schema: Schema) -> CompiledExpression:
+    """Parse and type-check an expression against a schema."""
+    node, fn, result_type = _compile(text, schema, -0.0)
     column = schema.index_of(node.id) if isinstance(node, ast.Name) else None
     return CompiledExpression(result_type, fn, column)
 
@@ -308,7 +322,7 @@ def compile_projection(text: str, schema: Schema, target: ColumnType) -> Compile
     - a float expression is already finite (a literal is checked when it
       compiles, a column holds finite floats, unary minus keeps them so
       and arithmetic checks its result), so `+ 0.0` only turns -0.0 into
-      0.0;
+      0.0; arithmetic adds it in the closure that checks its result;
     - widening an int with float() raises OverflowError beyond the float
       range and never gives -0.0;
     - int arithmetic, a negated int and every literal go through
@@ -316,16 +330,17 @@ def compile_projection(text: str, schema: Schema, target: ColumnType) -> Compile
     A row that fails raises ExpressionTypeError, OverflowError or
     SchemaMismatch, as evaluating and checking it always did.
     """
-    compiled = compile_expression(text, schema)
-    fn, result_type = compiled.fn, compiled.result_type
+    node, fn, result_type = _compile(text, schema, 0.0)
     wanted = _COLUMN_TYPES[target]
     if result_type is wanted:
-        if compiled.column is not None:
-            return compiled
-        if wanted is ExprType.FLOAT:
-            cell = lambda row: fn(row) + 0.0
-        else:
+        if isinstance(node, ast.Name):
+            return CompiledExpression(wanted, fn, schema.index_of(node.id))
+        if wanted is not ExprType.FLOAT:
             cell = lambda row: check_value(fn(row), target)
+        elif isinstance(node, ast.BinOp):
+            cell = fn
+        else:
+            cell = lambda row: fn(row) + 0.0
     elif wanted is ExprType.FLOAT and result_type is ExprType.INT:
         cell = lambda row: float(fn(row))
     else:

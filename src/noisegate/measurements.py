@@ -296,6 +296,15 @@ def _clamp_bounds(low, high):
 # shared bound only saves work: it is the per-row test with |p| read as
 # top.  From top = 2^49 on, bound <= 0 and every row pays its own test;
 # rows of |p| under 2^49 still pass it.
+#
+# Under the shared bound, r is (p + 1.5 * 2^52) - 1.5 * 2^52 rather than
+# round(p).  In binary64 with round-half-even, the sum is exact to the
+# nearest integer for |p| < 2^51, where the floats of [2^52, 2^53) are the
+# integers, and the even multiple 1.5 * 2^52 keeps ties on even r; the
+# subtraction is exact.  Only |p| under 2^49 reaches that test, since the
+# bound is 0 or less from there.  Those r are integers under top + 1, so a
+# float total of at most n of them is exact while n (top + 1) < 2^53; a
+# call on more rows than that gets a shared bound of 0.
 _MARGIN_REL = 2.0**-50
 _MARGIN_SUBNORMAL = 2.0**-1074
 
@@ -304,25 +313,33 @@ def _grain_total(index: int, low: float, high: float, g_num: int, g_den: int):
     """The function from rows to the sum over them of round(clamped
     row[index] / gamma), half to even, for gamma = g_num / g_den.
 
-    Exact: each row's count is first tried in floats, p = v * (g_den /
-    g_num), and round(p) is taken only when |p - round(p)| is under the
-    bound solved once for the clamp range or else under the row's own
-    1/2 - margin(p) (see above), so no rounding error can have moved p
-    across a half integer.  Any other row, and every row when g_num or
-    g_den is 2^53 or more or the range's top p overflows (a scale of 0
-    then), takes the integer path: value / gamma is n * g_den / (d *
-    g_num) for the value's exact ratio n / d, rounded half to even with
-    divmod.
+    Exact, assuming binary64 floats with round-half-even arithmetic: each
+    row's count is first tried in floats, p = v * (g_den / g_num), rounded
+    with the constant 1.5 * 2^52, and kept only when |p - r| is under the
+    bound solved once for the clamp range; those counts add up in a float,
+    which is exact while len(rows) * (top + 1) < 2^53 for the range's top
+    p, so a longer call gets a bound of 0.  Any other row takes r =
+    round(p) when |p - r| is under its own 1/2 - margin(p) (see above), so
+    no rounding error can have moved p across a half integer.  The rest,
+    and every row when g_num or g_den is 2^53 or more or the range's top p
+    overflows (a scale of 0 then), take the integer path: value / gamma
+    is n * g_den / (d * g_num) for the value's exact ratio n / d, rounded
+    half to even with divmod.  Both of those add up in an int.
     """
     scale = bound = 0.0
+    most_rows = 0
     if g_num < 2**53 and g_den < 2**53:
         ratio = g_den / g_num
         top = max(-low, high) * ratio
         if top < math.inf:
             scale = ratio
             bound = 0.5 - (top * _MARGIN_REL + _MARGIN_SUBNORMAL)
+            most_rows = math.ceil(2**53 / (Fraction(top) + 1)) - 1
 
     def total_of(rows: Sequence[Row]) -> int:
+        above = bound if len(rows) <= most_rows else 0.0
+        below = -above
+        floats = 0.0
         total = 0
         for row in rows:
             value = row[index]
@@ -331,10 +348,11 @@ def _grain_total(index: int, low: float, high: float, g_num: int, g_den: int):
             elif value > high:
                 value = high
             p = value * scale
-            r = round(p)
-            if abs(p - r) < bound:
-                total += r
+            r = p + 6755399441055744.0 - 6755399441055744.0  # 1.5 * 2^52
+            if below < p - r < above:
+                floats += r
                 continue
+            r = round(p)
             if scale and abs(p - r) < 0.5 - (abs(p) * _MARGIN_REL + _MARGIN_SUBNORMAL):
                 total += r
                 continue
@@ -345,7 +363,7 @@ def _grain_total(index: int, low: float, high: float, g_num: int, g_den: int):
             if twice > divisor or (twice == divisor and quotient & 1):
                 quotient += 1
             total += quotient
-        return total
+        return total + int(floats)
 
     return total_of
 
@@ -464,11 +482,11 @@ def make_quantile(
     if not math.isfinite(width):
         raise BadBounds(f"the bin width over [{low!r}, {high!r}] overflows float64")
     midpoints = [low + (i + 0.5) * width for i in range(bins)]
-    index_of_column = domain.schema.index_of(column)
+    cell = itemgetter(domain.schema.index_of(column))
     half_epsilon = float(epsilon_unit) / 2
 
     def evaluate(table: Table, rng: random.Random) -> float:
-        scores = _quantile_scores([row[index_of_column] for row in table.rows], midpoints, q)
+        scores = _quantile_scores(list(map(cell, table.rows)), midpoints, q)
         top = max(scores)
         weights = [math.exp(half_epsilon * (s - top)) for s in scores]
         total = math.fsum(weights)

@@ -35,7 +35,7 @@ import json
 import math
 import re
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from contextlib import contextmanager
 from functools import cached_property
 from itertools import islice
@@ -326,16 +326,14 @@ def split_by_key(table: Table, key_columns: Sequence[str]) -> dict:
     Keys are as itemgetter reads them off a row: the bare cell for one
     key column, the tuple of cells for more.  Every row lands in exactly
     one list, and each list keeps the input order.  No Table is built per
-    key: callers wrap only the groups they use.
+    key: callers wrap only the groups they use.  The dict is a
+    defaultdict(list), so a row of a key already seen costs one lookup;
+    read it with .get or .items, since indexing a missing key adds it.
     """
     key_of = itemgetter(*[table.schema.index_of(name) for name in key_columns])
-    groups: dict[object, list[Row]] = {}
+    groups: defaultdict[object, list[Row]] = defaultdict(list)
     for row in table.rows:
-        key = key_of(row)
-        if key in groups:
-            groups[key].append(row)
-        else:
-            groups[key] = [row]
+        groups[key_of(row)].append(row)
     return groups
 
 

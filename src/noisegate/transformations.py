@@ -97,12 +97,27 @@ def _row_of(cells: Sequence[CompiledExpression]) -> Callable[[Row], Row]:
     """The output row from compiled projections, which yield stored cells
     already; raises one of _ROW_FAILURES when the row fails."""
     fns = [cell.fn for cell in cells]
-    # Python 3.11 makes a function object for every list comprehension it
-    # runs, which doubles the cost of a two-cell row.
+    # Python 3.10 and 3.11 make a function object for every list
+    # comprehension they run, which costs more than a short row's cells, so
+    # rows of up to three cells are one tuple display and longer rows one
+    # loop.
+    if len(fns) == 1:
+        (first,) = fns
+        return lambda row: (first(row),)
     if len(fns) == 2:
         first, second = fns
         return lambda row: (first(row), second(row))
-    return lambda row: tuple([fn(row) for fn in fns])
+    if len(fns) == 3:
+        first, second, third = fns
+        return lambda row: (first(row), second(row), third(row))
+
+    def row_of(row: Row) -> Row:
+        out = []
+        for fn in fns:
+            out.append(fn(row))
+        return tuple(out)
+
+    return row_of
 
 
 # A dataclass, not a Record, like measurements.Measurement: callers rebuild

@@ -268,6 +268,58 @@ def test_grain_total_matches_fraction_reference(gamma):
             total = _grain_total(0, lo, hi, gamma.numerator, gamma.denominator)(table.rows)
             assert total == grain_total_reference(values, lo, hi, gamma)
 
+    # First-tier counts add up in a float, exact while len(rows) * (top +
+    # 1) < 2^53.  Odd counts near 2^46 grains: 127 rows stay under that,
+    # 200 rows pass it, where a float total would drop low bits.
+    edge = float(gamma * 2**46)
+    near_edge = [float(gamma * (2**46 - 2 * rng.randrange(2**20) - 1)) for _ in range(200)]
+    cases = [(near_edge[:127], -edge, edge), (near_edge, -edge, edge)]
+    cases.append(([-v for v in near_edge], -edge, edge))
+    # Ties and near-ties at +-2^48 grains, where the shared bound takes r
+    # from the rounding constant: every sixteenth (the float spacing there)
+    # from k to k + 1 for k around 2^48, each row against round() alone,
+    # and all of them in one table.
+    edge = float(gamma * (2**48 + 2))
+    total_of = _grain_total(0, -edge, edge, gamma.numerator, gamma.denominator)
+    ks = [2**48 + d for d in (-2, -1, 0, 1)]
+    ties = [float(sign * gamma * (k + Fraction(j, 16))) for k in ks for j in range(16)
+            for sign in (1, -1)]
+    for v in ties:
+        assert total_of(Table.of(float_schema, [(v,)]).rows) == round(Fraction(v) / gamma)
+    cases.append((ties, -edge, edge))
+    if gamma.numerator < 2**53 and gamma.denominator < 2**53:
+        # One table whose rows take every tier: counts near integers (the
+        # shared bound), rows past it (their own margin) and near and exact
+        # half grains (the exact path), in mixed order, few enough rows for
+        # the float total.
+        scale = gamma.denominator / gamma.numerator
+        for edge in (float(gamma * 2**46), float(gamma * 2**48)):
+            bound = 0.5 - (edge * scale * _MARGIN_REL + _MARGIN_SUBNORMAL)
+            values = (
+                [float(gamma * rng.randint(-40, 40)) for _ in range(4)]
+                + _past_the_shared_bound(rng, gamma, bound)
+                + _near_half_grains(rng, gamma, 2**40)
+                + [float(gamma * (rng.randint(-40, 40) + Fraction(1, 2))) for _ in range(2)]
+            )
+            rng.shuffle(values)
+            assert len(values) * (edge * scale + 1) < 2**53
+            tiers = set()
+            for v in values:
+                p = v * scale
+                gap = abs(p - round(p))
+                if gap < bound:
+                    tiers.add("shared")
+                elif gap < 0.5 - (abs(p) * _MARGIN_REL + _MARGIN_SUBNORMAL):
+                    tiers.add("own")
+                else:
+                    tiers.add("exact")
+            assert tiers == {"shared", "own", "exact"}
+            cases.append((values, -edge, edge))
+    for values, lo, hi in cases:
+        table = Table.of(float_schema, [(v,) for v in values])
+        total = _grain_total(0, lo, hi, gamma.numerator, gamma.denominator)(table.rows)
+        assert total == grain_total_reference(values, lo, hi, gamma)
+
 
 def test_sum_sensitivity_scales_privacy():
     m = make_sum(DOMAIN, "v", 0, 3, 1, PureDpNoise(Fraction(1)))
