@@ -120,7 +120,7 @@ class NonPositiveSigma(NoisegateError):
 
 
 class BadBounds(NoisegateError):
-    """Clamping bounds are inverted or otherwise unusable."""
+    """Clamping bounds or quantile bins are out of range or otherwise unusable."""
 
 
 class NonPositiveGranularity(NoisegateError):

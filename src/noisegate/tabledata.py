@@ -3,13 +3,13 @@
 A Table is a schema plus a multiset of rows.  Row order is an artifact of
 construction and is never observable through the public operations here:
 equality is multiset equality, and canonicalize produces the one fixed
-ordering used wherever determinism matters (truncation).  A table
-remembers that order once computed, and it remembers each truncation
-taken from it, keyed by key column indices and bound, as a tuple of rows:
-cutting the same table again at the same keys and bound is a lookup.  A
-cut is built by Table._sorted, so it is canonical already and knows it is
-cut there.  split_by_key hands out plain row lists, so grouping and joins
-take one keyed pass.
+ordering used wherever determinism matters.  A table remembers rows
+derived from it, by key (Table.derive): the first derivation under a key
+builds them, every later one is a lookup, and a table built from derived
+rows can remember them as its own (Table._remembering).  canonicalize
+derives the canonical order this way.  key_reader is the one rule for
+how rows are keyed by named columns, and split_by_key hands out plain
+row lists by it, so grouping and joins take one keyed pass.
 
 Values are plain Python ints, floats, and strings.  Floats must be finite,
 no cell may be empty, and no Table holds -0.0: it equals 0.0, so rows
@@ -37,11 +37,10 @@ import re
 import sys
 from collections import Counter, defaultdict
 from contextlib import contextmanager
-from functools import cached_property
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     DuplicateColumn,
@@ -190,6 +189,10 @@ def check_key_columns(schema: Schema, key_schema: Schema) -> None:
             )
 
 
+# The key under which a table remembers its rows in canonical order.
+CANONICAL = "canonical"
+
+
 class Table(Record):
     """A schema and a multiset of rows.
 
@@ -197,7 +200,8 @@ class Table(Record):
     that incidental row order never leaks into program behavior.
     Constructing one checks every cell against the schema and stores
     the rows as check_value returns them; see _trusted for the internal
-    constructor that does neither.
+    constructor that does neither.  A table remembers what derive builds
+    from it, by key; a filtered or rebuilt table remembers nothing.
     """
 
     schema: Schema
@@ -235,19 +239,22 @@ class Table(Record):
         return table
 
     @classmethod
-    def _sorted(cls, schema: Schema, rows: tuple[Row, ...], cut=None) -> "Table":
-        """A trusted table whose rows are in canonical order already.
-
-        The rows are remembered as its canonical order, so no later
-        canonicalize sorts them.  With cut=(key column indices, bound),
-        they are remembered as its cut there too: the rows are that cut
-        of some table, and cutting them again keeps them all.
-        """
+    def _remembering(cls, schema: Schema, rows: tuple[Row, ...], keys: Sequence) -> "Table":
+        """A trusted table of rows that some table derived under each of
+        keys, remembered as its own rows there: deriving under those keys
+        again keeps every row, so it needs no build."""
         table = cls._trusted(schema, rows)
-        table.__dict__["_canonical_rows"] = rows
-        if cut is not None:
-            table._cuts[cut] = rows
+        table.__dict__["_derived"] = dict.fromkeys(keys, rows)
         return table
+
+    def derive(self, key, build: Callable[[], object]):
+        """The value this table remembers under key, built by build() the
+        first time.  The key names a derivation and its parameters; the
+        value holds rows, never a Table, so no table references itself."""
+        derived = self.__dict__.setdefault("_derived", {})
+        if key not in derived:
+            derived[key] = build()
+        return derived[key]
 
     @classmethod
     def of(cls, schema: Schema, rows: Iterable[Sequence[Value]]) -> "Table":
@@ -265,20 +272,6 @@ class Table(Record):
 
     def multiset(self) -> Counter:
         return Counter(self.rows)
-
-    @cached_property
-    def _canonical_rows(self) -> tuple[Row, ...]:
-        # Sorted the first time canonicalize asks, then remembered.  It
-        # holds the rows only, never a Table, so it makes no cycle.
-        return tuple(sorted(self.rows))
-
-    @cached_property
-    def _cuts(self) -> dict:
-        # (key column indices, bound) -> the rows truncation keeps there,
-        # filled by transformations._truncate_by_keys.  Rows only, never a
-        # Table, and only this table's: a filtered or rebuilt table starts
-        # with none.
-        return {}
 
 
 class KeySet(Record):
@@ -304,13 +297,12 @@ def canonicalize(table: Table) -> Table:
     numeric columns by value and text columns by code point.  Code-point
     order is the order of the UTF-8 encodings, so it is the same on every
     platform, and unlike encoding it is defined for every str, including
-    lone surrogates.  A table sorts its rows the first time it is
-    canonicalized and remembers the order, so every later call on the same
-    table (every truncation of a session's source table) costs no sort;
-    table.rows keeps its own order.  Truncation keeps the first rows of
-    each key group in this order.
+    lone surrogates.  A table derives the order under CANONICAL, so it
+    sorts its rows once however often it is canonicalized; table.rows
+    keeps its own order, and the result remembers that it is canonical.
     """
-    return Table._sorted(table.schema, table._canonical_rows)
+    rows = table.derive(CANONICAL, lambda: tuple(sorted(table.rows)))
+    return Table._remembering(table.schema, rows, (CANONICAL,))
 
 
 def table_equal(a: Table, b: Table) -> bool:
@@ -320,17 +312,22 @@ def table_equal(a: Table, b: Table) -> bool:
     return a.multiset() == b.multiset()
 
 
-def split_by_key(table: Table, key_columns: Sequence[str]) -> dict:
-    """Partition rows by their cells in key_columns.
+def key_reader(schema: Schema, key_columns: Sequence[str]) -> Callable[[Row], object]:
+    """The key of a row of schema by the named columns, one or more: the
+    bare cell for one column, the tuple of its cells for more.  Every
+    keyed pass reads its keys through this one rule."""
+    return itemgetter(*[schema.index_of(name) for name in key_columns])
 
-    Keys are as itemgetter reads them off a row: the bare cell for one
-    key column, the tuple of cells for more.  Every row lands in exactly
-    one list, and each list keeps the input order.  No Table is built per
-    key: callers wrap only the groups they use.  The dict is a
+
+def split_by_key(table: Table, key_columns: Sequence[str]) -> dict:
+    """Partition rows by their key_reader keys in key_columns.
+
+    Every row lands in exactly one list, in input order.  No Table is
+    built per key: callers wrap only the groups they use.  The dict is a
     defaultdict(list), so a row of a key already seen costs one lookup;
     read it with .get or .items, since indexing a missing key adds it.
     """
-    key_of = itemgetter(*[table.schema.index_of(name) for name in key_columns])
+    key_of = key_reader(table.schema, key_columns)
     groups: defaultdict[object, list[Row]] = defaultdict(list)
     for row in table.rows:
         groups[key_of(row)].append(row)
@@ -373,9 +370,6 @@ class TableListDomain(Record):
 
     element: TableDomain
     length: int
-
-
-Domain = Union[TableDomain, TableTupleDomain, TableListDomain]
 
 
 # ---------------------------------------------------------------------------

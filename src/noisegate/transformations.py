@@ -44,6 +44,7 @@ from .metrics import (
 )
 from .records import Record
 from .tabledata import (
+    CANONICAL,
     Row,
     Schema,
     Table,
@@ -52,6 +53,7 @@ from .tabledata import (
     TableTupleDomain,
     canonicalize,
     check_key_columns,
+    key_reader,
     split_by_key,
 )
 
@@ -338,8 +340,8 @@ def make_flat_map(
 
 def _check_join_columns(
     left: Schema, right: Schema, on: Sequence[str]
-) -> tuple[tuple[str, ...], Schema]:
-    """Validate join keys and build the joined schema."""
+) -> tuple[tuple[str, ...], Schema, Callable[[Row], tuple]]:
+    """Validate join keys; return them, the joined schema and the carried-cell reader."""
     keys = tuple(on)
     if not keys or len(set(keys)) != len(keys):
         raise KeyTypeMismatch(f"join keys must be distinct and non-empty, got {on!r}")
@@ -359,7 +361,8 @@ def _check_join_columns(
             raise DuplicateColumn(
                 f"column {name!r} appears on both sides; rename before joining"
             )
-    return keys, Schema(tuple(left.columns) + tuple(carried))
+    carry = _cells_of([right.index_of(name) for name, _ in carried])
+    return keys, Schema(tuple(left.columns) + tuple(carried)), carry
 
 
 def _cells_of(indices: Sequence[int]) -> Callable[[Row], tuple]:
@@ -376,15 +379,8 @@ def _cells_of(indices: Sequence[int]) -> Callable[[Row], tuple]:
     return itemgetter(*indices)
 
 
-def _join_index(right_table: Table, keys: Sequence[str]) -> dict:
-    """The carried cells of right_table's rows, in a list per join key.
-
-    Keys are bare values for one key column and tuples for more, as
-    itemgetter reads them off the left rows and split_by_key gives them.
-    """
-    carry = _cells_of(
-        [i for i, (name, _) in enumerate(right_table.schema.columns) if name not in keys]
-    )
+def _join_index(right_table: Table, keys: Sequence[str], carry: Callable[[Row], tuple]) -> dict:
+    """The carried cells of right_table's rows, in a list per join key."""
     return {
         key: [carry(row) for row in rows]
         for key, rows in split_by_key(right_table, keys).items()
@@ -392,7 +388,7 @@ def _join_index(right_table: Table, keys: Sequence[str]) -> dict:
 
 
 def _join_rows(left_table: Table, index: dict, keys: Sequence[str], joined: Schema) -> Table:
-    key_of = itemgetter(*[left_table.schema.index_of(k) for k in keys])
+    key_of = key_reader(left_table.schema, keys)
     out: list[Row] = []
     for row in left_table.rows:
         extras = index.get(key_of(row))
@@ -410,8 +406,8 @@ def make_public_join(domain: TableDomain, public: Table, on: Sequence[str]) -> T
     Joining directly under AddRemoveIds is rejected: a single identifier
     could fan out without bound, so identifier pipelines truncate first.
     """
-    keys, joined = _check_join_columns(domain.schema, public.schema, on)
-    index = _join_index(public, keys)
+    keys, joined, carry = _check_join_columns(domain.schema, public.schema, on)
+    index = _join_index(public, keys, carry)
     fan_out = max(map(len, index.values()), default=0)
 
     def apply(table: Table) -> Table:
@@ -427,23 +423,21 @@ def make_public_join(domain: TableDomain, public: Table, on: Sequence[str]) -> T
     )
 
 
-def _truncate_by_keys(table: Table, keys: Sequence[str], bound: int) -> Table:
+def _truncate_by_keys(table: Table, keys: tuple[str, ...], bound: int) -> Table:
     """Keep the first `bound` rows of each key group, in canonical order.
 
-    The first cut of a table at these keys and bound is one counting pass
-    over its canonical order: a row is kept while its key has fewer than
-    `bound` kept rows.  The table remembers the result, so every later cut
-    there is a lookup.  The kept rows are a subsequence of the canonical
+    The table derives the cut under ("cut", keys, bound) by one counting
+    pass over its canonical order: a row is kept while its key has fewer
+    than `bound` kept rows.  The kept rows are a subsequence of that
     order, so the output is canonical too, does not depend on the input
-    order, and knows it is this cut.  A cut that keeps every row is
-    remembered as the canonical tuple itself.
+    order, and remembers that it is canonical and this cut.  A cut that
+    keeps every row is the canonical tuple itself.
     """
-    indices = tuple(table.schema.index_of(name) for name in keys)
-    cut = (indices, bound)
-    kept = table._cuts.get(cut)
-    if kept is None:
+    cut = ("cut", keys, bound)
+
+    def count_pass() -> tuple[Row, ...]:
         rows = canonicalize(table).rows
-        key_of = itemgetter(*indices)
+        key_of = key_reader(table.schema, keys)
         kept_per_key: dict = {}
         out: list[Row] = []
         for row in rows:
@@ -452,9 +446,9 @@ def _truncate_by_keys(table: Table, keys: Sequence[str], bound: int) -> Table:
             if count < bound:
                 kept_per_key[key] = count + 1
                 out.append(row)
-        kept = rows if len(out) == len(rows) else tuple(out)
-        table._cuts[cut] = kept
-    return Table._sorted(table.schema, kept, cut)
+        return rows if len(out) == len(rows) else tuple(out)
+
+    return Table._remembering(table.schema, table.derive(cut, count_pass), (CANONICAL, cut))
 
 
 def private_join_distance_bound(
@@ -490,13 +484,13 @@ def make_private_join(
     for bound in (left_bound, right_bound):
         if not isinstance(bound, int) or bound < 1:
             raise NonPositiveBound(f"truncation bounds must be positive ints, got {bound!r}")
-    keys, joined = _check_join_columns(left.schema, right.schema, on)
+    keys, joined, carry = _check_join_columns(left.schema, right.schema, on)
 
     def apply(tables) -> Table:
         left_table, right_table = tables
         cut_left = _truncate_by_keys(left_table, keys, left_bound)
         cut_right = _truncate_by_keys(right_table, keys, right_bound)
-        return _join_rows(cut_left, _join_index(cut_right, keys), keys, joined)
+        return _join_rows(cut_left, _join_index(cut_right, keys, carry), keys, joined)
 
     return Transformation(
         input_domain=TableTupleDomain((left, right)),
@@ -515,9 +509,9 @@ def make_truncate_by_id(domain: TableDomain, bound: int) -> Transformation:
     adding or removing one identifier moves the output by at most `bound`
     rows, so the stability from AddRemoveIds to SymmetricDifference is
     linear(bound).  Truncating an already-truncated table changes nothing.
-    The input table remembers the cut, so truncating the same table again
+    The input table derives the cut, so truncating the same table again
     at the same bound (a session's source table, in every session built
-    on it) skips the counting pass, and the output knows it is that cut.
+    on it) skips the counting pass, and the output remembers that cut.
     """
     if domain.id_column is None:
         raise MissingIdColumn("truncation needs a domain with an id column")

@@ -316,6 +316,24 @@ def test_a_quantile_spend_beyond_float64_exits_4(tmp_path, command, capsys):
     assert session_.remaining_budget().amount == Fraction(10) ** 401
 
 
+@pytest.mark.parametrize("command", ["run", "budget"])
+def test_quantile_bins_beyond_the_cap_exit_4(tmp_path, command, capsys):
+    # Refused when the query compiles, before its midpoints are built:
+    # nothing is charged and nothing is printed.
+    many = {
+        "name": "many",
+        "spend": "1",
+        "expr": {"kind": "Quantile", "child": SOURCE, "column": "income",
+                 "q": 0.5, "low": 0.0, "high": 50.0, "bins": 10**9},
+    }
+    write_workspace(tmp_path, queries=[many])
+    assert main(run_args(tmp_path, command=command, budget="10")) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: query 'many': ") and captured.err.count("\n") == 1
+    assert "bins" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # validate
 

@@ -34,7 +34,7 @@ from noisegate.errors import (
     UnboundedSensitivity,
 )
 from noisegate.cli import parse_script
-from noisegate.measurements import PureDpNoise, compose_per_group, make_count
+from noisegate.measurements import MAX_QUANTILE_BINS, PureDpNoise, compose_per_group, make_count
 from noisegate import measurements, metrics
 from noisegate.metrics import INF, AddRemoveIds, PureDP, SymmetricDifference, ZCDP
 from noisegate.records import record_fields
@@ -733,6 +733,25 @@ def test_count_beyond_int64_clamps_and_charges_once(grouped):
 def test_quantile_bins_too_wide_for_float64_fail_before_the_charge():
     expr = query("t").quantile("x", 0.5, -1e308, 1e308, 4)
     assert _outcome([("a", 1.0)], expr, 1, 10) == (BadBounds, None, 10)
+
+
+@pytest.mark.parametrize("low, high", [(10**400, 10**401), (-(10**400), 0), (0, Fraction(10**400, 3))])
+@pytest.mark.parametrize("aggregation", ["sum", "average", "quantile"])
+def test_bounds_beyond_float64_fail_before_the_charge(aggregation, low, high):
+    source = query("t")
+    if aggregation == "quantile":
+        expr = source.quantile("x", 0.5, low, high, 4)
+    else:
+        expr = getattr(source, aggregation)("x", low, high)
+    assert _outcome([("a", 1.0)], expr, 1, 10) == (BadBounds, None, 10)
+
+
+def test_quantile_bins_beyond_the_cap_fail_before_the_charge():
+    for bins in (MAX_QUANTILE_BINS + 1, 10**9):
+        expr = query("t").quantile("x", 0.5, 0.0, 1.0, bins)
+        assert _outcome([("a", 1.0)], expr, 1, 10) == (BadBounds, None, 10)
+    expr = query("t").quantile("x", 0.5, 0.0, 1.0, MAX_QUANTILE_BINS)
+    assert _outcome([("a", 1.0)], expr, 1, 10)[::2] == (Table, 9)
 
 
 def test_per_group_checks_keys_and_value_column_when_built():

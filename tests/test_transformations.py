@@ -39,6 +39,7 @@ from noisegate.metrics import (
 )
 from noisegate.session import AddMaxRows, PrivacyBudget, build_session, query
 from noisegate.tabledata import (
+    CANONICAL,
     ColumnType,
     Schema,
     Table,
@@ -355,10 +356,31 @@ def _cut_rows(rng, n=25):
     ]
 
 
+def _remembered(table):
+    # What the table has derived so far, by key, as Table.derive keeps it.
+    return table.__dict__.get("_derived", {})
+
+
+def _unbuilt():
+    raise AssertionError("a remembered value was built again")
+
+
+def _by_id(bound):
+    return ("cut", ("id",), bound)
+
+
 def _assert_cuts_match_the_reference(table):
-    # Every remembered cut, whoever took it, is the cut at its own key.
-    for (indices, bound), kept in table._cuts.items():
+    # Every remembered cut, whoever took it, is the cut at its own key, and
+    # the canonical order, if remembered, is the sorted rows.
+    for key, kept in _remembered(table).items():
         assert isinstance(kept, tuple)
+        assert table.derive(key, _unbuilt) is kept
+        if key == CANONICAL:
+            assert kept == tuple(sorted(table.rows))
+            continue
+        name, keys, bound = key
+        assert name == "cut"
+        indices = tuple(map(table.schema.index_of, keys))
         assert Counter(kept) == truncate_reference(table.rows, indices, bound)
 
 
@@ -373,8 +395,8 @@ def test_a_warm_truncation_returns_the_remembered_cut():
             assert cold_or_warm.multiset() == expected
             warm = make_truncate_by_id(CUT_DOMAIN, bound).apply(table)
             assert warm.rows is cold_or_warm.rows
-            assert warm.rows is table._cuts[((2,), bound)]
-        assert set(table._cuts) == {((2,), 1), ((2,), 2), ((2,), 3)}
+            assert warm.rows is table.derive(_by_id(bound), _unbuilt)
+        assert set(_remembered(table)) == {CANONICAL, _by_id(1), _by_id(2), _by_id(3)}
         _assert_cuts_match_the_reference(table)
         # The table's own rows keep the order they were built with.
         assert table.rows == tuple(rows)
@@ -412,8 +434,11 @@ def test_cuts_at_other_bounds_or_keys_never_share_an_entry():
             )
             assert on_tag.multiset() == join_reference(kept, kept_others, ["tag"])
         # The two-column key is read in the join's order, from each side.
-        assert set(table._cuts) == {((2,), 1), ((2,), 2), ((2, 1), 2), ((1,), 2)}
-        assert set(partners._cuts) == {((0, 1), 1)}
+        assert set(_remembered(table)) == {
+            CANONICAL, _by_id(1), _by_id(2), ("cut", ("id", "tag"), 2), ("cut", ("tag",), 2)
+        }
+        assert set(_remembered(partners)) == {CANONICAL, ("cut", ("id", "tag"), 1)}
+        assert set(_remembered(others)) == {CANONICAL, ("cut", ("tag",), 2)}
         for cut_table in (table, partners, others):
             _assert_cuts_match_the_reference(cut_table)
 
@@ -426,11 +451,11 @@ def test_another_table_does_not_reuse_the_cuts():
         table = Table.of(CUT_SCHEMA, rows)
         first = truncate.apply(table)
         rebuilt = Table.of(CUT_SCHEMA, rows)
-        assert rebuilt._cuts == {}
+        assert _remembered(rebuilt) == {}
         again = truncate.apply(rebuilt)
         assert again.rows == first.rows and again.rows is not first.rows
         filtered = make_filter(CUT_DOMAIN, "v != 1").apply(table)
-        assert filtered._cuts == {}
+        assert _remembered(filtered) == {}
         assert truncate.apply(filtered).multiset() == truncate_reference(
             filtered.rows, (2,), 1
         )
@@ -442,8 +467,9 @@ def test_a_cut_that_keeps_every_row_is_the_canonical_tuple():
         rows = _cut_rows(rng)
         table = Table.of(CUT_SCHEMA, rows)
         cut = make_truncate_by_id(CUT_DOMAIN, len(rows) + 1).apply(table)
-        assert cut.rows is table._canonical_rows
-        assert table._cuts[((2,), len(rows) + 1)] is table._canonical_rows
+        canonical = table.derive(CANONICAL, _unbuilt)
+        assert cut.rows is canonical
+        assert table.derive(_by_id(len(rows) + 1), _unbuilt) is canonical
         assert table.rows == tuple(rows)
 
 
@@ -465,7 +491,8 @@ def test_cutting_a_cut_again_needs_no_sort(monkeypatch):
         transformations, "canonicalize", lambda t: passes.append(t) or canonicalize(t)
     )
     for table, cut in zip(tables, cuts):
-        assert cut._cuts == {((2,), 3): cut.rows}
+        assert _remembered(cut) == {CANONICAL: cut.rows, _by_id(3): cut.rows}
+        assert all(kept is cut.rows for kept in _remembered(cut).values())
         assert make_truncate_by_id(CUT_DOMAIN, 3).apply(cut).rows is cut.rows
         # The private join's own truncation of a cut is a lookup too.
         join.apply((cut, right))
