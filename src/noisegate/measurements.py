@@ -76,6 +76,7 @@ from .tabledata import (
     TableDomain,
     TableListDomain,
     check_key_columns,
+    is_int,
     key_reader,
     result_cell,
     split_by_key,
@@ -149,7 +150,7 @@ def make_geometric(epsilon_unit, sensitivity: int = 1) -> GeometricMechanism:
     epsilon_unit = Fraction(epsilon_unit)
     if epsilon_unit <= 0:
         raise NonPositiveEpsilon(f"epsilon must be positive, got {epsilon_unit}")
-    if not isinstance(sensitivity, int) or sensitivity < 1:
+    if not is_int(sensitivity) or sensitivity < 1:
         raise ValueError(f"sensitivity must be a positive int, got {sensitivity!r}")
     return GeometricMechanism(epsilon_unit, sensitivity)
 
@@ -158,7 +159,7 @@ def make_discrete_gaussian(sigma_squared, sensitivity: int = 1) -> GaussianMecha
     sigma_squared = Fraction(sigma_squared)
     if sigma_squared <= 0:
         raise NonPositiveSigma(f"sigma_squared must be positive, got {sigma_squared}")
-    if not isinstance(sensitivity, int) or sensitivity < 1:
+    if not is_int(sensitivity) or sensitivity < 1:
         raise ValueError(f"sensitivity must be a positive int, got {sensitivity!r}")
     return GaussianMechanism(sigma_squared, sensitivity)
 
@@ -445,17 +446,18 @@ def make_average(
 def _quantile_scores(values: Sequence, midpoints: Sequence[float], q: float) -> list:
     """Each midpoint's score: -|(number of values below it) - q * len(values)|.
 
-    One sort, then bisect_left, which counts the values strictly below a
-    midpoint exactly as a scan comparing each value would.
+    values are sorted, as the table derives them once per column, and
+    bisect_left counts the values strictly below a midpoint exactly as a
+    scan comparing each value would.
     """
-    values = sorted(values)
     target = q * len(values)
     return [-abs(bisect_left(values, mid) - target) for mid in midpoints]
 
 
 # A quantile's cost grows with its bins: at this cap, an evaluate over
-# 17,000 rows takes 0.09 s (Python 3.11.7, 2 cores) and 10^9 bins would
-# need tens of GB.
+# 17,000 rows takes about 0.07 s when it sorts the column and 0.06 s
+# once the table remembers it sorted (Python 3.11.7, 2 cores), and 10^9
+# bins would need tens of GB.
 MAX_QUANTILE_BINS = 10**5
 
 
@@ -479,7 +481,7 @@ def make_quantile(
     low, high = _clamp_bounds(low, high)
     if not 0 <= q <= 1:
         raise BadQuantile(f"quantile rank must be in [0, 1], got {q!r}")
-    if not isinstance(bins, int) or not 1 <= bins <= MAX_QUANTILE_BINS:
+    if not is_int(bins) or not 1 <= bins <= MAX_QUANTILE_BINS:
         raise BadBounds(f"bins must be an int in 1..{MAX_QUANTILE_BINS}, got {bins!r}")
     epsilon_unit = Fraction(epsilon_unit)
     if epsilon_unit <= 0:
@@ -491,11 +493,13 @@ def make_quantile(
     if not math.isfinite(width):
         raise BadBounds(f"the bin width over [{low!r}, {high!r}] overflows float64")
     midpoints = [low + (i + 0.5) * width for i in range(bins)]
-    cell = itemgetter(domain.schema.index_of(column))
+    index = domain.schema.index_of(column)
+    cell = itemgetter(index)
     half_epsilon = float(epsilon_unit) / 2
 
     def evaluate(table: Table, rng: random.Random) -> float:
-        scores = _quantile_scores(list(map(cell, table.rows)), midpoints, q)
+        values = table.derive(("sorted", index), lambda: sorted(map(cell, table.rows)))
+        scores = _quantile_scores(values, midpoints, q)
         top = max(scores)
         weights = [math.exp(half_epsilon * (s - top)) for s in scores]
         total = math.fsum(weights)

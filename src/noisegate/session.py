@@ -71,6 +71,7 @@ from .tabledata import (
     Table,
     TableDomain,
     Value,
+    is_int,
     result_cell,
 )
 from . import transformations as tf
@@ -114,7 +115,7 @@ class AddMaxRows(Record):
     id_column = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_rows, int) or self.max_rows < 1:
+        if not is_int(self.max_rows) or self.max_rows < 1:
             raise NonPositiveBound(
                 f"max_rows must be a positive int, got {self.max_rows!r}"
             )
@@ -713,7 +714,7 @@ def build_session(
     domains = _session_domains(
         {name: table.schema for name, table in tables.items()}, unit
     )
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
+    if not is_int(seed) or not 0 <= seed < 2**64:
         raise TypeMismatch(f"the seed must be a 64-bit unsigned int, got {seed!r}")
     queryable = Queryable(
         data,

@@ -3,13 +3,13 @@
 A Table is a schema plus a multiset of rows.  Row order is an artifact of
 construction and is never observable through the public operations here:
 equality is multiset equality, and canonicalize produces the one fixed
-ordering used wherever determinism matters.  A table remembers rows
-derived from it, by key (Table.derive): the first derivation under a key
-builds them, every later one is a lookup, and a table built from derived
-rows can remember them as its own (Table._remembering).  canonicalize
-derives the canonical order this way.  key_reader is the one rule for
-how rows are keyed by named columns, and split_by_key hands out plain
-row lists by it, so grouping and joins take one keyed pass.
+ordering used wherever determinism matters.  A table remembers values
+derived from it, by key (Table.derive): its canonical order and cuts of
+it, each with one memo that every table over those rows shares
+(Table._derive_table), sorted columns and join indexes.  key_reader is
+the one rule for how rows are keyed by named columns, and split_by_key
+hands out plain row lists by it, so grouping and joins take one keyed
+pass.
 
 Values are plain Python ints, floats, and strings.  Floats must be finite,
 no cell may be empty, and no Table holds -0.0: it equals 0.0, so rows
@@ -133,12 +133,17 @@ class Schema(Record):
         return any(col == name for col, _ in self.columns)
 
 
+def is_int(value) -> bool:
+    """Whether value is an int and not a bool: bool is an int subclass,
+    but never a cell, a count, a bound or a seed."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_value(value: Value, ctype: ColumnType) -> Value:
     """Raise SchemaMismatch unless value is a legal cell of the column
     type; return the cell as a Table stores it (-0.0 as 0.0)."""
     if ctype is _INT64:
-        # bool is an int subclass; reject it explicitly.
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not is_int(value):
             raise SchemaMismatch(f"expected int64, got {value!r}")
         if not _INT64_MIN <= value <= _INT64_MAX:
             raise SchemaMismatch(f"{value} is outside the int64 range")
@@ -238,23 +243,33 @@ class Table(Record):
         fields["rows"] = rows
         return table
 
-    @classmethod
-    def _remembering(cls, schema: Schema, rows: tuple[Row, ...], keys: Sequence) -> "Table":
-        """A trusted table of rows that some table derived under each of
-        keys, remembered as its own rows there: deriving under those keys
-        again keeps every row, so it needs no build."""
-        table = cls._trusted(schema, rows)
-        table.__dict__["_derived"] = dict.fromkeys(keys, rows)
-        return table
-
     def derive(self, key, build: Callable[[], object]):
         """The value this table remembers under key, built by build() the
-        first time.  The key names a derivation and its parameters; the
-        value holds rows, never a Table, so no table references itself."""
+        first time.  The key names a derivation and its parameters: the
+        canonical order (CANONICAL), a cut ("cut", key names, bound), a
+        sorted column ("sorted", column index) or a join index ("join",
+        key names).  A value holds rows or cells, never a Table, so no
+        table references itself; every caller gets the same value, so
+        none may change it."""
         derived = self.__dict__.setdefault("_derived", {})
         if key not in derived:
             derived[key] = build()
         return derived[key]
+
+    def _derive_table(self, key, build: Callable[[], tuple[Row, ...]]) -> "Table":
+        """A trusted table over the rows in canonical order that build()
+        derives under key the first time, with the one memo that every
+        table over them shares; there, CANONICAL and key give them again."""
+
+        def remember() -> tuple:
+            memo: dict = {}
+            memo[CANONICAL] = memo[key] = rows_and_memo = (build(), memo)
+            return rows_and_memo
+
+        rows, memo = self.derive(key, remember)
+        table = Table._trusted(self.schema, rows)
+        table.__dict__["_derived"] = memo
+        return table
 
     @classmethod
     def of(cls, schema: Schema, rows: Iterable[Sequence[Value]]) -> "Table":
@@ -299,10 +314,9 @@ def canonicalize(table: Table) -> Table:
     platform, and unlike encoding it is defined for every str, including
     lone surrogates.  A table derives the order under CANONICAL, so it
     sorts its rows once however often it is canonicalized; table.rows
-    keeps its own order, and the result remembers that it is canonical.
+    keeps its own order, and the result shares the order's memo.
     """
-    rows = table.derive(CANONICAL, lambda: tuple(sorted(table.rows)))
-    return Table._remembering(table.schema, rows, (CANONICAL,))
+    return table._derive_table(CANONICAL, lambda: tuple(sorted(table.rows)))
 
 
 def table_equal(a: Table, b: Table) -> bool:

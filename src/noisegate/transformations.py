@@ -44,7 +44,6 @@ from .metrics import (
 )
 from .records import Record
 from .tabledata import (
-    CANONICAL,
     Row,
     Schema,
     Table,
@@ -53,6 +52,7 @@ from .tabledata import (
     TableTupleDomain,
     canonicalize,
     check_key_columns,
+    is_int,
     key_reader,
     split_by_key,
 )
@@ -298,7 +298,7 @@ def make_flat_map(
     does not count toward max_rows.  Runs under SymmetricDifference only;
     identifier-tracking pipelines must truncate before expanding.
     """
-    if not isinstance(max_rows, int) or max_rows < 1:
+    if not is_int(max_rows) or max_rows < 1:
         raise NonPositiveBound(f"max_rows must be a positive int, got {max_rows!r}")
     if not branches:
         raise NonPositiveBound("a flat map needs at least one branch")
@@ -379,12 +379,17 @@ def _cells_of(indices: Sequence[int]) -> Callable[[Row], tuple]:
     return itemgetter(*indices)
 
 
-def _join_index(right_table: Table, keys: Sequence[str], carry: Callable[[Row], tuple]) -> dict:
-    """The carried cells of right_table's rows, in a list per join key."""
-    return {
-        key: [carry(row) for row in rows]
-        for key, rows in split_by_key(right_table, keys).items()
-    }
+def _join_index(right_table: Table, keys: tuple[str, ...], carry: Callable[[Row], tuple]) -> dict:
+    """The carried cells of right_table's rows, in a list per join key.
+
+    right_table derives them under ("join", keys), so a public table is
+    indexed once however often a join on it compiles, and a private
+    join's right cut, whose memo every later cut of the same table at the
+    same keys and bound shares, once however often it is joined.
+    """
+    return right_table.derive(("join", keys), lambda: {
+        key: list(map(carry, rows)) for key, rows in split_by_key(right_table, keys).items()
+    })
 
 
 def _join_rows(left_table: Table, index: dict, keys: Sequence[str], joined: Schema) -> Table:
@@ -430,10 +435,9 @@ def _truncate_by_keys(table: Table, keys: tuple[str, ...], bound: int) -> Table:
     pass over its canonical order: a row is kept while its key has fewer
     than `bound` kept rows.  The kept rows are a subsequence of that
     order, so the output is canonical too, does not depend on the input
-    order, and remembers that it is canonical and this cut.  A cut that
-    keeps every row is the canonical tuple itself.
+    order, and shares the cut's memo, where CANONICAL and the cut give it
+    again.  A cut that keeps every row is the canonical tuple itself.
     """
-    cut = ("cut", keys, bound)
 
     def count_pass() -> tuple[Row, ...]:
         rows = canonicalize(table).rows
@@ -448,7 +452,7 @@ def _truncate_by_keys(table: Table, keys: tuple[str, ...], bound: int) -> Table:
                 out.append(row)
         return rows if len(out) == len(rows) else tuple(out)
 
-    return Table._remembering(table.schema, table.derive(cut, count_pass), (CANONICAL, cut))
+    return table._derive_table(("cut", keys, bound), count_pass)
 
 
 def private_join_distance_bound(
@@ -482,7 +486,7 @@ def make_private_join(
     2 * max(left_bound, right_bound) over the summed input distance.
     """
     for bound in (left_bound, right_bound):
-        if not isinstance(bound, int) or bound < 1:
+        if not is_int(bound) or bound < 1:
             raise NonPositiveBound(f"truncation bounds must be positive ints, got {bound!r}")
     keys, joined, carry = _check_join_columns(left.schema, right.schema, on)
 
@@ -515,7 +519,7 @@ def make_truncate_by_id(domain: TableDomain, bound: int) -> Transformation:
     """
     if domain.id_column is None:
         raise MissingIdColumn("truncation needs a domain with an id column")
-    if not isinstance(bound, int) or bound < 1:
+    if not is_int(bound) or bound < 1:
         raise NonPositiveBound(f"the truncation bound must be a positive int, got {bound!r}")
 
     def apply(table: Table) -> Table:
@@ -544,9 +548,9 @@ def make_overlapping_subsets(
     indices, so one row touches at most that many subsets and stability is
     linear(contribution_bound) into the bounded-list metric.
     """
-    if not isinstance(num_subsets, int) or num_subsets < 1:
+    if not is_int(num_subsets) or num_subsets < 1:
         raise NonPositiveBound(f"num_subsets must be a positive int, got {num_subsets!r}")
-    if not isinstance(contribution_bound, int) or contribution_bound < 1:
+    if not is_int(contribution_bound) or contribution_bound < 1:
         raise NonPositiveBound(
             f"the contribution bound must be a positive int, got {contribution_bound!r}"
         )
@@ -557,7 +561,7 @@ def make_overlapping_subsets(
         for row in table.rows:
             indices = sorted(set(assign(row)))
             for index in indices:
-                if not isinstance(index, int) or not 0 <= index < num_subsets:
+                if not is_int(index) or not 0 <= index < num_subsets:
                     raise BadIndex(
                         f"assign produced index {index!r}, outside 0..{num_subsets - 1}"
                     )

@@ -800,3 +800,29 @@ def oracle_flat_map(rows, branches, max_rows: int) -> tuple:
             except ROW_FAILURES:
                 pass
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Probes: what a table remembers, and which bits a generator hands out.
+
+
+def remembered(table: Table) -> dict:
+    """What the table has derived so far, by key, as Table.derive keeps it."""
+    return table.__dict__.get("_derived", {})
+
+
+def unbuilt():
+    """A build for Table.derive that fails: the value must be remembered."""
+    raise AssertionError("a remembered value was built again")
+
+
+class LoggingRandom(random.Random):
+    """A generator that records the k of every getrandbits(k) call."""
+
+    def __init__(self, seed):
+        self.calls = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.calls.append(k)
+        return super().getrandbits(k)

@@ -13,6 +13,7 @@ from helpers import (
     empirical_pmf,
     geometric_pmf,
     grain_total_reference,
+    LoggingRandom,
     per_group_reference,
     product_pmf,
     pure_dp_divergence,
@@ -20,7 +21,9 @@ from helpers import (
     quantile_scores_reference,
     randrange_discrete_gaussian,
     randrange_two_sided_geometric,
+    remembered,
     tv_distance,
+    unbuilt,
 )
 from noisegate.errors import (
     BadBounds,
@@ -395,7 +398,8 @@ def test_quantile_scores_match_brute_force():
           for _ in range(rng.randrange(12))] for _ in range(200)]
     for values in cases:
         for q in (0.0, 0.25, 0.5, 1.0):
-            assert _quantile_scores(values, midpoints, q) == quantile_scores_reference(
+            # _quantile_scores takes the column sorted, as a table derives it.
+            assert _quantile_scores(sorted(values), midpoints, q) == quantile_scores_reference(
                 values, midpoints, q
             )
 
@@ -433,6 +437,108 @@ def test_quantile_sampling_matches_pmf():
     oracle = quantile_pmf([1.0, 2.0, 3.0], 0.5, 0.0, 4.0, 4, Fraction(4))
     empirical = {i: Fraction(counts[mid], n) for i, mid in enumerate((0.5, 1.5, 2.5, 3.5))}
     assert tv_distance(empirical, dict(enumerate(oracle))) < 0.03
+
+
+COLUMNS = Schema.of(("g", ColumnType.TEXT), ("n", ColumnType.INT64), ("v", ColumnType.FLOAT64))
+COLUMNS_DOMAIN = TableDomain(COLUMNS, None)
+# The scan workload's three quantiles, as (column, q, low, high, bins).
+QUANTILES = [("v", 0.5, 0.0, 200.0, 100), ("v", 0.25, 0.0, 200.0, 150), ("v", 0.9, 0.0, 400.0, 1000)]
+
+
+def _columns_rows(rng, n=60):
+    return [
+        (rng.choice("ab"), rng.randrange(-5, 50), rng.choice([rng.uniform(-10, 210), 100.0]))
+        for _ in range(n)
+    ]
+
+
+def _quantile(column, q, low, high, bins):
+    return make_quantile(COLUMNS_DOMAIN, column, q, low, high, bins, Fraction(1, 20))
+
+
+def test_a_warm_quantile_builds_nothing(monkeypatch):
+    rng = random.Random(71)
+    for _ in range(10):
+        rows = _columns_rows(rng)
+        table = Table.of(COLUMNS, rows)
+        first, *others = [_quantile(*spec) for spec in QUANTILES]
+        first.eval(table, stream())
+        values = table.derive(("sorted", 2), unbuilt)
+        assert values == sorted(row[2] for row in rows)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("a remembered column was sorted again")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(measurements, "sorted", no_sort, raising=False)
+            for measurement in [first, *others]:
+                measurement.eval(table, stream())
+        assert remembered(table) == {("sorted", 2): values}
+        assert table.derive(("sorted", 2), unbuilt) is values
+        # The table's own rows keep the order they were built with.
+        assert table.rows == tuple(rows)
+
+
+def test_sorted_columns_of_other_columns_or_tables_never_share_an_entry():
+    rng = random.Random(72)
+    for _ in range(10):
+        rows = _columns_rows(rng)
+        table = Table.of(COLUMNS, rows)
+        for _ in range(2):  # cold, then warm
+            _quantile("n", 0.5, -5.0, 50.0, 11).eval(table, stream())
+            _quantile("v", 0.5, 0.0, 200.0, 10).eval(table, stream())
+        assert remembered(table) == {
+            ("sorted", 1): sorted(row[1] for row in rows),
+            ("sorted", 2): sorted(row[2] for row in rows),
+        }
+        rebuilt = Table.of(COLUMNS, rows)
+        assert remembered(rebuilt) == {}
+        fewer = Table.of(COLUMNS, rows[1:])
+        _quantile("v", 0.5, 0.0, 200.0, 10).eval(fewer, stream())
+        assert remembered(fewer) == {("sorted", 2): sorted(row[2] for row in rows[1:])}
+        assert remembered(table)[("sorted", 2)] == sorted(row[2] for row in rows)
+
+
+def test_cold_and_warm_quantiles_draw_as_on_a_fresh_table():
+    rng = random.Random(73)
+    quantiles = [_quantile(*spec) for spec in QUANTILES]
+    for seed in range(10):
+        rows = _columns_rows(rng, 200)
+        table = Table.of(COLUMNS, rows)
+        for _ in range(2):  # cold, then warm
+            for i, measurement in enumerate(quantiles):
+                ours, theirs = LoggingRandom(10 * seed + i), LoggingRandom(10 * seed + i)
+                got = measurement._eval(table, ours)
+                assert got == measurement._eval(Table.of(COLUMNS, rows), theirs)
+                assert ours.calls == theirs.calls == [64]
+                assert ours.getrandbits(64) == theirs.getrandbits(64)
+
+
+def test_a_grouped_quantile_still_scores_as_the_reference(monkeypatch):
+    rng = random.Random(74)
+    keys = KeySet(Schema.of(("g", ColumnType.TEXT)), [("a",), ("b",), ("c",)])
+    scored = []
+
+    def recording(values, midpoints, q):
+        scores = _quantile_scores(values, midpoints, q)
+        scored.append((values, midpoints, q, scores))
+        return scores
+
+    monkeypatch.setattr(measurements, "_quantile_scores", recording)
+    for column, q, low, high, bins in QUANTILES:
+        per_group = _quantile(column, q, low, high, bins)
+        grouped = compose_per_group(COLUMNS_DOMAIN, keys, per_group, ("quantile", ColumnType.FLOAT64))
+        for _ in range(5):
+            rows = _columns_rows(rng, rng.randrange(40))
+            table = Table.of(COLUMNS, rows)
+            for _ in range(2):  # each evaluate splits the rows into new tables
+                scored.clear()
+                grouped.eval(table, stream())
+                assert len(scored) == len(keys.rows)
+                for (key,), (values, midpoints, q_seen, scores) in zip(keys.rows, scored):
+                    group = [row[2] for row in rows if row[0] == key]
+                    assert values == sorted(group) and q_seen == q
+                    assert scores == quantile_scores_reference(group, midpoints, q)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from helpers import (
     empirical_pmf,
     gaussian_pmf,
     geometric_pmf,
+    LoggingRandom,
     randrange_discrete_gaussian,
     randrange_geometric_exp,
     randrange_two_sided_geometric,
@@ -153,18 +154,6 @@ def test_samplers_match_the_randrange_ladder_bit_for_bit(sampler, oracle, parame
         assert ours.getrandbits(64) == theirs.getrandbits(64)
 
 
-class _LoggingRandom(random.Random):
-    """A generator that records the k of every getrandbits(k) call."""
-
-    def __init__(self, seed):
-        self.calls = []
-        super().__init__(seed)
-
-    def getrandbits(self, k):
-        self.calls.append(k)
-        return super().getrandbits(k)
-
-
 @pytest.mark.parametrize(
     "sampler, oracle, parameter, draws",
     LADDER_GRID,
@@ -174,7 +163,7 @@ def test_samplers_make_the_randrange_ladders_getrandbits_calls(sampler, oracle, 
     # Equal draws could still come from different calls; the stream is
     # defined by the calls, so pin the k of each one, in order.
     for seed in range(3):
-        ours, theirs = _LoggingRandom(seed), _LoggingRandom(seed)
+        ours, theirs = LoggingRandom(seed), LoggingRandom(seed)
         for _ in range(draws):
             assert sampler(parameter, ours) == oracle(parameter, theirs)
         assert ours.calls == theirs.calls

@@ -792,6 +792,29 @@ def test_build_session_validation():
         )
 
 
+@pytest.mark.parametrize("seed", [True, False])
+def test_a_bool_seed_is_refused_before_anything_is_charged(seed):
+    # bool is an int subclass: a bool seed would pass the range check, and
+    # then every evaluate would charge its spend and fail to derive a stream.
+    with pytest.raises(TypeMismatch):
+        fresh_session(seed=seed)
+    s = fresh_session(seed=int(seed))
+    s.evaluate(query("people").count(), PrivacyBudget.pure(Fraction(1, 2)))
+    assert s.remaining_budget() == PrivacyBudget.pure(Fraction(19, 2))
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_bool_is_no_row_bound_or_bin_count(flag):
+    with pytest.raises(NonPositiveBound):
+        AddMaxRows(flag)
+    expr = query("t").quantile("x", 0.5, 0.0, 1.0, flag)
+    assert _outcome([("a", 1.0)], expr, 1, 10) == (BadBounds, None, 10)
+    with pytest.raises(ValueError):
+        measurements.make_geometric(1, flag)
+    with pytest.raises(ValueError):
+        measurements.make_discrete_gaussian(1, flag)
+
+
 def test_session_introspection():
     s = fresh_session(budget=PrivacyBudget.zcdp("5/2"), unit=AddMaxRows(2))
     assert s.privacy_unit == AddMaxRows(2)

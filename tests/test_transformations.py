@@ -11,8 +11,10 @@ from helpers import (
     dataset_distance,
     join_reference,
     random_table,
+    remembered,
     sd_distance,
     truncate_reference,
+    unbuilt,
 )
 from noisegate import expressions, tabledata, transformations
 from noisegate.errors import (
@@ -356,25 +358,27 @@ def _cut_rows(rng, n=25):
     ]
 
 
-def _remembered(table):
-    # What the table has derived so far, by key, as Table.derive keeps it.
-    return table.__dict__.get("_derived", {})
-
-
-def _unbuilt():
-    raise AssertionError("a remembered value was built again")
-
-
 def _by_id(bound):
     return ("cut", ("id",), bound)
 
 
+def _rows(table, key):
+    # The rows a table remembers under a canonical or cut key, which come
+    # paired with the memo every table over them shares.
+    rows, _ = table.derive(key, unbuilt)
+    return rows
+
+
 def _assert_cuts_match_the_reference(table):
     # Every remembered cut, whoever took it, is the cut at its own key, and
-    # the canonical order, if remembered, is the sorted rows.
-    for key, kept in _remembered(table).items():
+    # the canonical order, if remembered, is the sorted rows.  Each comes
+    # with its own memo, which gives the same rows again under its key and
+    # as its canonical order.
+    for key, entry in remembered(table).items():
+        assert table.derive(key, unbuilt) is entry
+        kept, memo = entry
         assert isinstance(kept, tuple)
-        assert table.derive(key, _unbuilt) is kept
+        assert memo[key] is entry and memo[CANONICAL] is entry
         if key == CANONICAL:
             assert kept == tuple(sorted(table.rows))
             continue
@@ -395,8 +399,10 @@ def test_a_warm_truncation_returns_the_remembered_cut():
             assert cold_or_warm.multiset() == expected
             warm = make_truncate_by_id(CUT_DOMAIN, bound).apply(table)
             assert warm.rows is cold_or_warm.rows
-            assert warm.rows is table.derive(_by_id(bound), _unbuilt)
-        assert set(_remembered(table)) == {CANONICAL, _by_id(1), _by_id(2), _by_id(3)}
+            assert warm.rows is _rows(table, _by_id(bound))
+            # Both tables over the cut share its one memo.
+            assert remembered(warm) is remembered(cold_or_warm)
+        assert set(remembered(table)) == {CANONICAL, _by_id(1), _by_id(2), _by_id(3)}
         _assert_cuts_match_the_reference(table)
         # The table's own rows keep the order they were built with.
         assert table.rows == tuple(rows)
@@ -434,11 +440,11 @@ def test_cuts_at_other_bounds_or_keys_never_share_an_entry():
             )
             assert on_tag.multiset() == join_reference(kept, kept_others, ["tag"])
         # The two-column key is read in the join's order, from each side.
-        assert set(_remembered(table)) == {
+        assert set(remembered(table)) == {
             CANONICAL, _by_id(1), _by_id(2), ("cut", ("id", "tag"), 2), ("cut", ("tag",), 2)
         }
-        assert set(_remembered(partners)) == {CANONICAL, ("cut", ("id", "tag"), 1)}
-        assert set(_remembered(others)) == {CANONICAL, ("cut", ("tag",), 2)}
+        assert set(remembered(partners)) == {CANONICAL, ("cut", ("id", "tag"), 1)}
+        assert set(remembered(others)) == {CANONICAL, ("cut", ("tag",), 2)}
         for cut_table in (table, partners, others):
             _assert_cuts_match_the_reference(cut_table)
 
@@ -451,11 +457,11 @@ def test_another_table_does_not_reuse_the_cuts():
         table = Table.of(CUT_SCHEMA, rows)
         first = truncate.apply(table)
         rebuilt = Table.of(CUT_SCHEMA, rows)
-        assert _remembered(rebuilt) == {}
+        assert remembered(rebuilt) == {}
         again = truncate.apply(rebuilt)
         assert again.rows == first.rows and again.rows is not first.rows
         filtered = make_filter(CUT_DOMAIN, "v != 1").apply(table)
-        assert _remembered(filtered) == {}
+        assert remembered(filtered) == {}
         assert truncate.apply(filtered).multiset() == truncate_reference(
             filtered.rows, (2,), 1
         )
@@ -467,9 +473,9 @@ def test_a_cut_that_keeps_every_row_is_the_canonical_tuple():
         rows = _cut_rows(rng)
         table = Table.of(CUT_SCHEMA, rows)
         cut = make_truncate_by_id(CUT_DOMAIN, len(rows) + 1).apply(table)
-        canonical = table.derive(CANONICAL, _unbuilt)
+        canonical = _rows(table, CANONICAL)
         assert cut.rows is canonical
-        assert table.derive(_by_id(len(rows) + 1), _unbuilt) is canonical
+        assert _rows(table, _by_id(len(rows) + 1)) is canonical
         assert table.rows == tuple(rows)
 
 
@@ -491,8 +497,10 @@ def test_cutting_a_cut_again_needs_no_sort(monkeypatch):
         transformations, "canonicalize", lambda t: passes.append(t) or canonicalize(t)
     )
     for table, cut in zip(tables, cuts):
-        assert _remembered(cut) == {CANONICAL: cut.rows, _by_id(3): cut.rows}
-        assert all(kept is cut.rows for kept in _remembered(cut).values())
+        memo = remembered(cut)
+        entry = (cut.rows, memo)
+        assert memo == {CANONICAL: entry, _by_id(3): entry}
+        assert all(kept[0] is cut.rows and kept[1] is memo for kept in memo.values())
         assert make_truncate_by_id(CUT_DOMAIN, 3).apply(cut).rows is cut.rows
         # The private join's own truncation of a cut is a lookup too.
         join.apply((cut, right))
@@ -503,6 +511,143 @@ def test_cutting_a_cut_again_needs_no_sort(monkeypatch):
         passes.clear()
         assert lower.multiset() == truncate_reference(table.rows, (2,), 2)
         assert canonicalize(cut).rows is cut.rows
+
+
+USERS = Schema.of(("id", ColumnType.INT64), ("tier", ColumnType.TEXT))
+USERS_DOMAIN = TableDomain(USERS, "id")
+
+
+def _recording_splits(monkeypatch):
+    # The tables transformations splits by key, from now on.
+    splits = []
+
+    def recording(table, keys):
+        splits.append(table)
+        return split_by_key(table, keys)
+
+    monkeypatch.setattr(transformations, "split_by_key", recording)
+    return splits
+
+
+def test_a_warm_private_join_does_not_split_its_right_side(monkeypatch):
+    # As on the ids workload: every query cuts both sides by id, which
+    # builds new tables over the remembered cuts, and joins them on id.
+    rng = random.Random(66)
+    join = make_private_join(CUT_DOMAIN, TableDomain(USERS, None), ["id"], 3, 1)
+    for _ in range(10):
+        people = Table.of(CUT_SCHEMA, _cut_rows(rng, 40))
+        users = Table.of(USERS, [(rng.randrange(6), rng.choice("ab")) for _ in range(8)])
+        kept_people = Table.of(CUT_SCHEMA, truncate_reference(people.rows, (2,), 3).elements())
+        kept_users = Table.of(USERS, truncate_reference(users.rows, (0,), 1).elements())
+        expected = join_reference(kept_people, kept_users, ["id"])
+
+        def ask():
+            left = make_truncate_by_id(CUT_DOMAIN, 3).apply(people)
+            right = make_truncate_by_id(USERS_DOMAIN, 1).apply(users)
+            return right, join.apply((left, right))
+
+        right, cold = ask()
+        assert cold.multiset() == expected
+        assert set(remembered(right)) == {CANONICAL, _by_id(1), ("join", ("id",))}
+        with monkeypatch.context() as patch:
+            splits = _recording_splits(patch)
+            for _ in range(2):
+                warm_right, warm = ask()
+                assert warm_right is not right
+                assert remembered(warm_right) is remembered(right)
+                assert warm.multiset() == expected
+            assert splits == []
+
+
+def _index_reference(schema, rows, keys):
+    # The carried cells of each key's rows, as a multiset per key.
+    positions = [schema.index_of(key) for key in keys]
+    carried = [i for i in range(len(schema.columns)) if i not in positions]
+    index = {}
+    for row in rows:
+        key = tuple(row[i] for i in positions)
+        index.setdefault(key if len(key) > 1 else key[0], Counter())[
+            tuple(row[i] for i in carried)
+        ] += 1
+    return index
+
+
+def test_join_indexes_at_other_keys_or_bounds_never_share_an_entry():
+    rng = random.Random(67)
+    for _ in range(20):
+        rows = _cut_rows(rng)
+        table = Table.of(CUT_SCHEMA, rows)
+        partners = Table.of(PARTNERS, [
+            (rng.randrange(5), rng.choice("xyz"), rng.randrange(3)) for _ in range(15)
+        ])
+        # The same two key columns read in the other order key the index
+        # by other tuples, so sharing an entry would join nothing.
+        shapes = [(keys, bound) for keys in (("id", "tag"), ("tag", "id")) for bound in (1, 2)]
+        for _ in range(2):  # cold, then warm
+            for keys, bound in shapes:
+                join = make_private_join(CUT_DOMAIN, TableDomain(PARTNERS, None), keys, 2, bound)
+                positions = [CUT_SCHEMA.index_of(key) for key in keys]
+                kept = Table.of(CUT_SCHEMA, truncate_reference(rows, positions, 2).elements())
+                kept_partners = Table.of(PARTNERS, truncate_reference(
+                    partners.rows, [PARTNERS.index_of(key) for key in keys], bound
+                ).elements())
+                assert join.apply((table, partners)).multiset() == join_reference(
+                    kept, kept_partners, keys
+                )
+        # Each right cut, at its keys and bound, remembers its own index.
+        assert set(remembered(partners)) == {CANONICAL} | {("cut", *shape) for shape in shapes}
+        memos = []
+        for keys, bound in shapes:
+            rows, memo = partners.derive(("cut", keys, bound), unbuilt)
+            assert set(memo) == {CANONICAL, ("cut", keys, bound), ("join", keys)}
+            index = memo[("join", keys)]
+            expected = _index_reference(PARTNERS, rows, keys)
+            assert {k: Counter(cells) for k, cells in index.items()} == expected
+            memos.append(memo)
+        assert len({id(memo) for memo in memos}) == len(shapes)
+        _assert_cuts_match_the_reference(partners)
+
+
+def test_a_public_join_indexes_its_table_once(monkeypatch):
+    public = Table.of(
+        Schema.of(("v", ColumnType.INT64), ("label", ColumnType.TEXT)),
+        [(1, "a"), (1, "b"), (2, "c")],
+    )
+    rows = T((1, 1), (2, 2), (3, 1))
+    first = make_public_join(DOMAIN, public, ["v"])
+    splits = _recording_splits(monkeypatch)
+    again = make_public_join(DOMAIN, public, ["v"])
+    assert splits == []
+    assert again.stability.slope == first.stability.slope == 2
+    assert again.apply(rows).multiset() == join_reference(rows, public, ["v"])
+    assert set(remembered(public)) == {("join", ("v",))}
+    index = public.derive(("join", ("v",)), unbuilt)
+    assert {k: Counter(cells) for k, cells in index.items()} == _index_reference(
+        public.schema, public.rows, ("v",)
+    )
+
+
+def test_a_bool_is_no_count_or_bound():
+    # bool is an int subclass, so each of these would act as 1 or 0.
+    out = Schema.of(("x", ColumnType.INT64))
+    branches = (ExpansionBranch(columns={"x": "v"}),)
+    partners = TableDomain(PARTNERS, None)
+    for flag in (True, False):
+        with pytest.raises(NonPositiveBound):
+            make_truncate_by_id(ID_DOMAIN, flag)
+        with pytest.raises(NonPositiveBound):
+            make_flat_map(DOMAIN, branches, out, max_rows=flag)
+        with pytest.raises(NonPositiveBound):
+            make_private_join(DOMAIN, partners, ["id"], flag, 1)
+        with pytest.raises(NonPositiveBound):
+            make_private_join(DOMAIN, partners, ["id"], 1, flag)
+        with pytest.raises(NonPositiveBound):
+            make_overlapping_subsets(DOMAIN, lambda row: [0], flag, 1)
+        with pytest.raises(NonPositiveBound):
+            make_overlapping_subsets(DOMAIN, lambda row: [0], 2, flag)
+        subsets = make_overlapping_subsets(DOMAIN, lambda row: [flag], 2, 1)
+        with pytest.raises(BadIndex):
+            subsets.apply(T((1, 1)))
 
 
 KEY_COLUMNS = (("k", ColumnType.INT64), ("k2", ColumnType.TEXT))
