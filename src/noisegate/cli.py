@@ -270,7 +270,10 @@ def parse_script(doc) -> list[ScriptQuery]:
         seen.add(name)
         spend_text = _require(entry, "spend", where)
         _check(spend_text, str, "'spend' as a string, parsed exactly", where)
-        spend = parse_budget_amount(spend_text)
+        try:
+            spend = parse_budget_amount(spend_text)
+        except NoisegateError as exc:
+            raise ScriptError(f"{where}: 'spend': {exc}") from exc
         if spend == INF:
             raise ScriptError(f"{where}: spends must be finite")
         expr = _decode_expr(_require(entry, "expr", where), where)

@@ -18,6 +18,7 @@ from typing import Sequence, Union
 
 from .errors import TypeMismatch
 from .records import Record
+from .tabledata import _refuse_bool
 
 INF = math.inf
 
@@ -41,7 +42,8 @@ def parse_budget_amount(amount):
     decimal), an int, a Fraction or INF becomes a non-negative Fraction or
     INF.  A float (so accounting never inherits binary rounding), a
     negative amount or a decimal exponent beyond ±4300 raises
-    TypeMismatch."""
+    TypeMismatch, as does a bool."""
+    _refuse_bool(amount, TypeMismatch, "a budget amount")
     if amount == INF or (
         isinstance(amount, str) and amount.strip().lower() in ("inf", "infinity")
     ):

@@ -71,6 +71,7 @@ from .tabledata import (
     Table,
     TableDomain,
     Value,
+    _refuse_bool,
     is_int,
     result_cell,
 )
@@ -373,7 +374,7 @@ class _Clamped(_Aggregation):
         # A float granularity is the decimal it prints as (0.1 is 1/10),
         # however the node was built; text is read by the same rule.  An
         # exact number is kept as it is: str() of one past 4300 digits fails.
-        granularity = self.granularity
+        granularity = _refuse_bool(self.granularity, TypeMismatch, "a granularity")
         if not isinstance(granularity, (int, Fraction)):
             granularity = _parse_fraction(str(granularity))
         object.__setattr__(self, "granularity", Fraction(granularity))

@@ -4,12 +4,11 @@ A Table is a schema plus a multiset of rows.  Row order is an artifact of
 construction and is never observable through the public operations here:
 equality is multiset equality, and canonicalize produces the one fixed
 ordering used wherever determinism matters.  A table remembers values
-derived from it, by key (Table.derive): its canonical order and cuts of
-it, each with one memo that every table over those rows shares
-(Table._derive_table), sorted columns and join indexes.  key_reader is
-the one rule for how rows are keyed by named columns, and split_by_key
-hands out plain row lists by it, so grouping and joins take one keyed
-pass.
+derived from it, by key (Table.derive): sorted columns, join indexes,
+and its canonical order and cuts of it, each a Table that remembers
+itself as its own canonical order and cut.  key_reader is the one rule
+for how rows are keyed by named columns, and split_by_key hands out
+plain row lists by it, so grouping and joins take one keyed pass.
 
 Values are plain Python ints, floats, and strings.  Floats must be finite,
 no cell may be empty, and no Table holds -0.0: it equals 0.0, so rows
@@ -139,6 +138,14 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _refuse_bool(value, error: type[NoisegateError], what: str):
+    """value, unless it is a bool, which raises error: nor is a bool an
+    exact amount, a clamping bound, a quantile rank or a granularity."""
+    if isinstance(value, bool):
+        raise error(f"{what} must be a number, not {value!r}")
+    return value
+
+
 def check_value(value: Value, ctype: ColumnType) -> Value:
     """Raise SchemaMismatch unless value is a legal cell of the column
     type; return the cell as a Table stores it (-0.0 as 0.0)."""
@@ -206,7 +213,8 @@ class Table(Record):
     Constructing one checks every cell against the schema and stores
     the rows as check_value returns them; see _trusted for the internal
     constructor that does neither.  A table remembers what derive builds
-    from it, by key; a filtered or rebuilt table remembers nothing.
+    from it, by key, its canonical order and cuts as Tables; a filtered
+    or rebuilt table remembers nothing.
     """
 
     schema: Schema
@@ -248,28 +256,25 @@ class Table(Record):
         first time.  The key names a derivation and its parameters: the
         canonical order (CANONICAL), a cut ("cut", key names, bound), a
         sorted column ("sorted", column index) or a join index ("join",
-        key names).  A value holds rows or cells, never a Table, so no
-        table references itself; every caller gets the same value, so
-        none may change it."""
+        key names).  The canonical order and a cut are Tables; every caller
+        gets the same value, so none may change it."""
         derived = self.__dict__.setdefault("_derived", {})
         if key not in derived:
             derived[key] = build()
         return derived[key]
 
-    def _derive_table(self, key, build: Callable[[], tuple[Row, ...]]) -> "Table":
-        """A trusted table over the rows in canonical order that build()
-        derives under key the first time, with the one memo that every
-        table over them shares; there, CANONICAL and key give them again."""
+    def _derive_canonical(self, key, build: Callable[[], "Table"]) -> "Table":
+        """The table in canonical order that build() derives under key the
+        first time, which remembers itself under CANONICAL and key, so
+        canonicalizing it or deriving key from it again gives it back."""
 
-        def remember() -> tuple:
-            memo: dict = {}
-            memo[CANONICAL] = memo[key] = rows_and_memo = (build(), memo)
-            return rows_and_memo
+        def remember() -> Table:
+            table = build()
+            derived = table.__dict__.setdefault("_derived", {})
+            derived[CANONICAL] = derived[key] = table
+            return table
 
-        rows, memo = self.derive(key, remember)
-        table = Table._trusted(self.schema, rows)
-        table.__dict__["_derived"] = memo
-        return table
+        return self.derive(key, remember)
 
     @classmethod
     def of(cls, schema: Schema, rows: Iterable[Sequence[Value]]) -> "Table":
@@ -313,10 +318,12 @@ def canonicalize(table: Table) -> Table:
     order is the order of the UTF-8 encodings, so it is the same on every
     platform, and unlike encoding it is defined for every str, including
     lone surrogates.  A table derives the order under CANONICAL, so it
-    sorts its rows once however often it is canonicalized; table.rows
-    keeps its own order, and the result shares the order's memo.
+    sorts its rows once and returns one Table however often it is
+    canonicalized; table.rows keeps its own order.
     """
-    return table._derive_table(CANONICAL, lambda: tuple(sorted(table.rows)))
+    return table._derive_canonical(
+        CANONICAL, lambda: Table._trusted(table.schema, tuple(sorted(table.rows)))
+    )
 
 
 def table_equal(a: Table, b: Table) -> bool:

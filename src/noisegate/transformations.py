@@ -384,8 +384,8 @@ def _join_index(right_table: Table, keys: tuple[str, ...], carry: Callable[[Row]
 
     right_table derives them under ("join", keys), so a public table is
     indexed once however often a join on it compiles, and a private
-    join's right cut, whose memo every later cut of the same table at the
-    same keys and bound shares, once however often it is joined.
+    join's right cut, which every later cut of the same table at the same
+    keys and bound returns again, once however often it is joined.
     """
     return right_table.derive(("join", keys), lambda: {
         key: list(map(carry, rows)) for key, rows in split_by_key(right_table, keys).items()
@@ -434,25 +434,27 @@ def _truncate_by_keys(table: Table, keys: tuple[str, ...], bound: int) -> Table:
     The table derives the cut under ("cut", keys, bound) by one counting
     pass over its canonical order: a row is kept while its key has fewer
     than `bound` kept rows.  The kept rows are a subsequence of that
-    order, so the output is canonical too, does not depend on the input
-    order, and shares the cut's memo, where CANONICAL and the cut give it
-    again.  A cut that keeps every row is the canonical tuple itself.
+    order, so the cut is canonical too and does not depend on the input
+    order.  The cut is one Table, warm or cold, and remembers itself under
+    CANONICAL and its key; one that keeps every row is the canonical Table.
     """
 
-    def count_pass() -> tuple[Row, ...]:
-        rows = canonicalize(table).rows
+    def count_pass() -> Table:
+        canonical = canonicalize(table)
         key_of = key_reader(table.schema, keys)
         kept_per_key: dict = {}
         out: list[Row] = []
-        for row in rows:
+        for row in canonical.rows:
             key = key_of(row)
             count = kept_per_key.get(key, 0)
             if count < bound:
                 kept_per_key[key] = count + 1
                 out.append(row)
-        return rows if len(out) == len(rows) else tuple(out)
+        if len(out) == len(canonical):
+            return canonical
+        return Table._trusted(table.schema, tuple(out))
 
-    return table._derive_table(("cut", keys, bound), count_pass)
+    return table._derive_canonical(("cut", keys, bound), count_pass)
 
 
 def private_join_distance_bound(
@@ -515,7 +517,7 @@ def make_truncate_by_id(domain: TableDomain, bound: int) -> Transformation:
     linear(bound).  Truncating an already-truncated table changes nothing.
     The input table derives the cut, so truncating the same table again
     at the same bound (a session's source table, in every session built
-    on it) skips the counting pass, and the output remembers that cut.
+    on it) skips the counting pass and returns the one Table of that cut.
     """
     if domain.id_column is None:
         raise MissingIdColumn("truncation needs a domain with an id column")

@@ -449,6 +449,8 @@ def test_bad_flags_exit_2(tmp_path, overrides, capsys):
         "{not json",
         json.dumps({"queries": [{"name": "a", "spend": 0.5, "expr": {"kind": "Count", "child": SOURCE}}]}),
         json.dumps({"queries": [{"name": "a", "spend": "inf", "expr": {"kind": "Count", "child": SOURCE}}]}),
+        json.dumps({"queries": [count_query("a", "abc")]}),
+        json.dumps({"queries": [count_query("a", "-1")]}),
         json.dumps({"queries": [{"name": "bad name!", "spend": "1", "expr": {"kind": "Count", "child": SOURCE}}]}),
         json.dumps({"queries": [count_query("a", "1"), count_query("a", "1")]}),
         json.dumps({"queries": [{"name": "a", "spend": "1", "expr": {"kind": "Explode", "child": SOURCE}}]}),
@@ -469,6 +471,16 @@ def test_bad_scripts_exit_2(tmp_path, script_text, capsys):
     (tmp_path / "script.json").write_text(script_text)
     assert main(run_args(tmp_path, budget="10")) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("spend", ["abc", "-1"])
+@pytest.mark.parametrize("command", ["run", "budget"])
+def test_a_spend_that_does_not_parse_names_the_script_and_query(tmp_path, capsys, spend, command):
+    write_workspace(tmp_path, queries=[count_query("a", spend)])
+    assert main(run_args(tmp_path, command, budget="10")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'script.json'}: queries[0]: ")
+    assert spend in err and err.count("\n") == 1
 
 
 def _clamped_sum(granularity):

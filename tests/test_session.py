@@ -20,6 +20,7 @@ from helpers import (
 )
 from noisegate.errors import (
     BadBounds,
+    BadQuantile,
     DuplicateColumn,
     EmptyTables,
     InsufficientBudget,
@@ -111,6 +112,10 @@ def test_budget_amount_parsing():
         parse_budget_amount("-1")
     with pytest.raises(TypeMismatch):
         parse_budget_amount("eps")
+    # bool is an int subclass, but no exact amount.
+    for flag in (True, False):
+        with pytest.raises(TypeMismatch):
+            parse_budget_amount(flag)
 
 
 def test_budget_rejects_floats():
@@ -809,6 +814,22 @@ def test_a_bool_is_no_row_bound_or_bin_count(flag):
         AddMaxRows(flag)
     expr = query("t").quantile("x", 0.5, 0.0, 1.0, flag)
     assert _outcome([("a", 1.0)], expr, 1, 10) == (BadBounds, None, 10)
+    # Nor is a bool an exact amount, a clamping bound, a quantile rank or
+    # a granularity: each raises before anything is charged.
+    with pytest.raises(TypeMismatch):
+        PrivacyBudget.pure(flag)
+    assert _outcome([("a", 1.0)], query("t").count(), flag, 10) == (TypeMismatch, None, 10)
+    for aggregation in ("sum", "average"):
+        for low, high in ((flag, 1.0), (0.0, flag)):
+            expr = getattr(query("t"), aggregation)("x", low, high)
+            assert _outcome([("a", 1.0)], expr, 1, 10) == (BadBounds, None, 10)
+        with pytest.raises(TypeMismatch):
+            getattr(query("t"), aggregation)("x", 0.0, 1.0, granularity=flag)
+    for low, high in ((flag, 1.0), (0.0, flag)):
+        expr = query("t").quantile("x", 0.5, low, high, 4)
+        assert _outcome([("a", 1.0)], expr, 1, 10) == (BadBounds, None, 10)
+    expr = query("t").quantile("x", flag, 0.0, 1.0, 4)
+    assert _outcome([("a", 1.0)], expr, 1, 10) == (BadQuantile, None, 10)
     with pytest.raises(ValueError):
         measurements.make_geometric(1, flag)
     with pytest.raises(ValueError):

@@ -362,23 +362,22 @@ def _by_id(bound):
     return ("cut", ("id",), bound)
 
 
-def _rows(table, key):
-    # The rows a table remembers under a canonical or cut key, which come
-    # paired with the memo every table over them shares.
-    rows, _ = table.derive(key, unbuilt)
-    return rows
+def _cut(table, key):
+    # The Table a table remembers under a canonical or cut key.
+    return table.derive(key, unbuilt)
 
 
 def _assert_cuts_match_the_reference(table):
     # Every remembered cut, whoever took it, is the cut at its own key, and
-    # the canonical order, if remembered, is the sorted rows.  Each comes
-    # with its own memo, which gives the same rows again under its key and
+    # the canonical order, if remembered, is the sorted rows.  Each is a
+    # Table of the same schema, which gives itself again under its key and
     # as its canonical order.
     for key, entry in remembered(table).items():
         assert table.derive(key, unbuilt) is entry
-        kept, memo = entry
+        assert isinstance(entry, Table) and entry.schema is table.schema
+        kept = entry.rows
         assert isinstance(kept, tuple)
-        assert memo[key] is entry and memo[CANONICAL] is entry
+        assert remembered(entry)[key] is entry and remembered(entry)[CANONICAL] is entry
         if key == CANONICAL:
             assert kept == tuple(sorted(table.rows))
             continue
@@ -398,10 +397,9 @@ def test_a_warm_truncation_returns_the_remembered_cut():
             cold_or_warm = make_truncate_by_id(CUT_DOMAIN, bound).apply(table)
             assert cold_or_warm.multiset() == expected
             warm = make_truncate_by_id(CUT_DOMAIN, bound).apply(table)
-            assert warm.rows is cold_or_warm.rows
-            assert warm.rows is _rows(table, _by_id(bound))
-            # Both tables over the cut share its one memo.
-            assert remembered(warm) is remembered(cold_or_warm)
+            # The cut is one Table, returned warm or cold.
+            assert warm is cold_or_warm
+            assert warm is _cut(table, _by_id(bound))
         assert set(remembered(table)) == {CANONICAL, _by_id(1), _by_id(2), _by_id(3)}
         _assert_cuts_match_the_reference(table)
         # The table's own rows keep the order they were built with.
@@ -467,15 +465,18 @@ def test_another_table_does_not_reuse_the_cuts():
         )
 
 
-def test_a_cut_that_keeps_every_row_is_the_canonical_tuple():
+def test_a_cut_that_keeps_every_row_is_the_canonical_table():
     rng = random.Random(64)
     for _ in range(20):
         rows = _cut_rows(rng)
         table = Table.of(CUT_SCHEMA, rows)
+        everything = _by_id(len(rows) + 1)
         cut = make_truncate_by_id(CUT_DOMAIN, len(rows) + 1).apply(table)
-        canonical = _rows(table, CANONICAL)
-        assert cut.rows is canonical
-        assert _rows(table, _by_id(len(rows) + 1)) is canonical
+        canonical = _cut(table, CANONICAL)
+        assert cut is canonical is canonicalize(table)
+        assert _cut(table, everything) is canonical
+        # The canonical Table remembers the cut key too.
+        assert remembered(canonical) == {CANONICAL: canonical, everything: canonical}
         assert table.rows == tuple(rows)
 
 
@@ -497,11 +498,8 @@ def test_cutting_a_cut_again_needs_no_sort(monkeypatch):
         transformations, "canonicalize", lambda t: passes.append(t) or canonicalize(t)
     )
     for table, cut in zip(tables, cuts):
-        memo = remembered(cut)
-        entry = (cut.rows, memo)
-        assert memo == {CANONICAL: entry, _by_id(3): entry}
-        assert all(kept[0] is cut.rows and kept[1] is memo for kept in memo.values())
-        assert make_truncate_by_id(CUT_DOMAIN, 3).apply(cut).rows is cut.rows
+        assert remembered(cut) == {CANONICAL: cut, _by_id(3): cut}
+        assert make_truncate_by_id(CUT_DOMAIN, 3).apply(cut) is cut
         # The private join's own truncation of a cut is a lookup too.
         join.apply((cut, right))
         assert passes == []
@@ -510,7 +508,7 @@ def test_cutting_a_cut_again_needs_no_sort(monkeypatch):
         assert passes == [cut]
         passes.clear()
         assert lower.multiset() == truncate_reference(table.rows, (2,), 2)
-        assert canonicalize(cut).rows is cut.rows
+        assert canonicalize(cut) is cut
 
 
 USERS = Schema.of(("id", ColumnType.INT64), ("tier", ColumnType.TEXT))
@@ -531,7 +529,7 @@ def _recording_splits(monkeypatch):
 
 def test_a_warm_private_join_does_not_split_its_right_side(monkeypatch):
     # As on the ids workload: every query cuts both sides by id, which
-    # builds new tables over the remembered cuts, and joins them on id.
+    # returns the remembered cuts, and joins them on id.
     rng = random.Random(66)
     join = make_private_join(CUT_DOMAIN, TableDomain(USERS, None), ["id"], 3, 1)
     for _ in range(10):
@@ -553,8 +551,7 @@ def test_a_warm_private_join_does_not_split_its_right_side(monkeypatch):
             splits = _recording_splits(patch)
             for _ in range(2):
                 warm_right, warm = ask()
-                assert warm_right is not right
-                assert remembered(warm_right) is remembered(right)
+                assert warm_right is right
                 assert warm.multiset() == expected
             assert splits == []
 
@@ -595,16 +592,22 @@ def test_join_indexes_at_other_keys_or_bounds_never_share_an_entry():
                     kept, kept_partners, keys
                 )
         # Each right cut, at its keys and bound, remembers its own index.
+        # Cuts at two shapes are one Table only when both keep every row:
+        # then both are the canonical Table, which holds both indexes.
         assert set(remembered(partners)) == {CANONICAL} | {("cut", *shape) for shape in shapes}
-        memos = []
+        canonical = _cut(partners, CANONICAL)
         for keys, bound in shapes:
-            rows, memo = partners.derive(("cut", keys, bound), unbuilt)
-            assert set(memo) == {CANONICAL, ("cut", keys, bound), ("join", keys)}
+            cut = _cut(partners, ("cut", keys, bound))
+            assert (cut is canonical) == (len(cut) == len(partners))
+            sharing = [shape for shape in shapes if _cut(partners, ("cut", *shape)) is cut]
+            assert cut is canonical or sharing == [(keys, bound)]
+            memo = remembered(cut)
+            assert set(memo) == {CANONICAL} | {
+                key for k, b in sharing for key in (("cut", k, b), ("join", k))
+            }
             index = memo[("join", keys)]
-            expected = _index_reference(PARTNERS, rows, keys)
+            expected = _index_reference(PARTNERS, cut.rows, keys)
             assert {k: Counter(cells) for k, cells in index.items()} == expected
-            memos.append(memo)
-        assert len({id(memo) for memo in memos}) == len(shapes)
         _assert_cuts_match_the_reference(partners)
 
 
