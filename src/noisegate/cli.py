@@ -19,11 +19,9 @@ compile errors.  Messages go to stderr, results to stdout or to --out.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import re
 import sys
-import typing
 from dataclasses import MISSING
 from fractions import Fraction
 from pathlib import Path
@@ -36,7 +34,7 @@ from .errors import (
     ScriptError,
     TypeParseError,
 )
-from .metrics import INF, Measure, PureDP, ZCDP, _parse_fraction, format_amount
+from .metrics import INF, Measure, PureDP, ZCDP, format_amount
 from .records import Record, record_fields
 from .session import (
     QUERY_NODES,
@@ -49,7 +47,6 @@ from .session import (
     _session_domains,
     build_session,
     compile_query,
-    keyset_from_tuples,
     parse_budget_amount,
 )
 from .tabledata import (
@@ -59,6 +56,7 @@ from .tabledata import (
     _csv_records,
     _read_json,
     csv_text,
+    expect,
     load_csv,
     load_schema_file,
     schema_from_json,
@@ -137,29 +135,15 @@ def _require(obj: Mapping, key: str, where: str):
     return obj[key]
 
 
-def _check(value, types, what: str, where: str):
-    # bool is an int subclass but never a legal script value.
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ScriptError(f"{where}: expected {what}")
-    return value
-
-
 def _array(value, where: str) -> Sequence:
-    return _check(value, (list, tuple), "an array", where)
+    return expect(value, (list, tuple), ScriptError, where, "an array")
 
 
-def _decode_float(value, where: str) -> float:
+def _decode_float(value: int, where: str) -> float:
     try:
-        return float(_check(value, (int, float), "a number", where))
+        return float(value)
     except OverflowError as exc:
         raise ScriptError(f"{where}: {value} is outside the float64 range") from exc
-
-
-def _decode_fraction(value, where: str) -> Fraction:
-    try:
-        return _parse_fraction(str(value))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ScriptError(f"{where}: cannot parse {value!r} as an exact number") from exc
 
 
 def _decode_rows(value, where: str) -> tuple[Schema, list[tuple]]:
@@ -183,30 +167,15 @@ def _decode_rows(value, where: str) -> tuple[Schema, list[tuple]]:
     return schema, rows
 
 
-def _decode_keyset(value, where: str) -> KeySet:
-    schema, rows = _decode_rows(value, where)
-    return keyset_from_tuples(schema.columns, rows)
-
-
-def _decode_expressions(value, where: str) -> dict[str, str]:
-    return {
-        name: _check(expr, str, "a string", f"{where}.{name}")
-        for name, expr in _check(value, Mapping, "an object", where).items()
-    }
-
-
-_field_types = functools.cache(typing.get_type_hints)
-
-
-def _decode_object(cls: type, obj, where: str):
+def _decode_object(cls: type, obj, where: str, prefix: str):
     """Build a record (a query node or a flat-map branch) from a JSON
-    object, decoding each of its fields by the field's annotated type; a
-    field with a default may be left out."""
-    _check(obj, Mapping, "an object", where)
+    object, decoding a field by _DECODERS[its annotation], if any; a field
+    with a default may be left out, and the record's refusal follows `prefix`."""
+    expect(obj, Mapping, ScriptError, where, "an object")
     args = {}
     for name, default in record_fields(cls).items():
         if name in obj:
-            decode = _DECODERS[_field_types(cls)[name]]
+            decode = _DECODERS.get(cls._record_types[name], lambda value, where: value)
             try:
                 args[name] = decode(obj[name], f"{where}.{name}")
             except ScriptError:
@@ -215,37 +184,29 @@ def _decode_object(cls: type, obj, where: str):
                 raise ScriptError(f"{where}.{name}: {exc}") from exc
         elif default is MISSING:
             raise ScriptError(f"{where}: missing field {name!r}")
-    return cls(**args)
+    try:
+        return cls(**args)
+    except NoisegateError as exc:
+        raise ScriptError(f"{prefix}{exc}") from exc
 
 
 def _decode_expr(obj, where: str) -> QueryExpr:
     kind = obj.get("kind") if isinstance(obj, Mapping) else None
     if not isinstance(kind, str) or kind not in QUERY_NODES:
         raise ScriptError(f"{where}: expected a query node object with a known 'kind'")
-    return _decode_object(QUERY_NODES[kind], obj, f"{where}/{kind}")
+    return _decode_object(QUERY_NODES[kind], obj, f"{where}/{kind}", f"{where}/")
 
 
-# One decoder per field type that query nodes declare; nodes are decoded by
-# their fields' names and types, so nothing here is specific to one kind.
+# The decoders of JSON's spellings of objects and floats, by annotation;
+# nothing here is specific to one kind of node.
 _DECODERS = {
-    QueryExpr: _decode_expr,
-    str: lambda value, where: _check(value, str, "a string", where),
-    str | None: lambda value, where: (
-        None if value is None else _check(value, str, "a string", where)
-    ),
-    int: lambda value, where: _check(value, int, "an integer", where),
-    float: _decode_float,
-    Fraction: _decode_fraction,
-    Schema: lambda value, where: schema_from_json(value),
-    Table: lambda value, where: Table.of(*_decode_rows(value, where)),
-    KeySet: _decode_keyset,
-    tuple[tuple[str, str], ...]: _decode_expressions,
-    tuple[str, ...]: lambda value, where: tuple(
-        _check(name, str, "a string", f"{where}[{i}]")
-        for i, name in enumerate(_array(value, where))
-    ),
-    tuple[ExpansionBranch, ...]: lambda value, where: tuple(
-        _decode_object(ExpansionBranch, branch, f"{where}[{i}]")
+    "QueryExpr": _decode_expr,
+    "float": lambda value, where: _decode_float(value, where) if type(value) is int else value,
+    "Schema": lambda value, where: schema_from_json(value),
+    "Table": lambda value, where: Table.of(*_decode_rows(value, where)),
+    "KeySet": lambda value, where: KeySet(*_decode_rows(value, where)),
+    "tuple[tf.ExpansionBranch, ...]": lambda value, where: tuple(
+        _decode_object(ExpansionBranch, branch, f"{where}[{i}]", f"{where}[{i}]: ")
         for i, branch in enumerate(_array(value, where))
     ),
 }
@@ -259,7 +220,7 @@ def parse_script(doc) -> list[ScriptQuery]:
     seen = set()
     for i, entry in enumerate(_array(doc["queries"], "queries")):
         where = f"queries[{i}]"
-        _check(entry, Mapping, "an object", where)
+        expect(entry, Mapping, ScriptError, where, "an object")
         name = _require(entry, "name", where)
         if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
             raise ScriptError(
@@ -269,7 +230,7 @@ def parse_script(doc) -> list[ScriptQuery]:
             raise ScriptError(f"{where}: duplicate query name {name!r}")
         seen.add(name)
         spend_text = _require(entry, "spend", where)
-        _check(spend_text, str, "'spend' as a string, parsed exactly", where)
+        expect(spend_text, str, ScriptError, where, "'spend' as a string, parsed exactly")
         try:
             spend = parse_budget_amount(spend_text)
         except NoisegateError as exc:

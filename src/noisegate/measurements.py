@@ -75,8 +75,8 @@ from .tabledata import (
     Table,
     TableDomain,
     TableListDomain,
-    _refuse_bool,
     check_key_columns,
+    expect,
     is_int,
     key_reader,
     result_cell,
@@ -269,7 +269,7 @@ def _check_numeric_column(domain: TableDomain, column: str) -> ColumnType:
 
 def _clamp_bounds(low, high):
     for bound in (low, high):
-        _refuse_bool(bound, BadBounds, "a clamping bound")
+        expect(bound, (int, float, Fraction), BadBounds, "a clamping bound", "a number")
     try:
         low, high = float(low), float(high)
     except OverflowError:  # an int or Fraction beyond the float64 range
@@ -482,7 +482,7 @@ def make_quantile(
     """
     _check_numeric_column(domain, column)
     low, high = _clamp_bounds(low, high)
-    if not 0 <= _refuse_bool(q, BadQuantile, "the quantile rank") <= 1:
+    if not 0 <= expect(q, (int, float, Fraction), BadQuantile, "a quantile rank", "a number") <= 1:
         raise BadQuantile(f"quantile rank must be in [0, 1], got {q!r}")
     if not is_int(bins) or not 1 <= bins <= MAX_QUANTILE_BINS:
         raise BadBounds(f"bins must be an int in 1..{MAX_QUANTILE_BINS}, got {bins!r}")

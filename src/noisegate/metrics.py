@@ -18,7 +18,7 @@ from typing import Sequence, Union
 
 from .errors import TypeMismatch
 from .records import Record
-from .tabledata import _refuse_bool
+from .tabledata import expect
 
 INF = math.inf
 
@@ -42,8 +42,8 @@ def parse_budget_amount(amount):
     decimal), an int, a Fraction or INF becomes a non-negative Fraction or
     INF.  A float (so accounting never inherits binary rounding), a
     negative amount or a decimal exponent beyond ±4300 raises
-    TypeMismatch, as does a bool."""
-    _refuse_bool(amount, TypeMismatch, "a budget amount")
+    TypeMismatch, as does a bool or any other type."""
+    expect(amount, (str, int, float, Fraction), TypeMismatch, "an amount", "text, int or Fraction")
     if amount == INF or (
         isinstance(amount, str) and amount.strip().lower() in ("inf", "infinity")
     ):
@@ -52,7 +52,7 @@ def parse_budget_amount(amount):
         raise TypeMismatch(f"budget amounts must be exact, not the float {amount!r}")
     try:
         value = _parse_fraction(amount) if isinstance(amount, str) else Fraction(amount)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise TypeMismatch(f"cannot parse budget amount {amount!r}") from exc
     if value < 0:
         raise TypeMismatch(f"budget amounts are non-negative, got {value}")

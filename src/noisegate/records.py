@@ -76,10 +76,11 @@ class Record:
     raises FrozenInstanceError.
     """
 
-    # Field name -> default (MISSING when it has none), in field order; the
-    # names alone; the defaults of the fields after the last required one;
-    # and a function of a record giving its field values.
+    # Field name -> default (MISSING when it has none), and -> annotation
+    # text, in field order; the names alone; the defaults of the fields after
+    # the last required one; and a function of a record giving its values.
     _record_fields = {}
+    _record_types = {}
     _record_names = ()
     _record_tail = ()
     _record_values = _values_getter(())
@@ -97,6 +98,7 @@ class Record:
                 break
             tail.insert(0, default)
         cls._record_fields = fields
+        cls._record_types = {**cls._record_types, **own}
         cls._record_names = tuple(fields)
         cls._record_tail = tuple(tail)
         cls._record_values = _values_getter(cls._record_names)

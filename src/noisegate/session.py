@@ -71,7 +71,7 @@ from .tabledata import (
     Table,
     TableDomain,
     Value,
-    _refuse_bool,
+    expect,
     is_int,
     result_cell,
 )
@@ -167,9 +167,10 @@ def keyset_from_tuples(
 #
 # Each node is declared once, as its class; the package's export list
 # names it too.  QueryExpr is a Record, so each annotation in a node's
-# body is a field, and __post_init__ normalises the fields however the
-# node is built.  Declaring a public node class adds it to QUERY_NODES,
-# by which the CLI decodes script JSON (by field name and type); its own
+# body is a field, and is its type rule: the node checks each field by
+# _RULES[annotation] when it is built, from Python or a script, and
+# raises TypeMismatch naming Kind.field.  Declaring a public node class
+# adds it to QUERY_NODES, by which the CLI decodes script JSON; its own
 # method is its compile step; and `builder="name"` in its class line adds
 # q.name(*args), which is Node(q, *args).  An aggregation's builder goes
 # on every node an aggregation can follow, any other on relational nodes
@@ -183,13 +184,17 @@ QUERY_NODES: dict[str, type[QueryExpr]] = {}
 
 class QueryExpr(Record):
     """Base class for query expression nodes; a node class's _builder is
-    the name of its builder method, or None."""
+    the name of its builder method, or None, and _rules its fields' rules."""
 
     def __init_subclass__(cls, builder: str | None = None, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         if not cls.__name__.startswith("_"):
             QUERY_NODES[cls.__name__] = cls
         cls._builder = builder
+        cls._rules = tuple(
+            (name, f"{cls.__name__}.{name}", _RULES[annotation])
+            for name, annotation in cls._record_types.items()
+        )
         if builder is not None:
             host = _Aggregable if issubclass(cls, _Aggregation) else _Relational
 
@@ -199,6 +204,48 @@ class QueryExpr(Record):
             build.__name__, build.__qualname__ = builder, f"{host.__name__}.{builder}"
             build.__doc__ = f"{cls.__name__}(self, {', '.join(cls._record_names[1:])})"
             setattr(host, builder, build)
+
+    def __post_init__(self) -> None:
+        for name, where, rule in self._rules:
+            object.__setattr__(self, name, rule(getattr(self, name), where))
+
+
+def _instance(types, what: str):
+    return lambda value, where: expect(value, types, TypeMismatch, where, what)
+
+
+def _tuple_of(rule):
+    def each(value, where: str) -> tuple:
+        items = expect(value, (list, tuple), TypeMismatch, where, "a list or tuple")
+        return tuple(rule(item, f"{where}[{i}]") for i, item in enumerate(items))
+    return each
+
+
+def _exact(value, where: str) -> Fraction:
+    # A float is the decimal it prints as (0.1 is 1/10), text is read as
+    # budget amounts are, and an int (str() fails past 4300 digits) as it is.
+    value = expect(value, (int, float, Fraction, str), TypeMismatch, where, "an exact number")
+    try:
+        return _parse_fraction(str(value)) if isinstance(value, (float, str)) else Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise TypeMismatch(f"{where}: cannot parse {value!r} as an exact number") from None
+
+
+# Each node field's annotation -> rule(value, "Kind.field"): the value the
+# node keeps (a number as given), or TypeMismatch.  No rule fails the import.
+_RULES = {
+    "str": _instance(str, "a string"),
+    "int": _instance(int, "an integer"),
+    "float": _instance((int, float, Fraction), "a number"),
+    "Fraction": _exact,
+    "QueryExpr": _instance(QueryExpr, "a query node"),
+    "Schema": _instance(Schema, "a Schema"),
+    "Table": _instance(Table, "a Table"),
+    "KeySet": _instance(KeySet, "a KeySet"),
+    "tuple[str, ...]": _tuple_of(_instance(str, "a string")),
+    "tuple[tuple[str, str], ...]": tf.column_pairs,
+    "tuple[tf.ExpansionBranch, ...]": _tuple_of(_instance(tf.ExpansionBranch, "a flat-map branch")),
+}
 
 
 class _Aggregable(QueryExpr):
@@ -253,9 +300,6 @@ class Map(_Relational, builder="map"):
     columns: tuple[tuple[str, str], ...]
     schema: Schema
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "columns", tf.column_pairs(self.columns))
-
     def _step(self, last, tables):
         return tf.make_map(
             last.output_domain, self.columns, self.schema, metric=last.output_metric
@@ -267,9 +311,6 @@ class FlatMap(_Relational, builder="flat_map"):
     branches: tuple[tf.ExpansionBranch, ...]
     schema: Schema
     max_rows: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "branches", tuple(self.branches))
 
     def _step(self, last, tables):
         _require_rows(last, "flat_map")
@@ -283,9 +324,6 @@ class JoinPublic(_Relational, builder="join_public"):
     table: Table
     on: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "on", tuple(self.on))
-
     def _step(self, last, tables):
         _require_rows(last, "a public join")
         return tf.make_public_join(last.output_domain, self.table, self.on)
@@ -297,9 +335,6 @@ class JoinPrivate(_Relational, builder="join_private"):
     on: tuple[str, ...]
     left_bound: int
     right_bound: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "on", tuple(self.on))
 
     def _step(self, last, tables):
         left, right = _build_chain(self.child, tables), _build_chain(self.other, tables)
@@ -369,15 +404,6 @@ class _Clamped(_Aggregation):
     low: float
     high: float
     granularity: Fraction = DEFAULT_GRANULARITY
-
-    def __post_init__(self) -> None:
-        # A float granularity is the decimal it prints as (0.1 is 1/10),
-        # however the node was built; text is read by the same rule.  An
-        # exact number is kept as it is: str() of one past 4300 digits fails.
-        granularity = _refuse_bool(self.granularity, TypeMismatch, "a granularity")
-        if not isinstance(granularity, (int, Fraction)):
-            granularity = _parse_fraction(str(granularity))
-        object.__setattr__(self, "granularity", Fraction(granularity))
 
 
 class Sum(_Clamped, builder="sum"):
@@ -664,6 +690,7 @@ class Session:
         whatever its size and its rows, so a caller with less headroom
         below the recursion limit is refused before anything compiles.
         """
+        expect(spend, PrivacyBudget, TypeMismatch, "the spend", "a PrivacyBudget")
         if spend.measure != self._measure:
             raise MeasureMismatch(
                 f"the session accounts in {self._measure!r}, "
@@ -711,6 +738,9 @@ def build_session(
     int64 or text).  The seed fixes all randomness: the same seed and the
     same query sequence reproduce the same outputs bit for bit.
     """
+    for name in tables:
+        expect(tables[name], Table, TypeMismatch, f"table {name!r}", "a Table")
+    expect(budget, PrivacyBudget, TypeMismatch, "the budget", "a PrivacyBudget")
     _, data, metrics = _root_parts(tables, unit)
     domains = _session_domains(
         {name: table.schema for name, table in tables.items()}, unit

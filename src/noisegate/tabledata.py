@@ -95,13 +95,17 @@ _FLOAT64 = ColumnType.FLOAT64
 
 
 class Schema(Record):
-    """An ordered list of (name, type) columns with unique, non-empty names."""
+    """An ordered list of (name, type) columns with unique, non-empty text
+    names, each of a ColumnType."""
 
     columns: tuple[tuple[str, ColumnType], ...]
 
     def __post_init__(self) -> None:
         if not self.columns:
             raise SchemaMismatch("a schema needs at least one column")
+        for name, ctype in self.columns:
+            expect(name, str, SchemaMismatch, "a column name", "a string")
+            expect(ctype, ColumnType, SchemaMismatch, f"column {name!r}", "a ColumnType")
         names = [name for name, _ in self.columns]
         if any(not name for name in names):
             raise SchemaMismatch("column names must be non-empty")
@@ -138,11 +142,12 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _refuse_bool(value, error: type[NoisegateError], what: str):
-    """value, unless it is a bool, which raises error: nor is a bool an
-    exact amount, a clamping bound, a quantile rank or a granularity."""
-    if isinstance(value, bool):
-        raise error(f"{what} must be a number, not {value!r}")
+def expect(value, types, error: type[NoisegateError], where: str, what: str):
+    """value, if it is of one of types and not a bool, which is an int but
+    never a name, a count, a bound, a rank or an amount; otherwise raise
+    error(f"{where}: expected {what}").  The one rule of a value's type."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise error(f"{where}: expected {what}")
     return value
 
 

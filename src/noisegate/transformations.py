@@ -24,6 +24,7 @@ from .errors import (
     MissingIdColumn,
     NonPositiveBound,
     SchemaMismatch,
+    TypeMismatch,
     UnknownColumn,
 )
 from .expressions import (
@@ -52,6 +53,7 @@ from .tabledata import (
     TableTupleDomain,
     canonicalize,
     check_key_columns,
+    expect,
     is_int,
     key_reader,
     split_by_key,
@@ -66,19 +68,25 @@ _ROW_FAILURES = (ExpressionTypeError, OverflowError, SchemaMismatch)
 
 
 # A map's or a flat-map branch's expressions, as given by a caller.
-Columns = Mapping[str, str] | Iterable[tuple[str, str]]
+Columns = Mapping[str, str] | Sequence[tuple[str, str]]
 
 
-def column_pairs(columns: Columns) -> tuple[tuple[str, str], ...]:
-    """A map's or a flat-map branch's expressions, given as a mapping or as
-    (name, expression) pairs, as a tuple of pairs sorted by name: a value
-    that shares nothing with the caller, hashes, and is equal to another
-    that names the same expressions in any order."""
-    items = columns.items() if isinstance(columns, Mapping) else columns
-    pairs = tuple(sorted(((name, expr) for name, expr in items), key=itemgetter(0)))
+def column_pairs(columns: Columns, where: str = "columns") -> tuple[tuple[str, str], ...]:
+    """A map's or a flat-map branch's expressions, a mapping or a list or
+    tuple of (name, expression) pairs, as a tuple of pairs sorted by name:
+    it shares nothing with the caller, hashes, and equals any naming the
+    same expressions in any order.  A non-string raises TypeMismatch."""
+    items = list(columns.items()) if isinstance(columns, Mapping) else columns
+    pairs = []
+    for item in expect(items, (list, tuple), TypeMismatch, where, "a mapping or pairs"):
+        if not (isinstance(item, (list, tuple)) and len(item) == 2
+                and isinstance(item[0], str) and isinstance(item[1], str)):
+            raise TypeMismatch(f"{where}: expected a name and an expression, both strings")
+        pairs.append(tuple(item))
+    pairs.sort(key=itemgetter(0))
     if len({name for name, _ in pairs}) != len(pairs):
-        raise DuplicateColumn(f"a column has two expressions in {pairs}")
-    return pairs
+        raise DuplicateColumn(f"{where}: a column has two expressions in {pairs}")
+    return tuple(pairs)
 
 
 def _compile_branch(
@@ -273,14 +281,16 @@ class ExpansionBranch(Record):
 
     `columns` pairs output column names with expressions over the input
     row, and is given as a mapping or as pairs (see column_pairs); `when`,
-    if given, is a predicate guarding whether the branch fires.
+    if given, is a predicate guarding whether the branch fires.  A name,
+    an expression or a `when` that is not a string raises TypeMismatch.
     """
 
     columns: tuple[tuple[str, str], ...]
     when: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "columns", column_pairs(self.columns))
+        object.__setattr__(self, "columns", column_pairs(self.columns, "ExpansionBranch.columns"))
+        expect(self.when, (str, type(None)), TypeMismatch, "ExpansionBranch.when", "a string")
 
 
 def make_flat_map(

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import time
-import typing
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,10 +13,10 @@ import pytest
 import noisegate
 from noisegate import cli, session
 from noisegate.cli import main, parse_script
-from noisegate.errors import ScriptError
-from noisegate.records import record_fields
+from noisegate.errors import ScriptError, TypeMismatch
 from noisegate.session import QUERY_NODES, keyset_from_tuples, query
-from noisegate.tabledata import ColumnType
+from noisegate.tabledata import ColumnType, Schema, Table
+from noisegate.transformations import ExpansionBranch
 
 SCHEMA_DOC = {
     "tables": {
@@ -787,11 +786,56 @@ def test_missing_csv_exits_2(tmp_path, capsys):
 # the script decoder
 
 
-def test_every_node_field_type_has_a_decoder():
-    for node in QUERY_NODES.values():
-        hints = typing.get_type_hints(node)
-        for name in record_fields(node):
-            assert hints[name] in cli._DECODERS, (node.__name__, name)
+_ZIP = Schema.of(("zip", ColumnType.TEXT))
+_ZIP_DOC = {"columns": [{"name": "zip", "type": "text"}]}
+_ZIP_ROWS_DOC = {**_ZIP_DOC, "rows": [["981"]]}
+
+# Each node field annotation -> a value it accepts, as a script spells it
+# and as Python does, and the values it refuses: text for a number, a
+# float for an int, a bool, a bare string for a name list, a dict for a
+# Table, KeySet, Schema or branch, and a list for a string.
+_FIELD_VALUES = {
+    "str": (("zip", "zip"), [["zip"], 5, True]),
+    "int": ((3, 3), ["3", 3.0, True]),
+    "float": ((0.5, 0.5), ["0.5", True]),
+    "Fraction": (("0.1", "0.1"), ["abc", [1], True]),
+    "QueryExpr": ((SOURCE, session.Source("people")), [{"table": "people"}, True]),
+    "Schema": ((_ZIP_DOC, _ZIP), [{}, True]),
+    "Table": ((_ZIP_ROWS_DOC, Table.of(_ZIP, [("981",)])), [{}, True]),
+    "KeySet": ((_ZIP_ROWS_DOC, keyset_from_tuples(_ZIP.columns, [("981",)])), [{}, True]),
+    "tuple[str, ...]": ((["zip"], ["zip"]), ["zip", [5], True]),
+    "tuple[tuple[str, str], ...]": (({"zip": "zip"}, {"zip": "zip"}), [{"zip": 5}, "zip", True]),
+    "tuple[tf.ExpansionBranch, ...]": (
+        ([{"columns": {"zip": "zip"}}], [ExpansionBranch({"zip": "zip"})]),
+        [{"columns": {"zip": "zip"}}, [{"columns": {"zip": 5}}], True],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, field, wrong",
+    [
+        pytest.param(kind, field, wrong, id=f"{kind}.{field}-{i}")
+        for kind, node in sorted(QUERY_NODES.items())
+        for field, annotation in node._record_types.items()
+        for i, wrong in enumerate(_FIELD_VALUES[annotation][1])
+    ],
+)
+def test_a_wrongly_typed_field_is_refused_in_python_and_in_a_script(
+    tmp_path, capsys, kind, field, wrong
+):
+    node = QUERY_NODES[kind]
+    types = node._record_types
+    args = {name: _FIELD_VALUES[types[name]][0][1] for name in types}
+    with pytest.raises(TypeMismatch) as exc:
+        node(**{**args, field: wrong})
+    assert str(exc.value).startswith(f"{kind}.{field}")
+    doc = {name: _FIELD_VALUES[types[name]][0][0] for name in types}
+    expr = {"kind": kind, **doc, field: wrong}
+    write_workspace(tmp_path, queries=[{"name": "q", "spend": "1", "expr": expr}])
+    assert main(run_args(tmp_path, "budget", budget="10")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"queries[0]/{kind}.{field}" in err
 
 
 @pytest.mark.parametrize(

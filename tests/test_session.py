@@ -30,6 +30,7 @@ from noisegate.errors import (
     NonPositiveBound,
     NonPositiveEpsilon,
     SchemaMismatch,
+    ScriptError,
     TypeCheckError,
     TypeMismatch,
     UnboundedSensitivity,
@@ -439,6 +440,25 @@ def test_a_map_or_flat_map_node_shares_no_mapping_with_its_caller():
         ExpansionBranch([("a", "age"), ("a", "income")])
 
 
+@pytest.mark.parametrize(
+    "columns, when",
+    [({"a": 5}, None), ([("a", "age", "x")], None), (["ab"], None), ({"a": "age"}, 5)],
+)
+def test_a_branch_refuses_a_name_expression_or_guard_that_is_not_text(columns, when):
+    with pytest.raises(TypeMismatch, match="^ExpansionBranch"):
+        ExpansionBranch(columns, when)
+    if when is None:
+        with pytest.raises(TypeMismatch, match="^Map.columns"):
+            query("p").map(columns, Schema.of(("a", FLOAT64)))
+    if isinstance(columns, dict):  # as a script can spell it
+        branch = {"columns": columns, "when": when}
+        expr = {"kind": "FlatMap", "child": {"kind": "Source", "table": "p"},
+                "branches": [branch], "schema": {"columns": [{"name": "a", "type": "float64"}]},
+                "max_rows": 1}
+        with pytest.raises(ScriptError, match=r"^queries\[0\]/FlatMap.branches\[0\]: Expansion"):
+            parse_script({"queries": [{"name": "q", "spend": "1", "expr": expr}]})
+
+
 def test_a_sampler_swapped_before_evaluate_sees_every_draw(monkeypatch):
     # Each aggregation takes its sampler from `measurements` when it is
     # built, inside evaluate: one draw per key for a count, two for an
@@ -795,6 +815,17 @@ def test_build_session_validation():
             PrivacyBudget.pure(1),
             seed=0,
         )
+    # A table that is not a Table and a budget that is not a PrivacyBudget
+    # are refused before any session exists.
+    with pytest.raises(TypeMismatch):
+        build_session({"t": [(1,)]}, AddMaxRows(1), PrivacyBudget.pure(1), seed=0)
+    with pytest.raises(TypeMismatch):
+        build_session({"people": people_table()}, AddMaxRows(1), "1", seed=0)
+    # So is a spend that is not a PrivacyBudget, before anything is charged.
+    s = fresh_session()
+    with pytest.raises(TypeMismatch):
+        s.evaluate(query("people").count(), "1")
+    assert s.remaining_budget() == PrivacyBudget.pure(10)
 
 
 @pytest.mark.parametrize("seed", [True, False])
@@ -808,32 +839,57 @@ def test_a_bool_seed_is_refused_before_anything_is_charged(seed):
     assert s.remaining_budget() == PrivacyBudget.pure(Fraction(19, 2))
 
 
+def _refused_when_built(build):
+    """Whether building a query raises TypeMismatch, with nothing charged
+    to a session that was to evaluate it."""
+    s = build_session(
+        {"t": Table.of(Schema.of(("x", FLOAT64)), [(1.0,)])},
+        AddMaxRows(1), PrivacyBudget.pure(10), seed=3,
+    )
+    with pytest.raises(TypeMismatch):
+        s.evaluate(build(), PrivacyBudget.pure(1))
+    return s.remaining_budget().amount == 10
+
+
 @pytest.mark.parametrize("flag", [True, False])
 def test_a_bool_is_no_row_bound_or_bin_count(flag):
     with pytest.raises(NonPositiveBound):
         AddMaxRows(flag)
-    expr = query("t").quantile("x", 0.5, 0.0, 1.0, flag)
-    assert _outcome([("a", 1.0)], expr, 1, 10) == (BadBounds, None, 10)
+    assert _refused_when_built(lambda: query("t").quantile("x", 0.5, 0.0, 1.0, flag))
     # Nor is a bool an exact amount, a clamping bound, a quantile rank or
-    # a granularity: each raises before anything is charged.
+    # a granularity: each raises before anything is charged, a node's
+    # field when the node is built.
     with pytest.raises(TypeMismatch):
         PrivacyBudget.pure(flag)
     assert _outcome([("a", 1.0)], query("t").count(), flag, 10) == (TypeMismatch, None, 10)
     for aggregation in ("sum", "average"):
-        for low, high in ((flag, 1.0), (0.0, flag)):
-            expr = getattr(query("t"), aggregation)("x", low, high)
-            assert _outcome([("a", 1.0)], expr, 1, 10) == (BadBounds, None, 10)
-        with pytest.raises(TypeMismatch):
-            getattr(query("t"), aggregation)("x", 0.0, 1.0, granularity=flag)
-    for low, high in ((flag, 1.0), (0.0, flag)):
-        expr = query("t").quantile("x", 0.5, low, high, 4)
-        assert _outcome([("a", 1.0)], expr, 1, 10) == (BadBounds, None, 10)
-    expr = query("t").quantile("x", flag, 0.0, 1.0, 4)
-    assert _outcome([("a", 1.0)], expr, 1, 10) == (BadQuantile, None, 10)
+        build = getattr(query("t"), aggregation)
+        assert _refused_when_built(lambda: build("x", flag, 1.0))
+        assert _refused_when_built(lambda: build("x", 0.0, flag))
+        assert _refused_when_built(lambda: build("x", 0.0, 1.0, granularity=flag))
+    assert _refused_when_built(lambda: query("t").quantile("x", 0.5, flag, 1.0, 4))
+    assert _refused_when_built(lambda: query("t").quantile("x", 0.5, 0.0, flag, 4))
+    assert _refused_when_built(lambda: query("t").quantile("x", flag, 0.0, 1.0, 4))
     with pytest.raises(ValueError):
         measurements.make_geometric(1, flag)
     with pytest.raises(ValueError):
         measurements.make_discrete_gaussian(1, flag)
+
+
+def test_text_is_no_bound_rank_or_granularity():
+    # Each raises when its node is built, with nothing charged.
+    assert _refused_when_built(lambda: query("t").sum("x", "0", "1"))
+    assert _refused_when_built(lambda: query("t").quantile("x", "0.5", 0.0, 1.0, 4))
+    assert _refused_when_built(lambda: query("t").sum("x", 0, 1, granularity="abc"))
+    # The measurements refuse text bounds and ranks, and bools, too.
+    domain = TableDomain(Schema.of(("x", FLOAT64)))
+    noise = PureDpNoise(Fraction(1))
+    for low, high in (("0", "1"), (True, 1.0), (0.0, False)):
+        with pytest.raises(BadBounds):
+            measurements.make_sum(domain, "x", low, high, 1, noise)
+    for q in ("0.5", True):
+        with pytest.raises(BadQuantile):
+            measurements.make_quantile(domain, "x", q, 0.0, 1.0, 4, Fraction(1))
 
 
 def test_session_introspection():

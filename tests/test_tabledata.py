@@ -60,6 +60,13 @@ def test_schema_rejects_duplicates_and_empty():
         Schema(())
     with pytest.raises(SchemaMismatch):
         Schema.of(("", ColumnType.INT64))
+    # A name must be text and a type a ColumnType.
+    with pytest.raises(SchemaMismatch):
+        Schema.of((5, ColumnType.INT64))
+    with pytest.raises(SchemaMismatch):
+        Schema.of(("x", "int64"))
+    with pytest.raises(SchemaMismatch):
+        Schema.of(("x", True))
 
 
 def test_table_type_enforcement():
