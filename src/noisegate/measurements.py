@@ -574,9 +574,12 @@ def compose_per_group(
 
     The measurement's output is the result table: exactly one row per
     key, in keyset order, whatever keys the data contains, each with its
-    group's value as result_cell gives it.  The rows are split in one
-    keyed pass into plain lists; only a keyset key found in the data
-    gets a Table of its own, and absent keys share one empty Table.
+    group's value as result_cell gives it.  The table derives its groups
+    under ("groups", key names): one keyed pass splits its rows into a
+    dict from each key to a tuple of its rows, in input order, so a table
+    already grouped by the same key names, a source or a remembered cut,
+    is not split again.  Each evaluate wraps a keyset key's tuple in a
+    Table of its own, and absent keys share one empty Table.
     Each key then costs one call of the per-group measurement on its
     Table, which draws and finishes its own value (see _noisy), and
     nothing is summed across keys: the per-group part is any Measurement
@@ -601,7 +604,9 @@ def compose_per_group(
     release = per_group._eval
 
     def evaluate(table: Table, rng: random.Random) -> Table:
-        find = split_by_key(table, key_columns).get
+        find = table.derive(("groups", key_columns), lambda: {
+            key: tuple(rows) for key, rows in split_by_key(table, key_columns).items()
+        }).get
         trusted = Table._trusted
         schema = table.schema
         empty = trusted(schema, ())
@@ -609,7 +614,7 @@ def compose_per_group(
         append = rows.append
         for key_row, key in zip(key_rows, group_keys):
             part = find(key)
-            value = release(empty if part is None else trusted(schema, tuple(part)), rng)
+            value = release(empty if part is None else trusted(schema, part), rng)
             append(key_row + (result_cell(value, value_type),))
         return trusted(output_schema, tuple(rows))
 

@@ -95,6 +95,7 @@ class PrivacyBudget(Record):
     amount: Any
 
     def __post_init__(self) -> None:
+        expect(self.measure, Measure, TypeMismatch, "the budget's measure", "PureDP() or ZCDP()")
         object.__setattr__(self, "amount", parse_budget_amount(self.amount))
 
     @classmethod
@@ -738,6 +739,7 @@ def build_session(
     int64 or text).  The seed fixes all randomness: the same seed and the
     same query sequence reproduce the same outputs bit for bit.
     """
+    expect(tables, Mapping, TypeMismatch, "the tables", "a mapping of names to Tables")
     for name in tables:
         expect(tables[name], Table, TypeMismatch, f"table {name!r}", "a Table")
     expect(budget, PrivacyBudget, TypeMismatch, "the budget", "a PrivacyBudget")

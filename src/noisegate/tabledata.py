@@ -4,11 +4,11 @@ A Table is a schema plus a multiset of rows.  Row order is an artifact of
 construction and is never observable through the public operations here:
 equality is multiset equality, and canonicalize produces the one fixed
 ordering used wherever determinism matters.  A table remembers values
-derived from it, by key (Table.derive): sorted columns, join indexes,
-and its canonical order and cuts of it, each a Table that remembers
-itself as its own canonical order and cut.  key_reader is the one rule
-for how rows are keyed by named columns, and split_by_key hands out
-plain row lists by it, so grouping and joins take one keyed pass.
+derived from it, by key (Table.derive): its groups, sorted columns,
+join indexes, and its canonical order and cuts of it, each a Table that
+remembers itself as its own canonical order and cut.  key_reader is the
+one rule for how rows are keyed by named columns, and split_by_key hands
+out plain row lists by it, so grouping and joins take one keyed pass.
 
 Values are plain Python ints, floats, and strings.  Floats must be finite,
 no cell may be empty, and no Table holds -0.0: it equals 0.0, so rows
@@ -50,6 +50,7 @@ from .errors import (
     MissingKeyColumn,
     NoisegateError,
     SchemaMismatch,
+    TypeMismatch,
     TypeParseError,
     UnknownColumn,
 )
@@ -96,14 +97,19 @@ _FLOAT64 = ColumnType.FLOAT64
 
 class Schema(Record):
     """An ordered list of (name, type) columns with unique, non-empty text
-    names, each of a ColumnType."""
+    names, each of a ColumnType; each column is a (name, type) tuple, so
+    a Schema hashes."""
 
     columns: tuple[tuple[str, ColumnType], ...]
 
     def __post_init__(self) -> None:
-        if not self.columns:
+        columns = expect(self.columns, tuple, SchemaMismatch, "a schema", "a tuple of columns")
+        if not columns:
             raise SchemaMismatch("a schema needs at least one column")
-        for name, ctype in self.columns:
+        for column in columns:
+            if not isinstance(column, tuple) or len(column) != 2:
+                raise SchemaMismatch(f"column {column!r}: expected a (name, type) tuple")
+            name, ctype = column
             expect(name, str, SchemaMismatch, "a column name", "a string")
             expect(ctype, ColumnType, SchemaMismatch, f"column {name!r}", "a ColumnType")
         names = [name for name, _ in self.columns]
@@ -260,9 +266,10 @@ class Table(Record):
         """The value this table remembers under key, built by build() the
         first time.  The key names a derivation and its parameters: the
         canonical order (CANONICAL), a cut ("cut", key names, bound), a
-        sorted column ("sorted", column index) or a join index ("join",
-        key names).  The canonical order and a cut are Tables; every caller
-        gets the same value, so none may change it."""
+        sorted column ("sorted", column index), a join index ("join", key
+        names) or the groups ("groups", key names), a dict from each key
+        to a tuple of its rows.  The canonical order and a cut are Tables;
+        every caller gets the same value, so none may change it."""
         derived = self.__dict__.setdefault("_derived", {})
         if key not in derived:
             derived[key] = build()
@@ -283,6 +290,7 @@ class Table(Record):
 
     @classmethod
     def of(cls, schema: Schema, rows: Iterable[Sequence[Value]]) -> "Table":
+        expect(rows, Iterable, TypeMismatch, "a table's rows", "an iterable")
         return cls(schema, tuple(rows))
 
     @classmethod

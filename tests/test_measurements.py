@@ -78,7 +78,9 @@ from noisegate.metrics import (
 from noisegate import measurements, session
 from noisegate.noise import sample_discrete_gaussian, sample_two_sided_geometric
 from noisegate.rng import RngStream
-from noisegate.tabledata import ColumnType, KeySet, Schema, Table, TableDomain, result_cell
+from noisegate.tabledata import (
+    ColumnType, KeySet, Schema, Table, TableDomain, key_reader, result_cell,
+)
 
 SCHEMA = Schema.of(("g", ColumnType.TEXT), ("v", ColumnType.FLOAT64))
 DOMAIN = TableDomain(SCHEMA, None)
@@ -531,7 +533,7 @@ def test_a_grouped_quantile_still_scores_as_the_reference(monkeypatch):
         for _ in range(5):
             rows = _columns_rows(rng, rng.randrange(40))
             table = Table.of(COLUMNS, rows)
-            for _ in range(2):  # each evaluate splits the rows into new tables
+            for _ in range(2):  # each evaluate wraps the groups in new tables
                 scored.clear()
                 grouped.eval(table, stream())
                 assert len(scored) == len(keys.rows)
@@ -736,6 +738,133 @@ def test_per_group_costs_one_part_call_and_its_own_draws_per_key(monkeypatch):
         assert draws == expected_draws * len(keys.rows)
         assert out.rows == per_group_reference(reference, keys, value_type, table, expected)
         assert generator.getrandbits(64) == expected.getrandbits(64)
+
+
+def _groups_reference(table, key_names):
+    """The rows of each key in key_names, in input order, as tuples."""
+    key_of = key_reader(table.schema, key_names)
+    groups = {}
+    for row in table.rows:
+        groups.setdefault(key_of(row), []).append(row)
+    return {key: tuple(rows) for key, rows in groups.items()}
+
+
+def _grouped_rows(rng, n=40):
+    return [(rng.choice("abc"), rng.randrange(3), rng.uniform(-5, 15)) for _ in range(n)]
+
+
+def _recording_count(seen):
+    def evaluate(table, rng):
+        seen.append(table)
+        return len(table.rows)
+
+    return Measurement(GROUPED_DOMAIN, SymmetricDifference(), PureDP(), linear_map(1), evaluate)
+
+
+def test_a_warm_grouped_release_builds_nothing(monkeypatch):
+    rng = random.Random(81)
+    keys = KeySet(Schema.of(("g", ColumnType.TEXT)), [("b",), ("a",), ("d",)])
+    for _ in range(10):
+        rows = _grouped_rows(rng, rng.randrange(1, 40))
+        table = Table.of(GROUPED, rows)
+        seen = []
+        released = compose_per_group(GROUPED_DOMAIN, keys, _recording_count(seen), ("n", ColumnType.INT64))
+        cold = released.eval(table, stream())
+        groups = table.derive(("groups", ("g",)), unbuilt)
+        # A plain dict from each key to a tuple of its rows, in input order.
+        assert type(groups) is dict and groups == _groups_reference(table, ("g",))
+        assert all(type(part) is tuple for part in groups.values())
+
+        def no_split(*args, **kwargs):
+            raise AssertionError("a remembered grouping was split again")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(measurements, "split_by_key", no_split)
+            warm = released.eval(table, stream())
+        assert warm.rows == cold.rows
+        assert remembered(table) == {("groups", ("g",)): groups}
+        # Each present key's Table holds the remembered tuple itself.
+        for group, (key,) in zip(seen, keys.rows * 2):
+            assert group.rows is groups.get(key, ())
+        assert table.rows == tuple(rows)
+
+
+def test_cold_and_warm_grouped_releases_draw_as_on_a_fresh_table():
+    rng = random.Random(82)
+    parts = list(_per_group_parts())
+    for seed in range(20):
+        rows = _grouped_rows(rng, 0 if seed % 5 == 0 else rng.randrange(1, 40))
+        table = Table.of(GROUPED, rows)
+        keys = KeySet(
+            Schema.of(("k", ColumnType.INT64), ("g", ColumnType.TEXT)),
+            rng.sample(list(product(range(4), "abcd")), rng.randint(1, 16)),
+        )
+        for i, (part, reference, value_type) in enumerate(parts):
+            released = compose_per_group(GROUPED_DOMAIN, keys, part, ("value", value_type))
+            for _ in range(2):  # cold, then warm
+                ours, theirs = LoggingRandom(100 * seed + i), LoggingRandom(100 * seed + i)
+                got = released._eval(table, ours)
+                fresh = released._eval(Table.of(GROUPED, rows), theirs)
+                assert got.rows == fresh.rows
+                assert [row[:2] for row in got.rows] == list(keys.rows)
+                assert ours.calls == theirs.calls
+                assert ours.getrandbits(64) == theirs.getrandbits(64)
+                expected = random.Random(100 * seed + i)
+                assert got.rows == per_group_reference(reference, keys, value_type, table, expected)
+
+
+def test_absent_keyset_keys_get_the_one_empty_table():
+    keys = KeySet(Schema.of(("g", ColumnType.TEXT)), [("x",), ("a",), ("y",), ("z",)])
+    table = Table.of(GROUPED, [("a", 0, 1.0), ("b", 1, 2.0), ("a", 2, 3.0)])
+    for _ in range(2):  # cold, then warm
+        seen = []
+        released = compose_per_group(GROUPED_DOMAIN, keys, _recording_count(seen), ("n", ColumnType.INT64))
+        assert released.eval(table, stream()).rows == (("x", 0), ("a", 2), ("y", 0), ("z", 0))
+        absent, present = seen[0], seen[1]
+        assert type(absent) is Table and absent.schema == GROUPED and absent.rows == ()
+        assert seen[2] is absent and seen[3] is absent
+        assert present.rows == (("a", 0, 1.0), ("a", 2, 3.0))
+        assert remembered(absent) == {}
+
+
+def test_groups_by_other_key_names_or_orders_never_share_an_entry():
+    rng = random.Random(83)
+    shapes = [("g",), ("k",), ("k", "g"), ("g", "k")]
+    for _ in range(10):
+        rows = _grouped_rows(rng)
+        table = Table.of(GROUPED, rows)
+        for _ in range(2):  # cold, then warm
+            for names in shapes:
+                key_schema = Schema.of(*[(name, GROUPED.type_of(name)) for name in names])
+                candidates = {tuple(row[GROUPED.index_of(name)] for name in names) for row in rows}
+                absent = tuple({"g": "zzz", "k": 9}[name] for name in names)
+                keys = KeySet(key_schema, sorted(candidates) + [absent])
+                released = compose_per_group(
+                    GROUPED_DOMAIN, keys, _recording_count([]), ("n", ColumnType.INT64)
+                )
+                out = released.eval(table, stream())
+                positions = [GROUPED.index_of(name) for name in names]
+                assert out.rows == tuple(
+                    key + (sum(1 for row in rows if tuple(row[i] for i in positions) == key),)
+                    for key in keys.rows
+                )
+        assert remembered(table) == {
+            ("groups", names): _groups_reference(table, names) for names in shapes
+        }
+
+
+def test_grouping_a_filtered_table_leaves_the_source_memo_untouched():
+    people = Schema.of(("zip", ColumnType.TEXT), ("income", ColumnType.FLOAT64))
+    table = Table.of(people, [("981", 10.0), ("982", 20.0), ("981", 30.0)])
+    zips = session.keyset_from_tuples([("zip", ColumnType.TEXT)], [("981",), ("000",)])
+    budget = session.PrivacyBudget.pure
+    s = session.build_session({"people": table}, session.AddMaxRows(1), budget(3), seed=1)
+    filtered = session.query("people").filter("income > 15").group_by(zips).count()
+    for _ in range(2):
+        s.evaluate(filtered, budget(1))
+        assert remembered(table) == {}
+    s.evaluate(session.query("people").group_by(zips).count(), budget(1))
+    assert remembered(table) == {("groups", ("zip",)): _groups_reference(table, ("zip",))}
 
 
 # Values a per-group part or an ungrouped aggregation might return, and the

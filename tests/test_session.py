@@ -131,6 +131,22 @@ def test_budget_rejects_floats():
     assert PrivacyBudget.zcdp(1).measure == ZCDP()
 
 
+def test_a_budget_whose_measure_is_not_a_measure_is_refused():
+    # Text in place of PureDP() would build a session that no spend fits.
+    for measure in ("pure", "zcdp", PureDP, None):
+        with pytest.raises(TypeMismatch):
+            PrivacyBudget(measure, 1)
+    with pytest.raises(TypeMismatch):
+        build_session(
+            {"people": people_table()}, AddMaxRows(1), PrivacyBudget("pure", 10), seed=0
+        )
+    # Nor can a spend be built with one, so nothing is charged.
+    s = fresh_session()
+    with pytest.raises(TypeMismatch):
+        s.evaluate(query("people").count(), PrivacyBudget("pure", 1))
+    assert s.remaining_budget() == PrivacyBudget.pure(10)
+
+
 def test_privacy_unit_validation():
     with pytest.raises(NonPositiveBound):
         AddMaxRows(0)
@@ -191,6 +207,8 @@ def test_keyset_from_tuples():
         keyset_from_tuples([("zip", TEXT)], [(1,)])
     with pytest.raises(TypeMismatch):
         keyset_from_tuples([("zip", TEXT)], [("a", "b")])
+    with pytest.raises(TypeMismatch):
+        keyset_from_tuples([("zip", TEXT)], 5)
     for column, key in [
         (("zip", TEXT), ""),
         (("x", FLOAT64), math.nan),
@@ -821,6 +839,9 @@ def test_build_session_validation():
         build_session({"t": [(1,)]}, AddMaxRows(1), PrivacyBudget.pure(1), seed=0)
     with pytest.raises(TypeMismatch):
         build_session({"people": people_table()}, AddMaxRows(1), "1", seed=0)
+    # So are tables given as a list rather than a mapping of names.
+    with pytest.raises(TypeMismatch):
+        build_session([people_table()], AddMaxRows(1), PrivacyBudget.pure(1), seed=0)
     # So is a spend that is not a PrivacyBudget, before anything is charged.
     s = fresh_session()
     with pytest.raises(TypeMismatch):

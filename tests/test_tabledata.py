@@ -15,6 +15,7 @@ from noisegate.errors import (
     MissingFile,
     MissingIdColumn,
     SchemaMismatch,
+    TypeMismatch,
     TypeParseError,
     UnknownColumn,
 )
@@ -67,6 +68,15 @@ def test_schema_rejects_duplicates_and_empty():
         Schema.of(("x", "int64"))
     with pytest.raises(SchemaMismatch):
         Schema.of(("x", True))
+    # A column is a (name, type) tuple, so every Schema hashes.
+    with pytest.raises(SchemaMismatch):
+        Schema.of(["x", ColumnType.INT64])
+    with pytest.raises(SchemaMismatch):
+        Schema.of(5)
+    with pytest.raises(SchemaMismatch):
+        Schema.of(("x", ColumnType.INT64, "extra"))
+    with pytest.raises(SchemaMismatch):
+        Schema([("x", ColumnType.INT64)])
 
 
 def test_table_type_enforcement():
@@ -86,6 +96,8 @@ def test_table_type_enforcement():
         Table.of(PEOPLE, [("ann", 2**63, 1.5)])  # out of int64 range
     with pytest.raises(SchemaMismatch):
         Table.of(PEOPLE, [("ann", 41, 2)])  # int is not float64
+    with pytest.raises(TypeMismatch):
+        Table.of(PEOPLE, 5)  # no rows at all
 
 
 def test_table_equality_is_multiset_equality():
