@@ -5,21 +5,38 @@ accepted: column names, int/float/string/bool literals, arithmetic,
 comparisons, and boolean connectives.  No calls, no attributes, no
 subscripts, no user code.  Every accepted expression is deterministic on
 rows of its schema, but not total: arithmetic that yields a non-finite
-float raises ExpressionTypeError, and an int too large for a float
-raises OverflowError.  The row transformations catch both per row (a
+float fails with ExpressionTypeError, and an int too large for a float
+with OverflowError.  The row transformations drop the rows that fail (a
 failing filter row is false, a failing map row is dropped), which is
 what lets them carry their guarantees without inspecting data.
 
-Each node of the checked syntax tree compiles to a closure specialised to
-its shape: a column is an operator.itemgetter, a literal is bound once, a
-single comparison is one `operator` call and `and`/`or` nest as `a(row)
-and b(row)` in a balanced tree.  No source text is generated, so no
-literal is ever spliced into code.  A projection for a map cell
-(compile_projection) returns the cell a Table stores and keeps only the
-checks its type does not prove; float arithmetic turns -0.0 into 0.0 in
-the closure that checks it is finite.  A cell that fails its column
-raises SchemaMismatch, which the row transformations catch like the two
-errors above.
+Each checked expression compiles to a column program: one step per node
+of its syntax tree, children first, which CompiledExpression.evaluate
+runs over a whole table in one flat loop.  A step takes its children's
+columns and returns a column of the table's length, read once, plus the
+rows that failed, each with its error class (ExpressionTypeError,
+OverflowError or SchemaMismatch); a program none of whose steps can fail
+a row is marked infallible, and the row transformations then skip the
+failure masks.  A column reference reads the column its table
+remembers under ("column", i), so a source table or a remembered cut
+extracts each column once; a literal is itertools.repeat; arithmetic and
+comparisons map an `operator` function over whole columns, so the loop
+over rows runs in C.  `and`, `or` and a chained comparison evaluate
+every operand on every row and combine the operands' values and failures
+so that each row gets Python's short-circuit outcome: `True or <fails>`
+is true, `False and <fails>` is false, and otherwise a row fails as the
+first operand in evaluation order that fails on it.  Finiteness is a
+mask over a float column.  A projection for a map cell
+(compile_projection) returns the cells a Table stores and keeps only the
+checks its type does not prove, each a mask (the int64 range) or a
+pass over the column (-0.0 to 0.0); a literal cell is checked once, when
+it compiles.  Python raises only where an int too large for a float
+meets a float, a division or a float column, so only such an operation,
+when an operand's type does not prove that it fits a float, runs in a
+per-row guard, and it runs the guard on every row.  So a program's steps
+and calls depend on the expression and the table's length, not on the
+values in it.  No source text is generated, so no literal is ever
+spliced into code.
 
 Division is defined everywhere by mapping division by zero to zero.  Text
 comparisons use code-point order, which matches the byte order used by
@@ -30,13 +47,14 @@ from __future__ import annotations
 
 import ast
 import enum
-import operator
+from itertools import count, repeat
 from math import isfinite
-from typing import Callable, Union
+from operator import add, and_, eq, ge, gt, itemgetter, le, lt, mul, ne, neg, not_, or_, sub, truediv
+from typing import Callable, Iterable, Sequence
 
-from .errors import ExpressionSyntaxError, ExpressionTypeError, UnknownColumn
+from .errors import ExpressionSyntaxError, ExpressionTypeError, SchemaMismatch, UnknownColumn
 from .records import Record
-from .tabledata import ColumnType, Row, Schema, Value, check_value
+from .tabledata import ColumnType, Schema, Table, check_value
 
 
 class ExprType(enum.Enum):
@@ -54,17 +72,40 @@ _COLUMN_TYPES = {
 
 _NUMERIC = (ExprType.INT, ExprType.FLOAT)
 
+_INT64_MIN = -(2**63)
+_INT64_MAX = 2**63 - 1
+
+# What a step returns: a node's value on each row of the table, and the
+# rows that failed, a dict from row index to error class.  The values may
+# be an iterator, read once, by the one step or caller that takes them.  A
+# failed row's value is a placeholder that no later step raises on.
+Evaluated = tuple[Iterable, dict]
+Step = Callable[[Table, list], Evaluated]
+
 
 class CompiledExpression(Record):
-    """A checked expression: its result type and a row evaluator.
+    """A checked expression: its result type and its column program.
 
-    `column` is the index of the input column when the expression is that
-    bare column, so its value is the cell itself.
+    `fallible` is whether the program has a step that can fail a row; a
+    program without one never reports a failed row.  `column` is the
+    index of the input column when the expression is that bare column, so
+    its value is the cell itself.
     """
 
     result_type: ExprType
-    fn: Callable[[Row], Union[Value, bool]]
+    program: tuple[Step, ...]
+    fallible: bool
     column: int | None = None
+
+    def evaluate(self, table: Table) -> Evaluated:
+        """The expression's value on each row of table, in row order, read
+        once, and the rows that failed, each with its error class:
+        ExpressionTypeError, OverflowError or SchemaMismatch.  For a bare
+        column the values are the table's own remembered column."""
+        results: list = []
+        for step in self.program:
+            results.append(step(table, results))
+        return results[-1]
 
 
 def _parse(text: str) -> ast.expr:
@@ -76,17 +117,16 @@ def _parse(text: str) -> ast.expr:
     return tree.body
 
 
-# How many levels an expression may nest.  Evaluating a row takes at most
-# two Python frames per level (float arithmetic and its finiteness check; a
-# column is read in C), and compiling about two, so this cap, and not the
+# How many levels an expression may nest.  Compiling takes about two Python
+# frames per level and evaluating a constant few, so this cap, and not the
 # rows, bounds the stack an expression needs.
 _MAX_LEVELS = 64
 
 
 def _levels(node: ast.expr) -> int:
     """How many levels deep a parsed expression nests, found with an
-    explicit stack.  An and/or of n operands counts the ceil(log2 n)
-    levels of the balanced tree _connect builds for it."""
+    explicit stack.  An and/or of n operands counts ceil(log2 n) levels,
+    the depth of a balanced tree of them."""
     deepest = 0
     stack = [(node, 1)]
     while stack:
@@ -118,77 +158,217 @@ def _div(a, b):
     return a / b
 
 
-_ARITHMETIC = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+_ARITHMETIC = {ast.Add: add, ast.Sub: sub, ast.Mult: mul}
 
-_COMPARISONS = {
-    ast.Eq: operator.eq,
-    ast.NotEq: operator.ne,
-    ast.Lt: operator.lt,
-    ast.LtE: operator.le,
-    ast.Gt: operator.gt,
-    ast.GtE: operator.ge,
-}
+_COMPARISONS = {ast.Eq: eq, ast.NotEq: ne, ast.Lt: lt, ast.LtE: le, ast.Gt: gt, ast.GtE: ge}
 
 
-def _binary(op, left: ast.expr, left_fn, right: ast.expr, right_fn, schema: Schema):
-    """A row evaluator for op(left, right), left evaluated first.
-
-    A literal on the right is bound once and a bare column beside it is
-    read as row[i], so `column op literal` costs one call of op per row.
-    """
-    if isinstance(right, ast.Constant):
-        value = right.value
-        if isinstance(left, ast.Name):
-            index = schema.index_of(left.id)
-            return lambda row: op(row[index], value)
-        return lambda row: op(left_fn(row), value)
-    return lambda row: op(left_fn(row), right_fn(row))
+# ---------------------------------------------------------------------------
+# Steps.  Each builds a node's columns from its children's, which earlier
+# steps put in `results`; a row fails as its first child in evaluation
+# order fails, and otherwise as the node's own operation fails on it.
 
 
-def _finite(fn, text: str, zero: float):
-    """fn plus zero, raising ExpressionTypeError where it yields a
-    non-finite float.  Adding -0.0 leaves every float as it is; adding 0.0
-    also turns -0.0 into 0.0, as a stored cell needs."""
-
-    def checked(row: Row) -> float:
-        value = fn(row) + zero
-        if isfinite(value):
-            return value
-        raise _fail(text, "arithmetic produced a non-finite float")
-
-    return checked
+def _first_failures(*failed: dict) -> dict:
+    """The rows failed in any of the dicts, each with the error class of
+    the first dict that has it."""
+    merged: dict = {}
+    for each in reversed(failed):
+        merged.update(each)
+    return merged
 
 
-def _connect(fns: list, both: bool):
-    """fns joined by `and` (both) or `or`, left to right with the same
-    short-circuit, as a balanced tree so that a row of n operands is
-    evaluated about log2(n) calls deep rather than n."""
-    if len(fns) == 1:
-        return fns[0]
-    half = len(fns) // 2
-    a, b = _connect(fns[:half], both), _connect(fns[half:], both)
-    if both:
-        return lambda row: a(row) and b(row)
-    return lambda row: a(row) or b(row)
+def _failing(flags: Iterable[bool], error: type[Exception]) -> dict:
+    """The rows whose flag is false, each failed with error.  The flags are
+    packed into bytes and searched for zeros, a pass in C over every row."""
+    packed = bytes(flags)
+    failed = {}
+    row = packed.find(0)
+    while row >= 0:
+        failed[row] = error
+        row = packed.find(0, row + 1)
+    return failed
 
 
-def _build(node: ast.expr, schema: Schema, text: str, zero: float = -0.0):
-    """Return (evaluator, type) for a node, rejecting anything off-menu.
+def _listed(values: Iterable) -> Sequence:
+    """values as a sequence that can be read twice (a literal is a
+    one-pass repeat)."""
+    return values if isinstance(values, (list, tuple)) else list(values)
 
-    Float arithmetic at this node, not in its operands, adds `zero` to its
-    value (see _finite)."""
+
+def _literal(value, error: type[Exception] | None = None) -> Step:
+    """A literal, or a literal cell that fails its column on every row."""
+
+    def step(table: Table, results: list) -> Evaluated:
+        n = len(table.rows)
+        return repeat(value, n), (dict.fromkeys(range(n), error) if error else {})
+
+    return step
+
+
+def _read(index: int) -> Step:
+    """A column, in row order, which its table extracts once and remembers
+    under ("column", index)."""
+
+    def step(table: Table, results: list) -> Evaluated:
+        extract = lambda: tuple(map(itemgetter(index), table.rows))
+        return table.derive(("column", index), extract), {}
+
+    return step
+
+
+def _mapped(op, *slots: int) -> Step:
+    """op of the operands on each row, where their types prove that op does
+    not raise."""
+
+    def step(table: Table, results: list) -> Evaluated:
+        operands = [results[slot] for slot in slots]
+        values = map(op, *[values for values, _ in operands])
+        return values, _first_failures(*[failed for _, failed in operands])
+
+    return step
+
+
+def _guarded(op, *slots: int) -> Step:
+    """op of the operands on each row, inside a guard: a row where op raises
+    OverflowError (an int too large for a float) fails with it and holds
+    0.0.  The guard runs on every row."""
+
+    def step(table: Table, results: list) -> Evaluated:
+        operands = [results[slot] for slot in slots]
+        overflowed: dict = {}
+
+        def guard(row, *args):
+            try:
+                return op(*args)
+            except OverflowError:
+                overflowed[row] = OverflowError
+                return 0.0
+
+        values = list(map(guard, count(), *[values for values, _ in operands]))
+        return values, _first_failures(*[failed for _, failed in operands], overflowed)
+
+    return step
+
+
+def _finite_mask(slot: int, cell: bool) -> Step:
+    """Float arithmetic's values, failing with ExpressionTypeError where
+    they are not finite; as cells, plus 0.0, which turns -0.0 into 0.0 and
+    leaves every other float as it is."""
+
+    def step(table: Table, results: list) -> Evaluated:
+        values, failed = results[slot]
+        values = _listed(values)
+        nonfinite = _failing(map(isfinite, values), ExpressionTypeError)
+        if cell:
+            values = map(add, values, repeat(0.0))
+        return values, _first_failures(failed, nonfinite)
+
+    return step
+
+
+def _in_int64(slot: int) -> Step:
+    """Int values as int64 cells, failing with SchemaMismatch outside the
+    int64 range."""
+
+    def step(table: Table, results: list) -> Evaluated:
+        values, failed = results[slot]
+        values = _listed(values)
+        inside = map(and_, map(le, repeat(_INT64_MIN), values), map(le, values, repeat(_INT64_MAX)))
+        return values, _first_failures(failed, _failing(inside, SchemaMismatch))
+
+    return step
+
+
+def _fold(parts: list[Evaluated], both: bool) -> Evaluated:
+    """Boolean parts joined by `and` (both) or `or`, every part evaluated on
+    every row: a row's outcome is the one Python's short-circuit gives it,
+    so a part's failure counts only where every part before it left the
+    outcome open.  The values are a list at every part, so that no number
+    of parts nests iterators."""
+    op = and_ if both else or_
+    values, failed = parts[-1]
+    for part, part_failed in reversed(parts[:-1]):
+        part = _listed(part)
+        later = {row: error for row, error in failed.items() if part[row] is both}
+        failed = _first_failures(part_failed, later)
+        values = list(map(op, part, values))
+    return values, failed
+
+
+def _connective(slots: list[int], both: bool) -> Step:
+    return lambda table, results: _fold([results[slot] for slot in slots], both)
+
+
+def _chain(ops: list, slots: list[int]) -> Step:
+    """A chained comparison a op1 b op2 c ...: each operand is evaluated
+    once, and the links are joined as by `and`, the first link failing
+    where either of its operands fails and every later link where its
+    right operand fails."""
+
+    def step(table: Table, results: list) -> Evaluated:
+        operands = [(_listed(values), failed) for values, failed in map(results.__getitem__, slots)]
+        links = [
+            (map(op, a, b), b_failed)
+            for op, (a, _), (b, b_failed) in zip(ops, operands, operands[1:])
+        ]
+        first, first_failed = links[0]
+        links[0] = first, _first_failures(operands[0][1], first_failed)
+        return _fold(links, True)
+
+    return step
+
+
+# ---------------------------------------------------------------------------
+# The compiler.
+
+
+def _fits_float(node: ast.expr) -> bool:
+    """Whether every value of an int expression converts to a float: an
+    int64 column, an int literal that does, or one of those negated.  Int
+    arithmetic may outgrow the float range."""
+    while isinstance(node, ast.UnaryOp):
+        node = node.operand
+    if isinstance(node, ast.Constant):
+        try:
+            float(node.value)
+        except OverflowError:
+            return False
+        return True
+    return isinstance(node, ast.Name)
+
+
+class _Program(list):
+    """The steps compiled so far, and whether one of them can fail a row."""
+
+    fallible = False
+
+    def emit(self, step: Step, fails: bool = False) -> int:
+        self.append(step)
+        self.fallible = self.fallible or fails
+        return len(self) - 1
+
+
+def _build(node: ast.expr, schema: Schema, text: str, program: _Program, cell: bool = False):
+    """Append a node's steps to the program and return (its slot, its
+    type), rejecting anything off-menu.
+
+    Float arithmetic at this node, not in its operands, gives its values as
+    stored cells when `cell` (see _finite_mask)."""
+    emit = program.emit
+
     if isinstance(node, ast.Constant):
         value = node.value
         if isinstance(value, bool):
-            return (lambda row: value), ExprType.BOOL
+            return emit(_literal(value)), ExprType.BOOL
         if isinstance(value, int):
-            return (lambda row: value), ExprType.INT
+            return emit(_literal(value)), ExprType.INT
         if isinstance(value, float):
             if not isfinite(value):
                 raise _fail(text, "float literals must be finite")
-            return (lambda row: value), ExprType.FLOAT
+            return emit(_literal(value)), ExprType.FLOAT
         if isinstance(value, str):
-            return (lambda row: value), ExprType.TEXT
+            return emit(_literal(value)), ExprType.TEXT
         raise _unsupported(text, f"unsupported literal {value!r}")
 
     if isinstance(node, ast.Name):
@@ -199,48 +379,54 @@ def _build(node: ast.expr, schema: Schema, text: str, zero: float = -0.0):
                 f"in {text!r}: no column named {node.id!r}; "
                 f"have {list(schema.names)}"
             )
-        ctype = _COLUMN_TYPES[schema.columns[index][1]]
-        return operator.itemgetter(index), ctype
+        return emit(_read(index)), _COLUMN_TYPES[schema.columns[index][1]]
 
     if isinstance(node, ast.UnaryOp):
-        operand, otype = _build(node.operand, schema, text)
+        operand, otype = _build(node.operand, schema, text, program)
         if isinstance(node.op, ast.Not):
             if otype is not ExprType.BOOL:
                 raise _fail(text, "'not' needs a boolean operand")
-            return (lambda row: not operand(row)), ExprType.BOOL
+            return emit(_mapped(not_, operand)), ExprType.BOOL
         if isinstance(node.op, ast.USub):
             if otype not in _NUMERIC:
                 raise _fail(text, "unary minus needs a numeric operand")
-            return (lambda row: -operand(row)), otype
+            return emit(_mapped(neg, operand)), otype
         raise _unsupported(text, f"unsupported unary operator {type(node.op).__name__}")
 
     if isinstance(node, ast.BoolOp):
-        parts = [_build(v, schema, text) for v in node.values]
+        parts = [_build(v, schema, text, program) for v in node.values]
         if any(t is not ExprType.BOOL for _, t in parts):
             raise _fail(text, "'and'/'or' need boolean operands")
-        fns = [fn for fn, _ in parts]
-        return _connect(fns, isinstance(node.op, ast.And)), ExprType.BOOL
+        slots = [slot for slot, _ in parts]
+        return emit(_connective(slots, isinstance(node.op, ast.And))), ExprType.BOOL
 
     if isinstance(node, ast.BinOp):
-        left, lt = _build(node.left, schema, text)
-        right, rt = _build(node.right, schema, text)
-        if lt not in _NUMERIC or rt not in _NUMERIC:
+        left, ltype = _build(node.left, schema, text, program)
+        right, rtype = _build(node.right, schema, text, program)
+        if ltype not in _NUMERIC or rtype not in _NUMERIC:
             raise _fail(text, "arithmetic needs numeric operands")
-        if isinstance(node.op, ast.Div):
+        division = isinstance(node.op, ast.Div)
+        if division:
             nonzero = isinstance(node.right, ast.Constant) and node.right.value != 0
-            op = operator.truediv if nonzero else _div
+            op = truediv if nonzero else _div
         elif type(node.op) in _ARITHMETIC:
             op = _ARITHMETIC[type(node.op)]
         else:
             raise _unsupported(text, f"unsupported operator {type(node.op).__name__}")
-        fn = _binary(op, node.left, left, node.right, right, schema)
-        if isinstance(node.op, ast.Div) or ExprType.FLOAT in (lt, rt):
-            return _finite(fn, text, zero), ExprType.FLOAT
-        return fn, ExprType.INT
+        if not (division or ExprType.FLOAT in (ltype, rtype)):
+            return emit(_mapped(op, left, right)), ExprType.INT
+        # An int operand becomes a float here, which raises where it is
+        # too large for one.
+        unproved = any(
+            t is ExprType.INT and not _fits_float(operand)
+            for operand, t in ((node.left, ltype), (node.right, rtype))
+        )
+        slot = emit((_guarded if unproved else _mapped)(op, left, right), unproved)
+        return emit(_finite_mask(slot, cell), True), ExprType.FLOAT
 
     if isinstance(node, ast.Compare):
-        operands = [_build(node.left, schema, text)]
-        operands += [_build(c, schema, text) for c in node.comparators]
+        operands = [_build(node.left, schema, text, program)]
+        operands += [_build(c, schema, text, program) for c in node.comparators]
         types = [t for _, t in operands]
         for a, b in zip(types, types[1:]):
             if a in _NUMERIC and b in _NUMERIC:
@@ -255,35 +441,26 @@ def _build(node: ast.expr, schema: Schema, text: str, zero: float = -0.0):
             if t is ExprType.BOOL and not isinstance(op_node, (ast.Eq, ast.NotEq)):
                 raise _fail(text, "booleans only support == and !=")
             ops.append(_COMPARISONS[type(op_node)])
-        fns = [f for f, _ in operands]
+        slots = [slot for slot, _ in operands]
         if len(ops) == 1:
-            (right,) = node.comparators
-            return _binary(ops[0], node.left, fns[0], right, fns[1], schema), ExprType.BOOL
-
-        def compare(row: Row) -> bool:
-            prev = fns[0](row)
-            for op, fn in zip(ops, fns[1:]):
-                nxt = fn(row)
-                if not op(prev, nxt):
-                    return False
-                prev = nxt
-            return True
-
-        return compare, ExprType.BOOL
+            return emit(_mapped(ops[0], *slots)), ExprType.BOOL
+        return emit(_chain(ops, slots)), ExprType.BOOL
 
     raise _unsupported(text, f"unsupported syntax {type(node).__name__}")
 
 
-def _compile(text: str, schema: Schema, zero: float):
-    """Parse, bound and build an expression: (its node, evaluator, type).
-    Float arithmetic at the top adds `zero` to its value (see _finite)."""
+def _compile(text: str, schema: Schema, cell: bool):
+    """Parse, bound and build an expression: (its node, program, type).
+    Float arithmetic at the top gives stored cells when `cell` (see
+    _finite_mask)."""
     if not isinstance(text, str) or not text.strip():
         raise ExpressionSyntaxError("expressions must be non-empty strings")
+    program = _Program()
     try:
         node = _parse(text)
         too_deep = _levels(node) > _MAX_LEVELS
         if not too_deep:
-            fn, result_type = _build(node, schema, text, zero)
+            _, result_type = _build(node, schema, text, program, cell)
     except (RecursionError, MemoryError):
         too_deep = True
     if too_deep:
@@ -292,14 +469,14 @@ def _compile(text: str, schema: Schema, zero: float):
             f"an expression of {len(text)} characters nests too deeply to "
             f"compile; the limit is {_MAX_LEVELS} levels"
         )
-    return node, fn, result_type
+    return node, program, result_type
 
 
 def compile_expression(text: str, schema: Schema) -> CompiledExpression:
     """Parse and type-check an expression against a schema."""
-    node, fn, result_type = _compile(text, schema, -0.0)
+    node, program, result_type = _compile(text, schema, False)
     column = schema.index_of(node.id) if isinstance(node, ast.Name) else None
-    return CompiledExpression(result_type, fn, column)
+    return CompiledExpression(result_type, tuple(program), program.fallible, column)
 
 
 def compile_predicate(text: str, schema: Schema) -> CompiledExpression:
@@ -312,40 +489,58 @@ def compile_predicate(text: str, schema: Schema) -> CompiledExpression:
     return compiled
 
 
+def _literal_cell(value, target: ColumnType) -> tuple:
+    """A literal as a cell of target, checked once: (the cell, None), or a
+    placeholder and the error class with which every row fails when the
+    literal is no legal cell, as converting or checking it would fail."""
+    try:
+        if target is ColumnType.FLOAT64:
+            value = float(value)
+        return check_value(value, target), None
+    except OverflowError:
+        return 0.0, OverflowError
+    except SchemaMismatch:
+        return value, SchemaMismatch
+
+
 def compile_projection(text: str, schema: Schema, target: ColumnType) -> CompiledExpression:
     """Compile an expression yielding the cell a column of type target stores.
 
     Integer expressions widen to float columns; nothing else coerces.  The
-    evaluator returns the cell as a Table stores it and checks only what
-    the expression's type does not prove:
+    program's values are the cells as a Table stores them, and it checks
+    only what the expression's type does not prove:
     - a bare column of the target type is already a legal cell;
-    - a float expression is already finite (a literal is checked when it
-      compiles, a column holds finite floats, unary minus keeps them so
-      and arithmetic checks its result), so `+ 0.0` only turns -0.0 into
-      0.0; arithmetic adds it in the closure that checks its result;
-    - widening an int with float() raises OverflowError beyond the float
-      range and never gives -0.0;
-    - int arithmetic, a negated int and every literal go through
-      check_value (the int64 range, non-empty text).
-    A row that fails raises ExpressionTypeError, OverflowError or
+    - a literal is converted and checked once, when it compiles;
+    - a float expression is already finite (a column holds finite floats,
+      unary minus keeps them so and arithmetic checks its result), so
+      `+ 0.0` only turns -0.0 into 0.0; arithmetic adds it in the step
+      that checks its result;
+    - widening an int with float() never gives -0.0, and raises
+      OverflowError beyond the float range, so it runs in a per-row guard
+      unless the int expression fits a float (see _fits_float);
+    - int arithmetic and a negated int are masked to the int64 range.
+    A row that fails fails with ExpressionTypeError, OverflowError or
     SchemaMismatch, as evaluating and checking it always did.
     """
-    node, fn, result_type = _compile(text, schema, 0.0)
+    node, program, result_type = _compile(text, schema, True)
     wanted = _COLUMN_TYPES[target]
-    if result_type is wanted:
-        if isinstance(node, ast.Name):
-            return CompiledExpression(wanted, fn, schema.index_of(node.id))
-        if wanted is not ExprType.FLOAT:
-            cell = lambda row: check_value(fn(row), target)
-        elif isinstance(node, ast.BinOp):
-            cell = fn
-        else:
-            cell = lambda row: fn(row) + 0.0
-    elif wanted is ExprType.FLOAT and result_type is ExprType.INT:
-        cell = lambda row: float(fn(row))
-    else:
+    if result_type is not wanted and not (wanted is ExprType.FLOAT and result_type is ExprType.INT):
         raise ExpressionTypeError(
             f"expression {text!r} has type {result_type.value}, "
             f"column needs {target.value}"
         )
-    return CompiledExpression(wanted, cell)
+    top = len(program) - 1
+    if isinstance(node, ast.Name) and result_type is wanted:
+        return CompiledExpression(wanted, tuple(program), False, schema.index_of(node.id))
+    if isinstance(node, ast.Constant):
+        value, error = _literal_cell(node.value, target)
+        program[top] = _literal(value, error)
+        program.fallible = error is not None
+    elif result_type is not wanted:
+        unproved = not _fits_float(node)
+        program.emit((_guarded if unproved else _mapped)(float, top), unproved)
+    elif wanted is ExprType.INT:
+        program.emit(_in_int64(top), True)
+    elif not isinstance(node, ast.BinOp):  # a negated float
+        program.emit(_mapped(add, top, program.emit(_literal(0.0))))
+    return CompiledExpression(wanted, tuple(program), program.fallible)

@@ -157,6 +157,7 @@ def keyset_from_tuples(
     The KeySet checks its keys and drops repeats as it is built; a key
     that is not a legal cell of its column raises TypeMismatch here.
     """
+    expect(columns, Iterable, TypeMismatch, "a keyset's columns", "an iterable")
     try:
         return KeySet(Schema(tuple(columns)), tuples)
     except SchemaMismatch as exc:
@@ -498,10 +499,11 @@ _MAX_JOIN_NESTING = 8
 
 # The frames evaluate needs below its own: the deepest query that the caps
 # allow (a 64-level predicate under private joins nested 8 deep, grouped)
-# evaluates with 147 frames of headroom on CPython 3.10.13, 146 on 3.11.7
-# and 145 on 3.12.1 and 3.13.0, and not with one fewer; the rest is a
-# margin.
-_FRAME_BUDGET = 200
+# evaluates with 91 frames of headroom on CPython 3.10.13 and 3.11.7 and 89
+# on 3.12.1 and 3.13.0, and not with one fewer; compiling the predicate
+# takes most of them, since its column program runs in a flat loop.  The
+# rest is a margin.
+_FRAME_BUDGET = 120
 
 
 def _join_nesting(expr: QueryExpr) -> int:

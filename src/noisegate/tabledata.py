@@ -4,9 +4,10 @@ A Table is a schema plus a multiset of rows.  Row order is an artifact of
 construction and is never observable through the public operations here:
 equality is multiset equality, and canonicalize produces the one fixed
 ordering used wherever determinism matters.  A table remembers values
-derived from it, by key (Table.derive): its groups, sorted columns,
-join indexes, and its canonical order and cuts of it, each a Table that
-remembers itself as its own canonical order and cut.  key_reader is the
+derived from it, by key (Table.derive): its groups, columns, sorted
+columns, join indexes, and its canonical order and cuts of it, each a
+Table of its own that remembers itself as its own canonical order and
+cut.  key_reader is the
 one rule for how rows are keyed by named columns, and split_by_key hands
 out plain row lists by it, so grouping and joins take one keyed pass.
 
@@ -18,7 +19,7 @@ load_csv as it parses them, under one rule per column type for text
 cells, whether for a block's column or, to name a failing block's first
 bad cell, one cell at a time; by Table(...) / Table.of for user and inline
 public tables, by KeySet(...) for group-by keys, by the map and flat-map
-row step, which drops a row whose cell fails, and by result_cell for
+column programs, which drop a row whose cell fails, and by result_cell for
 released aggregates.  Everything else (rows of checked tables selected,
 regrouped, reordered or concatenated, and result tables of checked keys
 and result_cell values) is built with the private Table._trusted, which
@@ -238,7 +239,9 @@ class Table(Record):
         types = [ctype for _, ctype in self.schema.columns]
         width = len(types)
         rows = []
-        for row in self.rows:
+        for row in expect(self.rows, Iterable, TypeMismatch, "a table's rows", "an iterable"):
+            if not isinstance(row, (tuple, list)):  # text is no row of cells either
+                raise TypeMismatch(f"row {row!r}: expected a tuple or list of cells")
             if len(row) != width:
                 raise SchemaMismatch(
                     f"row {row!r} has {len(row)} values, schema has {width} columns"
@@ -266,10 +269,14 @@ class Table(Record):
         """The value this table remembers under key, built by build() the
         first time.  The key names a derivation and its parameters: the
         canonical order (CANONICAL), a cut ("cut", key names, bound), a
-        sorted column ("sorted", column index), a join index ("join", key
-        names) or the groups ("groups", key names), a dict from each key
-        to a tuple of its rows.  The canonical order and a cut are Tables;
-        every caller gets the same value, so none may change it."""
+        column's values in row order ("column", column index), which
+        expressions read, a sorted column ("sorted", column index), a join
+        index ("join", key names) or the groups ("groups", key names), a
+        dict from each key to a tuple of its rows.  The canonical order and
+        a cut are Tables, and a cut is never the canonical Table, even when
+        it keeps every row, so no key's entry is another key's unless the
+        two name the same rows on every table.  Every caller gets the same
+        value, so none may change it."""
         derived = self.__dict__.setdefault("_derived", {})
         if key not in derived:
             derived[key] = build()

@@ -802,6 +802,18 @@ def oracle_flat_map(rows, branches, max_rows: int) -> tuple:
     return tuple(out)
 
 
+def evaluated_outcomes(compiled, schema: Schema, rows) -> list:
+    """Each row's outcome under a compiled expression's column program, run
+    over a table of the rows: ("value", v), or ("fails", error class)."""
+    values, failed = compiled.evaluate(Table.of(schema, rows))
+    values = list(values)
+    assert len(values) == len(rows) and set(failed) <= set(range(len(rows)))
+    return [
+        ("fails", failed[row]) if row in failed else ("value", values[row])
+        for row in range(len(rows))
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Probes: what a table remembers, and which bits a generator hands out.
 

@@ -11,11 +11,13 @@ check every cell with check_value.
 
 import math
 import random
+import sys
 
 import pytest
 
 from helpers import (
     ROW_FAILURES,
+    evaluated_outcomes,
     oracle_expression,
     oracle_filter,
     oracle_flat_map,
@@ -163,8 +165,8 @@ def test_expressions_match_the_tree_walker(seed):
         compiled_count += 1
         oracle_fn, oracle_type = expected
         assert actual.result_type is oracle_type, text
-        for row in sample:
-            assert same_outcome(outcome(actual.fn, row), outcome(oracle_fn, row)), (text, row)
+        for row, evaluated in zip(sample, evaluated_outcomes(actual, SCHEMA, sample)):
+            assert same_outcome(evaluated, outcome(oracle_fn, row)), (text, row)
     assert compiled_count > 100
 
 
@@ -210,11 +212,11 @@ def test_projections_store_what_the_checked_oracle_stores(seed):
     for _ in range(120):
         ctype = rng.choice(list(TARGETS))
         text = cell_text(rng, ctype)
-        cell = compile_projection(text, SCHEMA, ctype).fn
+        cell = compile_projection(text, SCHEMA, ctype)
         oracle = oracle_projection(text, SCHEMA, ctype)
-        for row in sample:
+        for row, evaluated in zip(sample, evaluated_outcomes(cell, SCHEMA, sample)):
             expected = outcome(lambda r: check_value(oracle(r), ctype), row)
-            assert same_outcome(outcome(cell, row), expected), (text, ctype, row)
+            assert same_outcome(evaluated, expected), (text, ctype, row)
 
 
 def random_schema(rng: random.Random) -> Schema:
@@ -261,3 +263,55 @@ def test_row_transformations_match_the_oracle_row_loops(seed):
             for b in branches
         ]
         assert same(expanded, oracle_flat_map(table.rows, oracle_branches, max_rows))
+
+
+def python_calls(fn) -> int:
+    """How many Python function calls running fn() makes, counted as the
+    `call` events of sys.setprofile."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+# Two tables of one size whose values differ: on the first every left side
+# of `and` holds and nothing fails; on the second some left sides are false
+# and some rows fail (a float past the range, an int past a float's).
+CALM = [(1, 2, 1.5, 2.0, "a", "b")] * 6
+WILD = [
+    (7, 2**62, 1e308, 0.0, "a", "b"),
+    (0, 1, -1e308, 5e-324, "b", "a"),
+    (2**63 - 1, -(2**63), 0.0, 1.5, "\ud800", "a"),
+    (-1, 0, 1.5, -2.0, "a", "a"),
+    (3, 3037000500, 5e-324, 1e308, "b", "b"),
+    (0, 0, 0.0, 0.0, "a", "b"),
+]
+
+
+@pytest.mark.parametrize(
+    "transformation",
+    [
+        make_filter(DOMAIN, "x * 1e308 > y and i > 0 or (j * j) * 1.5 > x and not s == t"),
+        make_filter(DOMAIN, "i < j < 9 or x / y > 1.0"),
+        make_map(
+            DOMAIN,
+            {"i": "i", "f": "x * 1e300 * 1e8", "g": "j * j * 1.5 + i / y"},
+            Schema.of(("i", ColumnType.INT64), ("f", ColumnType.FLOAT64), ("g", ColumnType.FLOAT64)),
+        ),
+    ],
+    ids=["and/or filter", "chain filter", "float map"],
+)
+def test_the_calls_a_row_step_makes_do_not_depend_on_the_values(transformation):
+    tables = [Table.of(SCHEMA, rows) for rows in (CALM, WILD)]
+    calm, wild = (python_calls(lambda: transformation.apply(table)) for table in tables)
+    assert calm == wild
+    # The tables differ where it counts: the wild one drops rows.
+    assert len(transformation.apply(tables[0])) == 6 > len(transformation.apply(tables[1]))

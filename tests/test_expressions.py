@@ -13,6 +13,8 @@ from noisegate.expressions import (
 )
 from noisegate.tabledata import ColumnType, Schema
 
+from helpers import evaluated_outcomes
+
 SCHEMA = Schema.of(
     ("age", ColumnType.INT64),
     ("income", ColumnType.FLOAT64),
@@ -22,8 +24,17 @@ SCHEMA = Schema.of(
 ROW = (41, 50000.0, "10001")
 
 
+def value_on(compiled, row=ROW, schema=SCHEMA):
+    """The compiled expression's value on one row, evaluated as a column;
+    raises the row's failure class if it fails."""
+    ((kind, value),) = evaluated_outcomes(compiled, schema, [row])
+    if kind == "fails":
+        raise value("the row failed")
+    return value
+
+
 def ev(text):
-    return compile_expression(text, SCHEMA).fn(ROW)
+    return value_on(compile_expression(text, SCHEMA))
 
 
 def test_arithmetic_and_precedence():
@@ -46,7 +57,7 @@ def test_overflowing_arithmetic_raises():
         ev("income * 1e308")
     big = compile_expression("age * 1e308", SCHEMA)
     with pytest.raises(ExpressionTypeError):
-        big.fn((2, 0.0, "x"))
+        value_on(big, (2, 0.0, "x"))
 
 
 def test_comparisons_and_chaining():
@@ -63,7 +74,7 @@ def test_text_comparisons_use_code_point_order():
     assert ev("zip < '2'") is True
     s = Schema.of(("s", ColumnType.TEXT))
     expr = compile_expression("s < 'a'", s)
-    assert expr.fn(("Z",)) is True  # 'Z' (0x5A) sorts before 'a' (0x61)
+    assert value_on(expr, ("Z",), s) is True  # 'Z' (0x5A) sorts before 'a' (0x61)
 
 
 def test_bool_logic():
@@ -134,7 +145,7 @@ def test_syntax_errors_and_disallowed_nodes():
 )
 def test_an_expression_nests_at_most_64_levels(text, levels):
     if levels <= 64:
-        assert compile_predicate(text, SCHEMA).fn(ROW) is True
+        assert value_on(compile_predicate(text, SCHEMA)) is True
     else:
         with pytest.raises(ExpressionSyntaxError, match="nests too deeply"):
             compile_predicate(text, SCHEMA)
@@ -148,22 +159,22 @@ def test_predicate_requires_bool():
 
 def test_projection_widens_int_to_float_only():
     proj = compile_projection("age + 1", SCHEMA, ColumnType.FLOAT64)
-    assert proj.fn(ROW) == 42.0
-    assert isinstance(proj.fn(ROW), float)
+    assert value_on(proj) == 42.0
+    assert isinstance(value_on(proj), float)
     exact = compile_projection("age + 1", SCHEMA, ColumnType.INT64)
-    assert exact.fn(ROW) == 42
+    assert value_on(exact) == 42
     with pytest.raises(ExpressionTypeError):
         compile_projection("income", SCHEMA, ColumnType.INT64)  # no narrowing
     with pytest.raises(ExpressionTypeError):
         compile_projection("age", SCHEMA, ColumnType.TEXT)
     text = compile_projection("zip", SCHEMA, ColumnType.TEXT)
-    assert text.fn(ROW) == "10001"
+    assert value_on(text) == "10001"
 
 
 def test_surrounding_whitespace_is_no_part_of_an_expression():
     # One parse rule: a leading space is no "unexpected indent".
-    assert compile_predicate(" age > 40", SCHEMA).fn(ROW) is True
-    assert compile_predicate("\tage > 40\n", SCHEMA).fn(ROW) is True
+    assert value_on(compile_predicate(" age > 40", SCHEMA)) is True
+    assert value_on(compile_predicate("\tage > 40\n", SCHEMA)) is True
     assert compile_expression("  age  ", SCHEMA).column == 0
     assert compile_expression("(age)", SCHEMA).column == 0
     assert compile_expression("age + 0", SCHEMA).column is None

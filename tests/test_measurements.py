@@ -860,11 +860,15 @@ def test_grouping_a_filtered_table_leaves_the_source_memo_untouched():
     budget = session.PrivacyBudget.pure
     s = session.build_session({"people": table}, session.AddMaxRows(1), budget(3), seed=1)
     filtered = session.query("people").filter("income > 15").group_by(zips).count()
+    # The filter remembers the one column it reads; nothing groups the source.
+    income = {("column", 1): (10.0, 20.0, 30.0)}
     for _ in range(2):
         s.evaluate(filtered, budget(1))
-        assert remembered(table) == {}
+        assert remembered(table) == income
     s.evaluate(session.query("people").group_by(zips).count(), budget(1))
-    assert remembered(table) == {("groups", ("zip",)): _groups_reference(table, ("zip",))}
+    assert remembered(table) == {
+        **income, ("groups", ("zip",)): _groups_reference(table, ("zip",))
+    }
 
 
 # Values a per-group part or an ungrouped aggregation might return, and the

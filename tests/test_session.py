@@ -15,6 +15,7 @@ from helpers import (
     join_reference,
     perturb_rows,
     random_table,
+    remembered,
     truncate_reference,
     zcdp_divergence,
 )
@@ -209,6 +210,10 @@ def test_keyset_from_tuples():
         keyset_from_tuples([("zip", TEXT)], [("a", "b")])
     with pytest.raises(TypeMismatch):
         keyset_from_tuples([("zip", TEXT)], 5)
+    with pytest.raises(TypeMismatch):
+        keyset_from_tuples([("zip", TEXT)], [5])  # a key that is no sequence
+    with pytest.raises(TypeMismatch):
+        keyset_from_tuples(5, [("981",)])  # columns that are no iterable
     for column, key in [
         (("zip", TEXT), ""),
         (("x", FLOAT64), math.nan),
@@ -1001,8 +1006,9 @@ def _outcome_class(session, expr):
 
 
 def _item_1_query(threshold, column, terms):
-    # `and` short-circuits, so the sum runs only on rows older than the
-    # threshold; the demo data's oldest person is 79.
+    # The sum is evaluated on every row, whatever the threshold; it decides
+    # the outcome only on rows older than the threshold, and the demo
+    # data's oldest person is 79.
     predicate = f"age > {threshold} and " + " + ".join([column] * terms) + " > 0"
     expr = query("people").filter(predicate)
     for _ in range(100):
@@ -1340,3 +1346,69 @@ def test_compiled_private_joins_are_stable_on_neighbours_cold_and_warm():
                 d_in = dataset_distance(chain.input_metric, x, y)
                 d_out = dataset_distance(chain.output_metric, *out)
                 assert d_out <= chain.stability(d_in), (spec, d_in, d_out)
+
+
+# ---------------------------------------------------------------------------
+# What a table remembers depends on the queries asked before, never on the
+# rows: the same queries look up and build the same keys on neighbours.
+
+
+def _neighbours():
+    """D, 50 ids of 1 to 3 rows, and D' with one more id of 4 rows; no id of
+    D has more than 3 rows, so cutting D at 3 keeps every row."""
+    rng = random.Random(91)
+    rows = [
+        (i, rng.choice(["981", "982"]), float(rng.randrange(10**5)))
+        for i in range(50)
+        for _ in range(rng.randrange(1, 4))
+    ]
+    extra = [(50, "981", float(10 * k)) for k in range(4)]
+    return Table.of(PEOPLE, rows), Table.of(PEOPLE, rows + extra)
+
+
+def _derive_log(monkeypatch, table, queries):
+    """(key, whether it was remembered) for each Table.derive call that
+    evaluating the queries, in order, in a fresh session over table makes."""
+    log = []
+    derive = Table.derive
+
+    def logged(self, key, build):
+        log.append((key, key in remembered(self)))
+        return derive(self, key, build)
+
+    monkeypatch.setattr(Table, "derive", logged)
+    try:
+        s = build_session(
+            {"people": table}, AddRemoveId("id"), PrivacyBudget.pure(len(queries)), 1
+        )
+        for expr in queries:
+            s.evaluate(expr, PrivacyBudget.pure(1))
+    finally:
+        monkeypatch.undo()
+    return log
+
+
+_PEOPLE = query("people")
+
+
+@pytest.mark.parametrize(
+    "then",
+    [
+        lambda cut: cut.quantile("income", 0.5, 0, 1e6, 64),
+        lambda cut: cut.filter("income > 50000").count(),
+        lambda cut: cut.group_by(keyset_from_tuples([("zip", TEXT)], [("981",)])).count(),
+        lambda cut: cut.join_private(
+            _PEOPLE.truncate_by_id(1).map({"zip": "zip"}, Schema.of(("zip", TEXT))), ["zip"], 2, 3
+        ).count(),
+    ],
+    ids=["sorted", "column", "groups", "join"],
+)
+def test_what_is_remembered_on_a_cut_does_not_tell_whether_it_dropped_a_row(monkeypatch, then):
+    # A wide cut and then a cut at 3, each followed by the same step: on D
+    # both keep every row, on D' the cut at 3 drops one.  Were a cut that
+    # keeps every row the canonical Table, the second query would find the
+    # first one's work remembered on D and not on D'.
+    queries = [then(_PEOPLE.truncate_by_id(1000)), then(_PEOPLE.truncate_by_id(3))]
+    d, d_prime = (_derive_log(monkeypatch, table, queries) for table in _neighbours())
+    assert d == d_prime
+    assert any(hit for _, hit in d) and not all(hit for _, hit in d)

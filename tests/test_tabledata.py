@@ -100,6 +100,24 @@ def test_table_type_enforcement():
         Table.of(PEOPLE, 5)  # no rows at all
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Table.of(PEOPLE, [5]),
+        lambda: Table.of(PEOPLE, [("ann", 41, 1.5), None]),
+        lambda: Table(PEOPLE, 5),
+        lambda: Table(PEOPLE, (5,)),
+        lambda: KeySet(PEOPLE, [5]),
+        # Text is a sequence, but of characters, not of cells.
+        lambda: Table.of(Schema.of(("a", ColumnType.TEXT), ("b", ColumnType.TEXT)), ["xy"]),
+    ],
+    ids=["Table.of row", "Table.of second row", "Table rows", "Table row", "KeySet row", "text row"],
+)
+def test_rows_or_a_row_that_is_no_sequence_is_a_type_mismatch(build):
+    with pytest.raises(TypeMismatch):
+        build()
+
+
 def test_table_equality_is_multiset_equality():
     a = Table.of(PEOPLE, [("a", 1, 0.0), ("b", 2, 0.0), ("a", 1, 0.0)])
     b = Table.of(PEOPLE, [("b", 2, 0.0), ("a", 1, 0.0), ("a", 1, 0.0)])

@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     ari_distance,
     dataset_distance,
+    evaluated_outcomes,
     join_reference,
     random_table,
     remembered,
@@ -465,7 +466,9 @@ def test_another_table_does_not_reuse_the_cuts():
         )
 
 
-def test_a_cut_that_keeps_every_row_is_the_canonical_table():
+def test_a_cut_that_keeps_every_row_is_its_own_table():
+    # Were it the canonical Table, what a later query finds remembered on
+    # it would tell whether the cut dropped a row.
     rng = random.Random(64)
     for _ in range(20):
         rows = _cut_rows(rng)
@@ -473,10 +476,11 @@ def test_a_cut_that_keeps_every_row_is_the_canonical_table():
         everything = _by_id(len(rows) + 1)
         cut = make_truncate_by_id(CUT_DOMAIN, len(rows) + 1).apply(table)
         canonical = _cut(table, CANONICAL)
-        assert cut is canonical is canonicalize(table)
-        assert _cut(table, everything) is canonical
-        # The canonical Table remembers the cut key too.
-        assert remembered(canonical) == {CANONICAL: canonical, everything: canonical}
+        assert canonical is canonicalize(table)
+        assert cut is not canonical and cut.rows == canonical.rows
+        assert _cut(table, everything) is cut
+        assert remembered(canonical) == {CANONICAL: canonical}
+        assert remembered(cut) == {CANONICAL: cut, everything: cut}
         assert table.rows == tuple(rows)
 
 
@@ -591,20 +595,15 @@ def test_join_indexes_at_other_keys_or_bounds_never_share_an_entry():
                 assert join.apply((table, partners)).multiset() == join_reference(
                     kept, kept_partners, keys
                 )
-        # Each right cut, at its keys and bound, remembers its own index.
-        # Cuts at two shapes are one Table only when both keep every row:
-        # then both are the canonical Table, which holds both indexes.
+        # Each right cut, at its keys and bound, is its own Table, even when
+        # it keeps every row, and remembers its own index.
         assert set(remembered(partners)) == {CANONICAL} | {("cut", *shape) for shape in shapes}
         canonical = _cut(partners, CANONICAL)
-        for keys, bound in shapes:
-            cut = _cut(partners, ("cut", keys, bound))
-            assert (cut is canonical) == (len(cut) == len(partners))
-            sharing = [shape for shape in shapes if _cut(partners, ("cut", *shape)) is cut]
-            assert cut is canonical or sharing == [(keys, bound)]
+        cuts = [_cut(partners, ("cut", *shape)) for shape in shapes]
+        assert len({id(cut) for cut in cuts + [canonical]}) == len(shapes) + 1
+        for (keys, bound), cut in zip(shapes, cuts):
             memo = remembered(cut)
-            assert set(memo) == {CANONICAL} | {
-                key for k, b in sharing for key in (("cut", k, b), ("join", k))
-            }
+            assert set(memo) == {CANONICAL, ("cut", keys, bound), ("join", keys)}
             index = memo[("join", keys)]
             expected = _index_reference(PARTNERS, cut.rows, keys)
             assert {k: Counter(cells) for k, cells in index.items()} == expected
@@ -780,8 +779,7 @@ def test_map_cells_are_stored_as_a_table_stores_them():
     assert make_map(DOMAIN, {"x": "v - 1"}, ints).apply(ends).rows == ((0,), (1,))
     # An int too large for a float cannot widen into a float column.
     widened = compile_projection("v * 1" + "0" * 400, SCHEMA, ColumnType.FLOAT64)
-    with pytest.raises(OverflowError):
-        widened.fn((1, 1))
+    assert evaluated_outcomes(widened, SCHEMA, [(1, 1)]) == [("fails", OverflowError)]
     assert make_map(DOMAIN, {"x": "v * 1" + "0" * 400}, floats).apply(ends).rows == ()
     assert make_map(DOMAIN, {"x": "v"}, floats).apply(ends).rows == (
         (1.0,), (2.0,), (-(2.0**63),),
