@@ -5,32 +5,31 @@ accepted: column names, int/float/string/bool literals, arithmetic,
 comparisons, and boolean connectives.  No calls, no attributes, no
 subscripts, no user code.  Every accepted expression is deterministic on
 rows of its schema, but not total: arithmetic that yields a non-finite
-float fails with ExpressionTypeError, and an int too large for a float
-with OverflowError.  The row transformations drop the rows that fail (a
-failing filter row is false, a failing map row is dropped), which is
-what lets them carry their guarantees without inspecting data.
+float fails, and so does an int too large for a float where it meets
+one.  The row transformations drop the rows that fail (a failing filter
+row is false, a failing map row is dropped), which is what lets them
+carry their guarantees without inspecting data.
 
 Each checked expression compiles to a column program: one step per node
 of its syntax tree, children first, which CompiledExpression.evaluate
 runs over a whole table in one flat loop.  A step takes its children's
-columns and returns a column of the table's length, read once, plus the
-rows that failed, each with its error class (ExpressionTypeError,
-OverflowError or SchemaMismatch); a program none of whose steps can fail
-a row is marked infallible, and the row transformations then skip the
-failure masks.  A column reference reads the column its table
+columns and returns a column of the table's length, read once, plus a
+mask of the same length: one byte per row, 1 where the row has a value
+and 0 where it failed, or None where no step below can fail.  A failure
+has no class and no per-row bookkeeping: masks combine with `passing`,
+an AND of big ints.  A column reference reads the column its table
 remembers under ("column", i), so a source table or a remembered cut
 extracts each column once; a literal is itertools.repeat; arithmetic and
 comparisons map an `operator` function over whole columns, so the loop
 over rows runs in C.  `and`, `or` and a chained comparison evaluate
-every operand on every row and combine the operands' values and failures
+every operand on every row and combine the operands' values and masks
 so that each row gets Python's short-circuit outcome: `True or <fails>`
-is true, `False and <fails>` is false, and otherwise a row fails as the
-first operand in evaluation order that fails on it.  Finiteness is a
-mask over a float column.  A projection for a map cell
-(compile_projection) returns the cells a Table stores and keeps only the
-checks its type does not prove, each a mask (the int64 range) or a
-pass over the column (-0.0 to 0.0); a literal cell is checked once, when
-it compiles.  Python raises only where an int too large for a float
+is true, `False and <fails>` is false, and otherwise a row fails where
+an operand that decides it fails.  Finiteness is a mask over a float
+column.  A projection for a map cell (compile_projection) returns the
+cells a Table stores and keeps only the checks its type does not prove,
+each a mask (the int64 range) or a pass over the column (-0.0 to 0.0);
+a literal cell is checked once, when it compiles.  Python raises only where an int too large for a float
 meets a float, a division or a float column, so only such an operation,
 when an operand's type does not prove that it fits a float, runs in a
 per-row guard, and it runs the guard on every row.  So a program's steps
@@ -75,33 +74,32 @@ _NUMERIC = (ExprType.INT, ExprType.FLOAT)
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
-# What a step returns: a node's value on each row of the table, and the
-# rows that failed, a dict from row index to error class.  The values may
-# be an iterator, read once, by the one step or caller that takes them.  A
-# failed row's value is a placeholder that no later step raises on.
-Evaluated = tuple[Iterable, dict]
+# What a step returns: a node's value on each row of the table, and its
+# mask, one byte per row (1 holds a value, 0 failed) or None where nothing
+# below can fail.  The values may be an iterator, read once, by the one
+# step or caller that takes them.  A failed row's value is a placeholder
+# that no later step raises on.  Neither the values nor the mask cost work
+# that depends on which rows fail.
+Evaluated = tuple[Iterable, bytes | None]
 Step = Callable[[Table, list], Evaluated]
 
 
 class CompiledExpression(Record):
     """A checked expression: its result type and its column program.
 
-    `fallible` is whether the program has a step that can fail a row; a
-    program without one never reports a failed row.  `column` is the
-    index of the input column when the expression is that bare column, so
-    its value is the cell itself.
+    `column` is the index of the input column when the expression is that
+    bare column, so its value is the cell itself.
     """
 
     result_type: ExprType
     program: tuple[Step, ...]
-    fallible: bool
     column: int | None = None
 
     def evaluate(self, table: Table) -> Evaluated:
         """The expression's value on each row of table, in row order, read
-        once, and the rows that failed, each with its error class:
-        ExpressionTypeError, OverflowError or SchemaMismatch.  For a bare
-        column the values are the table's own remembered column."""
+        once, and its mask of the rows that hold a value (None when no row
+        can fail).  For a bare column the values are the table's own
+        remembered column."""
         results: list = []
         for step in self.program:
             results.append(step(table, results))
@@ -165,29 +163,22 @@ _COMPARISONS = {ast.Eq: eq, ast.NotEq: ne, ast.Lt: lt, ast.LtE: le, ast.Gt: gt, 
 
 # ---------------------------------------------------------------------------
 # Steps.  Each builds a node's columns from its children's, which earlier
-# steps put in `results`; a row fails as its first child in evaluation
-# order fails, and otherwise as the node's own operation fails on it.
+# steps put in `results`; a row holds a value where every child holds one
+# and the node's own operation does not fail on it.
 
 
-def _first_failures(*failed: dict) -> dict:
-    """The rows failed in any of the dicts, each with the error class of
-    the first dict that has it."""
-    merged: dict = {}
-    for each in reversed(failed):
-        merged.update(each)
-    return merged
-
-
-def _failing(flags: Iterable[bool], error: type[Exception]) -> dict:
-    """The rows whose flag is false, each failed with error.  The flags are
-    packed into bytes and searched for zeros, a pass in C over every row."""
-    packed = bytes(flags)
-    failed = {}
-    row = packed.find(0)
-    while row >= 0:
-        failed[row] = error
-        row = packed.find(0, row + 1)
-    return failed
+def passing(*masks: bytes | None) -> bytes | None:
+    """The rows held in every mask, ANDed as big ints, a pass in C over
+    every row; None (nothing can fail) when every mask is None.  Each int
+    carries a 1 past its last row, so none is shortened by rows that failed
+    at the end and the work is the same whichever rows failed."""
+    masks = [mask for mask in masks if mask is not None]
+    if len(masks) < 2:
+        return masks[0] if masks else None
+    held = -1
+    for mask in masks:
+        held &= int.from_bytes(mask + b"\x01", "little")
+    return held.to_bytes(len(masks[0]) + 1, "little")[:-1]
 
 
 def _listed(values: Iterable) -> Sequence:
@@ -196,14 +187,19 @@ def _listed(values: Iterable) -> Sequence:
     return values if isinstance(values, (list, tuple)) else list(values)
 
 
-def _literal(value, error: type[Exception] | None = None) -> Step:
-    """A literal, or a literal cell that fails its column on every row."""
+def _literal(value) -> Step:
+    """A literal, the same on every row."""
 
     def step(table: Table, results: list) -> Evaluated:
-        n = len(table.rows)
-        return repeat(value, n), (dict.fromkeys(range(n), error) if error else {})
+        return repeat(value, len(table.rows)), None
 
     return step
+
+
+def _nowhere(table: Table, results: list) -> Evaluated:
+    """A literal cell that is no legal cell: every row fails."""
+    n = len(table.rows)
+    return repeat(None, n), bytes(n)
 
 
 def _read(index: int) -> Step:
@@ -212,7 +208,7 @@ def _read(index: int) -> Step:
 
     def step(table: Table, results: list) -> Evaluated:
         extract = lambda: tuple(map(itemgetter(index), table.rows))
-        return table.derive(("column", index), extract), {}
+        return table.derive(("column", index), extract), None
 
     return step
 
@@ -224,58 +220,52 @@ def _mapped(op, *slots: int) -> Step:
     def step(table: Table, results: list) -> Evaluated:
         operands = [results[slot] for slot in slots]
         values = map(op, *[values for values, _ in operands])
-        return values, _first_failures(*[failed for _, failed in operands])
+        return values, passing(*[mask for _, mask in operands])
 
     return step
 
 
 def _guarded(op, *slots: int) -> Step:
     """op of the operands on each row, inside a guard: a row where op raises
-    OverflowError (an int too large for a float) fails with it and holds
-    0.0.  The guard runs on every row."""
+    OverflowError (an int too large for a float) fails and holds 0.0.  The
+    guard runs on every row."""
 
     def step(table: Table, results: list) -> Evaluated:
         operands = [results[slot] for slot in slots]
-        overflowed: dict = {}
+        held = bytearray(b"\x01") * len(table.rows)
 
         def guard(row, *args):
             try:
                 return op(*args)
             except OverflowError:
-                overflowed[row] = OverflowError
+                held[row] = 0
                 return 0.0
 
         values = list(map(guard, count(), *[values for values, _ in operands]))
-        return values, _first_failures(*[failed for _, failed in operands], overflowed)
+        return values, passing(*[mask for _, mask in operands], bytes(held))
 
     return step
 
 
-def _finite_mask(slot: int, cell: bool) -> Step:
-    """Float arithmetic's values, failing with ExpressionTypeError where
-    they are not finite; as cells, plus 0.0, which turns -0.0 into 0.0 and
-    leaves every other float as it is."""
+def _finite_mask(slot: int) -> Step:
+    """Float arithmetic's values, failing where they are not finite."""
 
     def step(table: Table, results: list) -> Evaluated:
-        values, failed = results[slot]
+        values, held = results[slot]
         values = _listed(values)
-        nonfinite = _failing(map(isfinite, values), ExpressionTypeError)
-        if cell:
-            values = map(add, values, repeat(0.0))
-        return values, _first_failures(failed, nonfinite)
+        return values, passing(held, bytes(map(isfinite, values)))
 
     return step
 
 
 def _in_int64(slot: int) -> Step:
-    """Int values as int64 cells, failing with SchemaMismatch outside the
-    int64 range."""
+    """Int values as int64 cells, failing outside the int64 range."""
 
     def step(table: Table, results: list) -> Evaluated:
-        values, failed = results[slot]
+        values, held = results[slot]
         values = _listed(values)
         inside = map(and_, map(le, repeat(_INT64_MIN), values), map(le, values, repeat(_INT64_MAX)))
-        return values, _first_failures(failed, _failing(inside, SchemaMismatch))
+        return values, passing(held, bytes(inside))
 
     return step
 
@@ -284,16 +274,17 @@ def _fold(parts: list[Evaluated], both: bool) -> Evaluated:
     """Boolean parts joined by `and` (both) or `or`, every part evaluated on
     every row: a row's outcome is the one Python's short-circuit gives it,
     so a part's failure counts only where every part before it left the
-    outcome open.  The values are a list at every part, so that no number
-    of parts nests iterators."""
+    outcome open (an `and` part true, an `or` part false).  The values are
+    a list at every part, so that no number of parts nests iterators."""
     op = and_ if both else or_
-    values, failed = parts[-1]
-    for part, part_failed in reversed(parts[:-1]):
+    values, held = parts[-1]
+    for part, part_held in reversed(parts[:-1]):
         part = _listed(part)
-        later = {row: error for row, error in failed.items() if part[row] is both}
-        failed = _first_failures(part_failed, later)
+        if held is not None:
+            held = bytes(map(or_, held, map(ne, part, repeat(both))))
+        held = passing(part_held, held)
         values = list(map(op, part, values))
-    return values, failed
+    return values, held
 
 
 def _connective(slots: list[int], both: bool) -> Step:
@@ -307,13 +298,13 @@ def _chain(ops: list, slots: list[int]) -> Step:
     right operand fails."""
 
     def step(table: Table, results: list) -> Evaluated:
-        operands = [(_listed(values), failed) for values, failed in map(results.__getitem__, slots)]
+        operands = [(_listed(values), held) for values, held in map(results.__getitem__, slots)]
         links = [
-            (map(op, a, b), b_failed)
-            for op, (a, _), (b, b_failed) in zip(ops, operands, operands[1:])
+            (map(op, a, b), b_held)
+            for op, (a, _), (b, b_held) in zip(ops, operands, operands[1:])
         ]
-        first, first_failed = links[0]
-        links[0] = first, _first_failures(operands[0][1], first_failed)
+        first, first_held = links[0]
+        links[0] = first, passing(operands[0][1], first_held)
         return _fold(links, True)
 
     return step
@@ -339,22 +330,16 @@ def _fits_float(node: ast.expr) -> bool:
 
 
 class _Program(list):
-    """The steps compiled so far, and whether one of them can fail a row."""
+    """The steps compiled so far."""
 
-    fallible = False
-
-    def emit(self, step: Step, fails: bool = False) -> int:
+    def emit(self, step: Step) -> int:
         self.append(step)
-        self.fallible = self.fallible or fails
         return len(self) - 1
 
 
-def _build(node: ast.expr, schema: Schema, text: str, program: _Program, cell: bool = False):
+def _build(node: ast.expr, schema: Schema, text: str, program: _Program):
     """Append a node's steps to the program and return (its slot, its
-    type), rejecting anything off-menu.
-
-    Float arithmetic at this node, not in its operands, gives its values as
-    stored cells when `cell` (see _finite_mask)."""
+    type), rejecting anything off-menu."""
     emit = program.emit
 
     if isinstance(node, ast.Constant):
@@ -421,8 +406,8 @@ def _build(node: ast.expr, schema: Schema, text: str, program: _Program, cell: b
             t is ExprType.INT and not _fits_float(operand)
             for operand, t in ((node.left, ltype), (node.right, rtype))
         )
-        slot = emit((_guarded if unproved else _mapped)(op, left, right), unproved)
-        return emit(_finite_mask(slot, cell), True), ExprType.FLOAT
+        slot = emit((_guarded if unproved else _mapped)(op, left, right))
+        return emit(_finite_mask(slot)), ExprType.FLOAT
 
     if isinstance(node, ast.Compare):
         operands = [_build(node.left, schema, text, program)]
@@ -449,10 +434,8 @@ def _build(node: ast.expr, schema: Schema, text: str, program: _Program, cell: b
     raise _unsupported(text, f"unsupported syntax {type(node).__name__}")
 
 
-def _compile(text: str, schema: Schema, cell: bool):
-    """Parse, bound and build an expression: (its node, program, type).
-    Float arithmetic at the top gives stored cells when `cell` (see
-    _finite_mask)."""
+def _compile(text: str, schema: Schema):
+    """Parse, bound and build an expression: (its node, program, type)."""
     if not isinstance(text, str) or not text.strip():
         raise ExpressionSyntaxError("expressions must be non-empty strings")
     program = _Program()
@@ -460,7 +443,7 @@ def _compile(text: str, schema: Schema, cell: bool):
         node = _parse(text)
         too_deep = _levels(node) > _MAX_LEVELS
         if not too_deep:
-            _, result_type = _build(node, schema, text, program, cell)
+            _, result_type = _build(node, schema, text, program)
     except (RecursionError, MemoryError):
         too_deep = True
     if too_deep:
@@ -474,9 +457,9 @@ def _compile(text: str, schema: Schema, cell: bool):
 
 def compile_expression(text: str, schema: Schema) -> CompiledExpression:
     """Parse and type-check an expression against a schema."""
-    node, program, result_type = _compile(text, schema, False)
+    node, program, result_type = _compile(text, schema)
     column = schema.index_of(node.id) if isinstance(node, ast.Name) else None
-    return CompiledExpression(result_type, tuple(program), program.fallible, column)
+    return CompiledExpression(result_type, tuple(program), column)
 
 
 def compile_predicate(text: str, schema: Schema) -> CompiledExpression:
@@ -489,18 +472,15 @@ def compile_predicate(text: str, schema: Schema) -> CompiledExpression:
     return compiled
 
 
-def _literal_cell(value, target: ColumnType) -> tuple:
-    """A literal as a cell of target, checked once: (the cell, None), or a
-    placeholder and the error class with which every row fails when the
-    literal is no legal cell, as converting or checking it would fail."""
+def _literal_cell(value, target: ColumnType) -> Step:
+    """A literal as a cell of target, checked once, when it compiles; every
+    row fails where the literal is no legal cell."""
     try:
         if target is ColumnType.FLOAT64:
             value = float(value)
-        return check_value(value, target), None
-    except OverflowError:
-        return 0.0, OverflowError
-    except SchemaMismatch:
-        return value, SchemaMismatch
+        return _literal(check_value(value, target))
+    except (OverflowError, SchemaMismatch):
+        return _nowhere
 
 
 def compile_projection(text: str, schema: Schema, target: ColumnType) -> CompiledExpression:
@@ -512,17 +492,16 @@ def compile_projection(text: str, schema: Schema, target: ColumnType) -> Compile
     - a bare column of the target type is already a legal cell;
     - a literal is converted and checked once, when it compiles;
     - a float expression is already finite (a column holds finite floats,
-      unary minus keeps them so and arithmetic checks its result), so
-      `+ 0.0` only turns -0.0 into 0.0; arithmetic adds it in the step
-      that checks its result;
+      unary minus keeps them so and arithmetic checks its result), so the
+      `+ 0.0` step that follows any other float expression only turns
+      -0.0 into 0.0;
     - widening an int with float() never gives -0.0, and raises
       OverflowError beyond the float range, so it runs in a per-row guard
       unless the int expression fits a float (see _fits_float);
     - int arithmetic and a negated int are masked to the int64 range.
-    A row that fails fails with ExpressionTypeError, OverflowError or
-    SchemaMismatch, as evaluating and checking it always did.
+    A row fails where evaluating or checking its cell would fail.
     """
-    node, program, result_type = _compile(text, schema, True)
+    node, program, result_type = _compile(text, schema)
     wanted = _COLUMN_TYPES[target]
     if result_type is not wanted and not (wanted is ExprType.FLOAT and result_type is ExprType.INT):
         raise ExpressionTypeError(
@@ -531,16 +510,13 @@ def compile_projection(text: str, schema: Schema, target: ColumnType) -> Compile
         )
     top = len(program) - 1
     if isinstance(node, ast.Name) and result_type is wanted:
-        return CompiledExpression(wanted, tuple(program), False, schema.index_of(node.id))
+        return CompiledExpression(wanted, tuple(program), schema.index_of(node.id))
     if isinstance(node, ast.Constant):
-        value, error = _literal_cell(node.value, target)
-        program[top] = _literal(value, error)
-        program.fallible = error is not None
+        program[top] = _literal_cell(node.value, target)
     elif result_type is not wanted:
-        unproved = not _fits_float(node)
-        program.emit((_guarded if unproved else _mapped)(float, top), unproved)
+        program.emit((_mapped if _fits_float(node) else _guarded)(float, top))
     elif wanted is ExprType.INT:
-        program.emit(_in_int64(top), True)
-    elif not isinstance(node, ast.BinOp):  # a negated float
+        program.emit(_in_int64(top))
+    elif wanted is ExprType.FLOAT:
         program.emit(_mapped(add, top, program.emit(_literal(0.0))))
-    return CompiledExpression(wanted, tuple(program), program.fallible)
+    return CompiledExpression(wanted, tuple(program))

@@ -133,6 +133,12 @@ class AddRemoveId(Record):
 
     id_column: str
 
+    def __post_init__(self) -> None:
+        if not (isinstance(self.id_column, str) and self.id_column):
+            raise TypeMismatch(
+                f"AddRemoveId.id_column: expected a non-empty string, got {self.id_column!r}"
+            )
+
     @property
     def metric(self) -> AddRemoveIds:
         return AddRemoveIds(self.id_column)
@@ -743,6 +749,7 @@ def build_session(
     """
     expect(tables, Mapping, TypeMismatch, "the tables", "a mapping of names to Tables")
     for name in tables:
+        expect(name, str, TypeMismatch, f"table name {name!r}", "a string")
         expect(tables[name], Table, TypeMismatch, f"table {name!r}", "a Table")
     expect(budget, PrivacyBudget, TypeMismatch, "the budget", "a PrivacyBudget")
     _, data, metrics = _root_parts(tables, unit)

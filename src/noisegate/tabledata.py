@@ -236,6 +236,7 @@ class Table(Record):
     __hash__ = object.__hash__
 
     def __post_init__(self) -> None:
+        expect(self.schema, Schema, TypeMismatch, "a table's schema", "a Schema")
         types = [ctype for _, ctype in self.schema.columns]
         width = len(types)
         rows = []

@@ -32,6 +32,7 @@ from .expressions import (
     CompiledExpression,
     compile_predicate,
     compile_projection,
+    passing,
 )
 from .metrics import (
     AddRemoveIds,
@@ -94,18 +95,6 @@ def _compile_branch(
             f"{sorted(new_schema.names)}"
         )
     return [compile_projection(columns[name], schema, ctype) for name, ctype in new_schema.columns]
-
-
-def _passing(values: Iterable, failures: Iterable[dict]) -> list:
-    """values as a new list of flags, False at every row in one of the
-    failures, a compiled expression's dicts of failed rows.  A filter row
-    that fails counts as false and a map row or flat-map branch that fails
-    is dropped, so no row can make a compiled query raise."""
-    passing = list(values)
-    for failed in failures:
-        for row in failed:
-            passing[row] = False
-    return passing
 
 
 def _stored(rows: Iterable[Row]) -> tuple[Row, ...]:
@@ -194,9 +183,9 @@ def make_filter(domain: TableDomain, predicate: str, metric: Metric | None = Non
     keep = compile_predicate(predicate, domain.schema)
 
     def apply(table: Table) -> Table:
-        values, failed = keep.evaluate(table)
-        if keep.fallible:
-            values = _passing(values, [failed])
+        values, held = keep.evaluate(table)
+        if held is not None:
+            values = map(and_, values, held)
         return Table._trusted(table.schema, tuple(compress(table.rows, values)))
 
     return Transformation(
@@ -237,14 +226,13 @@ def make_map(
     ):
         raise IdColumnDropped(f"the map must carry {id_column!r} through unchanged")
     output_domain = TableDomain(new_schema, id_column)
-    fallible = any(cell.fallible for cell in cells)
 
     def apply(table: Table) -> Table:
         columns = [cell.evaluate(table) for cell in cells]
         rows = zip(*[values for values, _ in columns])
-        if fallible:
-            passing = _passing(repeat(True, len(table.rows)), [failed for _, failed in columns])
-            rows = compress(rows, passing)
+        held = passing(*[mask for _, mask in columns])
+        if held is not None:
+            rows = compress(rows, held)
         return Table._trusted(new_schema, _stored(rows))
 
     return Transformation(
@@ -312,10 +300,12 @@ def make_flat_map(
         produced = [0] * n
         branch_rows, fired = [], []
         for guard, cells in compiled:
-            holds, unknown = guard.evaluate(table) if guard is not None else (repeat(True, n), {})
+            holds, held = guard.evaluate(table) if guard is not None else (repeat(True, n), None)
             columns = [cell.evaluate(table) for cell in cells]
-            passing = _passing(holds, [unknown] + [failed for _, failed in columns])
-            fires = list(map(and_, passing, map(lt, produced, repeat(max_rows))))
+            held = passing(held, *[mask for _, mask in columns])
+            if held is not None:
+                holds = map(and_, holds, held)
+            fires = list(map(and_, holds, map(lt, produced, repeat(max_rows))))
             produced = list(map(add, produced, fires))
             branch_rows.append(zip(*[values for values, _ in columns]))
             fired.append(fires)

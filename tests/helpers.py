@@ -804,13 +804,17 @@ def oracle_flat_map(rows, branches, max_rows: int) -> tuple:
 
 def evaluated_outcomes(compiled, schema: Schema, rows) -> list:
     """Each row's outcome under a compiled expression's column program, run
-    over a table of the rows: ("value", v), or ("fails", error class)."""
-    values, failed = compiled.evaluate(Table.of(schema, rows))
+    over a table of the rows: ("value", v), or ("fails", None); a failure
+    has no class."""
+    values, held = compiled.evaluate(Table.of(schema, rows))
     values = list(values)
-    assert len(values) == len(rows) and set(failed) <= set(range(len(rows)))
+    if held is None:
+        held = bytes([1]) * len(rows)
+    assert len(values) == len(rows) and type(held) is bytes and set(held) <= {0, 1}
+    assert len(held) == len(rows)
     return [
-        ("fails", failed[row]) if row in failed else ("value", values[row])
-        for row in range(len(rows))
+        ("value", value) if holds else ("fails", None)
+        for value, holds in zip(values, held)
     ]
 
 

@@ -10,6 +10,7 @@ from noisegate.expressions import (
     compile_expression,
     compile_predicate,
     compile_projection,
+    passing,
 )
 from noisegate.tabledata import ColumnType, Schema
 
@@ -24,12 +25,16 @@ SCHEMA = Schema.of(
 ROW = (41, 50000.0, "10001")
 
 
+class RowFailed(Exception):
+    """A row's expression failed; a compiled failure has no class."""
+
+
 def value_on(compiled, row=ROW, schema=SCHEMA):
     """The compiled expression's value on one row, evaluated as a column;
-    raises the row's failure class if it fails."""
+    raises RowFailed if the row fails."""
     ((kind, value),) = evaluated_outcomes(compiled, schema, [row])
     if kind == "fails":
-        raise value("the row failed")
+        raise RowFailed("the row failed")
     return value
 
 
@@ -53,11 +58,22 @@ def test_division_by_zero_is_zero():
 
 
 def test_overflowing_arithmetic_raises():
-    with pytest.raises(ExpressionTypeError):
+    with pytest.raises(RowFailed):
         ev("income * 1e308")
     big = compile_expression("age * 1e308", SCHEMA)
-    with pytest.raises(ExpressionTypeError):
+    with pytest.raises(RowFailed):
         value_on(big, (2, 0.0, "x"))
+
+
+def test_masks_combine_row_by_row():
+    assert passing(None, None) is None
+    mask = bytes([1, 0, 1])
+    assert passing(None, mask) is mask
+    assert passing(mask, None, bytes([1, 1, 0])) == bytes([1, 0, 0])
+    # Rows that fail at the end keep their place: one byte per row.
+    assert passing(bytes([1, 0, 0]), bytes([1, 1, 0])) == bytes([1, 0, 0])
+    assert passing(bytes(4), bytes([1]) * 4) == bytes(4)
+    assert passing(b"", b"") == b""
 
 
 def test_comparisons_and_chaining():

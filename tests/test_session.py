@@ -156,6 +156,13 @@ def test_privacy_unit_validation():
     assert AddRemoveId("id").id_column == "id"
 
 
+@pytest.mark.parametrize("id_column", [5, ["a"], "", None, b"id"])
+def test_an_id_column_that_is_not_a_non_empty_string_is_refused(id_column):
+    # Refused where the unit is built, not later as a table that lacks it.
+    with pytest.raises(TypeMismatch, match="AddRemoveId.id_column"):
+        AddRemoveId(id_column)
+
+
 def test_every_amount_goes_through_one_rule():
     assert parse_budget_amount is metrics.parse_budget_amount
     assert parse_budget_amount(2) == 2
@@ -847,6 +854,11 @@ def test_build_session_validation():
     # So are tables given as a list rather than a mapping of names.
     with pytest.raises(TypeMismatch):
         build_session([people_table()], AddMaxRows(1), PrivacyBudget.pure(1), seed=0)
+    # And a table name that is not a string, which no Source could name,
+    # alone or beside a string one that it could not be sorted with.
+    for tables in ({5: people_table()}, {5: people_table(), "p": people_table()}):
+        with pytest.raises(TypeMismatch, match="table name 5"):
+            build_session(tables, AddMaxRows(1), PrivacyBudget.pure(1), seed=0)
     # So is a spend that is not a PrivacyBudget, before anything is charged.
     s = fresh_session()
     with pytest.raises(TypeMismatch):

@@ -110,8 +110,16 @@ def test_table_type_enforcement():
         lambda: KeySet(PEOPLE, [5]),
         # Text is a sequence, but of characters, not of cells.
         lambda: Table.of(Schema.of(("a", ColumnType.TEXT), ("b", ColumnType.TEXT)), ["xy"]),
+        # A schema that is not a Schema.
+        lambda: Table.of("x", [(1,)]),
+        lambda: Table("x", ((1,),)),
+        lambda: KeySet("x", [(1,)]),
+        lambda: Table.of(PEOPLE.columns, []),
     ],
-    ids=["Table.of row", "Table.of second row", "Table rows", "Table row", "KeySet row", "text row"],
+    ids=[
+        "Table.of row", "Table.of second row", "Table rows", "Table row", "KeySet row", "text row",
+        "Table.of schema", "Table schema", "KeySet schema", "columns as schema",
+    ],
 )
 def test_rows_or_a_row_that_is_no_sequence_is_a_type_mismatch(build):
     with pytest.raises(TypeMismatch):
