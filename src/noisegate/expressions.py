@@ -21,19 +21,21 @@ an AND of big ints.  A column reference reads the column its table
 remembers under ("column", i), so a source table or a remembered cut
 extracts each column once; a literal is itertools.repeat; arithmetic and
 comparisons map an `operator` function over whole columns, so the loop
-over rows runs in C.  `and`, `or` and a chained comparison evaluate
-every operand on every row and combine the operands' values and masks
-so that each row gets Python's short-circuit outcome: `True or <fails>`
-is true, `False and <fails>` is false, and otherwise a row fails where
-an operand that decides it fails.  Finiteness is a mask over a float
-column.  A projection for a map cell (compile_projection) returns the
-cells a Table stores and keeps only the checks its type does not prove,
-each a mask (the int64 range) or a pass over the column (-0.0 to 0.0);
-a literal cell is checked once, when it compiles.  Python raises only where an int too large for a float
-meets a float, a division or a float column, so only such an operation,
-when an operand's type does not prove that it fits a float, runs in a
-per-row guard, and it runs the guard on every row.  So a program's steps
-and calls depend on the expression and the table's length, not on the
+over rows runs in C.  `and` and `or` evaluate every operand on every row
+and combine the operands' values and masks so that each row gets
+Python's short-circuit outcome: `True or <fails>` is true, `False and
+<fails>` is false, and otherwise a row fails where an operand that
+decides it fails; a chained comparison is its links joined by `and`.  A
+check is a test over a column that ANDs into its mask: finiteness, or
+the int64 range.  A projection for a map cell (compile_projection)
+returns the cells a Table stores and keeps only the checks its type does
+not prove, each a mask or a pass over the column (-0.0 to 0.0); a
+literal cell is checked once, when it compiles.  Python raises only
+where an int too large for a float meets a float, a division or a float
+column, so only such an operation, when an operand's type does not prove
+that it fits a float, first masks the rows where it would raise and
+zeroes that operand there.  No step raises, so a program's steps and
+calls depend on the expression and the table's length, not on the
 values in it.  No source text is generated, so no literal is ever
 spliced into code.
 
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 import ast
 import enum
-from itertools import count, repeat
+from itertools import repeat
 from math import isfinite
 from operator import add, and_, eq, ge, gt, itemgetter, le, lt, mul, ne, neg, not_, or_, sub, truediv
 from typing import Callable, Iterable, Sequence
@@ -225,49 +227,56 @@ def _mapped(op, *slots: int) -> Step:
     return step
 
 
-def _guarded(op, *slots: int) -> Step:
-    """op of the operands on each row, inside a guard: a row where op raises
-    OverflowError (an int too large for a float) fails and holds 0.0.  The
-    guard runs on every row."""
+# The smallest int that float() refuses: every int from here up rounds to
+# 2**1024, since the half-way point above the largest float rounds to even.
+_FLOAT_LIMIT = 2**1024 - 2**970
+
+
+def _fitted(op, k: int, exact: bool, *slots: int) -> Step:
+    """op of the operands on each row where Python does not raise on
+    operand k, an int: where it is below _FLOAT_LIMIT in size (times the
+    divisor's size if `exact`: an int over an int divides exactly), or op
+    is _div and the divisor is zero.  Elsewhere the row fails, and operand
+    k is zeroed first so that op does not raise there."""
 
     def step(table: Table, results: list) -> Evaluated:
         operands = [results[slot] for slot in slots]
-        held = bytearray(b"\x01") * len(table.rows)
-
-        def guard(row, *args):
-            try:
-                return op(*args)
-            except OverflowError:
-                held[row] = 0
-                return 0.0
-
-        values = list(map(guard, count(), *[values for values, _ in operands]))
-        return values, passing(*[mask for _, mask in operands], bytes(held))
+        columns = [_listed(values) for values, _ in operands]
+        limits = repeat(_FLOAT_LIMIT)
+        if exact:
+            limits = map(mul, limits, map(abs, columns[1]))
+        ok = map(gt, limits, map(abs, columns[k]))
+        if op is _div:
+            ok = map(or_, map(eq, columns[1], repeat(0)), ok)
+        ok = bytes(ok)
+        columns[k] = map(mul, columns[k], ok)
+        return map(op, *columns), passing(*[mask for _, mask in operands], ok)
 
     return step
 
 
-def _finite_mask(slot: int) -> Step:
-    """Float arithmetic's values, failing where they are not finite."""
+def _checked(slot: int, test) -> Step:
+    """A node's values, listed, failing where test(values) is false."""
 
     def step(table: Table, results: list) -> Evaluated:
         values, held = results[slot]
         values = _listed(values)
-        return values, passing(held, bytes(map(isfinite, values)))
+        return values, passing(held, bytes(test(values)))
 
     return step
 
 
-def _in_int64(slot: int) -> Step:
-    """Int values as int64 cells, failing outside the int64 range."""
+def _finite(values: Sequence) -> Iterable:
+    return map(isfinite, values)
 
-    def step(table: Table, results: list) -> Evaluated:
-        values, held = results[slot]
-        values = _listed(values)
-        inside = map(and_, map(le, repeat(_INT64_MIN), values), map(le, values, repeat(_INT64_MAX)))
-        return values, passing(held, bytes(inside))
 
-    return step
+def _int64(values: Sequence) -> Iterable:
+    return map(and_, map(le, repeat(_INT64_MIN), values), map(le, values, repeat(_INT64_MAX)))
+
+
+def _listing(slot: int) -> Step:
+    """A node's values, listed, so that two steps can read them."""
+    return lambda table, results: (_listed(results[slot][0]), results[slot][1])
 
 
 def _fold(parts: list[Evaluated], both: bool) -> Evaluated:
@@ -289,25 +298,6 @@ def _fold(parts: list[Evaluated], both: bool) -> Evaluated:
 
 def _connective(slots: list[int], both: bool) -> Step:
     return lambda table, results: _fold([results[slot] for slot in slots], both)
-
-
-def _chain(ops: list, slots: list[int]) -> Step:
-    """A chained comparison a op1 b op2 c ...: each operand is evaluated
-    once, and the links are joined as by `and`, the first link failing
-    where either of its operands fails and every later link where its
-    right operand fails."""
-
-    def step(table: Table, results: list) -> Evaluated:
-        operands = [(_listed(values), held) for values, held in map(results.__getitem__, slots)]
-        links = [
-            (map(op, a, b), b_held)
-            for op, (a, _), (b, b_held) in zip(ops, operands, operands[1:])
-        ]
-        first, first_held = links[0]
-        links[0] = first, passing(operands[0][1], first_held)
-        return _fold(links, True)
-
-    return step
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +390,18 @@ def _build(node: ast.expr, schema: Schema, text: str, program: _Program):
             raise _unsupported(text, f"unsupported operator {type(node.op).__name__}")
         if not (division or ExprType.FLOAT in (ltype, rtype)):
             return emit(_mapped(op, left, right)), ExprType.INT
-        # An int operand becomes a float here, which raises where it is
-        # too large for one.
-        unproved = any(
-            t is ExprType.INT and not _fits_float(operand)
-            for operand, t in ((node.left, ltype), (node.right, rtype))
-        )
-        slot = emit((_guarded if unproved else _mapped)(op, left, right))
-        return emit(_finite_mask(slot)), ExprType.FLOAT
+        # An int operand becomes a float here, and raises where it is too
+        # large for one, unless its type proves that it fits.
+        exact = division and ltype is rtype is ExprType.INT
+        unproved = [
+            t is ExprType.INT and not _fits_float(n)
+            for n, t in ((node.left, ltype), (node.right, rtype))
+        ]
+        if unproved[0] or (unproved[1] and not exact):
+            slot = emit(_fitted(_div if division else op, unproved.index(True), exact, left, right))
+        else:
+            slot = emit(_mapped(op, left, right))
+        return emit(_checked(slot, _finite)), ExprType.FLOAT
 
     if isinstance(node, ast.Compare):
         operands = [_build(node.left, schema, text, program)]
@@ -426,10 +420,13 @@ def _build(node: ast.expr, schema: Schema, text: str, program: _Program):
             if t is ExprType.BOOL and not isinstance(op_node, (ast.Eq, ast.NotEq)):
                 raise _fail(text, "booleans only support == and !=")
             ops.append(_COMPARISONS[type(op_node)])
+        # a < b < c is a < b and b < c, b listed once for both links.
         slots = [slot for slot, _ in operands]
-        if len(ops) == 1:
-            return emit(_mapped(ops[0], *slots)), ExprType.BOOL
-        return emit(_chain(ops, slots)), ExprType.BOOL
+        slots[1:-1] = [emit(_listing(slot)) for slot in slots[1:-1]]
+        links = [emit(_mapped(op, a, b)) for op, a, b in zip(ops, slots, slots[1:])]
+        if len(links) == 1:
+            return links[0], ExprType.BOOL
+        return emit(_connective(links, True)), ExprType.BOOL
 
     raise _unsupported(text, f"unsupported syntax {type(node).__name__}")
 
@@ -496,8 +493,9 @@ def compile_projection(text: str, schema: Schema, target: ColumnType) -> Compile
       `+ 0.0` step that follows any other float expression only turns
       -0.0 into 0.0;
     - widening an int with float() never gives -0.0, and raises
-      OverflowError beyond the float range, so it runs in a per-row guard
-      unless the int expression fits a float (see _fits_float);
+      OverflowError beyond the float range, so unless the int expression
+      fits a float (see _fits_float) a test fails the rows that do not
+      fit and zeroes them before float() runs;
     - int arithmetic and a negated int are masked to the int64 range.
     A row fails where evaluating or checking its cell would fail.
     """
@@ -514,9 +512,9 @@ def compile_projection(text: str, schema: Schema, target: ColumnType) -> Compile
     if isinstance(node, ast.Constant):
         program[top] = _literal_cell(node.value, target)
     elif result_type is not wanted:
-        program.emit((_mapped if _fits_float(node) else _guarded)(float, top))
+        program.emit(_mapped(float, top) if _fits_float(node) else _fitted(float, 0, False, top))
     elif wanted is ExprType.INT:
-        program.emit(_in_int64(top))
+        program.emit(_checked(top, _int64))
     elif wanted is ExprType.FLOAT:
         program.emit(_mapped(add, top, program.emit(_literal(0.0))))
     return CompiledExpression(wanted, tuple(program))

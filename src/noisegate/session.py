@@ -179,7 +179,8 @@ def keyset_from_tuples(
 # _RULES[annotation] when it is built, from Python or a script, and
 # raises TypeMismatch naming Kind.field.  Declaring a public node class
 # adds it to QUERY_NODES, by which the CLI decodes script JSON; its own
-# method is its compile step; and `builder="name"` in its class line adds
+# method is its compile step (a GroupBy has none: the aggregation above
+# it splits by its keys); and `builder="name"` in its class line adds
 # q.name(*args), which is Node(q, *args).  An aggregation's builder goes
 # on every node an aggregation can follow, any other on relational nodes
 # only, so GroupBy has only the aggregation builders and aggregations
@@ -387,12 +388,6 @@ class GroupBy(_Aggregable, builder="group_by"):
     child: QueryExpr
     keys: KeySet
 
-    def _step(self, last, tables):
-        # A GroupBy sits only under a query's root aggregation, and its
-        # grouped view ends the root's chain.
-        _require_rows(last, "an aggregation")
-        return tf.make_grouped_view(last.output_domain, self.keys.schema)
-
 
 class Count(_Aggregation, builder="count"):
     child: QueryExpr
@@ -528,21 +523,17 @@ def _join_nesting(expr: QueryExpr) -> int:
     return deepest
 
 
-def _build_chain(
-    expr: QueryExpr,
-    tables: Mapping[str, tf.Transformation],
-    grouping: GroupBy | None = None,
-) -> tf.Transformation:
+def _build_chain(expr: QueryExpr, tables: Mapping[str, tf.Transformation]) -> tf.Transformation:
     """Compile a chain of relational nodes into one transformation.
 
     A loop walks down the child links from `expr` to the Source or
     JoinPrivate that starts the chain; then each node builds its step on
     the step below it, and tf.chain composes the steps once.  A private
     join compiles each of its sides with a call of its own, so only
-    private joins nest.  `grouping`, the root's GroupBy when there is one,
-    adds its grouped view as the last step.
+    private joins nest.  A GroupBy is no part of the chain: the
+    aggregation above it splits the chain's output by its keys.
     """
-    nodes = [] if grouping is None else [grouping]
+    nodes = []
     while True:
         if not isinstance(expr, _Relational):
             raise TypeCheckError(
@@ -603,7 +594,7 @@ def _compile(
             f"private joins nest too deeply; the limit is {_MAX_JOIN_NESTING}"
         )
     grouping = expr.child if isinstance(expr.child, GroupBy) else None
-    chain = _build_chain((grouping or expr).child, tables, grouping)
+    chain = _build_chain((grouping or expr).child, tables)
     _require_rows(chain, "an aggregation")
 
     slope = chain.stability.slope

@@ -306,6 +306,11 @@ WILD = [
 ]
 
 
+# An int past the float range on every WILD row and 0 on every CALM row.
+BIG = "1" + "0" * 400
+FLOAT_CELL = Schema.of(("f", ColumnType.FLOAT64))
+
+
 @pytest.mark.parametrize(
     "transformation",
     [
@@ -328,8 +333,9 @@ WILD = [
             Schema.of(("i", ColumnType.INT64), ("f", ColumnType.FLOAT64), ("g", ColumnType.FLOAT64)),
             1,
         ),
+        make_map(DOMAIN, {"f": f"(i - 1) * {BIG} * 1.5"}, FLOAT_CELL),
     ],
-    ids=["and/or filter", "chain filter", "float map", "flat map"],
+    ids=["and/or filter", "chain filter", "float map", "flat map", "int past a float"],
 )
 def test_the_calls_a_row_step_makes_do_not_depend_on_the_values(transformation):
     tables = [Table.of(SCHEMA, rows) for rows in (CALM, WILD)]
@@ -337,3 +343,38 @@ def test_the_calls_a_row_step_makes_do_not_depend_on_the_values(transformation):
     assert calm == wild
     # The tables differ where it counts: the wild one drops rows.
     assert len(transformation.apply(tables[0])) == 6 > len(transformation.apply(tables[1]))
+
+
+def exceptions_raised(fn) -> int:
+    """How many exceptions running fn() raises, caught or not, counted as
+    the `exception` events of sys.settrace.  sys.setprofile does not see
+    an exception that bytecode (a / b) or a call to a type (float) raises."""
+    raised = 0
+
+    def trace(frame, event, arg):
+        nonlocal raised
+        raised += event == "exception"
+        return trace
+
+    sys.settrace(trace)
+    try:
+        fn()
+    finally:
+        sys.settrace(None)
+    return raised
+
+
+@pytest.mark.parametrize(
+    "transformation",
+    [
+        make_map(DOMAIN, {"f": f"(i - 1) * {BIG} * 1.5"}, FLOAT_CELL),
+        make_map(DOMAIN, {"f": f"(i - 1) * {BIG} / j"}, FLOAT_CELL),
+        make_filter(DOMAIN, f"x / ((i - 1) * {BIG} + 1) >= 0.0"),
+        make_map(DOMAIN, {"f": f"(i - 1) * {BIG}"}, FLOAT_CELL),
+    ],
+    ids=["times a float", "over an int", "a float over it", "widened"],
+)
+def test_no_row_raises_where_an_int_is_past_a_float(transformation):
+    for rows in (CALM, WILD):
+        table = Table.of(SCHEMA, rows)
+        assert exceptions_raised(lambda: transformation.apply(table)) == 0

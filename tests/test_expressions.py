@@ -65,6 +65,43 @@ def test_overflowing_arithmetic_raises():
         value_on(big, (2, 0.0, "x"))
 
 
+# The smallest int that float() refuses.
+FLOAT_LIMIT = 2**1024 - 2**970
+
+
+def python_outcome(fn):
+    try:
+        return ("value", fn())
+    except OverflowError:
+        return ("fails", None)
+
+
+@pytest.mark.parametrize(
+    "a, op, b",
+    [
+        (FLOAT_LIMIT - 1, "/", 1),
+        (FLOAT_LIMIT, "/", 1),
+        (2 * FLOAT_LIMIT - 1, "/", 2),
+        (2 * FLOAT_LIMIT, "/", 2),
+        (FLOAT_LIMIT - 1, "*", 1.0),
+        (FLOAT_LIMIT, "*", 1.0),
+        (FLOAT_LIMIT - 1, "float", None),
+        (FLOAT_LIMIT, "float", None),
+    ],
+)
+def test_an_int_past_a_float_fails_where_python_raises(a, op, b):
+    # age * a is int arithmetic, which no type proves fits a float, so the
+    # compiled program tests its rows at the boundary Python draws.
+    for age in (1, -1, 0):
+        if op == "float":
+            compiled = compile_projection(f"age * {a}", SCHEMA, ColumnType.FLOAT64)
+            expected = python_outcome(lambda: float(age * a))
+        else:
+            compiled = compile_expression(f"age * {a} {op} {b!r}", SCHEMA)
+            expected = python_outcome(lambda: age * a / b if op == "/" else age * a * b)
+        assert evaluated_outcomes(compiled, SCHEMA, [(age, 0.0, "z")]) == [expected], age
+
+
 def test_masks_combine_row_by_row():
     assert passing(None, None) is None
     mask = bytes([1, 0, 1])

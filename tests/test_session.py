@@ -38,7 +38,7 @@ from noisegate.errors import (
 )
 from noisegate.cli import parse_script
 from noisegate.measurements import MAX_QUANTILE_BINS, PureDpNoise, compose_per_group, make_count
-from noisegate import measurements, metrics
+from noisegate import measurements, metrics, transformations
 from noisegate.metrics import INF, AddRemoveIds, PureDP, SymmetricDifference, ZCDP
 from noisegate.records import record_fields
 from noisegate.session import (
@@ -624,6 +624,28 @@ def test_grouped_sum_zcdp_session():
         PrivacyBudget.zcdp(10**14),
     )
     assert out.rows == (("981", 60.0), ("982", 90.0))
+
+
+def test_a_group_by_builds_no_step_and_its_keys_are_still_checked(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grouped query built a grouped view")
+
+    monkeypatch.setattr(transformations, "make_grouped_view", refuse)
+    s = fresh_session(budget=PrivacyBudget.pure(INF))
+    ks = keyset_from_tuples([("zip", TEXT)], [("989",), ("981",), ("982",)])
+    for expr in (query("people").group_by(ks), query("people").filter("id > 0").group_by(ks)):
+        out = s.evaluate(expr.count(), PrivacyBudget.pure(10**12))
+        assert out.rows[0] == ("989", 0) and [key for key, _ in out.rows] == ["989", "981", "982"]
+
+    s = fresh_session()
+    missing = keyset_from_tuples([("dept", TEXT)], [("a",)])
+    retyped = keyset_from_tuples([("zip", INT64)], [(981,)])
+    for keys, message in ((missing, "not in the data"), (retyped, "is text in the data")):
+        for expr in (query("people").group_by(keys).count(),
+                     query("people").group_by(keys).sum("income", 0, 100)):
+            with pytest.raises(TypeCheckError, match=message):
+                s.evaluate(expr, PrivacyBudget.pure(1))
+    assert s.remaining_budget().amount == 10
 
 
 def test_filter_then_count_pipeline():
