@@ -14,16 +14,20 @@ out plain row lists by it, so grouping and joins take one keyed pass.
 Values are plain Python ints, floats, and strings.  Floats must be finite,
 no cell may be empty, and no Table holds -0.0: it equals 0.0, so rows
 that differed only in the sign of a zero would tie in the canonical
-order.  Cells are checked, and -0.0 becomes 0.0, where they enter: by
-load_csv as it parses them, under one rule per column type for text
-cells, whether for a block's column or, to name a failing block's first
-bad cell, one cell at a time; by Table(...) / Table.of for user and inline
-public tables, by KeySet(...) for group-by keys, by the map and flat-map
-column programs, which drop a row whose cell fails, and by result_cell for
-released aggregates.  Everything else (rows of checked tables selected,
-regrouped, reordered or concatenated, and result tables of checked keys
-and result_cell values) is built with the private Table._trusted, which
-skips the per-cell check.
+order.  Cells are checked, and -0.0 becomes 0.0, where they enter, a
+column at a time, by one rule per column type for text cells
+(_parse_column) and one for Python values (_check_column): by load_csv
+for each column of a block of records; by Table(...) / Table.of for user
+and inline public tables and by KeySet(...) for group-by keys, for each
+column of the rows.  Where a column fails, or the rows are not all plain
+tuples or lists of the schema's width, the block or the rows are checked
+again one cell at a time, by the same rule, to name the first bad record,
+row or cell.  The map and flat-map column programs check the
+cells they compute and drop a row whose cell fails, and result_cell
+makes released aggregates cells.  Everything else (rows of checked
+tables selected, regrouped, reordered or concatenated, and result tables
+of checked keys and result_cell values) is built with the private
+Table._trusted, which skips the check.
 """
 
 from __future__ import annotations
@@ -33,12 +37,11 @@ import enum
 import io
 import json
 import math
-import re
 import sys
 from collections import Counter, defaultdict
 from contextlib import contextmanager
 from itertools import islice
-from operator import itemgetter
+from operator import is_not, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -63,12 +66,6 @@ Row = tuple[Value, ...]
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
-# Locale-independent numeric literals: no underscores, no whitespace, no
-# textual infinities.  Anything fancier than this is a parse error.
-# Matched with fullmatch: "$" would also match before a trailing newline.
-_INT_RE = re.compile(r"-?[0-9]+")
-_FLOAT_RE = re.compile(r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-
 # load_csv parses this many records at a time, one column at a time:
 # enough to spread each column's calls over many cells, few enough that a
 # block's strings add little to peak memory.
@@ -88,8 +85,8 @@ class ColumnType(enum.Enum):
         raise TypeParseError(f"unknown column type {name!r}")
 
 
-# Read once for check_value and result_cell, which run once per cell and
-# once per released value: on CPython 3.11 a member read through its Enum
+# Read once for _check_column and result_cell, which run once per column
+# and once per released value: on CPython 3.11 a member read through its Enum
 # class costs about 150 ns, since EnumType's __getattr__ keeps the read
 # from being specialized.
 _INT64 = ColumnType.INT64
@@ -158,26 +155,45 @@ def expect(value, types, error: type[NoisegateError], where: str, what: str):
     return value
 
 
-def check_value(value: Value, ctype: ColumnType) -> Value:
-    """Raise SchemaMismatch unless value is a legal cell of the column
-    type; return the cell as a Table stores it (-0.0 as 0.0)."""
+def _check_column(cells: Sequence, ctype: ColumnType) -> Sequence[Value] | str:
+    """Python values of one column type as a Table stores them, or, when a
+    value breaks the type's one rule (an int and no bool within int64, a
+    finite float, non-empty text), why: a template that takes the value.
+    Exact ints, floats and strs are typed by the set of their types, any
+    other value one at a time.  The cells come back as given unless -0.0
+    becomes 0.0 or a float subclass a float."""
     if ctype is _INT64:
-        if not is_int(value):
-            raise SchemaMismatch(f"expected int64, got {value!r}")
-        if not _INT64_MIN <= value <= _INT64_MAX:
-            raise SchemaMismatch(f"{value} is outside the int64 range")
-    elif ctype is _FLOAT64:
-        if not isinstance(value, float):
-            raise SchemaMismatch(f"expected float64, got {value!r}")
-        if not math.isfinite(value):
-            raise SchemaMismatch(f"float values must be finite, got {value!r}")
-        return value + 0.0  # exact, except that -0.0 becomes 0.0
-    else:
-        if not isinstance(value, str):
-            raise SchemaMismatch(f"expected text, got {value!r}")
-        if value == "":
-            raise SchemaMismatch("text values must be non-empty")
-    return value
+        if not set(map(type, cells)) <= {int} and not all(map(is_int, cells)):
+            return "expected int64, got {!r}"
+        if min(cells) < _INT64_MIN or max(cells) > _INT64_MAX:
+            return "{} is outside the int64 range"
+        return cells
+    if ctype is _FLOAT64:
+        exact = set(map(type, cells)) <= {float}
+        if not exact and not all(isinstance(cell, float) for cell in cells):
+            return "expected float64, got {!r}"
+        if not all(map(math.isfinite, cells)):
+            return "float values must be finite, got {!r}"
+        return cells if exact and 0.0 not in cells else [cell + 0.0 for cell in cells]
+    if not set(map(type, cells)) <= {str} and not all(isinstance(cell, str) for cell in cells):
+        return "expected text, got {!r}"
+    return "text values must be non-empty" if "" in cells else cells
+
+
+def columns_of(rows: Sequence[Sequence], width: int) -> list[list]:
+    """The columns of rows of width cells each, by one map per column: a
+    transpose by zip(*rows) makes an iterator per row, and each is one
+    more object for the garbage collector to count and traverse."""
+    return [list(map(itemgetter(i), rows)) for i in range(width)]
+
+
+def check_value(value: Value, ctype: ColumnType) -> Value:
+    """The one-cell case of _check_column: the cell as a Table stores it
+    (-0.0 as 0.0), or SchemaMismatch unless it is a legal cell of ctype."""
+    cells = _check_column((value,), ctype)
+    if isinstance(cells, str):
+        raise SchemaMismatch(cells.format(value))
+    return cells[0]
 
 
 def result_cell(value, ctype: ColumnType, denominator: int = 1) -> Value:
@@ -222,8 +238,8 @@ class Table(Record):
 
     Tables compare by identity; use table_equal for multiset equality so
     that incidental row order never leaks into program behavior.
-    Constructing one checks every cell against the schema and stores
-    the rows as check_value returns them; see _trusted for the internal
+    Constructing one checks every column against the schema and stores
+    the rows as _check_column returns their cells; see _trusted for the internal
     constructor that does neither.  A table remembers what derive builds
     from it, by key, its canonical order and cuts as Tables; a filtered
     or rebuilt table remembers nothing.
@@ -239,16 +255,27 @@ class Table(Record):
         expect(self.schema, Schema, TypeMismatch, "a table's schema", "a Schema")
         types = [ctype for _, ctype in self.schema.columns]
         width = len(types)
-        rows = []
-        for row in expect(self.rows, Iterable, TypeMismatch, "a table's rows", "an iterable"):
+        rows = tuple(expect(self.rows, Iterable, TypeMismatch, "a table's rows", "an iterable"))
+        shapes = set(map(type, rows))
+        if shapes <= {tuple, list} and set(map(len, rows)) == {width}:
+            columns = columns_of(rows, width)
+            checked = list(map(_check_column, columns, types))
+            if not any(isinstance(cells, str) for cells in checked):
+                if list in shapes or any(map(is_not, checked, columns)):
+                    rows = tuple(zip(*checked))
+                object.__setattr__(self, "rows", rows)
+                return
+        # Row by row, to raise at the first bad row or cell.
+        checked_rows = []
+        for row in rows:
             if not isinstance(row, (tuple, list)):  # text is no row of cells either
                 raise TypeMismatch(f"row {row!r}: expected a tuple or list of cells")
             if len(row) != width:
                 raise SchemaMismatch(
                     f"row {row!r} has {len(row)} values, schema has {width} columns"
                 )
-            rows.append(tuple(map(check_value, row, types)))
-        object.__setattr__(self, "rows", tuple(rows))
+            checked_rows.append(tuple(map(check_value, row, types)))
+        object.__setattr__(self, "rows", tuple(checked_rows))
 
     @classmethod
     def _trusted(cls, schema: Schema, rows: tuple[Row, ...]) -> "Table":
@@ -424,25 +451,39 @@ _EMPTY_CELL = "empty cells are not allowed"
 def _parse_column(cells: Sequence[str], ctype: ColumnType) -> Sequence[Value] | str:
     """The values of text cells of one column type, or, when a cell breaks
     the type's one rule (not empty, the type's grammar in full, converts,
-    int64 in range or float64 finite), why: a template that takes the cell."""
+    int64 in range or float64 finite), why: a template that takes the cell.
+    The cells, joined by "," (which no number holds), must hold only the
+    type's characters, and int() or float() convert each: on those, int()
+    takes exactly -?[0-9]+ and float() the float64 grammar and a leading
+    "+", refused apart."""
+    if "" in cells:
+        return _EMPTY_CELL
+    if ctype is ColumnType.TEXT:
+        return cells
+    text = ",".join(cells)
+    chars = b"0123456789-," if ctype is _INT64 else b"0123456789.eE+-,"
+    numeric = not text.encode().translate(None, chars)
     if ctype is ColumnType.INT64:
-        if not all(map(_INT_RE.fullmatch, cells)):
-            return _EMPTY_CELL if "" in cells else "{!r} is not an int64"
+        if not numeric:
+            return "{!r} is not an int64"
         try:
             values = list(map(int, cells))
-        except ValueError:  # more digits than int() converts
-            return "{!r} has too many digits for an int64"
+        except ValueError:  # a misplaced "-", or more digits than int() converts
+            if text.removeprefix("-").isdigit():
+                return "{!r} has too many digits for an int64"
+            return "{!r} is not an int64"
         if min(values) < _INT64_MIN or max(values) > _INT64_MAX:
             return "{!r} overflows int64"
         return values
-    if ctype is ColumnType.FLOAT64:
-        if not all(map(_FLOAT_RE.fullmatch, cells)):
-            return _EMPTY_CELL if "" in cells else "{!r} is not a float64"
+    if not numeric or text[:1] == "+" or ",+" in text:
+        return "{!r} is not a float64"
+    try:
         values = [value + 0.0 for value in map(float, cells)]  # -0.0 becomes 0.0
-        if not all(map(math.isfinite, values)):
-            return "{!r} overflows float64"
-        return values
-    return _EMPTY_CELL if "" in cells else cells
+    except ValueError:
+        return "{!r} is not a float64"
+    if not all(map(math.isfinite, values)):
+        return "{!r} overflows float64"
+    return values
 
 
 def _parse_block(block: list[list[str]], line: int, schema: Schema, path: Path) -> Iterable[Row]:
@@ -453,7 +494,7 @@ def _parse_block(block: list[list[str]], line: int, schema: Schema, path: Path) 
     width = len(schema.columns)
     if set(map(len, block)) == {width}:
         columns = []
-        for cells, (_, ctype) in zip(zip(*block), schema.columns):
+        for cells, (_, ctype) in zip(columns_of(block, width), schema.columns):
             values = _parse_column(cells, ctype)
             if isinstance(values, str):
                 break

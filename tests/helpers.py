@@ -24,6 +24,8 @@ from noisegate.errors import (
     ExpressionSyntaxError,
     ExpressionTypeError,
     SchemaMismatch,
+    ScriptError,
+    TypeMismatch,
     TypeParseError,
     UnknownColumn,
 )
@@ -35,7 +37,7 @@ from noisegate.metrics import (
     SymmetricDifference,
     TableTuple,
 )
-from noisegate.tabledata import ColumnType, Schema, Table, check_value
+from noisegate.tabledata import ColumnType, Schema, Table
 
 DPS = 60
 
@@ -518,6 +520,72 @@ def load_csv_reference(path, schema: Schema) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# Python values one cell at a time: check_value, Table(...) and the CLI's
+# decoding of a script's inline rows as they were before they checked a
+# column at a time.
+
+
+def check_value_reference(value, ctype: ColumnType):
+    """value as a Table stores it (-0.0 as 0.0); SchemaMismatch unless it
+    is a legal cell of the column type."""
+    if ctype is ColumnType.INT64:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise SchemaMismatch(f"expected int64, got {value!r}")
+        if not -(2**63) <= value <= 2**63 - 1:
+            raise SchemaMismatch(f"{value} is outside the int64 range")
+    elif ctype is ColumnType.FLOAT64:
+        if not isinstance(value, float):
+            raise SchemaMismatch(f"expected float64, got {value!r}")
+        if not math.isfinite(value):
+            raise SchemaMismatch(f"float values must be finite, got {value!r}")
+        return value + 0.0
+    else:
+        if not isinstance(value, str):
+            raise SchemaMismatch(f"expected text, got {value!r}")
+        if value == "":
+            raise SchemaMismatch("text values must be non-empty")
+    return value
+
+
+def table_rows_reference(schema: Schema, rows) -> tuple:
+    """The rows a Table of schema stores, checked row by row and cell by
+    cell; raise at the first bad row or cell."""
+    types = [ctype for _, ctype in schema.columns]
+    checked = []
+    for row in rows:
+        if not isinstance(row, (tuple, list)):
+            raise TypeMismatch(f"row {row!r}: expected a tuple or list of cells")
+        if len(row) != len(types):
+            raise SchemaMismatch(
+                f"row {row!r} has {len(row)} values, schema has {len(types)} columns"
+            )
+        checked.append(tuple(check_value_reference(v, t) for v, t in zip(row, types)))
+    return tuple(checked)
+
+
+def decode_rows_reference(schema: Schema, rows, where: str) -> list:
+    """A script's inline rows under schema, decoded row by row: each row
+    must be an array, and whole numbers widen into float64 cells."""
+    if not isinstance(rows, (list, tuple)):
+        raise ScriptError(f"{where}.rows: expected an array")
+    floats = {i for i, (_, ctype) in enumerate(schema.columns) if ctype is ColumnType.FLOAT64}
+    decoded = []
+    for r, row in enumerate(rows):
+        if not isinstance(row, (list, tuple)):
+            raise ScriptError(f"{where}.rows[{r}]: expected an array")
+        cells = []
+        for i, cell in enumerate(row):
+            if i in floats and type(cell) is int:
+                try:
+                    cell = float(cell)
+                except OverflowError:
+                    raise ScriptError(f"{where}.rows[{r}]: {cell} is outside the float64 range")
+            cells.append(cell)
+        decoded.append(tuple(cells))
+    return decoded
+
+
+# ---------------------------------------------------------------------------
 # The exact-noise ladder with every uniform drawn by rng.randrange.  The
 # samplers in noisegate.noise draw theirs with randrange's rejection loop
 # on getrandbits, inlined, so they must match this ladder draw for draw
@@ -769,12 +837,12 @@ def oracle_filter(rows, keep) -> tuple:
 
 
 def _oracle_row(row, cells):
-    return tuple(check_value(fn(row), ctype) for fn, ctype in cells)
+    return tuple(check_value_reference(fn(row), ctype) for fn, ctype in cells)
 
 
 def oracle_map(rows, cells) -> tuple:
     """Each row through (evaluator, column type) cells, every cell checked
-    with check_value; a row with a failing cell is dropped."""
+    with check_value_reference; a row with a failing cell is dropped."""
     out = []
     for row in rows:
         try:

@@ -7,7 +7,7 @@ compile to the same result type (or fail to compile the same way), and
 give the same value on every row, or fail on the same rows (a compiled
 failure is a 0 in a mask and has no class).  Filters,
 maps and flat maps must give the rows of the oracle's row loops, which
-check every cell with check_value.
+check every cell with check_value_reference.
 """
 
 import gc
@@ -19,6 +19,7 @@ import pytest
 
 from helpers import (
     ROW_FAILURES,
+    check_value_reference,
     evaluated_outcomes,
     oracle_expression,
     oracle_filter,
@@ -28,7 +29,7 @@ from helpers import (
 )
 from noisegate.errors import ExpressionTypeError
 from noisegate.expressions import compile_expression, compile_projection
-from noisegate.tabledata import ColumnType, Schema, Table, TableDomain, check_value
+from noisegate.tabledata import ColumnType, Schema, Table, TableDomain
 from noisegate.transformations import ExpansionBranch, make_filter, make_flat_map, make_map
 
 SCHEMA = Schema.of(
@@ -218,7 +219,7 @@ def test_projections_store_what_the_checked_oracle_stores(seed):
         cell = compile_projection(text, SCHEMA, ctype)
         oracle = oracle_projection(text, SCHEMA, ctype)
         for row, evaluated in zip(sample, evaluated_outcomes(cell, SCHEMA, sample)):
-            expected = outcome(lambda r: check_value(oracle(r), ctype), row)
+            expected = outcome(lambda r: check_value_reference(oracle(r), ctype), row)
             assert same_outcome(evaluated, expected), (text, ctype, row)
 
 

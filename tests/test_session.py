@@ -1446,3 +1446,23 @@ def test_what_is_remembered_on_a_cut_does_not_tell_whether_it_dropped_a_row(monk
     d, d_prime = (_derive_log(monkeypatch, table, queries) for table in _neighbours())
     assert d == d_prime
     assert any(hit for _, hit in d) and not all(hit for _, hit in d)
+
+
+def test_what_a_private_join_remembers_does_not_tell_whether_its_own_cut_dropped_a_row(
+    monkeypatch,
+):
+    # The same remembered table on both sides of a private join on every
+    # column, so each side's cut and the right cut's join index are derived
+    # on one Table that outlives the query.  A wide join and then one at
+    # bounds 2: on D no row repeats more than twice, so both joins' cuts
+    # keep every row; D' has one more id of three equal rows, one join key
+    # over the bounds.
+    d, _ = _neighbours()
+    assert max(d.multiset().values()) <= 2
+    d_prime = Table.of(PEOPLE, d.rows + ((50, "981", 5.0),) * 3)
+    whole = _PEOPLE.truncate_by_id(1000)
+    columns = ["id", "zip", "income"]
+    queries = [whole.join_private(whole, columns, b, b).count() for b in (100, 2)]
+    log, log_prime = (_derive_log(monkeypatch, table, queries) for table in (d, d_prime))
+    assert log == log_prime
+    assert (("join", tuple(columns)), False) in log

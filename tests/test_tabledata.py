@@ -1,20 +1,31 @@
 import csv
+import enum
 import io
 import json
 import random
 import sys
+from collections import Counter, namedtuple
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from helpers import load_csv_reference
+from helpers import (
+    _reference_cell,
+    check_value_reference,
+    decode_rows_reference,
+    load_csv_reference,
+    table_rows_reference,
+)
 
+from noisegate.cli import parse_script
 from noisegate.errors import (
     DuplicateColumn,
     HeaderMismatch,
     MissingFile,
     MissingIdColumn,
+    NoisegateError,
     SchemaMismatch,
+    ScriptError,
     TypeMismatch,
     TypeParseError,
     UnknownColumn,
@@ -360,6 +371,235 @@ def test_no_table_holds_a_negative_zero(tmp_path: Path):
         TableDomain(schema, None), {"y": "x * -1.0"}, Schema.of(("y", ColumnType.FLOAT64))
     ).apply(checked)
     assert repr(mapped.rows) == "((0.0,), (0.0,), (0.0,), (1.5,))"
+
+
+# ---------------------------------------------------------------------------
+# The column rules against the cell-by-cell oracles in helpers: a column
+# is accepted exactly when each of its cells is, with the same values, and
+# a refusal names the oracle's first bad cell with its class and message.
+
+INT64, FLOAT64, TEXT = ColumnType.INT64, ColumnType.FLOAT64, ColumnType.TEXT
+
+CSV_VALID = {
+    INT64: ["007", "-0", "0", "42", str(2**63 - 1), str(-(2**63)), "0" * 30 + "5"],
+    FLOAT64: [
+        "1.", ".5", "-.5", "1e+5", "-0.0", "-0", "007", "1E5", "2e-3", "1e308", "5e-324",
+        "-1.5e+10", "0.0",
+    ],
+}
+CSV_INVALID = {
+    INT64: [
+        "1\n2", "12\n", "12\r", "+1", "+0", " 1", "1 ", "1_0", "١٢", "nan", "inf",
+        "1e", ".", "-", "--1", "1-", "1-2", "-+1", "", str(2**63), str(-(2**63) - 1),
+        "1.0", "1,2", "0x10", "1e5", "0" * 5000 + "1", "-" + "9" * 5000,
+    ],
+    FLOAT64: [
+        "1.5\n2.5", "1\n2", "1.5\n", "1.5\r", "\n1.5", "+1", "+.5", "+1e5", " 1.5", "1.5 ",
+        "1_0.0", "١.٢", "nan", "inf", "-inf", "Infinity", "1e", ".", "-", "--1",
+        "-+1", "++1", "", "1e400", "-1e400", "1.5.2", "e5", "1e5.5", "1,5", "1,+5", "1e+-3",
+        "1.5e", "-e5", ".e5", "1+", "1e5+",
+    ],
+}
+# The characters of both grammars and of their near misses.
+CSV_ALPHABET = "0123456789-+.eE \n\r_,١x"
+
+
+def _cell_outcome(cell: str, ctype: ColumnType):
+    try:
+        return "value", repr(_reference_cell(cell, ctype, 2, "c"))
+    except TypeParseError as exc:
+        return TypeParseError, str(exc)
+
+
+def _random_cells(rng: random.Random, ctype: ColumnType, count: int) -> list[str]:
+    cells = []
+    for _ in range(count):
+        if rng.random() < 0.3:
+            cells.append(rng.choice(CSV_VALID[ctype] + CSV_INVALID[ctype]))
+        else:
+            cells.append("".join(rng.choices(CSV_ALPHABET, k=rng.randrange(1, 6))))
+    return cells
+
+
+@pytest.mark.parametrize("ctype", [INT64, FLOAT64])
+def test_a_text_column_is_taken_exactly_when_each_of_its_cells_is(ctype):
+    rng = random.Random(f"text column {ctype.value}")
+    corpus = CSV_VALID[ctype] + CSV_INVALID[ctype] + _random_cells(rng, ctype, 3000)
+    outcomes = {cell: _cell_outcome(cell, ctype) for cell in corpus}
+    valid = [cell for cell in corpus if outcomes[cell][0] == "value"]
+    assert set(CSV_VALID[ctype]) <= set(valid)
+    assert not set(CSV_INVALID[ctype]) & set(valid)
+    # One cell alone: the same value, or the same reason.
+    for cell, outcome in outcomes.items():
+        got = tabledata._parse_column((cell,), ctype)
+        if isinstance(got, str):
+            message = f"line 2, column 'c': {got.format(cell)}"
+            assert (TypeParseError, message) == outcome, cell
+        else:
+            assert ("value", repr(got[0])) == outcome, cell
+    # A column of valid cells gives their values; one bad cell anywhere
+    # in it refuses the column.
+    for _ in range(300):
+        cells = rng.choices(valid, k=rng.randrange(1, 40))
+        got = tabledata._parse_column(cells, ctype)
+        assert [repr(v) for v in got] == [outcomes[cell][1] for cell in cells]
+        bad = rng.choice([cell for cell in corpus if outcomes[cell][0] != "value"])
+        cells.insert(rng.randrange(len(cells) + 1), bad)
+        assert isinstance(tabledata._parse_column(cells, ctype), str), bad
+
+
+CSV_SCHEMA = Schema.of(("n", INT64), ("x", FLOAT64), ("s", TEXT))
+
+
+@pytest.mark.parametrize("column, ctype", [(0, INT64), (1, FLOAT64)])
+def test_load_csv_refuses_each_bad_cell_as_the_cell_by_cell_reference(tmp_path, column, ctype):
+    rng = random.Random(f"load_csv {ctype.value}")
+    path = tmp_path / "t.csv"
+
+    def write(records):
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows([CSV_SCHEMA.names, *records])
+        path.write_text(text.getvalue(), encoding="utf-8")
+
+    def clean(count):
+        return [
+            [rng.choice(CSV_VALID[INT64]), rng.choice(CSV_VALID[FLOAT64]), "t"]
+            for _ in range(count)
+        ]
+
+    for cells in (CSV_VALID[ctype], CSV_INVALID[ctype]):
+        for cell in cells:
+            records = clean(40)
+            records[17][column] = cell
+            write(records)
+            expected = _load_outcome(lambda p: load_csv_reference(p, CSV_SCHEMA), path)
+            assert _load_outcome(lambda p: load_csv(p, CSV_SCHEMA).rows, path) == expected
+            assert expected[0] == ("rows" if cells is CSV_VALID[ctype] else TypeParseError)
+
+
+class Color(enum.IntEnum):
+    RED = 3
+
+
+class Name(str):
+    pass
+
+
+class Real(float):
+    pass
+
+
+Pair = namedtuple("Pair", "n x s")
+
+PY_VALID = {
+    INT64: [0, -1, 7, 2**63 - 1, -(2**63), Color.RED],
+    FLOAT64: [1.5, -0.0, 0.0, -2.5, 1e308, 5e-324, -5e-324, Real(2.5), Real(-0.0)],
+    TEXT: ["a", "b,c", " ", "0", Name("named")],
+}
+PY_INVALID = {
+    INT64: [True, False, 1.0, "1", None, 2**63, -(2**63) - 1, float("nan"), Color],
+    FLOAT64: [float("nan"), float("inf"), -float("inf"), 1, True, "1.5", None, Real("nan")],
+    TEXT: ["", Name(""), 1, None, b"a", 1.5],
+}
+PY_SCHEMA = Schema.of(("n", INT64), ("x", FLOAT64), ("s", TEXT))
+KEYS_AT = "queries[0]/Count.child/GroupBy.keys"
+
+
+def _rows_outcome(build):
+    """The rows as (type, repr) of each cell, or the refusal's class and message."""
+    try:
+        rows = build()
+    except NoisegateError as exc:
+        return type(exc), str(exc)
+    return "rows", [tuple((type(cell), repr(cell)) for cell in row) for row in rows]
+
+
+def _script_keys(rows):
+    keys = {"columns": [{"name": n, "type": t.value} for n, t in PY_SCHEMA.columns], "rows": rows}
+    expr = {"kind": "Count", "child": {"kind": "GroupBy", "keys": keys,
+                                       "child": {"kind": "Source", "table": "t"}}}
+    return parse_script({"queries": [{"name": "q", "spend": "1", "expr": expr}]})[0].expr.child.keys
+
+
+def _script_keys_reference(rows):
+    decoded = decode_rows_reference(PY_SCHEMA, rows, KEYS_AT)
+    try:
+        checked = table_rows_reference(PY_SCHEMA, decoded)
+    except NoisegateError as exc:
+        raise ScriptError(f"{KEYS_AT}: {exc}") from exc
+    return tuple(dict.fromkeys(checked))
+
+
+# Rows of a bad shape, and float64 cells that a script widens or cannot.
+ODD_ROWS = [
+    [], [7], [7, 1.5], [7, 1.5, "a", "b"], 5, None, "abc", 1.5, Pair(1, 1.5, "a"),
+    [1, 2, "a"], (1, 2**1024, "a"), [1, -(2**1024), "a"],
+]
+
+
+def _random_python_rows(rng: random.Random) -> list:
+    rows = [
+        [rng.choice(PY_VALID[ctype]) for _, ctype in PY_SCHEMA.columns]
+        for _ in range(rng.randrange(0, 12))
+    ]
+    for _ in range(rng.choice([0, 0, 1, 2]) if rows else 0):
+        column = rng.randrange(3)
+        rng.choice(rows)[column] = rng.choice(PY_INVALID[PY_SCHEMA.columns[column][1]])
+    rows = [tuple(row) if rng.random() < 0.5 else row for row in rows]
+    for _ in range(rng.choice([0, 0, 0, 1, 2])):
+        rows.insert(rng.randrange(len(rows) + 1), rng.choice(ODD_ROWS))
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_python_rows_are_taken_exactly_when_each_cell_is(seed):
+    rng = random.Random(f"python rows {seed}")
+    seen = Counter()
+    for _ in range(400):
+        rows = _random_python_rows(rng)
+        expected = _rows_outcome(lambda: table_rows_reference(PY_SCHEMA, rows))
+        seen[expected[0]] += 1
+        assert _rows_outcome(lambda: Table.of(PY_SCHEMA, rows).rows) == expected, rows
+        assert _rows_outcome(lambda: Table(PY_SCHEMA, tuple(rows)).rows) == expected, rows
+        assert _rows_outcome(lambda: KeySet(PY_SCHEMA, rows).rows) == _rows_outcome(
+            lambda: tuple(dict.fromkeys(table_rows_reference(PY_SCHEMA, rows)))
+        ), rows
+        assert _rows_outcome(lambda: _script_keys(rows).rows) == _rows_outcome(
+            lambda: _script_keys_reference(rows)
+        ), rows
+    # The corpus reaches every outcome.
+    assert min(seen["rows"], seen[SchemaMismatch], seen[TypeMismatch]) > 10, seen
+
+
+def test_every_python_value_is_a_cell_exactly_when_the_reference_says_so():
+    for ctype in (INT64, FLOAT64, TEXT):
+        for value in PY_VALID[ctype] + PY_INVALID[ctype]:
+            expected = _rows_outcome(lambda: [[check_value_reference(value, ctype)]])
+            assert _rows_outcome(lambda: [[tabledata.check_value(value, ctype)]]) == expected
+            schema = Schema.of(("c", ctype))
+            for build in (Table.of, KeySet):
+                assert _rows_outcome(lambda: build(schema, [(value,)]).rows) == expected
+        # A whole column of valid values, and one bad value among them.
+        schema = Schema.of(("c", ctype))
+        column = [(value,) for value in PY_VALID[ctype] * 3]
+        assert _rows_outcome(lambda: Table.of(schema, column).rows) == _rows_outcome(
+            lambda: table_rows_reference(schema, column)
+        )
+        for value in PY_INVALID[ctype]:
+            rows = column[:5] + [(value,)] + column[5:]
+            assert _rows_outcome(lambda: Table.of(schema, rows).rows) == _rows_outcome(
+                lambda: table_rows_reference(schema, rows)
+            )
+
+
+def test_unchanged_rows_are_kept_and_changed_ones_rebuilt():
+    schema = Schema.of(("s", TEXT), ("n", INT64))
+    rows = (("a", 1), ("b", 2))
+    assert all(map(lambda a, b: a is b, Table(schema, rows).rows, rows))
+    listed = Table.of(schema, [["a", 1]]).rows
+    assert listed == (("a", 1),) and type(listed[0]) is tuple
+    zeros = Table.of(Schema.of(("x", FLOAT64)), [(-0.0,), (1.5,)]).rows
+    assert repr(zeros) == "((0.0,), (1.5,))"
 
 
 def test_result_cell_clamps_a_release_to_its_column_range():

@@ -709,11 +709,14 @@ def test_joins_match_a_nested_loop_join(key_width, carried):
 
 
 def test_internal_tables_skip_the_cell_check(monkeypatch):
+    # Table(...) checks a column at a time and check_value a cell, both
+    # through tabledata._check_column; expressions check literals with
+    # check_value.
     calls = []
-    real_check = tabledata.check_value
-    for module in (tabledata, expressions):
+    for module, name in ((tabledata, "_check_column"), (expressions, "check_value")):
+        real = getattr(module, name)
         monkeypatch.setattr(
-            module, "check_value", lambda *args: calls.append(args) or real_check(*args)
+            module, name, lambda *args, real=real: calls.append(args) or real(*args)
         )
     table = Table._trusted(SCHEMA, ((1, 5), (1, 3), (2, 7), (2, 7)))
     other = Table._trusted(
