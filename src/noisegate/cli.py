@@ -55,7 +55,6 @@ from .tabledata import (
     Table,
     _csv_records,
     _read_json,
-    columns_of,
     csv_text,
     expect,
     load_csv,
@@ -148,33 +147,24 @@ def _decode_float(value: int, where: str) -> float:
 
 
 def _decode_rows(value, where: str) -> tuple[Schema, list[tuple]]:
-    """A schema object with a 'rows' array, as inline tables and keysets
-    are.  JSON has one number type: whole numbers widen into float64
-    cells, a column at a time if every row is an array of the schema's
-    width; otherwise, or where a cell overflows, a row at a time."""
+    """A schema object with a 'rows' array, as inline tables and keysets are."""
     schema = schema_from_json(value)
-    rows = _array(_require(value, "rows", where), f"{where}.rows")
-    floats = [i for i, (_, ctype) in enumerate(schema.columns) if ctype is ColumnType.FLOAT64]
-    if set(map(type, rows)) <= {list, tuple} and set(map(len, rows)) == {len(schema.columns)}:
-        columns = columns_of(rows, len(schema.columns))
-        try:
-            for i in floats:
-                columns[i] = [float(cell) if type(cell) is int else cell for cell in columns[i]]
-            return schema, list(zip(*columns))
-        except OverflowError:
-            pass
-    decoded = []
-    for r, row in enumerate(rows):
+    floats = {i for i, (_, ctype) in enumerate(schema.columns) if ctype is ColumnType.FLOAT64}
+    rows = []
+    for r, row in enumerate(_array(_require(value, "rows", where), f"{where}.rows")):
+        # The location is formatted only for a row or cell that may fail:
+        # keysets run to thousands of rows.
         if not isinstance(row, (list, tuple)):
             _array(row, f"{where}.rows[{r}]")  # raises
         if floats:
+            # JSON has one number type: whole numbers widen into float64 cells.
             row = [
                 _decode_float(cell, f"{where}.rows[{r}]")
                 if i in floats and type(cell) is int else cell
                 for i, cell in enumerate(row)
             ]
-        decoded.append(tuple(row))
-    return schema, decoded
+        rows.append(tuple(row))
+    return schema, rows
 
 
 def _decode_object(cls: type, obj, where: str, prefix: str):

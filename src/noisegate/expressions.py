@@ -117,29 +117,11 @@ def _parse(text: str) -> ast.expr:
     return tree.body
 
 
-# How many levels an expression may nest.  Compiling takes about two Python
-# frames per level and evaluating a constant few, so this cap, and not the
-# rows, bounds the stack an expression needs.
+# How many levels an expression may nest: _build counts them as it
+# recurses, so the rule lives where the tree is built.  Compiling takes
+# about two Python frames per level and evaluating a constant few, so this
+# cap, and not the rows, bounds the stack an expression needs.
 _MAX_LEVELS = 64
-
-
-def _levels(node: ast.expr) -> int:
-    """How many levels deep a parsed expression nests, found with an
-    explicit stack.  An and/or of n operands counts ceil(log2 n) levels,
-    the depth of a balanced tree of them."""
-    deepest = 0
-    stack = [(node, 1)]
-    while stack:
-        node, level = stack.pop()
-        if isinstance(node, ast.BoolOp):
-            level += (len(node.values) - 1).bit_length() - 1
-        deepest = max(deepest, level)
-        stack.extend(
-            (child, level + 1)
-            for child in ast.iter_child_nodes(node)
-            if isinstance(child, ast.expr)
-        )
-    return deepest
 
 
 def _fail(text: str, message: str) -> ExpressionTypeError:
@@ -327,10 +309,16 @@ class _Program(list):
         return len(self) - 1
 
 
-def _build(node: ast.expr, schema: Schema, text: str, program: _Program):
+def _build(node: ast.expr, schema: Schema, text: str, program: _Program, level: int):
     """Append a node's steps to the program and return (its slot, its
-    type), rejecting anything off-menu."""
+    type), rejecting anything off-menu.  The node sits `level` levels deep
+    and its children one deeper, but the operands of an and/or of n sit
+    ceil(log2 n) deeper, the depth of a balanced tree of them; past
+    _MAX_LEVELS it raises RecursionError."""
+    if level > _MAX_LEVELS:
+        raise RecursionError
     emit = program.emit
+    below = level + 1
 
     if isinstance(node, ast.Constant):
         value = node.value
@@ -357,7 +345,7 @@ def _build(node: ast.expr, schema: Schema, text: str, program: _Program):
         return emit(_read(index)), _COLUMN_TYPES[schema.columns[index][1]]
 
     if isinstance(node, ast.UnaryOp):
-        operand, otype = _build(node.operand, schema, text, program)
+        operand, otype = _build(node.operand, schema, text, program, below)
         if isinstance(node.op, ast.Not):
             if otype is not ExprType.BOOL:
                 raise _fail(text, "'not' needs a boolean operand")
@@ -369,15 +357,16 @@ def _build(node: ast.expr, schema: Schema, text: str, program: _Program):
         raise _unsupported(text, f"unsupported unary operator {type(node.op).__name__}")
 
     if isinstance(node, ast.BoolOp):
-        parts = [_build(v, schema, text, program) for v in node.values]
+        below = level + (len(node.values) - 1).bit_length()
+        parts = [_build(v, schema, text, program, below) for v in node.values]
         if any(t is not ExprType.BOOL for _, t in parts):
             raise _fail(text, "'and'/'or' need boolean operands")
         slots = [slot for slot, _ in parts]
         return emit(_connective(slots, isinstance(node.op, ast.And))), ExprType.BOOL
 
     if isinstance(node, ast.BinOp):
-        left, ltype = _build(node.left, schema, text, program)
-        right, rtype = _build(node.right, schema, text, program)
+        left, ltype = _build(node.left, schema, text, program, below)
+        right, rtype = _build(node.right, schema, text, program, below)
         if ltype not in _NUMERIC or rtype not in _NUMERIC:
             raise _fail(text, "arithmetic needs numeric operands")
         division = isinstance(node.op, ast.Div)
@@ -404,8 +393,8 @@ def _build(node: ast.expr, schema: Schema, text: str, program: _Program):
         return emit(_checked(slot, _finite)), ExprType.FLOAT
 
     if isinstance(node, ast.Compare):
-        operands = [_build(node.left, schema, text, program)]
-        operands += [_build(c, schema, text, program) for c in node.comparators]
+        operands = [_build(node.left, schema, text, program, below)]
+        operands += [_build(c, schema, text, program, below) for c in node.comparators]
         types = [t for _, t in operands]
         for a, b in zip(types, types[1:]):
             if a in _NUMERIC and b in _NUMERIC:
@@ -432,23 +421,19 @@ def _build(node: ast.expr, schema: Schema, text: str, program: _Program):
 
 
 def _compile(text: str, schema: Schema):
-    """Parse, bound and build an expression: (its node, program, type)."""
+    """Parse and build an expression: (its node, program, type)."""
     if not isinstance(text, str) or not text.strip():
         raise ExpressionSyntaxError("expressions must be non-empty strings")
     program = _Program()
     try:
         node = _parse(text)
-        too_deep = _levels(node) > _MAX_LEVELS
-        if not too_deep:
-            _, result_type = _build(node, schema, text, program)
+        _, result_type = _build(node, schema, text, program, 1)
     except (RecursionError, MemoryError):
-        too_deep = True
-    if too_deep:
         # Refused here, at compile time, before any spend is charged.
         raise ExpressionSyntaxError(
             f"an expression of {len(text)} characters nests too deeply to "
             f"compile; the limit is {_MAX_LEVELS} levels"
-        )
+        ) from None
     return node, program, result_type
 
 

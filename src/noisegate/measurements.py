@@ -83,8 +83,8 @@ from .tabledata import (
     split_by_key,
 )
 
-# A dataclass, not a Record: compositions and tracers rebuild one with
-# dataclasses.replace.
+# A dataclass, not a Record: the benchmark's tracer (bench/spans.py) and
+# tests rebuild one with dataclasses.replace, though no compiled step does.
 @dataclass(frozen=True)
 class Measurement:
     """A randomized computation with a declared privacy function.

@@ -214,9 +214,18 @@ class QueryExpr(Record):
             build.__doc__ = f"{cls.__name__}(self, {', '.join(cls._record_names[1:])})"
             setattr(host, builder, build)
 
+    # How deeply private joins nest in the tree below a node, counted as
+    # the tree is built: a JoinPrivate is one more than its deeper side and
+    # any other node takes its child's count, set only where it is not 0.
+    # No field, so equality, hash and repr do not see it.
+    _join_depth = 0
+
     def __post_init__(self) -> None:
         for name, where, rule in self._rules:
             object.__setattr__(self, name, rule(getattr(self, name), where))
+        depth = getattr(self.__dict__.get("child"), "_join_depth", 0)
+        if depth:
+            object.__setattr__(self, "_join_depth", depth)
 
 
 def _instance(types, what: str):
@@ -344,6 +353,11 @@ class JoinPrivate(_Relational, builder="join_private"):
     on: tuple[str, ...]
     left_bound: int
     right_bound: int
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        depth = 1 + max(self.child._join_depth, self.other._join_depth)
+        object.__setattr__(self, "_join_depth", depth)
 
     def _step(self, last, tables):
         left, right = _build_chain(self.child, tables), _build_chain(self.other, tables)
@@ -494,8 +508,9 @@ def _root_parts(tables: Mapping[str, Any], unit: PrivacyUnit):
     return names, tuple(tables[name] for name in names), (unit.metric,) * len(names)
 
 
-# How deeply private joins may nest.  Each nested join adds two frames to
-# the stack that compiling and evaluating a query need.
+# How deeply private joins may nest, as each node counts them when it is
+# built (_join_depth).  Each nested join adds two frames to the stack that
+# compiling and evaluating a query need.
 _MAX_JOIN_NESTING = 8
 
 # The frames evaluate needs below its own: the deepest query that the caps
@@ -505,22 +520,6 @@ _MAX_JOIN_NESTING = 8
 # takes most of them, since its column program runs in a flat loop.  The
 # rest is a margin.
 _FRAME_BUDGET = 120
-
-
-def _join_nesting(expr: QueryExpr) -> int:
-    """How deeply private joins nest in a query, walked with an explicit
-    stack."""
-    deepest, stack = 0, [(expr, 0)]
-    while stack:
-        node, joins = stack.pop()
-        if isinstance(node, JoinPrivate):
-            joins += 1
-            stack.append((node.other, joins))
-        deepest = max(deepest, joins)
-        child = getattr(node, "child", None)
-        if child is not None:
-            stack.append((child, joins))
-    return deepest
 
 
 def _build_chain(expr: QueryExpr, tables: Mapping[str, tf.Transformation]) -> tf.Transformation:
@@ -589,7 +588,7 @@ def _compile(
 
     if not isinstance(expr, _Aggregation):
         raise TypeCheckError("queries must end in an aggregation")
-    if _join_nesting(expr) > _MAX_JOIN_NESTING:
+    if expr._join_depth > _MAX_JOIN_NESTING:
         raise TypeCheckError(
             f"private joins nest too deeply; the limit is {_MAX_JOIN_NESTING}"
         )

@@ -105,8 +105,8 @@ def _stored(rows: Iterable[Row]) -> tuple[Row, ...]:
     return tuple(list(rows))
 
 
-# A dataclass, not a Record, like measurements.Measurement: callers rebuild
-# one with dataclasses.replace.
+# A dataclass, not a Record, like measurements.Measurement: the benchmark's
+# tracer rebuilds one with dataclasses.replace.
 @dataclass(frozen=True)
 class Transformation:
     """A pure function between domains with a stability bound."""

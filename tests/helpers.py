@@ -37,6 +37,7 @@ from noisegate.metrics import (
     SymmetricDifference,
     TableTuple,
 )
+from noisegate.session import JoinPrivate, QueryExpr
 from noisegate.tabledata import ColumnType, Schema, Table
 
 DPS = 60
@@ -884,6 +885,47 @@ def evaluated_outcomes(compiled, schema: Schema, rows) -> list:
         ("value", value) if holds else ("fails", None)
         for value, holds in zip(values, held)
     ]
+
+
+# ---------------------------------------------------------------------------
+# Depth references: the explicit-stack walks that bounded a tree before the
+# compiler built it, kept as they stood.  The compiler now counts each depth
+# where it builds the tree; these count it a second, independent way.
+
+
+def levels_reference(node: ast.expr) -> int:
+    """How many levels deep a parsed expression nests, found with an
+    explicit stack.  An and/or of n operands counts ceil(log2 n) levels,
+    the depth of a balanced tree of them."""
+    deepest = 0
+    stack = [(node, 1)]
+    while stack:
+        node, level = stack.pop()
+        if isinstance(node, ast.BoolOp):
+            level += (len(node.values) - 1).bit_length() - 1
+        deepest = max(deepest, level)
+        stack.extend(
+            (child, level + 1)
+            for child in ast.iter_child_nodes(node)
+            if isinstance(child, ast.expr)
+        )
+    return deepest
+
+
+def join_nesting_reference(expr: QueryExpr) -> int:
+    """How deeply private joins nest in a query, walked with an explicit
+    stack."""
+    deepest, stack = 0, [(expr, 0)]
+    while stack:
+        node, joins = stack.pop()
+        if isinstance(node, JoinPrivate):
+            joins += 1
+            stack.append((node.other, joins))
+        deepest = max(deepest, joins)
+        child = getattr(node, "child", None)
+        if child is not None:
+            stack.append((child, joins))
+    return deepest
 
 
 # ---------------------------------------------------------------------------

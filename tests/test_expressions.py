@@ -1,3 +1,5 @@
+import ast
+
 import pytest
 
 from noisegate.errors import (
@@ -14,7 +16,7 @@ from noisegate.expressions import (
 )
 from noisegate.tabledata import ColumnType, Schema
 
-from helpers import evaluated_outcomes
+from helpers import evaluated_outcomes, levels_reference
 
 SCHEMA = Schema.of(
     ("age", ColumnType.INT64),
@@ -202,6 +204,68 @@ def test_an_expression_nests_at_most_64_levels(text, levels):
     else:
         with pytest.raises(ExpressionSyntaxError, match="nests too deeply"):
             compile_predicate(text, SCHEMA)
+
+
+def _deep_number(k):
+    # k levels: k - 1 unary minuses over a column.
+    return "-" * (k - 1) + "income"
+
+
+def _deep_bool(k):
+    # k levels: k - 2 nots over a comparison of two leaves.
+    return "not " * (k - 2) + "income != 0"
+
+
+# Each node kind and operand position with a deep part beneath it.
+_DEEP_CONTEXTS = [
+    ("unary minus", _deep_number, lambda d: f"-({d})"),
+    ("not", _deep_bool, lambda d: f"not ({d})"),
+    ("left arithmetic operand", _deep_number, lambda d: f"({d}) - age"),
+    ("right arithmetic operand", _deep_number, lambda d: f"age * ({d})"),
+    ("comparison, left", _deep_number, lambda d: f"({d}) < age < 100"),
+    ("comparison, middle", _deep_number, lambda d: f"0 < ({d}) < 100"),
+    ("comparison, last", _deep_number, lambda d: f"0 < age < ({d})"),
+] + [
+    (
+        f"{op} of {n}, operand {i}",
+        _deep_bool,
+        lambda d, op=op, n=n, i=i: f" {op} ".join(
+            f"({d})" if j == i else "age > 0" for j in range(n)
+        ),
+    )
+    for op in ("and", "or")
+    for n in (2, 4, 5)
+    for i in range(n)
+]
+
+
+@pytest.mark.parametrize("levels", [64, 65])
+@pytest.mark.parametrize(
+    "deep, context", [c[1:] for c in _DEEP_CONTEXTS], ids=[c[0] for c in _DEEP_CONTEXTS]
+)
+def test_the_compiler_counts_levels_as_the_reference_walk_does(deep, context, levels):
+    # The deep part's size that brings the whole expression to `levels`.
+    k = 3 + levels - levels_reference(ast.parse(context(deep(3)), mode="eval").body)
+    text = context(deep(k))
+    assert levels_reference(ast.parse(text, mode="eval").body) == levels
+    if levels <= 64:
+        compile_expression(text, SCHEMA)
+    else:
+        with pytest.raises(ExpressionSyntaxError, match="nests too deeply"):
+            compile_expression(text, SCHEMA)
+
+
+def test_a_shallow_fault_beside_a_part_past_the_cap_is_refused_for_the_first_met():
+    # The compiler builds left to right and counts levels as it goes, so
+    # it meets an unknown column on the left before a part past the cap.
+    deep = " + ".join(["age"] * 64)
+    unknown_first, deep_first = f"zz + ({deep})", f"({deep}) + zz"
+    for text in (unknown_first, deep_first):
+        assert levels_reference(ast.parse(text, mode="eval").body) == 65
+    with pytest.raises(UnknownColumn, match="no column named 'zz'"):
+        compile_expression(unknown_first, SCHEMA)
+    with pytest.raises(ExpressionSyntaxError, match="nests too deeply"):
+        compile_expression(deep_first, SCHEMA)
 
 
 def test_predicate_requires_bool():

@@ -12,6 +12,7 @@ import pytest
 from helpers import (
     dataset_distance,
     gaussian_pmf,
+    join_nesting_reference,
     join_reference,
     perturb_rows,
     random_table,
@@ -1105,6 +1106,97 @@ def test_the_deepest_allowed_query_evaluates_within_the_frame_budget(demo_people
     with pytest.raises(TypeCheckError, match="nest too deeply"):
         s.evaluate(expr.join_private(zips, ["zip"], 1, 1).count(), PrivacyBudget.pure(1))
     assert s.remaining_budget().amount == 10
+
+
+def _random_query(rng, size, hints):
+    """A random tree of `size` nodes over every kind in QUERY_NODES, a
+    private join one node in three, with random subtrees on both sides of
+    a join; aggregations and group-bys may sit anywhere, as a node's
+    fields allow and compile does not."""
+    kinds = sorted(QUERY_NODES)
+    while True:
+        kind = "JoinPrivate" if rng.random() < 1 / 3 else rng.choice(kinds)
+        subtrees = [name for name, hint in hints[kind].items() if hint is QueryExpr]
+        if len(subtrees) <= size - 1 and (subtrees or size == 1):
+            break
+    sizes = [1] * len(subtrees)
+    for _ in range(size - 1 - len(subtrees)):
+        sizes[rng.randrange(len(sizes))] += 1
+    built = dict(zip(subtrees, (_random_query(rng, n, hints) for n in sizes)))
+    table = Table.of(Schema.of(("zip", TEXT)), [("981",)])
+    args = [
+        built[name] if name in built else table if hint is Table else _FIELD_SAMPLES[hint][1]
+        for name, hint in hints[kind].items()
+    ]
+    return QUERY_NODES[kind](*args)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_each_node_records_how_deeply_private_joins_nest_below_it(seed):
+    hints = {
+        kind: {name: typing.get_type_hints(node)[name] for name in record_fields(node)}
+        for kind, node in QUERY_NODES.items()
+    }
+    rng = random.Random(seed)
+    depths = set()
+    for _ in range(200):
+        expr = _random_query(rng, rng.randrange(1, 40), hints)
+        assert expr._join_depth == join_nesting_reference(expr), expr
+        depths.add(expr._join_depth)
+    assert {0, 1, 2, 3} <= depths
+    # The count is no field: equality, hash and repr do not see it.
+    assert all("_join_depth" not in record_fields(node) for node in QUERY_NODES.values())
+
+
+def _nested_joins(joins):
+    """A count over `joins` private joins nested down their left sides,
+    each joining a map of people that keeps only zip: from Python and as
+    a script decodes it."""
+    zips = query("people").map({"zip": "zip"}, Schema.of(("zip", TEXT)))
+    zips_doc = {
+        "kind": "Map",
+        "child": {"kind": "Source", "table": "people"},
+        "columns": {"zip": "zip"},
+        "schema": {"columns": [{"name": "zip", "type": "text"}]},
+    }
+    expr, doc = query("people"), {"kind": "Source", "table": "people"}
+    for _ in range(joins):
+        expr = expr.join_private(zips, ["zip"], 1, 1)
+        doc = {"kind": "JoinPrivate", "child": doc, "other": zips_doc, "on": ["zip"],
+               "left_bound": 1, "right_bound": 1}
+    script = {"queries": [{"name": "q", "spend": "1", "expr": {"kind": "Count", "child": doc}}]}
+    return expr.count(), parse_script(script)[0].expr
+
+
+@pytest.mark.parametrize("joins", [_MAX_JOIN_NESTING, _MAX_JOIN_NESTING + 1])
+def test_private_joins_nest_to_the_cap_whether_built_or_decoded(joins):
+    built, decoded = _nested_joins(joins)
+    assert built == decoded
+    for expr in (built, decoded):
+        assert expr._join_depth == joins
+        s = fresh_session()
+        if joins <= _MAX_JOIN_NESTING:
+            assert len(s.evaluate(expr, PrivacyBudget.pure(1)).rows) == 1
+            assert s.remaining_budget().amount == 9
+        else:
+            with pytest.raises(TypeCheckError, match="private joins nest too deeply"):
+                s.evaluate(expr, PrivacyBudget.pure(1))
+            assert s.remaining_budget().amount == 10
+
+
+def test_a_shallow_fault_beside_a_predicate_past_the_cap_is_the_one_refused():
+    # Compiling meets the unknown column, on the left, before the 64-term
+    # sum that puts the predicate past the expression cap; with the sides
+    # swapped it meets the depth first.  Both refusals charge nothing.
+    deep = " + ".join(["income"] * 64)
+    for predicate, message in [
+        (f"zz + ({deep}) > 0", "no column named 'zz'"),
+        (f"({deep}) + zz > 0", "nests too deeply"),
+    ]:
+        s = fresh_session()
+        with pytest.raises(TypeCheckError, match=message):
+            s.evaluate(query("people").filter(predicate).count(), PrivacyBudget.pure(1))
+        assert s.remaining_budget().amount == 10
 
 
 @pytest.mark.parametrize("filters", [600, 1500])
