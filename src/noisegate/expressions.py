@@ -13,13 +13,13 @@ carry their guarantees without inspecting data.
 Each checked expression compiles to a column program: one step per node
 of its syntax tree, children first, which CompiledExpression.evaluate
 runs over a whole table in one flat loop.  A step takes its children's
-columns and returns a column of the table's length, read once, plus a
-mask of the same length: one byte per row, 1 where the row has a value
-and 0 where it failed, or None where no step below can fail.  A failure
-has no class and no per-row bookkeeping: masks combine with `passing`,
-an AND of big ints.  A column reference reads the column its table
-remembers under ("column", i), so a source table or a remembered cut
-extracts each column once; a literal is itertools.repeat; arithmetic and
+columns and returns a column with a value for each row the table stores,
+held or not, read once, plus a mask of the same length: one byte per
+row, 1 where the row has a value and 0 where it failed, or None where no
+step below can fail.  A failure has no class and no per-row bookkeeping:
+masks combine with `passing`, an AND of big ints, which is also how a
+filter marks the rows it drops.  A column reference is the table's
+stored column itself; a literal is itertools.repeat; arithmetic and
 comparisons map an `operator` function over whole columns, so the loop
 over rows runs in C.  `and` and `or` evaluate every operand on every row
 and combine the operands' values and masks so that each row gets
@@ -48,9 +48,10 @@ from __future__ import annotations
 
 import ast
 import enum
+import sys
 from itertools import repeat
 from math import isfinite
-from operator import add, and_, eq, ge, gt, itemgetter, le, lt, mul, ne, neg, not_, or_, sub, truediv
+from operator import add, and_, eq, ge, gt, le, lt, mul, ne, neg, not_, or_, sub, truediv
 from typing import Callable, Iterable, Sequence
 
 from .errors import ExpressionSyntaxError, ExpressionTypeError, SchemaMismatch, UnknownColumn
@@ -98,10 +99,10 @@ class CompiledExpression(Record):
     column: int | None = None
 
     def evaluate(self, table: Table) -> Evaluated:
-        """The expression's value on each row of table, in row order, read
-        once, and its mask of the rows that hold a value (None when no row
-        can fail).  For a bare column the values are the table's own
-        remembered column."""
+        """The expression's value on each row table stores, held or not,
+        in row order, read once, and its mask of the rows that hold a value
+        (None when no row can fail).  For a bare column the values are the
+        table's own stored column."""
         results: list = []
         for step in self.program:
             results.append(step(table, results))
@@ -119,9 +120,29 @@ def _parse(text: str) -> ast.expr:
 
 # How many levels an expression may nest: _build counts them as it
 # recurses, so the rule lives where the tree is built.  Compiling takes
-# about two Python frames per level and evaluating a constant few, so this
-# cap, and not the rows, bounds the stack an expression needs.
+# one Python frame per level and evaluating a constant few, so this cap,
+# and not the rows, bounds the stack an expression needs.  One of 64
+# levels compiles with 67 or 68 frames below compile_expression's caller
+# on CPython 3.10 to 3.13, so one that runs out with _COMPILE_FRAMES left
+# is past the cap, and one that runs out with fewer met a short stack.
 _MAX_LEVELS = 64
+_COMPILE_FRAMES = 100
+
+
+def stack_headroom() -> int:
+    """How many frames the caller's callees may take below the recursion
+    limit."""
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return sys.getrecursionlimit() - depth
+
+
+def _too_deep(text: str) -> ExpressionSyntaxError:
+    return ExpressionSyntaxError(
+        f"an expression of {len(text)} characters nests too deeply to "
+        f"compile; the limit is {_MAX_LEVELS} levels"
+    )
 
 
 def _fail(text: str, message: str) -> ExpressionTypeError:
@@ -175,26 +196,20 @@ def _literal(value) -> Step:
     """A literal, the same on every row."""
 
     def step(table: Table, results: list) -> Evaluated:
-        return repeat(value, len(table.rows)), None
+        return repeat(value, len(table.columns[0])), None
 
     return step
 
 
 def _nowhere(table: Table, results: list) -> Evaluated:
     """A literal cell that is no legal cell: every row fails."""
-    n = len(table.rows)
+    n = len(table.columns[0])
     return repeat(None, n), bytes(n)
 
 
 def _read(index: int) -> Step:
-    """A column, in row order, which its table extracts once and remembers
-    under ("column", index)."""
-
-    def step(table: Table, results: list) -> Evaluated:
-        extract = lambda: tuple(map(itemgetter(index), table.rows))
-        return table.derive(("column", index), extract), None
-
-    return step
+    """A stored column, in row order."""
+    return lambda table, results: (table.columns[index], None)
 
 
 def _mapped(op, *slots: int) -> Step:
@@ -314,9 +329,10 @@ def _build(node: ast.expr, schema: Schema, text: str, program: _Program, level: 
     type), rejecting anything off-menu.  The node sits `level` levels deep
     and its children one deeper, but the operands of an and/or of n sit
     ceil(log2 n) deeper, the depth of a balanced tree of them; past
-    _MAX_LEVELS it raises RecursionError."""
+    _MAX_LEVELS it raises _too_deep.  Children are built in plain loops,
+    since a comprehension is a frame of its own before CPython 3.12."""
     if level > _MAX_LEVELS:
-        raise RecursionError
+        raise _too_deep(text)
     emit = program.emit
     below = level + 1
 
@@ -358,7 +374,9 @@ def _build(node: ast.expr, schema: Schema, text: str, program: _Program, level: 
 
     if isinstance(node, ast.BoolOp):
         below = level + (len(node.values) - 1).bit_length()
-        parts = [_build(v, schema, text, program, below) for v in node.values]
+        parts = []
+        for value in node.values:
+            parts.append(_build(value, schema, text, program, below))
         if any(t is not ExprType.BOOL for _, t in parts):
             raise _fail(text, "'and'/'or' need boolean operands")
         slots = [slot for slot, _ in parts]
@@ -393,8 +411,9 @@ def _build(node: ast.expr, schema: Schema, text: str, program: _Program, level: 
         return emit(_checked(slot, _finite)), ExprType.FLOAT
 
     if isinstance(node, ast.Compare):
-        operands = [_build(node.left, schema, text, program, below)]
-        operands += [_build(c, schema, text, program, below) for c in node.comparators]
+        operands = []
+        for operand in [node.left, *node.comparators]:
+            operands.append(_build(operand, schema, text, program, below))
         types = [t for _, t in operands]
         for a, b in zip(types, types[1:]):
             if a in _NUMERIC and b in _NUMERIC:
@@ -429,11 +448,15 @@ def _compile(text: str, schema: Schema):
         node = _parse(text)
         _, result_type = _build(node, schema, text, program, 1)
     except (RecursionError, MemoryError):
-        # Refused here, at compile time, before any spend is charged.
-        raise ExpressionSyntaxError(
-            f"an expression of {len(text)} characters nests too deeply to "
-            f"compile; the limit is {_MAX_LEVELS} levels"
-        ) from None
+        # Refused here, at compile time, before any spend is charged: the
+        # caller's stack is short, or the parser met a nesting past the cap.
+        headroom = stack_headroom()
+        if headroom < _COMPILE_FRAMES:
+            raise ExpressionSyntaxError(
+                f"compiling needs {_COMPILE_FRAMES} frames of stack below the "
+                f"recursion limit and has {headroom}"
+            ) from None
+        raise _too_deep(text) from None
     return node, program, result_type
 
 

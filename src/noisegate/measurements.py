@@ -26,7 +26,6 @@ import random
 import sys
 import threading
 from bisect import bisect_left
-from operator import itemgetter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Sequence, Union
@@ -70,13 +69,14 @@ from .rng import RngStream
 from .tabledata import (
     ColumnType,
     KeySet,
-    Row,
     Schema,
     Table,
     TableDomain,
     TableListDomain,
     check_key_columns,
+    columns_of,
     expect,
+    gather,
     is_int,
     key_reader,
     result_cell,
@@ -220,7 +220,7 @@ def _noisy(noise: NoiseSpec, sensitivity: int) -> tuple[DistanceMap, Callable, A
     built inside Session.evaluate, so a caller that swaps a sampler here
     before evaluating sees every draw.
 
-    Each aggregation's evaluation is one closure over table.rows that adds
+    Each aggregation's evaluation is one closure over a table that adds
     sample(parameter, rng), one draw, to its statistic and finishes its
     own value.  So a key of a grouped release costs that closure, the
     statistic (len, or one total_of for a sum), one sampler call per draw
@@ -255,7 +255,7 @@ def make_count(domain: TableDomain, noise: NoiseSpec) -> Measurement:
     privacy_function, sample, parameter = _noisy(noise, 1)
 
     def evaluate(table: Table, rng: random.Random) -> int:
-        return len(table.rows) + sample(parameter, rng)
+        return len(table) + sample(parameter, rng)
 
     return _aggregation(domain, noise, privacy_function, evaluate)
 
@@ -316,15 +316,15 @@ _MARGIN_REL = 2.0**-50
 _MARGIN_SUBNORMAL = 2.0**-1074
 
 
-def _grain_total(index: int, low: float, high: float, g_num: int, g_den: int):
-    """The function from rows to the sum over them of round(clamped
-    row[index] / gamma), half to even, for gamma = g_num / g_den.
+def _grain_total(low: float, high: float, g_num: int, g_den: int):
+    """The function from a column's values to the sum over them of
+    round(clamped value / gamma), half to even, for gamma = g_num / g_den.
 
     Exact, assuming binary64 floats with round-half-even arithmetic: each
     row's count is first tried in floats, p = v * (g_den / g_num), rounded
     with the constant 1.5 * 2^52, and kept only when |p - r| is under the
     bound solved once for the clamp range; those counts add up in a float,
-    which is exact while len(rows) * (top + 1) < 2^53 for the range's top
+    which is exact while len(values) * (top + 1) < 2^53 for the range's top
     p, so a longer call gets a bound of 0.  Any other row takes r =
     round(p) when |p - r| is under its own 1/2 - margin(p) (see above), so
     no rounding error can have moved p across a half integer.  The rest,
@@ -343,13 +343,12 @@ def _grain_total(index: int, low: float, high: float, g_num: int, g_den: int):
             bound = 0.5 - (top * _MARGIN_REL + _MARGIN_SUBNORMAL)
             most_rows = math.ceil(2**53 / (Fraction(top) + 1)) - 1
 
-    def total_of(rows: Sequence[Row]) -> int:
-        above = bound if len(rows) <= most_rows else 0.0
+    def total_of(values: Sequence) -> int:
+        above = bound if len(values) <= most_rows else 0.0
         below = -above
         floats = 0.0
         total = 0
-        for row in rows:
-            value = row[index]
+        for value in values:
             if value < low:
                 value = low
             elif value > high:
@@ -377,7 +376,8 @@ def _grain_total(index: int, low: float, high: float, g_num: int, g_den: int):
 
 def _grains(domain: TableDomain, column: str, low, high, granularity):
     """A clamped column's grain total, counted in grains of the given
-    granularity: (total_of, its sensitivity in grains, g_num, g_den).
+    granularity: (total_of, which takes the column's held values, its
+    sensitivity in grains, g_num, g_den).
 
     The per-row sensitivity is ceil(max(|low|, |high|) / granularity)."""
     _check_numeric_column(domain, column)
@@ -387,8 +387,7 @@ def _grains(domain: TableDomain, column: str, low, high, granularity):
         raise NonPositiveGranularity(f"granularity must be positive, got {granularity}")
     sensitivity = math.ceil(max(abs(Fraction(low)), abs(Fraction(high))) / gamma)
     g_num, g_den = gamma.numerator, gamma.denominator
-    total_of = _grain_total(domain.schema.index_of(column), low, high, g_num, g_den)
-    return total_of, sensitivity, g_num, g_den
+    return _grain_total(low, high, g_num, g_den), sensitivity, g_num, g_den
 
 
 def make_sum(
@@ -407,10 +406,11 @@ def make_sum(
     """
     total_of, sensitivity, g_num, g_den = _grains(domain, column, low, high, granularity)
     privacy_function, sample, parameter = _noisy(noise, sensitivity)
+    index = domain.schema.index_of(column)
     float64 = ColumnType.FLOAT64
 
     def evaluate(table: Table, rng: random.Random) -> float:
-        total = total_of(table.rows) + sample(parameter, rng)
+        total = total_of(table.column(index)) + sample(parameter, rng)
         return result_cell(total * g_num, float64, g_den)
 
     return _aggregation(domain, noise, privacy_function, evaluate)
@@ -435,12 +435,13 @@ def make_average(
     total_of, sensitivity, g_num, g_den = _grains(domain, column, low, high, granularity)
     sum_function, sample_sum, sum_parameter = _noisy(half, sensitivity)
     count_function, sample_count, count_parameter = _noisy(half, 1)
+    index = domain.schema.index_of(column)
     float64 = ColumnType.FLOAT64
 
     def evaluate(table: Table, rng: random.Random) -> float:
-        rows = table.rows
-        total = total_of(rows) + sample_sum(sum_parameter, rng)
-        count = len(rows) + sample_count(count_parameter, rng)
+        values = table.column(index)
+        total = total_of(values) + sample_sum(sum_parameter, rng)
+        count = len(values) + sample_count(count_parameter, rng)
         return result_cell(total * g_num, float64, g_den * max(1, count))
 
     return _aggregation(domain, noise, sum_maps([sum_function, count_function]), evaluate)
@@ -497,11 +498,10 @@ def make_quantile(
         raise BadBounds(f"the bin width over [{low!r}, {high!r}] overflows float64")
     midpoints = [low + (i + 0.5) * width for i in range(bins)]
     index = domain.schema.index_of(column)
-    cell = itemgetter(index)
     half_epsilon = float(epsilon_unit) / 2
 
     def evaluate(table: Table, rng: random.Random) -> float:
-        values = table.derive(("sorted", index), lambda: sorted(map(cell, table.rows)))
+        values = table.derive(("sorted", index), lambda: sorted(table.column(index)))
         scores = _quantile_scores(values, midpoints, q)
         top = max(scores)
         weights = [math.exp(half_epsilon * (s - top)) for s in scores]
@@ -575,11 +575,14 @@ def compose_per_group(
     The measurement's output is the result table: exactly one row per
     key, in keyset order, whatever keys the data contains, each with its
     group's value as result_cell gives it.  The table derives its groups
-    under ("groups", key names): one keyed pass splits its rows into a
-    dict from each key to a tuple of its rows, in input order, so a table
+    under ("groups", key names): one keyed pass splits its rows, in input
+    order, into a dict from each key to a Table of its rows, so a table
     already grouped by the same key names, a source or a remembered cut,
-    is not split again.  Each evaluate wraps a keyset key's tuple in a
-    Table of its own, and absent keys share one empty Table.
+    is not split again, and a warm release builds no Table but its
+    result.  A filter's output is new in every query: each key's Table is
+    built for its release and dropped after it, as Tables built at once
+    would live through every release and be carried by the garbage
+    collector into older generations.  Absent keys share one empty Table.
     Each key then costs one call of the per-group measurement on its
     Table, which draws and finishes its own value (see _noisy), and
     nothing is summed across keys: the per-group part is any Measurement
@@ -599,24 +602,27 @@ def compose_per_group(
         raise SchemaMismatch(f"the value column {value_name!r} must be numeric, not text")
     output_schema = Schema(tuple(keys.schema.columns) + ((value_name, value_type),))
     key_columns = keys.schema.names
-    key_rows = keys.rows
-    group_keys = list(map(key_reader(keys.schema, key_columns), key_rows))
+    key_cells = columns_of(keys.rows, len(key_columns))
+    group_keys = list(map(key_reader(keys.schema, key_columns), keys.rows))
+    empty = Table._of_rows(domain.schema, ())
     release = per_group._eval
 
     def evaluate(table: Table, rng: random.Random) -> Table:
-        find = table.derive(("groups", key_columns), lambda: {
-            key: tuple(rows) for key, rows in split_by_key(table, key_columns).items()
-        }).get
-        trusted = Table._trusted
-        schema = table.schema
-        empty = trusted(schema, ())
-        rows = []
-        append = rows.append
-        for key_row, key in zip(key_rows, group_keys):
-            part = find(key)
-            value = release(empty if part is None else trusted(schema, part), rng)
-            append(key_row + (result_cell(value, value_type),))
-        return trusted(output_schema, tuple(rows))
+        schema, columns = table.schema, table.columns
+        if table.held is None:
+            find = table.derive(("groups", key_columns), lambda: {
+                key: Table._trusted(schema, gather(columns, positions))
+                for key, positions in split_by_key(table, key_columns).items()
+            }).get
+        else:
+            parts = split_by_key(table, key_columns)
+
+            def find(key, empty):
+                at = parts.get(key)
+                return empty if at is None else Table._trusted(schema, gather(columns, at))
+
+        values = [result_cell(release(find(key, empty), rng), value_type) for key in group_keys]
+        return Table._trusted(output_schema, (*key_cells, tuple(values)))
 
     return Measurement(
         input_domain=domain,

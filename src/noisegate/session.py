@@ -16,7 +16,6 @@ requested spend in rational arithmetic.
 from __future__ import annotations
 
 import random
-import sys
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence, Union
 
@@ -38,6 +37,7 @@ from .errors import (
     UnboundedSensitivity,
     UnknownColumn,
 )
+from .expressions import stack_headroom
 from .measurements import (
     Measurement,
     PureDpNoise,
@@ -514,11 +514,11 @@ def _root_parts(tables: Mapping[str, Any], unit: PrivacyUnit):
 _MAX_JOIN_NESTING = 8
 
 # The frames evaluate needs below its own: the deepest query that the caps
-# allow (a 64-level predicate under private joins nested 8 deep, grouped)
-# evaluates with 91 frames of headroom on CPython 3.10.13 and 3.11.7 and 89
-# on 3.12.1 and 3.13.0, and not with one fewer; compiling the predicate
-# takes most of them, since its column program runs in a flat loop.  The
-# rest is a margin.
+# allow (a 64-level predicate, a sum or nested `and`s, under private joins
+# nested 8 deep, grouped) evaluates with 90 frames of headroom on CPython
+# 3.10.13 and 3.11.7 and 89 on 3.12.1 and 3.13.0, and not with one fewer;
+# compiling the predicate takes most of them, since its column program
+# runs in a flat loop.  The rest is a margin.
 _FRAME_BUDGET = 120
 
 
@@ -695,13 +695,11 @@ class Session:
                 f"the session accounts in {self._measure!r}, "
                 f"the spend is in {spend.measure!r}"
             )
-        depth, frame = 0, sys._getframe()
-        while frame is not None:
-            depth, frame = depth + 1, frame.f_back
-        if sys.getrecursionlimit() - depth < _FRAME_BUDGET:
+        headroom = stack_headroom()
+        if headroom < _FRAME_BUDGET:
             raise TypeCheckError(
                 f"evaluate needs {_FRAME_BUDGET} frames of stack below the "
-                f"recursion limit and has {sys.getrecursionlimit() - depth}"
+                f"recursion limit and has {headroom}"
             )
         compiled = compile_query(
             expr, self._table_domains, self._unit, self._measure, spend.amount

@@ -1,15 +1,16 @@
 """Typed in-memory tables with multiset semantics.
 
-A Table is a schema plus a multiset of rows.  Row order is an artifact of
+A Table is a schema plus a multiset of rows, stored as columns and a
+mask of the rows it holds (see Table).  Row order is an artifact of
 construction and is never observable through the public operations here:
 equality is multiset equality, and canonicalize produces the one fixed
 ordering used wherever determinism matters.  A table remembers values
-derived from it, by key (Table.derive): its groups, columns, sorted
-columns, join indexes, and its canonical order and cuts of it, each a
-Table of its own that remembers itself as its own canonical order and
-cut.  key_reader is the
-one rule for how rows are keyed by named columns, and split_by_key hands
-out plain row lists by it, so grouping and joins take one keyed pass.
+derived from it, by key (Table.derive): its groups, sorted columns, join
+indexes, and its canonical order and cuts of it, each a Table of its own
+that remembers itself as its own canonical order and cut.  key_reader is the
+one rule for how rows are keyed by named columns (Table.key_column reads
+the same keys from the columns), and split_by_key hands out each key's
+row positions by it, so grouping and joins take one keyed pass.
 
 Values are plain Python ints, floats, and strings.  Floats must be finite,
 no cell may be empty, and no Table holds -0.0: it equals 0.0, so rows
@@ -19,14 +20,15 @@ column at a time, by one rule per column type for text cells
 (_parse_column) and one for Python values (_check_column): by load_csv
 for each column of a block of records; by Table(...) / Table.of for user
 and inline public tables and by KeySet(...) for group-by keys, for each
-column of the rows.  Where a column fails, or the rows are not all plain
-tuples or lists of the schema's width, the block or the rows are checked
-again one cell at a time, by the same rule, to name the first bad record,
-row or cell.  The map and flat-map column programs check the
+column of the rows.  Where a block's column fails, the block is checked
+again one cell at a time, by the same rule, to name the first bad record
+or cell; where a table's column fails, its cells are, to name the first
+bad cell in row order.  The map and flat-map column programs check the
 cells they compute and drop a row whose cell fails, and result_cell
-makes released aggregates cells.  Everything else (rows of checked
-tables selected, regrouped, reordered or concatenated, and result tables
-of checked keys and result_cell values) is built with the private
+makes released aggregates cells.  So every stored cell, held or not, is
+a legal cell of its column.  Everything else (cells of checked tables
+selected, regrouped, reordered or concatenated, and result tables of
+checked keys and result_cell values) is built with the private
 Table._trusted, which skips the check.
 """
 
@@ -39,11 +41,12 @@ import json
 import math
 import sys
 from collections import Counter, defaultdict
+from collections.abc import Iterable
 from contextlib import contextmanager
-from itertools import islice
-from operator import is_not, itemgetter
+from itertools import compress, islice
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     DuplicateColumn,
@@ -115,6 +118,8 @@ class Schema(Record):
             raise SchemaMismatch("column names must be non-empty")
         if len(set(names)) != len(names):
             raise DuplicateColumn(f"duplicate column names in {names}")
+        # Not a field: read once for each Table(...) built under the schema.
+        object.__setattr__(self, "types", tuple(ctype for _, ctype in columns))
 
     @classmethod
     def of(cls, *columns: tuple[str, ColumnType]) -> "Schema":
@@ -165,7 +170,7 @@ def _check_column(cells: Sequence, ctype: ColumnType) -> Sequence[Value] | str:
     if ctype is _INT64:
         if not set(map(type, cells)) <= {int} and not all(map(is_int, cells)):
             return "expected int64, got {!r}"
-        if min(cells) < _INT64_MIN or max(cells) > _INT64_MAX:
+        if cells and (min(cells) < _INT64_MIN or max(cells) > _INT64_MAX):
             return "{} is outside the int64 range"
         return cells
     if ctype is _FLOAT64:
@@ -174,17 +179,31 @@ def _check_column(cells: Sequence, ctype: ColumnType) -> Sequence[Value] | str:
             return "expected float64, got {!r}"
         if not all(map(math.isfinite, cells)):
             return "float values must be finite, got {!r}"
-        return cells if exact and 0.0 not in cells else [cell + 0.0 for cell in cells]
+        return cells if exact and 0.0 not in cells else tuple([cell + 0.0 for cell in cells])
     if not set(map(type, cells)) <= {str} and not all(isinstance(cell, str) for cell in cells):
         return "expected text, got {!r}"
     return "text values must be non-empty" if "" in cells else cells
 
 
-def columns_of(rows: Sequence[Sequence], width: int) -> list[list]:
-    """The columns of rows of width cells each, by one map per column: a
-    transpose by zip(*rows) makes an iterator per row, and each is one
-    more object for the garbage collector to count and traverse."""
-    return [list(map(itemgetter(i), rows)) for i in range(width)]
+# columns_of transposes up to this many rows by zip(*rows), quickest for a
+# few.  zip holds an iterator per row, each counted toward the garbage
+# collector's next collection, so more rows take one map per column.
+_ZIP_ROWS = 32
+
+
+def columns_of(rows: Sequence[Sequence], width: int) -> tuple[tuple, ...]:
+    """The columns of rows of width cells each, as tuples."""
+    if 0 < len(rows) <= _ZIP_ROWS:
+        return tuple(zip(*rows))
+    return tuple(tuple(map(itemgetter(i), rows)) for i in range(width))
+
+
+def gather(columns: Sequence[tuple], positions: Sequence[int]) -> tuple[tuple, ...]:
+    """Each column's cells at positions, in that order, each column by one
+    itemgetter (which gives a bare cell for one position and needs one)."""
+    if len(positions) > 1:
+        return tuple(map(itemgetter(*positions), columns))
+    return tuple(zip(map(itemgetter(*positions), columns))) if positions else ((),) * len(columns)
 
 
 def check_value(value: Value, ctype: ColumnType) -> Value:
@@ -194,6 +213,14 @@ def check_value(value: Value, ctype: ColumnType) -> Value:
     if isinstance(cells, str):
         raise SchemaMismatch(cells.format(value))
     return cells[0]
+
+
+def _first_refused(cells: Sequence, ctype: ColumnType) -> int:
+    """Where the first cell that _check_column refuses on its own is, in a
+    column it refuses, which always holds one."""
+    for index, cell in enumerate(cells):
+        if isinstance(_check_column((cell,), ctype), str):
+            return index
 
 
 def result_cell(value, ctype: ColumnType, denominator: int = 1) -> Value:
@@ -234,18 +261,29 @@ CANONICAL = "canonical"
 
 
 class Table(Record):
-    """A schema and a multiset of rows.
+    """A schema and a multiset of rows, stored as columns.
+
+    `columns` holds one tuple of cells per schema column, all of one
+    length, and `held` marks the stored rows that are the table's: None
+    for all, else one byte per stored row, 1 where it is held.  Only a
+    filter leaves a row unheld: it shares its input's columns and ANDs its
+    predicate into the mask.  Every other step stores held rows only, and
+    every stored cell, held or not, is a legal cell of its column, so
+    expressions run on the columns whole.  len, rows (a tuple built on
+    each read), column and multiset see the held rows, through _held.
 
     Tables compare by identity; use table_equal for multiset equality so
     that incidental row order never leaks into program behavior.
-    Constructing one checks every column against the schema and stores
-    the rows as _check_column returns their cells; see _trusted for the internal
-    constructor that does neither.  A table remembers what derive builds
-    from it, by key, its canonical order and cuts as Tables; a filtered
-    or rebuilt table remembers nothing.
+    Table(schema, rows) checks every column against the schema; see
+    _trusted for the internal constructor that does not.  A table
+    remembers what derive builds from it, by key, its canonical order and
+    cuts as Tables; a filtered or rebuilt table remembers nothing, even
+    where it shares its input's columns.
     """
 
     schema: Schema
+    # The rows Table(...) is given, which __post_init__ stores as columns;
+    # from then on table.rows is a view of them (see __getattr__).
     rows: tuple[Row, ...]
 
     __eq__ = object.__eq__
@@ -253,58 +291,70 @@ class Table(Record):
 
     def __post_init__(self) -> None:
         expect(self.schema, Schema, TypeMismatch, "a table's schema", "a Schema")
-        types = [ctype for _, ctype in self.schema.columns]
+        rows = tuple(expect(
+            self.__dict__.pop("rows"), Iterable, TypeMismatch, "a table's rows", "an iterable"
+        ))
+        types = self.schema.types
         width = len(types)
-        rows = tuple(expect(self.rows, Iterable, TypeMismatch, "a table's rows", "an iterable"))
-        shapes = set(map(type, rows))
-        if shapes <= {tuple, list} and set(map(len, rows)) == {width}:
-            columns = columns_of(rows, width)
-            checked = list(map(_check_column, columns, types))
-            if not any(isinstance(cells, str) for cells in checked):
-                if list in shapes or any(map(is_not, checked, columns)):
-                    rows = tuple(zip(*checked))
-                object.__setattr__(self, "rows", rows)
-                return
-        # Row by row, to raise at the first bad row or cell.
-        checked_rows = []
-        for row in rows:
+        # The rows before the first that is no tuple or list of width cells
+        # are checked a column at a time, so a bad cell among them is named
+        # before that row.
+        good = len(rows)
+        if not (set(map(type, rows)) <= {tuple, list} and set(map(len, rows)) <= {width}):
+            good = next((
+                i for i, row in enumerate(rows)
+                if not (isinstance(row, (tuple, list)) and len(row) == width)
+            ), good)
+        columns = columns_of(rows[:good], width)
+        checked = tuple(map(_check_column, columns, types))
+        if str in map(type, checked):
+            first = min(
+                _first_refused(cells, ctype)
+                for cells, ctype, out in zip(columns, types, checked) if isinstance(out, str)
+            )
+            list(map(check_value, rows[first], types))  # raises at its first bad cell
+        if good < len(rows):
+            row = rows[good]
             if not isinstance(row, (tuple, list)):  # text is no row of cells either
                 raise TypeMismatch(f"row {row!r}: expected a tuple or list of cells")
-            if len(row) != width:
-                raise SchemaMismatch(
-                    f"row {row!r} has {len(row)} values, schema has {width} columns"
-                )
-            checked_rows.append(tuple(map(check_value, row, types)))
-        object.__setattr__(self, "rows", tuple(checked_rows))
+            raise SchemaMismatch(f"row {row!r} has {len(row)} values, schema has {width} columns")
+        fields = self.__dict__
+        fields["columns"] = checked
+        fields["held"] = None
 
     @classmethod
-    def _trusted(cls, schema: Schema, rows: tuple[Row, ...]) -> "Table":
+    def _trusted(cls, schema: Schema, columns: tuple, held: bytes | None = None) -> "Table":
         """A table whose cells are not checked again.
 
-        Only for rows that are legal under schema already: rows of checked
-        tables with the same schema, concatenations of such rows under the
-        joined schema, cells parsed by load_csv or checked as a map
-        computed them, or checked keys followed by a result_cell.  Anything
+        Only for columns that are legal under schema already: columns of
+        checked tables with the same schema, in any selection, order or
+        concatenation, cells parsed by load_csv or checked as a map
+        computed them, or checked keys and result_cell values.  Anything
         else supplied from outside goes through Table(...).
         """
         table = object.__new__(cls)
         fields = table.__dict__
         fields["schema"] = schema
-        fields["rows"] = rows
+        fields["columns"] = columns
+        fields["held"] = held
         return table
+
+    @classmethod
+    def _of_rows(cls, schema: Schema, rows: Sequence[Row]) -> "Table":
+        """A trusted table of rows of checked cells, stored as columns."""
+        return cls._trusted(schema, columns_of(rows, len(schema.columns)))
 
     def derive(self, key, build: Callable[[], object]):
         """The value this table remembers under key, built by build() the
         first time.  The key names a derivation and its parameters: the
         canonical order (CANONICAL), a cut ("cut", key names, bound), a
-        column's values in row order ("column", column index), which
-        expressions read, a sorted column ("sorted", column index), a join
-        index ("join", key names) or the groups ("groups", key names), a
-        dict from each key to a tuple of its rows.  The canonical order and
-        a cut are Tables, and a cut is never the canonical Table, even when
-        it keeps every row, so no key's entry is another key's unless the
-        two name the same rows on every table.  Every caller gets the same
-        value, so none may change it."""
+        sorted column ("sorted", column index), a join index ("join", key
+        names) or the groups ("groups", key names), a dict from each key to
+        a Table of its rows.  The canonical order and a cut are Tables, and
+        a cut is never the canonical Table, even when it keeps every row,
+        so no key's entry is another key's unless the two name the same
+        rows on every table.  Every caller gets the same value, so none may
+        change it."""
         derived = self.__dict__.setdefault("_derived", {})
         if key not in derived:
             derived[key] = build()
@@ -325,21 +375,41 @@ class Table(Record):
 
     @classmethod
     def of(cls, schema: Schema, rows: Iterable[Sequence[Value]]) -> "Table":
-        expect(rows, Iterable, TypeMismatch, "a table's rows", "an iterable")
-        return cls(schema, tuple(rows))
+        return cls(schema, rows)
 
     @classmethod
     def empty(cls, schema: Schema) -> "Table":
         return cls(schema, ())
 
+    def _held(self, values: Iterable) -> Iterable:
+        """values, one per stored row, at the held rows only."""
+        return values if self.held is None else compress(values, self.held)
+
+    def key_column(self, key_columns: Sequence[str]) -> Iterable:
+        """key_reader's key of each stored row, held or not, read from the
+        key columns: the one column itself, or tuples zipped from more."""
+        columns = [self.columns[self.schema.index_of(name)] for name in key_columns]
+        return columns[0] if len(columns) == 1 else zip(*columns)
+
+    def __getattr__(self, name: str):
+        """table.rows, once __post_init__ has stored the given rows as
+        columns: the held rows, in row order, built on each read."""
+        if name != "rows":
+            raise AttributeError(f"'Table' object has no attribute {name!r}")
+        return tuple(self._held(zip(*self.columns)))
+
+    def column(self, index: int) -> tuple[Value, ...]:
+        """The held cells of the column at index, in row order."""
+        return tuple(self._held(self.columns[index]))
+
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.columns[0]) if self.held is None else self.held.count(1)
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self.rows)
 
     def multiset(self) -> Counter:
-        return Counter(self.rows)
+        return Counter(self._held(zip(*self.columns)))
 
 
 class KeySet(Record):
@@ -366,11 +436,11 @@ def canonicalize(table: Table) -> Table:
     order is the order of the UTF-8 encodings, so it is the same on every
     platform, and unlike encoding it is defined for every str, including
     lone surrogates.  A table derives the order under CANONICAL, so it
-    sorts its rows once and returns one Table however often it is
+    sorts its held rows once and returns one Table however often it is
     canonicalized; table.rows keeps its own order.
     """
     return table._derive_canonical(
-        CANONICAL, lambda: Table._trusted(table.schema, tuple(sorted(table.rows)))
+        CANONICAL, lambda: Table._of_rows(table.schema, sorted(table.rows))
     )
 
 
@@ -389,17 +459,18 @@ def key_reader(schema: Schema, key_columns: Sequence[str]) -> Callable[[Row], ob
 
 
 def split_by_key(table: Table, key_columns: Sequence[str]) -> dict:
-    """Partition rows by their key_reader keys in key_columns.
+    """Partition the held rows' stored positions by their keys in
+    key_columns (Table.key_column).
 
-    Every row lands in exactly one list, in input order.  No Table is
-    built per key: callers wrap only the groups they use.  The dict is a
-    defaultdict(list), so a row of a key already seen costs one lookup;
-    read it with .get or .items, since indexing a missing key adds it.
+    Every held row's position lands in exactly one list, in row order, and
+    callers gather the rows they keep.  The dict is a defaultdict(list), so
+    a row of a key already seen costs one lookup; read it with .get or
+    .items, since indexing a missing key adds it.
     """
-    key_of = key_reader(table.schema, key_columns)
-    groups: defaultdict[object, list[Row]] = defaultdict(list)
-    for row in table.rows:
-        groups[key_of(row)].append(row)
+    positions = table._held(range(len(table.columns[0])))
+    groups: defaultdict[object, list[int]] = defaultdict(list)
+    for position, key in zip(positions, table._held(table.key_column(key_columns))):
+        groups[key].append(position)
     return groups
 
 
@@ -486,11 +557,11 @@ def _parse_column(cells: Sequence[str], ctype: ColumnType) -> Sequence[Value] | 
     return values
 
 
-def _parse_block(block: list[list[str]], line: int, schema: Schema, path: Path) -> Iterable[Row]:
-    """The rows of a block whose first record is on the given line, parsed
-    one column at a time; if that fails, the block is checked again cell
-    by cell in row order, by the same rule, to raise TypeParseError at the
-    first bad record or cell."""
+def _parse_block(block: list[list[str]], line: int, schema: Schema, path: Path) -> list:
+    """The columns of a block whose first record is on the given line,
+    parsed one column at a time; if that fails, the block is checked again
+    cell by cell in row order, by the same rule, to raise TypeParseError at
+    the first bad record or cell."""
     width = len(schema.columns)
     if set(map(len, block)) == {width}:
         columns = []
@@ -500,7 +571,7 @@ def _parse_block(block: list[list[str]], line: int, schema: Schema, path: Path) 
                 break
             columns.append(values)
         else:
-            return zip(*columns)
+            return columns
     for line_number, record in enumerate(block, start=line):
         if len(record) != width:
             raise TypeParseError(
@@ -588,13 +659,14 @@ def load_csv(path: str | Path, schema: Schema) -> Table:
     fails is checked again one cell at a time with that same rule, so the
     error is the first bad record or cell in row order, with its line and
     column.  Each cell is checked as it is parsed, so the table is built
-    without a second check.
+    without a second check, and its columns are the parsed columns joined.
     """
-    rows: list[Row] = []
+    columns: list[list] = [[] for _ in schema.columns]
     with _csv_records(path, schema) as blocks:
         for line, block in blocks:
-            rows.extend(_parse_block(block, line, schema, path))
-    return Table._trusted(schema, tuple(rows))
+            for column, values in zip(columns, _parse_block(block, line, schema, path)):
+                column.extend(values)
+    return Table._trusted(schema, tuple(map(tuple, columns)))
 
 
 def _format_cell(value: Value) -> str:

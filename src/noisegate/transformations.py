@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import add, and_, itemgetter, lt
+from operator import add, and_, is_not, itemgetter, lt
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -55,6 +55,7 @@ from .tabledata import (
     TableTupleDomain,
     canonicalize,
     check_key_columns,
+    gather,
     expect,
     is_int,
     key_reader,
@@ -95,14 +96,6 @@ def _compile_branch(
             f"{sorted(new_schema.names)}"
         )
     return [compile_projection(columns[name], schema, ctype) for name, ctype in new_schema.columns]
-
-
-def _stored(rows: Iterable[Row]) -> tuple[Row, ...]:
-    """New rows as a Table holds them, through a list: a tuple grown from
-    an iterator is tracked anew by the garbage collector at each resize,
-    so every young collection that the new rows set off walks it again
-    (about 1.5 ms more for 17,000 two-cell rows)."""
-    return tuple(list(rows))
 
 
 # A dataclass, not a Record, like measurements.Measurement: the benchmark's
@@ -177,16 +170,16 @@ def make_filter(domain: TableDomain, predicate: str, metric: Metric | None = Non
     Dropping rows can only shrink a difference between inputs, so the
     stability is linear(1) under SymmetricDifference, and likewise under
     AddRemoveIds since rows are filtered within each identifier.  A row
-    whose predicate fails to evaluate counts as false.
+    whose predicate fails to evaluate counts as false.  The output shares
+    its input's columns and ANDs the predicate into its mask of held rows.
     """
     metric = _check_row_metric(domain, metric or SymmetricDifference())
     keep = compile_predicate(predicate, domain.schema)
 
     def apply(table: Table) -> Table:
         values, held = keep.evaluate(table)
-        if held is not None:
-            values = map(and_, values, held)
-        return Table._trusted(table.schema, tuple(compress(table.rows, values)))
+        held = passing(table.held, held, bytes(values))
+        return Table._trusted(table.schema, table.columns, held)
 
     return Transformation(
         input_domain=domain,
@@ -229,11 +222,10 @@ def make_map(
 
     def apply(table: Table) -> Table:
         columns = [cell.evaluate(table) for cell in cells]
-        rows = zip(*[values for values, _ in columns])
-        held = passing(*[mask for _, mask in columns])
+        held = passing(table.held, *[mask for _, mask in columns])
         if held is not None:
-            rows = compress(rows, held)
-        return Table._trusted(new_schema, _stored(rows))
+            columns = [(compress(values, held), None) for values, _ in columns]
+        return Table._trusted(new_schema, tuple(tuple(values) for values, _ in columns))
 
     return Transformation(
         input_domain=domain,
@@ -293,28 +285,28 @@ def make_flat_map(
     bound = min(max_rows, len(branches))
 
     def apply(table: Table) -> Table:
-        n = len(table.rows)
-        # Each branch's rows and whether each fires, evaluated as columns:
-        # a branch fires on a row where its guard holds, nothing fails and
-        # fewer than max_rows earlier branches fired on that row.
+        n = len(table.columns[0])
+        # Each branch's columns and whether it fires on each stored row: a
+        # branch fires on a held row where its guard holds, nothing fails
+        # and fewer than max_rows earlier branches fired on that row.
         produced = [0] * n
-        branch_rows, fired = [], []
+        branch_columns, fired = [], []
         for guard, cells in compiled:
             holds, held = guard.evaluate(table) if guard is not None else (repeat(True, n), None)
             columns = [cell.evaluate(table) for cell in cells]
-            held = passing(held, *[mask for _, mask in columns])
+            held = passing(table.held, held, *[mask for _, mask in columns])
             if held is not None:
                 holds = map(and_, holds, held)
             fires = list(map(and_, holds, map(lt, produced, repeat(max_rows))))
             produced = list(map(add, produced, fires))
-            branch_rows.append(zip(*[values for values, _ in columns]))
+            branch_columns.append([values for values, _ in columns])
             fired.append(fires)
-        # Row by row, each row's branches in order.
-        out = compress(
-            itertools.chain.from_iterable(zip(*branch_rows)),
-            itertools.chain.from_iterable(zip(*fired)),
-        )
-        return Table._trusted(new_schema, _stored(out))
+        # Row by row, each row's branches in order, a column at a time.
+        fires = bytes(itertools.chain.from_iterable(zip(*fired)))
+        return Table._trusted(new_schema, tuple(
+            tuple(compress(itertools.chain.from_iterable(zip(*branches)), fires))
+            for branches in zip(*branch_columns)
+        ))
 
     return Transformation(
         input_domain=domain,
@@ -328,8 +320,9 @@ def make_flat_map(
 
 def _check_join_columns(
     left: Schema, right: Schema, on: Sequence[str]
-) -> tuple[tuple[str, ...], Schema, Callable[[Row], tuple]]:
-    """Validate join keys; return them, the joined schema and the carried-cell reader."""
+) -> tuple[tuple[str, ...], Schema, list[int]]:
+    """Validate join keys; return them, the joined schema and the positions
+    of the right columns it carries."""
     keys = tuple(on)
     if not keys or len(set(keys)) != len(keys):
         raise KeyTypeMismatch(f"join keys must be distinct and non-empty, got {on!r}")
@@ -349,46 +342,39 @@ def _check_join_columns(
             raise DuplicateColumn(
                 f"column {name!r} appears on both sides; rename before joining"
             )
-    carry = _cells_of([right.index_of(name) for name, _ in carried])
+    carry = [right.index_of(name) for name, _ in carried]
     return keys, Schema(tuple(left.columns) + tuple(carried)), carry
 
 
-def _cells_of(indices: Sequence[int]) -> Callable[[Row], tuple]:
-    """A function from a row to the tuple of its cells at `indices`.
-
-    itemgetter gives a bare value for one index and needs at least one,
-    so those two cases are spelled out.
-    """
-    if not indices:
-        return lambda row: ()
-    if len(indices) == 1:
-        (index,) = indices
-        return lambda row: (row[index],)
-    return itemgetter(*indices)
-
-
-def _join_index(right_table: Table, keys: tuple[str, ...], carry: Callable[[Row], tuple]) -> dict:
-    """The carried cells of right_table's rows, in a list per join key.
+def _join_index(right_table: Table, keys: tuple[str, ...]) -> dict:
+    """right_table's row positions in a list per join key, as split_by_key
+    gives them.
 
     right_table derives them under ("join", keys), so a public table is
     indexed once however often a join on it compiles, and a private
     join's right cut, which every later cut of the same table at the same
     keys and bound returns again, once however often it is joined.
     """
-    return right_table.derive(("join", keys), lambda: {
-        key: list(map(carry, rows)) for key, rows in split_by_key(right_table, keys).items()
-    })
+    return right_table.derive(("join", keys), lambda: split_by_key(right_table, keys))
 
 
-def _join_rows(left_table: Table, index: dict, keys: Sequence[str], joined: Schema) -> Table:
-    key_of = key_reader(left_table.schema, keys)
-    out: list[Row] = []
-    for row in left_table.rows:
-        extras = index.get(key_of(row))
-        if extras is not None:
-            for extra in extras:
-                out.append(row + extra)
-    return Table._trusted(joined, tuple(out))
+def _join(left: Table, right: Table, keys, carry: list[int], joined: Schema, repeats: bool):
+    """Each held row of left whose key (Table.key_column) is one of
+    right's, once for each of right's rows with it, followed by that row's
+    cells at `carry`.  Left's columns are compressed, or gathered once per
+    match where `repeats` says a key may match more than once, a public
+    fact: the public table's fan-out or a truncation bound.
+    """
+    columns = left.columns
+    matches = list(map(_join_index(right, keys).get, left.key_column(keys)))
+    held = passing(left.held, bytes(map(is_not, matches, repeat(None))))
+    if repeats:
+        rows, counts = compress(range(len(matches)), held), map(len, compress(matches, held))
+        columns = gather(columns, list(itertools.chain.from_iterable(map(repeat, rows, counts))))
+    else:
+        columns = tuple(tuple(compress(column, held)) for column in columns)
+    matched = list(itertools.chain.from_iterable(compress(matches, held)))
+    return Table._trusted(joined, columns + gather([right.columns[i] for i in carry], matched))
 
 
 def make_public_join(domain: TableDomain, public: Table, on: Sequence[str]) -> Transformation:
@@ -400,11 +386,10 @@ def make_public_join(domain: TableDomain, public: Table, on: Sequence[str]) -> T
     could fan out without bound, so identifier pipelines truncate first.
     """
     keys, joined, carry = _check_join_columns(domain.schema, public.schema, on)
-    index = _join_index(public, keys, carry)
-    fan_out = max(map(len, index.values()), default=0)
+    fan_out = max(map(len, _join_index(public, keys).values()), default=0)
 
     def apply(table: Table) -> Table:
-        return _join_rows(table, index, keys, joined)
+        return _join(table, public, keys, carry, joined, fan_out > 1)
 
     return Transformation(
         input_domain=domain,
@@ -440,7 +425,7 @@ def _truncate_by_keys(table: Table, keys: tuple[str, ...], bound: int) -> Table:
             if count < bound:
                 kept_per_key[key] = count + 1
                 out.append(row)
-        return Table._trusted(table.schema, tuple(out))
+        return Table._of_rows(table.schema, out)
 
     return table._derive_canonical(("cut", keys, bound), count_pass)
 
@@ -484,7 +469,7 @@ def make_private_join(
         left_table, right_table = tables
         cut_left = _truncate_by_keys(left_table, keys, left_bound)
         cut_right = _truncate_by_keys(right_table, keys, right_bound)
-        return _join_rows(cut_left, _join_index(cut_right, keys, carry), keys, joined)
+        return _join(cut_left, cut_right, keys, carry, joined, right_bound > 1)
 
     return Transformation(
         input_domain=TableTupleDomain((left, right)),
@@ -557,7 +542,7 @@ def make_overlapping_subsets(
                     )
             for index in indices[:contribution_bound]:
                 buckets[index].append(row)
-        return tuple(Table._trusted(table.schema, tuple(bucket)) for bucket in buckets)
+        return tuple(Table._of_rows(table.schema, bucket) for bucket in buckets)
 
     return Transformation(
         input_domain=domain,

@@ -1,4 +1,5 @@
 import ast
+import sys
 
 import pytest
 
@@ -8,13 +9,15 @@ from noisegate.errors import (
     UnknownColumn,
 )
 from noisegate.expressions import (
+    _COMPILE_FRAMES,
     ExprType,
     compile_expression,
     compile_predicate,
     compile_projection,
     passing,
 )
-from noisegate.tabledata import ColumnType, Schema
+from noisegate.tabledata import ColumnType, Schema, TableDomain
+from noisegate.transformations import make_filter, make_map
 
 from helpers import evaluated_outcomes, levels_reference
 
@@ -266,6 +269,66 @@ def test_a_shallow_fault_beside_a_part_past_the_cap_is_refused_for_the_first_met
         compile_expression(unknown_first, SCHEMA)
     with pytest.raises(ExpressionSyntaxError, match="nests too deeply"):
         compile_expression(deep_first, SCHEMA)
+
+
+def _nested(wrap, inner, levels):
+    """inner wrapped until it nests `levels` levels deep."""
+    while levels_reference(ast.parse(inner, mode="eval").body) < levels:
+        inner = wrap(inner)
+    assert levels_reference(ast.parse(inner, mode="eval").body) == levels
+    return inner
+
+
+# Predicates nested through each node kind, and through each position
+# whose operands the compiler builds in a loop.
+_DEEP_PREDICATES = {
+    "sum": lambda n: _nested(lambda t: f"income + ({t})", "income", n - 1) + " > 0",
+    "minus": lambda n: _nested(lambda t: f"-({t})", "income", n - 1) + " > 0",
+    "not": lambda n: _nested(lambda t: f"not ({t})", "income > 0", n),
+    "and": lambda n: _nested(lambda t: f"income > 0 and ({t})", "income > 0", n),
+    "comparator": lambda n: _nested(lambda t: f"(income > 0) == ({t})", "income > 0", n),
+}
+
+
+def _with_headroom(headroom, compile_):
+    # compile_'s own frame is one below this one.
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + headroom)
+    try:
+        return compile_()
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("shape", list(_DEEP_PREDICATES))
+def test_a_short_stack_is_told_from_an_expression_past_the_cap(shape):
+    # Called directly, a 64-level predicate compiles with _COMPILE_FRAMES
+    # of headroom and is refused for the stack, not for its depth, with
+    # less; a 65-level one is refused for its depth when the stack is ample.
+    legal, past = _DEEP_PREDICATES[shape](64), _DEEP_PREDICATES[shape](65)
+    domain = TableDomain(SCHEMA)
+    assert _with_headroom(_COMPILE_FRAMES, lambda: compile_predicate(legal, SCHEMA))
+    assert _with_headroom(_COMPILE_FRAMES, lambda: make_filter(domain, legal))
+    for compile_ in (lambda text: compile_predicate(text, SCHEMA), lambda text: make_filter(domain, text)):
+        for text in (legal, past):
+            with pytest.raises(ExpressionSyntaxError, match="frames of stack"):
+                _with_headroom(40, lambda: compile_(text))
+        with pytest.raises(ExpressionSyntaxError, match="nests too deeply"):
+            compile_(past)
+
+
+def test_a_map_tells_a_short_stack_from_a_cell_past_the_cap():
+    floats = Schema.of(("x", ColumnType.FLOAT64))
+    legal, past = (_nested(lambda t: f"income + ({t})", "income", n) for n in (64, 65))
+    domain = TableDomain(SCHEMA)
+    assert _with_headroom(_COMPILE_FRAMES, lambda: make_map(domain, {"x": legal}, floats))
+    with pytest.raises(ExpressionSyntaxError, match="frames of stack"):
+        _with_headroom(40, lambda: make_map(domain, {"x": legal}, floats))
+    with pytest.raises(ExpressionSyntaxError, match="nests too deeply"):
+        make_map(domain, {"x": past}, floats)
 
 
 def test_predicate_requires_bool():

@@ -14,6 +14,8 @@ from helpers import (
     geometric_pmf,
     grain_total_reference,
     LoggingRandom,
+    oracle_expression,
+    oracle_filter,
     per_group_reference,
     product_pmf,
     pure_dp_divergence,
@@ -78,6 +80,7 @@ from noisegate.metrics import (
 from noisegate import measurements, session
 from noisegate.noise import sample_discrete_gaussian, sample_two_sided_geometric
 from noisegate.rng import RngStream
+from noisegate.transformations import make_filter
 from noisegate.tabledata import (
     ColumnType, KeySet, Schema, Table, TableDomain, key_reader, result_cell,
 )
@@ -270,7 +273,7 @@ def test_grain_total_matches_fraction_reference(gamma):
                 cases.append((float_schema, values, -edge, edge))
         for schema, values, lo, hi in cases:
             table = Table.of(schema, [(v,) for v in values])
-            total = _grain_total(0, lo, hi, gamma.numerator, gamma.denominator)(table.rows)
+            total = _grain_total(lo, hi, gamma.numerator, gamma.denominator)(table.column(0))
             assert total == grain_total_reference(values, lo, hi, gamma)
 
     # First-tier counts add up in a float, exact while len(rows) * (top +
@@ -285,12 +288,12 @@ def test_grain_total_matches_fraction_reference(gamma):
     # from k to k + 1 for k around 2^48, each row against round() alone,
     # and all of them in one table.
     edge = float(gamma * (2**48 + 2))
-    total_of = _grain_total(0, -edge, edge, gamma.numerator, gamma.denominator)
+    total_of = _grain_total(-edge, edge, gamma.numerator, gamma.denominator)
     ks = [2**48 + d for d in (-2, -1, 0, 1)]
     ties = [float(sign * gamma * (k + Fraction(j, 16))) for k in ks for j in range(16)
             for sign in (1, -1)]
     for v in ties:
-        assert total_of(Table.of(float_schema, [(v,)]).rows) == round(Fraction(v) / gamma)
+        assert total_of(Table.of(float_schema, [(v,)]).column(0)) == round(Fraction(v) / gamma)
     cases.append((ties, -edge, edge))
     if gamma.numerator < 2**53 and gamma.denominator < 2**53:
         # One table whose rows take every tier: counts near integers (the
@@ -322,7 +325,7 @@ def test_grain_total_matches_fraction_reference(gamma):
             cases.append((values, -edge, edge))
     for values, lo, hi in cases:
         table = Table.of(float_schema, [(v,) for v in values])
-        total = _grain_total(0, lo, hi, gamma.numerator, gamma.denominator)(table.rows)
+        total = _grain_total(lo, hi, gamma.numerator, gamma.denominator)(table.column(0))
         assert total == grain_total_reference(values, lo, hi, gamma)
 
 
@@ -686,6 +689,42 @@ def test_per_group_matches_the_per_key_reference(key_names):
             assert generator.getrandbits(64) == expected.getrandbits(64)
 
 
+def test_grouped_releases_after_filters_match_the_references():
+    # A table through 0 to 3 filters ("k > 100" holds no row, "k > -1"
+    # every row) releases, whole and per key, what the references release
+    # on a table of the rows the filters keep by the row-at-a-time oracle:
+    # the same values and draws for a count, a sum and an average, and for
+    # a quantile the same value as on that table built anew.
+    filters = ["k > 100", "k > -1", "v > 2.0", "g != 'b'", "v * 3.0 < k", "k == 1 or v < 0.0"]
+    parts = list(_per_group_parts())
+    quantile = make_quantile(GROUPED_DOMAIN, "v", 0.5, -5, 15, 16, 1)
+    rng = random.Random(363)
+    for seed in range(60):
+        rows = [
+            (rng.choice("abc"), rng.randrange(3), rng.choice(
+                [rng.uniform(-5, 15), rng.randint(-40, 120) / 8]))
+            for _ in range(rng.randrange(40))
+        ]
+        table, kept = Table.of(GROUPED, rows), tuple(rows)
+        for predicate in rng.sample(filters, rng.randrange(4)):
+            table = make_filter(GROUPED_DOMAIN, predicate).apply(table)
+            kept = oracle_filter(kept, oracle_expression(predicate, GROUPED)[0])
+        compact = Table.of(GROUPED, kept)
+        keys = KeySet(Schema.of(("g", ColumnType.TEXT)), [("a",), ("b",), ("c",), ("d",)])
+        for part, reference, value_type in parts:
+            generator, expected = random.Random(seed), random.Random(seed)
+            assert part._eval(table, generator) == reference(compact, expected)
+            released = compose_per_group(GROUPED_DOMAIN, keys, part, ("value", value_type))
+            out = released._eval(table, generator)
+            assert out.rows == per_group_reference(reference, keys, value_type, compact, expected)
+            assert generator.getrandbits(64) == expected.getrandbits(64)
+        value = quantile._eval(Table.of(GROUPED, kept), random.Random(seed))
+        assert quantile._eval(table, random.Random(seed)) == value
+        released = compose_per_group(GROUPED_DOMAIN, keys, quantile, ("value", ColumnType.FLOAT64))
+        fresh = released._eval(Table.of(GROUPED, kept), random.Random(seed))
+        assert released._eval(table, random.Random(seed)).rows == fresh.rows
+
+
 def test_per_group_costs_one_part_call_and_its_own_draws_per_key(monkeypatch):
     # What the benchmark's tracer counts: each keyset key is one call of the
     # part's _eval on a Table, and every draw goes through this module's
@@ -749,6 +788,11 @@ def _groups_reference(table, key_names):
     return {key: tuple(rows) for key, rows in groups.items()}
 
 
+def _group_rows(groups):
+    """The rows of each key's Table in a remembered grouping."""
+    return {key: part.rows for key, part in groups.items()}
+
+
 def _grouped_rows(rng, n=40):
     return [(rng.choice("abc"), rng.randrange(3), rng.uniform(-5, 15)) for _ in range(n)]
 
@@ -771,21 +815,27 @@ def test_a_warm_grouped_release_builds_nothing(monkeypatch):
         released = compose_per_group(GROUPED_DOMAIN, keys, _recording_count(seen), ("n", ColumnType.INT64))
         cold = released.eval(table, stream())
         groups = table.derive(("groups", ("g",)), unbuilt)
-        # A plain dict from each key to a tuple of its rows, in input order.
-        assert type(groups) is dict and groups == _groups_reference(table, ("g",))
-        assert all(type(part) is tuple for part in groups.values())
+        # A plain dict from each key to a Table of its rows, in input order.
+        assert type(groups) is dict and _group_rows(groups) == _groups_reference(table, ("g",))
+        assert all(type(part) is Table for part in groups.values())
 
         def no_split(*args, **kwargs):
             raise AssertionError("a remembered grouping was split again")
 
+        built = []
+        trusted = Table._trusted
         with monkeypatch.context() as patch:
             patch.setattr(measurements, "split_by_key", no_split)
+            patch.setattr(Table, "_trusted", lambda *args: built.append(args) or trusted(*args))
             warm = released.eval(table, stream())
         assert warm.rows == cold.rows
+        # The warm release builds one Table: its result.
+        assert [args[0] for args in built] == [warm.schema]
         assert remembered(table) == {("groups", ("g",)): groups}
-        # Each present key's Table holds the remembered tuple itself.
+        # Each present key's Table is the remembered Table itself, cold and
+        # warm; absent keys get an empty one.
         for group, (key,) in zip(seen, keys.rows * 2):
-            assert group.rows is groups.get(key, ())
+            assert group is groups[key] if key in groups else group.rows == ()
         assert table.rows == tuple(rows)
 
 
@@ -848,7 +898,7 @@ def test_groups_by_other_key_names_or_orders_never_share_an_entry():
                     key + (sum(1 for row in rows if tuple(row[i] for i in positions) == key),)
                     for key in keys.rows
                 )
-        assert remembered(table) == {
+        assert {key: _group_rows(groups) for key, groups in remembered(table).items()} == {
             ("groups", names): _groups_reference(table, names) for names in shapes
         }
 
@@ -860,15 +910,15 @@ def test_grouping_a_filtered_table_leaves_the_source_memo_untouched():
     budget = session.PrivacyBudget.pure
     s = session.build_session({"people": table}, session.AddMaxRows(1), budget(3), seed=1)
     filtered = session.query("people").filter("income > 15").group_by(zips).count()
-    # The filter remembers the one column it reads; nothing groups the source.
-    income = {("column", 1): (10.0, 20.0, 30.0)}
+    # The filter reads the source's columns and remembers nothing on it;
+    # nothing groups the source.
     for _ in range(2):
         s.evaluate(filtered, budget(1))
-        assert remembered(table) == income
+        assert remembered(table) == {}
     s.evaluate(session.query("people").group_by(zips).count(), budget(1))
-    assert remembered(table) == {
-        **income, ("groups", ("zip",)): _groups_reference(table, ("zip",))
-    }
+    assert list(remembered(table)) == [("groups", ("zip",))]
+    groups = remembered(table)[("groups", ("zip",))]
+    assert _group_rows(groups) == _groups_reference(table, ("zip",))
 
 
 # Values a per-group part or an ungrouped aggregation might return, and the

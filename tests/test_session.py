@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import random
@@ -14,6 +15,7 @@ from helpers import (
     gaussian_pmf,
     join_nesting_reference,
     join_reference,
+    levels_reference,
     perturb_rows,
     random_table,
     remembered,
@@ -1108,6 +1110,25 @@ def test_the_deepest_allowed_query_evaluates_within_the_frame_budget(demo_people
     assert s.remaining_budget().amount == 10
 
 
+def test_the_deepest_query_of_nested_ands_evaluates_within_the_frame_budget(demo_people):
+    # As above, with a 64-level predicate of nested `and`s: before CPython
+    # 3.12 a comprehension over their operands took a frame per level of
+    # its own, and compiling it needed about 150 frames.
+    predicate = "income > 0"
+    for _ in range(62):
+        predicate = f"income > 0 and ({predicate})"
+    assert levels_reference(ast.parse(predicate, mode="eval").body) == 64
+    expr = query("people").filter(predicate)
+    zips = query("people").map({"zip": "zip"}, Schema.of(("zip", TEXT)))
+    for _ in range(_MAX_JOIN_NESTING):
+        expr = expr.join_private(zips, ["zip"], 1, 1)
+    keys = keyset_from_tuples([("zip", TEXT)], [("98101",), ("98102",)])
+    s = _demo_session(demo_people)
+    result = _evaluate_with_headroom(s, expr.group_by(keys).count(), _FRAME_BUDGET)
+    assert len(result.rows) == 2
+    assert s.remaining_budget().amount == 9
+
+
 def _random_query(rng, size, hints):
     """A random tree of `size` nodes over every kind in QUERY_NODES, a
     private join one node in three, with random subtrees on both sides of
@@ -1521,13 +1542,15 @@ _PEOPLE = query("people")
     "then",
     [
         lambda cut: cut.quantile("income", 0.5, 0, 1e6, 64),
-        lambda cut: cut.filter("income > 50000").count(),
+        lambda cut: cut.group_by(keyset_from_tuples([("zip", TEXT)], [("981",)])).quantile(
+            "income", 0.5, 0, 1e6, 64
+        ),
         lambda cut: cut.group_by(keyset_from_tuples([("zip", TEXT)], [("981",)])).count(),
         lambda cut: cut.join_private(
             _PEOPLE.truncate_by_id(1).map({"zip": "zip"}, Schema.of(("zip", TEXT))), ["zip"], 2, 3
         ).count(),
     ],
-    ids=["sorted", "column", "groups", "join"],
+    ids=["sorted", "group sorted", "groups", "join"],
 )
 def test_what_is_remembered_on_a_cut_does_not_tell_whether_it_dropped_a_row(monkeypatch, then):
     # A wide cut and then a cut at 3, each followed by the same step: on D

@@ -162,14 +162,17 @@ def test_canonicalize_orders_rows_deterministically():
 
 
 def test_split_by_key():
+    # The held rows' stored positions, per key.
     t = Table.of(PEOPLE, [("a", 1, 0.0), ("b", 2, 0.0), ("a", 3, 0.0)])
     parts = split_by_key(t, ["name"])  # one key column: bare keys
     assert set(parts) == {"a", "b"}
-    assert parts["a"] == [("a", 1, 0.0), ("a", 3, 0.0)]
-    assert len(parts["b"]) == 1
+    assert parts["a"] == [0, 2]
+    assert parts["b"] == [1]
     pairs = split_by_key(t, ["name", "age"])
     assert set(pairs) == {("a", 1), ("b", 2), ("a", 3)}
-    assert pairs[("a", 3)] == [("a", 3, 0.0)]
+    assert pairs[("a", 3)] == [2]
+    held = Table._trusted(PEOPLE, t.columns, bytes([1, 1, 0]))
+    assert split_by_key(held, ["name"]) == {"a": [0], "b": [1]}
     with pytest.raises(UnknownColumn):
         split_by_key(t, ["nope"])
 
@@ -593,9 +596,13 @@ def test_every_python_value_is_a_cell_exactly_when_the_reference_says_so():
 
 
 def test_unchanged_rows_are_kept_and_changed_ones_rebuilt():
+    # A table stores the given cells themselves, a column at a time, except
+    # where its column's rule rebuilds them (-0.0 as 0.0).
     schema = Schema.of(("s", TEXT), ("n", INT64))
-    rows = (("a", 1), ("b", 2))
-    assert all(map(lambda a, b: a is b, Table(schema, rows).rows, rows))
+    rows = (("".join(["a", "b"]), 10**12 + 1), ("".join(["c", "d"]), 10**12 + 2))
+    table = Table(schema, rows)
+    assert table.rows == rows
+    assert all(map(lambda a, b: a is b, table.columns[0] + table.columns[1], sum(zip(*rows), ())))
     listed = Table.of(schema, [["a", 1]]).rows
     assert listed == (("a", 1),) and type(listed[0]) is tuple
     zeros = Table.of(Schema.of(("x", FLOAT64)), [(-0.0,), (1.5,)]).rows

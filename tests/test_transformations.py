@@ -11,9 +11,15 @@ from helpers import (
     dataset_distance,
     evaluated_outcomes,
     join_reference,
+    oracle_expression,
+    oracle_filter,
+    oracle_flat_map,
+    oracle_map,
+    oracle_projection,
     random_table,
     remembered,
     sd_distance,
+    table_rows_reference,
     truncate_reference,
     unbuilt,
 )
@@ -561,16 +567,19 @@ def test_a_warm_private_join_does_not_split_its_right_side(monkeypatch):
 
 
 def _index_reference(schema, rows, keys):
-    # The carried cells of each key's rows, as a multiset per key.
+    # Each key's rows, as a multiset per key.
     positions = [schema.index_of(key) for key in keys]
-    carried = [i for i in range(len(schema.columns)) if i not in positions]
     index = {}
     for row in rows:
         key = tuple(row[i] for i in positions)
-        index.setdefault(key if len(key) > 1 else key[0], Counter())[
-            tuple(row[i] for i in carried)
-        ] += 1
+        index.setdefault(key if len(key) > 1 else key[0], Counter())[row] += 1
     return index
+
+
+def _index_rows(index, table):
+    # A join index's rows, from the positions it holds, as a multiset per key.
+    rows = tuple(zip(*table.columns))
+    return {key: Counter(rows[i] for i in positions) for key, positions in index.items()}
 
 
 def test_join_indexes_at_other_keys_or_bounds_never_share_an_entry():
@@ -606,7 +615,7 @@ def test_join_indexes_at_other_keys_or_bounds_never_share_an_entry():
             assert set(memo) == {CANONICAL, ("cut", keys, bound), ("join", keys)}
             index = memo[("join", keys)]
             expected = _index_reference(PARTNERS, cut.rows, keys)
-            assert {k: Counter(cells) for k, cells in index.items()} == expected
+            assert _index_rows(index, cut) == expected
         _assert_cuts_match_the_reference(partners)
 
 
@@ -624,7 +633,7 @@ def test_a_public_join_indexes_its_table_once(monkeypatch):
     assert again.apply(rows).multiset() == join_reference(rows, public, ["v"])
     assert set(remembered(public)) == {("join", ("v",))}
     index = public.derive(("join", ("v",)), unbuilt)
-    assert {k: Counter(cells) for k, cells in index.items()} == _index_reference(
+    assert _index_rows(index, public) == _index_reference(
         public.schema, public.rows, ("v",)
     )
 
@@ -718,10 +727,12 @@ def test_internal_tables_skip_the_cell_check(monkeypatch):
         monkeypatch.setattr(
             module, name, lambda *args, real=real: calls.append(args) or real(*args)
         )
-    table = Table._trusted(SCHEMA, ((1, 5), (1, 3), (2, 7), (2, 7)))
+    table = Table._trusted(SCHEMA, ((1, 1, 2, 2), (5, 3, 7, 7)))
     other = Table._trusted(
-        Schema.of(("v", ColumnType.INT64), ("w", ColumnType.INT64)), ((7, 0), (3, 3))
+        Schema.of(("v", ColumnType.INT64), ("w", ColumnType.INT64)), ((7, 3), (0, 3))
     )
+    assert table.rows == ((1, 5), (1, 3), (2, 7), (2, 7))
+    assert other.rows == ((7, 0), (3, 3))
     make_filter(DOMAIN, "v > 4").apply(table)
     split_by_key(table, ["id"])
     canonicalize(table)
@@ -938,3 +949,157 @@ def test_sampled_stability_quick():
     _check_stability(
         rng, tr, pair, lambda a, b: ari_distance(a, b, "id"), sd
     )
+
+
+# ---------------------------------------------------------------------------
+# A filter marks the rows it drops; every other step stores held rows only.
+
+PEOPLE = Schema.of(
+    ("id", ColumnType.INT64), ("zip", ColumnType.TEXT),
+    ("age", ColumnType.INT64), ("income", ColumnType.FLOAT64),
+)
+PEOPLE_IDS = TableDomain(PEOPLE, "id")
+# "age > 1000" holds no row and "age > -1" every row.
+MASK_FILTERS = [
+    "age > 1000", "age > -1", "income > 20.0", "zip != 'b'",
+    "age * 1.5 < income", "id == 2 or age > 40", "income / (age - 30) > 0.5",
+]
+
+
+def _people(rng, n):
+    return [
+        (rng.randrange(6), rng.choice("abcz"), rng.randrange(20, 60), float(rng.randrange(100)))
+        for _ in range(n)
+    ]
+
+
+def _filtered(rng, schema=PEOPLE, filters=MASK_FILTERS, rows=None):
+    """A seeded table through 0 to 3 filters, and the rows the filters keep
+    by the row-at-a-time oracle."""
+    rows = _people(rng, rng.randrange(30)) if rows is None else rows
+    table = Table.of(schema, rows)
+    kept = table_rows_reference(schema, rows)
+    for predicate in rng.sample(filters, rng.randrange(4)):
+        table = make_filter(TableDomain(schema), predicate).apply(table)
+        kept = oracle_filter(kept, oracle_expression(predicate, schema)[0])
+    assert table.rows == kept and len(table) == len(kept)
+    return table, kept
+
+
+def _stored_cells_are_checked(table):
+    """Every stored cell, held or not, is a legal cell of its column."""
+    assert table_rows_reference(table.schema, zip(*table.columns)) == tuple(zip(*table.columns))
+
+
+def test_a_filter_shares_its_inputs_columns():
+    rng = random.Random(361)
+    for _ in range(20):
+        source = Table.of(PEOPLE, _people(rng, rng.randrange(30)))
+        filters = [make_filter(PEOPLE_IDS, p) for p in rng.sample(MASK_FILTERS, 3)]
+        one = filters[0].apply(source)
+        three = chain(*filters).apply(source)
+        for table in (one, three):
+            assert table.columns is source.columns
+            assert type(table.held) is bytes and len(table.held) == len(source.columns[0])
+            assert remembered(table) == {}
+        assert remembered(source) == {}
+
+
+def test_every_step_after_filters_matches_the_row_at_a_time_oracles():
+    mapped_schema = Schema.of(
+        ("id", ColumnType.INT64), ("zip", ColumnType.TEXT), ("x", ColumnType.FLOAT64)
+    )
+    map_columns = {"id": "id", "zip": "zip", "x": "age * 2 - income"}
+    map_cells = [
+        (oracle_projection(map_columns[name], PEOPLE, ctype), ctype)
+        for name, ctype in mapped_schema.columns
+    ]
+    flat_schema = Schema.of(("zip", ColumnType.TEXT), ("n", ColumnType.INT64))
+    branches = [
+        ({"zip": "zip", "n": "age"}, "income > 50.0"),
+        ({"zip": "zip", "n": "id * 4611686018427387904"}, None),
+        ({"zip": "'w'", "n": "age + id"}, None),
+    ]
+    flat_branches = [
+        (
+            None if when is None else oracle_expression(when, PEOPLE)[0],
+            [(oracle_projection(columns[name], PEOPLE, ctype), ctype)
+             for name, ctype in flat_schema.columns],
+        )
+        for columns, when in branches
+    ]
+    flat_map = make_flat_map(
+        PEOPLE_IDS, [ExpansionBranch(c, when=w) for c, w in branches], flat_schema, 2
+    )
+    region = Schema.of(("zip", ColumnType.TEXT), ("region", ColumnType.INT64))
+    publics = [
+        Table.of(region, [("a", 1), ("b", 2), ("b", 3), ("z", 4)]),  # fan-out 2
+        Table.of(region, [("a", 1), ("c", 2)]),  # fan-out 1
+    ]
+    right_schema = Schema.of(("zip", ColumnType.TEXT), ("w", ColumnType.INT64))
+    right_filters = ["w > 2", "w > 100", "w > -1", "zip != 'a'"]
+    zip_at = PEOPLE.index_of("zip")
+    rng = random.Random(362)
+    for _ in range(60):
+        table, kept = _filtered(rng)
+        outputs = []
+
+        mapped = make_map(PEOPLE_IDS, map_columns, mapped_schema).apply(table)
+        assert mapped.rows == oracle_map(kept, map_cells)
+        expanded = flat_map.apply(table)
+        assert expanded.rows == oracle_flat_map(kept, flat_branches, 2)
+        outputs += [mapped, expanded]
+
+        compact = Table.of(PEOPLE, kept)
+        for public in publics:
+            joined = make_public_join(PEOPLE_IDS, public, ["zip"]).apply(table)
+            assert joined.multiset() == join_reference(compact, public, ["zip"])
+            outputs.append(joined)
+
+        bound = rng.randint(1, 3)
+        cut = make_truncate_by_id(PEOPLE_IDS, bound).apply(table)
+        assert cut.multiset() == truncate_reference(kept, [0], bound)
+        outputs.append(cut)
+
+        right_rows = [(rng.choice("abcz"), rng.randrange(5)) for _ in range(rng.randrange(12))]
+        right, right_kept = _filtered(rng, right_schema, right_filters, right_rows)
+        left_bound, right_bound = rng.randint(1, 3), rng.randint(1, 3)
+        private = make_private_join(
+            TableDomain(PEOPLE), TableDomain(right_schema), ["zip"], left_bound, right_bound
+        )
+        joined = private.apply((table, right))
+        cut_left = Table.of(PEOPLE, truncate_reference(kept, [zip_at], left_bound).elements())
+        cut_right = Table.of(
+            right_schema, truncate_reference(right_kept, [0], right_bound).elements()
+        )
+        assert joined.multiset() == join_reference(cut_left, cut_right, ["zip"])
+        outputs.append(joined)
+
+        # Only a filter leaves a row unheld, and every stored cell is checked.
+        for out in outputs:
+            assert out.held is None
+            _stored_cells_are_checked(out)
+
+
+def test_a_map_whose_cells_fail_only_on_unheld_rows_stores_none_of_them():
+    # Where age is not T, n is past int64 (a huge int until it is masked)
+    # and x is not finite; those rows are unheld after the first filter.
+    # Were their placeholders stored, the second filter's n * 1.5 would
+    # meet an int too large for a float, which its type says cannot be.
+    out = Schema.of(
+        ("age", ColumnType.INT64), ("n", ColumnType.INT64), ("x", ColumnType.FLOAT64)
+    )
+    rows = [(i, "a", 20 + i % 7, float(i)) for i in range(40)]
+    source = Table.of(PEOPLE, rows)
+    for t in (20, 23, 1000000):
+        held = make_filter(TableDomain(PEOPLE), f"age == {t}").apply(source)
+        cells = {
+            "age": "age",
+            "n": f"(age - {t}) * 1" + "0" * 400,
+            "x": f"(age - {t}) * 1e308 * 1e308",
+        }
+        mapped = make_map(TableDomain(PEOPLE), cells, out).apply(held)
+        _stored_cells_are_checked(mapped)
+        again = make_filter(TableDomain(out), "n * 1.5 > -1.0 and x > -1.0").apply(mapped)
+        expected = tuple((t, 0, 0.0) for row in rows if row[2] == t)
+        assert again.rows == mapped.rows == expected
