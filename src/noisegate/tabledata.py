@@ -25,10 +25,12 @@ again one cell at a time, by the same rule, to name the first bad record
 or cell; where a table's column fails, its cells are, to name the first
 bad cell in row order.  The map and flat-map column programs check the
 cells they compute and drop a row whose cell fails, and result_cell
-makes released aggregates cells.  So every stored cell, held or not, is
-a legal cell of its column.  Everything else (cells of checked tables
-selected, regrouped, reordered or concatenated, and result tables of
-checked keys and result_cell values) is built with the private
+makes released aggregates cells.  A join that matches a key at most
+once stores a fixed legal cell of each carried column's type on the rows
+that match nothing.  So every stored cell, held or not, is a legal cell
+of its column.  Everything else (cells of checked tables selected,
+regrouped, reordered or concatenated, a join's filler cells, and result
+tables of checked keys and result_cell values) is built with the private
 Table._trusted, which skips the check.
 """
 
@@ -265,12 +267,14 @@ class Table(Record):
 
     `columns` holds one tuple of cells per schema column, all of one
     length, and `held` marks the stored rows that are the table's: None
-    for all, else one byte per stored row, 1 where it is held.  Only a
-    filter leaves a row unheld: it shares its input's columns and ANDs its
-    predicate into the mask.  Every other step stores held rows only, and
-    every stored cell, held or not, is a legal cell of its column, so
-    expressions run on the columns whole.  len, rows (a tuple built on
-    each read), column and multiset see the held rows, through _held.
+    for all, else one byte per stored row, 1 where it is held.  A filter
+    shares its input's columns and ANDs its predicate into the mask, and
+    a join whose keys match at most once shares its left side's columns
+    and holds the held rows that match.  Every other step stores held
+    rows only, and every stored cell, held or not, is a legal cell of its
+    column, so expressions run on the columns whole.  len, rows (a tuple
+    built on each read), column and multiset see the held rows, through
+    _held.
 
     Tables compare by identity; use table_equal for multiset equality so
     that incidental row order never leaks into program behavior.
@@ -329,8 +333,9 @@ class Table(Record):
         Only for columns that are legal under schema already: columns of
         checked tables with the same schema, in any selection, order or
         concatenation, cells parsed by load_csv or checked as a map
-        computed them, or checked keys and result_cell values.  Anything
-        else supplied from outside goes through Table(...).
+        computed them, a join's filler cells (transformations._FILLER, a
+        legal cell of each type), or checked keys and result_cell values.
+        Anything else supplied from outside goes through Table(...).
         """
         table = object.__new__(cls)
         fields = table.__dict__

@@ -47,6 +47,7 @@ from .metrics import (
 )
 from .records import Record
 from .tabledata import (
+    ColumnType,
     Row,
     Schema,
     Table,
@@ -358,21 +359,42 @@ def _join_index(right_table: Table, keys: tuple[str, ...]) -> dict:
     return right_table.derive(("join", keys), lambda: split_by_key(right_table, keys))
 
 
+# A legal cell of each column type, which a fan-out-1 join stores in its
+# carried columns on the rows that match nothing.
+_FILLER = {ColumnType.INT64: 0, ColumnType.FLOAT64: 0.0, ColumnType.TEXT: "-"}
+
+
 def _join(left: Table, right: Table, keys, carry: list[int], joined: Schema, repeats: bool):
     """Each held row of left whose key (Table.key_column) is one of
     right's, once for each of right's rows with it, followed by that row's
-    cells at `carry`.  Left's columns are compressed, or gathered once per
-    match where `repeats` says a key may match more than once, a public
-    fact: the public table's fan-out or a truncation bound.
+    cells at `carry`.
+
+    Where `repeats` says a key may match more than once, a public fact
+    (the public table's fan-out or a truncation bound), left's columns
+    are gathered once per match and only matched rows are stored.  Where
+    a key matches at most once, the join carries the mask: it shares
+    left's columns, stores every row of left, and holds the held rows
+    that match.  Each stored row reads right's position for its key (the
+    first and only one in the index), or right's stored row count where
+    it has none, which is where each carried column has a _FILLER cell
+    appended; so the join's work does not depend on which rows match,
+    and every stored cell is legal.
     """
-    columns = left.columns
-    matches = list(map(_join_index(right, keys).get, left.key_column(keys)))
+    index = _join_index(right, keys)
+    if not repeats:
+        stored = len(right.columns[0])
+        first = dict(zip(index, map(itemgetter(0), index.values())))
+        at = list(map(first.get, left.key_column(keys), repeat(stored)))
+        # Gathered with the carried columns, a last column of 1 at each of
+        # right's stored rows and 0 past them marks the rows that match.
+        padded = [right.columns[i] + (_FILLER[right.schema.types[i]],) for i in carry]
+        *carried, matched = gather(padded + [(1,) * stored + (0,)], at)
+        held = passing(left.held, bytes(matched))
+        return Table._trusted(joined, left.columns + tuple(carried), held)
+    matches = list(map(index.get, left.key_column(keys)))
     held = passing(left.held, bytes(map(is_not, matches, repeat(None))))
-    if repeats:
-        rows, counts = compress(range(len(matches)), held), map(len, compress(matches, held))
-        columns = gather(columns, list(itertools.chain.from_iterable(map(repeat, rows, counts))))
-    else:
-        columns = tuple(tuple(compress(column, held)) for column in columns)
+    rows, counts = compress(range(len(matches)), held), map(len, compress(matches, held))
+    columns = gather(left.columns, list(itertools.chain.from_iterable(map(repeat, rows, counts))))
     matched = list(itertools.chain.from_iterable(compress(matches, held)))
     return Table._trusted(joined, columns + gather([right.columns[i] for i in carry], matched))
 
@@ -384,6 +406,8 @@ def make_public_join(domain: TableDomain, public: Table, on: Sequence[str]) -> T
     key multiplicity in the public table, so stability is linear(mu).
     Joining directly under AddRemoveIds is rejected: a single identifier
     could fan out without bound, so identifier pipelines truncate first.
+    At fan-out 1 (or 0) the join carries the mask and stores every stored
+    row of its input; above 1 it stores the matched rows only (see _join).
     """
     keys, joined, carry = _check_join_columns(domain.schema, public.schema, on)
     fan_out = max(map(len, _join_index(public, keys).values()), default=0)
@@ -459,6 +483,8 @@ def make_private_join(
     private_join_distance_bound, including its factor two for rows the
     truncation promotes; the declared map is the linear envelope
     2 * max(left_bound, right_bound) over the summed input distance.
+    With right_bound 1 the join carries the mask and stores every row of
+    the left cut; above 1 it stores the matched rows only (see _join).
     """
     for bound in (left_bound, right_bound):
         if not is_int(bound) or bound < 1:

@@ -14,6 +14,7 @@ import gc
 import math
 import random
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,7 +31,14 @@ from helpers import (
 from noisegate.errors import ExpressionTypeError
 from noisegate.expressions import compile_expression, compile_projection
 from noisegate.tabledata import ColumnType, Schema, Table, TableDomain
-from noisegate.transformations import ExpansionBranch, make_filter, make_flat_map, make_map
+from noisegate.transformations import (
+    ExpansionBranch,
+    make_filter,
+    make_flat_map,
+    make_map,
+    make_private_join,
+    make_public_join,
+)
 
 SCHEMA = Schema.of(
     ("i", ColumnType.INT64),
@@ -311,6 +319,18 @@ WILD = [
 BIG = "1" + "0" * 400
 FLOAT_CELL = Schema.of(("f", ColumnType.FLOAT64))
 
+# One row keyed by i = 1, which every CALM row matches and no WILD row does.
+MATCH_ONE = Table.of(Schema.of(("i", ColumnType.INT64), ("r", ColumnType.TEXT)), [(1, "r")])
+
+
+def _private_join_on(right):
+    """A private join of a table of SCHEMA with right on i, with bounds 6
+    (every row of either table) and 1, as a step on its left table: right's
+    cut is made here, so every apply finds it remembered."""
+    join = make_private_join(DOMAIN, TableDomain(right.schema), ["i"], 6, 1)
+    join.apply((Table.of(SCHEMA, CALM), right))
+    return SimpleNamespace(apply=lambda table: join.apply((table, right)))
+
 
 @pytest.mark.parametrize(
     "transformation",
@@ -335,14 +355,20 @@ FLOAT_CELL = Schema.of(("f", ColumnType.FLOAT64))
             1,
         ),
         make_map(DOMAIN, {"f": f"(i - 1) * {BIG} * 1.5"}, FLOAT_CELL),
+        make_public_join(DOMAIN, MATCH_ONE, ["i"]),
+        _private_join_on(MATCH_ONE),
     ],
-    ids=["and/or filter", "chain filter", "float map", "flat map", "int past a float"],
+    ids=[
+        "and/or filter", "chain filter", "float map", "flat map", "int past a float",
+        "public join", "private join",
+    ],
 )
 def test_the_calls_a_row_step_makes_do_not_depend_on_the_values(transformation):
     tables = [Table.of(SCHEMA, rows) for rows in (CALM, WILD)]
     calm, wild = (python_calls(lambda: transformation.apply(table)) for table in tables)
     assert calm == wild
-    # The tables differ where it counts: the wild one drops rows.
+    # The tables differ where it counts: the wild one drops rows (and a
+    # join's key matches on every calm row and on no wild one).
     assert len(transformation.apply(tables[0])) == 6 > len(transformation.apply(tables[1]))
 
 

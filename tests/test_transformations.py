@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import sys
 from collections import Counter
@@ -952,7 +953,8 @@ def test_sampled_stability_quick():
 
 
 # ---------------------------------------------------------------------------
-# A filter marks the rows it drops; every other step stores held rows only.
+# A filter marks the rows it drops, and a fan-out-1 join the rows that match
+# nothing; every other step stores held rows only.
 
 PEOPLE = Schema.of(
     ("id", ColumnType.INT64), ("zip", ColumnType.TEXT),
@@ -1050,11 +1052,18 @@ def test_every_step_after_filters_matches_the_row_at_a_time_oracles():
         assert expanded.rows == oracle_flat_map(kept, flat_branches, 2)
         outputs += [mapped, expanded]
 
+        # A fan-out-1 join carries the mask, so it stores exactly its left
+        # side's stored rows.
+        carried = []
         compact = Table.of(PEOPLE, kept)
-        for public in publics:
+        for public, fan_out in zip(publics, (2, 1)):
             joined = make_public_join(PEOPLE_IDS, public, ["zip"]).apply(table)
             assert joined.multiset() == join_reference(compact, public, ["zip"])
-            outputs.append(joined)
+            if fan_out == 1:
+                assert len(joined.columns[0]) == len(table.columns[0])
+                carried.append(joined)
+            else:
+                outputs.append(joined)
 
         bound = rng.randint(1, 3)
         cut = make_truncate_by_id(PEOPLE_IDS, bound).apply(table)
@@ -1073,12 +1082,73 @@ def test_every_step_after_filters_matches_the_row_at_a_time_oracles():
             right_schema, truncate_reference(right_kept, [0], right_bound).elements()
         )
         assert joined.multiset() == join_reference(cut_left, cut_right, ["zip"])
-        outputs.append(joined)
+        if right_bound == 1:
+            assert len(joined.columns[0]) == len(cut_left)
+            carried.append(joined)
+        else:
+            outputs.append(joined)
 
-        # Only a filter leaves a row unheld, and every stored cell is checked.
+        # Only a filter and a fan-out-1 join leave a row unheld, and every
+        # stored cell is checked, a join's filler cells too.
         for out in outputs:
             assert out.held is None
+        for out in outputs + carried:
             _stored_cells_are_checked(out)
+
+
+def test_a_fan_out_1_join_carries_its_mask_and_shares_its_left_columns():
+    # Carried columns of every type, so every filler cell is stored and
+    # checked; each public table matches all, some or none of the zips.
+    region = Schema.of(
+        ("zip", ColumnType.TEXT), ("n", ColumnType.INT64),
+        ("share", ColumnType.FLOAT64), ("name", ColumnType.TEXT),
+    )
+    publics = [
+        Table.of(region, [(z, i, i / 2, z * 2) for i, z in enumerate("abcz")]),
+        Table.of(region, [("a", 1, 0.5, "n"), ("c", 2, -1.5, "s")]),
+        Table.of(region, [("q", 1, 0.5, "n")]),
+        Table.empty(region),
+    ]
+    # Right sides of a private join: two rows per zip, which a right bound
+    # of 1 cuts to one; some zips; none; and a filter that holds no row,
+    # whose right cut is empty.
+    partners = [(z, i, float(i), "p" + z) for i, z in enumerate("abczab")]
+    rights = [
+        Table.of(region, partners),
+        Table.of(region, partners[1:3]),
+        Table.of(region, [("q", 1, 0.5, "n")]),
+        make_filter(TableDomain(region), "n > 100").apply(Table.of(region, partners)),
+    ]
+    zip_at = PEOPLE.index_of("zip")
+    rng = random.Random(363)
+    for _ in range(30):
+        source = Table.of(PEOPLE, _people(rng, rng.randrange(30)))
+        filtered = chain(
+            *[make_filter(PEOPLE_IDS, p) for p in rng.sample(MASK_FILTERS, rng.randint(1, 2))]
+        ).apply(source)
+        for left in (source, filtered):
+            outputs = []
+            for public in publics:
+                joined = make_public_join(PEOPLE_IDS, public, ["zip"]).apply(left)
+                expected = join_reference(Table.of(PEOPLE, left.rows), public, ["zip"])
+                outputs.append((joined, left, expected))
+            left_bound = rng.randint(1, 3)
+            join = make_private_join(
+                TableDomain(PEOPLE), TableDomain(region), ["zip"], left_bound, 1
+            )
+            cut_rows = list(truncate_reference(left.rows, [zip_at], left_bound).elements())
+            for right in rights:
+                joined = join.apply((left, right))
+                # The join's left side is left's cut, which the join derived.
+                cut = transformations._truncate_by_keys(left, ("zip",), left_bound)
+                cut_right = Table.of(region, truncate_reference(right.rows, [0], 1).elements())
+                expected = join_reference(Table.of(PEOPLE, cut_rows), cut_right, ["zip"])
+                outputs.append((joined, cut, expected))
+            for out, side, expected in outputs:
+                assert all(map(operator.is_, out.columns[:len(side.columns)], side.columns))
+                assert len(out.columns[0]) == len(side.columns[0])
+                assert out.multiset() == expected
+                _stored_cells_are_checked(out)
 
 
 def test_a_map_whose_cells_fail_only_on_unheld_rows_stores_none_of_them():
