@@ -574,44 +574,56 @@ def compose_per_group(
 
     The measurement's output is the result table: exactly one row per
     key, in keyset order, whatever keys the data contains, each with its
-    group's value as result_cell gives it.  The table derives its groups
-    under ("groups", key names): one keyed pass splits its rows, in input
-    order, into a dict from each key to a Table of its rows, so a table
-    already grouped by the same key names, a source or a remembered cut,
-    is not split again, and a warm release builds no Table but its
-    result.  A filter's output is new in every query: each key's Table is
-    built for its release and dropped after it, as Tables built at once
-    would live through every release and be carried by the garbage
-    collector into older generations.  Absent keys share one empty Table.
-    Each key then costs one call of the per-group measurement on its
-    Table, which draws and finishes its own value (see _noisy), and
-    nothing is summed across keys: the per-group part is any Measurement
-    on tables (a quantile reads its group's rows whole), and the
-    benchmark's tracer counts released and empty groups from these
-    calls.  Every group draws its noise from the one generator, in
-    keyset order.
+    group's value as result_cell gives it.  Each key's Table holds only
+    the columns the per-group part reads, the ones its
+    input_domain.schema names, gathered by name from the data: a session
+    builds a sum, average or quantile on its column alone, and a count
+    on the first key column, which gives each group its length.  A part
+    built on the whole domain gets every column.  The table derives its
+    groups under ("groups", key names, read names): one keyed pass splits
+    its rows, in input order, into a dict from each key to a Table of its
+    rows, so a table already grouped by the same key names for the same
+    columns, a source or a remembered cut, is not split again, and a warm
+    release builds no Table but its result.  A filter's output is new in
+    every query: each key's Table is built for its release and dropped
+    after it, as Tables built at once would live through every release
+    and be carried by the garbage collector into older generations.
+    Absent keys share one empty Table of the part's schema.  Each key
+    then costs one call of the per-group measurement on its Table, which
+    draws and finishes its own value (see _noisy), and nothing is summed
+    across keys: the per-group part is any Measurement on tables (a
+    quantile reads its group's rows whole), and the benchmark's tracer
+    counts released and empty groups from these calls.  Every group
+    draws its noise from the one generator, in keyset order.
     The key rows were checked when the KeySet was built and are trusted
-    here; the key columns must match the domain and the value column
-    must be numeric.
+    here; the key columns and the part's columns must be in the domain
+    with the same types, and the value column must be numeric.
     """
     if not isinstance(per_group.input_metric, SymmetricDifference):
         raise MetricMismatch("per-group measurements run under SymmetricDifference")
     check_key_columns(domain.schema, keys.schema)
+    read = per_group.input_domain.schema
+    if not set(read.columns) <= set(domain.schema.columns):
+        raise DomainMismatch(
+            f"the per-group measurement reads {list(read.names)}, which the domain "
+            "does not hold with the same types"
+        )
     value_name, value_type = value_column
     if value_type is ColumnType.TEXT:
         raise SchemaMismatch(f"the value column {value_name!r} must be numeric, not text")
     output_schema = Schema(tuple(keys.schema.columns) + ((value_name, value_type),))
-    key_columns = keys.schema.names
+    key_columns, read_names = keys.schema.names, read.names
     key_cells = columns_of(keys.rows, len(key_columns))
     group_keys = list(map(key_reader(keys.schema, key_columns), keys.rows))
-    empty = Table._of_rows(domain.schema, ())
+    empty = Table._of_rows(read, ())
     release = per_group._eval
 
     def evaluate(table: Table, rng: random.Random) -> Table:
-        schema, columns = table.schema, table.columns
+        index_of = table.schema.index_of
+        columns = [table.columns[index_of(name)] for name in read_names]
         if table.held is None:
-            find = table.derive(("groups", key_columns), lambda: {
-                key: Table._trusted(schema, gather(columns, positions))
+            find = table.derive(("groups", key_columns, read_names), lambda: {
+                key: Table._trusted(read, gather(columns, positions))
                 for key, positions in split_by_key(table, key_columns).items()
             }).get
         else:
@@ -619,7 +631,7 @@ def compose_per_group(
 
             def find(key, empty):
                 at = parts.get(key)
-                return empty if at is None else Table._trusted(schema, gather(columns, at))
+                return empty if at is None else Table._trusted(read, gather(columns, at))
 
         values = [result_cell(release(find(key, empty), rng), value_type) for key in group_keys]
         return Table._trusted(output_schema, (*key_cells, tuple(values)))

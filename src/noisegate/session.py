@@ -71,6 +71,7 @@ from .tabledata import (
     Table,
     TableDomain,
     Value,
+    check_key_columns,
     expect,
     is_int,
     result_cell,
@@ -613,7 +614,15 @@ def _compile(
     else:
         raise TypeCheckError(f"unknown measure {measure!r}")
 
-    measured = expr._measurement(chain.output_domain, noise)
+    domain = chain.output_domain
+    if grouping is not None:
+        # Each group's Table holds only the column the aggregation reads:
+        # a sum's, an average's or a quantile's column, or for a count the
+        # first key column, which gives each group its length.
+        check_key_columns(domain.schema, grouping.keys.schema)
+        read = getattr(expr, "column", grouping.keys.schema.names[0])
+        domain = TableDomain(Schema(((read, domain.schema.type_of(read)),)))
+    measured = expr._measurement(domain, noise)
     value_column = expr.value_column
 
     key_columns = () if grouping is None else tuple(grouping.keys.schema.columns)

@@ -354,12 +354,12 @@ class Table(Record):
         first time.  The key names a derivation and its parameters: the
         canonical order (CANONICAL), a cut ("cut", key names, bound), a
         sorted column ("sorted", column index), a join index ("join", key
-        names) or the groups ("groups", key names), a dict from each key to
-        a Table of its rows.  The canonical order and a cut are Tables, and
-        a cut is never the canonical Table, even when it keeps every row,
-        so no key's entry is another key's unless the two name the same
-        rows on every table.  Every caller gets the same value, so none may
-        change it."""
+        names) or the groups ("groups", key names, read names), a dict
+        from each key to a Table of its rows in the read columns only.
+        The canonical order and a cut are Tables, and a cut is never the
+        canonical Table, even when it keeps every row, so no key's entry
+        is another key's unless the two name the same rows on every
+        table.  Every caller gets the same value, so none may change it."""
         derived = self.__dict__.setdefault("_derived", {})
         if key not in derived:
             derived[key] = build()
@@ -467,14 +467,15 @@ def split_by_key(table: Table, key_columns: Sequence[str]) -> dict:
     """Partition the held rows' stored positions by their keys in
     key_columns (Table.key_column).
 
-    Every held row's position lands in exactly one list, in row order, and
-    callers gather the rows they keep.  The dict is a defaultdict(list), so
-    a row of a key already seen costs one lookup; read it with .get or
-    .items, since indexing a missing key adds it.
+    One pass over the held (position, key) pairs, which the mask selects
+    from the enumerated key column.  Every held row's position lands in
+    exactly one list, in row order, and callers gather the rows they keep.
+    The dict is a defaultdict(list), so a row of a key already seen costs
+    one lookup; read it with .get or .items, since indexing a missing key
+    adds it.
     """
-    positions = table._held(range(len(table.columns[0])))
     groups: defaultdict[object, list[int]] = defaultdict(list)
-    for position, key in zip(positions, table._held(table.key_column(key_columns))):
+    for position, key in table._held(enumerate(table.key_column(key_columns))):
         groups[key].append(position)
     return groups
 

@@ -59,7 +59,6 @@ from .tabledata import (
     gather,
     expect,
     is_int,
-    key_reader,
     split_by_key,
 )
 
@@ -429,27 +428,29 @@ def _truncate_by_keys(table: Table, keys: tuple[str, ...], bound: int) -> Table:
     """Keep the first `bound` rows of each key group, in canonical order.
 
     The table derives the cut under ("cut", keys, bound) by one counting
-    pass over its canonical order: a row is kept while its key has fewer
-    than `bound` kept rows.  The kept rows are a subsequence of that
-    order, so the cut is canonical too and does not depend on the input
-    order.  The cut is one Table, warm or cold, and remembers itself under
-    CANONICAL and its key.  It is its own Table even when it keeps every
-    row, so what a later query finds remembered on it depends on the
-    queries asked before and never on whether the cut dropped a row.
+    pass over its canonical order's key column: every row counts toward
+    its key, and a row is kept, a 1 byte, where its key had fewer than
+    `bound` rows before it.  One compress per column then keeps those
+    rows, so the pass makes the same calls whatever it keeps.  The kept
+    rows are a subsequence of that order, so the cut is canonical too and
+    does not depend on the input order.  The cut is one Table, warm or
+    cold, and remembers itself under CANONICAL and its key.  It is its
+    own Table even when it keeps every row, so what a later query finds
+    remembered on it depends on the queries asked before and never on
+    whether the cut dropped a row.
     """
 
     def count_pass() -> Table:
         canonical = canonicalize(table)
-        key_of = key_reader(table.schema, keys)
-        kept_per_key: dict = {}
-        out: list[Row] = []
-        for row in canonical.rows:
-            key = key_of(row)
-            count = kept_per_key.get(key, 0)
-            if count < bound:
-                kept_per_key[key] = count + 1
-                out.append(row)
-        return Table._of_rows(table.schema, out)
+        counts: dict = {}
+        kept = bytearray()
+        for key in canonical.key_column(keys):
+            count = counts.get(key, 0)
+            counts[key] = count + 1
+            kept.append(count < bound)
+        return Table._trusted(
+            table.schema, tuple(tuple(compress(column, kept)) for column in canonical.columns)
+        )
 
     return table._derive_canonical(("cut", keys, bound), count_pass)
 

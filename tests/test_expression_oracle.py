@@ -38,6 +38,7 @@ from noisegate.transformations import (
     make_map,
     make_private_join,
     make_public_join,
+    make_truncate_by_id,
 )
 
 SCHEMA = Schema.of(
@@ -323,11 +324,12 @@ FLOAT_CELL = Schema.of(("f", ColumnType.FLOAT64))
 MATCH_ONE = Table.of(Schema.of(("i", ColumnType.INT64), ("r", ColumnType.TEXT)), [(1, "r")])
 
 
-def _private_join_on(right):
-    """A private join of a table of SCHEMA with right on i, with bounds 6
-    (every row of either table) and 1, as a step on its left table: right's
-    cut is made here, so every apply finds it remembered."""
-    join = make_private_join(DOMAIN, TableDomain(right.schema), ["i"], 6, 1)
+def _private_join_on(right, left_bound=6):
+    """A private join of a table of SCHEMA with right on i, with bounds
+    left_bound (6 keeps every row of either table) and 1, as a step on its
+    left table: right's cut is made here, so every apply finds it
+    remembered."""
+    join = make_private_join(DOMAIN, TableDomain(right.schema), ["i"], left_bound, 1)
     join.apply((Table.of(SCHEMA, CALM), right))
     return SimpleNamespace(apply=lambda table: join.apply((table, right)))
 
@@ -370,6 +372,30 @@ def test_the_calls_a_row_step_makes_do_not_depend_on_the_values(transformation):
     # The tables differ where it counts: the wild one drops rows (and a
     # join's key matches on every calm row and on no wild one).
     assert len(transformation.apply(tables[0])) == 6 > len(transformation.apply(tables[1]))
+
+
+# Two tables of one size: each row of the first has its own i, and every
+# row of the second has i = 1, so a cut at 1 row per i keeps all six rows
+# of the first and one of the second.
+OWN_KEYS = [(i, i, 1.5, 2.0, "a", "b") for i in range(6)]
+ONE_KEY = [(1, -j, 1e308, 5e-324, "\ud800", "a") for j in range(6)]
+
+# One row for each i of OWN_KEYS.
+MATCH_EACH = Table.of(
+    Schema.of(("i", ColumnType.INT64), ("r", ColumnType.TEXT)), [(i, "r") for i in range(6)]
+)
+
+
+@pytest.mark.parametrize(
+    "transformation",
+    [make_truncate_by_id(TableDomain(SCHEMA, "i"), 1), _private_join_on(MATCH_EACH, 1)],
+    ids=["truncate by id", "private join, left bound 1"],
+)
+def test_the_calls_a_cut_makes_do_not_depend_on_what_it_keeps(transformation):
+    tables = [Table.of(SCHEMA, rows) for rows in (OWN_KEYS, ONE_KEY)]
+    kept, cut = (python_calls(lambda: transformation.apply(table)) for table in tables)
+    assert kept == cut
+    assert len(transformation.apply(tables[0])) == 6 > len(transformation.apply(tables[1])) == 1
 
 
 def exceptions_raised(fn) -> int:

@@ -779,12 +779,15 @@ def test_per_group_costs_one_part_call_and_its_own_draws_per_key(monkeypatch):
         assert generator.getrandbits(64) == expected.getrandbits(64)
 
 
-def _groups_reference(table, key_names):
-    """The rows of each key in key_names, in input order, as tuples."""
+def _groups_reference(table, key_names, read_names=None):
+    """The rows of each key in key_names, in input order, as tuples of
+    their cells in read_names (every column when None)."""
     key_of = key_reader(table.schema, key_names)
+    names = table.schema.names if read_names is None else read_names
+    positions = [table.schema.index_of(name) for name in names]
     groups = {}
     for row in table.rows:
-        groups.setdefault(key_of(row), []).append(row)
+        groups.setdefault(key_of(row), []).append(tuple(row[i] for i in positions))
     return {key: tuple(rows) for key, rows in groups.items()}
 
 
@@ -814,7 +817,7 @@ def test_a_warm_grouped_release_builds_nothing(monkeypatch):
         seen = []
         released = compose_per_group(GROUPED_DOMAIN, keys, _recording_count(seen), ("n", ColumnType.INT64))
         cold = released.eval(table, stream())
-        groups = table.derive(("groups", ("g",)), unbuilt)
+        groups = table.derive(("groups", ("g",), GROUPED.names), unbuilt)
         # A plain dict from each key to a Table of its rows, in input order.
         assert type(groups) is dict and _group_rows(groups) == _groups_reference(table, ("g",))
         assert all(type(part) is Table for part in groups.values())
@@ -831,7 +834,7 @@ def test_a_warm_grouped_release_builds_nothing(monkeypatch):
         assert warm.rows == cold.rows
         # The warm release builds one Table: its result.
         assert [args[0] for args in built] == [warm.schema]
-        assert remembered(table) == {("groups", ("g",)): groups}
+        assert remembered(table) == {("groups", ("g",), GROUPED.names): groups}
         # Each present key's Table is the remembered Table itself, cold and
         # warm; absent keys get an empty one.
         for group, (key,) in zip(seen, keys.rows * 2):
@@ -899,7 +902,7 @@ def test_groups_by_other_key_names_or_orders_never_share_an_entry():
                     for key in keys.rows
                 )
         assert {key: _group_rows(groups) for key, groups in remembered(table).items()} == {
-            ("groups", names): _groups_reference(table, names) for names in shapes
+            ("groups", names, GROUPED.names): _groups_reference(table, names) for names in shapes
         }
 
 
@@ -916,9 +919,127 @@ def test_grouping_a_filtered_table_leaves_the_source_memo_untouched():
         s.evaluate(filtered, budget(1))
         assert remembered(table) == {}
     s.evaluate(session.query("people").group_by(zips).count(), budget(1))
-    assert list(remembered(table)) == [("groups", ("zip",))]
-    groups = remembered(table)[("groups", ("zip",))]
-    assert _group_rows(groups) == _groups_reference(table, ("zip",))
+    # A count's groups hold its first key column only.
+    assert list(remembered(table)) == [("groups", ("zip",), ("zip",))]
+    groups = remembered(table)[("groups", ("zip",), ("zip",))]
+    assert _group_rows(groups) == _groups_reference(table, ("zip",), ("zip",))
+
+
+# A session's grouped aggregations, each with the column its groups hold
+# (a count's first key column, or the column a sum, an average or a
+# quantile reads) and the type of the value it releases.
+_READ_CASES = [
+    ("make_count", lambda q: q.count(), "g", ColumnType.INT64),
+    ("make_sum", lambda q: q.sum("v", -2, 10, Fraction(1, 4)), "v", ColumnType.FLOAT64),
+    ("make_average", lambda q: q.average("v", -2, 10, Fraction(1, 4)), "v", ColumnType.FLOAT64),
+    ("make_quantile", lambda q: q.quantile("v", 0.5, -2, 10, 8), "v", ColumnType.FLOAT64),
+]
+
+
+def _recording(make, seen, references):
+    """make, whose measurements also log each group's Table in seen; each
+    one's twin built on the whole GROUPED domain goes in references."""
+
+    def build(domain, *args):
+        made = make(domain, *args)
+        references.append(make(GROUPED_DOMAIN, *args)._eval)
+
+        def evaluate(table, rng):
+            seen.append(table)
+            return made._eval(table, rng)
+
+        return replace(made, _eval=evaluate)
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "name, aggregate, read, value_type", _READ_CASES, ids=[c[0] for c in _READ_CASES]
+)
+def test_a_session_group_holds_only_the_column_its_aggregation_reads(
+    monkeypatch, name, aggregate, read, value_type
+):
+    # The per-group part is built on the read column alone, and releases
+    # the rows and draws that its twin on the whole domain releases from
+    # whole groups, on tables with and without a mask, cold and warm.
+    seen, references = [], []
+    monkeypatch.setattr(session, name, _recording(getattr(session, name), seen, references))
+    keys = KeySet(Schema.of(("g", ColumnType.TEXT)), [("b",), ("d",), ("a",), ("c",)])
+    read_schema = Schema.of((read, GROUPED.type_of(read)))
+    rng = random.Random(f"read-{name}")
+    for seed in range(8):
+        rows = _grouped_rows(rng, 0 if seed == 0 else rng.randrange(1, 40))
+        table = Table.of(GROUPED, rows)
+        for masked in (False, True):
+            source = session.query("t").filter("k > 0") if masked else session.query("t")
+            compiled = session.compile_query(
+                aggregate(source.group_by(keys)), {"t": GROUPED_DOMAIN},
+                session.AddMaxRows(1), PureDP(), 1,
+            )
+            held = make_filter(GROUPED_DOMAIN, "k > 0").apply(table) if masked else table
+            assert (held.held is not None) is masked
+            groups = _groups_reference(held, ("g",), (read,))
+            for _ in range(2):  # cold, then warm
+                seen.clear()
+                ours, theirs = LoggingRandom(seed), LoggingRandom(seed)
+                out = compiled.measurement._eval((table,), ours)
+                assert [group.schema for group in seen] == [read_schema] * len(keys.rows)
+                assert [group.rows for group in seen] == [groups.get(key, ()) for (key,) in keys.rows]
+                expected = per_group_reference(references[-1], keys, value_type, held, theirs)
+                assert out.rows == expected
+                assert ours.calls == theirs.calls
+                assert ours.getrandbits(64) == theirs.getrandbits(64)
+            # The unmasked release remembers its groups, which the masked
+            # one, a filter's new table, leaves as they are.
+            assert list(remembered(table)) == [("groups", ("g",), (read,))]
+            if not masked:
+                for group, (key,) in zip(seen, keys.rows):
+                    if key in groups:
+                        assert group is remembered(table)[("groups", ("g",), (read,))][key]
+
+
+def test_a_count_and_a_sum_on_one_table_remember_two_groupings(monkeypatch):
+    keys = KeySet(Schema.of(("g", ColumnType.TEXT)), [("a",), ("b",), ("z",)])
+    splits = []
+    split = measurements.split_by_key
+    monkeypatch.setattr(measurements, "split_by_key", lambda *args: splits.append(args) or split(*args))
+    budget = session.PrivacyBudget.pure
+    rng = random.Random(84)
+    for _ in range(5):
+        table = Table.of(GROUPED, _grouped_rows(rng))
+        s = session.build_session({"t": table}, session.AddMaxRows(1), budget(INF), seed=1)
+        by_g = session.query("t").group_by(keys)
+        splits.clear()
+        for _ in range(2):  # cold, then warm
+            for expr in (by_g.count(), by_g.sum("v", -2, 10)):
+                s.evaluate(expr, budget(1))
+        # One split per read column, each its own entry; the warm releases
+        # split nothing.
+        assert len(splits) == 2
+        assert {key: _group_rows(groups) for key, groups in remembered(table).items()} == {
+            ("groups", ("g",), (read,)): _groups_reference(table, ("g",), (read,))
+            for read in ("g", "v")
+        }
+
+
+def test_a_part_that_reads_a_column_the_domain_lacks_is_refused():
+    keys = KeySet(Schema.of(("g", ColumnType.TEXT)), [("a",)])
+    noise = PureDpNoise(Fraction(1, 2))
+    for read in (("v", ColumnType.FLOAT64), ("k", ColumnType.INT64), ("g", ColumnType.TEXT)):
+        part = make_count(TableDomain(Schema.of(read)), noise)
+        compose_per_group(GROUPED_DOMAIN, keys, part, ("n", ColumnType.INT64))
+    parts = [
+        make_count(TableDomain(Schema(read)), noise) for read in (
+            (("x", ColumnType.FLOAT64),),  # missing
+            (("k", ColumnType.FLOAT64),),  # retyped
+            (("g", ColumnType.INT64),),  # a retyped key column
+            (("v", ColumnType.FLOAT64), ("x", ColumnType.INT64)),  # one of two missing
+        )
+    ]
+    parts.append(make_sum(TableDomain(Schema.of(("v", ColumnType.INT64))), "v", 0, 1, 1, noise))
+    for part in parts:
+        with pytest.raises(DomainMismatch, match="does not hold"):
+            compose_per_group(GROUPED_DOMAIN, keys, part, ("n", ColumnType.INT64))
 
 
 # Values a per-group part or an ungrouped aggregation might return, and the
