@@ -12,10 +12,19 @@ one rule for how rows are keyed by named columns (Table.key_column reads
 the same keys from the columns), and split_by_key hands out each key's
 row positions by it, so grouping and joins take one keyed pass.
 
-Values are plain Python ints, floats, and strings.  Floats must be finite,
-no cell may be empty, and no Table holds -0.0: it equals 0.0, so rows
-that differed only in the sign of a zero would tie in the canonical
-order.  Cells are checked, and -0.0 becomes 0.0, where they enter, a
+Values are Python ints, floats, and strings of exactly those types: a
+cell of a subclass is rebuilt as its base type where it enters, so no
+comparison, hash or str() of a stored cell runs a subclass's code.
+Floats must be finite, no cell may be empty, and no Table holds -0.0: it
+equals 0.0, so rows that differed only in the sign of a zero would tie
+in the canonical order.  A text column that load_csv or Table(...)
+builds holds one object per distinct cell, through one dict per column
+that lives for that load or build and is then dropped, unless more than
+half of its cells read by a block's end are distinct, where the dict
+would cost more than it shares and later cells are kept as given.
+Nothing after entry shares cells, so no query's work depends on how many
+distinct values a column holds.
+Cells are checked, and -0.0 becomes 0.0, where they enter, a
 column at a time, by one rule per column type for text cells
 (_parse_column) and one for Python values (_check_column): by load_csv
 for each column of a block of records; by Table(...) / Table.of for user
@@ -45,7 +54,7 @@ import sys
 from collections import Counter, defaultdict
 from collections.abc import Iterable
 from contextlib import contextmanager
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence, Union
@@ -164,27 +173,57 @@ def expect(value, types, error: type[NoisegateError], where: str, what: str):
 
 def _check_column(cells: Sequence, ctype: ColumnType) -> Sequence[Value] | str:
     """Python values of one column type as a Table stores them, or, when a
-    value breaks the type's one rule (an int and no bool within int64, a
-    finite float, non-empty text), why: a template that takes the value.
-    Exact ints, floats and strs are typed by the set of their types, any
-    other value one at a time.  The cells come back as given unless -0.0
-    becomes 0.0 or a float subclass a float."""
+    value breaks the type's one rule (of a subclass of int, not bool, within
+    int64; of float, finite; of str, non-empty), why: a template that takes
+    the value.  The rule reads each distinct type of the cells, not the
+    cells.  A subclass cell is rebuilt as the exact type by that type's own
+    method, which never calls the subclass, before any comparison reads the
+    column; -0.0 becomes 0.0; and equal text cells become one object, the
+    first of them, through one dict for the call, by _extend_shared's rule
+    on blocks of _BLOCK_RECORDS cells.  Every other cell comes back as
+    given, and so does a text column that rule stops sharing."""
+    types = set(map(type, cells))
     if ctype is _INT64:
-        if not set(map(type, cells)) <= {int} and not all(map(is_int, cells)):
-            return "expected int64, got {!r}"
+        if not types <= {int}:
+            if not all(issubclass(kind, int) and kind is not bool for kind in types):
+                return "expected int64, got {!r}"
+            cells = tuple(map(int.__index__, cells))
         if cells and (min(cells) < _INT64_MIN or max(cells) > _INT64_MAX):
             return "{} is outside the int64 range"
         return cells
     if ctype is _FLOAT64:
-        exact = set(map(type, cells)) <= {float}
-        if not exact and not all(isinstance(cell, float) for cell in cells):
+        exact = types <= {float}
+        if not exact and not all(issubclass(kind, float) for kind in types):
             return "expected float64, got {!r}"
-        if not all(map(math.isfinite, cells)):
-            return "float values must be finite, got {!r}"
-        return cells if exact and 0.0 not in cells else tuple([cell + 0.0 for cell in cells])
-    if not set(map(type, cells)) <= {str} and not all(isinstance(cell, str) for cell in cells):
-        return "expected text, got {!r}"
-    return "text values must be non-empty" if "" in cells else cells
+        if not exact or 0.0 in cells:  # -0.0 becomes 0.0
+            cells = tuple(map(float.__add__, cells, repeat(0.0)))
+        return cells if all(map(math.isfinite, cells)) else "float values must be finite, got {!r}"
+    if not types <= {str}:
+        if not all(issubclass(kind, str) for kind in types):
+            return "expected text, got {!r}"
+        cells = tuple(map(str.__str__, cells))
+    if "" in cells:
+        return "text values must be non-empty"
+    shared: list[str] = []
+    seen: dict[str, str] | None = {}
+    for start in range(0, len(cells), _BLOCK_RECORDS):
+        seen = _extend_shared(shared, cells[start : start + _BLOCK_RECORDS], seen)
+        if seen is None:
+            return cells
+    return tuple(shared)
+
+
+def _extend_shared(column: list, cells: Iterable, seen: dict | None) -> dict | None:
+    """Extend a column by cells, each text cell as the first equal one that
+    seen holds, and give the dict for the column's next cells: seen, or
+    None (cells taken as given) once seen holds more than half of the
+    column's cells.  A dict entry costs about what a short str does, so a
+    mostly distinct column would peak higher shared than as given."""
+    if seen is None:
+        column.extend(cells)
+        return None
+    column.extend(map(seen.setdefault, cells, cells))
+    return seen if 2 * len(seen) <= len(column) else None
 
 
 # columns_of transposes up to this many rows by zip(*rows), quickest for a
@@ -666,12 +705,17 @@ def load_csv(path: str | Path, schema: Schema) -> Table:
     error is the first bad record or cell in row order, with its line and
     column.  Each cell is checked as it is parsed, so the table is built
     without a second check, and its columns are the parsed columns joined.
+    A text column holds one object per distinct cell while at most half of
+    the cells read so far are distinct: one dict per column, kept across
+    blocks and dropped when the load returns, maps each cell to the first
+    equal one (_extend_shared).
     """
     columns: list[list] = [[] for _ in schema.columns]
+    shared = [{} if ctype is ColumnType.TEXT else None for _, ctype in schema.columns]
     with _csv_records(path, schema) as blocks:
         for line, block in blocks:
-            for column, values in zip(columns, _parse_block(block, line, schema, path)):
-                column.extend(values)
+            for i, values in enumerate(_parse_block(block, line, schema, path)):
+                shared[i] = _extend_shared(columns[i], values, shared[i])
     return Table._trusted(schema, tuple(map(tuple, columns)))
 
 
@@ -684,7 +728,8 @@ def _format_cell(value: Value) -> str:
 
 def write_csv(table: Table, path: str | Path) -> None:
     """Serialize a table; loading the result under the same schema gives an
-    equal table."""
+    equal table, since every cell is of its column's exact type (a Table
+    rebuilds a subclass cell), whose str or repr load_csv parses back."""
     Path(path).write_text(csv_text(table), encoding="utf-8", newline="")
 
 

@@ -527,25 +527,31 @@ def load_csv_reference(path, schema: Schema) -> tuple:
 
 
 def check_value_reference(value, ctype: ColumnType):
-    """value as a Table stores it (-0.0 as 0.0); SchemaMismatch unless it
-    is a legal cell of the column type."""
+    """value as a Table stores it: of the column type's exact class (int,
+    float or str), with -0.0 as 0.0; SchemaMismatch unless it is a legal
+    cell of the column type.  The type is read as type(value), which no
+    __class__ attribute can stand in for, and a subclass's value through
+    the base class's own method, which never calls the subclass."""
+    kind = type(value)
     if ctype is ColumnType.INT64:
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not issubclass(kind, int) or issubclass(kind, bool):
             raise SchemaMismatch(f"expected int64, got {value!r}")
-        if not -(2**63) <= value <= 2**63 - 1:
+        cell = int.__index__(value)
+        if not -(2**63) <= cell <= 2**63 - 1:
             raise SchemaMismatch(f"{value} is outside the int64 range")
     elif ctype is ColumnType.FLOAT64:
-        if not isinstance(value, float):
+        if not issubclass(kind, float):
             raise SchemaMismatch(f"expected float64, got {value!r}")
-        if not math.isfinite(value):
+        cell = float.__float__(value) + 0.0
+        if not math.isfinite(cell):
             raise SchemaMismatch(f"float values must be finite, got {value!r}")
-        return value + 0.0
     else:
-        if not isinstance(value, str):
+        if not issubclass(kind, str):
             raise SchemaMismatch(f"expected text, got {value!r}")
-        if value == "":
+        cell = str.__str__(value)
+        if cell == "":
             raise SchemaMismatch("text values must be non-empty")
-    return value
+    return cell
 
 
 def table_rows_reference(schema: Schema, rows) -> tuple:

@@ -48,6 +48,7 @@ from noisegate.tabledata import (
     table_equal,
     write_csv,
 )
+from noisegate.session import AddMaxRows, PrivacyBudget, build_session, query
 from noisegate.transformations import make_map
 
 PEOPLE = Schema.of(
@@ -492,17 +493,59 @@ class Real(float):
     pass
 
 
+class Loud(int):
+    """An int whose str is not its digits, as an IntEnum's is on Python 3.10."""
+
+    def __str__(self):
+        return "loud"
+
+
+class Sly(float):
+    """A float whose + gives text."""
+
+    def __add__(self, other):
+        return "not a float"
+
+
+class Touchy(str):
+    """Text that raises when compared with "eng"."""
+
+    def __eq__(self, other):
+        if type(other) is str and str.__eq__(other, "eng"):
+            raise ValueError("compared with eng")
+        return str.__eq__(self, other)
+
+    __hash__ = str.__hash__
+
+
+class Posing:
+    """No number or text, though isinstance takes it for the class it poses as."""
+
+    def __init__(self, pose: type):
+        self.pose = pose
+
+    @property
+    def __class__(self):
+        return self.pose
+
+    def __repr__(self):
+        return f"Posing({self.pose.__name__})"
+
+
 Pair = namedtuple("Pair", "n x s")
 
 PY_VALID = {
-    INT64: [0, -1, 7, 2**63 - 1, -(2**63), Color.RED],
-    FLOAT64: [1.5, -0.0, 0.0, -2.5, 1e308, 5e-324, -5e-324, Real(2.5), Real(-0.0)],
-    TEXT: ["a", "b,c", " ", "0", Name("named")],
+    INT64: [0, -1, 7, 2**63 - 1, -(2**63), Color.RED, Loud(5)],
+    FLOAT64: [1.5, -0.0, 0.0, -2.5, 1e308, 5e-324, -5e-324, Real(2.5), Real(-0.0), Sly(0.5)],
+    TEXT: ["a", "b,c", " ", "0", Name("named"), Touchy("eng")],
 }
 PY_INVALID = {
-    INT64: [True, False, 1.0, "1", None, 2**63, -(2**63) - 1, float("nan"), Color],
-    FLOAT64: [float("nan"), float("inf"), -float("inf"), 1, True, "1.5", None, Real("nan")],
-    TEXT: ["", Name(""), 1, None, b"a", 1.5],
+    INT64: [True, False, 1.0, "1", None, 2**63, -(2**63) - 1, float("nan"), Color, Posing(int)],
+    FLOAT64: [
+        float("nan"), float("inf"), -float("inf"), 1, True, "1.5", None, Real("nan"),
+        Posing(float),
+    ],
+    TEXT: ["", Name(""), 1, None, b"a", 1.5, Posing(str)],
 }
 PY_SCHEMA = Schema.of(("n", INT64), ("x", FLOAT64), ("s", TEXT))
 KEYS_AT = "queries[0]/Count.child/GroupBy.keys"
@@ -607,6 +650,116 @@ def test_unchanged_rows_are_kept_and_changed_ones_rebuilt():
     assert listed == (("a", 1),) and type(listed[0]) is tuple
     zeros = Table.of(Schema.of(("x", FLOAT64)), [(-0.0,), (1.5,)]).rows
     assert repr(zeros) == "((0.0,), (1.5,))"
+
+
+def _exact_types(table: Table) -> set:
+    return {type(cell) for column in table.columns for cell in column}
+
+
+def test_a_subclass_cell_is_stored_as_its_exact_type(tmp_path: Path):
+    # A subclass cell is rebuilt by its base type's own method, so no code
+    # of the subclass runs once the cell is stored.
+    floats = Table.of(Schema.of(("x", FLOAT64)), [(Sly(1.5),), (Sly(-0.0),), (2.5,)])
+    assert repr(floats.rows) == "((1.5,), (0.0,), (2.5,))"
+    assert _exact_types(floats) == {float}
+    # A filter compares the stored text, not the Touchy cell, so the query
+    # runs and is charged once.
+    depts = Schema.of(("d", TEXT))
+    session = build_session(
+        {"p": Table.of(depts, [(Touchy("eng"),), ("ops",), (Touchy("eng"),)])},
+        AddMaxRows(1), PrivacyBudget.pure(10**41), 7,
+    )
+    eng = query("p").filter("d == 'eng'").count()
+    released = session.evaluate(eng, PrivacyBudget.pure(10**40))
+    assert released.rows == ((2,),)
+    assert session.remaining_budget() == PrivacyBudget.pure(9 * 10**40)
+    # An int whose str is not its digits is written as its digits, so
+    # load(write(t)) == t.
+    schema = Schema.of(("n", INT64), ("s", TEXT))
+    table = Table.of(schema, [(Color.RED, Name("named")), (Loud(5), "plain")])
+    assert table.rows == ((3, "named"), (5, "plain")) and _exact_types(table) == {int, str}
+    write_csv(table, tmp_path / "t.csv")
+    assert table_equal(load_csv(tmp_path / "t.csv", schema), table)
+
+
+def _one_object_per_value(column) -> bool:
+    return len(set(map(id, column))) == len(set(column))
+
+
+def test_a_text_column_holds_one_object_per_distinct_cell(tmp_path: Path):
+    # load_csv shares across its blocks.
+    schema = Schema.of(("zip", TEXT), ("n", INT64), ("dept", TEXT))
+    path = tmp_path / "t.csv"
+    path.write_text("zip,n,dept\n" + "".join(
+        f"981{i % 7:02},{i},dept-{i % 3}\n" for i in range(2 * B + 3)
+    ))
+    loaded = load_csv(path, schema)
+    assert len(set(loaded.columns[0])) == 7 and len(set(loaded.columns[2])) == 3
+    assert _one_object_per_value(loaded.columns[0]) and _one_object_per_value(loaded.columns[2])
+    # Table.of keeps the first of equal cells, and numeric cells as given.
+    rows = [("".join(["z", str(i % 3)]), 10**12 + i % 2, float(i % 2) + 0.5) for i in range(50)]
+    assert len(set(map(id, (row[0] for row in rows)))) == 50
+    built = Table.of(Schema.of(("s", TEXT), ("n", INT64), ("x", FLOAT64)), rows)
+    assert _one_object_per_value(built.columns[0]) and len(set(built.columns[0])) == 3
+    assert all(map(lambda cell, row: cell is row[0], built.columns[0][:3], rows))
+    assert all(map(lambda cell, row: cell is row[1], built.columns[1], rows))
+    assert all(map(lambda cell, row: cell is row[2], built.columns[2], rows))
+    # A KeySet's columns, and a script's inline table.
+    keys = KeySet(Schema.of(("zip", TEXT), ("dept", TEXT)), [
+        ("".join(["981", zip]), "".join(["dept-", dept])) for zip in "0123" for dept in "abc"
+    ])
+    for column in zip(*keys.rows):
+        assert _one_object_per_value(column) and len(set(column)) in (3, 4)
+    inline = {"columns": [{"name": "zip", "type": "text"}, {"name": "region", "type": "text"}],
+              "rows": [["98101", "north"], ["98102", "south"], ["98103", "south"],
+                       ["98104", "north"]]}
+    expr = {"kind": "Count", "child": {"kind": "JoinPublic", "on": ["zip"], "table": inline,
+                                       "child": {"kind": "Source", "table": "t"}}}
+    script = json.loads(json.dumps({"queries": [{"name": "q", "spend": "1", "expr": expr}]}))
+    regions = [row[1] for row in script["queries"][0]["expr"]["child"]["table"]["rows"]]
+    assert regions[1] is not regions[2]
+    joined = parse_script(script)[0].expr.child.table
+    assert joined.columns[1] == ("north", "south", "south", "north")
+    assert _one_object_per_value(joined.columns[1])
+
+
+def test_a_text_column_stops_sharing_once_most_of_its_cells_are_distinct(tmp_path: Path):
+    # A column is shared while its dict holds at most half of the cells read
+    # by a block's end; once it holds more, the column's later cells are
+    # kept as given.  Each column's last B + 3 cells are "same", which the
+    # csv reader makes a new object each time.
+    halves = [f"h{i // 2}" for i in range(B)]  # exactly half distinct: still shared
+    distinct = [f"u{i}" for i in range(B)]  # all distinct: no longer shared
+    path = tmp_path / "t.csv"
+    path.write_text("h,u\n" + "".join(
+        f"{h},{u}\n" for h, u in zip(halves + ["same"] * (B + 3), distinct + ["same"] * (B + 3))
+    ))
+    loaded = load_csv(path, Schema.of(("h", TEXT), ("u", TEXT)))
+    assert list(loaded.columns[0]) == halves + ["same"] * (B + 3)
+    assert list(loaded.columns[1]) == distinct + ["same"] * (B + 3)
+    assert _one_object_per_value(loaded.columns[0])
+    assert len(set(map(id, loaded.columns[1][B:]))) == B + 3
+    # Table.of by the same rule on blocks of B cells: a column whose first
+    # block is mostly distinct comes back as given.
+    schema = Schema.of(("h", TEXT), ("u", TEXT))
+    rows = [(h, u) for h, u in zip(
+        halves + ["".join(["sa", "me"]) for _ in range(B + 3)],
+        distinct + ["".join(["sa", "me"]) for _ in range(B + 3)],
+    )]
+    built = Table.of(schema, rows)
+    assert _one_object_per_value(built.columns[0])
+    assert all(map(lambda cell, row: cell is row[1], built.columns[1], rows))
+
+
+def test_no_text_cell_is_made_immortal(tmp_path: Path):
+    # The sharing dicts live for one load or build.  sys.intern would make
+    # each cell immortal on Python 3.12, whose refcount then reads 2**32 - 1.
+    path = tmp_path / "t.csv"
+    path.write_text("zip\n" + "".join(f"981{i % 7:02}\n" for i in range(B + 1)))
+    loaded = load_csv(path, Schema.of(("zip", TEXT)))
+    built = Table.of(Schema.of(("s", TEXT)), [("".join(["z", str(i % 3)]),) for i in range(9)])
+    for cell in {*loaded.columns[0], *built.columns[0]}:
+        assert sys.getrefcount(cell) < 2**20
 
 
 def test_result_cell_clamps_a_release_to_its_column_range():
