@@ -27,17 +27,21 @@ Python's short-circuit outcome: `True or <fails>` is true, `False and
 <fails>` is false, and otherwise a row fails where an operand that
 decides it fails; a chained comparison is its links joined by `and`.  A
 check is a test over a column that ANDs into its mask: finiteness, or
-the int64 range.  A projection for a map cell (compile_projection)
-returns the cells a Table stores and keeps only the checks its type does
-not prove, each a mask or a pass over the column (-0.0 to 0.0); a
-literal cell is checked once, when it compiles.  Python raises only
-where an int too large for a float meets a float, a division or a float
-column, so only such an operation, when an operand's type does not prove
-that it fits a float, first masks the rows where it would raise and
-zeroes that operand there.  No step raises, so a program's steps and
-calls depend on the expression and the table's length, not on the
-values in it.  No source text is generated, so no literal is ever
-spliced into code.
+the int64 range.  The compiler bounds each numeric node's size from the
+schema and the literals alone (see _build), and leaves out every check
+that bound proves: float arithmetic whose bound is at most the largest
+float gets no finiteness step, so `income / 1000.0` has no mask at all.
+A projection for a map cell (compile_projection) returns the cells a
+Table stores and keeps only the checks its type and bound do not prove,
+each a mask or a pass over the column (-0.0 to 0.0); a literal cell is
+checked once, when it compiles.  Python raises only where an int too
+large for a float meets a float, a division or a float column, so only
+such an operation, when an operand's bound does not prove that it fits
+a float, first masks the rows where it would raise and zeroes that
+operand there.  No step raises, so a program's steps and calls depend
+on the expression, the schema and the table's length, not on the values
+in it.  No source text is generated, so no literal is ever spliced into
+code.
 
 Division is defined everywhere by mapping division by zero to zero.  Text
 comparisons use code-point order, which matches the byte order used by
@@ -50,7 +54,7 @@ import ast
 import enum
 import sys
 from itertools import repeat
-from math import isfinite
+from math import inf, isfinite, nextafter
 from operator import add, and_, eq, ge, gt, le, lt, mul, ne, neg, not_, or_, sub, truediv
 from typing import Callable, Iterable, Sequence
 
@@ -73,6 +77,11 @@ _COLUMN_TYPES = {
 }
 
 _NUMERIC = (ExprType.INT, ExprType.FLOAT)
+
+_FLOAT_MAX = sys.float_info.max
+
+# The static bound on |value| of each column type's cells (see _build).
+_COLUMN_BOUNDS = {ColumnType.INT64: 2**63, ColumnType.FLOAT64: _FLOAT_MAX, ColumnType.TEXT: None}
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
@@ -162,6 +171,9 @@ def _div(a, b):
 
 
 _ARITHMETIC = {ast.Add: add, ast.Sub: sub, ast.Mult: mul}
+
+# How an arithmetic node's bound follows from its operands' bounds.
+_BOUNDS = {ast.Add: add, ast.Sub: add, ast.Mult: mul}
 
 _COMPARISONS = {ast.Eq: eq, ast.NotEq: ne, ast.Lt: lt, ast.LtE: le, ast.Gt: gt, ast.GtE: ge}
 
@@ -301,21 +313,6 @@ def _connective(slots: list[int], both: bool) -> Step:
 # The compiler.
 
 
-def _fits_float(node: ast.expr) -> bool:
-    """Whether every value of an int expression converts to a float: an
-    int64 column, an int literal that does, or one of those negated.  Int
-    arithmetic may outgrow the float range."""
-    while isinstance(node, ast.UnaryOp):
-        node = node.operand
-    if isinstance(node, ast.Constant):
-        try:
-            float(node.value)
-        except OverflowError:
-            return False
-        return True
-    return isinstance(node, ast.Name)
-
-
 class _Program(list):
     """The steps compiled so far."""
 
@@ -326,11 +323,35 @@ class _Program(list):
 
 def _build(node: ast.expr, schema: Schema, text: str, program: _Program, level: int):
     """Append a node's steps to the program and return (its slot, its
-    type), rejecting anything off-menu.  The node sits `level` levels deep
-    and its children one deeper, but the operands of an and/or of n sit
-    ceil(log2 n) deeper, the depth of a balanced tree of them; past
-    _MAX_LEVELS it raises _too_deep.  Children are built in plain loops,
-    since a comprehension is a frame of its own before CPython 3.12."""
+    type, its bound), rejecting anything off-menu.  The node sits `level`
+    levels deep and its children one deeper, but the operands of an and/or
+    of n sit ceil(log2 n) deeper, the depth of a balanced tree of them;
+    past _MAX_LEVELS it raises _too_deep.  Children are built in plain
+    loops, since a comprehension is a frame of its own before CPython 3.12.
+
+    A numeric node's bound is a static fact: no row that holds a value has
+    a larger |value| (text and bools have None).  It is 2**63 for an int64
+    column, sys.float_info.max for a float64 column, a literal's own size,
+    its operand's under unary minus, the sum of the operands' bounds under
+    + and -, their product under *, the dividend's over |c| for / by a
+    nonzero literal c, the dividend's for an int over an int (_div maps a
+    zero divisor to 0, and any other int divisor has size at least 1), and
+    inf for any other /.  An int bound is exact and stops at _FLOAT_LIMIT.
+    A float bound is the node's own operation on its operands' bounds,
+    rounded up by one ulp (math.nextafter).  The proof: an operand is no
+    larger in size than its bound, the bound's operation is the value's
+    (float() of an int, a float operation, or one correctly rounded int
+    division), each of which is monotone in the size of its exact result
+    under round-to-nearest, so the computed value is no larger in size
+    than the computed bound, and the ulp keeps it so whatever the rounding
+    of the bound.  Two checks follow from it and no others are left out:
+    - a float node whose bound is at most sys.float_info.max is finite
+      wherever it holds a value, so it gets no finiteness step; any other
+      gets one, after which its bound is sys.float_info.max;
+    - an int operand whose bound is below _FLOAT_LIMIT converts to a float
+      without raising (as does an int dividend over an int, whose quotient
+      is no larger), so it gets no _fitted mask; an operation that needs
+      one has no bound (inf)."""
     if level > _MAX_LEVELS:
         raise _too_deep(text)
     emit = program.emit
@@ -339,15 +360,15 @@ def _build(node: ast.expr, schema: Schema, text: str, program: _Program, level: 
     if isinstance(node, ast.Constant):
         value = node.value
         if isinstance(value, bool):
-            return emit(_literal(value)), ExprType.BOOL
+            return emit(_literal(value)), ExprType.BOOL, None
         if isinstance(value, int):
-            return emit(_literal(value)), ExprType.INT
+            return emit(_literal(value)), ExprType.INT, min(abs(value), _FLOAT_LIMIT)
         if isinstance(value, float):
             if not isfinite(value):
                 raise _fail(text, "float literals must be finite")
-            return emit(_literal(value)), ExprType.FLOAT
+            return emit(_literal(value)), ExprType.FLOAT, abs(value)
         if isinstance(value, str):
-            return emit(_literal(value)), ExprType.TEXT
+            return emit(_literal(value)), ExprType.TEXT, None
         raise _unsupported(text, f"unsupported literal {value!r}")
 
     if isinstance(node, ast.Name):
@@ -358,18 +379,19 @@ def _build(node: ast.expr, schema: Schema, text: str, program: _Program, level: 
                 f"in {text!r}: no column named {node.id!r}; "
                 f"have {list(schema.names)}"
             )
-        return emit(_read(index)), _COLUMN_TYPES[schema.columns[index][1]]
+        ctype = schema.columns[index][1]
+        return emit(_read(index)), _COLUMN_TYPES[ctype], _COLUMN_BOUNDS[ctype]
 
     if isinstance(node, ast.UnaryOp):
-        operand, otype = _build(node.operand, schema, text, program, below)
+        operand, otype, bound = _build(node.operand, schema, text, program, below)
         if isinstance(node.op, ast.Not):
             if otype is not ExprType.BOOL:
                 raise _fail(text, "'not' needs a boolean operand")
-            return emit(_mapped(not_, operand)), ExprType.BOOL
+            return emit(_mapped(not_, operand)), ExprType.BOOL, None
         if isinstance(node.op, ast.USub):
             if otype not in _NUMERIC:
                 raise _fail(text, "unary minus needs a numeric operand")
-            return emit(_mapped(neg, operand)), otype
+            return emit(_mapped(neg, operand)), otype, bound
         raise _unsupported(text, f"unsupported unary operator {type(node.op).__name__}")
 
     if isinstance(node, ast.BoolOp):
@@ -377,14 +399,14 @@ def _build(node: ast.expr, schema: Schema, text: str, program: _Program, level: 
         parts = []
         for value in node.values:
             parts.append(_build(value, schema, text, program, below))
-        if any(t is not ExprType.BOOL for _, t in parts):
+        if any(t is not ExprType.BOOL for _, t, _ in parts):
             raise _fail(text, "'and'/'or' need boolean operands")
-        slots = [slot for slot, _ in parts]
-        return emit(_connective(slots, isinstance(node.op, ast.And))), ExprType.BOOL
+        slots = [slot for slot, _, _ in parts]
+        return emit(_connective(slots, isinstance(node.op, ast.And))), ExprType.BOOL, None
 
     if isinstance(node, ast.BinOp):
-        left, ltype = _build(node.left, schema, text, program, below)
-        right, rtype = _build(node.right, schema, text, program, below)
+        left, ltype, lbound = _build(node.left, schema, text, program, below)
+        right, rtype, rbound = _build(node.right, schema, text, program, below)
         if ltype not in _NUMERIC or rtype not in _NUMERIC:
             raise _fail(text, "arithmetic needs numeric operands")
         division = isinstance(node.op, ast.Div)
@@ -396,25 +418,36 @@ def _build(node: ast.expr, schema: Schema, text: str, program: _Program, level: 
         else:
             raise _unsupported(text, f"unsupported operator {type(node.op).__name__}")
         if not (division or ExprType.FLOAT in (ltype, rtype)):
-            return emit(_mapped(op, left, right)), ExprType.INT
+            bound = min(_BOUNDS[type(node.op)](lbound, rbound), _FLOAT_LIMIT)
+            return emit(_mapped(op, left, right)), ExprType.INT, bound
         # An int operand becomes a float here, and raises where it is too
-        # large for one, unless its type proves that it fits.
+        # large for one, unless its bound proves that it fits.
         exact = division and ltype is rtype is ExprType.INT
         unproved = [
-            t is ExprType.INT and not _fits_float(n)
-            for n, t in ((node.left, ltype), (node.right, rtype))
+            t is ExprType.INT and bound >= _FLOAT_LIMIT
+            for t, bound in ((ltype, lbound), (rtype, rbound))
         ]
         if unproved[0] or (unproved[1] and not exact):
             slot = emit(_fitted(_div if division else op, unproved.index(True), exact, left, right))
+            bound = inf
         else:
             slot = emit(_mapped(op, left, right))
-        return emit(_checked(slot, _finite)), ExprType.FLOAT
+            if not division:
+                bound = _BOUNDS[type(node.op)](lbound, rbound)
+            elif nonzero:
+                bound = lbound / abs(node.right.value)
+            else:
+                bound = lbound if exact else inf
+            bound = nextafter(bound, inf)
+        if bound <= _FLOAT_MAX:
+            return slot, ExprType.FLOAT, bound
+        return emit(_checked(slot, _finite)), ExprType.FLOAT, _FLOAT_MAX
 
     if isinstance(node, ast.Compare):
         operands = []
         for operand in [node.left, *node.comparators]:
             operands.append(_build(operand, schema, text, program, below))
-        types = [t for _, t in operands]
+        types = [t for _, t, _ in operands]
         for a, b in zip(types, types[1:]):
             if a in _NUMERIC and b in _NUMERIC:
                 continue
@@ -429,24 +462,24 @@ def _build(node: ast.expr, schema: Schema, text: str, program: _Program, level: 
                 raise _fail(text, "booleans only support == and !=")
             ops.append(_COMPARISONS[type(op_node)])
         # a < b < c is a < b and b < c, b listed once for both links.
-        slots = [slot for slot, _ in operands]
+        slots = [slot for slot, _, _ in operands]
         slots[1:-1] = [emit(_listing(slot)) for slot in slots[1:-1]]
         links = [emit(_mapped(op, a, b)) for op, a, b in zip(ops, slots, slots[1:])]
         if len(links) == 1:
-            return links[0], ExprType.BOOL
-        return emit(_connective(links, True)), ExprType.BOOL
+            return links[0], ExprType.BOOL, None
+        return emit(_connective(links, True)), ExprType.BOOL, None
 
     raise _unsupported(text, f"unsupported syntax {type(node).__name__}")
 
 
 def _compile(text: str, schema: Schema):
-    """Parse and build an expression: (its node, program, type)."""
+    """Parse and build an expression: (its node, program, type, bound)."""
     if not isinstance(text, str) or not text.strip():
         raise ExpressionSyntaxError("expressions must be non-empty strings")
     program = _Program()
     try:
         node = _parse(text)
-        _, result_type = _build(node, schema, text, program, 1)
+        _, result_type, bound = _build(node, schema, text, program, 1)
     except (RecursionError, MemoryError):
         # Refused here, at compile time, before any spend is charged: the
         # caller's stack is short, or the parser met a nesting past the cap.
@@ -457,12 +490,12 @@ def _compile(text: str, schema: Schema):
                 f"recursion limit and has {headroom}"
             ) from None
         raise _too_deep(text) from None
-    return node, program, result_type
+    return node, program, result_type, bound
 
 
 def compile_expression(text: str, schema: Schema) -> CompiledExpression:
     """Parse and type-check an expression against a schema."""
-    node, program, result_type = _compile(text, schema)
+    node, program, result_type, _ = _compile(text, schema)
     column = schema.index_of(node.id) if isinstance(node, ast.Name) else None
     return CompiledExpression(result_type, tuple(program), column)
 
@@ -493,21 +526,22 @@ def compile_projection(text: str, schema: Schema, target: ColumnType) -> Compile
 
     Integer expressions widen to float columns; nothing else coerces.  The
     program's values are the cells as a Table stores them, and it checks
-    only what the expression's type does not prove:
+    only what the expression's type and bound (see _build) do not prove:
     - a bare column of the target type is already a legal cell;
     - a literal is converted and checked once, when it compiles;
     - a float expression is already finite (a column holds finite floats,
-      unary minus keeps them so and arithmetic checks its result), so the
-      `+ 0.0` step that follows any other float expression only turns
-      -0.0 into 0.0;
+      unary minus keeps them so, and arithmetic checks its result unless
+      its bound proves it finite), so the `+ 0.0` step that follows any
+      other float expression only turns -0.0 into 0.0;
     - widening an int with float() never gives -0.0, and raises
-      OverflowError beyond the float range, so unless the int expression
-      fits a float (see _fits_float) a test fails the rows that do not
-      fit and zeroes them before float() runs;
+      OverflowError beyond the float range, so unless the int
+      expression's bound is below _FLOAT_LIMIT a test fails the rows that
+      do not fit and zeroes them before float() runs;
     - int arithmetic and a negated int are masked to the int64 range.
-    A row fails where evaluating or checking its cell would fail.
+    A row fails where evaluating or checking its cell would fail, so an
+    expression whose bound proves every step holds a value on every row.
     """
-    node, program, result_type = _compile(text, schema)
+    node, program, result_type, bound = _compile(text, schema)
     wanted = _COLUMN_TYPES[target]
     if result_type is not wanted and not (wanted is ExprType.FLOAT and result_type is ExprType.INT):
         raise ExpressionTypeError(
@@ -520,7 +554,7 @@ def compile_projection(text: str, schema: Schema, target: ColumnType) -> Compile
     if isinstance(node, ast.Constant):
         program[top] = _literal_cell(node.value, target)
     elif result_type is not wanted:
-        program.emit(_mapped(float, top) if _fits_float(node) else _fitted(float, 0, False, top))
+        program.emit(_mapped(float, top) if bound < _FLOAT_LIMIT else _fitted(float, 0, False, top))
     elif wanted is ExprType.INT:
         program.emit(_checked(top, _int64))
     elif wanted is ExprType.FLOAT:

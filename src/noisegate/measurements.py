@@ -28,7 +28,9 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Sequence, Union
+from itertools import repeat
+from operator import itemgetter, mul
+from typing import Any, Callable, Iterator, Sequence, Union
 
 from .errors import (
     BadBounds,
@@ -576,10 +578,13 @@ def compose_per_group(
     key, in keyset order, whatever keys the data contains, each with its
     group's value as result_cell gives it.  Each key's Table holds only
     the columns the per-group part reads, the ones its
-    input_domain.schema names, gathered by name from the data: a session
-    builds a sum, average or quantile on its column alone, and a count
-    on the first key column, which gives each group its length.  A part
-    built on the whole domain gets every column.  The table derives its
+    input_domain.schema names: a session builds a sum, average or
+    quantile on its column alone, and a count on the first key column,
+    which gives each group its length.  A part built on the whole domain
+    gets every column.  Every row of a group holds the group's key, so a
+    read column that is a key column is the key's cell repeated once per
+    row, and only the other read columns are gathered by name from the
+    data: a count's groups gather nothing.  The table derives its
     groups under ("groups", key names, read names): one keyed pass splits
     its rows, in input order, into a dict from each key to a Table of its
     rows, so a table already grouped by the same key names for the same
@@ -617,21 +622,40 @@ def compose_per_group(
     group_keys = list(map(key_reader(keys.schema, key_columns), keys.rows))
     empty = Table._of_rows(read, ())
     release = per_group._eval
+    # Where each read column's cells come from: the key's cell at this
+    # index, for a key column, or None for a column gathered from the data.
+    from_key = [key_columns.index(name) if name in key_columns else None for name in read_names]
+
+    def parts_of(table: Table, keys: list, positions: list[list[int]]) -> Iterator[Table]:
+        """Each key's Table, built lazily, in order, from its rows'
+        positions: one pass per read column over the keys, in C."""
+        columns = []
+        for name, at in zip(read_names, from_key):
+            if at is None:
+                column = (table.columns[table.schema.index_of(name)],)
+                columns.append(map(itemgetter(0), map(gather, repeat(column), positions)))
+            else:
+                cells = keys if len(key_columns) == 1 else map(itemgetter(at), keys)
+                columns.append(map(mul, zip(cells), map(len, positions)))
+        return map(Table._trusted, repeat(read), zip(*columns))
 
     def evaluate(table: Table, rng: random.Random) -> Table:
-        index_of = table.schema.index_of
-        columns = [table.columns[index_of(name)] for name in read_names]
         if table.held is None:
-            find = table.derive(("groups", key_columns, read_names), lambda: {
-                key: Table._trusted(read, gather(columns, positions))
-                for key, positions in split_by_key(table, key_columns).items()
-            }).get
+
+            def build() -> dict:
+                groups = split_by_key(table, key_columns)
+                return dict(zip(groups, parts_of(table, list(groups), list(groups.values()))))
+
+            find = table.derive(("groups", key_columns, read_names), build).get
         else:
-            parts = split_by_key(table, key_columns)
+            groups = split_by_key(table, key_columns)
+            present = list(filter(groups.__contains__, group_keys))
+            parts = parts_of(table, present, list(map(groups.__getitem__, present)))
 
             def find(key, empty):
-                at = parts.get(key)
-                return empty if at is None else Table._trusted(read, gather(columns, at))
+                # Called once per key, in keyset order, so the present
+                # keys' Tables come in the order parts builds them.
+                return next(parts) if key in groups else empty
 
         values = [result_cell(release(find(key, empty), rng), value_type) for key in group_keys]
         return Table._trusted(output_schema, (*key_cells, tuple(values)))

@@ -105,6 +105,7 @@ class ColumnType(enum.Enum):
 # from being specialized.
 _INT64 = ColumnType.INT64
 _FLOAT64 = ColumnType.FLOAT64
+_TEXT = ColumnType.TEXT
 
 
 class Schema(Record):
@@ -163,10 +164,13 @@ def is_int(value) -> bool:
 
 
 def expect(value, types, error: type[NoisegateError], where: str, what: str):
-    """value, if it is of one of types and not a bool, which is an int but
-    never a name, a count, a bound, a rank or an amount; otherwise raise
-    error(f"{where}: expected {what}").  The one rule of a value's type."""
-    if isinstance(value, bool) or not isinstance(value, types):
+    """value, if its type is a subclass of one of types and not of bool,
+    which is an int but never a name, a count, a bound, a rank or an
+    amount; otherwise raise error(f"{where}: expected {what}").  The one
+    rule of a value's type.  It reads type(value), as _check_column does,
+    so an object whose __class__ names another type is refused."""
+    kind = type(value)
+    if issubclass(kind, bool) or not issubclass(kind, types):
         raise error(f"{where}: expected {what}")
     return value
 
@@ -178,10 +182,7 @@ def _check_column(cells: Sequence, ctype: ColumnType) -> Sequence[Value] | str:
     the value.  The rule reads each distinct type of the cells, not the
     cells.  A subclass cell is rebuilt as the exact type by that type's own
     method, which never calls the subclass, before any comparison reads the
-    column; -0.0 becomes 0.0; and equal text cells become one object, the
-    first of them, through one dict for the call, by _extend_shared's rule
-    on blocks of _BLOCK_RECORDS cells.  Every other cell comes back as
-    given, and so does a text column that rule stops sharing."""
+    column, and -0.0 becomes 0.0.  Every other cell comes back as given."""
     types = set(map(type, cells))
     if ctype is _INT64:
         if not types <= {int}:
@@ -204,6 +205,14 @@ def _check_column(cells: Sequence, ctype: ColumnType) -> Sequence[Value] | str:
         cells = tuple(map(str.__str__, cells))
     if "" in cells:
         return "text values must be non-empty"
+    return cells
+
+
+def _shared(cells: Sequence[str]) -> Sequence[str]:
+    """A checked text column with equal cells as one object, the first of
+    them, through one dict for the call, by _extend_shared's rule on blocks
+    of _BLOCK_RECORDS cells; a column that rule stops sharing comes back as
+    given."""
     shared: list[str] = []
     seen: dict[str, str] | None = {}
     for start in range(0, len(cells), _BLOCK_RECORDS):
@@ -297,6 +306,43 @@ def check_key_columns(schema: Schema, key_schema: Schema) -> None:
             )
 
 
+def _checked_columns(schema: Schema, rows) -> tuple[Sequence[Value], ...]:
+    """The columns of rows under schema, each as _check_column stores it,
+    or the error that Table(schema, rows) raises for them."""
+    expect(schema, Schema, TypeMismatch, "a table's schema", "a Schema")
+    rows = tuple(expect(rows, Iterable, TypeMismatch, "a table's rows", "an iterable"))
+    types = schema.types
+    width = len(types)
+    # The rows before the first that is no tuple or list of width cells
+    # are checked a column at a time, so a bad cell among them is named
+    # before that row.
+    good = len(rows)
+    if not (set(map(type, rows)) <= {tuple, list} and set(map(len, rows)) <= {width}):
+        good = next((
+            i for i, row in enumerate(rows)
+            if not (isinstance(row, (tuple, list)) and len(row) == width)
+        ), good)
+    columns = columns_of(rows[:good], width)
+    checked = tuple(map(_check_column, columns, types))
+    if str in map(type, checked):
+        first = min(
+            _first_refused(cells, ctype)
+            for cells, ctype, out in zip(columns, types, checked) if isinstance(out, str)
+        )
+        list(map(check_value, rows[first], types))  # raises at its first bad cell
+    if good < len(rows):
+        row = rows[good]
+        if not isinstance(row, (tuple, list)):  # text is no row of cells either
+            raise TypeMismatch(f"row {row!r}: expected a tuple or list of cells")
+        raise SchemaMismatch(f"row {row!r} has {len(row)} values, schema has {width} columns")
+    return checked
+
+
+def _shared_columns(columns: Sequence[Sequence[Value]], types: Sequence[ColumnType]) -> tuple:
+    """Checked columns of types, each text column _shared."""
+    return tuple(_shared(cells) if ctype is _TEXT else cells for cells, ctype in zip(columns, types))
+
+
 # The key under which a table remembers its rows in canonical order.
 CANONICAL = "canonical"
 
@@ -307,10 +353,11 @@ class Table(Record):
     `columns` holds one tuple of cells per schema column, all of one
     length, and `held` marks the stored rows that are the table's: None
     for all, else one byte per stored row, 1 where it is held.  A filter
-    shares its input's columns and ANDs its predicate into the mask, and
-    a join whose keys match at most once shares its left side's columns
-    and holds the held rows that match.  Every other step stores held
-    rows only, and every stored cell, held or not, is a legal cell of its
+    shares its input's columns and ANDs its predicate into the mask, a
+    join whose keys match at most once shares its left side's columns
+    and holds the held rows that match, and a map none of whose cells can
+    fail keeps its input's mask.  Every other step stores held rows
+    only, and every stored cell, held or not, is a legal cell of its
     column, so expressions run on the columns whole.  len, rows (a tuple
     built on each read), column and multiset see the held rows, through
     _held.
@@ -333,36 +380,9 @@ class Table(Record):
     __hash__ = object.__hash__
 
     def __post_init__(self) -> None:
-        expect(self.schema, Schema, TypeMismatch, "a table's schema", "a Schema")
-        rows = tuple(expect(
-            self.__dict__.pop("rows"), Iterable, TypeMismatch, "a table's rows", "an iterable"
-        ))
-        types = self.schema.types
-        width = len(types)
-        # The rows before the first that is no tuple or list of width cells
-        # are checked a column at a time, so a bad cell among them is named
-        # before that row.
-        good = len(rows)
-        if not (set(map(type, rows)) <= {tuple, list} and set(map(len, rows)) <= {width}):
-            good = next((
-                i for i, row in enumerate(rows)
-                if not (isinstance(row, (tuple, list)) and len(row) == width)
-            ), good)
-        columns = columns_of(rows[:good], width)
-        checked = tuple(map(_check_column, columns, types))
-        if str in map(type, checked):
-            first = min(
-                _first_refused(cells, ctype)
-                for cells, ctype, out in zip(columns, types, checked) if isinstance(out, str)
-            )
-            list(map(check_value, rows[first], types))  # raises at its first bad cell
-        if good < len(rows):
-            row = rows[good]
-            if not isinstance(row, (tuple, list)):  # text is no row of cells either
-                raise TypeMismatch(f"row {row!r}: expected a tuple or list of cells")
-            raise SchemaMismatch(f"row {row!r} has {len(row)} values, schema has {width} columns")
+        checked = _checked_columns(self.schema, self.__dict__.pop("rows"))
         fields = self.__dict__
-        fields["columns"] = checked
+        fields["columns"] = _shared_columns(checked, self.schema.types)
         fields["held"] = None
 
     @classmethod
@@ -459,17 +479,22 @@ class Table(Record):
 class KeySet(Record):
     """The explicit group-by keys a grouped query reports, exactly.
 
-    Building one checks every key as a Table cell of its column
-    (SchemaMismatch) and keeps the first of any repeated keys, in order,
-    so no KeySet holds an unchecked or repeated row.
+    Building one checks each key column once, as Table(...) checks a
+    column, with its errors (SchemaMismatch for a bad cell), and keeps the
+    first of any repeated keys, in order, so no KeySet holds an unchecked
+    or repeated row.  Text cells of a key of several columns are shared as
+    Table(...) shares them; a key of one column is a cell that no kept row
+    repeats, so nothing is shared.
     """
 
     schema: Schema
     rows: tuple[Row, ...]
 
     def __post_init__(self) -> None:
-        rows = Table.of(self.schema, self.rows).rows
-        object.__setattr__(self, "rows", tuple(dict.fromkeys(rows)))
+        columns = _checked_columns(self.schema, self.rows)
+        if len(columns) > 1:
+            columns = _shared_columns(columns, self.schema.types)
+        object.__setattr__(self, "rows", tuple(dict.fromkeys(zip(*columns))))
 
 
 def canonicalize(table: Table) -> Table:

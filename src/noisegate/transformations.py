@@ -203,7 +203,12 @@ def make_map(
     row whose cells fail to evaluate or to fit their columns is dropped.
     When the domain declares an ID column the map must carry it through
     as a bare column reference; anything else would silently break the
-    link between rows and their contributor.
+    link between rows and their contributor.  Where no cell can fail (its
+    expression's type and bound prove it, see expressions._build), the
+    output stores a cell for every stored row, every one legal, and keeps
+    its input's mask of held rows: it shares bare columns, computes the
+    others from every stored row and compresses nothing.  Otherwise it
+    stores the held rows whose cells all hold.
     """
     metric = _check_row_metric(domain, metric or SymmetricDifference())
     id_column = domain.id_column
@@ -222,10 +227,11 @@ def make_map(
 
     def apply(table: Table) -> Table:
         columns = [cell.evaluate(table) for cell in cells]
-        held = passing(table.held, *[mask for _, mask in columns])
-        if held is not None:
-            columns = [(compress(values, held), None) for values, _ in columns]
-        return Table._trusted(new_schema, tuple(tuple(values) for values, _ in columns))
+        masks = [mask for _, mask in columns if mask is not None]
+        if not masks:
+            return Table._trusted(new_schema, tuple(tuple(v) for v, _ in columns), table.held)
+        held = passing(table.held, *masks)
+        return Table._trusted(new_schema, tuple(tuple(compress(v, held)) for v, _ in columns))
 
     return Transformation(
         input_domain=domain,

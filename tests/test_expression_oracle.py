@@ -2,12 +2,14 @@
 
 A seeded grammar fuzz over the closed expression subset, evaluated on
 extreme cells: the int64 ends, products past 2^63, ints past the float
-range, +-1e308, 5e-324, zeros, division by zero and a lone surrogate.  Every expression must
-compile to the same result type (or fail to compile the same way), and
-give the same value on every row, or fail on the same rows (a compiled
-failure is a 0 in a mask and has no class).  Filters,
-maps and flat maps must give the rows of the oracle's row loops, which
-check every cell with check_value_reference.
+range, +-1e308, +-the largest float, 5e-324, zeros, division by zero and
+a lone surrogate.  Every expression must compile to the same result type
+(or fail to compile the same way), and give the same value on every row,
+or fail on the same rows (a compiled failure is a 0 in a mask and has no
+class), so a bound that proved a float finite where it is not shows as a
+row that fails in the oracle and not here.  Filters, maps and flat maps
+must give the rows of the oracle's row loops, which check every cell
+with check_value_reference.
 """
 
 import gc
@@ -30,6 +32,7 @@ from helpers import (
 )
 from noisegate.errors import ExpressionTypeError
 from noisegate.expressions import compile_expression, compile_projection
+from noisegate import transformations
 from noisegate.tabledata import ColumnType, Schema, Table, TableDomain
 from noisegate.transformations import (
     ExpansionBranch,
@@ -52,13 +55,16 @@ SCHEMA = Schema.of(
 DOMAIN = TableDomain(SCHEMA)
 
 INT_CELLS = [0, 1, -1, 7, 2**63 - 1, -(2**63), 3037000500, 2**62]
-FLOAT_CELLS = [0.0, 1e308, -1e308, 5e-324, -5e-324, 1.5, -2.0]
+FLOAT_CELLS = [0.0, 1e308, -1e308, 5e-324, -5e-324, 1.5, -2.0, sys.float_info.max, -sys.float_info.max]
 TEXT_CELLS = ["a", "b", "\ud800", "\U0001F600"]
 
 LEAVES = {
     "int": ["i", "j", "0", "1", "3", "9223372036854775807", "4611686018427387904",
             "3037000500", "1" + "0" * 400],
-    "float": ["x", "y", "0.0", "1e308", "5e-324", "1.5", "0.5"],
+    # Divisors just below, at and above 1 in size, where a bound over |c|
+    # turns on the last ulp.
+    "float": ["x", "y", "0.0", "1e308", "5e-324", "1.5", "0.5", "1000.0",
+              "0.9999999999999999", "1.0000000000000002", "-1.0"],
     "text": ["s", "t", "'a'", "''", "'\\ud800'"],
     # Comparisons that fail on some rows, so that and/or order shows.
     "bool": ["True", "False", "(x * 1e308 > y)", "(1e308 / x > 0.0)"],
@@ -431,3 +437,42 @@ def test_no_row_raises_where_an_int_is_past_a_float(transformation):
     for rows in (CALM, WILD):
         table = Table.of(SCHEMA, rows)
         assert exceptions_raised(lambda: transformation.apply(table)) == 0
+
+
+# A row that holds the largest float in x, a calm one, and one that
+# "j > 0" does not hold.
+LARGEST = [
+    (2**63 - 1, 2, sys.float_info.max, 0.5, "a", "b"),
+    (1, 2, 1.5, 2.0, "a", "b"),
+    (-(2**63), 0, -1.5, 1.0, "b", "a"),
+]
+
+
+@pytest.mark.parametrize("text", ["x / 1000.0", "i * 1.5", "-(x / 3)", "i / j"])
+def test_a_float_its_bound_proves_finite_has_no_mask(monkeypatch, text):
+    # Each bound is at most the largest float, so the program has no
+    # finiteness step and nothing can fail; a map of it keeps its input's
+    # mask of held rows and compresses nothing.
+    table = make_filter(DOMAIN, "j > 0").apply(Table.of(SCHEMA, LARGEST))
+    assert compile_expression(text, SCHEMA).evaluate(table)[1] is None
+    compressed = []
+    monkeypatch.setattr(transformations, "compress", lambda *args: compressed.append(args))
+    out = make_map(DOMAIN, {"f": text}, FLOAT_CELL).apply(table)
+    assert out.held is table.held and compressed == []
+    assert len(out.columns[0]) == len(LARGEST) and len(out) == 2
+    assert out.rows == oracle_map(table.rows, oracle_cells({"f": text}, FLOAT_CELL))
+
+
+@pytest.mark.parametrize("text", ["x / 0.5", "x * 1.5", "x + 1.0", "x / y", "x / 1.5 / 0.5"])
+def test_a_float_its_bound_does_not_prove_finite_keeps_its_mask(text):
+    # All but x + 1.0 overflow on the largest float, so a map drops that
+    # row; the last is proved only if a divisor below 1 in size is taken
+    # to shrink the bound.  x + 1.0 rounds back to the largest float, but
+    # its bound is that float rounded up by one ulp, which is past it, so
+    # it keeps its finiteness step all the same.
+    table = Table.of(SCHEMA, LARGEST)
+    assert compile_expression(text, SCHEMA).evaluate(table)[1] is not None
+    out = make_map(DOMAIN, {"f": text}, FLOAT_CELL).apply(table)
+    assert out.held is None
+    assert out.rows == oracle_map(table.rows, oracle_cells({"f": text}, FLOAT_CELL))
+    assert len(out) == (3 if text == "x + 1.0" else 2)

@@ -998,6 +998,48 @@ def test_a_session_group_holds_only_the_column_its_aggregation_reads(
                         assert group is remembered(table)[("groups", ("g",), (read,))][key]
 
 
+def _recording_part(schema, seen):
+    """A count built on schema whose measurement also logs each group's Table."""
+    made = make_count(TableDomain(schema), PureDpNoise(Fraction(1, 2)))
+
+    def evaluate(table, rng):
+        seen.append(table)
+        return made._eval(table, rng)
+
+    return replace(made, _eval=evaluate)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        Schema.of(("k", ColumnType.INT64)),
+        Schema.of(("g", ColumnType.TEXT), ("v", ColumnType.FLOAT64), ("k", ColumnType.INT64)),
+    ],
+    ids=["a count's first key column", "both key columns and a value"],
+)
+def test_a_group_repeats_its_key_cells_in_the_key_columns_it_reads(read):
+    # Keys of two columns, in the other order from the data's: each key
+    # column a group reads is its key's cell at that column, repeated, on
+    # tables with and without a mask, cold and warm.
+    keys = KeySet(
+        Schema.of(("k", ColumnType.INT64), ("g", ColumnType.TEXT)),
+        [(1, "a"), (0, "b"), (2, "a"), (1, "c"), (9, "z")],
+    )
+    rng = random.Random(85)
+    for _ in range(8):
+        table = Table.of(GROUPED, _grouped_rows(rng))
+        for held in (table, make_filter(GROUPED_DOMAIN, "v > 2.0").apply(table)):
+            groups = _groups_reference(held, ("k", "g"), read.names)
+            for _ in range(2):  # cold, then warm
+                seen = []
+                released = compose_per_group(
+                    GROUPED_DOMAIN, keys, _recording_part(read, seen), ("n", ColumnType.INT64)
+                )
+                released.eval(held, stream())
+                assert [group.schema for group in seen] == [read] * len(keys.rows)
+                assert [group.rows for group in seen] == [groups.get(key, ()) for key in keys.rows]
+
+
 def test_a_count_and_a_sum_on_one_table_remember_two_groupings(monkeypatch):
     keys = KeySet(Schema.of(("g", ColumnType.TEXT)), [("a",), ("b",), ("z",)])
     splits = []

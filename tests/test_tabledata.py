@@ -801,3 +801,20 @@ def test_load_schema_file(tmp_path: Path):
     path.write_text(json.dumps({"tables": {"people": {"columns": 5}}}))
     with pytest.raises(TypeParseError):
         load_schema_file(path)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda pose: Schema(((pose(str), ColumnType.INT64),)), SchemaMismatch),
+        (lambda pose: query("t").filter(pose(str)).count(), TypeMismatch),
+        (lambda pose: query("t").sum("n", pose(int), 10), TypeMismatch),
+    ],
+    ids=["schema name", "filter predicate", "sum bound"],
+)
+def test_an_object_posing_as_a_type_is_refused_where_that_type_is_expected(build, error):
+    # isinstance takes Posing(str) for a str and Posing(int) for an int; the
+    # one rule of a value's type reads the type itself, so each call site
+    # refuses the poser with its own error.
+    with pytest.raises(error, match="expected"):
+        build(Posing)
