@@ -82,7 +82,7 @@ class RunConfig(Record):
     unit: PrivacyUnit
     measure: Measure
     budget: Any
-    seed: int
+    seed: int | None
     out: Path | None
     format: str
 
@@ -112,8 +112,8 @@ def _parse_measure(text: str) -> Measure:
     raise ConfigError(f"unknown measure {text!r}; use pure or zcdp")
 
 
-def _parse_seed(value: int) -> int:
-    if not 0 <= value < 2**64:
+def _parse_seed(value: int | None) -> int | None:
+    if value is not None and not 0 <= value < 2**64:
         raise ConfigError(f"--seed must be a 64-bit unsigned integer, got {value}")
     return value
 
@@ -417,7 +417,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--budget", required=True, help="exact amount: decimal, a/b, or inf"
     )
-    parser.add_argument("--seed", required=True, type=int, help="64-bit unsigned seed")
+    parser.add_argument("--seed", type=int, help="64-bit unsigned seed, only to replay a run")
     parser.add_argument("--out", help="output directory (default: stdout)")
     parser.add_argument(
         "--format", choices=("csv", "json"), default="json", help="output format"

@@ -329,22 +329,23 @@ def _build(node: ast.expr, schema: Schema, text: str, program: _Program, level: 
     past _MAX_LEVELS it raises _too_deep.  Children are built in plain
     loops, since a comprehension is a frame of its own before CPython 3.12.
 
-    A numeric node's bound is a static fact: no row that holds a value has
-    a larger |value| (text and bools have None).  It is 2**63 for an int64
-    column, sys.float_info.max for a float64 column, a literal's own size,
-    its operand's under unary minus, the sum of the operands' bounds under
-    + and -, their product under *, the dividend's over |c| for / by a
-    nonzero literal c, the dividend's for an int over an int (_div maps a
-    zero divisor to 0, and any other int divisor has size at least 1), and
-    inf for any other /.  An int bound is exact and stops at _FLOAT_LIMIT.
-    A float bound is the node's own operation on its operands' bounds,
-    rounded up by one ulp (math.nextafter).  The proof: an operand is no
-    larger in size than its bound, the bound's operation is the value's
-    (float() of an int, a float operation, or one correctly rounded int
-    division), each of which is monotone in the size of its exact result
-    under round-to-nearest, so the computed value is no larger in size
-    than the computed bound, and the ulp keeps it so whatever the rounding
-    of the bound.  Two checks follow from it and no others are left out:
+    A unary minus of a number literal is one literal step, and counts its
+    two levels all the same.  A numeric node's bound is a static fact: no
+    row that holds a value has a larger |value| (text and bools have
+    None).  It is 2**63 for an int64 column, sys.float_info.max for a
+    float64 column, a literal's own size, its operand's under unary minus,
+    the sum of the operands' bounds under + and -, their product under *,
+    the dividend's over |c| for / by a nonzero literal c or -c, the
+    dividend's for an int over an int (_div maps a zero divisor to 0, and
+    any other int divisor has size at least 1), and inf for any other /.
+    An int bound is exact and stops at _FLOAT_LIMIT.  A float bound is the
+    node's own operation on its operands' bounds, rounded up by one ulp
+    (math.nextafter).  The proof: an operand is no larger in size than its
+    bound, the bound's operation is the value's (float() of an int, a
+    float operation, or one correctly rounded int division), each of which
+    is monotone in the size of its exact result under round-to-nearest, so
+    the computed value is no larger in size than the computed bound, and
+    the ulp keeps it so whatever the rounding of the bound.  Two checks follow from it and no others are left out:
     - a float node whose bound is at most sys.float_info.max is finite
       wherever it holds a value, so it gets no finiteness step; any other
       gets one, after which its bound is sys.float_info.max;
@@ -391,6 +392,9 @@ def _build(node: ast.expr, schema: Schema, text: str, program: _Program, level: 
         if isinstance(node.op, ast.USub):
             if otype not in _NUMERIC:
                 raise _fail(text, "unary minus needs a numeric operand")
+            if isinstance(node.operand, ast.Constant):
+                program[operand] = _literal(-node.operand.value)
+                return operand, otype, bound
             return emit(_mapped(neg, operand)), otype, bound
         raise _unsupported(text, f"unsupported unary operator {type(node.op).__name__}")
 
@@ -410,8 +414,10 @@ def _build(node: ast.expr, schema: Schema, text: str, program: _Program, level: 
         if ltype not in _NUMERIC or rtype not in _NUMERIC:
             raise _fail(text, "arithmetic needs numeric operands")
         division = isinstance(node.op, ast.Div)
+        # A literal c, under a unary minus or not, divides by a size of |c|.
+        divisor = node.right.operand if isinstance(node.right, ast.UnaryOp) else node.right
         if division:
-            nonzero = isinstance(node.right, ast.Constant) and node.right.value != 0
+            nonzero = isinstance(divisor, ast.Constant) and divisor.value != 0
             op = truediv if nonzero else _div
         elif type(node.op) in _ARITHMETIC:
             op = _ARITHMETIC[type(node.op)]
@@ -435,7 +441,7 @@ def _build(node: ast.expr, schema: Schema, text: str, program: _Program, level: 
             if not division:
                 bound = _BOUNDS[type(node.op)](lbound, rbound)
             elif nonzero:
-                bound = lbound / abs(node.right.value)
+                bound = lbound / abs(divisor.value)
             else:
                 bound = lbound if exact else inf
             bound = nextafter(bound, inf)

@@ -574,35 +574,30 @@ def compose_per_group(
     the per-group privacy function.  Every DistanceMap is superadditive,
     so that sum is at most f(d): f is the composition's privacy function.
 
-    The measurement's output is the result table: exactly one row per
-    key, in keyset order, whatever keys the data contains, each with its
-    group's value as result_cell gives it.  Each key's Table holds only
-    the columns the per-group part reads, the ones its
-    input_domain.schema names: a session builds a sum, average or
-    quantile on its column alone, and a count on the first key column,
-    which gives each group its length.  A part built on the whole domain
-    gets every column.  Every row of a group holds the group's key, so a
-    read column that is a key column is the key's cell repeated once per
-    row, and only the other read columns are gathered by name from the
-    data: a count's groups gather nothing.  The table derives its
-    groups under ("groups", key names, read names): one keyed pass splits
-    its rows, in input order, into a dict from each key to a Table of its
-    rows, so a table already grouped by the same key names for the same
-    columns, a source or a remembered cut, is not split again, and a warm
-    release builds no Table but its result.  A filter's output is new in
-    every query: each key's Table is built for its release and dropped
-    after it, as Tables built at once would live through every release
-    and be carried by the garbage collector into older generations.
-    Absent keys share one empty Table of the part's schema.  Each key
-    then costs one call of the per-group measurement on its Table, which
-    draws and finishes its own value (see _noisy), and nothing is summed
-    across keys: the per-group part is any Measurement on tables (a
-    quantile reads its group's rows whole), and the benchmark's tracer
-    counts released and empty groups from these calls.  Every group
-    draws its noise from the one generator, in keyset order.
-    The key rows were checked when the KeySet was built and are trusted
-    here; the key columns and the part's columns must be in the domain
-    with the same types, and the value column must be numeric.
+    The output is the result table: one row per key, in keyset order,
+    whatever keys the data holds, with its group's value as result_cell
+    gives it.  Each key's Table holds only the columns the per-group part
+    reads (its input_domain.schema): a session builds a sum, average or
+    quantile on its column alone and a count on the first key column.  A
+    read key column is the key's cell repeated once per row; other read
+    columns are gathered from the data, so a count's groups gather
+    nothing.  A source or a cut (a table with no mask or with a memo, see
+    Table._cut) derives its groups under ("groups", key names, read
+    names): one keyed pass splits all its stored rows, in input order,
+    into a dict from each key to a Table of its rows under their mask.
+    So the pass does the same work whatever a cut keeps, and a warm
+    release splits nothing and builds no Table but its result.  A
+    filter's output is new in every query: its held rows are split, and
+    each key's Table is built for its release and dropped after it, since
+    Tables built at once would live through every release and be carried
+    by the garbage collector into older generations.  Absent keys share
+    one empty Table.  Each key costs one call of the per-group
+    measurement, which draws and finishes its own value (see _noisy), in
+    keyset order from the one generator; nothing is summed across keys,
+    so the part is any Measurement on tables, and the benchmark's tracer
+    counts released and empty groups from these calls.  The key rows
+    were checked when the KeySet was built; the key and read columns must
+    be in the domain with the same types, and the value column numeric.
     """
     if not isinstance(per_group.input_metric, SymmetricDifference):
         raise MetricMismatch("per-group measurements run under SymmetricDifference")
@@ -628,7 +623,7 @@ def compose_per_group(
 
     def parts_of(table: Table, keys: list, positions: list[list[int]]) -> Iterator[Table]:
         """Each key's Table, built lazily, in order, from its rows'
-        positions: one pass per read column over the keys, in C."""
+        positions and table's mask: one pass per read column, in C."""
         columns = []
         for name, at in zip(read_names, from_key):
             if at is None:
@@ -637,20 +632,24 @@ def compose_per_group(
             else:
                 cells = keys if len(key_columns) == 1 else map(itemgetter(at), keys)
                 columns.append(map(mul, zip(cells), map(len, positions)))
-        return map(Table._trusted, repeat(read), zip(*columns))
+        held = () if table.held is None else ((table.held,),)
+        masks = [map(bytes, map(itemgetter(0), map(gather, repeat(h), positions))) for h in held]
+        return map(Table._trusted, repeat(read), zip(*columns), *masks)
 
     def evaluate(table: Table, rng: random.Random) -> Table:
-        if table.held is None:
+        if table.held is None or "_derived" in vars(table):
 
             def build() -> dict:
-                groups = split_by_key(table, key_columns)
+                groups = split_by_key(Table._trusted(table.schema, table.columns), key_columns)
                 return dict(zip(groups, parts_of(table, list(groups), list(groups.values()))))
 
             find = table.derive(("groups", key_columns, read_names), build).get
         else:
             groups = split_by_key(table, key_columns)
             present = list(filter(groups.__contains__, group_keys))
-            parts = parts_of(table, present, list(map(groups.__getitem__, present)))
+            # Held rows only, so their Tables take no mask.
+            stored = Table._trusted(table.schema, table.columns)
+            parts = parts_of(stored, present, list(map(groups.__getitem__, present)))
 
             def find(key, empty):
                 # Called once per key, in keyset order, so the present

@@ -736,13 +736,15 @@ def build_session(
     tables: Mapping[str, Table],
     unit: PrivacyUnit,
     budget: PrivacyBudget,
-    seed: int,
+    seed: int | None = None,
 ) -> Session:
     """Create a session over named tables.
 
     Under AddRemoveId every table must carry the identifier column (as
-    int64 or text).  The seed fixes all randomness: the same seed and the
-    same query sequence reproduce the same outputs bit for bit.
+    int64 or text).  The seed fixes all randomness: give one only to
+    replay the same queries on the same tables, since two sessions with
+    one seed draw the same noise for their n-th asks.  Without one, the
+    operating system's randomness gives 64 bits, shown nowhere.
     """
     expect(tables, Mapping, TypeMismatch, "the tables", "a mapping of names to Tables")
     for name in tables:
@@ -753,6 +755,8 @@ def build_session(
     domains = _session_domains(
         {name: table.schema for name, table in tables.items()}, unit
     )
+    if seed is None:
+        seed = random.SystemRandom().getrandbits(64)
     if not is_int(seed) or not 0 <= seed < 2**64:
         raise TypeMismatch(f"the seed must be a 64-bit unsigned int, got {seed!r}")
     queryable = Queryable(

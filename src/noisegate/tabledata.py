@@ -3,11 +3,10 @@
 A Table is a schema plus a multiset of rows, stored as columns and a
 mask of the rows it holds (see Table).  Row order is an artifact of
 construction and is never observable through the public operations here:
-equality is multiset equality, and canonicalize produces the one fixed
-ordering used wherever determinism matters.  A table remembers values
-derived from it, by key (Table.derive): its groups, sorted columns, join
-indexes, and its canonical order and cuts of it, each a Table of its own
-that remembers itself as its own canonical order and cut.  key_reader is the
+equality is multiset equality, and canonicalize gives the held rows'
+positions in the one fixed order used wherever determinism matters.  A
+table remembers values derived from it, by key (Table.derive): its
+order, cuts, groups, sorted columns and join indexes.  key_reader is the
 one rule for how rows are keyed by named columns (Table.key_column reads
 the same keys from the columns), and split_by_key hands out each key's
 row positions by it, so grouping and joins take one keyed pass.
@@ -343,8 +342,8 @@ def _shared_columns(columns: Sequence[Sequence[Value]], types: Sequence[ColumnTy
     return tuple(_shared(cells) if ctype is _TEXT else cells for cells, ctype in zip(columns, types))
 
 
-# The key under which a table remembers its rows in canonical order.
-CANONICAL = "canonical"
+# The key under which a table remembers its order (see canonicalize).
+ORDER = "order"
 
 
 class Table(Record):
@@ -352,23 +351,21 @@ class Table(Record):
 
     `columns` holds one tuple of cells per schema column, all of one
     length, and `held` marks the stored rows that are the table's: None
-    for all, else one byte per stored row, 1 where it is held.  A filter
-    shares its input's columns and ANDs its predicate into the mask, a
-    join whose keys match at most once shares its left side's columns
-    and holds the held rows that match, and a map none of whose cells can
-    fail keeps its input's mask.  Every other step stores held rows
-    only, and every stored cell, held or not, is a legal cell of its
-    column, so expressions run on the columns whole.  len, rows (a tuple
-    built on each read), column and multiset see the held rows, through
-    _held.
+    for all, else one byte per stored row, 1 where it is held.  A filter,
+    a truncation's cut and a join whose keys match at most once share
+    their (left) input's columns and hold some of its held rows, and a map
+    none of whose cells can fail keeps its input's mask; every other step
+    stores held rows only.  Every stored cell, held or not, is a legal
+    cell of its column, so expressions run on the columns whole.  len,
+    rows (a tuple built on each read), column and multiset see the held
+    rows, through _held.
 
     Tables compare by identity; use table_equal for multiset equality so
     that incidental row order never leaks into program behavior.
-    Table(schema, rows) checks every column against the schema; see
-    _trusted for the internal constructor that does not.  A table
-    remembers what derive builds from it, by key, its canonical order and
-    cuts as Tables; a filtered or rebuilt table remembers nothing, even
-    where it shares its input's columns.
+    Table(schema, rows) checks every column against the schema; _trusted
+    does not.  A table remembers what derive builds from it, by key; a
+    cut (_cut) starts with a memo of its own, a filtered or rebuilt table
+    with none.
     """
 
     schema: Schema
@@ -411,31 +408,23 @@ class Table(Record):
     def derive(self, key, build: Callable[[], object]):
         """The value this table remembers under key, built by build() the
         first time.  The key names a derivation and its parameters: the
-        canonical order (CANONICAL), a cut ("cut", key names, bound), a
-        sorted column ("sorted", column index), a join index ("join", key
-        names) or the groups ("groups", key names, read names), a dict
-        from each key to a Table of its rows in the read columns only.
-        The canonical order and a cut are Tables, and a cut is never the
-        canonical Table, even when it keeps every row, so no key's entry
-        is another key's unless the two name the same rows on every
-        table.  Every caller gets the same value, so none may change it."""
+        canonical order (ORDER, a list of stored positions), a cut ("cut",
+        key names, bound), a sorted column ("sorted", column index), a join
+        index ("join", key names) or the groups ("groups", key names, read
+        names), a dict from each key to a Table of its rows in the read
+        columns only.  Every caller gets the same value, so none may
+        change it."""
         derived = self.__dict__.setdefault("_derived", {})
         if key not in derived:
             derived[key] = build()
         return derived[key]
 
-    def _derive_canonical(self, key, build: Callable[[], "Table"]) -> "Table":
-        """The table in canonical order that build() derives under key the
-        first time, which remembers itself under CANONICAL and key, so
-        canonicalizing it or deriving key from it again gives it back."""
-
-        def remember() -> Table:
-            table = build()
-            derived = table.__dict__.setdefault("_derived", {})
-            derived[CANONICAL] = derived[key] = table
-            return table
-
-        return self.derive(key, remember)
+    def _cut(self, held: bytes) -> "Table":
+        """These columns holding the rows held marks, some of this table's
+        held rows, with a memo of its own that starts with this one's order."""
+        cut = Table._trusted(self.schema, self.columns, held)
+        cut.__dict__["_derived"] = {ORDER: self._derived[ORDER]}
+        return cut
 
     @classmethod
     def of(cls, schema: Schema, rows: Iterable[Sequence[Value]]) -> "Table":
@@ -497,20 +486,24 @@ class KeySet(Record):
         object.__setattr__(self, "rows", tuple(dict.fromkeys(zip(*columns))))
 
 
-def canonicalize(table: Table) -> Table:
-    """Return the table with rows in the fixed total order.
+def canonicalize(table: Table) -> list[int]:
+    """The held rows' stored positions, in the fixed total order of rows.
 
     The order is plain tuple order: lexicographic by column position,
     numeric columns by value and text columns by code point.  Code-point
     order is the order of the UTF-8 encodings, so it is the same on every
     platform, and unlike encoding it is defined for every str, including
-    lone surrogates.  A table derives the order under CANONICAL, so it
-    sorts its held rows once and returns one Table however often it is
-    canonicalized; table.rows keeps its own order.
+    lone surrogates.  A table sorts its held rows once and remembers the
+    list under ORDER, which no caller may change; a cut shares its
+    table's and reads it through its mask.  table.rows keeps its order.
     """
-    return table._derive_canonical(
-        CANONICAL, lambda: Table._of_rows(table.schema, sorted(table.rows))
-    )
+
+    def build() -> list[int]:
+        rows = list(zip(*table.columns))
+        return sorted(table._held(range(len(rows))), key=rows.__getitem__)
+
+    order = table.derive(ORDER, build)
+    return order if table.held is None else list(compress(order, map(table.held.__getitem__, order)))
 
 
 def table_equal(a: Table, b: Table) -> bool:

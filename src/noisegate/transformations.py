@@ -431,34 +431,30 @@ def make_public_join(domain: TableDomain, public: Table, on: Sequence[str]) -> T
 
 
 def _truncate_by_keys(table: Table, keys: tuple[str, ...], bound: int) -> Table:
-    """Keep the first `bound` rows of each key group, in canonical order.
+    """Hold the first `bound` held rows of each key, in canonical order.
 
-    The table derives the cut under ("cut", keys, bound) by one counting
-    pass over its canonical order's key column: every row counts toward
-    its key, and a row is kept, a 1 byte, where its key had fewer than
-    `bound` rows before it.  One compress per column then keeps those
-    rows, so the pass makes the same calls whatever it keeps.  The kept
-    rows are a subsequence of that order, so the cut is canonical too and
-    does not depend on the input order.  The cut is one Table, warm or
-    cold, and remembers itself under CANONICAL and its key.  It is its
-    own Table even when it keeps every row, so what a later query finds
-    remembered on it depends on the queries asked before and never on
-    whether the cut dropped a row.
+    The table derives the cut under ("cut", keys, bound) by one pass over
+    its held rows' keys in canonical order: a row is kept, a 1 byte at its
+    stored position, where its key had fewer than `bound` rows before it,
+    so the pass makes the same calls whatever it keeps, and the cut holds
+    the same rows whatever the input order.  The cut shares the table's
+    columns and carries that mask even when it keeps every row
+    (Table._cut), so what is remembered on it never tells whether it
+    dropped a row.
     """
 
     def count_pass() -> Table:
-        canonical = canonicalize(table)
+        order, keyed = canonicalize(table), tuple(table.key_column(keys))
         counts: dict = {}
-        kept = bytearray()
-        for key in canonical.key_column(keys):
+        kept = bytearray(len(keyed))
+        for position in order:
+            key = keyed[position]
             count = counts.get(key, 0)
             counts[key] = count + 1
-            kept.append(count < bound)
-        return Table._trusted(
-            table.schema, tuple(tuple(compress(column, kept)) for column in canonical.columns)
-        )
+            kept[position] = count < bound
+        return table._cut(bytes(kept))
 
-    return table._derive_canonical(("cut", keys, bound), count_pass)
+    return table.derive(("cut", keys, bound), count_pass)
 
 
 def private_join_distance_bound(
@@ -491,7 +487,8 @@ def make_private_join(
     truncation promotes; the declared map is the linear envelope
     2 * max(left_bound, right_bound) over the summed input distance.
     With right_bound 1 the join carries the mask and stores every row of
-    the left cut; above 1 it stores the matched rows only (see _join).
+    left_table, whose columns its cut shares; above 1 the matched rows
+    only (see _join).
     """
     for bound in (left_bound, right_bound):
         if not is_int(bound) or bound < 1:
@@ -515,15 +512,16 @@ def make_private_join(
 
 
 def make_truncate_by_id(domain: TableDomain, bound: int) -> Transformation:
-    """Keep at most `bound` rows per identifier, in canonical row order.
+    """Hold at most `bound` rows per identifier, the first in canonical order.
 
     This is the bridge from identifier accounting to row accounting:
     adding or removing one identifier moves the output by at most `bound`
     rows, so the stability from AddRemoveIds to SymmetricDifference is
-    linear(bound).  Truncating an already-truncated table changes nothing.
-    The input table derives the cut, so truncating the same table again
-    at the same bound (a session's source table, in every session built
-    on it) skips the counting pass and returns the one Table of that cut.
+    linear(bound).  Truncating an already-truncated table holds the same
+    rows.  The input table derives the cut, its columns under a mask (see
+    _truncate_by_keys), so truncating the same table again at the same
+    bound (a session's source table, in every session built on it) skips
+    the counting pass and returns the one Table of that cut.
     """
     if domain.id_column is None:
         raise MissingIdColumn("truncation needs a domain with an id column")

@@ -122,6 +122,34 @@ def test_run_reruns_are_byte_identical(tmp_path, capsys):
     assert once() == once()
 
 
+def test_runs_without_a_seed_print_different_results(tmp_path, capsys):
+    # Each run draws its own seed, so two runs share no noise: at a spend
+    # of 1/1000 a count's noise repeats with chance about 1/4000, and
+    # three counts all repeat with chance about 10^-11.
+    queries = [count_query(name, "1/1000") for name in "abc"]
+    write_workspace(tmp_path, queries=queries)
+
+    def once():
+        assert main(run_args(tmp_path, budget="1", seed=None)) == 0
+        return capsys.readouterr().out
+
+    assert once() != once()
+
+
+def test_a_drawn_seed_is_a_seed_and_is_printed_nowhere(tmp_path, capsys, monkeypatch):
+    drawn = 2**63 + 12345
+    write_workspace(tmp_path, queries=[count_query("a", "1/1000"), count_query("b", "1/2")])
+    monkeypatch.setattr(session.random.SystemRandom, "getrandbits", lambda self, k: drawn)
+
+    def once(seed):
+        assert main(run_args(tmp_path, budget="1", seed=seed)) == 0
+        return capsys.readouterr()
+
+    unseeded, seeded = once(None), once(str(drawn))
+    assert unseeded == seeded
+    assert str(drawn) not in unseeded.out + unseeded.err
+
+
 def test_run_grouped_query(tmp_path, capsys):
     grouped = {
         "name": "by_zip",

@@ -16,6 +16,7 @@ import gc
 import math
 import random
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -33,7 +34,9 @@ from helpers import (
 from noisegate.errors import ExpressionTypeError
 from noisegate.expressions import compile_expression, compile_projection
 from noisegate import transformations
-from noisegate.tabledata import ColumnType, Schema, Table, TableDomain
+from noisegate.measurements import PureDpNoise, compose_per_group, make_count
+from noisegate.rng import RngStream
+from noisegate.tabledata import ColumnType, KeySet, Schema, Table, TableDomain
 from noisegate.transformations import (
     ExpansionBranch,
     make_filter,
@@ -392,10 +395,31 @@ MATCH_EACH = Table.of(
 )
 
 
+def _grouped_count_after(cut):
+    """cut, then a grouped count by t of the rows it keeps, as a step that
+    gives the cut.  Every row of OWN_KEYS has t = "b" and every row of
+    ONE_KEY t = "a", and the keys are both, so each cut's groups are one
+    present key and one absent one."""
+    keys = KeySet(Schema.of(("t", ColumnType.TEXT)), [("a",), ("b",)])
+    count = make_count(TableDomain(keys.schema), PureDpNoise(Fraction(1)))
+    grouped = compose_per_group(DOMAIN, keys, count, ("count", ColumnType.INT64))
+
+    def apply(table):
+        kept = cut.apply(table)
+        grouped.eval(kept, RngStream(7))
+        return kept
+
+    return SimpleNamespace(apply=apply)
+
+
 @pytest.mark.parametrize(
     "transformation",
-    [make_truncate_by_id(TableDomain(SCHEMA, "i"), 1), _private_join_on(MATCH_EACH, 1)],
-    ids=["truncate by id", "private join, left bound 1"],
+    [
+        make_truncate_by_id(TableDomain(SCHEMA, "i"), 1),
+        _private_join_on(MATCH_EACH, 1),
+        _grouped_count_after(make_truncate_by_id(TableDomain(SCHEMA, "i"), 1)),
+    ],
+    ids=["truncate by id", "private join, left bound 1", "grouped count after a cut"],
 )
 def test_the_calls_a_cut_makes_do_not_depend_on_what_it_keeps(transformation):
     tables = [Table.of(SCHEMA, rows) for rows in (OWN_KEYS, ONE_KEY)]
@@ -448,7 +472,7 @@ LARGEST = [
 ]
 
 
-@pytest.mark.parametrize("text", ["x / 1000.0", "i * 1.5", "-(x / 3)", "i / j"])
+@pytest.mark.parametrize("text", ["x / 1000.0", "x / -1000.0", "i * 1.5", "-(x / 3)", "i / j"])
 def test_a_float_its_bound_proves_finite_has_no_mask(monkeypatch, text):
     # Each bound is at most the largest float, so the program has no
     # finiteness step and nothing can fail; a map of it keeps its input's
@@ -461,6 +485,32 @@ def test_a_float_its_bound_proves_finite_has_no_mask(monkeypatch, text):
     assert out.held is table.held and compressed == []
     assert len(out.columns[0]) == len(LARGEST) and len(out) == 2
     assert out.rows == oracle_map(table.rows, oracle_cells({"f": text}, FLOAT_CELL))
+
+
+@pytest.mark.parametrize("negated", ["x / -1000.0", "i / -3", "x * -0.5 + i", "-9223372036854775808"])
+def test_a_negated_number_literal_compiles_as_one_literal(negated):
+    # The same steps as the literal's size, so a divisor's sign does not
+    # cost a finiteness step or a Python call per row; the oracle reads a
+    # unary minus per row and gives the same values.
+    plain = negated.replace("-", "")
+    compiled = [compile_expression(text, SCHEMA) for text in (negated, plain)]
+    assert len(compiled[0].program) == len(compiled[1].program)
+    assert compiled[0].evaluate(Table.of(SCHEMA, LARGEST))[1] is None
+    oracle_fn, oracle_type = oracle_expression(negated, SCHEMA)
+    assert compiled[0].result_type is oracle_type
+    for row, evaluated in zip(LARGEST, evaluated_outcomes(compiled[0], SCHEMA, LARGEST)):
+        assert same_outcome(evaluated, outcome(oracle_fn, row)), (negated, row)
+
+
+def test_a_negated_zero_is_still_a_zero_divisor():
+    # Division by it runs _div, which gives 0 for a zero divisor, as for
+    # the literal 0.0 or 0.
+    table = Table.of(SCHEMA, LARGEST)
+    for negated in ("x / -0.0", "i / -0"):
+        compiled = [compile_expression(text, SCHEMA) for text in (negated, negated.replace("-", ""))]
+        assert len(compiled[0].program) == len(compiled[1].program)
+        (values, held), (plain, plain_held) = (c.evaluate(table) for c in compiled)
+        assert list(values) == list(plain) == [0.0] * len(LARGEST) and held == plain_held
 
 
 @pytest.mark.parametrize("text", ["x / 0.5", "x * 1.5", "x + 1.0", "x / y", "x / 1.5 / 0.5"])

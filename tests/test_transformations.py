@@ -4,6 +4,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 
@@ -49,7 +50,7 @@ from noisegate.metrics import (
 )
 from noisegate.session import AddMaxRows, PrivacyBudget, build_session, query
 from noisegate.tabledata import (
-    CANONICAL,
+    ORDER,
     ColumnType,
     Schema,
     Table,
@@ -280,8 +281,11 @@ def test_truncation_keeps_first_rows_in_utf8_byte_order():
             rows = _text_id_rows(rng, rng.randrange(30))
             cut = truncate.apply(Table.of(schema, rows))
             assert cut.multiset() == truncate_reference(rows, (0,), bound)
-            # The output is a function of the multiset, not of the input order.
-            assert truncate.apply(Table.of(schema, rows[::-1])).rows == cut.rows
+            # The kept rows are a function of the multiset, not of the input
+            # order, which they keep.
+            reordered = truncate.apply(Table.of(schema, rows[::-1]))
+            assert reordered.multiset() == cut.multiset()
+            assert cut.rows == tuple(compress(rows, cut.held))
 
             right_rows = [(rng.choice(TEXT_IDS), rng.choice(TEXT_IDS)) for _ in range(20)]
             joined = join.apply((Table.of(schema, rows), Table.of(other, right_rows)))
@@ -313,13 +317,14 @@ def test_truncation_by_a_later_column_ignores_the_input_order():
             shuffled = list(rows)
             rng.shuffle(shuffled)
             for reordered in (shuffled, rows[::-1]):
-                assert truncate.apply(Table.of(schema, reordered)).rows == cut.rows
+                assert truncate.apply(Table.of(schema, reordered)).multiset() == cut.multiset()
 
 
 @pytest.mark.parametrize("before", ["nothing", "a truncation", "canonicalize", "a filter"])
 def test_truncation_matches_the_reference_whatever_came_before(before):
     # A table remembers its canonical order once sorted; truncating it
-    # again, or a canonicalized or filtered table, must keep the same rows.
+    # again, or a table rebuilt in that order, or a filtered table, must
+    # keep the same rows.
     schema = Schema.of(
         ("v", ColumnType.INT64), ("tag", ColumnType.TEXT), ("id", ColumnType.INT64)
     )
@@ -336,14 +341,16 @@ def test_truncation_matches_the_reference_whatever_came_before(before):
             if before == "a truncation":
                 truncate.apply(table)
             elif before == "canonicalize":
-                table = canonicalize(table)
+                table = Table.of(schema, [rows[i] for i in canonicalize(table)])
             elif before == "a filter":
                 table = make_filter(domain, "v != 1").apply(table)
             built = table.rows
             cut = truncate.apply(table)
             assert cut.multiset() == truncate_reference(built, (2,), bound)
-            assert cut.rows == tuple(sorted(cut.rows))
-            assert truncate.apply(table).rows == cut.rows
+            # The cut holds some of the table's rows, in the table's order.
+            assert cut.columns is table.columns
+            assert cut.rows == tuple(compress(zip(*table.columns), cut.held))
+            assert truncate.apply(table) is cut
             # The remembered order leaves the table's own rows as built.
             assert table.rows == built
             if before in ("nothing", "a truncation"):
@@ -371,24 +378,28 @@ def _by_id(bound):
 
 
 def _cut(table, key):
-    # The Table a table remembers under a canonical or cut key.
+    # The value a table remembers under an order or cut key.
     return table.derive(key, unbuilt)
 
 
 def _assert_cuts_match_the_reference(table):
     # Every remembered cut, whoever took it, is the cut at its own key, and
-    # the canonical order, if remembered, is the sorted rows.  Each is a
-    # Table of the same schema, which gives itself again under its key and
-    # as its canonical order.
+    # the order, if remembered, is the held rows' positions in sorted order.
+    # Each cut is a Table of the same schema and columns under a bytes
+    # mask, whose memo starts with the table's order and holds no cut of
+    # itself unless something cut it again.
+    stored = tuple(zip(*table.columns))
     for key, entry in remembered(table).items():
         assert table.derive(key, unbuilt) is entry
+        if key == ORDER:
+            assert [stored[i] for i in entry] == sorted(table.rows)
+            continue
         assert isinstance(entry, Table) and entry.schema is table.schema
+        assert entry.columns is table.columns and type(entry.held) is bytes
         kept = entry.rows
         assert isinstance(kept, tuple)
-        assert remembered(entry)[key] is entry and remembered(entry)[CANONICAL] is entry
-        if key == CANONICAL:
-            assert kept == tuple(sorted(table.rows))
-            continue
+        assert remembered(entry)[ORDER] is remembered(table)[ORDER]
+        assert key not in remembered(entry)
         name, keys, bound = key
         assert name == "cut"
         indices = tuple(map(table.schema.index_of, keys))
@@ -408,7 +419,7 @@ def test_a_warm_truncation_returns_the_remembered_cut():
             # The cut is one Table, returned warm or cold.
             assert warm is cold_or_warm
             assert warm is _cut(table, _by_id(bound))
-        assert set(remembered(table)) == {CANONICAL, _by_id(1), _by_id(2), _by_id(3)}
+        assert set(remembered(table)) == {ORDER, _by_id(1), _by_id(2), _by_id(3)}
         _assert_cuts_match_the_reference(table)
         # The table's own rows keep the order they were built with.
         assert table.rows == tuple(rows)
@@ -447,10 +458,10 @@ def test_cuts_at_other_bounds_or_keys_never_share_an_entry():
             assert on_tag.multiset() == join_reference(kept, kept_others, ["tag"])
         # The two-column key is read in the join's order, from each side.
         assert set(remembered(table)) == {
-            CANONICAL, _by_id(1), _by_id(2), ("cut", ("id", "tag"), 2), ("cut", ("tag",), 2)
+            ORDER, _by_id(1), _by_id(2), ("cut", ("id", "tag"), 2), ("cut", ("tag",), 2)
         }
-        assert set(remembered(partners)) == {CANONICAL, ("cut", ("id", "tag"), 1)}
-        assert set(remembered(others)) == {CANONICAL, ("cut", ("tag",), 2)}
+        assert set(remembered(partners)) == {ORDER, ("cut", ("id", "tag"), 1)}
+        assert set(remembered(others)) == {ORDER, ("cut", ("tag",), 2)}
         for cut_table in (table, partners, others):
             _assert_cuts_match_the_reference(cut_table)
 
@@ -474,21 +485,41 @@ def test_another_table_does_not_reuse_the_cuts():
 
 
 def test_a_cut_that_keeps_every_row_is_its_own_table():
-    # Were it the canonical Table, what a later query finds remembered on
-    # it would tell whether the cut dropped a row.
+    # Were it its table, or a table with no mask, what a later query finds
+    # remembered on it, or its held mask, would tell whether the cut
+    # dropped a row.
     rng = random.Random(64)
     for _ in range(20):
         rows = _cut_rows(rng)
         table = Table.of(CUT_SCHEMA, rows)
         everything = _by_id(len(rows) + 1)
         cut = make_truncate_by_id(CUT_DOMAIN, len(rows) + 1).apply(table)
-        canonical = _cut(table, CANONICAL)
-        assert canonical is canonicalize(table)
-        assert cut is not canonical and cut.rows == canonical.rows
+        order = _cut(table, ORDER)
+        assert order is canonicalize(table)
+        assert cut is not table and cut.columns is table.columns
+        assert cut.held == b"\x01" * len(rows) and cut.rows == table.rows
+        assert canonicalize(cut) == order and canonicalize(cut) is not order
         assert _cut(table, everything) is cut
-        assert remembered(canonical) == {CANONICAL: canonical}
-        assert remembered(cut) == {CANONICAL: cut, everything: cut}
+        assert remembered(table) == {ORDER: order, everything: cut}
+        assert remembered(cut) == {ORDER: order}
         assert table.rows == tuple(rows)
+
+
+def test_a_cut_shares_its_tables_columns_and_always_carries_a_mask():
+    rng = random.Random(68)
+    for _ in range(20):
+        rows = _cut_rows(rng, rng.randrange(30))
+        source = Table.of(CUT_SCHEMA, rows)
+        for table in (source, make_filter(CUT_DOMAIN, "v != 1").apply(source)):
+            held = table.held or b"\x01" * len(rows)
+            for bound in (1, 2, len(rows) + 1):
+                cut = make_truncate_by_id(CUT_DOMAIN, bound).apply(table)
+                assert cut.columns is table.columns
+                assert type(cut.held) is bytes and len(cut.held) == len(rows)
+                # It holds some of the rows its table holds; at a bound
+                # above every key's count, all of them.
+                assert all(map(operator.ge, held, cut.held))
+                assert cut.held == held or bound <= len(rows)
 
 
 def test_cutting_a_cut_again_needs_no_sort(monkeypatch):
@@ -509,17 +540,25 @@ def test_cutting_a_cut_again_needs_no_sort(monkeypatch):
         transformations, "canonicalize", lambda t: passes.append(t) or canonicalize(t)
     )
     for table, cut in zip(tables, cuts):
-        assert remembered(cut) == {CANONICAL: cut, _by_id(3): cut}
-        assert make_truncate_by_id(CUT_DOMAIN, 3).apply(cut) is cut
-        # The private join's own truncation of a cut is a lookup too.
+        assert remembered(cut) == {ORDER: remembered(table)[ORDER]}
+        # Cutting the cut at its own key and bound takes a pass over its
+        # table's remembered order, read through the cut's mask, and gives
+        # a new cut that holds the same rows, which the cut remembers.
+        again = make_truncate_by_id(CUT_DOMAIN, 3).apply(cut)
+        assert passes == [cut]
+        passes.clear()
+        assert again is not cut and again.columns is table.columns and again.held == cut.held
+        assert make_truncate_by_id(CUT_DOMAIN, 3).apply(cut) is again
+        # The private join's own truncation of a cut is a lookup then.
         join.apply((cut, right))
         assert passes == []
-        # A lower bound takes a pass over the cut, in its remembered order.
+        # A lower bound takes a pass over the cut, in that order.
         lower = make_truncate_by_id(CUT_DOMAIN, 2).apply(cut)
         assert passes == [cut]
         passes.clear()
         assert lower.multiset() == truncate_reference(table.rows, (2,), 2)
-        assert canonicalize(cut) is cut
+        assert canonicalize(cut) == [i for i in canonicalize(table) if cut.held[i]]
+        assert remembered(cut) == {ORDER: remembered(table)[ORDER], _by_id(3): again, _by_id(2): lower}
 
 
 USERS = Schema.of(("id", ColumnType.INT64), ("tier", ColumnType.TEXT))
@@ -557,7 +596,9 @@ def test_a_warm_private_join_does_not_split_its_right_side(monkeypatch):
 
         right, cold = ask()
         assert cold.multiset() == expected
-        assert set(remembered(right)) == {CANONICAL, _by_id(1), ("join", ("id",))}
+        # The join cuts the cut right side again, and indexes that cut.
+        assert set(remembered(right)) == {ORDER, _by_id(1)}
+        assert set(remembered(_cut(right, _by_id(1)))) == {ORDER, ("join", ("id",))}
         with monkeypatch.context() as patch:
             splits = _recording_splits(patch)
             for _ in range(2):
@@ -607,13 +648,12 @@ def test_join_indexes_at_other_keys_or_bounds_never_share_an_entry():
                 )
         # Each right cut, at its keys and bound, is its own Table, even when
         # it keeps every row, and remembers its own index.
-        assert set(remembered(partners)) == {CANONICAL} | {("cut", *shape) for shape in shapes}
-        canonical = _cut(partners, CANONICAL)
+        assert set(remembered(partners)) == {ORDER} | {("cut", *shape) for shape in shapes}
         cuts = [_cut(partners, ("cut", *shape)) for shape in shapes]
-        assert len({id(cut) for cut in cuts + [canonical]}) == len(shapes) + 1
+        assert len({id(cut) for cut in cuts + [partners]}) == len(shapes) + 1
         for (keys, bound), cut in zip(shapes, cuts):
             memo = remembered(cut)
-            assert set(memo) == {CANONICAL, ("cut", keys, bound), ("join", keys)}
+            assert set(memo) == {ORDER, ("join", keys)}
             index = memo[("join", keys)]
             expected = _index_reference(PARTNERS, cut.rows, keys)
             assert _index_rows(index, cut) == expected
@@ -1065,10 +1105,12 @@ def test_every_step_after_filters_matches_the_row_at_a_time_oracles():
             else:
                 outputs.append(joined)
 
+        # A cut carries the mask too, and shares its input's columns.
         bound = rng.randint(1, 3)
         cut = make_truncate_by_id(PEOPLE_IDS, bound).apply(table)
         assert cut.multiset() == truncate_reference(kept, [0], bound)
-        outputs.append(cut)
+        assert cut.columns is table.columns
+        carried.append(cut)
 
         right_rows = [(rng.choice("abcz"), rng.randrange(5)) for _ in range(rng.randrange(12))]
         right, right_kept = _filtered(rng, right_schema, right_filters, right_rows)
@@ -1083,13 +1125,13 @@ def test_every_step_after_filters_matches_the_row_at_a_time_oracles():
         )
         assert joined.multiset() == join_reference(cut_left, cut_right, ["zip"])
         if right_bound == 1:
-            assert len(joined.columns[0]) == len(cut_left)
+            assert len(joined.columns[0]) == len(table.columns[0])
             carried.append(joined)
         else:
             outputs.append(joined)
 
-        # Only a filter and a fan-out-1 join leave a row unheld, and every
-        # stored cell is checked, a join's filler cells too.
+        # Only a filter, a cut and a fan-out-1 join leave a row unheld, and
+        # every stored cell is checked, a join's filler cells too.
         for out in outputs:
             assert out.held is None
         for out in outputs + carried:
