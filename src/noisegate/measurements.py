@@ -28,7 +28,7 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from operator import itemgetter, mul
 from typing import Any, Callable, Iterator, Sequence, Union
 
@@ -225,7 +225,8 @@ def _noisy(noise: NoiseSpec, sensitivity: int) -> tuple[DistanceMap, Callable, A
     Each aggregation's evaluation is one closure over a table that adds
     sample(parameter, rng), one draw, to its statistic and finishes its
     own value.  So a key of a grouped release costs that closure, the
-    statistic (len, or one total_of for a sum), one sampler call per draw
+    statistic (len, or for a sum one lookup of its remembered grain counts
+    and a sum over them, or one total_of pass), one sampler call per draw
     (the geometric's runs _two_sided_geometric, with one _geometric_exp
     per attempt), for a sum or an average one result_cell, and
     compose_per_group's result_cell of the value.  At sensitivity 0 the
@@ -313,9 +314,43 @@ def _clamp_bounds(low, high):
 # subtraction is exact.  Only |p| under 2^49 reaches that test, since the
 # bound is 0 or less from there.  Those r are integers under top + 1, so a
 # float total of at most n of them is exact while n (top + 1) < 2^53; a
-# call on more rows than that gets a shared bound of 0.
+# call on more rows than that gets a shared bound of 0.  _grain_counts
+# turns each such r into an int of its own, exactly, so it needs no limit.
 _MARGIN_REL = 2.0**-50
 _MARGIN_SUBNORMAL = 2.0**-1074
+
+
+def _grain_rule(low: float, high: float, g_num: int, g_den: int) -> tuple[float, float, int]:
+    """(scale, bound, most_rows) for a clamp range and gamma = g_num /
+    g_den: the float ratio g_den / g_num, the shared bound on |p - r|
+    (see above) and the most rows whose first-tier counts add up exactly
+    in a float; 0 for all three when g_num or g_den is 2^53 or more or the
+    range's top p overflows, where every row takes the integer path."""
+    if g_num < 2**53 and g_den < 2**53:
+        ratio = g_den / g_num
+        top = max(-low, high) * ratio
+        if top < math.inf:
+            bound = 0.5 - (top * _MARGIN_REL + _MARGIN_SUBNORMAL)
+            return ratio, bound, math.ceil(2**53 / (Fraction(top) + 1)) - 1
+    return 0.0, 0.0, 0
+
+
+def _own_count(value, p: float, scale: float, g_num: int, g_den: int) -> int:
+    """The grain count of a clamped value whose p = value * scale the
+    shared bound does not settle: round(p) when |p - round(p)| is under p's
+    own 1/2 - margin(p), else value / gamma exactly, n * g_den / (d *
+    g_num) for the value's exact ratio n / d, rounded half to even with
+    divmod."""
+    r = round(p)
+    if scale and abs(p - r) < 0.5 - (abs(p) * _MARGIN_REL + _MARGIN_SUBNORMAL):
+        return r
+    n, d = value.as_integer_ratio()
+    divisor = d * g_num
+    quotient, remainder = divmod(n * g_den, divisor)
+    twice = 2 * remainder
+    if twice > divisor or (twice == divisor and quotient & 1):
+        quotient += 1
+    return quotient
 
 
 def _grain_total(low: float, high: float, g_num: int, g_den: int):
@@ -325,25 +360,15 @@ def _grain_total(low: float, high: float, g_num: int, g_den: int):
     Exact, assuming binary64 floats with round-half-even arithmetic: each
     row's count is first tried in floats, p = v * (g_den / g_num), rounded
     with the constant 1.5 * 2^52, and kept only when |p - r| is under the
-    bound solved once for the clamp range; those counts add up in a float,
-    which is exact while len(values) * (top + 1) < 2^53 for the range's top
-    p, so a longer call gets a bound of 0.  Any other row takes r =
-    round(p) when |p - r| is under its own 1/2 - margin(p) (see above), so
-    no rounding error can have moved p across a half integer.  The rest,
-    and every row when g_num or g_den is 2^53 or more or the range's top p
-    overflows (a scale of 0 then), take the integer path: value / gamma
-    is n * g_den / (d * g_num) for the value's exact ratio n / d, rounded
-    half to even with divmod.  Both of those add up in an int.
+    bound solved once for the clamp range (_grain_rule); those counts add
+    up in a float, which is exact while len(values) * (top + 1) < 2^53 for
+    the range's top p, so a longer call gets a bound of 0.  Any other row
+    takes _own_count, whose counts add up in an int.  This per-row rule is
+    the one _grain_counts applies; a sum runs this pass only on a column
+    that its query computed, and reads the counts a store remembers for a
+    stored column.
     """
-    scale = bound = 0.0
-    most_rows = 0
-    if g_num < 2**53 and g_den < 2**53:
-        ratio = g_den / g_num
-        top = max(-low, high) * ratio
-        if top < math.inf:
-            scale = ratio
-            bound = 0.5 - (top * _MARGIN_REL + _MARGIN_SUBNORMAL)
-            most_rows = math.ceil(2**53 / (Fraction(top) + 1)) - 1
+    scale, bound, most_rows = _grain_rule(low, high, g_num, g_den)
 
     def total_of(values: Sequence) -> int:
         above = bound if len(values) <= most_rows else 0.0
@@ -359,27 +384,52 @@ def _grain_total(low: float, high: float, g_num: int, g_den: int):
             r = p + 6755399441055744.0 - 6755399441055744.0  # 1.5 * 2^52
             if below < p - r < above:
                 floats += r
-                continue
-            r = round(p)
-            if scale and abs(p - r) < 0.5 - (abs(p) * _MARGIN_REL + _MARGIN_SUBNORMAL):
-                total += r
-                continue
-            n, d = value.as_integer_ratio()
-            divisor = d * g_num
-            quotient, remainder = divmod(n * g_den, divisor)
-            twice = 2 * remainder
-            if twice > divisor or (twice == divisor and quotient & 1):
-                quotient += 1
-            total += quotient
+            else:
+                total += _own_count(value, p, scale, g_num, g_den)
         return total + int(floats)
 
     return total_of
 
 
+def _grain_counts(low: float, high: float, g_num: int, g_den: int):
+    """The function from a column's values to each one's grain count,
+    round(clamped value / gamma) half to even, an exact int, by
+    _grain_total's per-row rule: the shared bound, then _own_count.  Each
+    count is an int on its own, so no float total limits the rows."""
+    scale, bound, _ = _grain_rule(low, high, g_num, g_den)
+
+    def counts_of(values: Sequence) -> tuple[int, ...]:
+        counts = []
+        for value in values:
+            if value < low:
+                value = low
+            elif value > high:
+                value = high
+            p = value * scale
+            r = p + 6755399441055744.0 - 6755399441055744.0  # 1.5 * 2^52
+            counts.append(
+                int(r) if -bound < p - r < bound else _own_count(value, p, scale, g_num, g_den)
+            )
+        return tuple(counts)
+
+    return counts_of
+
+
 def _grains(domain: TableDomain, column: str, low, high, granularity):
     """A clamped column's grain total, counted in grains of the given
-    granularity: (total_of, which takes the column's held values, its
-    sensitivity in grains, g_num, g_den).
+    granularity: (total, which takes a table and gives the grain total of
+    its held cells in the column and how many there are, its sensitivity
+    in grains, g_num, g_den).
+
+    Where the table's column is a column its store stores (Table.store,
+    found by identity, so never by comparing cells), the store derives
+    the column's counts under ("grains", its index there, low, high,
+    g_num, g_den), once for every filter, cut, fan-out-1 join, map and
+    query over it, and total sums them at the held rows with compress, in
+    C.  The counts cover every stored row, held or not, so what a store
+    remembers depends only on the queries asked.  A column that only the
+    query computed, or a table with no store, takes _grain_total's pass
+    over its held cells.
 
     The per-row sensitivity is ceil(max(|low|, |high|) / granularity)."""
     _check_numeric_column(domain, column)
@@ -389,7 +439,29 @@ def _grains(domain: TableDomain, column: str, low, high, granularity):
         raise NonPositiveGranularity(f"granularity must be positive, got {granularity}")
     sensitivity = math.ceil(max(abs(Fraction(low)), abs(Fraction(high))) / gamma)
     g_num, g_den = gamma.numerator, gamma.denominator
-    return _grain_total(low, high, g_num, g_den), sensitivity, g_num, g_den
+    total_of = _grain_total(low, high, g_num, g_den)
+    counts_of = _grain_counts(low, high, g_num, g_den)
+    index = domain.schema.index_of(column)
+    own_key = ("grains", index, low, high, g_num, g_den)
+
+    def total(table: Table) -> tuple[int, int]:
+        store, held, cells = table.store, table.held, table.columns[index]
+        if store is table:  # a source or a remembered group's Table
+            key = own_key
+        else:
+            at = None if store is None else next(
+                (i for i, stored in enumerate(store.columns) if stored is cells), None
+            )
+            if at is None:  # a column only the query computed
+                values = cells if held is None else tuple(compress(cells, held))
+                return total_of(values), len(values)
+            key = ("grains", at, low, high, g_num, g_den)
+        counts = store.derive(key, counts_of, cells)
+        if held is None:
+            return sum(counts), len(counts)
+        return sum(compress(counts, held)), held.count(1)
+
+    return total, sensitivity, g_num, g_den
 
 
 def make_sum(
@@ -404,15 +476,17 @@ def make_sum(
 
     Each value is clamped to [low, high] and rounded to a multiple of the
     granularity; noise is added to the integer total of grid steps and the
-    result is scaled back, as one correctly rounded float.
+    result is scaled back, as one correctly rounded float.  The total
+    sums the grain counts that the column's store remembers, where a
+    store holds the column, and rounds the held cells otherwise (see
+    _grains); the two agree exactly.
     """
-    total_of, sensitivity, g_num, g_den = _grains(domain, column, low, high, granularity)
+    grain_total, sensitivity, g_num, g_den = _grains(domain, column, low, high, granularity)
     privacy_function, sample, parameter = _noisy(noise, sensitivity)
-    index = domain.schema.index_of(column)
     float64 = ColumnType.FLOAT64
 
     def evaluate(table: Table, rng: random.Random) -> float:
-        total = total_of(table.column(index)) + sample(parameter, rng)
+        total = grain_total(table)[0] + sample(parameter, rng)
         return result_cell(total * g_num, float64, g_den)
 
     return _aggregation(domain, noise, privacy_function, evaluate)
@@ -431,19 +505,20 @@ def make_average(
     A sum and a count in sequence, each at half the stated budget and
     the sum's draw first, so its privacy function is the sum of two
     half-cost maps and equals the full cost at every distance.  The
-    quotient is rounded once, from the noisy grain total and count.
+    quotient is rounded once, from the noisy grain total and count.  The
+    total is make_sum's and the count is how many cells it read (see
+    _grains).
     """
     half = _halve(noise)
-    total_of, sensitivity, g_num, g_den = _grains(domain, column, low, high, granularity)
+    grain_total, sensitivity, g_num, g_den = _grains(domain, column, low, high, granularity)
     sum_function, sample_sum, sum_parameter = _noisy(half, sensitivity)
     count_function, sample_count, count_parameter = _noisy(half, 1)
-    index = domain.schema.index_of(column)
     float64 = ColumnType.FLOAT64
 
     def evaluate(table: Table, rng: random.Random) -> float:
-        values = table.column(index)
-        total = total_of(values) + sample_sum(sum_parameter, rng)
-        count = len(values) + sample_count(count_parameter, rng)
+        total, count = grain_total(table)
+        total += sample_sum(sum_parameter, rng)
+        count += sample_count(count_parameter, rng)
         return result_cell(total * g_num, float64, g_den * max(1, count))
 
     return _aggregation(domain, noise, sum_maps([sum_function, count_function]), evaluate)
@@ -586,11 +661,13 @@ def compose_per_group(
     names): one keyed pass splits all its stored rows, in input order,
     into a dict from each key to a Table of its rows under their mask.
     So the pass does the same work whatever a cut keeps, and a warm
-    release splits nothing and builds no Table but its result.  A
+    release splits nothing and builds no Table but its result.  Each
+    remembered key's Table is its own store (Table._storing), so a sum or
+    an average over it derives its column's grain counts once.  A
     filter's output is new in every query: its held rows are split, and
-    each key's Table is built for its release and dropped after it, since
-    Tables built at once would live through every release and be carried
-    by the garbage collector into older generations.  Absent keys share
+    each key's Table, with no store, is built for its release and dropped
+    after it, since Tables built at once would live through every release
+    and be carried by the garbage collector into older generations.  Absent keys share
     one empty Table.  Each key costs one call of the per-group
     measurement, which draws and finishes its own value (see _noisy), in
     keyset order from the one generator; nothing is summed across keys,
@@ -621,8 +698,10 @@ def compose_per_group(
     # index, for a key column, or None for a column gathered from the data.
     from_key = [key_columns.index(name) if name in key_columns else None for name in read_names]
 
-    def parts_of(table: Table, keys: list, positions: list[list[int]]) -> Iterator[Table]:
-        """Each key's Table, built lazily, in order, from its rows'
+    def parts_of(
+        table: Table, keys: list, positions: list[list[int]], build=Table._trusted
+    ) -> Iterator[Table]:
+        """Each key's Table, built lazily, in order, by build from its rows'
         positions and table's mask: one pass per read column, in C."""
         columns = []
         for name, at in zip(read_names, from_key):
@@ -634,14 +713,15 @@ def compose_per_group(
                 columns.append(map(mul, zip(cells), map(len, positions)))
         held = () if table.held is None else ((table.held,),)
         masks = [map(bytes, map(itemgetter(0), map(gather, repeat(h), positions))) for h in held]
-        return map(Table._trusted, repeat(read), zip(*columns), *masks)
+        return map(build, repeat(read), zip(*columns), *masks)
 
     def evaluate(table: Table, rng: random.Random) -> Table:
         if table.held is None or "_derived" in vars(table):
 
             def build() -> dict:
                 groups = split_by_key(Table._trusted(table.schema, table.columns), key_columns)
-                return dict(zip(groups, parts_of(table, list(groups), list(groups.values()))))
+                parts = parts_of(table, list(groups), list(groups.values()), Table._storing)
+                return dict(zip(groups, parts))
 
             find = table.derive(("groups", key_columns, read_names), build).get
         else:

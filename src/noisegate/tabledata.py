@@ -6,7 +6,8 @@ construction and is never observable through the public operations here:
 equality is multiset equality, and canonicalize gives the held rows'
 positions in the one fixed order used wherever determinism matters.  A
 table remembers values derived from it, by key (Table.derive): its
-order, cuts, groups, sorted columns and join indexes.  key_reader is the
+order, cuts, groups, sorted columns and join indexes, and the table that
+stores a column (Table.store) its grain counts.  key_reader is the
 one rule for how rows are keyed by named columns (Table.key_column reads
 the same keys from the columns), and split_by_key hands out each key's
 row positions by it, so grouping and joins take one keyed pass.
@@ -366,6 +367,14 @@ class Table(Record):
     does not.  A table remembers what derive builds from it, by key; a
     cut (_cut) starts with a memo of its own, a filtered or rebuilt table
     with none.
+
+    `store` is the table that stores these columns and outlives the
+    query, whose memo holds what is derived from each stored column (a
+    sum's grain counts): the table itself for a source (Table(...),
+    load_csv) and for a remembered group's Table (_storing), and the
+    store of the table whose columns a filter, a cut, a fan-out-1 join's
+    left side or a map's bare columns share.  A table that only a query
+    computed, and whose columns no such table stores, has None.
     """
 
     schema: Schema
@@ -381,10 +390,13 @@ class Table(Record):
         fields = self.__dict__
         fields["columns"] = _shared_columns(checked, self.schema.types)
         fields["held"] = None
+        fields["store"] = self
 
     @classmethod
-    def _trusted(cls, schema: Schema, columns: tuple, held: bytes | None = None) -> "Table":
-        """A table whose cells are not checked again.
+    def _trusted(
+        cls, schema: Schema, columns: tuple, held: bytes | None = None, store: "Table | None" = None
+    ) -> "Table":
+        """A table whose cells are not checked again, with the given store.
 
         Only for columns that are legal under schema already: columns of
         checked tables with the same schema, in any selection, order or
@@ -398,6 +410,15 @@ class Table(Record):
         fields["schema"] = schema
         fields["columns"] = columns
         fields["held"] = held
+        fields["store"] = store
+        return table
+
+    @classmethod
+    def _storing(cls, schema: Schema, columns: tuple, held: bytes | None = None) -> "Table":
+        """A trusted table that stores its columns for as long as it lives,
+        so it is its own store: a loaded source, or a remembered group's."""
+        table = cls._trusted(schema, columns, held)
+        table.__dict__["store"] = table
         return table
 
     @classmethod
@@ -405,24 +426,31 @@ class Table(Record):
         """A trusted table of rows of checked cells, stored as columns."""
         return cls._trusted(schema, columns_of(rows, len(schema.columns)))
 
-    def derive(self, key, build: Callable[[], object]):
-        """The value this table remembers under key, built by build() the
-        first time.  The key names a derivation and its parameters: the
+    def derive(self, key, build: Callable[..., object], *args):
+        """The value this table remembers under key, built by build(*args)
+        the first time.  The key names a derivation and its parameters: the
         canonical order (ORDER, a list of stored positions), a cut ("cut",
         key names, bound), a sorted column ("sorted", column index), a join
-        index ("join", key names) or the groups ("groups", key names, read
+        index ("join", key names), the groups ("groups", key names, read
         names), a dict from each key to a Table of its rows in the read
-        columns only.  Every caller gets the same value, so none may
-        change it."""
-        derived = self.__dict__.setdefault("_derived", {})
-        if key not in derived:
-            derived[key] = build()
-        return derived[key]
+        columns only, or a stored column's grain counts ("grains", column
+        index, low, high, g_num, g_den), one int per stored row, held or
+        not, which only the column's store derives (see
+        measurements._grains).  Every key is made of strings, ints and
+        floats, which hash in C.  Every caller gets the same value, so none
+        may change it.  A lookup of a remembered value hashes key once."""
+        try:
+            return self.__dict__["_derived"][key]
+        except KeyError:
+            derived = self.__dict__.setdefault("_derived", {})
+            value = derived[key] = build(*args)
+            return value
 
     def _cut(self, held: bytes) -> "Table":
         """These columns holding the rows held marks, some of this table's
-        held rows, with a memo of its own that starts with this one's order."""
-        cut = Table._trusted(self.schema, self.columns, held)
+        held rows, with this table's store and a memo of its own that starts
+        with this one's order."""
+        cut = Table._trusted(self.schema, self.columns, held, self.store)
         cut.__dict__["_derived"] = {ORDER: self._derived[ORDER]}
         return cut
 
@@ -734,7 +762,7 @@ def load_csv(path: str | Path, schema: Schema) -> Table:
         for line, block in blocks:
             for i, values in enumerate(_parse_block(block, line, schema, path)):
                 shared[i] = _extend_shared(columns[i], values, shared[i])
-    return Table._trusted(schema, tuple(map(tuple, columns)))
+    return Table._storing(schema, tuple(map(tuple, columns)))
 
 
 def _format_cell(value: Value) -> str:

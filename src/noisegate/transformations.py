@@ -171,7 +171,8 @@ def make_filter(domain: TableDomain, predicate: str, metric: Metric | None = Non
     stability is linear(1) under SymmetricDifference, and likewise under
     AddRemoveIds since rows are filtered within each identifier.  A row
     whose predicate fails to evaluate counts as false.  The output shares
-    its input's columns and ANDs the predicate into its mask of held rows.
+    its input's columns and store and ANDs the predicate into its mask of
+    held rows, so a sum over it reads the counts its store remembers.
     """
     metric = _check_row_metric(domain, metric or SymmetricDifference())
     keep = compile_predicate(predicate, domain.schema)
@@ -179,7 +180,7 @@ def make_filter(domain: TableDomain, predicate: str, metric: Metric | None = Non
     def apply(table: Table) -> Table:
         values, held = keep.evaluate(table)
         held = passing(table.held, held, bytes(values))
-        return Table._trusted(table.schema, table.columns, held)
+        return Table._trusted(table.schema, table.columns, held, table.store)
 
     return Transformation(
         input_domain=domain,
@@ -206,9 +207,10 @@ def make_map(
     link between rows and their contributor.  Where no cell can fail (its
     expression's type and bound prove it, see expressions._build), the
     output stores a cell for every stored row, every one legal, and keeps
-    its input's mask of held rows: it shares bare columns, computes the
-    others from every stored row and compresses nothing.  Otherwise it
-    stores the held rows whose cells all hold.
+    its input's mask of held rows and store: it shares bare columns, which
+    a sum then reads through the store's counts, computes the others from
+    every stored row and compresses nothing.  Otherwise it stores the held
+    rows whose cells all hold, and has no store.
     """
     metric = _check_row_metric(domain, metric or SymmetricDifference())
     id_column = domain.id_column
@@ -229,7 +231,8 @@ def make_map(
         columns = [cell.evaluate(table) for cell in cells]
         masks = [mask for _, mask in columns if mask is not None]
         if not masks:
-            return Table._trusted(new_schema, tuple(tuple(v) for v, _ in columns), table.held)
+            kept = tuple(tuple(v) for v, _ in columns)
+            return Table._trusted(new_schema, kept, table.held, table.store)
         held = passing(table.held, *masks)
         return Table._trusted(new_schema, tuple(tuple(compress(v, held)) for v, _ in columns))
 
@@ -378,12 +381,13 @@ def _join(left: Table, right: Table, keys, carry: list[int], joined: Schema, rep
     (the public table's fan-out or a truncation bound), left's columns
     are gathered once per match and only matched rows are stored.  Where
     a key matches at most once, the join carries the mask: it shares
-    left's columns, stores every row of left, and holds the held rows
-    that match.  Each stored row reads right's position for its key (the
-    first and only one in the index), or right's stored row count where
-    it has none, which is where each carried column has a _FILLER cell
-    appended; so the join's work does not depend on which rows match,
-    and every stored cell is legal.
+    left's columns and store, stores every row of left, and holds the held
+    rows that match; no store holds the carried columns it gathers.  Each
+    stored row reads right's position for its key (the first and only one
+    in the index), or right's stored row count where it has none, which is
+    where each carried column has a _FILLER cell appended; so the join's
+    work does not depend on which rows match, and every stored cell is
+    legal.
     """
     index = _join_index(right, keys)
     if not repeats:
@@ -395,7 +399,7 @@ def _join(left: Table, right: Table, keys, carry: list[int], joined: Schema, rep
         padded = [right.columns[i] + (_FILLER[right.schema.types[i]],) for i in carry]
         *carried, matched = gather(padded + [(1,) * stored + (0,)], at)
         held = passing(left.held, bytes(matched))
-        return Table._trusted(joined, left.columns + tuple(carried), held)
+        return Table._trusted(joined, left.columns + tuple(carried), held, left.store)
     matches = list(map(index.get, left.key_column(keys)))
     held = passing(left.held, bytes(map(is_not, matches, repeat(None))))
     rows, counts = compress(range(len(matches)), held), map(len, compress(matches, held))
@@ -438,9 +442,10 @@ def _truncate_by_keys(table: Table, keys: tuple[str, ...], bound: int) -> Table:
     stored position, where its key had fewer than `bound` rows before it,
     so the pass makes the same calls whatever it keeps, and the cut holds
     the same rows whatever the input order.  The cut shares the table's
-    columns and carries that mask even when it keeps every row
+    columns and store and carries that mask even when it keeps every row
     (Table._cut), so what is remembered on it never tells whether it
-    dropped a row.
+    dropped a row, and a sum over it reads the counts its store remembers
+    over every stored row.
     """
 
     def count_pass() -> Table:

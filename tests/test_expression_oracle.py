@@ -34,7 +34,13 @@ from helpers import (
 from noisegate.errors import ExpressionTypeError
 from noisegate.expressions import compile_expression, compile_projection
 from noisegate import transformations
-from noisegate.measurements import PureDpNoise, compose_per_group, make_count
+from noisegate.measurements import (
+    PureDpNoise,
+    compose_per_group,
+    make_average,
+    make_count,
+    make_sum,
+)
 from noisegate.rng import RngStream
 from noisegate.tabledata import ColumnType, KeySet, Schema, Table, TableDomain
 from noisegate.transformations import (
@@ -310,6 +316,28 @@ def python_calls(fn) -> int:
     return calls
 
 
+def python_lines(fn) -> int:
+    """How many lines of Python running fn() executes, counted as the
+    `line` events of sys.settrace, so a Python loop counts each pass; the
+    garbage collector is off meanwhile, as in python_calls."""
+    lines = 0
+
+    def trace(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return trace
+
+    gc.collect()
+    gc.disable()
+    sys.settrace(trace)
+    try:
+        fn()
+    finally:
+        sys.settrace(None)
+        gc.enable()
+    return lines
+
+
 # Two tables of one size whose values differ: on the first every left side
 # of `and` holds and nothing fails; on the second some left sides are false
 # and some rows fail (a float past the range, an int past a float's or
@@ -526,3 +554,40 @@ def test_a_float_its_bound_does_not_prove_finite_keeps_its_mask(text):
     assert out.held is None
     assert out.rows == oracle_map(table.rows, oracle_cells({"f": text}, FLOAT_CELL))
     assert len(out) == (3 if text == "x + 1.0" else 2)
+
+
+# Two tables that differ in one row's i only: 5 on the first and 1 on the
+# second.  So "i < 5" drops that row from the first and holds it on the
+# second, a cut at one row per i holds it on the first (every i its own)
+# and drops a row of i = 1 from the second, and MATCH_BELOW_FIVE matches
+# it on the second only.  Their summed column x is the same.
+ROW_HELD = [(k, k, 1.5 * k, 2.0, "a", "b") for k in range(6)]
+ROW_MOVED = ROW_HELD[:5] + [(1,) + ROW_HELD[5][1:]]
+MATCH_BELOW_FIVE = Table.of(
+    Schema.of(("i", ColumnType.INT64), ("r", ColumnType.TEXT)), [(i, "r") for i in range(5)]
+)
+
+
+@pytest.mark.parametrize("make", [make_sum, make_average], ids=["sum", "average"])
+@pytest.mark.parametrize(
+    "step",
+    [
+        make_filter(DOMAIN, "i < 5"),
+        make_truncate_by_id(TableDomain(SCHEMA, "i"), 1),
+        make_public_join(DOMAIN, MATCH_BELOW_FIVE, ["i"]),
+    ],
+    ids=["filter", "cut", "fan-out-1 join"],
+)
+def test_the_work_of_a_sum_over_a_mask_does_not_depend_on_which_rows_it_holds(step, make):
+    # Each count is taken cold, when the source's counts are built from
+    # every stored row, and then warm, when the sum only reads them.
+    def work(rows, count) -> list[int]:
+        held = step.apply(Table.of(SCHEMA, rows))
+        measured = make(TableDomain(held.schema), "x", 0, 6, Fraction(1, 100), PureDpNoise(1))
+        return [count(lambda: measured.eval(held, RngStream(5))) for _ in ("cold", "warm")]
+
+    for count in (python_calls, python_lines):
+        held, moved = work(ROW_HELD, count), work(ROW_MOVED, count)
+        assert held == moved, count.__name__
+    assert held[1] < held[0]  # the warm sum has no pass over the rows
+    assert {len(step.apply(Table.of(SCHEMA, rows))) for rows in (ROW_HELD, ROW_MOVED)} == {5, 6}

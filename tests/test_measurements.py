@@ -48,7 +48,9 @@ from noisegate.errors import (
 from noisegate.measurements import (
     _MARGIN_REL,
     _MARGIN_SUBNORMAL,
+    _grain_counts,
     _grain_total,
+    _grains,
     _quantile_scores,
     GaussianMechanism,
     GeometricMechanism,
@@ -80,7 +82,12 @@ from noisegate.metrics import (
 from noisegate import measurements, session
 from noisegate.noise import sample_discrete_gaussian, sample_two_sided_geometric
 from noisegate.rng import RngStream
-from noisegate.transformations import make_filter
+from noisegate.transformations import (
+    make_filter,
+    make_map,
+    make_public_join,
+    make_truncate_by_id,
+)
 from noisegate.tabledata import (
     ColumnType, KeySet, Schema, Table, TableDomain, key_reader, result_cell,
 )
@@ -327,6 +334,205 @@ def test_grain_total_matches_fraction_reference(gamma):
         table = Table.of(float_schema, [(v,) for v in values])
         total = _grain_total(lo, hi, gamma.numerator, gamma.denominator)(table.column(0))
         assert total == grain_total_reference(values, lo, hi, gamma)
+
+
+# A stored table for the grain counts: ids repeat, so cuts drop rows; k is
+# "a", "b" or "c", and PUBLIC_TAGS matches "a" and "b" once each, so its
+# join carries the mask and drops the "c" rows.
+STORED = Schema.of(
+    ("id", ColumnType.INT64), ("k", ColumnType.TEXT),
+    ("v", ColumnType.FLOAT64), ("w", ColumnType.INT64),
+)
+STORED_PLAIN = TableDomain(STORED, None)
+STORED_IDS = TableDomain(STORED, "id")
+PUBLIC_TAGS = Table.of(
+    Schema.of(("k", ColumnType.TEXT), ("tag", ColumnType.INT64)), [("a", 1), ("b", 2)]
+)
+BY_K = KeySet(Schema.of(("k", ColumnType.TEXT)), [("a",), ("b",), ("c",), ("z",)])
+GRAIN_CLAMPS = [
+    (-20.0, 30.0, Fraction(1, 100)), (-7.0, 9.0, Fraction(1, 4)), (0.0, 25.0, Fraction(3, 10)),
+    # A granularity whose denominator, and one whose numerator, is 2^53 or
+    # more: every count takes the exact integer path.
+    (-3.0, 3.0, Fraction(1, 2**53 + 1)), (-40.0, 40.0, Fraction(2**53 + 1, 2**50)),
+]
+
+
+def _stored_rows(rng, gamma, n=60):
+    """Rows of STORED whose v and w cells hold half-grain ties, values past
+    both clamp ends (every clamp above lies within +-40), subnormals and
+    cells one and two ulps from a half grain."""
+    tiny = [5e-324, -5e-324, 2.5e-320, sys.float_info.min, -sys.float_info.min]
+    floats = (
+        [rng.uniform(-60, 60) for _ in range(n)]
+        + [float(gamma * (rng.randint(-400, 400) + Fraction(1, 2))) for _ in range(6)]
+        + _near_half_grains(rng, gamma, 2**20) + tiny + [-1e6, 1e6]
+    )
+    rng.shuffle(floats)
+    ints = [rng.randint(-60, 60) for _ in floats]
+    return [
+        (rng.randrange(len(floats) // 3), rng.choice("abc"), v, w) for v, w in zip(floats, ints)
+    ]
+
+
+def _recording_part_of(name, seen):
+    """A count on the one column `name` of STORED that logs each group's Table."""
+    return _recording_part(Schema(((name, STORED.type_of(name)),)), seen)
+
+
+def _tables_sharing(source):
+    """Every kind of table a query builds over source's stored columns, by
+    name: a filter, a cut, a cut of a cut, a fan-out-1 join and a map of
+    bare columns and a computed one that cannot fail, each of which shares
+    source's store, and a map with a cell that can fail, which has none."""
+    filtered = make_filter(STORED_PLAIN, "w > -20").apply(source)
+    cut = make_truncate_by_id(STORED_IDS, 2).apply(source)
+    wide = Schema.of(("w", ColumnType.INT64), ("v", ColumnType.FLOAT64), ("x", ColumnType.FLOAT64))
+    return {
+        "source": source,
+        "filter": filtered,
+        "cut": cut,
+        "cut of a cut": make_truncate_by_id(STORED_IDS, 1).apply(cut),
+        "fan-out-1 join": make_public_join(STORED_PLAIN, PUBLIC_TAGS, ["k"]).apply(source),
+        "bare map": make_map(
+            STORED_PLAIN, {"v": "v", "w": "w", "x": "v / 1000.0"}, wide
+        ).apply(filtered),
+        "failing map": make_map(
+            STORED_PLAIN, {"v": "v", "w": "w", "x": "v / w"}, wide
+        ).apply(source),
+    }
+
+
+def _group_tables(tables, name):
+    """The per-key Tables of grouped releases reading column `name`: the
+    remembered groupings of the source and of the cut, and the per-query
+    ones of the filter's output, by name."""
+    groups = {}
+    for kind in ("source", "cut", "filter"):
+        seen = []
+        release = compose_per_group(
+            STORED_PLAIN, BY_K, _recording_part_of(name, seen), ("n", ColumnType.INT64)
+        )
+        release.eval(tables[kind], stream())
+        groups[f"{kind} grouping"] = seen
+    return groups
+
+
+def _grains_key(table, name, low, high, gamma):
+    return ("grains", table.schema.index_of(name), low, high, gamma.numerator, gamma.denominator)
+
+
+@pytest.mark.parametrize("low,high,gamma", GRAIN_CLAMPS)
+def test_totals_from_remembered_counts_are_exact_on_every_table_over_a_store(low, high, gamma):
+    rng = random.Random(f"counts-{gamma}")
+    for _ in range(6):
+        source = Table.of(STORED, _stored_rows(rng, gamma))
+        tables = _tables_sharing(source)
+        per_key = {(kind, name): parts for name in ("v", "w")
+                   for kind, parts in _group_tables(tables, name).items()}
+        everything = [(kind, table) for kind, table in tables.items()] + [
+            (kind, table) for kind, parts in per_key.items() for table in parts
+        ]
+        rng.shuffle(everything)  # the first sum over a store builds its counts
+        total_of = _grain_total(low, high, gamma.numerator, gamma.denominator)
+        for rounds in ("cold", "warm"):
+            for kind, table in everything:
+                for name in ("v", "w"):
+                    if not table.schema.has_column(name):
+                        continue
+                    total = _grains(TableDomain(table.schema), name, low, high, gamma)[0]
+                    cells = table.column(table.schema.index_of(name))
+                    expected = grain_total_reference(cells, low, high, gamma)
+                    assert total(table) == (expected, len(cells)), (rounds, kind, name)
+                    assert total_of(cells) == expected
+        # The totals came from the counts wherever a store holds the column.
+        for name in ("v", "w"):
+            counts = remembered(source)[_grains_key(source, name, low, high, gamma)]
+            column = source.columns[source.schema.index_of(name)]
+            assert list(counts) == [grain_total_reference([c], low, high, gamma) for c in column]
+            assert counts == _grain_counts(low, high, gamma.numerator, gamma.denominator)(column)
+        # Each present key's Table of a remembered grouping holds its own
+        # counts; absent keys share an empty Table with no store.
+        for (kind, name), parts in per_key.items():
+            for part in parts:
+                if kind == "filter grouping" or not len(part.columns[0]):
+                    assert part.store is None and remembered(part) == {}
+                else:
+                    assert list(remembered(part)) == [_grains_key(part, name, low, high, gamma)]
+
+
+def _memo_keys(table):
+    """Every key the table remembers, and those of every Table it remembers
+    (cuts and groups)."""
+    keys, stack = [], [table]
+    while stack:
+        current = stack.pop()
+        for key, value in remembered(current).items():
+            keys.append(key)
+            if isinstance(value, Table) and value is not current:
+                stack.append(value)
+            elif isinstance(value, dict):
+                stack.extend(part for part in value.values() if isinstance(part, Table))
+    return keys
+
+
+def _flat(key):
+    stack, items = [key], []
+    while stack:
+        item = stack.pop()
+        if isinstance(item, tuple):
+            stack.extend(item)
+        else:
+            items.append(item)
+    return items
+
+
+def test_only_the_table_storing_a_column_remembers_its_counts_once_per_column_and_bounds():
+    rng = random.Random(1042)
+    source = Table.of(STORED, _stored_rows(rng, Fraction(1, 4)))
+    tables = _tables_sharing(source)
+    shared = ("filter", "cut", "cut of a cut", "fan-out-1 join", "bare map")
+    clamps = [(-7.0, 9.0, Fraction(1, 4)), (-7, 9, 0.25), (0.0, 25.0, Fraction(3, 10))]
+    for low, high, gamma in clamps:
+        for table in tables.values():
+            domain = TableDomain(table.schema)
+            for make in (make_sum, make_average):
+                for name in ("v", "x"):
+                    if table.schema.has_column(name):
+                        make(domain, name, low, high, gamma, PureDpNoise(BIG)).eval(table, stream())
+    # One entry per column and clamp, whatever the bounds' types or the
+    # granularity's spelling (0.25 is 1/4 exactly), and the measurement.
+    v = STORED.index_of("v")
+    grains = {key: counts for key, counts in remembered(source).items() if key[0] == "grains"}
+    assert set(grains) == {("grains", v, -7.0, 9.0, 1, 4), ("grains", v, 0.0, 25.0, 3, 10)}
+    assert all(len(counts) == len(source.columns[0]) for counts in grains.values())
+    for kind in shared:
+        assert tables[kind].store is source
+        assert not any(key[0] == "grains" for key in remembered(tables[kind])), kind
+    # A column only the query computed: the bare map's x, and every column
+    # of a map with a cell that can fail, which has no store.
+    assert tables["failing map"].store is None
+    assert remembered(tables["bare map"]) == remembered(tables["failing map"]) == {}
+
+    # A remembered grouping's Tables are their own stores, one entry each;
+    # a filter's per-key Tables, built for one release, remember nothing.
+    per_key = {}
+    for _ in range(2):
+        per_key = _group_tables(tables, "v")
+        for kind, parts in per_key.items():
+            for part in parts:
+                summed = make_sum(TableDomain(part.schema), "v", -7, 9, 0.25, PureDpNoise(BIG))
+                summed.eval(part, stream())
+    for kind in ("source grouping", "cut grouping"):
+        present = [part for part in per_key[kind] if len(part.columns[0])]
+        assert present and all(part.store is part for part in present)
+        assert all(list(remembered(part)) == [("grains", 0, -7.0, 9.0, 1, 4)] for part in present)
+    assert all(part.store is None and remembered(part) == {} for part in per_key["filter grouping"])
+
+    # No memo key anywhere holds a Fraction, whose hash is a Python call.
+    keys = [key for table in tables.values() for key in _memo_keys(table)]
+    keys += [key for parts in per_key.values() for part in parts for key in _memo_keys(part)]
+    assert any(key[0] == "grains" for key in keys if isinstance(key, tuple))
+    assert not any(isinstance(item, Fraction) for key in keys for item in _flat(key))
 
 
 def test_sum_sensitivity_scales_privacy():
