@@ -25,11 +25,12 @@ import math
 import random
 import sys
 import threading
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
-from operator import itemgetter, mul
+from itertools import accumulate, chain, compress, repeat
+from operator import getitem
 from typing import Any, Callable, Iterator, Sequence, Union
 
 from .errors import (
@@ -364,9 +365,9 @@ def _grain_total(low: float, high: float, g_num: int, g_den: int):
     up in a float, which is exact while len(values) * (top + 1) < 2^53 for
     the range's top p, so a longer call gets a bound of 0.  Any other row
     takes _own_count, whose counts add up in an int.  This per-row rule is
-    the one _grain_counts applies; a sum runs this pass only on a column
-    that its query computed, and reads the counts a store remembers for a
-    stored column.
+    the one _grain_counts applies; a sum runs this pass only on a table
+    that only its query computed, and reads the counts a store remembers
+    otherwise (see _grains).
     """
     scale, bound, most_rows = _grain_rule(low, high, g_num, g_den)
 
@@ -421,15 +422,20 @@ def _grains(domain: TableDomain, column: str, low, high, granularity):
     its held cells in the column and how many there are, its sensitivity
     in grains, g_num, g_den).
 
-    Where the table's column is a column its store stores (Table.store,
-    found by identity, so never by comparing cells), the store derives
-    the column's counts under ("grains", its index there, low, high,
-    g_num, g_den), once for every filter, cut, fan-out-1 join, map and
-    query over it, and total sums them at the held rows with compress, in
-    C.  The counts cover every stored row, held or not, so what a store
-    remembers depends only on the queries asked.  A column that only the
-    query computed, or a table with no store, takes _grain_total's pass
-    over its held cells.
+    A table that outlives the query has a store (Table.store), and total
+    sums grain counts that the table storing the column derives once
+    under ("grains", its index there, low, high, g_num, g_den), one int
+    per stored row, held or not, for every filter, cut, join, map, group
+    and query over it, at the held rows with compress, in C.  The store's
+    _origin says where a column's cells come from, and the counts come
+    from there too: a map's bare column or a fan-out-1 join's left column
+    reads its input's store's counts, a remembered grouping's stored rows
+    gather theirs from its grouped table's once, and a key's Table of it
+    slices those at its offset.  Only a column that a store computed (a
+    map's, a flat map's or a join's) is rounded, once, by that store; so
+    what a store remembers depends only on the queries asked.  A table
+    with no store, which only the query computed, takes _grain_total's
+    pass over its held cells.
 
     The per-row sensitivity is ceil(max(|low|, |high|) / granularity)."""
     _check_numeric_column(domain, column)
@@ -442,21 +448,40 @@ def _grains(domain: TableDomain, column: str, low, high, granularity):
     total_of = _grain_total(low, high, g_num, g_den)
     counts_of = _grain_counts(low, high, g_num, g_den)
     index = domain.schema.index_of(column)
-    own_key = ("grains", index, low, high, g_num, g_den)
+    clamp = (low, high, g_num, g_den)
+    own_key = ("grains", index, *clamp)
+
+    def counts_at(store: Table, at: int) -> Sequence[int]:
+        """The grain counts of the column at `at` of a store, one per
+        stored row, from where its _origin says its cells come from."""
+        entry = store._origin[at] if store._origin else None
+        key = own_key if at == index else ("grains", at, *clamp)
+        if entry is None:
+            return store.derive(key, counts_of, store.columns[at])
+        source, at_source, rows = entry
+        if rows is None:
+            return counts_at(source, at_source)
+        return store.derive(key, gathered, source, at_source, rows)
+
+    def gathered(source: Table, at: int, rows: Sequence[int]) -> tuple[int, ...]:
+        return gather((counts_at(source, at),), rows)[0]
+
+    # The store whose counts a key's Table of a remembered grouping last
+    # sliced, and those counts: every key of one release slices the same.
+    last = [None, ()]
 
     def total(table: Table) -> tuple[int, int]:
-        store, held, cells = table.store, table.held, table.columns[index]
-        if store is table:  # a source or a remembered group's Table
-            key = own_key
+        held, store, offset = table.held, table.store, table.offset
+        if store is None:  # a table only the query computed
+            cells = table.columns[index]
+            values = cells if held is None else tuple(compress(cells, held))
+            return total_of(values), len(values)
+        if offset is None:
+            counts = counts_at(store, index)
         else:
-            at = None if store is None else next(
-                (i for i, stored in enumerate(store.columns) if stored is cells), None
-            )
-            if at is None:  # a column only the query computed
-                values = cells if held is None else tuple(compress(cells, held))
-                return total_of(values), len(values)
-            key = ("grains", at, low, high, g_num, g_den)
-        counts = store.derive(key, counts_of, cells)
+            if last[0] is not store:
+                last[:] = store, counts_at(store, index)
+            counts = last[1][offset:offset + len(table.columns[index])]
         if held is None:
             return sum(counts), len(counts)
         return sum(compress(counts, held)), held.count(1)
@@ -477,9 +502,9 @@ def make_sum(
     Each value is clamped to [low, high] and rounded to a multiple of the
     granularity; noise is added to the integer total of grid steps and the
     result is scaled back, as one correctly rounded float.  The total
-    sums the grain counts that the column's store remembers, where a
-    store holds the column, and rounds the held cells otherwise (see
-    _grains); the two agree exactly.
+    sums the grain counts remembered where the column is stored, on a
+    table that outlives the query, and rounds the held cells of a table
+    that only the query computed (see _grains); the two agree exactly.
     """
     grain_total, sensitivity, g_num, g_den = _grains(domain, column, low, high, granularity)
     privacy_function, sample, parameter = _noisy(noise, sensitivity)
@@ -653,22 +678,25 @@ def compose_per_group(
     whatever keys the data holds, with its group's value as result_cell
     gives it.  Each key's Table holds only the columns the per-group part
     reads (its input_domain.schema): a session builds a sum, average or
-    quantile on its column alone and a count on the first key column.  A
-    read key column is the key's cell repeated once per row; other read
-    columns are gathered from the data, so a count's groups gather
-    nothing.  A source or a cut (a table with no mask or with a memo, see
-    Table._cut) derives its groups under ("groups", key names, read
-    names): one keyed pass splits all its stored rows, in input order,
-    into a dict from each key to a Table of its rows under their mask.
-    So the pass does the same work whatever a cut keeps, and a warm
-    release splits nothing and builds no Table but its result.  Each
-    remembered key's Table is its own store (Table._storing), so a sum or
-    an average over it derives its column's grain counts once.  A
-    filter's output is new in every query: its held rows are split, and
-    each key's Table, with no store, is built for its release and dropped
-    after it, since Tables built at once would live through every release
-    and be carried by the garbage collector into older generations.  Absent keys share
-    one empty Table.  Each key costs one call of the per-group
+    quantile on its column alone and a count on the first key column.
+    The read columns are gathered from the data at every key's rows at
+    once, in key order, one pass per column in C, into one Table, and each
+    key's Table is a slice of it, from its offset there.  A table that
+    outlives the query (one with a store: a source, a cut, a step output)
+    derives its groups under ("groups", key names, read names): one keyed
+    pass splits all its stored rows, in input order, into a dict from each
+    key to a Table of its rows under their mask.  So the pass does the
+    same work whatever a cut or a filter keeps, and a warm release splits
+    nothing and builds no Table but its result.  The gathered Table is the
+    store of every key's Table, and its _origin gives the numeric read
+    columns as the grouped table's at the keys' positions, so a sum or an
+    average over a key's Table slices the grain counts it gathers once
+    from the grouped table's store, and rounds no cell again.  A table
+    that only the query computed has its held rows split, and each key's
+    Table, with no store, is built for its release and dropped after it,
+    since Tables built at once would live through every release and be
+    carried by the garbage collector into older generations.  Absent keys
+    share one empty Table.  Each key costs one call of the per-group
     measurement, which draws and finishes its own value (see _noisy), in
     keyset order from the one generator; nothing is summed across keys,
     so the part is any Measurement on tables, and the benchmark's tracer
@@ -694,42 +722,50 @@ def compose_per_group(
     group_keys = list(map(key_reader(keys.schema, key_columns), keys.rows))
     empty = Table._of_rows(read, ())
     release = per_group._eval
-    # Where each read column's cells come from: the key's cell at this
-    # index, for a key column, or None for a column gathered from the data.
-    from_key = [key_columns.index(name) if name in key_columns else None for name in read_names]
+    numeric = [ctype is not ColumnType.TEXT for ctype in read.types]
 
-    def parts_of(
-        table: Table, keys: list, positions: list[list[int]], build=Table._trusted
-    ) -> Iterator[Table]:
-        """Each key's Table, built lazily, in order, by build from its rows'
-        positions and table's mask: one pass per read column, in C."""
-        columns = []
-        for name, at in zip(read_names, from_key):
-            if at is None:
-                column = (table.columns[table.schema.index_of(name)],)
-                columns.append(map(itemgetter(0), map(gather, repeat(column), positions)))
-            else:
-                cells = keys if len(key_columns) == 1 else map(itemgetter(at), keys)
-                columns.append(map(mul, zip(cells), map(len, positions)))
-        held = () if table.held is None else ((table.held,),)
-        masks = [map(bytes, map(itemgetter(0), map(gather, repeat(h), positions))) for h in held]
-        return map(build, repeat(read), zip(*columns), *masks)
+    def parts_of(table: Table, positions: list[list[int]]) -> Iterator[Table]:
+        """Each key's Table, built lazily, in order, from its rows'
+        positions: a slice of the read columns gathered at every key's
+        positions, under their mask where table outlives the query, which
+        splits every stored row (a query-only table splits its held rows
+        only, so its keys' Tables take no mask)."""
+        order = list(chain.from_iterable(positions))
+        indexes = list(map(table.schema.index_of, read_names))
+        columns = gather([table.columns[i] for i in indexes], order)
+        if table.store is None:
+            rows_table = Table._trusted(read, columns)
+        else:
+            held = None if table.held is None else bytes(gather((table.held,), order)[0])
+            # Only a numeric column is summed, so only it keeps where its
+            # cells come from.
+            rows = array("q", order) if any(numeric) else None
+            origin = tuple(
+                table._origin_of(i, rows) if summed else None for i, summed in zip(indexes, numeric)
+            )
+            rows_table = Table._storing(read, columns, held, origin if any(origin) else None)
+        stops = list(accumulate(map(len, positions)))
+        starts = [0, *stops[:-1]]
+        spans = list(map(slice, starts, stops))
+        columns = zip(*[map(getitem, repeat(cells), spans) for cells in rows_table.columns])
+        held = rows_table.held
+        masks = repeat(None) if held is None else map(getitem, repeat(held), spans)
+        store = rows_table.store
+        offsets = repeat(None) if store is None else starts
+        return map(Table._trusted, repeat(read), columns, masks, repeat(store), offsets)
 
     def evaluate(table: Table, rng: random.Random) -> Table:
-        if table.held is None or "_derived" in vars(table):
+        if table.store is not None:
 
             def build() -> dict:
                 groups = split_by_key(Table._trusted(table.schema, table.columns), key_columns)
-                parts = parts_of(table, list(groups), list(groups.values()), Table._storing)
-                return dict(zip(groups, parts))
+                return dict(zip(groups, parts_of(table, list(groups.values()))))
 
             find = table.derive(("groups", key_columns, read_names), build).get
         else:
             groups = split_by_key(table, key_columns)
             present = list(filter(groups.__contains__, group_keys))
-            # Held rows only, so their Tables take no mask.
-            stored = Table._trusted(table.schema, table.columns)
-            parts = parts_of(stored, present, list(map(groups.__getitem__, present)))
+            parts = parts_of(table, list(map(groups.__getitem__, present)))
 
             def find(key, empty):
                 # Called once per key, in keyset order, so the present

@@ -6,8 +6,10 @@ construction and is never observable through the public operations here:
 equality is multiset equality, and canonicalize gives the held rows'
 positions in the one fixed order used wherever determinism matters.  A
 table remembers values derived from it, by key (Table.derive): its
-order, cuts, groups, sorted columns and join indexes, and the table that
-stores a column (Table.store) its grain counts.  key_reader is the
+order, cuts, groups, sorted columns and join indexes, the table that
+stores a column (Table.store) its grain counts, and a table that
+outlives the query the outputs of the steps over it (Table.remember),
+at most MAX_REMEMBERED_OUTPUTS under one source.  key_reader is the
 one rule for how rows are keyed by named columns (Table.key_column reads
 the same keys from the columns), and split_by_key hands out each key's
 row positions by it, so grouping and joins take one keyed pass.
@@ -51,7 +53,7 @@ import io
 import json
 import math
 import sys
-from collections import Counter, defaultdict
+from collections import Counter, OrderedDict, defaultdict
 from collections.abc import Iterable
 from contextlib import contextmanager
 from itertools import compress, islice, repeat
@@ -346,6 +348,18 @@ def _shared_columns(columns: Sequence[Sequence[Value]], types: Sequence[ColumnTy
 # The key under which a table remembers its order (see canonicalize).
 ORDER = "order"
 
+# How many step outputs (a filter's, a map's, a flat map's or a join's) one
+# source remembers, over itself and over every table remembered under it,
+# at every nesting level (see Table.remember).  A public count, never a
+# size, since sizes depend on the rows: past it the output used least
+# recently is dropped, and built again, equal, when a query asks for it.
+# Held memory is then at most this many outputs of each source's steps.
+MAX_REMEMBERED_OUTPUTS = 32
+
+# What Table.derive's lookup finds where nothing is remembered: no lookup
+# raises, so a miss costs no exception.
+_MISSING = object()
+
 
 class Table(Record):
     """A schema and a multiset of rows, stored as columns.
@@ -364,17 +378,28 @@ class Table(Record):
     Tables compare by identity; use table_equal for multiset equality so
     that incidental row order never leaks into program behavior.
     Table(schema, rows) checks every column against the schema; _trusted
-    does not.  A table remembers what derive builds from it, by key; a
-    cut (_cut) starts with a memo of its own, a filtered or rebuilt table
-    with none.
+    does not.  A table remembers what derive builds from it, by key.
 
-    `store` is the table that stores these columns and outlives the
-    query, whose memo holds what is derived from each stored column (a
-    sum's grain counts): the table itself for a source (Table(...),
-    load_csv) and for a remembered group's Table (_storing), and the
-    store of the table whose columns a filter, a cut, a fan-out-1 join's
-    left side or a map's bare columns share.  A table that only a query
-    computed, and whose columns no such table stores, has None.
+    `store` is the one rule for whether a table outlives the query: None
+    for a table that only a query computed, else the table that stores
+    these columns, whose memo holds what is derived from each stored
+    column (a sum's grain counts).  A source, a remembered step output
+    that stores columns of its own and a remembered grouping's Table of
+    every key's rows are their own stores; a filter and a cut share their
+    input's columns and store; a key's Table of a remembered grouping is
+    its store's stored rows from `offset` on (offset is None elsewhere).
+    A step over a table with a store remembers its output on it
+    (remember), so everything built on a source outlives the query too.
+    A store's `_origin`, where not None, gives for each column where its
+    cells come from: None for a column it computed, else (table, index,
+    rows), that store's column at index on the same stored rows (rows
+    None: a map's bare column, a fan-out-1 join's left one) or at the
+    positions rows lists (a grouping's rows in key order).
+
+    _trusted sets with object.__setattr__ only the fields that are not
+    None, the class's default, so CPython 3.11 and later keep them in the
+    object, with no __dict__ until something is derived: a grouping's key
+    Tables each cost about 65 bytes less.
     """
 
     schema: Schema
@@ -385,18 +410,26 @@ class Table(Record):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
+    # What a table that sets none of these has (see _trusted).
+    held = store = offset = _origin = None
+
     def __post_init__(self) -> None:
         checked = _checked_columns(self.schema, self.__dict__.pop("rows"))
         fields = self.__dict__
         fields["columns"] = _shared_columns(checked, self.schema.types)
-        fields["held"] = None
         fields["store"] = self
 
     @classmethod
     def _trusted(
-        cls, schema: Schema, columns: tuple, held: bytes | None = None, store: "Table | None" = None
+        cls,
+        schema: Schema,
+        columns: tuple,
+        held: bytes | None = None,
+        store: "Table | None" = None,
+        offset: int | None = None,
     ) -> "Table":
-        """A table whose cells are not checked again, with the given store.
+        """A table whose cells are not checked again, with the given store
+        and offset.
 
         Only for columns that are legal under schema already: columns of
         checked tables with the same schema, in any selection, order or
@@ -406,19 +439,28 @@ class Table(Record):
         Anything else supplied from outside goes through Table(...).
         """
         table = object.__new__(cls)
-        fields = table.__dict__
-        fields["schema"] = schema
-        fields["columns"] = columns
-        fields["held"] = held
-        fields["store"] = store
+        field = object.__setattr__
+        field(table, "schema", schema)
+        field(table, "columns", columns)
+        if held is not None:
+            field(table, "held", held)
+        if store is not None:
+            field(table, "store", store)
+            if offset is not None:
+                field(table, "offset", offset)
         return table
 
     @classmethod
-    def _storing(cls, schema: Schema, columns: tuple, held: bytes | None = None) -> "Table":
+    def _storing(
+        cls, schema: Schema, columns: tuple, held: bytes | None = None, origin: tuple | None = None
+    ) -> "Table":
         """A trusted table that stores its columns for as long as it lives,
-        so it is its own store: a loaded source, or a remembered group's."""
+        so it is its own store, with the given _origin: a loaded source, a
+        remembered grouping's rows or a remembered step output."""
         table = cls._trusted(schema, columns, held)
-        table.__dict__["store"] = table
+        object.__setattr__(table, "store", table)
+        if origin is not None:
+            object.__setattr__(table, "_origin", origin)
         return table
 
     @classmethod
@@ -426,31 +468,102 @@ class Table(Record):
         """A trusted table of rows of checked cells, stored as columns."""
         return cls._trusted(schema, columns_of(rows, len(schema.columns)))
 
+    def _holding(self, held: bytes | None) -> "Table":
+        """These columns, with this table's store and offset, holding the
+        rows held marks: a filter's output, or a cut without its memo."""
+        return Table._trusted(self.schema, self.columns, held, self.store, self.offset)
+
+    def _built_on(
+        self, schema: Schema, columns: tuple, held: bytes | None = None, shared: Sequence = ()
+    ) -> "Table":
+        """A step's output over this table that stores columns of its own:
+        query-only (no store) where this table is, else its own store, whose
+        column i is this table's column shared[i] on the same stored rows
+        (None, or past the end of shared, for a column it computed)."""
+        if self.store is None:
+            return Table._trusted(schema, columns, held)
+        origin = tuple(None if at is None else self._origin_of(at) for at in shared)
+        origin += (None,) * (len(columns) - len(origin))
+        return Table._storing(schema, columns, held, origin if any(origin) else None)
+
+    def _origin_of(self, index: int, rows=None) -> tuple | None:
+        """The _origin entry of a table built on this one, which has a
+        store, whose column is this table's column at index at rows: taken
+        through to the table it comes from where this table's store shares
+        it on the same stored rows, so no lookup walks a chain; None (the
+        new table computes its own) for a key's Table of a grouping."""
+        store = self.store
+        if self.offset is not None:
+            return None
+        entry = store._origin[index] if store._origin else None
+        if entry is not None and entry[2] is None:
+            return entry[0], entry[1], rows
+        return store, index, rows
+
     def derive(self, key, build: Callable[..., object], *args):
         """The value this table remembers under key, built by build(*args)
-        the first time.  The key names a derivation and its parameters: the
-        canonical order (ORDER, a list of stored positions), a cut ("cut",
-        key names, bound), a sorted column ("sorted", column index), a join
-        index ("join", key names), the groups ("groups", key names, read
-        names), a dict from each key to a Table of its rows in the read
-        columns only, or a stored column's grain counts ("grains", column
-        index, low, high, g_num, g_den), one int per stored row, held or
-        not, which only the column's store derives (see
-        measurements._grains).  Every key is made of strings, ints and
-        floats, which hash in C.  Every caller gets the same value, so none
-        may change it.  A lookup of a remembered value hashes key once."""
-        try:
-            return self.__dict__["_derived"][key]
-        except KeyError:
-            derived = self.__dict__.setdefault("_derived", {})
+        the first time.  The key names a derivation and its parameters,
+        all public: the canonical order (ORDER, a list of stored
+        positions), a cut ("cut", key names, bound), a sorted column
+        ("sorted", column index), a join index ("join", key names), the
+        groups ("groups", key names, read names), a dict from each key to a
+        Table of its rows in the read columns only, a stored column's grain
+        counts ("grains", column index, low, high, g_num, g_den), one int
+        per stored row, held or not, which only the column's store derives
+        (see measurements._grains), or a step's output (see remember).
+        Every key is made of strings, ints and floats, which hash in C, and
+        none holds a Table or a private cell.  Every caller gets the same
+        value, so none may change it.  A lookup of a remembered value
+        hashes key once, and a miss raises nothing."""
+        fields = self.__dict__
+        derived = fields.get("_derived")
+        if derived is None:
+            derived = fields["_derived"] = {}
+        value = derived.get(key, _MISSING)
+        if value is _MISSING:
             value = derived[key] = build(*args)
-            return value
+        return value
+
+    def remember(self, key, build: Callable[..., "Table"], *args, against=None) -> "Table":
+        """A step's output over this table, build(*args): remembered under
+        key where this table outlives the query (it has a store), else
+        built for the query alone.
+
+        The key holds the step's public parameters (see the make_*
+        functions in transformations).  The memo holds (against, output):
+        a private join passes its right cut, and an output built against
+        another one (`is`) is built again and replaces it.  Each output
+        remembered under one source, at any depth, counts toward
+        MAX_REMEMBERED_OUTPUTS in one order of use that every store built
+        on the source shares; past it the least recently used is dropped
+        from its table's memo, with all it remembers, and rebuilt equal
+        when asked again.
+        """
+        store = self.store
+        if store is None:
+            return build(*args)
+        entry = self.derive(key, _against, against, build, args)
+        outputs = store.__dict__.get("_outputs")
+        if outputs is None:
+            outputs = store.__dict__["_outputs"] = OrderedDict()
+        if entry[0] is not against:
+            outputs.pop(entry[1], None)
+            entry = self._derived[key] = _against(against, build, args)
+        output = entry[1]
+        # Used now: to the end of the order, where a new output starts.
+        if outputs.pop(output, None) is None and output.store is output:
+            output.__dict__["_outputs"] = outputs
+        outputs[output] = (self, key)
+        while len(outputs) > MAX_REMEMBERED_OUTPUTS:
+            owner, dropped = outputs.popitem(last=False)[1]
+            owner._derived.pop(dropped, None)
+        return output
 
     def _cut(self, held: bytes) -> "Table":
         """These columns holding the rows held marks, some of this table's
         held rows, with this table's store and a memo of its own that starts
         with this one's order."""
-        cut = Table._trusted(self.schema, self.columns, held, self.store)
+        cut = self._holding(held)
         cut.__dict__["_derived"] = {ORDER: self._derived[ORDER]}
         return cut
 
@@ -491,6 +604,11 @@ class Table(Record):
 
     def multiset(self) -> Counter:
         return Counter(self._held(zip(*self.columns)))
+
+
+def _against(against, build: Callable[..., Table], args: tuple) -> tuple:
+    """A remembered step output and the right cut it was built against."""
+    return against, build(*args)
 
 
 class KeySet(Record):

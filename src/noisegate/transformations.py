@@ -84,6 +84,11 @@ def column_pairs(columns: Columns, where: str = "columns") -> tuple[tuple[str, s
     return tuple(pairs)
 
 
+def _names_and_types(schema: Schema) -> tuple[tuple[str, str], ...]:
+    """A schema's column names and type names, as a memo key holds them."""
+    return tuple((name, ctype.value) for name, ctype in schema.columns)
+
+
 def _compile_branch(
     columns: Columns, schema: Schema, new_schema: Schema
 ) -> list[CompiledExpression]:
@@ -172,15 +177,21 @@ def make_filter(domain: TableDomain, predicate: str, metric: Metric | None = Non
     AddRemoveIds since rows are filtered within each identifier.  A row
     whose predicate fails to evaluate counts as false.  The output shares
     its input's columns and store and ANDs the predicate into its mask of
-    held rows, so a sum over it reads the counts its store remembers.
+    held rows, so a sum over it reads the counts its store remembers.  An
+    input that outlives the query remembers the output under ("filter",
+    predicate) (Table.remember), so a warm filter is a lookup.
     """
     metric = _check_row_metric(domain, metric or SymmetricDifference())
     keep = compile_predicate(predicate, domain.schema)
+    key = ("filter", predicate)
 
-    def apply(table: Table) -> Table:
+    def filtered(table: Table) -> Table:
         values, held = keep.evaluate(table)
         held = passing(table.held, held, bytes(values))
-        return Table._trusted(table.schema, table.columns, held, table.store)
+        return table._holding(held)
+
+    def apply(table: Table) -> Table:
+        return table.remember(key, filtered, table)
 
     return Transformation(
         input_domain=domain,
@@ -207,10 +218,14 @@ def make_map(
     link between rows and their contributor.  Where no cell can fail (its
     expression's type and bound prove it, see expressions._build), the
     output stores a cell for every stored row, every one legal, and keeps
-    its input's mask of held rows and store: it shares bare columns, which
-    a sum then reads through the store's counts, computes the others from
-    every stored row and compresses nothing.  Otherwise it stores the held
-    rows whose cells all hold, and has no store.
+    its input's mask of held rows: it shares bare columns, computes the
+    others from every stored row and compresses nothing.  Otherwise it
+    stores the held rows whose cells all hold.  An input that outlives the
+    query remembers the output under ("map", the (name, expression) pairs,
+    the output's names and type names) (Table.remember); the output stores
+    its computed columns, so a sum over one reads the grain counts it
+    derives once, and a sum over a shared bare column reads its input's
+    store's (Table._built_on).
     """
     metric = _check_row_metric(domain, metric or SymmetricDifference())
     id_column = domain.id_column
@@ -220,21 +235,27 @@ def make_map(
         (id_column, domain.schema.type_of(id_column)) not in new_schema.columns
     ):
         raise IdColumnDropped(f"the map must carry {id_column!r} through unchanged")
-    cells = _compile_branch(columns, domain.schema, new_schema)
+    pairs = column_pairs(columns)
+    cells = _compile_branch(pairs, domain.schema, new_schema)
     if id_column is not None and (
         cells[new_schema.index_of(id_column)].column != domain.schema.index_of(id_column)
     ):
         raise IdColumnDropped(f"the map must carry {id_column!r} through unchanged")
     output_domain = TableDomain(new_schema, id_column)
+    key = ("map", pairs, _names_and_types(new_schema))
+    bare = [cell.column for cell in cells]
 
-    def apply(table: Table) -> Table:
+    def mapped(table: Table) -> Table:
         columns = [cell.evaluate(table) for cell in cells]
         masks = [mask for _, mask in columns if mask is not None]
         if not masks:
             kept = tuple(tuple(v) for v, _ in columns)
-            return Table._trusted(new_schema, kept, table.held, table.store)
+            return table._built_on(new_schema, kept, table.held, bare)
         held = passing(table.held, *masks)
-        return Table._trusted(new_schema, tuple(tuple(compress(v, held)) for v, _ in columns))
+        return table._built_on(new_schema, tuple(tuple(compress(v, held)) for v, _ in columns))
+
+    def apply(table: Table) -> Table:
+        return table.remember(key, mapped, table)
 
     return Transformation(
         input_domain=domain,
@@ -276,7 +297,10 @@ def make_flat_map(
     stability is linear in that bound.  A branch whose guard or cells fail
     to evaluate, or whose cells do not fit their columns, is dropped and
     does not count toward max_rows.  Runs under SymmetricDifference only;
-    identifier-tracking pipelines must truncate before expanding.
+    identifier-tracking pipelines must truncate before expanding.  An input
+    that outlives the query remembers the output, which stores its rows,
+    under ("flat map", each branch's pairs and guard, max_rows, the
+    output's names and type names) (Table.remember).
     """
     if not is_int(max_rows) or max_rows < 1:
         raise NonPositiveBound(f"max_rows must be a positive int, got {max_rows!r}")
@@ -292,8 +316,14 @@ def make_flat_map(
         )
         compiled.append((guard, cells))
     bound = min(max_rows, len(branches))
+    key = (
+        "flat map",
+        tuple((branch.columns, branch.when) for branch in branches),
+        max_rows,
+        _names_and_types(new_schema),
+    )
 
-    def apply(table: Table) -> Table:
+    def expanded(table: Table) -> Table:
         n = len(table.columns[0])
         # Each branch's columns and whether it fires on each stored row: a
         # branch fires on a held row where its guard holds, nothing fails
@@ -312,10 +342,13 @@ def make_flat_map(
             fired.append(fires)
         # Row by row, each row's branches in order, a column at a time.
         fires = bytes(itertools.chain.from_iterable(zip(*fired)))
-        return Table._trusted(new_schema, tuple(
+        return table._built_on(new_schema, tuple(
             tuple(compress(itertools.chain.from_iterable(zip(*branches)), fires))
             for branches in zip(*branch_columns)
         ))
+
+    def apply(table: Table) -> Table:
+        return table.remember(key, expanded, table)
 
     return Transformation(
         input_domain=domain,
@@ -381,8 +414,10 @@ def _join(left: Table, right: Table, keys, carry: list[int], joined: Schema, rep
     (the public table's fan-out or a truncation bound), left's columns
     are gathered once per match and only matched rows are stored.  Where
     a key matches at most once, the join carries the mask: it shares
-    left's columns and store, stores every row of left, and holds the held
-    rows that match; no store holds the carried columns it gathers.  Each
+    left's columns, stores every row of left, and holds the held rows that
+    match; where left outlives the query, the output is its own store of
+    the carried columns it gathers, and takes left's columns' grain counts
+    from left's store (Table._built_on).  Each
     stored row reads right's position for its key (the first and only one
     in the index), or right's stored row count where it has none, which is
     where each carried column has a _FILLER cell appended; so the join's
@@ -399,13 +434,14 @@ def _join(left: Table, right: Table, keys, carry: list[int], joined: Schema, rep
         padded = [right.columns[i] + (_FILLER[right.schema.types[i]],) for i in carry]
         *carried, matched = gather(padded + [(1,) * stored + (0,)], at)
         held = passing(left.held, bytes(matched))
-        return Table._trusted(joined, left.columns + tuple(carried), held, left.store)
+        shared = range(len(left.columns))
+        return left._built_on(joined, left.columns + tuple(carried), held, shared)
     matches = list(map(index.get, left.key_column(keys)))
     held = passing(left.held, bytes(map(is_not, matches, repeat(None))))
     rows, counts = compress(range(len(matches)), held), map(len, compress(matches, held))
     columns = gather(left.columns, list(itertools.chain.from_iterable(map(repeat, rows, counts))))
     matched = list(itertools.chain.from_iterable(compress(matches, held)))
-    return Table._trusted(joined, columns + gather([right.columns[i] for i in carry], matched))
+    return left._built_on(joined, columns + gather([right.columns[i] for i in carry], matched))
 
 
 def make_public_join(domain: TableDomain, public: Table, on: Sequence[str]) -> Transformation:
@@ -417,12 +453,18 @@ def make_public_join(domain: TableDomain, public: Table, on: Sequence[str]) -> T
     could fan out without bound, so identifier pipelines truncate first.
     At fan-out 1 (or 0) the join carries the mask and stores every stored
     row of its input; above 1 it stores the matched rows only (see _join).
+    An input that outlives the query remembers the output under ("public
+    join", key names, the public table's names, type names and held cells
+    by value) (Table.remember): the public table is public, and an equal
+    table inlined in another query finds the same output.
     """
     keys, joined, carry = _check_join_columns(domain.schema, public.schema, on)
     fan_out = max(map(len, _join_index(public, keys).values()), default=0)
+    held_cells = tuple(map(public.column, range(len(public.schema.columns))))
+    key = ("public join", keys, _names_and_types(public.schema), held_cells)
 
     def apply(table: Table) -> Table:
-        return _join(table, public, keys, carry, joined, fan_out > 1)
+        return table.remember(key, _join, table, public, keys, carry, joined, fan_out > 1)
 
     return Transformation(
         input_domain=domain,
@@ -493,18 +535,27 @@ def make_private_join(
     2 * max(left_bound, right_bound) over the summed input distance.
     With right_bound 1 the join carries the mask and stores every row of
     left_table, whose columns its cut shares; above 1 the matched rows
-    only (see _join).
+    only (see _join).  A left table that outlives the query remembers the
+    output under ("private join", key names, bounds), with the right cut
+    it joined (Table.remember): the right table's cut comes first, and
+    the output is read only for that same cut, so a session whose right
+    table is another one builds, and remembers, its own.
     """
     for bound in (left_bound, right_bound):
         if not is_int(bound) or bound < 1:
             raise NonPositiveBound(f"truncation bounds must be positive ints, got {bound!r}")
     keys, joined, carry = _check_join_columns(left.schema, right.schema, on)
 
+    key = ("private join", keys, left_bound, right_bound)
+
+    def join_cuts(left_table: Table, cut_right: Table) -> Table:
+        cut_left = _truncate_by_keys(left_table, keys, left_bound)
+        return _join(cut_left, cut_right, keys, carry, joined, right_bound > 1)
+
     def apply(tables) -> Table:
         left_table, right_table = tables
-        cut_left = _truncate_by_keys(left_table, keys, left_bound)
         cut_right = _truncate_by_keys(right_table, keys, right_bound)
-        return _join(cut_left, cut_right, keys, carry, joined, right_bound > 1)
+        return left_table.remember(key, join_cuts, left_table, cut_right, against=cut_right)
 
     return Transformation(
         input_domain=TableTupleDomain((left, right)),

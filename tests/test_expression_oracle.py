@@ -45,6 +45,7 @@ from noisegate.rng import RngStream
 from noisegate.tabledata import ColumnType, KeySet, Schema, Table, TableDomain
 from noisegate.transformations import (
     ExpansionBranch,
+    chain,
     make_filter,
     make_flat_map,
     make_map,
@@ -563,6 +564,7 @@ def test_a_float_its_bound_does_not_prove_finite_keeps_its_mask(text):
 # it on the second only.  Their summed column x is the same.
 ROW_HELD = [(k, k, 1.5 * k, 2.0, "a", "b") for k in range(6)]
 ROW_MOVED = ROW_HELD[:5] + [(1,) + ROW_HELD[5][1:]]
+COMPUTED_X = Schema.of(("i", ColumnType.INT64), ("x", ColumnType.FLOAT64))
 MATCH_BELOW_FIVE = Table.of(
     Schema.of(("i", ColumnType.INT64), ("r", ColumnType.TEXT)), [(i, "r") for i in range(5)]
 )
@@ -575,12 +577,19 @@ MATCH_BELOW_FIVE = Table.of(
         make_filter(DOMAIN, "i < 5"),
         make_truncate_by_id(TableDomain(SCHEMA, "i"), 1),
         make_public_join(DOMAIN, MATCH_BELOW_FIVE, ["i"]),
+        chain(
+            make_filter(DOMAIN, "i < 5"),
+            make_map(DOMAIN, {"i": "i", "x": "x / 2.0"}, COMPUTED_X),
+        ),
     ],
-    ids=["filter", "cut", "fan-out-1 join"],
+    ids=["filter", "cut", "fan-out-1 join", "map's computed column"],
 )
 def test_the_work_of_a_sum_over_a_mask_does_not_depend_on_which_rows_it_holds(step, make):
-    # Each count is taken cold, when the source's counts are built from
-    # every stored row, and then warm, when the sum only reads them.
+    # Each count is taken cold, when the store's counts are built from
+    # every stored row, and then warm, when the sum only reads them.  No
+    # cell of the map's x can fail, so x is computed from every stored row
+    # and stored by the map's output, which the filter's output remembers
+    # and which derives x's counts itself.
     def work(rows, count) -> list[int]:
         held = step.apply(Table.of(SCHEMA, rows))
         measured = make(TableDomain(held.schema), "x", 0, 6, Fraction(1, 100), PureDpNoise(1))

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import sys
 import threading
@@ -380,10 +381,13 @@ def _recording_part_of(name, seen):
 
 
 def _tables_sharing(source):
-    """Every kind of table a query builds over source's stored columns, by
-    name: a filter, a cut, a cut of a cut, a fan-out-1 join and a map of
-    bare columns and a computed one that cannot fail, each of which shares
-    source's store, and a map with a cell that can fail, which has none."""
+    """Every kind of table a query builds over source, by name: a filter, a
+    cut and a cut of a cut, which share source's columns and store; a
+    fan-out-1 join and a map of bare columns and a computed one that cannot
+    fail, remembered outputs that store columns of their own and take the
+    shared ones' counts from source; a map with a cell that can fail, a
+    remembered output that stores every column itself; and the same rows
+    as a table that only a query computed, which has no store."""
     filtered = make_filter(STORED_PLAIN, "w > -20").apply(source)
     cut = make_truncate_by_id(STORED_IDS, 2).apply(source)
     wide = Schema.of(("w", ColumnType.INT64), ("v", ColumnType.FLOAT64), ("x", ColumnType.FLOAT64))
@@ -399,15 +403,16 @@ def _tables_sharing(source):
         "failing map": make_map(
             STORED_PLAIN, {"v": "v", "w": "w", "x": "v / w"}, wide
         ).apply(source),
+        "query-only": Table._trusted(STORED, source.columns),
     }
 
 
 def _group_tables(tables, name):
     """The per-key Tables of grouped releases reading column `name`: the
-    remembered groupings of the source and of the cut, and the per-query
-    ones of the filter's output, by name."""
+    remembered groupings of the source, the cut and the filter's output,
+    and the per-query one of the query-only table, by name."""
     groups = {}
-    for kind in ("source", "cut", "filter"):
+    for kind in ("source", "cut", "filter", "query-only"):
         seen = []
         release = compose_per_group(
             STORED_PLAIN, BY_K, _recording_part_of(name, seen), ("n", ColumnType.INT64)
@@ -450,28 +455,42 @@ def test_totals_from_remembered_counts_are_exact_on_every_table_over_a_store(low
             column = source.columns[source.schema.index_of(name)]
             assert list(counts) == [grain_total_reference([c], low, high, gamma) for c in column]
             assert counts == _grain_counts(low, high, gamma.numerator, gamma.denominator)(column)
-        # Each present key's Table of a remembered grouping holds its own
-        # counts; absent keys share an empty Table with no store.
+        # Each key's Table of a remembered grouping is a slice of one stored
+        # Table of the grouping's rows, which gathers its counts once from
+        # the source's, the same int objects, so no key's Table remembers
+        # counts or rounds a cell; a query-only grouping's keys and absent
+        # keys have no store.
         for (kind, name), parts in per_key.items():
-            for part in parts:
-                if kind == "filter grouping" or not len(part.columns[0]):
-                    assert part.store is None and remembered(part) == {}
-                else:
-                    assert list(remembered(part)) == [_grains_key(part, name, low, high, gamma)]
+            assert all(remembered(part) == {} for part in parts)
+            stores = {id(part.store): part.store for part in parts if part.store is not None}
+            if kind == "query-only grouping":
+                assert stores == {}
+                continue
+            (rows_table,) = stores.values()
+            key = _grains_key(rows_table, name, low, high, gamma)
+            assert list(remembered(rows_table)) == [key]
+            source_counts = remembered(source)[_grains_key(source, name, low, high, gamma)]
+            (_, _, order), = rows_table._origin
+            assert all(map(operator.is_, remembered(rows_table)[key], map(source_counts.__getitem__, order)))
 
 
 def _memo_keys(table):
     """Every key the table remembers, and those of every Table it remembers
-    (cuts and groups)."""
-    keys, stack = [], [table]
+    (cuts, step outputs, groups and their stores)."""
+    keys, stack, seen = [], [table], set()
     while stack:
         current = stack.pop()
+        if id(current) in seen:
+            continue
+        seen.add(id(current))
         for key, value in remembered(current).items():
             keys.append(key)
-            if isinstance(value, Table) and value is not current:
-                stack.append(value)
-            elif isinstance(value, dict):
-                stack.extend(part for part in value.values() if isinstance(part, Table))
+            values = value.values() if isinstance(value, dict) else value
+            if isinstance(values, Table):
+                values = (values,)
+            if isinstance(values, (tuple, type({}.values()))):
+                tables = [part for part in values if isinstance(part, Table)]
+                stack.extend(tables + [part.store for part in tables if part.store is not None])
     return keys
 
 
@@ -490,7 +509,7 @@ def test_only_the_table_storing_a_column_remembers_its_counts_once_per_column_an
     rng = random.Random(1042)
     source = Table.of(STORED, _stored_rows(rng, Fraction(1, 4)))
     tables = _tables_sharing(source)
-    shared = ("filter", "cut", "cut of a cut", "fan-out-1 join", "bare map")
+    shared = ("filter", "cut", "cut of a cut")
     clamps = [(-7.0, 9.0, Fraction(1, 4)), (-7, 9, 0.25), (0.0, 25.0, Fraction(3, 10))]
     for low, high, gamma in clamps:
         for table in tables.values():
@@ -502,19 +521,35 @@ def test_only_the_table_storing_a_column_remembers_its_counts_once_per_column_an
     # One entry per column and clamp, whatever the bounds' types or the
     # granularity's spelling (0.25 is 1/4 exactly), and the measurement.
     v = STORED.index_of("v")
-    grains = {key: counts for key, counts in remembered(source).items() if key[0] == "grains"}
-    assert set(grains) == {("grains", v, -7.0, 9.0, 1, 4), ("grains", v, 0.0, 25.0, 3, 10)}
-    assert all(len(counts) == len(source.columns[0]) for counts in grains.values())
+    clamped = [(-7.0, 9.0, 1, 4), (0.0, 25.0, 3, 10)]
+
+    def grains(table):
+        return {key for key in remembered(table) if key[0] == "grains"}
+
+    assert grains(source) == {("grains", v, *clamp) for clamp in clamped}
+    assert all(len(remembered(source)[key]) == len(source.columns[0]) for key in grains(source))
     for kind in shared:
         assert tables[kind].store is source
-        assert not any(key[0] == "grains" for key in remembered(tables[kind])), kind
-    # A column only the query computed: the bare map's x, and every column
-    # of a map with a cell that can fail, which has no store.
-    assert tables["failing map"].store is None
-    assert remembered(tables["bare map"]) == remembered(tables["failing map"]) == {}
+        assert grains(tables[kind]) == set(), kind
+    # A remembered output that stores columns of its own is its own store:
+    # it derives counts for the columns it computed (the bare map's x, and
+    # every column of the map whose cells can fail, which compresses them)
+    # and takes a shared column's (v) from source, where its _origin points.
+    for kind in ("fan-out-1 join", "bare map", "failing map"):
+        assert tables[kind].store is tables[kind], kind
+    for kind in ("fan-out-1 join", "bare map"):
+        assert tables[kind]._origin[tables[kind].schema.index_of("v")] == (source, v, None)
+    assert grains(tables["fan-out-1 join"]) == set()
+    assert grains(tables["bare map"]) == {("grains", 2, *clamp) for clamp in clamped}
+    assert grains(tables["failing map"]) == {
+        ("grains", at, *clamp) for at in (1, 2) for clamp in clamped
+    }
+    # A table only the query computed has no store and remembers nothing.
+    assert tables["query-only"].store is None and remembered(tables["query-only"]) == {}
 
-    # A remembered grouping's Tables are their own stores, one entry each;
-    # a filter's per-key Tables, built for one release, remember nothing.
+    # A remembered grouping's key Tables share one store, which holds one
+    # entry per clamp; a query-only grouping's, built for one release,
+    # remember nothing.
     per_key = {}
     for _ in range(2):
         per_key = _group_tables(tables, "v")
@@ -522,12 +557,14 @@ def test_only_the_table_storing_a_column_remembers_its_counts_once_per_column_an
             for part in parts:
                 summed = make_sum(TableDomain(part.schema), "v", -7, 9, 0.25, PureDpNoise(BIG))
                 summed.eval(part, stream())
-    for kind in ("source grouping", "cut grouping"):
-        present = [part for part in per_key[kind] if len(part.columns[0])]
-        assert present and all(part.store is part for part in present)
-        assert all(list(remembered(part)) == [("grains", 0, -7.0, 9.0, 1, 4)] for part in present)
-    assert all(part.store is None and remembered(part) == {} for part in per_key["filter grouping"])
-
+    for kind in ("source grouping", "cut grouping", "filter grouping"):
+        present = [part for part in per_key[kind] if part.store is not None]
+        assert present and all(remembered(part) == {} for part in present)
+        assert len({id(part.store) for part in present}) == 1
+        assert list(remembered(present[0].store)) == [("grains", 0, -7.0, 9.0, 1, 4)]
+    assert all(
+        part.store is None and remembered(part) == {} for part in per_key["query-only grouping"]
+    )
     # No memo key anywhere holds a Fraction, whose hash is a Python call.
     keys = [key for table in tables.values() for key in _memo_keys(table)]
     keys += [key for parts in per_key.values() for part in parts for key in _memo_keys(part)]
@@ -1119,14 +1156,23 @@ def test_grouping_a_filtered_table_leaves_the_source_memo_untouched():
     budget = session.PrivacyBudget.pure
     s = session.build_session({"people": table}, session.AddMaxRows(1), budget(3), seed=1)
     filtered = session.query("people").filter("income > 15").group_by(zips).count()
-    # The filter reads the source's columns and remembers nothing on it;
-    # nothing groups the source.
+    # The source remembers the filter's output, which shares its columns
+    # and remembers the groups under its mask; nothing groups the source.
     for _ in range(2):
         s.evaluate(filtered, budget(1))
-        assert remembered(table) == {}
+        assert list(remembered(table)) == [("filter", "income > 15")]
+        against, output = remembered(table)[("filter", "income > 15")]
+        assert against is None and output.columns is table.columns and output.store is table
+        assert list(remembered(output)) == [("groups", ("zip",), ("zip",))]
+        groups = remembered(output)[("groups", ("zip",), ("zip",))]
+        # Every stored row is split, each key's Table under its rows' mask.
+        assert {key: part.multiset() for key, part in groups.items()} == {
+            "981": Counter({("981",): 1}), "982": Counter({("982",): 1})
+        }
+        assert {key: len(part.columns[0]) for key, part in groups.items()} == {"981": 2, "982": 1}
     s.evaluate(session.query("people").group_by(zips).count(), budget(1))
     # A count's groups hold its first key column only.
-    assert list(remembered(table)) == [("groups", ("zip",), ("zip",))]
+    assert list(remembered(table)) == [("filter", "income > 15"), ("groups", ("zip",), ("zip",))]
     groups = remembered(table)[("groups", ("zip",), ("zip",))]
     assert _group_rows(groups) == _groups_reference(table, ("zip",), ("zip",))
 
@@ -1195,13 +1241,27 @@ def test_a_session_group_holds_only_the_column_its_aggregation_reads(
                 assert out.rows == expected
                 assert ours.calls == theirs.calls
                 assert ours.getrandbits(64) == theirs.getrandbits(64)
-            # The unmasked release remembers its groups, which the masked
-            # one, a filter's new table, leaves as they are.
-            assert list(remembered(table)) == [("groups", ("g",), (read,))]
-            if not masked:
-                for group, (key,) in zip(seen, keys.rows):
-                    if key in groups:
-                        assert group is remembered(table)[("groups", ("g",), (read,))][key]
+            # The unmasked release remembers its groups on the source; the
+            # masked one finds the filter's output remembered on the source
+            # (make_filter above asked for it first) and remembers its own
+            # groups on that output, a Table for every key of a stored row.
+            # A sum's or an average's groups take their grain counts from
+            # the table, which stores the column.
+            grouping = ("groups", ("g",), (read,))
+            summed = name in ("make_sum", "make_average")  # and some key has a row
+            expected = {grouping}
+            if summed and rows:
+                expected.add(("grains", GROUPED.index_of("v"), -2.0, 10.0, 1, 4))
+            if masked:
+                expected.add(("filter", "k > 0"))
+            assert set(remembered(table)) == expected
+            if masked:
+                assert list(remembered(held)) == [grouping]
+            for group, (key,) in zip(seen, keys.rows):
+                if key in remembered(held)[grouping]:
+                    assert group is remembered(held)[grouping][key]
+                else:
+                    assert group.store is None and not len(group.columns[0])
 
 
 def _recording_part(schema, seen):
@@ -1262,9 +1322,14 @@ def test_a_count_and_a_sum_on_one_table_remember_two_groupings(monkeypatch):
             for expr in (by_g.count(), by_g.sum("v", -2, 10)):
                 s.evaluate(expr, budget(1))
         # One split per read column, each its own entry; the warm releases
-        # split nothing.
+        # split nothing.  The sum's groups take their grain counts from the
+        # table, its one counts entry.
         assert len(splits) == 2
-        assert {key: _group_rows(groups) for key, groups in remembered(table).items()} == {
+        grains = ("grains", GROUPED.index_of("v"), -2.0, 10.0, 1, 100)
+        assert set(remembered(table)) == {("groups", ("g",), (read,)) for read in ("g", "v")} | {grains}
+        assert {
+            key: _group_rows(groups) for key, groups in remembered(table).items() if key != grains
+        } == {
             ("groups", ("g",), (read,)): _groups_reference(table, ("g",), (read,))
             for read in ("g", "v")
         }

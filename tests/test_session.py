@@ -70,6 +70,7 @@ from noisegate.session import (
     query,
 )
 from noisegate.tabledata import (
+    MAX_REMEMBERED_OUTPUTS,
     ColumnType,
     KeySet,
     Schema,
@@ -1519,9 +1520,9 @@ def _derive_log(monkeypatch, table, queries):
     log = []
     derive = Table.derive
 
-    def logged(self, key, build):
+    def logged(self, key, build, *args):
         log.append((key, key in remembered(self)))
-        return derive(self, key, build)
+        return derive(self, key, build, *args)
 
     monkeypatch.setattr(Table, "derive", logged)
     try:
@@ -1536,6 +1537,16 @@ def _derive_log(monkeypatch, table, queries):
 
 
 _PEOPLE = query("people")
+_ZIPS = keyset_from_tuples([("zip", TEXT)], [("981",), ("982",)])
+_HALVED = {"id": "id", "zip": "zip", "income": "income / 2.0"}
+
+
+def _regions():
+    """An inline public table, built anew for every query that joins it."""
+    return Table.of(Schema.of(("zip", TEXT), ("region", TEXT)), [("981", "n"), ("982", "s")])
+
+
+_BY_REGION = keyset_from_tuples([("region", TEXT)], [("n",), ("s",), ("e",)])
 
 
 @pytest.mark.parametrize(
@@ -1549,16 +1560,31 @@ _PEOPLE = query("people")
         lambda cut: cut.join_private(
             _PEOPLE.truncate_by_id(1).map({"zip": "zip"}, Schema.of(("zip", TEXT))), ["zip"], 2, 3
         ).count(),
+        lambda cut: cut.filter("income > 40000.0").group_by(_ZIPS).sum("income", 0, 10**5),
+        lambda cut: cut.map(_HALVED, PEOPLE).filter("income > 20000.0").average(
+            "income", 0, 10**5
+        ),
+        lambda cut: cut.join_public(_regions(), ["zip"]).group_by(_BY_REGION).count(),
+        lambda cut: cut.join_private(
+            _PEOPLE.truncate_by_id(2).map({"zip": "zip"}, Schema.of(("zip", TEXT))), ["zip"], 3, 1
+        ).filter("income > 30000.0").group_by(_ZIPS).sum("income", 0, 10**5),
     ],
-    ids=["sorted", "group sorted", "groups", "join"],
+    ids=["sorted", "group sorted", "groups", "join", "filter", "map", "public join",
+         "private join chain"],
 )
 def test_what_is_remembered_on_a_cut_does_not_tell_whether_it_dropped_a_row(monkeypatch, then):
     # A wide cut and then a cut at 3, each followed by the same step: on D
     # both keep every row, on D' the cut at 3 drops one.  Were a cut that
     # keeps every row the canonical Table, the second query would find the
     # first one's work remembered on D and not on D'.
-    queries = [then(_PEOPLE.truncate_by_id(1000)), then(_PEOPLE.truncate_by_id(3))]
-    d, d_prime = (_derive_log(monkeypatch, table, queries) for table in _neighbours())
+    # The queries are built anew for each table, so an inline public table
+    # remembers nothing from the other run.
+    d, d_prime = (
+        _derive_log(
+            monkeypatch, table, [then(_PEOPLE.truncate_by_id(1000)), then(_PEOPLE.truncate_by_id(3))]
+        )
+        for table in _neighbours()
+    )
     assert d == d_prime
     assert any(hit for _, hit in d) and not all(hit for _, hit in d)
 
@@ -1581,3 +1607,51 @@ def test_what_a_private_join_remembers_does_not_tell_whether_its_own_cut_dropped
     log, log_prime = (_derive_log(monkeypatch, table, queries) for table in (d, d_prime))
     assert log == log_prime
     assert (("join", tuple(columns)), False) in log
+
+
+def test_what_a_source_evicts_does_not_depend_on_the_rows(monkeypatch):
+    # More distinct filters than a source remembers outputs, then the first
+    # again, which was evicted: the same lookups miss and hit on D and D'.
+    count = MAX_REMEMBERED_OUTPUTS
+    cut = _PEOPLE.truncate_by_id(3)
+    filters = [cut.filter(f"income > {1000.0 * k}").count() for k in range(count + 2)]
+    queries = filters + filters[:1] + filters[-1:]
+    d, d_prime = (_derive_log(monkeypatch, table, queries) for table in _neighbours())
+    assert d == d_prime
+    first = ("filter", "income > 0.0")
+    assert [hit for key, hit in d if key == first] == [False, False]
+    assert [hit for key, hit in d if key == ("filter", f"income > {1000.0 * (count + 1)}")] == [
+        False, True
+    ]
+
+
+def test_sessions_over_one_table_join_their_own_right_tables():
+    # Two sessions share the left table and each has its own right one: the
+    # left table's cut remembers one join output at a time, built against
+    # the right cut of the session that asked last, and every answer is the
+    # join of that session's tables.
+    rng = random.Random(1313)
+    left = random_table(rng, 40, ID_LEFT)
+    rights = [random_table(rng, 30, ID_RIGHT) for _ in range(2)]
+    domains = {"a": TableDomain(ID_LEFT, "id"), "b": TableDomain(ID_RIGHT, "id")}
+    spec = (("id",), 2, 1, 2, 1)
+    expr = _id_join_query(*spec)
+    chain = compile_query(expr, domains, AddRemoveId("id"), PureDP(), 1).transformation
+    big = PrivacyBudget.pure(10**40)
+    sessions = [
+        build_session({"a": left, "b": right}, AddRemoveId("id"), PrivacyBudget.pure(INF), 1)
+        for right in rights
+    ]
+    outputs = {}
+    for turn in range(4):
+        i = turn % 2
+        tables = (left, rights[i])
+        joined = chain.apply(tables)
+        fresh = chain.apply((Table.of(ID_LEFT, left.rows), Table.of(ID_RIGHT, rights[i].rows)))
+        assert joined.multiset() == fresh.multiset() == _id_join_reference(tables, *spec)
+        if turn >= 2:  # the other session's join replaced it
+            assert joined is not outputs[i]
+        outputs[i] = joined
+        assert chain.apply(tables) is joined
+        (count,) = sessions[i].evaluate(expr, big).rows[0]
+        assert count == len(fresh)

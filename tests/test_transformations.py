@@ -394,6 +394,8 @@ def _assert_cuts_match_the_reference(table):
         if key == ORDER:
             assert [stored[i] for i in entry] == sorted(table.rows)
             continue
+        if key[0] == "private join":  # a join's output, which its test checks
+            continue
         assert isinstance(entry, Table) and entry.schema is table.schema
         assert entry.columns is table.columns and type(entry.held) is bytes
         kept = entry.rows
@@ -457,9 +459,18 @@ def test_cuts_at_other_bounds_or_keys_never_share_an_entry():
             )
             assert on_tag.multiset() == join_reference(kept, kept_others, ["tag"])
         # The two-column key is read in the join's order, from each side.
+        # The left table also remembers each join's output, under its keys
+        # and bounds, against the right cut it was built with.
         assert set(remembered(table)) == {
-            ORDER, _by_id(1), _by_id(2), ("cut", ("id", "tag"), 2), ("cut", ("tag",), 2)
+            ORDER, _by_id(1), _by_id(2), ("cut", ("id", "tag"), 2), ("cut", ("tag",), 2),
+            ("private join", ("id", "tag"), 2, 1), ("private join", ("tag",), 2, 2),
         }
+        assert remembered(table)[("private join", ("id", "tag"), 2, 1)] == (
+            _cut(partners, ("cut", ("id", "tag"), 1)), on_two
+        )
+        assert remembered(table)[("private join", ("tag",), 2, 2)] == (
+            _cut(others, ("cut", ("tag",), 2)), on_tag
+        )
         assert set(remembered(partners)) == {ORDER, ("cut", ("id", "tag"), 1)}
         assert set(remembered(others)) == {ORDER, ("cut", ("tag",), 2)}
         for cut_table in (table, partners, others):
@@ -549,9 +560,13 @@ def test_cutting_a_cut_again_needs_no_sort(monkeypatch):
         passes.clear()
         assert again is not cut and again.columns is table.columns and again.held == cut.held
         assert make_truncate_by_id(CUT_DOMAIN, 3).apply(cut) is again
-        # The private join's own truncation of a cut is a lookup then.
-        join.apply((cut, right))
+        # The private join's own truncation of a cut is a lookup then, and
+        # the cut remembers the join's output against right's cut.
+        joined = join.apply((cut, right))
         assert passes == []
+        assert remembered(cut).pop(("private join", ("id",), 3, 1)) == (
+            _cut(right, _by_id(1)), joined
+        )
         # A lower bound takes a pass over the cut, in that order.
         lower = make_truncate_by_id(CUT_DOMAIN, 2).apply(cut)
         assert passes == [cut]
@@ -1037,14 +1052,21 @@ def test_a_filter_shares_its_inputs_columns():
     rng = random.Random(361)
     for _ in range(20):
         source = Table.of(PEOPLE, _people(rng, rng.randrange(30)))
-        filters = [make_filter(PEOPLE_IDS, p) for p in rng.sample(MASK_FILTERS, 3)]
+        predicates = rng.sample(MASK_FILTERS, 3)
+        filters = [make_filter(PEOPLE_IDS, p) for p in predicates]
         one = filters[0].apply(source)
         three = chain(*filters).apply(source)
+        # Each filter's output is remembered on its input, which it shares
+        # its columns and store with, under the predicate only.
         for table in (one, three):
-            assert table.columns is source.columns
+            assert table.columns is source.columns and table.store is source
             assert type(table.held) is bytes and len(table.held) == len(source.columns[0])
-            assert remembered(table) == {}
-        assert remembered(source) == {}
+        assert remembered(source) == {("filter", predicates[0]): (None, one)}
+        (against, two), = remembered(one).values()
+        assert list(remembered(one)) == [("filter", predicates[1])] and against is None
+        assert remembered(two) == {("filter", predicates[2]): (None, three)}
+        assert remembered(three) == {}
+        assert filters[0].apply(source) is one and chain(*filters).apply(source) is three
 
 
 def test_every_step_after_filters_matches_the_row_at_a_time_oracles():
@@ -1215,3 +1237,112 @@ def test_a_map_whose_cells_fail_only_on_unheld_rows_stores_none_of_them():
         again = make_filter(TableDomain(out), "n * 1.5 > -1.0 and x > -1.0").apply(mapped)
         expected = tuple((t, 0, 0.0) for row in rows if row[2] == t)
         assert again.rows == mapped.rows == expected
+
+
+# ---------------------------------------------------------------------------
+# A step over a table that outlives the query remembers its output on it.
+
+PEOPLE_PLAIN = TableDomain(PEOPLE, None)
+AGES = Schema.of(("id", ColumnType.INT64), ("zip", ColumnType.TEXT), ("half", ColumnType.FLOAT64))
+ZIP_TAGS = Schema.of(("zip", ColumnType.TEXT), ("tag", ColumnType.INT64))
+ZIP_USERS = Schema.of(("zip", ColumnType.TEXT), ("owner", ColumnType.INT64))
+
+
+def _step_kinds():
+    """(name, step, inputs of a table): a step of each kind, built once, as a
+    query builds it, and what it applies to."""
+    once = Table.of(ZIP_TAGS, [("a", 1), ("b", 2)])
+    twice = Table.of(ZIP_TAGS, [("a", 1), ("a", 3), ("b", 2)])
+    users = Table.of(ZIP_USERS, [("a", 7), ("b", 8), ("b", 9), ("z", 5)])
+    branches = [
+        ExpansionBranch({"id": "id", "zip": "zip", "half": "income / 2.0"}),
+        ExpansionBranch({"id": "id", "zip": "zip", "half": "age / (income - 50.0)"}, "age > 30"),
+    ]
+    alone = lambda table: table  # noqa: E731
+    return [
+        ("filter", make_filter(PEOPLE_PLAIN, "income / (age - 30) > 0.5"), alone),
+        ("proved map", make_map(
+            PEOPLE_PLAIN, {"id": "id", "zip": "zip", "half": "income / 2.0"}, AGES), alone),
+        ("map that can fail", make_map(
+            PEOPLE_PLAIN, {"id": "id", "zip": "zip", "half": "age / (income - 50.0)"}, AGES), alone),
+        ("flat map", make_flat_map(PEOPLE_PLAIN, branches, AGES, 2), alone),
+        ("fan-out-1 join", make_public_join(PEOPLE_PLAIN, once, ["zip"]), alone),
+        ("fan-out-2 join", make_public_join(PEOPLE_PLAIN, twice, ["zip"]), alone),
+        ("private join", make_private_join(
+            PEOPLE_PLAIN, TableDomain(ZIP_USERS, None), ["zip"], 2, 2), lambda t: (t, users)),
+    ]
+
+
+STEPS = {"filter", "map", "flat map", "public join", "private join"}
+
+
+def _outputs(memo_owner):
+    """The step outputs memo_owner remembers, by key."""
+    return {
+        key: entry[1] for key, entry in remembered(memo_owner).items()
+        if isinstance(key, tuple) and key[0] in STEPS
+    }
+
+
+@pytest.mark.parametrize("name, step, inputs", _step_kinds(), ids=[k[0] for k in _step_kinds()])
+def test_a_remembered_output_equals_a_fresh_one_cold_warm_and_evicted(name, step, inputs):
+    rng = random.Random(f"remembered-{name}")
+    for _ in range(10):
+        rows = _people(rng, rng.randrange(1, 30))
+        source = Table.of(PEOPLE, rows)
+        query_only = Table._trusted(PEOPLE, source.columns)
+        fresh = step.apply(inputs(query_only))
+        assert fresh.store is None and _outputs(query_only) == {}
+        cold = step.apply(inputs(source))
+        assert step.apply(inputs(source)) is cold  # warm: a lookup
+        assert list(_outputs(source).values()) == [cold] and cold.store is not None
+        # As many other outputs as the source remembers evict it, and it
+        # is built again, equal.
+        for k in range(tabledata.MAX_REMEMBERED_OUTPUTS):
+            make_filter(PEOPLE_PLAIN, f"age > {k}").apply(source)
+        assert cold not in _outputs(source).values()
+        evicted = step.apply(inputs(source))
+        assert evicted is not cold and evicted in _outputs(source).values()
+        for out in (cold, evicted):
+            assert table_equal(out, fresh)
+            assert out.held == fresh.held and out.schema == fresh.schema
+            assert tuple(map(len, out.columns)) == tuple(map(len, fresh.columns))
+            # A filter's output shares its input's columns, and a proved
+            # map's bare columns and a fan-out-1 join's left columns are
+            # its input's column objects.
+            shared = {"filter": 4, "proved map": 2, "fan-out-1 join": 4}.get(name, 0)
+            assert all(out.columns[i] is source.columns[i] for i in range(shared))
+            if name == "filter":
+                assert out.columns is source.columns and out.store is source
+            elif name != "private join":
+                assert out.store is out
+
+
+def test_a_source_remembers_at_most_its_count_of_outputs_in_order_of_use():
+    rng = random.Random(1343)
+    count = tabledata.MAX_REMEMBERED_OUTPUTS
+    source = Table.of(PEOPLE, _people(rng, 25))
+    filters = [make_filter(PEOPLE_PLAIN, f"income > {k}.0") for k in range(count + 5)]
+    first = [step.apply(source) for step in filters[:count]]
+    # Using the first output again makes it the latest; the next five
+    # outputs then evict the five least recently used, filters 1 to 5.
+    assert filters[0].apply(source) is first[0]
+    last = [step.apply(source) for step in filters[count:]]
+    kept = [0] + list(range(6, count + 5))
+    assert list(_outputs(source)) == [("filter", f"income > {k}.0") for k in kept]
+    assert [_outputs(source)[("filter", f"income > {k}.0")] for k in kept[-5:]] == last
+    for k in range(1, 6):
+        again = filters[k].apply(source)
+        assert again is not first[k] and again.held == first[k].held
+    # Outputs remembered under outputs count toward the same source: a map
+    # over a filter's output evicts the least recently used filter.
+    mapped = make_map(PEOPLE_PLAIN, {"id": "id", "zip": "zip", "half": "income / 2.0"}, AGES)
+    top = filters[-1].apply(source)
+    under = mapped.apply(top)
+    assert mapped.apply(top) is under and list(_outputs(top).values()) == [under]
+    reachable, stack = 0, [source]
+    while stack:
+        outputs = list(_outputs(stack.pop()).values())
+        reachable += len(outputs)
+        stack.extend(outputs)
+    assert reachable == count
