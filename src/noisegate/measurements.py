@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress, repeat
 from operator import getitem
-from typing import Any, Callable, Iterator, Sequence, Union
+from typing import Any, Callable, Sequence, Union
 
 from .errors import (
     BadBounds,
@@ -227,10 +227,10 @@ def _noisy(noise: NoiseSpec, sensitivity: int) -> tuple[DistanceMap, Callable, A
     sample(parameter, rng), one draw, to its statistic and finishes its
     own value.  So a key of a grouped release costs that closure, the
     statistic (len, or for a sum one lookup of its remembered grain counts
-    and a sum over them, or one total_of pass), one sampler call per draw
-    (the geometric's runs _two_sided_geometric, with one _geometric_exp
-    per attempt), for a sum or an average one result_cell, and
-    compose_per_group's result_cell of the value.  At sensitivity 0 the
+    and a sum over them), one sampler call per draw (the geometric's runs
+    _two_sided_geometric, with one _geometric_exp per attempt), for a sum
+    or an average one result_cell, and compose_per_group's result_cell of
+    the value.  At sensitivity 0 the
     statistic takes one value on every input, which is released as it is:
     free, and drawing nothing.
     """
@@ -313,27 +313,9 @@ def _clamp_bounds(low, high):
 # nearest integer for |p| < 2^51, where the floats of [2^52, 2^53) are the
 # integers, and the even multiple 1.5 * 2^52 keeps ties on even r; the
 # subtraction is exact.  Only |p| under 2^49 reaches that test, since the
-# bound is 0 or less from there.  Those r are integers under top + 1, so a
-# float total of at most n of them is exact while n (top + 1) < 2^53; a
-# call on more rows than that gets a shared bound of 0.  _grain_counts
-# turns each such r into an int of its own, exactly, so it needs no limit.
+# bound is 0 or less from there, and each such r becomes an int exactly.
 _MARGIN_REL = 2.0**-50
 _MARGIN_SUBNORMAL = 2.0**-1074
-
-
-def _grain_rule(low: float, high: float, g_num: int, g_den: int) -> tuple[float, float, int]:
-    """(scale, bound, most_rows) for a clamp range and gamma = g_num /
-    g_den: the float ratio g_den / g_num, the shared bound on |p - r|
-    (see above) and the most rows whose first-tier counts add up exactly
-    in a float; 0 for all three when g_num or g_den is 2^53 or more or the
-    range's top p overflows, where every row takes the integer path."""
-    if g_num < 2**53 and g_den < 2**53:
-        ratio = g_den / g_num
-        top = max(-low, high) * ratio
-        if top < math.inf:
-            bound = 0.5 - (top * _MARGIN_REL + _MARGIN_SUBNORMAL)
-            return ratio, bound, math.ceil(2**53 / (Fraction(top) + 1)) - 1
-    return 0.0, 0.0, 0
 
 
 def _own_count(value, p: float, scale: float, g_num: int, g_den: int) -> int:
@@ -354,50 +336,24 @@ def _own_count(value, p: float, scale: float, g_num: int, g_den: int) -> int:
     return quotient
 
 
-def _grain_total(low: float, high: float, g_num: int, g_den: int):
-    """The function from a column's values to the sum over them of
-    round(clamped value / gamma), half to even, for gamma = g_num / g_den.
-
-    Exact, assuming binary64 floats with round-half-even arithmetic: each
-    row's count is first tried in floats, p = v * (g_den / g_num), rounded
-    with the constant 1.5 * 2^52, and kept only when |p - r| is under the
-    bound solved once for the clamp range (_grain_rule); those counts add
-    up in a float, which is exact while len(values) * (top + 1) < 2^53 for
-    the range's top p, so a longer call gets a bound of 0.  Any other row
-    takes _own_count, whose counts add up in an int.  This per-row rule is
-    the one _grain_counts applies; a sum runs this pass only on a table
-    that only its query computed, and reads the counts a store remembers
-    otherwise (see _grains).
-    """
-    scale, bound, most_rows = _grain_rule(low, high, g_num, g_den)
-
-    def total_of(values: Sequence) -> int:
-        above = bound if len(values) <= most_rows else 0.0
-        below = -above
-        floats = 0.0
-        total = 0
-        for value in values:
-            if value < low:
-                value = low
-            elif value > high:
-                value = high
-            p = value * scale
-            r = p + 6755399441055744.0 - 6755399441055744.0  # 1.5 * 2^52
-            if below < p - r < above:
-                floats += r
-            else:
-                total += _own_count(value, p, scale, g_num, g_den)
-        return total + int(floats)
-
-    return total_of
-
-
 def _grain_counts(low: float, high: float, g_num: int, g_den: int):
     """The function from a column's values to each one's grain count,
-    round(clamped value / gamma) half to even, an exact int, by
-    _grain_total's per-row rule: the shared bound, then _own_count.  Each
-    count is an int on its own, so no float total limits the rows."""
-    scale, bound, _ = _grain_rule(low, high, g_num, g_den)
+    round(clamped value / gamma) half to even for gamma = g_num / g_den,
+    an exact int: the one rounding rule of a sum.
+
+    Exact, assuming binary64 floats with round-half-even arithmetic: each
+    count is first tried in floats, p = v * (g_den / g_num), rounded with
+    the constant 1.5 * 2^52, and kept only when |p - r| is under the bound
+    shared by the clamp range (see above); any other row takes _own_count.
+    Where g_num or g_den is 2^53 or more, or the range's top p overflows,
+    the ratio and the bound are 0 and every row takes the integer path.
+    """
+    scale = bound = 0.0
+    if g_num < 2**53 and g_den < 2**53:
+        ratio = g_den / g_num
+        top = max(-low, high) * ratio
+        if top < math.inf:
+            scale, bound = ratio, 0.5 - (top * _MARGIN_REL + _MARGIN_SUBNORMAL)
 
     def counts_of(values: Sequence) -> tuple[int, ...]:
         counts = []
@@ -422,20 +378,20 @@ def _grains(domain: TableDomain, column: str, low, high, granularity):
     its held cells in the column and how many there are, its sensitivity
     in grains, g_num, g_den).
 
-    A table that outlives the query has a store (Table.store), and total
-    sums grain counts that the table storing the column derives once
-    under ("grains", its index there, low, high, g_num, g_den), one int
+    total sums grain counts that the table storing the column
+    (Table.store, which every table has) derives once under ("grains",
+    its index there, low, high, g_num, g_den) by _grain_counts, one int
     per stored row, held or not, for every filter, cut, join, map, group
     and query over it, at the held rows with compress, in C.  The store's
     _origin says where a column's cells come from, and the counts come
     from there too: a map's bare column or a fan-out-1 join's left column
     reads its input's store's counts, a remembered grouping's stored rows
     gather theirs from its grouped table's once, and a key's Table of it
-    slices those at its offset.  Only a column that a store computed (a
-    map's, a flat map's or a join's) is rounded, once, by that store; so
-    what a store remembers depends only on the queries asked.  A table
-    with no store, which only the query computed, takes _grain_total's
-    pass over its held cells.
+    slices those at its offset.  Only a column that a store holds of its
+    own (a loaded or hand-built table's, or one a map, a flat map or a
+    join computed) is rounded, once, by that store; so what a store
+    remembers depends only on the queries asked, and a sum's work does not
+    depend on which rows are held, on a table of any kind.
 
     The per-row sensitivity is ceil(max(|low|, |high|) / granularity)."""
     _check_numeric_column(domain, column)
@@ -445,7 +401,6 @@ def _grains(domain: TableDomain, column: str, low, high, granularity):
         raise NonPositiveGranularity(f"granularity must be positive, got {granularity}")
     sensitivity = math.ceil(max(abs(Fraction(low)), abs(Fraction(high))) / gamma)
     g_num, g_den = gamma.numerator, gamma.denominator
-    total_of = _grain_total(low, high, g_num, g_den)
     counts_of = _grain_counts(low, high, g_num, g_den)
     index = domain.schema.index_of(column)
     clamp = (low, high, g_num, g_den)
@@ -472,10 +427,6 @@ def _grains(domain: TableDomain, column: str, low, high, granularity):
 
     def total(table: Table) -> tuple[int, int]:
         held, store, offset = table.held, table.store, table.offset
-        if store is None:  # a table only the query computed
-            cells = table.columns[index]
-            values = cells if held is None else tuple(compress(cells, held))
-            return total_of(values), len(values)
         if offset is None:
             counts = counts_at(store, index)
         else:
@@ -502,9 +453,8 @@ def make_sum(
     Each value is clamped to [low, high] and rounded to a multiple of the
     granularity; noise is added to the integer total of grid steps and the
     result is scaled back, as one correctly rounded float.  The total
-    sums the grain counts remembered where the column is stored, on a
-    table that outlives the query, and rounds the held cells of a table
-    that only the query computed (see _grains); the two agree exactly.
+    sums the grain counts remembered where the column is stored, at the
+    held rows, on every table (see _grains).
     """
     grain_total, sensitivity, g_num, g_den = _grains(domain, column, low, high, granularity)
     privacy_function, sample, parameter = _noisy(noise, sensitivity)
@@ -681,28 +631,24 @@ def compose_per_group(
     quantile on its column alone and a count on the first key column.
     The read columns are gathered from the data at every key's rows at
     once, in key order, one pass per column in C, into one Table, and each
-    key's Table is a slice of it, from its offset there.  A table that
-    outlives the query (one with a store: a source, a cut, a step output)
-    derives its groups under ("groups", key names, read names): one keyed
-    pass splits all its stored rows, in input order, into a dict from each
-    key to a Table of its rows under their mask.  So the pass does the
-    same work whatever a cut or a filter keeps, and a warm release splits
-    nothing and builds no Table but its result.  The gathered Table is the
-    store of every key's Table, and its _origin gives the numeric read
-    columns as the grouped table's at the keys' positions, so a sum or an
-    average over a key's Table slices the grain counts it gathers once
-    from the grouped table's store, and rounds no cell again.  A table
-    that only the query computed has its held rows split, and each key's
-    Table, with no store, is built for its release and dropped after it,
-    since Tables built at once would live through every release and be
-    carried by the garbage collector into older generations.  Absent keys
-    share one empty Table.  Each key costs one call of the per-group
-    measurement, which draws and finishes its own value (see _noisy), in
-    keyset order from the one generator; nothing is summed across keys,
-    so the part is any Measurement on tables, and the benchmark's tracer
-    counts released and empty groups from these calls.  The key rows
-    were checked when the KeySet was built; the key and read columns must
-    be in the domain with the same types, and the value column numeric.
+    key's Table is a slice of it, from its offset there.  Every table
+    derives its groups under ("groups", key names, read names), however
+    it was built: one keyed pass splits all its stored rows, in input
+    order, into a dict from each key to a Table of its rows under their
+    mask.  So the pass does the same work whatever a cut or a filter
+    keeps, and a warm release splits nothing and builds no Table but its
+    result.  The gathered Table is the store of every key's Table, and its
+    _origin gives the numeric read columns as the grouped table's at the
+    keys' positions, so a sum or an average over a key's Table slices the
+    grain counts it gathers once from the grouped table's store, and
+    rounds no cell again.  Absent keys share one empty Table.  Each key
+    costs one call of the per-group measurement, which draws and finishes
+    its own value (see _noisy), in keyset order from the one generator;
+    nothing is summed across keys, so the part is any Measurement on
+    tables, and the benchmark's tracer counts released and empty groups
+    from these calls.  The key rows were checked when the KeySet was
+    built; the key and read columns must be in the domain with the same
+    types, and the value column numeric.
     """
     if not isinstance(per_group.input_metric, SymmetricDifference):
         raise MetricMismatch("per-group measurements run under SymmetricDifference")
@@ -724,54 +670,32 @@ def compose_per_group(
     release = per_group._eval
     numeric = [ctype is not ColumnType.TEXT for ctype in read.types]
 
-    def parts_of(table: Table, positions: list[list[int]]) -> Iterator[Table]:
-        """Each key's Table, built lazily, in order, from its rows'
-        positions: a slice of the read columns gathered at every key's
-        positions, under their mask where table outlives the query, which
-        splits every stored row (a query-only table splits its held rows
-        only, so its keys' Tables take no mask)."""
-        order = list(chain.from_iterable(positions))
+    def groups_of(table: Table) -> dict:
+        """Each key of table's stored rows, held or not, to a Table of its
+        rows under their mask: a slice of the read columns gathered at
+        every key's rows at once, in key order, into their store."""
+        positions = split_by_key(table._holding(None), key_columns)
+        order = list(chain.from_iterable(positions.values()))
         indexes = list(map(table.schema.index_of, read_names))
         columns = gather([table.columns[i] for i in indexes], order)
-        if table.store is None:
-            rows_table = Table._trusted(read, columns)
-        else:
-            held = None if table.held is None else bytes(gather((table.held,), order)[0])
-            # Only a numeric column is summed, so only it keeps where its
-            # cells come from.
-            rows = array("q", order) if any(numeric) else None
-            origin = tuple(
-                table._origin_of(i, rows) if summed else None for i, summed in zip(indexes, numeric)
-            )
-            rows_table = Table._storing(read, columns, held, origin if any(origin) else None)
-        stops = list(accumulate(map(len, positions)))
+        held = None if table.held is None else bytes(gather((table.held,), order)[0])
+        # Only a numeric column is summed, so only it keeps where its
+        # cells come from.
+        rows = array("q", order) if any(numeric) else None
+        origin = tuple(
+            table._origin_of(i, rows) if summed else None for i, summed in zip(indexes, numeric)
+        )
+        store = Table._trusted(read, columns, held, origin=origin if any(origin) else None)
+        stops = list(accumulate(map(len, positions.values())))
         starts = [0, *stops[:-1]]
         spans = list(map(slice, starts, stops))
-        columns = zip(*[map(getitem, repeat(cells), spans) for cells in rows_table.columns])
-        held = rows_table.held
+        columns = zip(*[map(getitem, repeat(cells), spans) for cells in store.columns])
         masks = repeat(None) if held is None else map(getitem, repeat(held), spans)
-        store = rows_table.store
-        offsets = repeat(None) if store is None else starts
-        return map(Table._trusted, repeat(read), columns, masks, repeat(store), offsets)
+        parts = map(Table._trusted, repeat(read), columns, masks, repeat(store), starts)
+        return dict(zip(positions, parts))
 
     def evaluate(table: Table, rng: random.Random) -> Table:
-        if table.store is not None:
-
-            def build() -> dict:
-                groups = split_by_key(Table._trusted(table.schema, table.columns), key_columns)
-                return dict(zip(groups, parts_of(table, list(groups.values()))))
-
-            find = table.derive(("groups", key_columns, read_names), build).get
-        else:
-            groups = split_by_key(table, key_columns)
-            present = list(filter(groups.__contains__, group_keys))
-            parts = parts_of(table, list(map(groups.__getitem__, present)))
-
-            def find(key, empty):
-                # Called once per key, in keyset order, so the present
-                # keys' Tables come in the order parts builds them.
-                return next(parts) if key in groups else empty
-
+        find = table.derive(("groups", key_columns, read_names), groups_of, table).get
         values = [result_cell(release(find(key, empty), rng), value_type) for key in group_keys]
         return Table._trusted(output_schema, (*key_cells, tuple(values)))
 

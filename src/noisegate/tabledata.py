@@ -7,9 +7,10 @@ equality is multiset equality, and canonicalize gives the held rows'
 positions in the one fixed order used wherever determinism matters.  A
 table remembers values derived from it, by key (Table.derive): its
 order, cuts, groups, sorted columns and join indexes, the table that
-stores a column (Table.store) its grain counts, and a table that
-outlives the query the outputs of the steps over it (Table.remember),
-at most MAX_REMEMBERED_OUTPUTS under one source.  key_reader is the
+stores a column (Table.store, which every table has, a loaded one or
+one built by hand alike) its grain counts, and every table the outputs
+of the steps over it (Table.remember), at most MAX_REMEMBERED_OUTPUTS
+under one source.  key_reader is the
 one rule for how rows are keyed by named columns (Table.key_column reads
 the same keys from the columns), and split_by_key hands out each key's
 row positions by it, so grouping and joins take one keyed pass.
@@ -361,6 +362,14 @@ MAX_REMEMBERED_OUTPUTS = 32
 _MISSING = object()
 
 
+class _OwnStore:
+    """Table.store of a table that sets none: the table itself.  It has no
+    __set__, so a store set on a table is read from the table first."""
+
+    def __get__(self, table, owner=None):
+        return table
+
+
 class Table(Record):
     """A schema and a multiset of rows, stored as columns.
 
@@ -380,26 +389,30 @@ class Table(Record):
     Table(schema, rows) checks every column against the schema; _trusted
     does not.  A table remembers what derive builds from it, by key.
 
-    `store` is the one rule for whether a table outlives the query: None
-    for a table that only a query computed, else the table that stores
-    these columns, whose memo holds what is derived from each stored
-    column (a sum's grain counts).  A source, a remembered step output
-    that stores columns of its own and a remembered grouping's Table of
-    every key's rows are their own stores; a filter and a cut share their
-    input's columns and store; a key's Table of a remembered grouping is
-    its store's stored rows from `offset` on (offset is None elsewhere).
-    A step over a table with a store remembers its output on it
-    (remember), so everything built on a source outlives the query too.
+    `store` is the table that stores these columns, whose memo holds
+    what is derived from each stored column (a sum's grain counts), and
+    every table has one.  A table that stores columns of its own (a
+    source, a table built by hand or released by a query, a step output
+    that stores columns, a grouping's Table of every key's rows) is its
+    own store; a filter and a cut share their input's columns and store;
+    a key's Table of a grouping is its store's stored rows from `offset`
+    on (offset is None elsewhere).  Every step remembers its output on its
+    input (remember), so one regime serves every table, however it was
+    built: a step's output lives as long as its input, and a sum over any
+    table adds the counts its store derives once.
     A store's `_origin`, where not None, gives for each column where its
     cells come from: None for a column it computed, else (table, index,
     rows), that store's column at index on the same stored rows (rows
     None: a map's bare column, a fan-out-1 join's left one) or at the
     positions rows lists (a grouping's rows in key order).
 
-    _trusted sets with object.__setattr__ only the fields that are not
-    None, the class's default, so CPython 3.11 and later keep them in the
-    object, with no __dict__ until something is derived: a grouping's key
-    Tables each cost about 65 bytes less.
+    A table that is its own store sets no `store` field, and reading it
+    gives the table (_OwnStore), so no table refers to itself: a released
+    result is freed when its last reference goes, not left for the
+    garbage collector.  _trusted sets with object.__setattr__ only the
+    fields that are not None, the class's default, so CPython 3.11 and
+    later keep them in the object, with no __dict__ until something is
+    derived: a grouping's key Tables each cost about 65 bytes less.
     """
 
     schema: Schema
@@ -411,13 +424,13 @@ class Table(Record):
     __hash__ = object.__hash__
 
     # What a table that sets none of these has (see _trusted).
-    held = store = offset = _origin = None
+    held = offset = _origin = None
+    store = _OwnStore()
 
     def __post_init__(self) -> None:
         checked = _checked_columns(self.schema, self.__dict__.pop("rows"))
         fields = self.__dict__
         fields["columns"] = _shared_columns(checked, self.schema.types)
-        fields["store"] = self
 
     @classmethod
     def _trusted(
@@ -427,9 +440,13 @@ class Table(Record):
         held: bytes | None = None,
         store: "Table | None" = None,
         offset: int | None = None,
+        origin: tuple | None = None,
     ) -> "Table":
         """A table whose cells are not checked again, with the given store
-        and offset.
+        and offset, or, without a store, its own store with the given
+        _origin: a loaded source, a remembered grouping's rows, a
+        remembered step output, a released result or any table built by
+        hand.
 
         Only for columns that are legal under schema already: columns of
         checked tables with the same schema, in any selection, order or
@@ -448,19 +465,8 @@ class Table(Record):
             field(table, "store", store)
             if offset is not None:
                 field(table, "offset", offset)
-        return table
-
-    @classmethod
-    def _storing(
-        cls, schema: Schema, columns: tuple, held: bytes | None = None, origin: tuple | None = None
-    ) -> "Table":
-        """A trusted table that stores its columns for as long as it lives,
-        so it is its own store, with the given _origin: a loaded source, a
-        remembered grouping's rows or a remembered step output."""
-        table = cls._trusted(schema, columns, held)
-        object.__setattr__(table, "store", table)
         if origin is not None:
-            object.__setattr__(table, "_origin", origin)
+            field(table, "_origin", origin)
         return table
 
     @classmethod
@@ -477,21 +483,19 @@ class Table(Record):
         self, schema: Schema, columns: tuple, held: bytes | None = None, shared: Sequence = ()
     ) -> "Table":
         """A step's output over this table that stores columns of its own:
-        query-only (no store) where this table is, else its own store, whose
-        column i is this table's column shared[i] on the same stored rows
-        (None, or past the end of shared, for a column it computed)."""
-        if self.store is None:
-            return Table._trusted(schema, columns, held)
+        its own store, whose column i is this table's column shared[i] on
+        the same stored rows (None, or past the end of shared, for a column
+        it computed)."""
         origin = tuple(None if at is None else self._origin_of(at) for at in shared)
         origin += (None,) * (len(columns) - len(origin))
-        return Table._storing(schema, columns, held, origin if any(origin) else None)
+        return Table._trusted(schema, columns, held, origin=origin if any(origin) else None)
 
     def _origin_of(self, index: int, rows=None) -> tuple | None:
-        """The _origin entry of a table built on this one, which has a
-        store, whose column is this table's column at index at rows: taken
-        through to the table it comes from where this table's store shares
-        it on the same stored rows, so no lookup walks a chain; None (the
-        new table computes its own) for a key's Table of a grouping."""
+        """The _origin entry of a table built on this one whose column is
+        this table's column at index at rows: taken through to the table it
+        comes from where this table's store shares it on the same stored
+        rows, so no lookup walks a chain; None (the new table computes its
+        own) for a key's Table of a grouping."""
         store = self.store
         if self.offset is not None:
             return None
@@ -525,9 +529,7 @@ class Table(Record):
         return value
 
     def remember(self, key, build: Callable[..., "Table"], *args, against=None) -> "Table":
-        """A step's output over this table, build(*args): remembered under
-        key where this table outlives the query (it has a store), else
-        built for the query alone.
+        """A step's output over this table, build(*args), remembered under key.
 
         The key holds the step's public parameters (see the make_*
         functions in transformations).  The memo holds (against, output):
@@ -540,8 +542,6 @@ class Table(Record):
         when asked again.
         """
         store = self.store
-        if store is None:
-            return build(*args)
         entry = self.derive(key, _against, against, build, args)
         outputs = store.__dict__.get("_outputs")
         if outputs is None:
@@ -880,7 +880,7 @@ def load_csv(path: str | Path, schema: Schema) -> Table:
         for line, block in blocks:
             for i, values in enumerate(_parse_block(block, line, schema, path)):
                 shared[i] = _extend_shared(columns[i], values, shared[i])
-    return Table._storing(schema, tuple(map(tuple, columns)))
+    return Table._trusted(schema, tuple(map(tuple, columns)))
 
 
 def _format_cell(value: Value) -> str:

@@ -177,9 +177,9 @@ def make_filter(domain: TableDomain, predicate: str, metric: Metric | None = Non
     AddRemoveIds since rows are filtered within each identifier.  A row
     whose predicate fails to evaluate counts as false.  The output shares
     its input's columns and store and ANDs the predicate into its mask of
-    held rows, so a sum over it reads the counts its store remembers.  An
-    input that outlives the query remembers the output under ("filter",
-    predicate) (Table.remember), so a warm filter is a lookup.
+    held rows, so a sum over it reads the counts its store remembers.  The
+    input remembers the output under ("filter", predicate)
+    (Table.remember), so a warm filter is a lookup.
     """
     metric = _check_row_metric(domain, metric or SymmetricDifference())
     keep = compile_predicate(predicate, domain.schema)
@@ -220,9 +220,9 @@ def make_map(
     output stores a cell for every stored row, every one legal, and keeps
     its input's mask of held rows: it shares bare columns, computes the
     others from every stored row and compresses nothing.  Otherwise it
-    stores the held rows whose cells all hold.  An input that outlives the
-    query remembers the output under ("map", the (name, expression) pairs,
-    the output's names and type names) (Table.remember); the output stores
+    stores the held rows whose cells all hold.  The input remembers the
+    output under ("map", the (name, expression) pairs, the output's names
+    and type names) (Table.remember); the output stores
     its computed columns, so a sum over one reads the grain counts it
     derives once, and a sum over a shared bare column reads its input's
     store's (Table._built_on).
@@ -297,10 +297,10 @@ def make_flat_map(
     stability is linear in that bound.  A branch whose guard or cells fail
     to evaluate, or whose cells do not fit their columns, is dropped and
     does not count toward max_rows.  Runs under SymmetricDifference only;
-    identifier-tracking pipelines must truncate before expanding.  An input
-    that outlives the query remembers the output, which stores its rows,
-    under ("flat map", each branch's pairs and guard, max_rows, the
-    output's names and type names) (Table.remember).
+    identifier-tracking pipelines must truncate before expanding.  The
+    input remembers the output, which stores its rows, under ("flat map",
+    each branch's pairs and guard, max_rows, the output's names and type
+    names) (Table.remember).
     """
     if not is_int(max_rows) or max_rows < 1:
         raise NonPositiveBound(f"max_rows must be a positive int, got {max_rows!r}")
@@ -415,14 +415,13 @@ def _join(left: Table, right: Table, keys, carry: list[int], joined: Schema, rep
     are gathered once per match and only matched rows are stored.  Where
     a key matches at most once, the join carries the mask: it shares
     left's columns, stores every row of left, and holds the held rows that
-    match; where left outlives the query, the output is its own store of
-    the carried columns it gathers, and takes left's columns' grain counts
-    from left's store (Table._built_on).  Each
-    stored row reads right's position for its key (the first and only one
-    in the index), or right's stored row count where it has none, which is
-    where each carried column has a _FILLER cell appended; so the join's
-    work does not depend on which rows match, and every stored cell is
-    legal.
+    match; the output is its own store of the carried columns it gathers,
+    and takes left's columns' grain counts from left's store
+    (Table._built_on).  Each stored row reads right's position for its key
+    (the first and only one in the index), or right's stored row count
+    where it has none, which is where each carried column has a _FILLER
+    cell appended; so the join's work does not depend on which rows match,
+    and every stored cell is legal.
     """
     index = _join_index(right, keys)
     if not repeats:
@@ -453,10 +452,10 @@ def make_public_join(domain: TableDomain, public: Table, on: Sequence[str]) -> T
     could fan out without bound, so identifier pipelines truncate first.
     At fan-out 1 (or 0) the join carries the mask and stores every stored
     row of its input; above 1 it stores the matched rows only (see _join).
-    An input that outlives the query remembers the output under ("public
-    join", key names, the public table's names, type names and held cells
-    by value) (Table.remember): the public table is public, and an equal
-    table inlined in another query finds the same output.
+    The input remembers the output under ("public join", key names, the
+    public table's names, type names and held cells by value)
+    (Table.remember): the public table is public, and an equal table
+    inlined in another query finds the same output.
     """
     keys, joined, carry = _check_join_columns(domain.schema, public.schema, on)
     fan_out = max(map(len, _join_index(public, keys).values()), default=0)
@@ -535,11 +534,11 @@ def make_private_join(
     2 * max(left_bound, right_bound) over the summed input distance.
     With right_bound 1 the join carries the mask and stores every row of
     left_table, whose columns its cut shares; above 1 the matched rows
-    only (see _join).  A left table that outlives the query remembers the
-    output under ("private join", key names, bounds), with the right cut
-    it joined (Table.remember): the right table's cut comes first, and
-    the output is read only for that same cut, so a session whose right
-    table is another one builds, and remembers, its own.
+    only (see _join).  The left table remembers the output under
+    ("private join", key names, bounds), with the right cut it joined
+    (Table.remember): the right table's cut comes first, and the output
+    is read only for that same cut, so a session whose right table is
+    another one builds, and remembers, its own.
     """
     for bound in (left_bound, right_bound):
         if not is_int(bound) or bound < 1:

@@ -1,10 +1,13 @@
 import ast
+import copy
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -1031,3 +1034,76 @@ def test_two_runs_with_one_seed_print_the_same_bytes(tmp_path):
     assert (first.returncode, first.stdout, first.stderr) == (
         second.returncode, second.stdout, second.stderr
     )
+
+
+# Values a hostile script may hold where the demo script has any value:
+# wrong types, empty and odd text, numbers at and past every limit, and
+# nested containers.
+HOSTILE_ATOMS = [
+    None, True, False, 0, -1, 1, 2**63, -(2**63) - 1, 2**64, 10**400, 0.5, -0.0, 1e308,
+    -1e308, 5e-324, float("nan"), float("inf"), float("-inf"),
+    "", " ", "0", "-1", "1/0", "-1/2", "3/2", "2", "inf", "nan", "1e999", "x" * 5000, "\ud800",
+    "\x00", "age >", "age > 40 or", "income / 0", "people", "nobody", "Source", "Count",
+    "Sum", "GroupBy", [], [[]], {}, {"kind": "Source"}, {"kind": "Count"},
+    {"kind": "Source", "table": "people"}, [["98101"], ["98101"]], [0] * 3,
+]
+HOSTILE_KEYS = ["kind", "child", "table", "name", "spend", "expr", "queries", "keys", "rows",
+                "columns", "column", "low", "high", "q", "bins", "extra", "", "__class__"]
+
+
+def _mutated(doc, rng):
+    """A copy of a JSON document with 1 to 3 edits: a value swapped for a
+    hostile atom, a key or a list item deleted, or a key added."""
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.randint(1, 3)):
+        places, dicts, stack = [], [doc], [doc]
+        while stack:
+            node = stack.pop()
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            for key, value in items:
+                places.append((node, key))
+                if isinstance(value, (dict, list)):
+                    stack.append(value)
+                    if isinstance(value, dict):
+                        dicts.append(value)
+        edit = rng.randrange(3) if places else 2
+        atom = copy.deepcopy(rng.choice(HOSTILE_ATOMS))
+        if edit == 2:
+            rng.choice(dicts)[rng.choice(HOSTILE_KEYS)] = atom
+            continue
+        node, key = rng.choice(places)
+        if edit == 0:
+            node[key] = atom
+        else:
+            del node[key]
+    return doc
+
+
+@pytest.mark.parametrize("measure", ["pure", "zcdp"])
+def test_a_mutated_demo_script_exits_with_one_error_line_and_no_traceback(
+    tmp_path, capsys, measure
+):
+    # A seeded fuzz of the demo script: every mutant ends in a known exit,
+    # and a failure says why in exactly one line.  The budget is the
+    # demo's total spend or less, so the last query can run out of it.
+    demo = json.loads((DEMO / "script.json").read_text())
+    script = tmp_path / "script.json"
+    argv = [
+        "run", "--schema", str(DEMO / "schema.json"), "--data", str(DEMO / "data"),
+        "--script", str(script), "--unit", "add-max-rows:1", "--measure", measure,
+        "--seed", "1", "--budget",
+    ]
+    rng = random.Random(f"mutated-demo-{measure}")
+    exits = Counter()
+    for _ in range(300):
+        script.write_text(json.dumps(_mutated(demo, rng)), encoding="utf-8")
+        code = main(argv + [rng.choice(["2", "3/2"])])
+        out, err = capsys.readouterr()
+        exits[code] += 1
+        assert code in (0, 2, 3, 4)
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == (code != 0), err
+        assert "Traceback" not in out + err
+    # The mutants reach a full run, a refused script and a refused query;
+    # the pure ones also run out of budget.
+    assert {0, 2, 4} | ({3} if measure == "pure" else set()) <= set(exits), exits

@@ -42,6 +42,7 @@ from noisegate.measurements import (
     make_sum,
 )
 from noisegate.rng import RngStream
+from noisegate.session import AddMaxRows, AddRemoveId, PrivacyBudget, build_session, query
 from noisegate.tabledata import ColumnType, KeySet, Schema, Table, TableDomain
 from noisegate.transformations import (
     ExpansionBranch,
@@ -570,33 +571,73 @@ MATCH_BELOW_FIVE = Table.of(
 )
 
 
-@pytest.mark.parametrize("make", [make_sum, make_average], ids=["sum", "average"])
-@pytest.mark.parametrize(
-    "step",
-    [
-        make_filter(DOMAIN, "i < 5"),
-        make_truncate_by_id(TableDomain(SCHEMA, "i"), 1),
-        make_public_join(DOMAIN, MATCH_BELOW_FIVE, ["i"]),
+# Each step as a transformation over DOMAIN, and as the query a session
+# builds it from, with the privacy unit that query needs.
+WORK_STEPS = {
+    "filter": (make_filter(DOMAIN, "i < 5"), AddMaxRows(1), lambda q: q.filter("i < 5")),
+    "cut": (
+        make_truncate_by_id(TableDomain(SCHEMA, "i"), 1), AddRemoveId("i"),
+        lambda q: q.truncate_by_id(1),
+    ),
+    "fan-out-1 join": (
+        make_public_join(DOMAIN, MATCH_BELOW_FIVE, ["i"]), AddMaxRows(1),
+        lambda q: q.join_public(MATCH_BELOW_FIVE, ["i"]),
+    ),
+    "map's computed column": (
         chain(
             make_filter(DOMAIN, "i < 5"),
             make_map(DOMAIN, {"i": "i", "x": "x / 2.0"}, COMPUTED_X),
         ),
-    ],
-    ids=["filter", "cut", "fan-out-1 join", "map's computed column"],
-)
-def test_the_work_of_a_sum_over_a_mask_does_not_depend_on_which_rows_it_holds(step, make):
+        AddMaxRows(1),
+        lambda q: q.filter("i < 5").map({"i": "i", "x": "x / 2.0"}, COMPUTED_X),
+    ),
+}
+
+
+def _released(rows):
+    """rows as a released result: a session's grouped count keyed by every
+    column of SCHEMA, so each key is one of the rows, followed by its
+    count."""
+    spend = PrivacyBudget.pure(1)
+    first = build_session({"t": Table.of(SCHEMA, rows)}, AddMaxRows(1), spend, seed=3)
+    released = first.evaluate(query("t").group_by(KeySet(SCHEMA, rows)).count(), spend)
+    assert released.schema.columns[:-1] == SCHEMA.columns
+    assert [row[:-1] for row in released.rows] == rows
+    return released
+
+
+@pytest.mark.parametrize("make", [make_sum, make_average], ids=["sum", "average"])
+@pytest.mark.parametrize("source", ["loaded", "built by hand", "released"])
+@pytest.mark.parametrize("step", list(WORK_STEPS))
+def test_the_work_of_a_sum_over_a_mask_does_not_depend_on_which_rows_it_holds(step, source, make):
     # Each count is taken cold, when the store's counts are built from
     # every stored row, and then warm, when the sum only reads them.  No
     # cell of the map's x can fail, so x is computed from every stored row
     # and stored by the map's output, which the filter's output remembers
-    # and which derives x's counts itself.
+    # and which derives x's counts itself.  A table built by hand is its
+    # own store, as a loaded one is, and so is a released result, which a
+    # second session reads as its table: there the whole ask is counted,
+    # its step and its draws too.
+    transformation, unit, form = WORK_STEPS[step]
+
     def work(rows, count) -> list[int]:
-        held = step.apply(Table.of(SCHEMA, rows))
+        if source == "released":
+            spend = PrivacyBudget.pure(1)
+            second = build_session({"r": _released(rows)}, unit, PrivacyBudget.pure(2), seed=5)
+            aggregate = make.__name__.removeprefix("make_")
+            asked = getattr(form(query("r")), aggregate)("x", 0, 6, Fraction(1, 100))
+            return [count(lambda: second.evaluate(asked, spend)) for _ in ("cold", "warm")]
+        table = Table.of(SCHEMA, rows)
+        if source == "built by hand":
+            table = Table._trusted(SCHEMA, table.columns)
+        held = transformation.apply(table)
         measured = make(TableDomain(held.schema), "x", 0, 6, Fraction(1, 100), PureDpNoise(1))
         return [count(lambda: measured.eval(held, RngStream(5))) for _ in ("cold", "warm")]
 
     for count in (python_calls, python_lines):
         held, moved = work(ROW_HELD, count), work(ROW_MOVED, count)
         assert held == moved, count.__name__
-    assert held[1] < held[0]  # the warm sum has no pass over the rows
-    assert {len(step.apply(Table.of(SCHEMA, rows))) for rows in (ROW_HELD, ROW_MOVED)} == {5, 6}
+    if source != "released":  # a session's second ask draws other noise
+        assert held[1] < held[0]  # the warm sum has no pass over the rows
+    sizes = {len(transformation.apply(Table.of(SCHEMA, rows))) for rows in (ROW_HELD, ROW_MOVED)}
+    assert sizes == {5, 6}

@@ -50,7 +50,6 @@ from noisegate.measurements import (
     _MARGIN_REL,
     _MARGIN_SUBNORMAL,
     _grain_counts,
-    _grain_total,
     _grains,
     _quantile_scores,
     GaussianMechanism,
@@ -234,7 +233,13 @@ def _near_half_grains(rng, gamma, largest):
     ],
 )
 def test_grain_total_matches_fraction_reference(gamma):
+    # A sum's total is the sum of _grain_counts' exact int counts, the one
+    # rounding rule, so it is exact on a column of any length.
     gamma = Fraction(gamma)
+
+    def total_of(lo, hi, cells):
+        return sum(_grain_counts(lo, hi, gamma.numerator, gamma.denominator)(cells))
+
     rng = random.Random(f"grain-{gamma}")
     int_schema = Schema.of(("v", ColumnType.INT64))
     float_schema = Schema.of(("v", ColumnType.FLOAT64))
@@ -281,12 +286,11 @@ def test_grain_total_matches_fraction_reference(gamma):
                 cases.append((float_schema, values, -edge, edge))
         for schema, values, lo, hi in cases:
             table = Table.of(schema, [(v,) for v in values])
-            total = _grain_total(lo, hi, gamma.numerator, gamma.denominator)(table.column(0))
-            assert total == grain_total_reference(values, lo, hi, gamma)
+            assert total_of(lo, hi, table.column(0)) == grain_total_reference(values, lo, hi, gamma)
 
-    # First-tier counts add up in a float, exact while len(rows) * (top +
-    # 1) < 2^53.  Odd counts near 2^46 grains: 127 rows stay under that,
-    # 200 rows pass it, where a float total would drop low bits.
+    # Odd counts near 2^46 grains, each an int of its own: 127 rows stay
+    # under len(rows) * (top + 1) < 2^53 and 200 rows pass it, where a
+    # float total of the counts would drop low bits.
     edge = float(gamma * 2**46)
     near_edge = [float(gamma * (2**46 - 2 * rng.randrange(2**20) - 1)) for _ in range(200)]
     cases = [(near_edge[:127], -edge, edge), (near_edge, -edge, edge)]
@@ -296,18 +300,17 @@ def test_grain_total_matches_fraction_reference(gamma):
     # from k to k + 1 for k around 2^48, each row against round() alone,
     # and all of them in one table.
     edge = float(gamma * (2**48 + 2))
-    total_of = _grain_total(-edge, edge, gamma.numerator, gamma.denominator)
     ks = [2**48 + d for d in (-2, -1, 0, 1)]
     ties = [float(sign * gamma * (k + Fraction(j, 16))) for k in ks for j in range(16)
             for sign in (1, -1)]
     for v in ties:
-        assert total_of(Table.of(float_schema, [(v,)]).column(0)) == round(Fraction(v) / gamma)
+        cells = Table.of(float_schema, [(v,)]).column(0)
+        assert total_of(-edge, edge, cells) == round(Fraction(v) / gamma)
     cases.append((ties, -edge, edge))
     if gamma.numerator < 2**53 and gamma.denominator < 2**53:
         # One table whose rows take every tier: counts near integers (the
         # shared bound), rows past it (their own margin) and near and exact
-        # half grains (the exact path), in mixed order, few enough rows for
-        # the float total.
+        # half grains (the exact path), in mixed order.
         scale = gamma.denominator / gamma.numerator
         for edge in (float(gamma * 2**46), float(gamma * 2**48)):
             bound = 0.5 - (edge * scale * _MARGIN_REL + _MARGIN_SUBNORMAL)
@@ -333,8 +336,7 @@ def test_grain_total_matches_fraction_reference(gamma):
             cases.append((values, -edge, edge))
     for values, lo, hi in cases:
         table = Table.of(float_schema, [(v,) for v in values])
-        total = _grain_total(lo, hi, gamma.numerator, gamma.denominator)(table.column(0))
-        assert total == grain_total_reference(values, lo, hi, gamma)
+        assert total_of(lo, hi, table.column(0)) == grain_total_reference(values, lo, hi, gamma)
 
 
 # A stored table for the grain counts: ids repeat, so cuts drop rows; k is
@@ -387,7 +389,7 @@ def _tables_sharing(source):
     fail, remembered outputs that store columns of their own and take the
     shared ones' counts from source; a map with a cell that can fail, a
     remembered output that stores every column itself; and the same rows
-    as a table that only a query computed, which has no store."""
+    as a table built by hand, which is its own store, as source is."""
     filtered = make_filter(STORED_PLAIN, "w > -20").apply(source)
     cut = make_truncate_by_id(STORED_IDS, 2).apply(source)
     wide = Schema.of(("w", ColumnType.INT64), ("v", ColumnType.FLOAT64), ("x", ColumnType.FLOAT64))
@@ -403,16 +405,16 @@ def _tables_sharing(source):
         "failing map": make_map(
             STORED_PLAIN, {"v": "v", "w": "w", "x": "v / w"}, wide
         ).apply(source),
-        "query-only": Table._trusted(STORED, source.columns),
+        "built by hand": Table._trusted(STORED, source.columns),
     }
 
 
 def _group_tables(tables, name):
     """The per-key Tables of grouped releases reading column `name`: the
-    remembered groupings of the source, the cut and the filter's output,
-    and the per-query one of the query-only table, by name."""
+    remembered groupings of the source, the cut, the filter's output and
+    the table built by hand, by name."""
     groups = {}
-    for kind in ("source", "cut", "filter", "query-only"):
+    for kind in ("source", "cut", "filter", "built by hand"):
         seen = []
         release = compose_per_group(
             STORED_PLAIN, BY_K, _recording_part_of(name, seen), ("n", ColumnType.INT64)
@@ -438,7 +440,7 @@ def test_totals_from_remembered_counts_are_exact_on_every_table_over_a_store(low
             (kind, table) for kind, parts in per_key.items() for table in parts
         ]
         rng.shuffle(everything)  # the first sum over a store builds its counts
-        total_of = _grain_total(low, high, gamma.numerator, gamma.denominator)
+        counts_of = _grain_counts(low, high, gamma.numerator, gamma.denominator)
         for rounds in ("cold", "warm"):
             for kind, table in everything:
                 for name in ("v", "w"):
@@ -448,30 +450,31 @@ def test_totals_from_remembered_counts_are_exact_on_every_table_over_a_store(low
                     cells = table.column(table.schema.index_of(name))
                     expected = grain_total_reference(cells, low, high, gamma)
                     assert total(table) == (expected, len(cells)), (rounds, kind, name)
-                    assert total_of(cells) == expected
+                    assert sum(counts_of(cells)) == expected
         # The totals came from the counts wherever a store holds the column.
         for name in ("v", "w"):
             counts = remembered(source)[_grains_key(source, name, low, high, gamma)]
             column = source.columns[source.schema.index_of(name)]
             assert list(counts) == [grain_total_reference([c], low, high, gamma) for c in column]
-            assert counts == _grain_counts(low, high, gamma.numerator, gamma.denominator)(column)
-        # Each key's Table of a remembered grouping is a slice of one stored
-        # Table of the grouping's rows, which gathers its counts once from
-        # the source's, the same int objects, so no key's Table remembers
-        # counts or rounds a cell; a query-only grouping's keys and absent
-        # keys have no store.
+            assert counts == counts_of(column)
+        # Each key's Table of a grouping is a slice of one stored Table of
+        # the grouping's rows, which gathers its counts once from the
+        # grouped table's store, the same int objects, so no key's Table
+        # remembers counts or rounds a cell; absent keys share one empty
+        # Table, its own store, which stores no row.
+        by_hand = tables["built by hand"]
         for (kind, name), parts in per_key.items():
-            assert all(remembered(part) == {} for part in parts)
-            stores = {id(part.store): part.store for part in parts if part.store is not None}
-            if kind == "query-only grouping":
-                assert stores == {}
-                continue
+            present = [part for part in parts if part.store is not part]
+            assert all(remembered(part) == {} for part in present)
+            assert all(not len(part.columns[0]) for part in parts if part.store is part)
+            stores = {id(part.store): part.store for part in present}
             (rows_table,) = stores.values()
             key = _grains_key(rows_table, name, low, high, gamma)
             assert list(remembered(rows_table)) == [key]
-            source_counts = remembered(source)[_grains_key(source, name, low, high, gamma)]
+            grouped = by_hand if kind == "built by hand grouping" else source
+            grouped_counts = remembered(grouped)[_grains_key(grouped, name, low, high, gamma)]
             (_, _, order), = rows_table._origin
-            assert all(map(operator.is_, remembered(rows_table)[key], map(source_counts.__getitem__, order)))
+            assert all(map(operator.is_, remembered(rows_table)[key], map(grouped_counts.__getitem__, order)))
 
 
 def _memo_keys(table):
@@ -490,7 +493,7 @@ def _memo_keys(table):
                 values = (values,)
             if isinstance(values, (tuple, type({}.values()))):
                 tables = [part for part in values if isinstance(part, Table)]
-                stack.extend(tables + [part.store for part in tables if part.store is not None])
+                stack.extend(tables + [part.store for part in tables])
     return keys
 
 
@@ -544,12 +547,13 @@ def test_only_the_table_storing_a_column_remembers_its_counts_once_per_column_an
     assert grains(tables["failing map"]) == {
         ("grains", at, *clamp) for at in (1, 2) for clamp in clamped
     }
-    # A table only the query computed has no store and remembers nothing.
-    assert tables["query-only"].store is None and remembered(tables["query-only"]) == {}
+    # A table built by hand is its own store, and derives its counts as
+    # source does.
+    assert tables["built by hand"].store is tables["built by hand"]
+    assert grains(tables["built by hand"]) == grains(source)
 
-    # A remembered grouping's key Tables share one store, which holds one
-    # entry per clamp; a query-only grouping's, built for one release,
-    # remember nothing.
+    # A grouping's key Tables share one store, which holds one entry per
+    # clamp; absent keys share one empty Table, which stores no row.
     per_key = {}
     for _ in range(2):
         per_key = _group_tables(tables, "v")
@@ -557,14 +561,11 @@ def test_only_the_table_storing_a_column_remembers_its_counts_once_per_column_an
             for part in parts:
                 summed = make_sum(TableDomain(part.schema), "v", -7, 9, 0.25, PureDpNoise(BIG))
                 summed.eval(part, stream())
-    for kind in ("source grouping", "cut grouping", "filter grouping"):
-        present = [part for part in per_key[kind] if part.store is not None]
+    for kind in ("source grouping", "cut grouping", "filter grouping", "built by hand grouping"):
+        present = [part for part in per_key[kind] if part.store is not part]
         assert present and all(remembered(part) == {} for part in present)
         assert len({id(part.store) for part in present}) == 1
         assert list(remembered(present[0].store)) == [("grains", 0, -7.0, 9.0, 1, 4)]
-    assert all(
-        part.store is None and remembered(part) == {} for part in per_key["query-only grouping"]
-    )
     # No memo key anywhere holds a Fraction, whose hash is a Python call.
     keys = [key for table in tables.values() for key in _memo_keys(table)]
     keys += [key for parts in per_key.values() for part in parts for key in _memo_keys(part)]
@@ -1261,7 +1262,7 @@ def test_a_session_group_holds_only_the_column_its_aggregation_reads(
                 if key in remembered(held)[grouping]:
                     assert group is remembered(held)[grouping][key]
                 else:
-                    assert group.store is None and not len(group.columns[0])
+                    assert group.store is group and not len(group.columns[0])
 
 
 def _recording_part(schema, seen):

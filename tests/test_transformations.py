@@ -1240,7 +1240,8 @@ def test_a_map_whose_cells_fail_only_on_unheld_rows_stores_none_of_them():
 
 
 # ---------------------------------------------------------------------------
-# A step over a table that outlives the query remembers its output on it.
+# Every table, loaded or built by hand, remembers the outputs of the
+# steps over it.
 
 PEOPLE_PLAIN = TableDomain(PEOPLE, None)
 AGES = Schema.of(("id", ColumnType.INT64), ("zip", ColumnType.TEXT), ("half", ColumnType.FLOAT64))
@@ -1290,12 +1291,15 @@ def test_a_remembered_output_equals_a_fresh_one_cold_warm_and_evicted(name, step
     for _ in range(10):
         rows = _people(rng, rng.randrange(1, 30))
         source = Table.of(PEOPLE, rows)
-        query_only = Table._trusted(PEOPLE, source.columns)
-        fresh = step.apply(inputs(query_only))
-        assert fresh.store is None and _outputs(query_only) == {}
+        # A second source of the same rows, built by hand, gives the fresh
+        # reference: it is its own store and remembers its output as a
+        # loaded or checked one does.
+        by_hand = Table._trusted(PEOPLE, source.columns)
+        fresh = step.apply(inputs(by_hand))
+        assert by_hand.store is by_hand and list(_outputs(by_hand).values()) == [fresh]
         cold = step.apply(inputs(source))
         assert step.apply(inputs(source)) is cold  # warm: a lookup
-        assert list(_outputs(source).values()) == [cold] and cold.store is not None
+        assert list(_outputs(source).values()) == [cold] and cold is not fresh
         # As many other outputs as the source remembers evict it, and it
         # is built again, equal.
         for k in range(tabledata.MAX_REMEMBERED_OUTPUTS):
