@@ -6,8 +6,8 @@ comparisons, and boolean connectives.  No calls, no attributes, no
 subscripts, no user code.  Every accepted expression is deterministic on
 rows of its schema, but not total: arithmetic that yields a non-finite
 float fails, and so does an int too large for a float where it meets
-one.  The row transformations drop the rows that fail (a failing filter
-row is false, a failing map row is dropped), which is what lets them
+one.  The row transformations hold no row that fails (a failing filter
+row is false, a failing map row is not held), which is what lets them
 carry their guarantees without inspecting data.
 
 Each checked expression compiles to a column program: one step per node

@@ -36,13 +36,12 @@ column of the rows.  Where a block's column fails, the block is checked
 again one cell at a time, by the same rule, to name the first bad record
 or cell; where a table's column fails, its cells are, to name the first
 bad cell in row order.  The map and flat-map column programs check the
-cells they compute and drop a row whose cell fails, and result_cell
-makes released aggregates cells.  A join that matches a key at most
-once stores a fixed legal cell of each carried column's type on the rows
-that match nothing.  So every stored cell, held or not, is a legal cell
-of its column.  Everything else (cells of checked tables selected,
-regrouped, reordered or concatenated, a join's filler cells, and result
-tables of checked keys and result_cell values) is built with the private
+cells they compute and store a fixed legal cell where one fails, as a
+join does on a row that matches nothing, and result_cell makes released
+aggregates cells.  So every stored cell, held or not, is a legal cell of
+its column.  Everything else (cells of checked tables selected,
+regrouped, reordered or concatenated, filler cells, and result tables of
+checked keys and result_cell values) is built with the private
 Table._trusted, which skips the check.
 """
 
@@ -375,11 +374,11 @@ class Table(Record):
 
     `columns` holds one tuple of cells per schema column, all of one
     length, and `held` marks the stored rows that are the table's: None
-    for all, else one byte per stored row, 1 where it is held.  A filter,
-    a truncation's cut and a join whose keys match at most once share
-    their (left) input's columns and hold some of its held rows, and a map
-    none of whose cells can fail keeps its input's mask; every other step
-    stores held rows only.  Every stored cell, held or not, is a legal
+    for all, else one byte per stored row, 1 where it is held.  Every step
+    but a join whose key may match more than once stores a slot for each
+    stored row of its input (a flat map one per branch) under a mask, and
+    a filter, a cut and a join whose keys match at most once share their
+    (left) input's columns.  Every stored cell, held or not, is a legal
     cell of its column, so expressions run on the columns whole.  len,
     rows (a tuple built on each read), column and multiset see the held
     rows, through _held.
@@ -476,7 +475,8 @@ class Table(Record):
 
     def _holding(self, held: bytes | None) -> "Table":
         """These columns, with this table's store and offset, holding the
-        rows held marks: a filter's output, or a cut without its memo."""
+        rows held marks (every stored row for None): a filter's output or
+        a cut."""
         return Table._trusted(self.schema, self.columns, held, self.store, self.offset)
 
     def _built_on(
@@ -507,8 +507,8 @@ class Table(Record):
     def derive(self, key, build: Callable[..., object], *args):
         """The value this table remembers under key, built by build(*args)
         the first time.  The key names a derivation and its parameters,
-        all public: the canonical order (ORDER, a list of stored
-        positions), a cut ("cut", key names, bound), a sorted column
+        all public: the canonical order (ORDER, every stored position, see
+        canonicalize), a cut ("cut", key names, bound), a sorted column
         ("sorted", column index), a join index ("join", key names), the
         groups ("groups", key names, read names), a dict from each key to a
         Table of its rows in the read columns only, a stored column's grain
@@ -558,14 +558,6 @@ class Table(Record):
             owner, dropped = outputs.popitem(last=False)[1]
             owner._derived.pop(dropped, None)
         return output
-
-    def _cut(self, held: bytes) -> "Table":
-        """These columns holding the rows held marks, some of this table's
-        held rows, with this table's store and a memo of its own that starts
-        with this one's order."""
-        cut = self._holding(held)
-        cut.__dict__["_derived"] = {ORDER: self._derived[ORDER]}
-        return cut
 
     @classmethod
     def of(cls, schema: Schema, rows: Iterable[Sequence[Value]]) -> "Table":
@@ -639,16 +631,18 @@ def canonicalize(table: Table) -> list[int]:
     numeric columns by value and text columns by code point.  Code-point
     order is the order of the UTF-8 encodings, so it is the same on every
     platform, and unlike encoding it is defined for every str, including
-    lone surrogates.  A table sorts its held rows once and remembers the
-    list under ORDER, which no caller may change; a cut shares its
-    table's and reads it through its mask.  table.rows keeps its order.
+    lone surrogates.  A table's store (a key's Table of a grouping itself)
+    sorts all its stored rows once, under ORDER, which no caller may
+    change; a table reads it through its mask, the order a stable sort of
+    its held rows alone gives.  table.rows keeps its order.
     """
+    owner = table.store if table.offset is None else table
 
     def build() -> list[int]:
-        rows = list(zip(*table.columns))
-        return sorted(table._held(range(len(rows))), key=rows.__getitem__)
+        rows = list(zip(*owner.columns))
+        return sorted(range(len(rows)), key=rows.__getitem__)
 
-    order = table.derive(ORDER, build)
+    order = owner.derive(ORDER, build)
     return order if table.held is None else list(compress(order, map(table.held.__getitem__, order)))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import add, and_, is_not, itemgetter, lt
+from operator import add, and_, getitem, is_not, itemgetter, lt
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -203,6 +203,19 @@ def make_filter(domain: TableDomain, predicate: str, metric: Metric | None = Non
     )
 
 
+# A legal cell of each column type, which a map, a flat map and a fan-out-1
+# join store where a computed cell failed or a key matched nothing.
+_FILLER = {ColumnType.INT64: 0, ColumnType.FLOAT64: 0.0, ColumnType.TEXT: "-"}
+
+
+def _filled(evaluated: tuple, ctype: ColumnType) -> tuple:
+    """An evaluated column's values, with _FILLER's cell where it failed."""
+    values, mask = evaluated
+    if mask is None:
+        return tuple(values)
+    return tuple(map(getitem, zip(repeat(_FILLER[ctype]), values), mask))
+
+
 def make_map(
     domain: TableDomain,
     columns: Columns,
@@ -212,20 +225,17 @@ def make_map(
     """Rewrite each row through per-column expressions.
 
     At most one output row per input row, so stability is linear(1): a
-    row whose cells fail to evaluate or to fit their columns is dropped.
+    row whose cells fail to evaluate or to fit their columns is not held.
     When the domain declares an ID column the map must carry it through
     as a bare column reference; anything else would silently break the
-    link between rows and their contributor.  Where no cell can fail (its
-    expression's type and bound prove it, see expressions._build), the
-    output stores a cell for every stored row, every one legal, and keeps
-    its input's mask of held rows: it shares bare columns, computes the
-    others from every stored row and compresses nothing.  Otherwise it
-    stores the held rows whose cells all hold.  The input remembers the
-    output under ("map", the (name, expression) pairs, the output's names
-    and type names) (Table.remember); the output stores
-    its computed columns, so a sum over one reads the grain counts it
-    derives once, and a sum over a shared bare column reads its input's
-    store's (Table._built_on).
+    link between rows and their contributor.  The output shares bare
+    columns and stores a row for every stored row, held or not, with a
+    computed column's _FILLER cell where it failed (_filled), so its work
+    does not depend on which rows are held.  The input remembers the output
+    under ("map", the (name, expression) pairs, the output's names and type
+    names) (Table.remember); the output stores its computed columns, so a
+    sum over one reads the grain counts it derives once, and a sum over a
+    shared bare column reads its input's store's (Table._built_on).
     """
     metric = _check_row_metric(domain, metric or SymmetricDifference())
     id_column = domain.id_column
@@ -247,12 +257,9 @@ def make_map(
 
     def mapped(table: Table) -> Table:
         columns = [cell.evaluate(table) for cell in cells]
-        masks = [mask for _, mask in columns if mask is not None]
-        if not masks:
-            kept = tuple(tuple(v) for v, _ in columns)
-            return table._built_on(new_schema, kept, table.held, bare)
-        held = passing(table.held, *masks)
-        return table._built_on(new_schema, tuple(tuple(compress(v, held)) for v, _ in columns))
+        held = passing(table.held, *[mask for _, mask in columns])
+        filled = tuple(map(_filled, columns, new_schema.types))
+        return table._built_on(new_schema, filled, held, bare)
 
     def apply(table: Table) -> Table:
         return table.remember(key, mapped, table)
@@ -295,12 +302,14 @@ def make_flat_map(
     Branches are evaluated in order and output stops after max_rows rows
     per input row, so one row's influence on the output is bounded and the
     stability is linear in that bound.  A branch whose guard or cells fail
-    to evaluate, or whose cells do not fit their columns, is dropped and
-    does not count toward max_rows.  Runs under SymmetricDifference only;
-    identifier-tracking pipelines must truncate before expanding.  The
-    input remembers the output, which stores its rows, under ("flat map",
-    each branch's pairs and guard, max_rows, the output's names and type
-    names) (Table.remember).
+    to evaluate, or whose cells do not fit their columns, does not fire
+    and does not count toward max_rows.  Runs under SymmetricDifference
+    only; identifier-tracking pipelines must truncate before expanding.
+    The output stores a slot per branch per stored row, held or not, row
+    by row, with _FILLER cells where a cell failed (_filled), and holds the
+    slots that fire.  The input remembers it under ("flat map", each
+    branch's pairs and guard, max_rows, the output's names and type names)
+    (Table.remember).
     """
     if not is_int(max_rows) or max_rows < 1:
         raise NonPositiveBound(f"max_rows must be a positive int, got {max_rows!r}")
@@ -338,14 +347,13 @@ def make_flat_map(
                 holds = map(and_, holds, held)
             fires = list(map(and_, holds, map(lt, produced, repeat(max_rows))))
             produced = list(map(add, produced, fires))
-            branch_columns.append([values for values, _ in columns])
+            branch_columns.append(list(map(_filled, columns, new_schema.types)))
             fired.append(fires)
         # Row by row, each row's branches in order, a column at a time.
         fires = bytes(itertools.chain.from_iterable(zip(*fired)))
         return table._built_on(new_schema, tuple(
-            tuple(compress(itertools.chain.from_iterable(zip(*branches)), fires))
-            for branches in zip(*branch_columns)
-        ))
+            tuple(itertools.chain.from_iterable(zip(*branches))) for branches in zip(*branch_columns)
+        ), fires)
 
     def apply(table: Table) -> Table:
         return table.remember(key, expanded, table)
@@ -389,20 +397,27 @@ def _check_join_columns(
 
 
 def _join_index(right_table: Table, keys: tuple[str, ...]) -> dict:
-    """right_table's row positions in a list per join key, as split_by_key
-    gives them.
+    """right_table's held row positions in a list per key of its stored
+    rows, held or not (empty where none is held): one split_by_key of every
+    stored row, each key's list narrowed to the held rows in C, so its
+    Python work does not depend on which rows are held.
 
     right_table derives them under ("join", keys), so a public table is
     indexed once however often a join on it compiles, and a private
     join's right cut, which every later cut of the same table at the same
     keys and bound returns again, once however often it is joined.
     """
-    return right_table.derive(("join", keys), lambda: split_by_key(right_table, keys))
 
+    def build() -> dict:
+        index = split_by_key(right_table._holding(None), keys)
+        held = right_table.held
+        if held is None:
+            return index
+        lists = index.values()
+        kept = map(compress, lists, map(map, repeat(held.__getitem__), lists))
+        return dict(zip(index, map(list, kept)))
 
-# A legal cell of each column type, which a fan-out-1 join stores in its
-# carried columns on the rows that match nothing.
-_FILLER = {ColumnType.INT64: 0, ColumnType.FLOAT64: 0.0, ColumnType.TEXT: "-"}
+    return right_table.derive(("join", keys), build)
 
 
 def _join(left: Table, right: Table, keys, carry: list[int], joined: Schema, repeats: bool):
@@ -418,15 +433,15 @@ def _join(left: Table, right: Table, keys, carry: list[int], joined: Schema, rep
     match; the output is its own store of the carried columns it gathers,
     and takes left's columns' grain counts from left's store
     (Table._built_on).  Each stored row reads right's position for its key
-    (the first and only one in the index), or right's stored row count
-    where it has none, which is where each carried column has a _FILLER
-    cell appended; so the join's work does not depend on which rows match,
-    and every stored cell is legal.
+    (the first and only one in its list), or right's stored row count
+    where its list is empty or it has none, which is where each carried
+    column has a _FILLER cell appended; so the join's work does not
+    depend on which rows match, and every stored cell is legal.
     """
     index = _join_index(right, keys)
     if not repeats:
         stored = len(right.columns[0])
-        first = dict(zip(index, map(itemgetter(0), index.values())))
+        first = dict(zip(index, map(next, map(iter, index.values()), repeat(stored))))
         at = list(map(first.get, left.key_column(keys), repeat(stored)))
         # Gathered with the carried columns, a last column of 1 at each of
         # right's stored rows and 0 past them marks the rows that match.
@@ -479,26 +494,28 @@ def _truncate_by_keys(table: Table, keys: tuple[str, ...], bound: int) -> Table:
     """Hold the first `bound` held rows of each key, in canonical order.
 
     The table derives the cut under ("cut", keys, bound) by one pass over
-    its held rows' keys in canonical order: a row is kept, a 1 byte at its
-    stored position, where its key had fewer than `bound` rows before it,
-    so the pass makes the same calls whatever it keeps, and the cut holds
-    the same rows whatever the input order.  The cut shares the table's
-    columns and store and carries that mask even when it keeps every row
-    (Table._cut), so what is remembered on it never tells whether it
-    dropped a row, and a sum over it reads the counts its store remembers
-    over every stored row.
+    every stored row's key in its store's canonical order: each row adds
+    its held byte to its key's count, and is kept, a 1 byte at its stored
+    position, where it is held and its key had fewer than `bound` held
+    rows before it.  So the pass runs the same lines whatever rows are
+    held or kept, and the cut holds the same rows whatever the input
+    order.  The cut shares the table's columns and store and carries that
+    mask even when it keeps every row, so what is remembered on it never
+    tells whether it dropped a row, and a sum over it reads the counts its
+    store remembers over every stored row.
     """
 
     def count_pass() -> Table:
-        order, keyed = canonicalize(table), tuple(table.key_column(keys))
+        order, keyed = canonicalize(table._holding(None)), tuple(table.key_column(keys))
+        held = table.held or b"\x01" * len(keyed)
         counts: dict = {}
         kept = bytearray(len(keyed))
         for position in order:
-            key = keyed[position]
+            key, holds = keyed[position], held[position]
             count = counts.get(key, 0)
-            counts[key] = count + 1
-            kept[position] = count < bound
-        return table._cut(bytes(kept))
+            counts[key] = count + holds
+            kept[position] = holds & (count < bound)
+        return table._holding(bytes(kept))
 
     return table.derive(("cut", keys, bound), count_pass)
 

@@ -1107,3 +1107,72 @@ def test_a_mutated_demo_script_exits_with_one_error_line_and_no_traceback(
     # The mutants reach a full run, a refused script and a refused query;
     # the pure ones also run out of budget.
     assert {0, 2, 4} | ({3} if measure == "pure" else set()) <= set(exits), exits
+
+
+# Cells a hostile CSV may hold where the demo data has a cell: empty, not
+# a number, past float64, a sign load_csv refuses, more digits than int()
+# converts, stray quotes, and bytes that are not UTF-8.
+HOSTILE_CELLS = [
+    b"", b"nan", b"inf", b"1e309", b"-1e309", b"+1", b"9" * 5000, b"-" + b"9" * 20, b'"',
+    b'4"0', b'"40', b"\xff", b"\xc3(", b"0x10", b" 1", b"1e-400", b"\x00", b"age",
+]
+
+
+def _mutated_csv(data: bytes, rng) -> bytes:
+    """The CSV with 1 to 3 edits: a cell swapped for a hostile one, a cell
+    added to or removed from a record, or a header name renamed."""
+    records = [line.split(b",") for line in data.split(b"\n")]
+    for _ in range(rng.randint(1, 3)):
+        edit = rng.randrange(4)
+        if edit == 3:
+            cells = records[0]
+            cells[rng.randrange(len(cells))] = rng.choice([b"Age", b"ages", b"", b"zip", b"\xff"])
+            continue
+        cells = records[rng.randrange(1, len(records) - 1)]
+        if edit == 0:
+            cells[rng.randrange(len(cells))] = rng.choice(HOSTILE_CELLS)
+        elif edit == 1:
+            cells.insert(rng.randrange(len(cells) + 1), rng.choice(HOSTILE_CELLS))
+        elif len(cells) > 1:
+            del cells[rng.randrange(len(cells))]
+    return b"\n".join(b",".join(cells) for cells in records)
+
+
+@pytest.mark.parametrize("measure", ["pure", "zcdp"])
+def test_a_mutated_demo_schema_or_csv_exits_with_one_error_line_and_no_traceback(
+    tmp_path, capsys, measure
+):
+    # A seeded fuzz of the demo's inputs, each mutant with the demo script:
+    # a schema file edited as a script is (_mutated), and a CSV with
+    # hostile cells, records of a cell too many or too few, and renamed
+    # headers.  Every mutant ends in a known exit, and a failure says why
+    # in exactly one line.
+    schema_doc = json.loads((DEMO / "schema.json").read_text())
+    data = (DEMO / "data" / "people.csv").read_bytes()
+    schema, csv_file = tmp_path / "schema.json", tmp_path / "data" / "people.csv"
+    csv_file.parent.mkdir()
+    argv = [
+        "run", "--schema", str(schema), "--data", str(csv_file.parent),
+        "--script", str(DEMO / "script.json"), "--unit", "add-max-rows:1",
+        "--measure", measure, "--seed", "1", "--budget", "2",
+    ]
+    rng = random.Random(f"mutated-demo-inputs-{measure}")
+    exits = Counter()
+    for mutant in range(300):
+        on_schema = mutant % 2 == 0
+        schema.write_text(
+            json.dumps(_mutated(schema_doc, rng) if on_schema else schema_doc), encoding="utf-8"
+        )
+        csv_file.write_bytes(data if on_schema else _mutated_csv(data, rng))
+        code = main(argv)
+        out, err = capsys.readouterr()
+        exits[code, on_schema] += 1
+        assert code in (0, 2, 3, 4)
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == (code != 0), err
+        assert "Traceback" not in out + err
+    # Each kind of mutant reaches a refused input and a script that runs
+    # (every query released, or one refused as the unmutated demo's are).
+    for on_schema in (True, False):
+        reached = {code for code, kind in exits if kind is on_schema}
+        assert 2 in reached and reached - {2}, exits

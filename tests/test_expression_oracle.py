@@ -41,6 +41,7 @@ from noisegate.measurements import (
     make_count,
     make_sum,
 )
+from noisegate.metrics import AddRemoveIds
 from noisegate.rng import RngStream
 from noisegate.session import AddMaxRows, AddRemoveId, PrivacyBudget, build_session, query
 from noisegate.tabledata import ColumnType, KeySet, Schema, Table, TableDomain
@@ -458,6 +459,25 @@ def test_the_calls_a_cut_makes_do_not_depend_on_what_it_keeps(transformation):
     assert len(transformation.apply(tables[0])) == 6 > len(transformation.apply(tables[1])) == 1
 
 
+@pytest.mark.parametrize("count", [python_calls, python_lines], ids=["calls", "lines"])
+def test_a_private_join_indexes_every_stored_row_of_its_right_cut(count):
+    # Two right tables of six rows: one of six keys, which a cut at one row
+    # per key holds whole, and one of five, of which it holds five rows.
+    # The join's index of the cut splits every stored row and narrows each
+    # key's list to the held rows in C, so a cold join takes the same work.
+    schema = MATCH_EACH.schema
+    rights = [[(i, "r") for i in range(6)], [(min(i, 4), "r") for i in range(6)]]
+    cut = make_truncate_by_id(TableDomain(schema, "i"), 1)
+    assert [len(cut.apply(Table.of(schema, rows))) for rows in rights] == [6, 5]
+    join = make_private_join(DOMAIN, TableDomain(schema), ["i"], 6, 1)
+
+    def cold(rows):
+        left, right = Table.of(SCHEMA, OWN_KEYS), Table.of(schema, rows)
+        return count(lambda: join.apply((left, right)))
+
+    assert cold(rights[0]) == cold(rights[1])
+
+
 def exceptions_raised(fn) -> int:
     """How many exceptions running fn() raises, caught or not, counted as
     the `exception` events of sys.settrace.  sys.setprofile does not see
@@ -545,17 +565,22 @@ def test_a_negated_zero_is_still_a_zero_divisor():
 
 @pytest.mark.parametrize("text", ["x / 0.5", "x * 1.5", "x + 1.0", "x / y", "x / 1.5 / 0.5"])
 def test_a_float_its_bound_does_not_prove_finite_keeps_its_mask(text):
-    # All but x + 1.0 overflow on the largest float, so a map drops that
-    # row; the last is proved only if a divisor below 1 in size is taken
-    # to shrink the bound.  x + 1.0 rounds back to the largest float, but
-    # its bound is that float rounded up by one ulp, which is past it, so
-    # it keeps its finiteness step all the same.
+    # All but x + 1.0 overflow on the largest float, so a map does not hold
+    # that row and stores 0.0, the filler cell, there; the last is proved
+    # only if a divisor below 1 in size is taken to shrink the bound.
+    # x + 1.0 rounds back to the largest float, but its bound is that float
+    # rounded up by one ulp, which is past it, so it keeps its finiteness
+    # step all the same, and its mask, which holds every row.
     table = Table.of(SCHEMA, LARGEST)
     assert compile_expression(text, SCHEMA).evaluate(table)[1] is not None
     out = make_map(DOMAIN, {"f": text}, FLOAT_CELL).apply(table)
-    assert out.held is None
-    assert out.rows == oracle_map(table.rows, oracle_cells({"f": text}, FLOAT_CELL))
-    assert len(out) == (3 if text == "x + 1.0" else 2)
+    expected = oracle_map(table.rows, oracle_cells({"f": text}, FLOAT_CELL))
+    assert out.rows == expected
+    cells = tuple(row[0] for row in expected)
+    if text == "x + 1.0":
+        assert out.held == b"\x01\x01\x01" and out.columns == (cells,)
+    else:
+        assert out.held == b"\x00\x01\x01" and out.columns == ((0.0, *cells),)
 
 
 # Two tables that differ in one row's i only: 5 on the first and 1 on the
@@ -569,6 +594,8 @@ COMPUTED_X = Schema.of(("i", ColumnType.INT64), ("x", ColumnType.FLOAT64))
 MATCH_BELOW_FIVE = Table.of(
     Schema.of(("i", ColumnType.INT64), ("r", ColumnType.TEXT)), [(i, "r") for i in range(5)]
 )
+IDS = TableDomain(SCHEMA, "i")
+BELOW_FIVE = ExpansionBranch({"i": "i", "x": "x"}, when="i < 5")
 
 
 # Each step as a transformation over DOMAIN, and as the query a session
@@ -591,6 +618,23 @@ WORK_STEPS = {
         AddMaxRows(1),
         lambda q: q.filter("i < 5").map({"i": "i", "x": "x / 2.0"}, COMPUTED_X),
     ),
+    "map with a cell that can fail": (
+        chain(
+            make_filter(DOMAIN, "i < 5"),
+            make_map(DOMAIN, {"i": "i", "x": "x * 1.5"}, COMPUTED_X),
+        ),
+        AddMaxRows(1),
+        lambda q: q.filter("i < 5").map({"i": "i", "x": "x * 1.5"}, COMPUTED_X),
+    ),
+    "flat map": (
+        make_flat_map(DOMAIN, [BELOW_FIVE], COMPUTED_X, 1), AddMaxRows(1),
+        lambda q: q.flat_map([BELOW_FIVE], COMPUTED_X, 1),
+    ),
+    "cut after a filter": (
+        chain(make_filter(IDS, "i < 5", AddRemoveIds("i")), make_truncate_by_id(IDS, 2)),
+        AddRemoveId("i"),
+        lambda q: q.filter("i < 5").truncate_by_id(2),
+    ),
 }
 
 
@@ -610,14 +654,16 @@ def _released(rows):
 @pytest.mark.parametrize("source", ["loaded", "built by hand", "released"])
 @pytest.mark.parametrize("step", list(WORK_STEPS))
 def test_the_work_of_a_sum_over_a_mask_does_not_depend_on_which_rows_it_holds(step, source, make):
-    # Each count is taken cold, when the store's counts are built from
-    # every stored row, and then warm, when the sum only reads them.  No
-    # cell of the map's x can fail, so x is computed from every stored row
-    # and stored by the map's output, which the filter's output remembers
-    # and which derives x's counts itself.  A table built by hand is its
-    # own store, as a loaded one is, and so is a released result, which a
-    # second session reads as its table: there the whole ask is counted,
-    # its step and its draws too.
+    # Each count takes the step and the sum together, cold, when the step
+    # runs and the store's counts are built from every stored row, and then
+    # warm, when the step's output is remembered and the sum only reads the
+    # counts.  A map computes x from every stored row, whether or not its
+    # cells can fail, and its output, which the filter's output remembers,
+    # stores x and derives x's counts itself; a flat map stores a slot for
+    # every stored row, and a cut's pass reads every stored row in order.
+    # A table built by hand is its own store, as a loaded one is, and so is
+    # a released result, which a second session reads as its table: there
+    # the whole ask is counted, its draws too.
     transformation, unit, form = WORK_STEPS[step]
 
     def work(rows, count) -> list[int]:
@@ -630,9 +676,12 @@ def test_the_work_of_a_sum_over_a_mask_does_not_depend_on_which_rows_it_holds(st
         table = Table.of(SCHEMA, rows)
         if source == "built by hand":
             table = Table._trusted(SCHEMA, table.columns)
-        held = transformation.apply(table)
-        measured = make(TableDomain(held.schema), "x", 0, 6, Fraction(1, 100), PureDpNoise(1))
-        return [count(lambda: measured.eval(held, RngStream(5))) for _ in ("cold", "warm")]
+        domain = TableDomain(transformation.output_domain.schema)
+        measured = make(domain, "x", 0, 6, Fraction(1, 100), PureDpNoise(1))
+        return [
+            count(lambda: measured.eval(transformation.apply(table), RngStream(5)))
+            for _ in ("cold", "warm")
+        ]
 
     for count in (python_calls, python_lines):
         held, moved = work(ROW_HELD, count), work(ROW_MOVED, count)

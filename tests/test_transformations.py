@@ -384,10 +384,11 @@ def _cut(table, key):
 
 def _assert_cuts_match_the_reference(table):
     # Every remembered cut, whoever took it, is the cut at its own key, and
-    # the order, if remembered, is the held rows' positions in sorted order.
-    # Each cut is a Table of the same schema and columns under a bytes
-    # mask, whose memo starts with the table's order and holds no cut of
-    # itself unless something cut it again.
+    # the order, if remembered, is the stored rows' positions in sorted
+    # order.  Each cut is a Table of the same schema and columns under a
+    # bytes mask, whose memo starts empty, never holds an order (it reads
+    # its store's through its mask) and holds no cut of itself unless
+    # something cut it again.
     stored = tuple(zip(*table.columns))
     for key, entry in remembered(table).items():
         assert table.derive(key, unbuilt) is entry
@@ -400,8 +401,8 @@ def _assert_cuts_match_the_reference(table):
         assert entry.columns is table.columns and type(entry.held) is bytes
         kept = entry.rows
         assert isinstance(kept, tuple)
-        assert remembered(entry)[ORDER] is remembered(table)[ORDER]
-        assert key not in remembered(entry)
+        assert ORDER not in remembered(entry) and key not in remembered(entry)
+        assert canonicalize(entry) == [i for i in canonicalize(table) if entry.held[i]]
         name, keys, bound = key
         assert name == "cut"
         indices = tuple(map(table.schema.index_of, keys))
@@ -512,7 +513,7 @@ def test_a_cut_that_keeps_every_row_is_its_own_table():
         assert canonicalize(cut) == order and canonicalize(cut) is not order
         assert _cut(table, everything) is cut
         assert remembered(table) == {ORDER: order, everything: cut}
-        assert remembered(cut) == {ORDER: order}
+        assert remembered(cut) == {}
         assert table.rows == tuple(rows)
 
 
@@ -551,12 +552,12 @@ def test_cutting_a_cut_again_needs_no_sort(monkeypatch):
         transformations, "canonicalize", lambda t: passes.append(t) or canonicalize(t)
     )
     for table, cut in zip(tables, cuts):
-        assert remembered(cut) == {ORDER: remembered(table)[ORDER]}
+        assert remembered(cut) == {}
         # Cutting the cut at its own key and bound takes a pass over its
-        # table's remembered order, read through the cut's mask, and gives
-        # a new cut that holds the same rows, which the cut remembers.
+        # store's remembered order, every row the store stores, and gives a
+        # new cut that holds the same rows, which the cut remembers.
         again = make_truncate_by_id(CUT_DOMAIN, 3).apply(cut)
-        assert passes == [cut]
+        assert [(p.columns, p.held, p.store) for p in passes] == [(table.columns, None, table)]
         passes.clear()
         assert again is not cut and again.columns is table.columns and again.held == cut.held
         assert make_truncate_by_id(CUT_DOMAIN, 3).apply(cut) is again
@@ -567,13 +568,14 @@ def test_cutting_a_cut_again_needs_no_sort(monkeypatch):
         assert remembered(cut).pop(("private join", ("id",), 3, 1)) == (
             _cut(right, _by_id(1)), joined
         )
-        # A lower bound takes a pass over the cut, in that order.
+        # A lower bound takes a pass too, over the store's order.
         lower = make_truncate_by_id(CUT_DOMAIN, 2).apply(cut)
-        assert passes == [cut]
+        assert [(p.columns, p.held, p.store) for p in passes] == [(table.columns, None, table)]
         passes.clear()
         assert lower.multiset() == truncate_reference(table.rows, (2,), 2)
         assert canonicalize(cut) == [i for i in canonicalize(table) if cut.held[i]]
-        assert remembered(cut) == {ORDER: remembered(table)[ORDER], _by_id(3): again, _by_id(2): lower}
+        assert remembered(cut) == {_by_id(3): again, _by_id(2): lower}
+        assert ORDER in remembered(table)  # the store's, which every cut reads
 
 
 USERS = Schema.of(("id", ColumnType.INT64), ("tier", ColumnType.TEXT))
@@ -611,9 +613,11 @@ def test_a_warm_private_join_does_not_split_its_right_side(monkeypatch):
 
         right, cold = ask()
         assert cold.multiset() == expected
-        # The join cuts the cut right side again, and indexes that cut.
-        assert set(remembered(right)) == {ORDER, _by_id(1)}
-        assert set(remembered(_cut(right, _by_id(1)))) == {ORDER, ("join", ("id",))}
+        # The join cuts the cut right side again, and indexes that cut; the
+        # order is users', the store of both.
+        assert set(remembered(users)) == {ORDER, _by_id(1)}
+        assert set(remembered(right)) == {_by_id(1)}
+        assert set(remembered(_cut(right, _by_id(1)))) == {("join", ("id",))}
         with monkeypatch.context() as patch:
             splits = _recording_splits(patch)
             for _ in range(2):
@@ -668,7 +672,7 @@ def test_join_indexes_at_other_keys_or_bounds_never_share_an_entry():
         assert len({id(cut) for cut in cuts + [partners]}) == len(shapes) + 1
         for (keys, bound), cut in zip(shapes, cuts):
             memo = remembered(cut)
-            assert set(memo) == {ORDER, ("join", keys)}
+            assert set(memo) == {("join", keys)}
             index = memo[("join", keys)]
             expected = _index_reference(PARTNERS, cut.rows, keys)
             assert _index_rows(index, cut) == expected
@@ -1108,15 +1112,20 @@ def test_every_step_after_filters_matches_the_row_at_a_time_oracles():
         table, kept = _filtered(rng)
         outputs = []
 
+        # A map carries the mask, so it stores exactly its input's stored
+        # rows, and a flat map a slot for each branch of each, under the
+        # mask of the slots that fire.
         mapped = make_map(PEOPLE_IDS, map_columns, mapped_schema).apply(table)
         assert mapped.rows == oracle_map(kept, map_cells)
+        assert len(mapped.columns[0]) == len(table.columns[0])
         expanded = flat_map.apply(table)
         assert expanded.rows == oracle_flat_map(kept, flat_branches, 2)
-        outputs += [mapped, expanded]
+        assert len(expanded.columns[0]) == len(branches) * len(table.columns[0])
+        assert type(expanded.held) is bytes
+        carried = [mapped, expanded]
 
         # A fan-out-1 join carries the mask, so it stores exactly its left
         # side's stored rows.
-        carried = []
         compact = Table.of(PEOPLE, kept)
         for public, fan_out in zip(publics, (2, 1)):
             joined = make_public_join(PEOPLE_IDS, public, ["zip"]).apply(table)
@@ -1152,8 +1161,8 @@ def test_every_step_after_filters_matches_the_row_at_a_time_oracles():
         else:
             outputs.append(joined)
 
-        # Only a filter, a cut and a fan-out-1 join leave a row unheld, and
-        # every stored cell is checked, a join's filler cells too.
+        # Only a join that may match a key more than once stores its held
+        # rows only, and every stored cell is checked, filler cells too.
         for out in outputs:
             assert out.held is None
         for out in outputs + carried:
