@@ -32,6 +32,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, compress, repeat
 from operator import getitem
 from typing import Any, Callable, Sequence, Union
+from weakref import ref
 
 from .errors import (
     BadBounds,
@@ -378,20 +379,20 @@ def _grains(domain: TableDomain, column: str, low, high, granularity):
     its held cells in the column and how many there are, its sensitivity
     in grains, g_num, g_den).
 
-    total sums grain counts that the table storing the column
-    (Table.store, which every table has) derives once under ("grains",
-    its index there, low, high, g_num, g_den) by _grain_counts, one int
-    per stored row, held or not, for every filter, cut, join, map, group
-    and query over it, at the held rows with compress, in C.  The store's
-    _origin says where a column's cells come from, and the counts come
-    from there too: a map's bare column or a fan-out-1 join's left column
-    reads its input's store's counts, a remembered grouping's stored rows
-    gather theirs from its grouped table's once, and a key's Table of it
-    slices those at its offset.  Only a column that a store holds of its
-    own (a loaded or hand-built table's, or one a map, a flat map or a
-    join computed) is rounded, once, by that store; so what a store
-    remembers depends only on the queries asked, and a sum's work does not
-    depend on which rows are held, on a table of any kind.
+    total sums grain counts that the stored rows which computed the
+    column derive once, in what every table over them shares
+    (Table.stored), under ("grains", its index there, low, high, g_num,
+    g_den) by _grain_counts, one int per stored row, held or not, for
+    every filter, cut, join, map, group and query over it, at the held
+    rows with compress, in C.  A table's _origin says where a column's
+    cells come from, and the counts come from there too: a map's bare
+    column or a fan-out-1 join's left column reads its input's counts, a
+    remembered grouping gathers its key Tables' from its grouped table's
+    once, and a key's Table slices those at its offset.  Only a column
+    that stored rows hold of their own (a loaded or hand-built table's, or
+    one a map, a flat map or a join computed) is rounded, once; so what is
+    remembered depends only on the queries asked, and a sum's work does
+    not depend on which rows are held, on a table of any kind.
 
     The per-row sensitivity is ceil(max(|low|, |high|) / granularity)."""
     _check_numeric_column(domain, column)
@@ -404,34 +405,30 @@ def _grains(domain: TableDomain, column: str, low, high, granularity):
     counts_of = _grain_counts(low, high, g_num, g_den)
     index = domain.schema.index_of(column)
     clamp = (low, high, g_num, g_den)
-    own_key = ("grains", index, *clamp)
 
-    def counts_at(store: Table, at: int) -> Sequence[int]:
-        """The grain counts of the column at `at` of a store, one per
-        stored row, from where its _origin says its cells come from."""
-        entry = store._origin[at] if store._origin else None
-        key = own_key if at == index else ("grains", at, *clamp)
-        if entry is None:
-            return store.derive(key, counts_of, store.columns[at])
-        source, at_source, rows = entry
-        if rows is None:
-            return counts_at(source, at_source)
-        return store.derive(key, gathered, source, at_source, rows)
+    def counts_at(table: Table, stored: dict | None, at: int, cells: tuple, rows) -> Sequence[int]:
+        """The grain counts of cells, the column at `at` of the stored rows
+        that share stored (the table's own memo for None), gathered at rows
+        unless rows is None."""
+        counts = table.derive(("grains", at, *clamp), counts_of, cells, memo=stored)
+        return counts if rows is None else gather((counts,), rows)[0]
 
-    def gathered(source: Table, at: int, rows: Sequence[int]) -> tuple[int, ...]:
-        return gather((counts_at(source, at),), rows)[0]
-
-    # The store whose counts a key's Table of a remembered grouping last
-    # sliced, and those counts: every key of one release slices the same.
+    # The grouping whose counts a key's Table last sliced, and those
+    # counts: every key of one release slices the same.
     last = [None, ()]
 
     def total(table: Table) -> tuple[int, int]:
-        held, store, offset = table.held, table.store, table.offset
-        if offset is None:
-            counts = counts_at(store, index)
+        held, offset = table.held, table.offset
+        entry = table._origin[index] if table._origin else None
+        if entry is None:
+            stored = table.stored if offset is None else None
+            counts = counts_at(table, stored, index, table.columns[index], None)
+        elif offset is None:
+            counts = counts_at(table, *entry)
         else:
-            if last[0] is not store:
-                last[:] = store, counts_at(store, index)
+            if last[0] is not table.stored:
+                key = ("grains", index, *clamp)
+                last[:] = table.stored, table.derive(key, counts_at, table, *entry, memo=table.stored)
             counts = last[1][offset:offset + len(table.columns[index])]
         if held is None:
             return sum(counts), len(counts)
@@ -630,18 +627,18 @@ def compose_per_group(
     reads (its input_domain.schema): a session builds a sum, average or
     quantile on its column alone and a count on the first key column.
     The read columns are gathered from the data at every key's rows at
-    once, in key order, one pass per column in C, into one Table, and each
-    key's Table is a slice of it, from its offset there.  Every table
-    derives its groups under ("groups", key names, read names), however
-    it was built: one keyed pass splits all its stored rows, in input
-    order, into a dict from each key to a Table of its rows under their
-    mask.  So the pass does the same work whatever a cut or a filter
-    keeps, and a warm release splits nothing and builds no Table but its
-    result.  The gathered Table is the store of every key's Table, and its
+    once, in key order, one pass per column in C, and each key's Table is
+    a slice of them, from its offset there.  Every table derives its
+    groups under ("groups", key names, read names), however it was built:
+    one keyed pass splits all its stored rows, in input order, into a
+    dict from each key to a Table of its rows under their mask.  So the
+    pass does the same work whatever a cut or a filter keeps, and a warm
+    release splits nothing and builds no Table but its result.  Every key's
+    Table shares one dict of stored-row data (Table.stored), and its
     _origin gives the numeric read columns as the grouped table's at the
     keys' positions, so a sum or an average over a key's Table slices the
-    grain counts it gathers once from the grouped table's store, and
-    rounds no cell again.  Absent keys share one empty Table.  Each key
+    grain counts gathered there once from the grouped table's, and rounds
+    no cell again.  Absent keys share one empty Table.  Each key
     costs one call of the per-group measurement, which draws and finishes
     its own value (see _noisy), in keyset order from the one generator;
     nothing is summed across keys, so the part is any Measurement on
@@ -673,8 +670,8 @@ def compose_per_group(
     def groups_of(table: Table) -> dict:
         """Each key of table's stored rows, held or not, to a Table of its
         rows under their mask: a slice of the read columns gathered at
-        every key's rows at once, in key order, into their store."""
-        positions = split_by_key(table._holding(None), key_columns)
+        every key's rows at once, in key order."""
+        positions = split_by_key(table, key_columns)
         order = list(chain.from_iterable(positions.values()))
         indexes = list(map(table.schema.index_of, read_names))
         columns = gather([table.columns[i] for i in indexes], order)
@@ -685,13 +682,15 @@ def compose_per_group(
         origin = tuple(
             table._origin_of(i, rows) if summed else None for i, summed in zip(indexes, numeric)
         )
-        store = Table._trusted(read, columns, held, origin=origin if any(origin) else None)
         stops = list(accumulate(map(len, positions.values())))
         starts = [0, *stops[:-1]]
         spans = list(map(slice, starts, stops))
-        columns = zip(*[map(getitem, repeat(cells), spans) for cells in store.columns])
+        columns = zip(*[map(getitem, repeat(cells), spans) for cells in columns])
         masks = repeat(None) if held is None else map(getitem, repeat(held), spans)
-        parts = map(Table._trusted, repeat(read), columns, masks, repeat(store), starts)
+        parts = map(
+            Table._trusted, repeat(read), columns, masks, repeat(origin if any(origin) else None),
+            repeat({}), repeat(None), repeat(ref(table._uses())), starts,
+        )
         return dict(zip(positions, parts))
 
     def evaluate(table: Table, rng: random.Random) -> Table:

@@ -3,14 +3,14 @@
 A Table is a schema plus a multiset of rows, stored as columns and a
 mask of the rows it holds (see Table).  Row order is an artifact of
 construction and is never observable through the public operations here:
-equality is multiset equality, and canonicalize gives the held rows'
+equality is multiset equality, and canonicalize gives the stored rows'
 positions in the one fixed order used wherever determinism matters.  A
-table remembers values derived from it, by key (Table.derive): its
-order, cuts, groups, sorted columns and join indexes, the table that
-stores a column (Table.store, which every table has, a loaded one or
-one built by hand alike) its grain counts, and every table the outputs
-of the steps over it (Table.remember), at most MAX_REMEMBERED_OUTPUTS
-under one source.  key_reader is the
+table remembers data derived from it, by key (Table.derive): cuts,
+groups, sorted columns, join indexes and the outputs of the steps over
+it, and the tables over the same stored rows share their order and grain
+counts (Table.stored).  Every value remembered under one source, of every
+kind, counts toward MAX_REMEMBERED_OUTPUTS, and no table refers to
+another, so a table is freed at its last reference.  key_reader is the
 one rule for how rows are keyed by named columns (Table.key_column reads
 the same keys from the columns), and split_by_key hands out each key's
 row positions by it, so grouping and joins take one keyed pass.
@@ -60,6 +60,7 @@ from itertools import compress, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence, Union
+from weakref import ref
 
 from .errors import (
     DuplicateColumn,
@@ -348,25 +349,18 @@ def _shared_columns(columns: Sequence[Sequence[Value]], types: Sequence[ColumnTy
 # The key under which a table remembers its order (see canonicalize).
 ORDER = "order"
 
-# How many step outputs (a filter's, a map's, a flat map's or a join's) one
-# source remembers, over itself and over every table remembered under it,
-# at every nesting level (see Table.remember).  A public count, never a
-# size, since sizes depend on the rows: past it the output used least
-# recently is dropped, and built again, equal, when a query asks for it.
-# Held memory is then at most this many outputs of each source's steps.
+# How many values one source remembers (see Table.derive), of every kind,
+# over itself and every table under it, at every nesting level.  A public
+# count, never a size, since sizes depend on the rows: past it the value
+# used least recently is dropped, and built again, equal, when a query asks
+# for it.  Each value is data about a table under the source (a mask, a
+# position or count list, a tuple of columns, a grouping's key Tables), so
+# held memory is at most this many times that of such a table.
 MAX_REMEMBERED_OUTPUTS = 32
 
 # What Table.derive's lookup finds where nothing is remembered: no lookup
 # raises, so a miss costs no exception.
 _MISSING = object()
-
-
-class _OwnStore:
-    """Table.store of a table that sets none: the table itself.  It has no
-    __set__, so a store set on a table is read from the table first."""
-
-    def __get__(self, table, owner=None):
-        return table
 
 
 class Table(Record):
@@ -388,30 +382,26 @@ class Table(Record):
     Table(schema, rows) checks every column against the schema; _trusted
     does not.  A table remembers what derive builds from it, by key.
 
-    `store` is the table that stores these columns, whose memo holds
-    what is derived from each stored column (a sum's grain counts), and
-    every table has one.  A table that stores columns of its own (a
-    source, a table built by hand or released by a query, a step output
-    that stores columns, a grouping's Table of every key's rows) is its
-    own store; a filter and a cut share their input's columns and store;
-    a key's Table of a grouping is its store's stored rows from `offset`
-    on (offset is None elsewhere).  Every step remembers its output on its
-    input (remember), so one regime serves every table, however it was
-    built: a step's output lives as long as its input, and a sum over any
-    table adds the counts its store derives once.
-    A store's `_origin`, where not None, gives for each column where its
-    cells come from: None for a column it computed, else (table, index,
-    rows), that store's column at index on the same stored rows (rows
-    None: a map's bare column, a fan-out-1 join's left one) or at the
-    positions rows lists (a grouping's rows in key order).
-
-    A table that is its own store sets no `store` field, and reading it
-    gives the table (_OwnStore), so no table refers to itself: a released
-    result is freed when its last reference goes, not left for the
-    garbage collector.  _trusted sets with object.__setattr__ only the
-    fields that are not None, the class's default, so CPython 3.11 and
-    later keep them in the object, with no __dict__ until something is
-    derived: a grouping's key Tables each cost about 65 bytes less.
+    A table is a source (loaded, built by hand or released by a query) or
+    a table under one: a filter's, a step's or a cut's output, which its
+    input remembers as data and builds again as a view on each read
+    (_holding, _output), with the memo that data carries, or a key's Table
+    of a grouping.  No table refers to another, so a table and all it
+    remembers are freed at its last reference.  `stored` is what the
+    tables over the same stored rows share (see derive): a filter and a
+    cut share their input's, a source and a step output that stores
+    columns have their own, and a grouping's key Tables share one, which
+    holds their counts gathered in key order; each key's stored rows start
+    at `offset` there (None elsewhere).  `_origin`, where not None, gives
+    for each column where its cells come from: None for a column its
+    stored rows computed, else (stored, index, cells, rows), the
+    stored-row data and column at index of the stored rows that computed
+    them, on the same stored rows (rows None: a filter's, a map's bare
+    column, a fan-out-1 join's left one) or at the positions rows lists (a
+    grouping's rows in key order).  _trusted sets with object.__setattr__
+    `stored` and only the other fields that are not None, the class's
+    default, so CPython 3.11 and later keep them in the object, with no
+    __dict__ until something is derived.
     """
 
     schema: Schema
@@ -423,13 +413,13 @@ class Table(Record):
     __hash__ = object.__hash__
 
     # What a table that sets none of these has (see _trusted).
-    held = offset = _origin = None
-    store = _OwnStore()
+    held = offset = _origin = _order = None
 
     def __post_init__(self) -> None:
         checked = _checked_columns(self.schema, self.__dict__.pop("rows"))
         fields = self.__dict__
         fields["columns"] = _shared_columns(checked, self.schema.types)
+        fields["stored"] = {}
 
     @classmethod
     def _trusted(
@@ -437,15 +427,15 @@ class Table(Record):
         schema: Schema,
         columns: tuple,
         held: bytes | None = None,
-        store: "Table | None" = None,
-        offset: int | None = None,
         origin: tuple | None = None,
+        stored: dict | None = None,
+        memo: dict | None = None,
+        order: ref | None = None,
+        offset: int | None = None,
     ) -> "Table":
-        """A table whose cells are not checked again, with the given store
-        and offset, or, without a store, its own store with the given
-        _origin: a loaded source, a remembered grouping's rows, a
-        remembered step output, a released result or any table built by
-        hand.
+        """A table whose cells are not checked again: without an order, a
+        source; with one, a weak reference to its source's order of use
+        (see derive), a table under that source.
 
         Only for columns that are legal under schema already: columns of
         checked tables with the same schema, in any selection, order or
@@ -460,12 +450,15 @@ class Table(Record):
         field(table, "columns", columns)
         if held is not None:
             field(table, "held", held)
-        if store is not None:
-            field(table, "store", store)
-            if offset is not None:
-                field(table, "offset", offset)
         if origin is not None:
             field(table, "_origin", origin)
+        field(table, "stored", {} if stored is None else stored)
+        if order is not None:
+            field(table, "_order", order)
+            if memo is not None:
+                field(table, "_derived", memo)
+            if offset is not None:
+                field(table, "offset", offset)
         return table
 
     @classmethod
@@ -473,91 +466,86 @@ class Table(Record):
         """A trusted table of rows of checked cells, stored as columns."""
         return cls._trusted(schema, columns_of(rows, len(schema.columns)))
 
-    def _holding(self, held: bytes | None) -> "Table":
-        """These columns, with this table's store and offset, holding the
-        rows held marks (every stored row for None): a filter's output or
-        a cut."""
-        return Table._trusted(self.schema, self.columns, held, self.store, self.offset)
+    def _uses(self) -> OrderedDict:
+        """The order of use of this table's source, made on a source's
+        first use; a table under a source that is gone makes one of its
+        own, and what it remembers counts there once it is used again."""
+        order = self._order
+        if type(order) is ref:
+            order = order()
+        if order is None:
+            order = self.__dict__["_order"] = OrderedDict()
+        return order
 
-    def _built_on(
-        self, schema: Schema, columns: tuple, held: bytes | None = None, shared: Sequence = ()
-    ) -> "Table":
-        """A step's output over this table that stores columns of its own:
-        its own store, whose column i is this table's column shared[i] on
-        the same stored rows (None, or past the end of shared, for a column
-        it computed)."""
+    def _holding(self, held: bytes, memo: dict) -> "Table":
+        """A filter's output or a cut: these stored rows, holding the rows
+        held marks, with the memo remembered with the mask."""
+        return Table._trusted(
+            self.schema, self.columns, held, self._origin, self.stored, memo, ref(self._uses()),
+            self.offset,
+        )
+
+    def _output(self, schema: Schema, *data) -> "Table":
+        """A step's output over this table, from the data _built_on gives."""
+        return Table._trusted(schema, *data, ref(self._uses()))
+
+    def _built_on(self, columns: tuple, held: bytes | None = None, shared: Sequence = ()) -> tuple:
+        """What this table remembers of a step's output over it that stores
+        columns of its own: the columns, the mask, the _origin, whose
+        column i is this table's column shared[i] on the same stored rows
+        (None, or past the end of shared, for a column it computed), and a
+        new stored-row data and memo."""
         origin = tuple(None if at is None else self._origin_of(at) for at in shared)
         origin += (None,) * (len(columns) - len(origin))
-        return Table._trusted(schema, columns, held, origin=origin if any(origin) else None)
+        return columns, held, origin if any(origin) else None, {}, {}
 
     def _origin_of(self, index: int, rows=None) -> tuple | None:
         """The _origin entry of a table built on this one whose column is
-        this table's column at index at rows: taken through to the table it
-        comes from where this table's store shares it on the same stored
-        rows, so no lookup walks a chain; None (the new table computes its
-        own) for a key's Table of a grouping."""
-        store = self.store
+        this table's column at index at rows: taken through to the stored
+        rows that computed it, so no lookup walks a chain; None (the new
+        table computes its own) for a key's Table of a grouping."""
         if self.offset is not None:
             return None
-        entry = store._origin[index] if store._origin else None
-        if entry is not None and entry[2] is None:
-            return entry[0], entry[1], rows
-        return store, index, rows
+        entry = self._origin[index] if self._origin else None
+        if entry is not None:
+            return *entry[:3], rows
+        return self.stored, index, self.columns[index], rows
 
-    def derive(self, key, build: Callable[..., object], *args):
-        """The value this table remembers under key, built by build(*args)
-        the first time.  The key names a derivation and its parameters,
-        all public: the canonical order (ORDER, every stored position, see
-        canonicalize), a cut ("cut", key names, bound), a sorted column
+    def derive(self, key, build: Callable[..., object], *args, memo: dict | None = None):
+        """The value remembered under key in memo, by default this table's
+        own, built by build(*args) the first time.  The key names a
+        derivation and its public parameters: in what the tables over the
+        same stored rows share (`stored`), the canonical order (ORDER, see
+        canonicalize) and a column's grain counts ("grains", column index,
+        low, high, g_num, g_den; see measurements._grains); in a table's
+        own memo, a cut ("cut", key names, bound), a sorted column
         ("sorted", column index), a join index ("join", key names), the
         groups ("groups", key names, read names), a dict from each key to a
-        Table of its rows in the read columns only, a stored column's grain
-        counts ("grains", column index, low, high, g_num, g_den), one int
-        per stored row, held or not, which only the column's store derives
-        (see measurements._grains), or a step's output (see remember).
-        Every key is made of strings, ints and floats, which hash in C, and
-        none holds a Table or a private cell.  Every caller gets the same
-        value, so none may change it.  A lookup of a remembered value
-        hashes key once, and a miss raises nothing."""
-        fields = self.__dict__
-        derived = fields.get("_derived")
-        if derived is None:
-            derived = fields["_derived"] = {}
-        value = derived.get(key, _MISSING)
-        if value is _MISSING:
-            value = derived[key] = build(*args)
-        return value
-
-    def remember(self, key, build: Callable[..., "Table"], *args, against=None) -> "Table":
-        """A step's output over this table, build(*args), remembered under key.
-
-        The key holds the step's public parameters (see the make_*
-        functions in transformations).  The memo holds (against, output):
-        a private join passes its right cut, and an output built against
-        another one (`is`) is built again and replaces it.  Each output
-        remembered under one source, at any depth, counts toward
-        MAX_REMEMBERED_OUTPUTS in one order of use that every store built
-        on the source shares; past it the least recently used is dropped
-        from its table's memo, with all it remembers, and rebuilt equal
-        when asked again.
+        Table of its rows in the read columns only, and a step's output
+        (see the make_* functions in transformations).  Every key is made
+        of strings, ints and floats, which hash in C, and none holds a
+        Table or a private cell.  Every caller gets the same value, so none
+        may change it.  Every value remembered under a source, at any
+        depth, counts toward MAX_REMEMBERED_OUTPUTS in the source's one
+        order of use (_uses), which a table under it reads through a weak
+        reference; past it the least recently used is dropped from its
+        memo, and built again, equal, when asked again.  A lookup hashes
+        key three times, and a miss raises nothing.
         """
-        store = self.store
-        entry = self.derive(key, _against, against, build, args)
-        outputs = store.__dict__.get("_outputs")
-        if outputs is None:
-            outputs = store.__dict__["_outputs"] = OrderedDict()
-        if entry[0] is not against:
-            outputs.pop(entry[1], None)
-            entry = self._derived[key] = _against(against, build, args)
-        output = entry[1]
-        # Used now: to the end of the order, where a new output starts.
-        if outputs.pop(output, None) is None and output.store is output:
-            output.__dict__["_outputs"] = outputs
-        outputs[output] = (self, key)
-        while len(outputs) > MAX_REMEMBERED_OUTPUTS:
-            owner, dropped = outputs.popitem(last=False)[1]
-            owner._derived.pop(dropped, None)
-        return output
+        order = self._uses()
+        if memo is None:
+            memo = self.__dict__.setdefault("_derived", {})
+        value = memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = memo[key] = build(*args)
+        # Used now: to the end of the order, where a new value starts.
+        token = (id(memo), key)
+        order[token] = memo
+        order.move_to_end(token)
+        if len(order) > MAX_REMEMBERED_OUTPUTS:
+            (_, dropped), owner = order.popitem(last=False)
+            owner.pop(dropped, None)
+        return value
 
     @classmethod
     def of(cls, schema: Schema, rows: Iterable[Sequence[Value]]) -> "Table":
@@ -598,9 +586,11 @@ class Table(Record):
         return Counter(self._held(zip(*self.columns)))
 
 
-def _against(against, build: Callable[..., Table], args: tuple) -> tuple:
-    """A remembered step output and the right cut it was built against."""
-    return against, build(*args)
+# CPython 3.11 and later share one table of attribute names among a
+# class's instances, which takes new names only while few are built: one
+# throwaway table sets every field first, or each key Table of a grouping
+# that set one no earlier table had would keep a dict (about 200 bytes).
+Table._trusted(Schema.of(("-", _INT64)), ((),), b"", (), {}, {}, ref(OrderedDict()), 0)
 
 
 class KeySet(Record):
@@ -625,25 +615,24 @@ class KeySet(Record):
 
 
 def canonicalize(table: Table) -> list[int]:
-    """The held rows' stored positions, in the fixed total order of rows.
+    """Every stored row's position, held or not, in the fixed total order
+    of rows.
 
     The order is plain tuple order: lexicographic by column position,
     numeric columns by value and text columns by code point.  Code-point
     order is the order of the UTF-8 encodings, so it is the same on every
     platform, and unlike encoding it is defined for every str, including
-    lone surrogates.  A table's store (a key's Table of a grouping itself)
-    sorts all its stored rows once, under ORDER, which no caller may
-    change; a table reads it through its mask, the order a stable sort of
-    its held rows alone gives.  table.rows keeps its order.
+    lone surrogates.  The stored rows are sorted once, under ORDER in what
+    every table over them shares (Table.stored; a key's Table of a
+    grouping keeps its own in its memo), which no caller may change.
+    table.rows keeps its order.
     """
-    owner = table.store if table.offset is None else table
 
     def build() -> list[int]:
-        rows = list(zip(*owner.columns))
+        rows = list(zip(*table.columns))
         return sorted(range(len(rows)), key=rows.__getitem__)
 
-    order = owner.derive(ORDER, build)
-    return order if table.held is None else list(compress(order, map(table.held.__getitem__, order)))
+    return table.derive(ORDER, build, memo=table.stored if table.offset is None else None)
 
 
 def table_equal(a: Table, b: Table) -> bool:
@@ -661,18 +650,17 @@ def key_reader(schema: Schema, key_columns: Sequence[str]) -> Callable[[Row], ob
 
 
 def split_by_key(table: Table, key_columns: Sequence[str]) -> dict:
-    """Partition the held rows' stored positions by their keys in
+    """Partition every stored row's position, held or not, by its key in
     key_columns (Table.key_column).
 
-    One pass over the held (position, key) pairs, which the mask selects
-    from the enumerated key column.  Every held row's position lands in
-    exactly one list, in row order, and callers gather the rows they keep.
-    The dict is a defaultdict(list), so a row of a key already seen costs
-    one lookup; read it with .get or .items, since indexing a missing key
-    adds it.
+    One pass over the enumerated key column.  Every stored row's position
+    lands in exactly one list, in row order, and callers gather the rows
+    they keep.  The dict is a defaultdict(list), so a row of a key already
+    seen costs one lookup; read it with .get or .items, since indexing a
+    missing key adds it.
     """
     groups: defaultdict[object, list[int]] = defaultdict(list)
-    for position, key in table._held(enumerate(table.key_column(key_columns))):
+    for position, key in enumerate(table.key_column(key_columns)):
         groups[key].append(position)
     return groups
 

@@ -176,22 +176,21 @@ def make_filter(domain: TableDomain, predicate: str, metric: Metric | None = Non
     stability is linear(1) under SymmetricDifference, and likewise under
     AddRemoveIds since rows are filtered within each identifier.  A row
     whose predicate fails to evaluate counts as false.  The output shares
-    its input's columns and store and ANDs the predicate into its mask of
-    held rows, so a sum over it reads the counts its store remembers.  The
-    input remembers the output under ("filter", predicate)
-    (Table.remember), so a warm filter is a lookup.
+    its input's columns and stored-row data and ANDs the predicate into
+    its mask of held rows, so a sum over it reads the counts remembered
+    there.  The input remembers the mask under ("filter", predicate)
+    (Table.derive), so a warm filter is a lookup and a view (_holding).
     """
     metric = _check_row_metric(domain, metric or SymmetricDifference())
     keep = compile_predicate(predicate, domain.schema)
     key = ("filter", predicate)
 
-    def filtered(table: Table) -> Table:
+    def filtered(table: Table) -> tuple:
         values, held = keep.evaluate(table)
-        held = passing(table.held, held, bytes(values))
-        return table._holding(held)
+        return passing(table.held, held, bytes(values)), {}
 
     def apply(table: Table) -> Table:
-        return table.remember(key, filtered, table)
+        return table._holding(*table.derive(key, filtered, table))
 
     return Transformation(
         input_domain=domain,
@@ -233,9 +232,9 @@ def make_map(
     computed column's _FILLER cell where it failed (_filled), so its work
     does not depend on which rows are held.  The input remembers the output
     under ("map", the (name, expression) pairs, the output's names and type
-    names) (Table.remember); the output stores its computed columns, so a
+    names) (Table.derive); the output stores its computed columns, so a
     sum over one reads the grain counts it derives once, and a sum over a
-    shared bare column reads its input's store's (Table._built_on).
+    shared bare column reads its input's (Table._built_on).
     """
     metric = _check_row_metric(domain, metric or SymmetricDifference())
     id_column = domain.id_column
@@ -255,14 +254,14 @@ def make_map(
     key = ("map", pairs, _names_and_types(new_schema))
     bare = [cell.column for cell in cells]
 
-    def mapped(table: Table) -> Table:
+    def mapped(table: Table) -> tuple:
         columns = [cell.evaluate(table) for cell in cells]
         held = passing(table.held, *[mask for _, mask in columns])
         filled = tuple(map(_filled, columns, new_schema.types))
-        return table._built_on(new_schema, filled, held, bare)
+        return table._built_on(filled, held, bare)
 
     def apply(table: Table) -> Table:
-        return table.remember(key, mapped, table)
+        return table._output(new_schema, *table.derive(key, mapped, table))
 
     return Transformation(
         input_domain=domain,
@@ -309,7 +308,7 @@ def make_flat_map(
     by row, with _FILLER cells where a cell failed (_filled), and holds the
     slots that fire.  The input remembers it under ("flat map", each
     branch's pairs and guard, max_rows, the output's names and type names)
-    (Table.remember).
+    (Table.derive).
     """
     if not is_int(max_rows) or max_rows < 1:
         raise NonPositiveBound(f"max_rows must be a positive int, got {max_rows!r}")
@@ -332,7 +331,7 @@ def make_flat_map(
         _names_and_types(new_schema),
     )
 
-    def expanded(table: Table) -> Table:
+    def expanded(table: Table) -> tuple:
         n = len(table.columns[0])
         # Each branch's columns and whether it fires on each stored row: a
         # branch fires on a held row where its guard holds, nothing fails
@@ -351,12 +350,12 @@ def make_flat_map(
             fired.append(fires)
         # Row by row, each row's branches in order, a column at a time.
         fires = bytes(itertools.chain.from_iterable(zip(*fired)))
-        return table._built_on(new_schema, tuple(
+        return table._built_on(tuple(
             tuple(itertools.chain.from_iterable(zip(*branches))) for branches in zip(*branch_columns)
         ), fires)
 
     def apply(table: Table) -> Table:
-        return table.remember(key, expanded, table)
+        return table._output(new_schema, *table.derive(key, expanded, table))
 
     return Transformation(
         input_domain=domain,
@@ -404,12 +403,12 @@ def _join_index(right_table: Table, keys: tuple[str, ...]) -> dict:
 
     right_table derives them under ("join", keys), so a public table is
     indexed once however often a join on it compiles, and a private
-    join's right cut, which every later cut of the same table at the same
-    keys and bound returns again, once however often it is joined.
+    join's right cut, whose memo every later cut of the same table at the
+    same keys and bound reads again, once however often it is joined.
     """
 
     def build() -> dict:
-        index = split_by_key(right_table._holding(None), keys)
+        index = split_by_key(right_table, keys)
         held = right_table.held
         if held is None:
             return index
@@ -420,18 +419,18 @@ def _join_index(right_table: Table, keys: tuple[str, ...]) -> dict:
     return right_table.derive(("join", keys), build)
 
 
-def _join(left: Table, right: Table, keys, carry: list[int], joined: Schema, repeats: bool):
+def _join(left: Table, right: Table, keys, carry: list[int], repeats: bool) -> tuple:
     """Each held row of left whose key (Table.key_column) is one of
     right's, once for each of right's rows with it, followed by that row's
-    cells at `carry`.
+    cells at `carry`, as left remembers it (Table._built_on).
 
     Where `repeats` says a key may match more than once, a public fact
     (the public table's fan-out or a truncation bound), left's columns
     are gathered once per match and only matched rows are stored.  Where
     a key matches at most once, the join carries the mask: it shares
     left's columns, stores every row of left, and holds the held rows that
-    match; the output is its own store of the carried columns it gathers,
-    and takes left's columns' grain counts from left's store
+    match; the output stores the carried columns it gathers, and takes
+    left's columns' grain counts from where left's come from
     (Table._built_on).  Each stored row reads right's position for its key
     (the first and only one in its list), or right's stored row count
     where its list is empty or it has none, which is where each carried
@@ -449,13 +448,13 @@ def _join(left: Table, right: Table, keys, carry: list[int], joined: Schema, rep
         *carried, matched = gather(padded + [(1,) * stored + (0,)], at)
         held = passing(left.held, bytes(matched))
         shared = range(len(left.columns))
-        return left._built_on(joined, left.columns + tuple(carried), held, shared)
+        return left._built_on(left.columns + tuple(carried), held, shared)
     matches = list(map(index.get, left.key_column(keys)))
     held = passing(left.held, bytes(map(is_not, matches, repeat(None))))
     rows, counts = compress(range(len(matches)), held), map(len, compress(matches, held))
     columns = gather(left.columns, list(itertools.chain.from_iterable(map(repeat, rows, counts))))
     matched = list(itertools.chain.from_iterable(compress(matches, held)))
-    return left._built_on(joined, columns + gather([right.columns[i] for i in carry], matched))
+    return left._built_on(columns + gather([right.columns[i] for i in carry], matched))
 
 
 def make_public_join(domain: TableDomain, public: Table, on: Sequence[str]) -> Transformation:
@@ -469,7 +468,7 @@ def make_public_join(domain: TableDomain, public: Table, on: Sequence[str]) -> T
     row of its input; above 1 it stores the matched rows only (see _join).
     The input remembers the output under ("public join", key names, the
     public table's names, type names and held cells by value)
-    (Table.remember): the public table is public, and an equal table
+    (Table.derive): the public table is public, and an equal table
     inlined in another query finds the same output.
     """
     keys, joined, carry = _check_join_columns(domain.schema, public.schema, on)
@@ -478,7 +477,8 @@ def make_public_join(domain: TableDomain, public: Table, on: Sequence[str]) -> T
     key = ("public join", keys, _names_and_types(public.schema), held_cells)
 
     def apply(table: Table) -> Table:
-        return table.remember(key, _join, table, public, keys, carry, joined, fan_out > 1)
+        data = table.derive(key, _join, table, public, keys, carry, fan_out > 1)
+        return table._output(joined, *data)
 
     return Transformation(
         input_domain=domain,
@@ -493,20 +493,21 @@ def make_public_join(domain: TableDomain, public: Table, on: Sequence[str]) -> T
 def _truncate_by_keys(table: Table, keys: tuple[str, ...], bound: int) -> Table:
     """Hold the first `bound` held rows of each key, in canonical order.
 
-    The table derives the cut under ("cut", keys, bound) by one pass over
-    every stored row's key in its store's canonical order: each row adds
-    its held byte to its key's count, and is kept, a 1 byte at its stored
-    position, where it is held and its key had fewer than `bound` held
-    rows before it.  So the pass runs the same lines whatever rows are
+    The table derives the cut's mask, of which the cut is a view
+    (Table._holding), under ("cut", keys, bound) by one pass over every
+    stored row's key in their canonical order: each row adds its held
+    byte to its key's count, and is kept, a 1 byte at its stored position,
+    where it is held and its key had fewer than `bound` held rows before
+    it.  So the pass runs the same lines whatever rows are
     held or kept, and the cut holds the same rows whatever the input
-    order.  The cut shares the table's columns and store and carries that
-    mask even when it keeps every row, so what is remembered on it never
-    tells whether it dropped a row, and a sum over it reads the counts its
-    store remembers over every stored row.
+    order.  The cut shares the table's columns and stored-row data and
+    carries that mask even when it keeps every row, so what is remembered
+    on it never tells whether it dropped a row, and a sum over it reads
+    the counts remembered over every stored row.
     """
 
-    def count_pass() -> Table:
-        order, keyed = canonicalize(table._holding(None)), tuple(table.key_column(keys))
+    def count_pass() -> tuple:
+        order, keyed = canonicalize(table), tuple(table.key_column(keys))
         held = table.held or b"\x01" * len(keyed)
         counts: dict = {}
         kept = bytearray(len(keyed))
@@ -515,9 +516,9 @@ def _truncate_by_keys(table: Table, keys: tuple[str, ...], bound: int) -> Table:
             count = counts.get(key, 0)
             counts[key] = count + holds
             kept[position] = holds & (count < bound)
-        return table._holding(bytes(kept))
+        return bytes(kept), {}
 
-    return table.derive(("cut", keys, bound), count_pass)
+    return table._holding(*table.derive(("cut", keys, bound), count_pass))
 
 
 def private_join_distance_bound(
@@ -552,10 +553,10 @@ def make_private_join(
     With right_bound 1 the join carries the mask and stores every row of
     left_table, whose columns its cut shares; above 1 the matched rows
     only (see _join).  The left table remembers the output under
-    ("private join", key names, bounds), with the right cut it joined
-    (Table.remember): the right table's cut comes first, and the output
-    is read only for that same cut, so a session whose right table is
-    another one builds, and remembers, its own.
+    ("private join", key names, bounds) with the right cut's mask and
+    columns: the right table's cut comes first, and the output is read
+    only for that same mask and those columns (`is`), so a session whose
+    right table is another one builds, and remembers, its own.
     """
     for bound in (left_bound, right_bound):
         if not is_int(bound) or bound < 1:
@@ -564,14 +565,18 @@ def make_private_join(
 
     key = ("private join", keys, left_bound, right_bound)
 
-    def join_cuts(left_table: Table, cut_right: Table) -> Table:
+    def join_cuts(left_table: Table, cut_right: Table) -> tuple:
         cut_left = _truncate_by_keys(left_table, keys, left_bound)
-        return _join(cut_left, cut_right, keys, carry, joined, right_bound > 1)
+        data = _join(cut_left, cut_right, keys, carry, right_bound > 1)
+        return cut_right.held, cut_right.columns, *data
 
     def apply(tables) -> Table:
         left_table, right_table = tables
         cut_right = _truncate_by_keys(right_table, keys, right_bound)
-        return left_table.remember(key, join_cuts, left_table, cut_right, against=cut_right)
+        data = left_table.derive(key, join_cuts, left_table, cut_right)
+        if data[0] is not cut_right.held or data[1] is not cut_right.columns:
+            data = left_table._derived[key] = join_cuts(left_table, cut_right)
+        return left_table._output(joined, *data[2:])
 
     return Transformation(
         input_domain=TableTupleDomain((left, right)),
@@ -593,7 +598,7 @@ def make_truncate_by_id(domain: TableDomain, bound: int) -> Transformation:
     rows.  The input table derives the cut, its columns under a mask (see
     _truncate_by_keys), so truncating the same table again at the same
     bound (a session's source table, in every session built on it) skips
-    the counting pass and returns the one Table of that cut.
+    the counting pass and returns a view of the one remembered mask.
     """
     if domain.id_column is None:
         raise MissingIdColumn("truncation needs a domain with an id column")

@@ -943,6 +943,14 @@ def remembered(table: Table) -> dict:
     return table.__dict__.get("_derived", {})
 
 
+def same_data(a: Table, b: Table) -> bool:
+    """Whether two tables are views of one remembered value: the same
+    columns object under the same mask object.  A remembered step output or
+    cut is built again as a view on each read, so this is what a warm read
+    shares with a cold one."""
+    return a.columns is b.columns and a.held is b.held
+
+
 def unbuilt():
     """A build for Table.derive that fails: the value must be remembered."""
     raise AssertionError("a remembered value was built again")

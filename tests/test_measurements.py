@@ -384,11 +384,11 @@ def _recording_part_of(name, seen):
 
 def _tables_sharing(source):
     """Every kind of table a query builds over source, by name: a filter, a
-    cut and a cut of a cut, which share source's columns and store; a
+    cut and a cut of a cut, which share source's columns and stored rows; a
     fan-out-1 join and maps of bare columns and a computed one that cannot
     fail or can, remembered outputs that store columns of their own and
     take the shared ones' counts from source; and the same rows as a table
-    built by hand, which is its own store, as source is."""
+    built by hand, which is a source, as source is."""
     filtered = make_filter(STORED_PLAIN, "w > -20").apply(source)
     cut = make_truncate_by_id(STORED_IDS, 2).apply(source)
     wide = Schema.of(("w", ColumnType.INT64), ("v", ColumnType.FLOAT64), ("x", ColumnType.FLOAT64))
@@ -438,7 +438,7 @@ def test_totals_from_remembered_counts_are_exact_on_every_table_over_a_store(low
         everything = [(kind, table) for kind, table in tables.items()] + [
             (kind, table) for kind, parts in per_key.items() for table in parts
         ]
-        rng.shuffle(everything)  # the first sum over a store builds its counts
+        rng.shuffle(everything)  # the first sum over stored rows builds their counts
         counts_of = _grain_counts(low, high, gamma.numerator, gamma.denominator)
         for rounds in ("cold", "warm"):
             for kind, table in everything:
@@ -450,49 +450,51 @@ def test_totals_from_remembered_counts_are_exact_on_every_table_over_a_store(low
                     expected = grain_total_reference(cells, low, high, gamma)
                     assert total(table) == (expected, len(cells)), (rounds, kind, name)
                     assert sum(counts_of(cells)) == expected
-        # The totals came from the counts wherever a store holds the column.
+        # The totals came from the counts of the stored rows that hold the
+        # column.
         for name in ("v", "w"):
-            counts = remembered(source)[_grains_key(source, name, low, high, gamma)]
+            counts = source.stored[_grains_key(source, name, low, high, gamma)]
             column = source.columns[source.schema.index_of(name)]
             assert list(counts) == [grain_total_reference([c], low, high, gamma) for c in column]
             assert counts == counts_of(column)
-        # Each key's Table of a grouping is a slice of one stored Table of
-        # the grouping's rows, which gathers its counts once from the
-        # grouped table's store, the same int objects, so no key's Table
+        # Each key's Table of a grouping is a slice of the grouping's rows,
+        # whose one dict of stored-row data gathers their counts once from
+        # the grouped table's, the same int objects, so no key's Table
         # remembers counts or rounds a cell; absent keys share one empty
-        # Table, its own store, which stores no row.
+        # Table, a source, which stores no row.
         by_hand = tables["built by hand"]
         for (kind, name), parts in per_key.items():
-            present = [part for part in parts if part.store is not part]
+            present = [part for part in parts if part.offset is not None]
             assert all(remembered(part) == {} for part in present)
-            assert all(not len(part.columns[0]) for part in parts if part.store is part)
-            stores = {id(part.store): part.store for part in present}
-            (rows_table,) = stores.values()
-            key = _grains_key(rows_table, name, low, high, gamma)
-            assert list(remembered(rows_table)) == [key]
+            assert all(not len(part.columns[0]) for part in parts if part.offset is None)
+            (shared,) = {id(part.stored): part.stored for part in present}.values()
+            key = _grains_key(present[0], name, low, high, gamma)
+            assert list(shared) == [key]
             grouped = by_hand if kind == "built by hand grouping" else source
-            grouped_counts = remembered(grouped)[_grains_key(grouped, name, low, high, gamma)]
-            (_, _, order), = rows_table._origin
-            assert all(map(operator.is_, remembered(rows_table)[key], map(grouped_counts.__getitem__, order)))
+            grouped_counts = grouped.stored[_grains_key(grouped, name, low, high, gamma)]
+            (stored, _, _, order), = present[0]._origin
+            assert stored is grouped.stored
+            assert all(map(operator.is_, shared[key], map(grouped_counts.__getitem__, order)))
 
 
 def _memo_keys(table):
-    """Every key the table remembers, and those of every Table it remembers
-    (cuts, step outputs, groups and their stores)."""
-    keys, stack, seen = [], [table], set()
+    """Every key the table remembers, in its memo and in what its stored
+    rows share, and those of every memo a remembered value holds (a cut's,
+    a step output's, a grouping's key Tables')."""
+    keys, stack, seen = [], [remembered(table), table.stored], set()
     while stack:
-        current = stack.pop()
-        if id(current) in seen:
+        memo = stack.pop()
+        if id(memo) in seen:
             continue
-        seen.add(id(current))
-        for key, value in remembered(current).items():
+        seen.add(id(memo))
+        for key, value in memo.items():
             keys.append(key)
-            values = value.values() if isinstance(value, dict) else value
-            if isinstance(values, Table):
-                values = (values,)
-            if isinstance(values, (tuple, type({}.values()))):
-                tables = [part for part in values if isinstance(part, Table)]
-                stack.extend(tables + [part.store for part in tables])
+            parts = value.values() if isinstance(value, dict) else value
+            for part in parts if isinstance(parts, (tuple, type({}.values()))) else ():
+                if isinstance(part, Table):
+                    stack.extend((remembered(part), part.stored))
+                elif isinstance(part, dict):
+                    stack.append(part)
     return keys
 
 
@@ -526,30 +528,33 @@ def test_only_the_table_storing_a_column_remembers_its_counts_once_per_column_an
     clamped = [(-7.0, 9.0, 1, 4), (0.0, 25.0, 3, 10)]
 
     def grains(table):
-        return {key for key in remembered(table) if key[0] == "grains"}
+        return {key for key in table.stored if key[0] == "grains"}
 
     assert grains(source) == {("grains", v, *clamp) for clamp in clamped}
-    assert all(len(remembered(source)[key]) == len(source.columns[0]) for key in grains(source))
+    assert all(len(source.stored[key]) == len(source.columns[0]) for key in grains(source))
     for kind in shared:
-        assert tables[kind].store is source
-        assert grains(tables[kind]) == set(), kind
-    # A remembered output that stores columns of its own is its own store:
-    # it derives counts for the columns it computed (each map's x, whether
-    # or not its cells can fail, since a map stores every stored row) and
-    # takes a shared column's (v) from source, where its _origin points.
+        assert tables[kind].stored is source.stored
+        assert not any(key[0] == "grains" for key in remembered(tables[kind])), kind
+    # A remembered output that stores columns of its own has its own
+    # stored-row data: it derives counts for the columns it computed (each
+    # map's x, whether or not its cells can fail, since a map stores every
+    # stored row) and takes a shared column's (v) from source's, where its
+    # _origin points.
     for kind in ("fan-out-1 join", "bare map", "failing map"):
-        assert tables[kind].store is tables[kind], kind
-        assert tables[kind]._origin[tables[kind].schema.index_of("v")] == (source, v, None)
+        assert tables[kind].stored is not source.stored, kind
+        stored, at, cells, rows = tables[kind]._origin[tables[kind].schema.index_of("v")]
+        assert stored is source.stored and at == v and cells is source.columns[v] and rows is None
     assert grains(tables["fan-out-1 join"]) == set()
     for kind in ("bare map", "failing map"):
         assert grains(tables[kind]) == {("grains", 2, *clamp) for clamp in clamped}, kind
-    # A table built by hand is its own store, and derives its counts as
-    # source does.
-    assert tables["built by hand"].store is tables["built by hand"]
+    # A table built by hand is a source, and derives its counts as source
+    # does.
+    assert tables["built by hand"].stored is not source.stored
     assert grains(tables["built by hand"]) == grains(source)
 
-    # A grouping's key Tables share one store, which holds one entry per
-    # clamp; absent keys share one empty Table, which stores no row.
+    # A grouping's key Tables share one dict of stored-row data, which
+    # holds one entry per clamp; absent keys share one empty Table, which
+    # stores no row.
     per_key = {}
     for _ in range(2):
         per_key = _group_tables(tables, "v")
@@ -558,10 +563,10 @@ def test_only_the_table_storing_a_column_remembers_its_counts_once_per_column_an
                 summed = make_sum(TableDomain(part.schema), "v", -7, 9, 0.25, PureDpNoise(BIG))
                 summed.eval(part, stream())
     for kind in ("source grouping", "cut grouping", "filter grouping", "built by hand grouping"):
-        present = [part for part in per_key[kind] if part.store is not part]
+        present = [part for part in per_key[kind] if part.offset is not None]
         assert present and all(remembered(part) == {} for part in present)
-        assert len({id(part.store) for part in present}) == 1
-        assert list(remembered(present[0].store)) == [("grains", 0, -7.0, 9.0, 1, 4)]
+        assert len({id(part.stored) for part in present}) == 1
+        assert list(present[0].stored) == [("grains", 0, -7.0, 9.0, 1, 4)]
     # No memo key anywhere holds a Fraction, whose hash is a Python call.
     keys = [key for table in tables.values() for key in _memo_keys(table)]
     keys += [key for parts in per_key.values() for part in parts for key in _memo_keys(part)]
@@ -1153,13 +1158,14 @@ def test_grouping_a_filtered_table_leaves_the_source_memo_untouched():
     budget = session.PrivacyBudget.pure
     s = session.build_session({"people": table}, session.AddMaxRows(1), budget(3), seed=1)
     filtered = session.query("people").filter("income > 15").group_by(zips).count()
-    # The source remembers the filter's output, which shares its columns
-    # and remembers the groups under its mask; nothing groups the source.
+    # The source remembers the filter's mask, whose view shares its
+    # columns and remembers the groups under that mask; nothing groups the
+    # source.
     for _ in range(2):
         s.evaluate(filtered, budget(1))
         assert list(remembered(table)) == [("filter", "income > 15")]
-        against, output = remembered(table)[("filter", "income > 15")]
-        assert against is None and output.columns is table.columns and output.store is table
+        output = table._holding(*remembered(table)[("filter", "income > 15")])
+        assert output.columns is table.columns and output.stored is table.stored
         assert list(remembered(output)) == [("groups", ("zip",), ("zip",))]
         groups = remembered(output)[("groups", ("zip",), ("zip",))]
         # Every stored row is split, each key's Table under its rows' mask.
@@ -1239,16 +1245,16 @@ def test_a_session_group_holds_only_the_column_its_aggregation_reads(
                 assert ours.calls == theirs.calls
                 assert ours.getrandbits(64) == theirs.getrandbits(64)
             # The unmasked release remembers its groups on the source; the
-            # masked one finds the filter's output remembered on the source
+            # masked one finds the filter's mask remembered on the source
             # (make_filter above asked for it first) and remembers its own
-            # groups on that output, a Table for every key of a stored row.
-            # A sum's or an average's groups take their grain counts from
-            # the table, which stores the column.
+            # groups in the memo of that mask, a Table for every key of a
+            # stored row.  A sum's or an average's groups take their grain
+            # counts from the table, which stores the column.
             grouping = ("groups", ("g",), (read,))
             summed = name in ("make_sum", "make_average")  # and some key has a row
+            grains = ("grains", GROUPED.index_of("v"), -2.0, 10.0, 1, 4)
+            assert set(table.stored) == ({grains} if summed and rows else set())
             expected = {grouping}
-            if summed and rows:
-                expected.add(("grains", GROUPED.index_of("v"), -2.0, 10.0, 1, 4))
             if masked:
                 expected.add(("filter", "k > 0"))
             assert set(remembered(table)) == expected
@@ -1258,7 +1264,7 @@ def test_a_session_group_holds_only_the_column_its_aggregation_reads(
                 if key in remembered(held)[grouping]:
                     assert group is remembered(held)[grouping][key]
                 else:
-                    assert group.store is group and not len(group.columns[0])
+                    assert group.offset is None and not len(group.columns[0])
 
 
 def _recording_part(schema, seen):
@@ -1320,13 +1326,12 @@ def test_a_count_and_a_sum_on_one_table_remember_two_groupings(monkeypatch):
                 s.evaluate(expr, budget(1))
         # One split per read column, each its own entry; the warm releases
         # split nothing.  The sum's groups take their grain counts from the
-        # table, its one counts entry.
+        # table's stored rows, their one counts entry.
         assert len(splits) == 2
         grains = ("grains", GROUPED.index_of("v"), -2.0, 10.0, 1, 100)
-        assert set(remembered(table)) == {("groups", ("g",), (read,)) for read in ("g", "v")} | {grains}
-        assert {
-            key: _group_rows(groups) for key, groups in remembered(table).items() if key != grains
-        } == {
+        assert set(remembered(table)) == {("groups", ("g",), (read,)) for read in ("g", "v")}
+        assert set(table.stored) == {grains}
+        assert {key: _group_rows(groups) for key, groups in remembered(table).items()} == {
             ("groups", ("g",), (read,)): _groups_reference(table, ("g",), (read,))
             for read in ("g", "v")
         }

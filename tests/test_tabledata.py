@@ -166,13 +166,13 @@ def test_canonicalize_orders_rows_deterministically():
     # Every str has a place in the order, lone surrogates included.
     odd = Table.of(Schema.of(("s", ColumnType.TEXT)), [("\U0001F600",), ("\ud800",), ("a",)])
     assert _in_canonical_order(odd) == (("a",), ("\ud800",), ("\U0001F600",))
-    # A masked table orders its held rows only.
+    # A masked table orders every stored row, held or not.
     held = Table._trusted(a.schema, a.columns, b"\x01\x00\x01")
-    assert canonicalize(held) == [2, 0]
+    assert canonicalize(held) == [2, 1, 0]
 
 
 def test_split_by_key():
-    # The held rows' stored positions, per key.
+    # Every stored row's position, held or not, per key.
     t = Table.of(PEOPLE, [("a", 1, 0.0), ("b", 2, 0.0), ("a", 3, 0.0)])
     parts = split_by_key(t, ["name"])  # one key column: bare keys
     assert set(parts) == {"a", "b"}
@@ -182,7 +182,7 @@ def test_split_by_key():
     assert set(pairs) == {("a", 1), ("b", 2), ("a", 3)}
     assert pairs[("a", 3)] == [2]
     held = Table._trusted(PEOPLE, t.columns, bytes([1, 1, 0]))
-    assert split_by_key(held, ["name"]) == {"a": [0], "b": [1]}
+    assert split_by_key(held, ["name"]) == {"a": [0, 2], "b": [1]}
     with pytest.raises(UnknownColumn):
         split_by_key(t, ["nope"])
 

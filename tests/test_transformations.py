@@ -20,6 +20,7 @@ from helpers import (
     oracle_projection,
     random_table,
     remembered,
+    same_data,
     sd_distance,
     table_rows_reference,
     truncate_reference,
@@ -48,10 +49,19 @@ from noisegate.metrics import (
     SymmetricDifference,
     TableTuple,
 )
+from noisegate.measurements import (
+    PureDpNoise,
+    compose_per_group,
+    make_count,
+    make_quantile,
+    make_sum,
+)
+from noisegate.rng import RngStream
 from noisegate.session import AddMaxRows, PrivacyBudget, build_session, query
 from noisegate.tabledata import (
     ORDER,
     ColumnType,
+    KeySet,
     Schema,
     Table,
     TableDomain,
@@ -350,7 +360,7 @@ def test_truncation_matches_the_reference_whatever_came_before(before):
             # The cut holds some of the table's rows, in the table's order.
             assert cut.columns is table.columns
             assert cut.rows == tuple(compress(zip(*table.columns), cut.held))
-            assert truncate.apply(table) is cut
+            assert same_data(truncate.apply(table), cut)
             # The remembered order leaves the table's own rows as built.
             assert table.rows == built
             if before in ("nothing", "a truncation"):
@@ -378,31 +388,39 @@ def _by_id(bound):
 
 
 def _cut(table, key):
-    # The value a table remembers under an order or cut key.
-    return table.derive(key, unbuilt)
+    # The value a table remembers under an order or cut key: the order in
+    # what the tables over its stored rows share, a cut's mask and memo in
+    # its own memo.
+    return table.derive(key, unbuilt, memo=table.stored if key == ORDER else None)
+
+
+def _cut_view(table, key):
+    # The cut a table remembers under a cut key, as a read of it builds it.
+    return table._holding(*_cut(table, key))
 
 
 def _assert_cuts_match_the_reference(table):
     # Every remembered cut, whoever took it, is the cut at its own key, and
     # the order, if remembered, is the stored rows' positions in sorted
-    # order.  Each cut is a Table of the same schema and columns under a
-    # bytes mask, whose memo starts empty, never holds an order (it reads
-    # its store's through its mask) and holds no cut of itself unless
-    # something cut it again.
+    # order.  Each cut is a bytes mask over every stored row, with a memo
+    # that starts empty, never holds an order (the cut reads the one its
+    # stored rows share) and holds no cut of itself unless something cut
+    # it again.
     stored = tuple(zip(*table.columns))
+    if ORDER in table.stored:
+        assert [stored[i] for i in _cut(table, ORDER)] == sorted(stored)
     for key, entry in remembered(table).items():
         assert table.derive(key, unbuilt) is entry
-        if key == ORDER:
-            assert [stored[i] for i in entry] == sorted(table.rows)
-            continue
         if key[0] == "private join":  # a join's output, which its test checks
             continue
-        assert isinstance(entry, Table) and entry.schema is table.schema
-        assert entry.columns is table.columns and type(entry.held) is bytes
-        kept = entry.rows
+        held, memo = entry
+        assert type(held) is bytes and len(held) == len(stored)
+        assert type(memo) is dict and ORDER not in memo and key not in memo
+        cut = table._holding(held, memo)
+        assert cut.schema is table.schema and cut.columns is table.columns
+        kept = cut.rows
         assert isinstance(kept, tuple)
-        assert ORDER not in remembered(entry) and key not in remembered(entry)
-        assert canonicalize(entry) == [i for i in canonicalize(table) if entry.held[i]]
+        assert canonicalize(cut) is canonicalize(table)
         name, keys, bound = key
         assert name == "cut"
         indices = tuple(map(table.schema.index_of, keys))
@@ -419,10 +437,11 @@ def test_a_warm_truncation_returns_the_remembered_cut():
             cold_or_warm = make_truncate_by_id(CUT_DOMAIN, bound).apply(table)
             assert cold_or_warm.multiset() == expected
             warm = make_truncate_by_id(CUT_DOMAIN, bound).apply(table)
-            # The cut is one Table, returned warm or cold.
-            assert warm is cold_or_warm
-            assert warm is _cut(table, _by_id(bound))
-        assert set(remembered(table)) == {ORDER, _by_id(1), _by_id(2), _by_id(3)}
+            # The cut is one remembered mask, read warm or cold.
+            assert same_data(warm, cold_or_warm)
+            assert warm.held is _cut(table, _by_id(bound))[0]
+        assert set(remembered(table)) == {_by_id(1), _by_id(2), _by_id(3)}
+        assert set(table.stored) == {ORDER}
         _assert_cuts_match_the_reference(table)
         # The table's own rows keep the order they were built with.
         assert table.rows == tuple(rows)
@@ -461,19 +480,23 @@ def test_cuts_at_other_bounds_or_keys_never_share_an_entry():
             assert on_tag.multiset() == join_reference(kept, kept_others, ["tag"])
         # The two-column key is read in the join's order, from each side.
         # The left table also remembers each join's output, under its keys
-        # and bounds, against the right cut it was built with.
+        # and bounds, with the mask and columns of the right cut it was
+        # built with.
         assert set(remembered(table)) == {
-            ORDER, _by_id(1), _by_id(2), ("cut", ("id", "tag"), 2), ("cut", ("tag",), 2),
+            _by_id(1), _by_id(2), ("cut", ("id", "tag"), 2), ("cut", ("tag",), 2),
             ("private join", ("id", "tag"), 2, 1), ("private join", ("tag",), 2, 2),
         }
-        assert remembered(table)[("private join", ("id", "tag"), 2, 1)] == (
-            _cut(partners, ("cut", ("id", "tag"), 1)), on_two
-        )
-        assert remembered(table)[("private join", ("tag",), 2, 2)] == (
-            _cut(others, ("cut", ("tag",), 2)), on_tag
-        )
-        assert set(remembered(partners)) == {ORDER, ("cut", ("id", "tag"), 1)}
-        assert set(remembered(others)) == {ORDER, ("cut", ("tag",), 2)}
+        for key, right, output in (
+            (("id", "tag"), 2, 1), partners, on_two), ((("tag",), 2, 2), others, on_tag
+        ):
+            entry = remembered(table)[("private join", *key)]
+            assert entry[0] is _cut(right, ("cut", key[0], key[2]))[0]
+            assert entry[1] is right.columns
+            assert (entry[2], entry[3]) == (output.columns, output.held)
+            assert entry[2] is output.columns and entry[3] is output.held
+        assert set(remembered(partners)) == {("cut", ("id", "tag"), 1)}
+        assert set(remembered(others)) == {("cut", ("tag",), 2)}
+        assert set(table.stored) == set(partners.stored) == set(others.stored) == {ORDER}
         for cut_table in (table, partners, others):
             _assert_cuts_match_the_reference(cut_table)
 
@@ -510,9 +533,10 @@ def test_a_cut_that_keeps_every_row_is_its_own_table():
         assert order is canonicalize(table)
         assert cut is not table and cut.columns is table.columns
         assert cut.held == b"\x01" * len(rows) and cut.rows == table.rows
-        assert canonicalize(cut) == order and canonicalize(cut) is not order
-        assert _cut(table, everything) is cut
-        assert remembered(table) == {ORDER: order, everything: cut}
+        assert canonicalize(cut) is order  # every stored row's, which they share
+        assert _cut(table, everything) == (cut.held, remembered(cut))
+        assert _cut(table, everything)[0] is cut.held
+        assert set(remembered(table)) == {everything} and table.stored == {ORDER: order}
         assert remembered(cut) == {}
         assert table.rows == tuple(rows)
 
@@ -553,29 +577,35 @@ def test_cutting_a_cut_again_needs_no_sort(monkeypatch):
     )
     for table, cut in zip(tables, cuts):
         assert remembered(cut) == {}
-        # Cutting the cut at its own key and bound takes a pass over its
-        # store's remembered order, every row the store stores, and gives a
-        # new cut that holds the same rows, which the cut remembers.
+        # Cutting the cut at its own key and bound takes a pass over the
+        # remembered order of every row the table stores, which the cut
+        # shares, and gives a new cut that holds the same rows, which the
+        # cut remembers.
         again = make_truncate_by_id(CUT_DOMAIN, 3).apply(cut)
-        assert [(p.columns, p.held, p.store) for p in passes] == [(table.columns, None, table)]
+        assert passes == [cut] and cut.stored is table.stored
         passes.clear()
         assert again is not cut and again.columns is table.columns and again.held == cut.held
-        assert make_truncate_by_id(CUT_DOMAIN, 3).apply(cut) is again
+        assert same_data(make_truncate_by_id(CUT_DOMAIN, 3).apply(cut), again)
         # The private join's own truncation of a cut is a lookup then, and
-        # the cut remembers the join's output against right's cut.
+        # the cut remembers the join's output with the mask and columns of
+        # right's cut.
         joined = join.apply((cut, right))
         assert passes == []
-        assert remembered(cut).pop(("private join", ("id",), 3, 1)) == (
-            _cut(right, _by_id(1)), joined
-        )
-        # A lower bound takes a pass too, over the store's order.
+        entry = remembered(cut).pop(("private join", ("id",), 3, 1))
+        assert entry[0] is _cut(right, _by_id(1))[0] and entry[1] is right.columns
+        assert entry[2] is joined.columns and entry[3] is joined.held
+        # A lower bound takes a pass too, over that order.
         lower = make_truncate_by_id(CUT_DOMAIN, 2).apply(cut)
-        assert [(p.columns, p.held, p.store) for p in passes] == [(table.columns, None, table)]
+        assert passes == [cut]
         passes.clear()
         assert lower.multiset() == truncate_reference(table.rows, (2,), 2)
-        assert canonicalize(cut) == [i for i in canonicalize(table) if cut.held[i]]
-        assert remembered(cut) == {_by_id(3): again, _by_id(2): lower}
-        assert ORDER in remembered(table)  # the store's, which every cut reads
+        assert canonicalize(cut) is canonicalize(table)
+        assert remembered(cut) == {
+            _by_id(3): (again.held, remembered(again)), _by_id(2): (lower.held, remembered(lower))
+        }
+        assert remembered(cut)[_by_id(3)][0] is again.held
+        assert remembered(cut)[_by_id(2)][0] is lower.held
+        assert ORDER in table.stored  # what every cut of the table reads
 
 
 USERS = Schema.of(("id", ColumnType.INT64), ("tier", ColumnType.TEXT))
@@ -614,15 +644,15 @@ def test_a_warm_private_join_does_not_split_its_right_side(monkeypatch):
         right, cold = ask()
         assert cold.multiset() == expected
         # The join cuts the cut right side again, and indexes that cut; the
-        # order is users', the store of both.
-        assert set(remembered(users)) == {ORDER, _by_id(1)}
+        # order is of users' stored rows, which both share.
+        assert set(remembered(users)) == {_by_id(1)} and set(users.stored) == {ORDER}
         assert set(remembered(right)) == {_by_id(1)}
-        assert set(remembered(_cut(right, _by_id(1)))) == {("join", ("id",))}
+        assert set(remembered(_cut_view(right, _by_id(1)))) == {("join", ("id",))}
         with monkeypatch.context() as patch:
             splits = _recording_splits(patch)
             for _ in range(2):
                 warm_right, warm = ask()
-                assert warm_right is right
+                assert same_data(warm_right, right)
                 assert warm.multiset() == expected
             assert splits == []
 
@@ -665,11 +695,12 @@ def test_join_indexes_at_other_keys_or_bounds_never_share_an_entry():
                 assert join.apply((table, partners)).multiset() == join_reference(
                     kept, kept_partners, keys
                 )
-        # Each right cut, at its keys and bound, is its own Table, even when
+        # Each right cut, at its keys and bound, is its own mask, even when
         # it keeps every row, and remembers its own index.
-        assert set(remembered(partners)) == {ORDER} | {("cut", *shape) for shape in shapes}
-        cuts = [_cut(partners, ("cut", *shape)) for shape in shapes]
-        assert len({id(cut) for cut in cuts + [partners]}) == len(shapes) + 1
+        assert set(remembered(partners)) == {("cut", *shape) for shape in shapes}
+        cuts = [_cut_view(partners, ("cut", *shape)) for shape in shapes]
+        assert len({id(cut.held) for cut in cuts}) == len(shapes)
+        assert len({id(remembered(cut)) for cut in cuts}) == len(shapes)
         for (keys, bound), cut in zip(shapes, cuts):
             memo = remembered(cut)
             assert set(memo) == {("join", keys)}
@@ -1060,17 +1091,20 @@ def test_a_filter_shares_its_inputs_columns():
         filters = [make_filter(PEOPLE_IDS, p) for p in predicates]
         one = filters[0].apply(source)
         three = chain(*filters).apply(source)
-        # Each filter's output is remembered on its input, which it shares
-        # its columns and store with, under the predicate only.
+        # Each filter's mask is remembered on its input, which it shares its
+        # columns and stored-row data with, under the predicate only.
         for table in (one, three):
-            assert table.columns is source.columns and table.store is source
+            assert table.columns is source.columns and table.stored is source.stored
             assert type(table.held) is bytes and len(table.held) == len(source.columns[0])
-        assert remembered(source) == {("filter", predicates[0]): (None, one)}
-        (against, two), = remembered(one).values()
-        assert list(remembered(one)) == [("filter", predicates[1])] and against is None
-        assert remembered(two) == {("filter", predicates[2]): (None, three)}
+        assert remembered(source) == {("filter", predicates[0]): (one.held, remembered(one))}
+        (held, memo), = remembered(one).values()
+        assert list(remembered(one)) == [("filter", predicates[1])]
+        assert memo == {("filter", predicates[2]): (three.held, remembered(three))}
         assert remembered(three) == {}
-        assert filters[0].apply(source) is one and chain(*filters).apply(source) is three
+        assert same_data(filters[0].apply(source), one)
+        assert same_data(chain(*filters).apply(source), three)
+        assert remembered(source)[("filter", predicates[0])][0] is one.held
+        assert memo[("filter", predicates[2])][0] is three.held
 
 
 def test_every_step_after_filters_matches_the_row_at_a_time_oracles():
@@ -1287,48 +1321,127 @@ STEPS = {"filter", "map", "flat map", "public join", "private join"}
 
 
 def _outputs(memo_owner):
-    """The step outputs memo_owner remembers, by key."""
+    """What memo_owner remembers of the step outputs over it, by key."""
     return {
-        key: entry[1] for key, entry in remembered(memo_owner).items()
+        key: entry for key, entry in remembered(memo_owner).items()
         if isinstance(key, tuple) and key[0] in STEPS
     }
 
 
-@pytest.mark.parametrize("name, step, inputs", _step_kinds(), ids=[k[0] for k in _step_kinds()])
-def test_a_remembered_output_equals_a_fresh_one_cold_warm_and_evicted(name, step, inputs):
+def _order_keys(source):
+    """The keys of every value remembered under source, in its order of use."""
+    return [key for _, key in source._order or ()]
+
+
+GROUP_KEY = ("groups", ("zip",), ("zip",))
+
+
+def _remembered_kinds():
+    """(name, ask): for each kind of value a table remembers, a function of
+    a table that derives it, as a query does, and gives it: a step's
+    output or a cut, which is a view of what is remembered, or the
+    remembered value itself."""
+    kinds = [
+        (name, lambda table, step=step, inputs=inputs: step.apply(inputs(table)))
+        for name, step, inputs in _step_kinds()
+    ]
+    cut = make_truncate_by_id(PEOPLE_IDS, 2)
+    summed = make_sum(PEOPLE_PLAIN, "income", 0, 60, 1, PureDpNoise(10**40))
+    quantile = make_quantile(PEOPLE_PLAIN, "income", 0.5, 0, 100, 8, 1)
+    zips = KeySet(Schema.of(("zip", ColumnType.TEXT)), [("a",), ("b",), ("y",)])
+    counted = make_count(TableDomain(Schema.of(("zip", ColumnType.TEXT))), PureDpNoise(10**40))
+    grouped = compose_per_group(PEOPLE_PLAIN, zips, counted, ("count", ColumnType.INT64))
+    grains = ("grains", PEOPLE.index_of("income"), 0, 60, 1, 1)
+
+    def evaluated(measurement, table, key, memo):
+        measurement.eval(table, RngStream(1))
+        return table.derive(key, unbuilt, memo=memo(table))
+
+    return kinds + [
+        ("cut", cut.apply),
+        ("order", canonicalize),
+        ("grain counts", lambda t: evaluated(summed, t, grains, lambda t: t.stored)),
+        ("join index", lambda t: transformations._join_index(t, ("zip",))),
+        ("sorted column", lambda t: evaluated(quantile, t, ("sorted", 3), remembered)),
+        ("grouping", lambda t: evaluated(grouped, t, GROUP_KEY, remembered)),
+    ]
+
+
+def _value(value):
+    """A remembered value as plain data, to compare by value: a Table as
+    its schema, every stored cell and its mask."""
+    if isinstance(value, Table):
+        return value.schema, value.columns, value.held
+    if isinstance(value, dict):
+        return {key: _value(part) for key, part in value.items()}
+    return value
+
+
+def _same(a, b):
+    """Whether two reads gave the one remembered value."""
+    return same_data(a, b) if isinstance(a, Table) else a is b
+
+
+def _logged_run(monkeypatch, table, run):
+    """run(table)'s result, and (key, whether it was remembered, the keys of
+    table's order of use after) for every Table.derive call it made."""
+    log, derive = [], Table.derive
+
+    def logged(self, key, build, *args, memo=None):
+        hit = key in (remembered(self) if memo is None else memo)
+        value = derive(self, key, build, *args, memo=memo)
+        log.append((key, hit, _order_keys(table)))
+        return value
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Table, "derive", logged)
+        return run(table), log
+
+
+@pytest.mark.parametrize("name", [kind[0] for kind in _remembered_kinds()])
+def test_a_remembered_output_equals_a_fresh_one_cold_warm_and_evicted(monkeypatch, name):
     rng = random.Random(f"remembered-{name}")
     for _ in range(10):
         rows = _people(rng, rng.randrange(1, 30))
-        source = Table.of(PEOPLE, rows)
         # A second source of the same rows, built by hand, gives the fresh
-        # reference: it is its own store and remembers its output as a
-        # loaded or checked one does.
-        by_hand = Table._trusted(PEOPLE, source.columns)
-        fresh = step.apply(inputs(by_hand))
-        assert by_hand.store is by_hand and list(_outputs(by_hand).values()) == [fresh]
-        cold = step.apply(inputs(source))
-        assert step.apply(inputs(source)) is cold  # warm: a lookup
-        assert list(_outputs(source).values()) == [cold] and cold is not fresh
-        # As many other outputs as the source remembers evict it, and it
-        # is built again, equal.
-        for k in range(tabledata.MAX_REMEMBERED_OUTPUTS):
-            make_filter(PEOPLE_PLAIN, f"age > {k}").apply(source)
-        assert cold not in _outputs(source).values()
-        evicted = step.apply(inputs(source))
-        assert evicted is not cold and evicted in _outputs(source).values()
+        # reference: it remembers its values as a loaded or checked one does.
+        # Each run asks with its own steps, so a public or right table
+        # remembers nothing from another.
+        source = Table.of(PEOPLE, rows)
+        fresh = dict(_remembered_kinds())[name](Table._trusted(PEOPLE, source.columns))
+        ask = dict(_remembered_kinds())[name]
+
+        def run(table):
+            cold = ask(table)
+            asked = set(_order_keys(table))
+            warm = ask(table)  # a lookup
+            # As many other values as the source remembers evict every one
+            # the ask remembered, and it is built again, equal.
+            for k in range(tabledata.MAX_REMEMBERED_OUTPUTS):
+                make_filter(PEOPLE_PLAIN, f"age > {k}").apply(table)
+            assert asked and asked.isdisjoint(_order_keys(table))
+            return cold, warm, ask(table)
+
+        (cold, warm, evicted), log = _logged_run(monkeypatch, source, run)
+        assert _same(warm, cold) and not _same(evicted, cold)
+        assert _value(cold) == _value(warm) == _value(evicted) == _value(fresh)
+        # On a neighbour, the same asks hit, miss and evict the same keys in
+        # the same order.
+        ask = dict(_remembered_kinds())[name]
+        neighbour = Table.of(PEOPLE, rows + _people(rng, 1))
+        assert _logged_run(monkeypatch, neighbour, run)[1] == log
+        if not isinstance(cold, Table):
+            continue
         for out in (cold, evicted):
-            assert table_equal(out, fresh)
-            assert out.held == fresh.held and out.schema == fresh.schema
-            assert tuple(map(len, out.columns)) == tuple(map(len, fresh.columns))
-            # A filter's output shares its input's columns, and a proved
-            # map's bare columns and a fan-out-1 join's left columns are
-            # its input's column objects.
-            shared = {"filter": 4, "proved map": 2, "fan-out-1 join": 4}.get(name, 0)
+            # A filter's output and a cut share their input's columns and
+            # stored-row data, and a proved map's bare columns and a
+            # fan-out-1 join's left columns are its input's column objects.
+            shared = {"filter": 4, "cut": 4, "proved map": 2, "fan-out-1 join": 4}.get(name, 0)
             assert all(out.columns[i] is source.columns[i] for i in range(shared))
-            if name == "filter":
-                assert out.columns is source.columns and out.store is source
-            elif name != "private join":
-                assert out.store is out
+            if name in ("filter", "cut"):
+                assert out.columns is source.columns and out.stored is source.stored
+            else:
+                assert out.stored is not source.stored
 
 
 def test_a_source_remembers_at_most_its_count_of_outputs_in_order_of_use():
@@ -1339,23 +1452,33 @@ def test_a_source_remembers_at_most_its_count_of_outputs_in_order_of_use():
     first = [step.apply(source) for step in filters[:count]]
     # Using the first output again makes it the latest; the next five
     # outputs then evict the five least recently used, filters 1 to 5.
-    assert filters[0].apply(source) is first[0]
+    assert same_data(filters[0].apply(source), first[0])
     last = [step.apply(source) for step in filters[count:]]
     kept = [0] + list(range(6, count + 5))
     assert list(_outputs(source)) == [("filter", f"income > {k}.0") for k in kept]
-    assert [_outputs(source)[("filter", f"income > {k}.0")] for k in kept[-5:]] == last
+    used = list(range(6, count)) + [0] + list(range(count, count + 5))
+    assert _order_keys(source) == [("filter", f"income > {k}.0") for k in used]
+    for k, out in zip(kept[-5:], last):
+        assert _outputs(source)[("filter", f"income > {k}.0")][0] is out.held
     for k in range(1, 6):
         again = filters[k].apply(source)
-        assert again is not first[k] and again.held == first[k].held
+        assert again.held is not first[k].held and again.held == first[k].held
     # Outputs remembered under outputs count toward the same source: a map
     # over a filter's output evicts the least recently used filter.
     mapped = make_map(PEOPLE_PLAIN, {"id": "id", "zip": "zip", "half": "income / 2.0"}, AGES)
     top = filters[-1].apply(source)
     under = mapped.apply(top)
-    assert mapped.apply(top) is under and list(_outputs(top).values()) == [under]
-    reachable, stack = 0, [source]
+    assert same_data(mapped.apply(top), under) and list(_outputs(top)) == [
+        ("map", (("half", "income / 2.0"), ("id", "id"), ("zip", "zip")),
+         (("id", "int64"), ("zip", "text"), ("half", "float64")))
+    ]
+    assert len(source._order) == count
+    assert [key[0] for key in _order_keys(source)].count("map") == 1
+    # Every remembered output is reachable from the source, through the
+    # memo each one's data ends with.
+    reachable, stack = 0, [remembered(source)]
     while stack:
-        outputs = list(_outputs(stack.pop()).values())
+        outputs = [entry for key, entry in stack.pop().items() if key[0] in STEPS]
         reachable += len(outputs)
-        stack.extend(outputs)
+        stack.extend(entry[-1] for entry in outputs)
     assert reachable == count
