@@ -32,7 +32,6 @@ from fractions import Fraction
 from itertools import accumulate, chain, compress, repeat
 from operator import getitem
 from typing import Any, Callable, Sequence, Union
-from weakref import ref
 
 from .errors import (
     BadBounds,
@@ -387,12 +386,15 @@ def _grains(domain: TableDomain, column: str, low, high, granularity):
     rows with compress, in C.  A table's _origin says where a column's
     cells come from, and the counts come from there too: a map's bare
     column or a fan-out-1 join's left column reads its input's counts, a
-    remembered grouping gathers its key Tables' from its grouped table's
-    once, and a key's Table slices those at its offset.  Only a column
-    that stored rows hold of their own (a loaded or hand-built table's, or
-    one a map, a flat map or a join computed) is rounded, once; so what is
-    remembered depends only on the queries asked, and a sum's work does
-    not depend on which rows are held, on a table of any kind.
+    remembered grouping gathers its key Tables' once, in what they share,
+    from its grouped table's where those are remembered (else it rounds
+    the cells for itself, and leaves its grouped table's memo as it was),
+    and a key's Table slices those at its offset.  Only a column that
+    stored rows hold of their own (a loaded or hand-built table's, or one
+    a map, a flat map or a join computed) is rounded for them, once; so
+    what a source remembers depends only on the queries asked, never on
+    which keys have rows, and a sum's work does not depend on which rows
+    are held, on a table of any kind.
 
     The per-row sensitivity is ceil(max(|low|, |high|) / granularity)."""
     _check_numeric_column(domain, column)
@@ -405,13 +407,15 @@ def _grains(domain: TableDomain, column: str, low, high, granularity):
     counts_of = _grain_counts(low, high, g_num, g_den)
     index = domain.schema.index_of(column)
     clamp = (low, high, g_num, g_den)
+    key = ("grains", index, *clamp)
 
-    def counts_at(table: Table, stored: dict | None, at: int, cells: tuple, rows) -> Sequence[int]:
+    def gathered(stored: dict, at: int, cells: tuple, rows: Sequence[int]) -> tuple[int, ...]:
         """The grain counts of cells, the column at `at` of the stored rows
-        that share stored (the table's own memo for None), gathered at rows
-        unless rows is None."""
-        counts = table.derive(("grains", at, *clamp), counts_of, cells, memo=stored)
-        return counts if rows is None else gather((counts,), rows)[0]
+        that share stored, gathered at rows: those stored remembers, or
+        counted for the grouping alone, so that no key's Table adds to
+        what its grouped table remembers."""
+        counts = stored.get(("grains", at, *clamp))
+        return gather((counts_of(cells) if counts is None else counts,), rows)[0]
 
     # The grouping whose counts a key's Table last sliced, and those
     # counts: every key of one release slices the same.
@@ -422,13 +426,13 @@ def _grains(domain: TableDomain, column: str, low, high, granularity):
         entry = table._origin[index] if table._origin else None
         if entry is None:
             stored = table.stored if offset is None else None
-            counts = counts_at(table, stored, index, table.columns[index], None)
+            counts = table.derive(key, counts_of, table.columns[index], memo=stored)
         elif offset is None:
-            counts = counts_at(table, *entry)
+            stored, at, cells, _ = entry
+            counts = table.derive(("grains", at, *clamp), counts_of, cells, memo=stored)
         else:
             if last[0] is not table.stored:
-                key = ("grains", index, *clamp)
-                last[:] = table.stored, table.derive(key, counts_at, table, *entry, memo=table.stored)
+                last[:] = table.stored, table.derive(key, gathered, *entry, memo=table.stored)
             counts = last[1][offset:offset + len(table.columns[index])]
         if held is None:
             return sum(counts), len(counts)
@@ -637,8 +641,10 @@ def compose_per_group(
     Table shares one dict of stored-row data (Table.stored), and its
     _origin gives the numeric read columns as the grouped table's at the
     keys' positions, so a sum or an average over a key's Table slices the
-    grain counts gathered there once from the grouped table's, and rounds
-    no cell again.  Absent keys share one empty Table.  Each key
+    grain counts gathered there once (see _grains).  A key's Table counts
+    what it remembers in an order of its own (Table.derive), so the
+    grouping is one value under its table's source, whatever keys have
+    rows.  Absent keys share one empty Table.  Each key
     costs one call of the per-group measurement, which draws and finishes
     its own value (see _noisy), in keyset order from the one generator;
     nothing is summed across keys, so the part is any Measurement on
@@ -689,7 +695,7 @@ def compose_per_group(
         masks = repeat(None) if held is None else map(getitem, repeat(held), spans)
         parts = map(
             Table._trusted, repeat(read), columns, masks, repeat(origin if any(origin) else None),
-            repeat({}), repeat(None), repeat(ref(table._uses())), starts,
+            repeat({}), repeat(None), repeat(None), starts,
         )
         return dict(zip(positions, parts))
 

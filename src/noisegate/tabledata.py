@@ -9,11 +9,12 @@ table remembers data derived from it, by key (Table.derive): cuts,
 groups, sorted columns, join indexes and the outputs of the steps over
 it, and the tables over the same stored rows share their order and grain
 counts (Table.stored).  Every value remembered under one source, of every
-kind, counts toward MAX_REMEMBERED_OUTPUTS, and no table refers to
-another, so a table is freed at its last reference.  key_reader is the
-one rule for how rows are keyed by named columns (Table.key_column reads
-the same keys from the columns), and split_by_key hands out each key's
-row positions by it, so grouping and joins take one keyed pass.
+kind, counts toward MAX_REMEMBERED_OUTPUTS (a grouping as one value), and
+no table refers to another, so a table is freed at its last reference.
+key_reader is the one rule for how rows are keyed by named columns
+(Table.key_column reads the same keys from the columns), and split_by_key
+hands out each key's row positions by it, so grouping and joins take one
+keyed pass.
 
 Values are Python ints, floats, and strings of exactly those types: a
 cell of a subclass is rebuilt as its base type where it enters, so no
@@ -350,7 +351,8 @@ def _shared_columns(columns: Sequence[Sequence[Value]], types: Sequence[ColumnTy
 ORDER = "order"
 
 # How many values one source remembers (see Table.derive), of every kind,
-# over itself and every table under it, at every nesting level.  A public
+# over itself and every table under it, at every nesting level, and how
+# many each key's Table of a grouping remembers in its own.  A public
 # count, never a size, since sizes depend on the rows: past it the value
 # used least recently is dropped, and built again, equal, when a query asks
 # for it.  Each value is data about a table under the source (a mask, a
@@ -386,22 +388,21 @@ class Table(Record):
     a table under one: a filter's, a step's or a cut's output, which its
     input remembers as data and builds again as a view on each read
     (_holding, _output), with the memo that data carries, or a key's Table
-    of a grouping.  No table refers to another, so a table and all it
-    remembers are freed at its last reference.  `stored` is what the
-    tables over the same stored rows share (see derive): a filter and a
-    cut share their input's, a source and a step output that stores
-    columns have their own, and a grouping's key Tables share one, which
-    holds their counts gathered in key order; each key's stored rows start
-    at `offset` there (None elsewhere).  `_origin`, where not None, gives
-    for each column where its cells come from: None for a column its
-    stored rows computed, else (stored, index, cells, rows), the
-    stored-row data and column at index of the stored rows that computed
-    them, on the same stored rows (rows None: a filter's, a map's bare
-    column, a fan-out-1 join's left one) or at the positions rows lists (a
-    grouping's rows in key order).  _trusted sets with object.__setattr__
-    `stored` and only the other fields that are not None, the class's
-    default, so CPython 3.11 and later keep them in the object, with no
-    __dict__ until something is derived.
+    of a grouping, which counts what it remembers apart (see derive).  No
+    table refers to another, so a table and all it remembers are freed at
+    its last reference.  `stored` is what the tables over the same stored
+    rows share (see derive): a filter and a cut share their input's, a
+    source and a step output that stores columns have their own, and a
+    grouping's key Tables share one, which holds their counts gathered in
+    key order; each key's stored rows start at `offset` there (None
+    elsewhere).  `_origin`, where not None, gives for each column where
+    its cells come from: None for a column its stored rows computed, else
+    (stored, index, cells, rows), the stored-row data and column at index
+    of the stored rows that computed them, on the same stored rows (rows
+    None: a filter's, a map's bare column, a fan-out-1 join's left one) or
+    at the positions rows lists (a grouping's rows in key order).
+    _trusted sets every field, in one order, with object.__setattr__, so
+    CPython 3.11 and later keep them in the object, with no __dict__.
     """
 
     schema: Schema
@@ -412,8 +413,8 @@ class Table(Record):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    # What a table that sets none of these has (see _trusted).
-    held = offset = _origin = _order = None
+    # What a table built by Table(...) has (see _trusted).
+    held = offset = _origin = _order = _derived = None
 
     def __post_init__(self) -> None:
         checked = _checked_columns(self.schema, self.__dict__.pop("rows"))
@@ -434,8 +435,10 @@ class Table(Record):
         offset: int | None = None,
     ) -> "Table":
         """A table whose cells are not checked again: without an order, a
-        source; with one, a weak reference to its source's order of use
-        (see derive), a table under that source.
+        source or a key's Table of a grouping (with an offset), which
+        counts what it remembers in an order of its own; with one, a weak
+        reference to its source's order of use (see derive), a table under
+        that source.
 
         Only for columns that are legal under schema already: columns of
         checked tables with the same schema, in any selection, order or
@@ -448,17 +451,12 @@ class Table(Record):
         field = object.__setattr__
         field(table, "schema", schema)
         field(table, "columns", columns)
-        if held is not None:
-            field(table, "held", held)
-        if origin is not None:
-            field(table, "_origin", origin)
+        field(table, "held", held)
+        field(table, "_origin", origin)
         field(table, "stored", {} if stored is None else stored)
-        if order is not None:
-            field(table, "_order", order)
-            if memo is not None:
-                field(table, "_derived", memo)
-            if offset is not None:
-                field(table, "offset", offset)
+        field(table, "_derived", memo)
+        field(table, "_order", order)
+        field(table, "offset", offset)
         return table
 
     @classmethod
@@ -468,13 +466,15 @@ class Table(Record):
 
     def _uses(self) -> OrderedDict:
         """The order of use of this table's source, made on a source's
-        first use; a table under a source that is gone makes one of its
-        own, and what it remembers counts there once it is used again."""
+        (or a key's Table's) first use; a table under a source that is gone
+        makes one of its own, and what it remembers counts there once it
+        is used again."""
         order = self._order
         if type(order) is ref:
             order = order()
         if order is None:
-            order = self.__dict__["_order"] = OrderedDict()
+            order = OrderedDict()
+            object.__setattr__(self, "_order", order)
         return order
 
     def _holding(self, held: bytes, memo: dict) -> "Table":
@@ -529,12 +529,20 @@ class Table(Record):
         depth, counts toward MAX_REMEMBERED_OUTPUTS in the source's one
         order of use (_uses), which a table under it reads through a weak
         reference; past it the least recently used is dropped from its
-        memo, and built again, equal, when asked again.  A lookup hashes
-        key three times, and a miss raises nothing.
+        memo, and built again, equal, when asked again.  A grouping is one
+        value there: each of its key Tables, which only the grouping holds,
+        counts what it remembers (its sorted columns, the grouping's
+        gathered grain counts) in an order of its own, bounded by the same
+        count and freed with the grouping, so what a source's order holds
+        depends on the queries asked and not on which keys have rows.  A
+        lookup hashes key three times, and a miss raises nothing.
         """
         order = self._uses()
         if memo is None:
-            memo = self.__dict__.setdefault("_derived", {})
+            memo = self._derived
+            if memo is None:
+                memo = {}
+                object.__setattr__(self, "_derived", memo)
         value = memo.get(key, _MISSING)
         if value is _MISSING:
             value = memo[key] = build(*args)
@@ -584,13 +592,6 @@ class Table(Record):
 
     def multiset(self) -> Counter:
         return Counter(self._held(zip(*self.columns)))
-
-
-# CPython 3.11 and later share one table of attribute names among a
-# class's instances, which takes new names only while few are built: one
-# throwaway table sets every field first, or each key Table of a grouping
-# that set one no earlier table had would keep a dict (about 200 bytes).
-Table._trusted(Schema.of(("-", _INT64)), ((),), b"", (), {}, {}, ref(OrderedDict()), 0)
 
 
 class KeySet(Record):

@@ -940,7 +940,7 @@ def join_nesting_reference(expr: QueryExpr) -> int:
 
 def remembered(table: Table) -> dict:
     """What the table has derived so far, by key, as Table.derive keeps it."""
-    return table.__dict__.get("_derived", {})
+    return {} if table._derived is None else table._derived
 
 
 def same_data(a: Table, b: Table) -> bool:

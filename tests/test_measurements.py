@@ -1,5 +1,4 @@
 import math
-import operator
 import random
 import sys
 import threading
@@ -89,7 +88,8 @@ from noisegate.transformations import (
     make_truncate_by_id,
 )
 from noisegate.tabledata import (
-    ColumnType, KeySet, Schema, Table, TableDomain, key_reader, result_cell,
+    MAX_REMEMBERED_OUTPUTS, ColumnType, KeySet, Schema, Table, TableDomain, key_reader,
+    result_cell,
 )
 
 SCHEMA = Schema.of(("g", ColumnType.TEXT), ("v", ColumnType.FLOAT64))
@@ -458,10 +458,10 @@ def test_totals_from_remembered_counts_are_exact_on_every_table_over_a_store(low
             assert list(counts) == [grain_total_reference([c], low, high, gamma) for c in column]
             assert counts == counts_of(column)
         # Each key's Table of a grouping is a slice of the grouping's rows,
-        # whose one dict of stored-row data gathers their counts once from
-        # the grouped table's, the same int objects, so no key's Table
-        # remembers counts or rounds a cell; absent keys share one empty
-        # Table, a source, which stores no row.
+        # whose one dict of stored-row data gathers their counts once, from
+        # the grouped table's where it remembers them, so no key's Table
+        # remembers counts of its own; absent keys share one empty Table, a
+        # source, which stores no row.
         by_hand = tables["built by hand"]
         for (kind, name), parts in per_key.items():
             present = [part for part in parts if part.offset is not None]
@@ -474,7 +474,7 @@ def test_totals_from_remembered_counts_are_exact_on_every_table_over_a_store(low
             grouped_counts = grouped.stored[_grains_key(grouped, name, low, high, gamma)]
             (stored, _, _, order), = present[0]._origin
             assert stored is grouped.stored
-            assert all(map(operator.is_, shared[key], map(grouped_counts.__getitem__, order)))
+            assert list(shared[key]) == list(map(grouped_counts.__getitem__, order))
 
 
 def _memo_keys(table):
@@ -1248,12 +1248,13 @@ def test_a_session_group_holds_only_the_column_its_aggregation_reads(
             # masked one finds the filter's mask remembered on the source
             # (make_filter above asked for it first) and remembers its own
             # groups in the memo of that mask, a Table for every key of a
-            # stored row.  A sum's or an average's groups take their grain
-            # counts from the table, which stores the column.
+            # stored row.  A sum's or an average's groups keep their grain
+            # counts in the grouping, so the table's stored rows remember
+            # none, whichever keys have rows.
             grouping = ("groups", ("g",), (read,))
-            summed = name in ("make_sum", "make_average")  # and some key has a row
-            grains = ("grains", GROUPED.index_of("v"), -2.0, 10.0, 1, 4)
-            assert set(table.stored) == ({grains} if summed and rows else set())
+            summed = name in ("make_sum", "make_average")
+            grains = ("grains", 0, -2.0, 10.0, 1, 4)
+            assert set(table.stored) == set()
             expected = {grouping}
             if masked:
                 expected.add(("filter", "k > 0"))
@@ -1263,6 +1264,7 @@ def test_a_session_group_holds_only_the_column_its_aggregation_reads(
             for group, (key,) in zip(seen, keys.rows):
                 if key in remembered(held)[grouping]:
                     assert group is remembered(held)[grouping][key]
+                    assert set(group.stored) == ({grains} if summed else set())
                 else:
                     assert group.offset is None and not len(group.columns[0])
 
@@ -1325,16 +1327,48 @@ def test_a_count_and_a_sum_on_one_table_remember_two_groupings(monkeypatch):
             for expr in (by_g.count(), by_g.sum("v", -2, 10)):
                 s.evaluate(expr, budget(1))
         # One split per read column, each its own entry; the warm releases
-        # split nothing.  The sum's groups take their grain counts from the
-        # table's stored rows, their one counts entry.
+        # split nothing.  The sum's groups keep their one counts entry in
+        # the grouping, and the table's stored rows remember none.
         assert len(splits) == 2
-        grains = ("grains", GROUPED.index_of("v"), -2.0, 10.0, 1, 100)
+        grains = ("grains", 0, -2.0, 10.0, 1, 100)
         assert set(remembered(table)) == {("groups", ("g",), (read,)) for read in ("g", "v")}
-        assert set(table.stored) == {grains}
+        assert set(table.stored) == set()
+        for group in remembered(table)[("groups", ("g",), ("v",))].values():
+            assert set(group.stored) == {grains}
         assert {key: _group_rows(groups) for key, groups in remembered(table).items()} == {
             ("groups", ("g",), (read,)): _groups_reference(table, ("g",), (read,))
             for read in ("g", "v")
         }
+
+
+def test_a_warm_grouped_quantile_over_more_keys_than_the_count_splits_and_sorts_nothing(
+    monkeypatch,
+):
+    # Each key's Table remembers its sorted column in an order of its own,
+    # inside the grouping, which counts once under the table: a warm release
+    # over more present keys than MAX_REMEMBERED_OUTPUTS finds every one.
+    present = MAX_REMEMBERED_OUTPUTS + 8
+    keys = KeySet(Schema.of(("g", ColumnType.TEXT)), [(f"k{i}",) for i in range(present + 2)])
+    splits, sorts = [], []
+    split = measurements.split_by_key
+    monkeypatch.setattr(measurements, "split_by_key", lambda *args: splits.append(args) or split(*args))
+    monkeypatch.setattr(
+        measurements, "sorted", lambda values: sorts.append(len(values)) or sorted(values),
+        raising=False,
+    )
+    rng = random.Random(1044)
+    rows = [(f"k{i % present}", rng.randrange(3), rng.uniform(-5, 15)) for i in range(5 * present)]
+    table = Table.of(GROUPED, rows)
+    s = session.build_session({"t": table}, session.AddMaxRows(1), session.PrivacyBudget.pure(INF), 1)
+    asked = session.query("t").group_by(keys).quantile("v", 0.5, -5, 15, 16)
+    s.evaluate(asked, session.PrivacyBudget.pure(1))
+    assert len(splits) == 1 and sorts.count(5) == present
+    splits.clear(), sorts.clear()
+    for _ in range(3):
+        s.evaluate(asked, session.PrivacyBudget.pure(1))
+    # Each compiled release sorts only its absent keys' empty Table.
+    assert splits == [] and sorts == [0, 0, 0]
+    assert list(remembered(table)) == [("groups", ("g",), ("v",))]
 
 
 def test_a_part_that_reads_a_column_the_domain_lacks_is_refused():

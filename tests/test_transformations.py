@@ -1348,9 +1348,19 @@ def _remembered_kinds():
     cut = make_truncate_by_id(PEOPLE_IDS, 2)
     summed = make_sum(PEOPLE_PLAIN, "income", 0, 60, 1, PureDpNoise(10**40))
     quantile = make_quantile(PEOPLE_PLAIN, "income", 0.5, 0, 100, 8, 1)
+    # No row of _people has the key "y".
     zips = KeySet(Schema.of(("zip", ColumnType.TEXT)), [("a",), ("b",), ("y",)])
     counted = make_count(TableDomain(Schema.of(("zip", ColumnType.TEXT))), PureDpNoise(10**40))
     grouped = compose_per_group(PEOPLE_PLAIN, zips, counted, ("count", ColumnType.INT64))
+    incomes = TableDomain(Schema.of(("income", ColumnType.FLOAT64)))
+    income = ("income", ColumnType.FLOAT64)
+    grouped_sum = compose_per_group(
+        PEOPLE_PLAIN, zips, make_sum(incomes, "income", 0, 60, 1, PureDpNoise(10**40)), income
+    )
+    grouped_quantile = compose_per_group(
+        PEOPLE_PLAIN, zips, make_quantile(incomes, "income", 0.5, 0, 100, 8, 1), income
+    )
+    by_income = ("groups", ("zip",), ("income",))
     grains = ("grains", PEOPLE.index_of("income"), 0, 60, 1, 1)
 
     def evaluated(measurement, table, key, memo):
@@ -1364,6 +1374,8 @@ def _remembered_kinds():
         ("join index", lambda t: transformations._join_index(t, ("zip",))),
         ("sorted column", lambda t: evaluated(quantile, t, ("sorted", 3), remembered)),
         ("grouping", lambda t: evaluated(grouped, t, GROUP_KEY, remembered)),
+        ("grouped sum", lambda t: evaluated(grouped_sum, t, by_income, remembered)),
+        ("grouped quantile", lambda t: evaluated(grouped_quantile, t, by_income, remembered)),
     ]
 
 
@@ -1384,25 +1396,32 @@ def _same(a, b):
 
 def _logged_run(monkeypatch, table, run):
     """run(table)'s result, and (key, whether it was remembered, the keys of
-    table's order of use after) for every Table.derive call it made."""
+    table's order of use after) for every Table.derive call it made that
+    counts in table's order, then the keys of that order at the end.  A
+    grouping's key Tables, its empty Table and a public or right table
+    count what they remember in orders of their own."""
     log, derive = [], Table.derive
 
     def logged(self, key, build, *args, memo=None):
         hit = key in (remembered(self) if memo is None else memo)
         value = derive(self, key, build, *args, memo=memo)
-        log.append((key, hit, _order_keys(table)))
+        if self._uses() is table._uses():
+            log.append((key, hit, _order_keys(table)))
         return value
 
     with monkeypatch.context() as patch:
         patch.setattr(Table, "derive", logged)
-        return run(table), log
+        result = run(table)
+    return result, log + [_order_keys(table)]
 
 
 @pytest.mark.parametrize("name", [kind[0] for kind in _remembered_kinds()])
 def test_a_remembered_output_equals_a_fresh_one_cold_warm_and_evicted(monkeypatch, name):
     rng = random.Random(f"remembered-{name}")
-    for _ in range(10):
+    for i in range(10):
         rows = _people(rng, rng.randrange(1, 30))
+        if "group" in name and i % 2:  # no row has a key of the key set
+            rows = [(row[0], "c", *row[2:]) for row in rows]
         # A second source of the same rows, built by hand, gives the fresh
         # reference: it remembers its values as a loaded or checked one does.
         # Each run asks with its own steps, so a public or right table
@@ -1426,9 +1445,13 @@ def test_a_remembered_output_equals_a_fresh_one_cold_warm_and_evicted(monkeypatc
         assert _same(warm, cold) and not _same(evicted, cold)
         assert _value(cold) == _value(warm) == _value(evicted) == _value(fresh)
         # On a neighbour, the same asks hit, miss and evict the same keys in
-        # the same order.
+        # the same order; a grouping's neighbour adds a row under a key of
+        # its key set that no row of rows has.
         ask = dict(_remembered_kinds())[name]
-        neighbour = Table.of(PEOPLE, rows + _people(rng, 1))
+        (added,) = _people(rng, 1)
+        if "group" in name:
+            added = (added[0], "y", *added[2:])
+        neighbour = Table.of(PEOPLE, rows + [added])
         assert _logged_run(monkeypatch, neighbour, run)[1] == log
         if not isinstance(cold, Table):
             continue
