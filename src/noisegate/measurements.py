@@ -30,7 +30,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress, repeat
-from operator import getitem
+from operator import getitem, sub
 from typing import Any, Callable, Sequence, Union
 
 from .errors import (
@@ -226,8 +226,8 @@ def _noisy(noise: NoiseSpec, sensitivity: int) -> tuple[DistanceMap, Callable, A
     Each aggregation's evaluation is one closure over a table that adds
     sample(parameter, rng), one draw, to its statistic and finishes its
     own value.  So a key of a grouped release costs that closure, the
-    statistic (len, or for a sum one lookup of its remembered grain counts
-    and a sum over them), one sampler call per draw (the geometric's runs
+    statistic (len, or for a sum one read of its key's remembered grain
+    total and count), one sampler call per draw (the geometric's runs
     _two_sided_geometric, with one _geometric_exp per attempt), for a sum
     or an average one result_cell, and compose_per_group's result_cell of
     the value.  At sensitivity 0 the
@@ -372,29 +372,47 @@ def _grain_counts(low: float, high: float, g_num: int, g_den: int):
     return counts_of
 
 
+def _packed(values: list[int]) -> Sequence[int]:
+    """values as an int64 array, 8 bytes each, where every one fits; else
+    as given."""
+    try:
+        return array("q", values)
+    except OverflowError:
+        return values
+
+
 def _grains(domain: TableDomain, column: str, low, high, granularity):
     """A clamped column's grain total, counted in grains of the given
     granularity: (total, which takes a table and gives the grain total of
     its held cells in the column and how many there are, its sensitivity
     in grains, g_num, g_den).
 
-    total sums grain counts that the stored rows which computed the
-    column derive once, in what every table over them shares
+    total's pair is derived data, built once per table and bounds and then
+    read, so a warm sum or average reads no row; a table with no stored
+    rows gives (0, 0) and remembers nothing.  A table derives its pair in
+    its own memo under ("total", index, low, high, g_num, g_den), one
+    value toward MAX_REMEMBERED_OUTPUTS, by summing at its held rows, with
+    compress, in C, the grain counts that the stored rows which computed
+    the column derive once, in what every table over them shares
     (Table.stored), under ("grains", its index there, low, high, g_num,
-    g_den) by _grain_counts, one int per stored row, held or not, for
-    every filter, cut, join, map, group and query over it, at the held
-    rows with compress, in C.  A table's _origin says where a column's
-    cells come from, and the counts come from there too: a map's bare
-    column or a fan-out-1 join's left column reads its input's counts, a
-    remembered grouping gathers its key Tables' once, in what they share,
-    from its grouped table's where those are remembered (else it rounds
-    the cells for itself, and leaves its grouped table's memo as it was),
-    and a key's Table slices those at its offset.  Only a column that
-    stored rows hold of their own (a loaded or hand-built table's, or one
-    a map, a flat map or a join computed) is rounded for them, once; so
-    what a source remembers depends only on the queries asked, never on
-    which keys have rows, and a sum's work does not depend on which rows
-    are held, on a table of any kind.
+    g_den) by _grain_counts, one int per stored row, held or not.  A
+    table's _origin says where a column's cells come from, and the counts
+    come from there too: a map's bare column or a fan-out-1 join's left
+    column reads its input's counts.  Only a column that stored rows hold
+    of their own (a loaded or hand-built table's, or one a map, a flat map
+    or a join computed) is rounded for them, once.
+
+    A key's Table of a grouping reads its key's pair at its offset from
+    every key's totals and held counts, which the first sum of the
+    grouping at these bounds derives in one pass, in what its key Tables
+    share, under the grains key of its read column: O(keys) ints, in place
+    of any per-row counts.  The pass gathers the grouped table's counts
+    where those are remembered (else it rounds the cells for itself, and
+    leaves its grouped table's memo as it was) in key order, and sums each
+    key's span of them at the grouping's mask, all in C.  So what a source
+    remembers depends only on the queries asked,
+    never on which keys have rows, and a sum's work does not depend on
+    which rows are held, on a table of any kind.
 
     The per-row sensitivity is ceil(max(|low|, |high|) / granularity)."""
     _check_numeric_column(domain, column)
@@ -407,36 +425,57 @@ def _grains(domain: TableDomain, column: str, low, high, granularity):
     counts_of = _grain_counts(low, high, g_num, g_den)
     index = domain.schema.index_of(column)
     clamp = (low, high, g_num, g_den)
-    key = ("grains", index, *clamp)
+    key, total_key = ("grains", index, *clamp), ("total", index, *clamp)
 
-    def gathered(stored: dict, at: int, cells: tuple, rows: Sequence[int]) -> tuple[int, ...]:
-        """The grain counts of cells, the column at `at` of the stored rows
-        that share stored, gathered at rows: those stored remembers, or
-        counted for the grouping alone, so that no key's Table adds to
-        what its grouped table remembers."""
-        counts = stored.get(("grains", at, *clamp))
-        return gather((counts_of(cells) if counts is None else counts,), rows)[0]
-
-    # The grouping whose counts a key's Table last sliced, and those
-    # counts: every key of one release slices the same.
-    last = [None, ()]
-
-    def total(table: Table) -> tuple[int, int]:
-        held, offset = table.held, table.offset
-        entry = table._origin[index] if table._origin else None
+    def held_total(table: Table, entry: tuple | None) -> tuple[int, int]:
+        """The grain total and count of table's held cells, from the
+        counts of the stored rows that computed the column (entry, its
+        _origin entry)."""
         if entry is None:
-            stored = table.stored if offset is None else None
+            stored = table.stored if table.offset is None else None
             counts = table.derive(key, counts_of, table.columns[index], memo=stored)
-        elif offset is None:
+        else:
             stored, at, cells, _ = entry
             counts = table.derive(("grains", at, *clamp), counts_of, cells, memo=stored)
-        else:
-            if last[0] is not table.stored:
-                last[:] = table.stored, table.derive(key, gathered, *entry, memo=table.stored)
-            counts = last[1][offset:offset + len(table.columns[index])]
+        held = table.held
         if held is None:
             return sum(counts), len(counts)
         return sum(compress(counts, held)), held.count(1)
+
+    def per_key(stored: dict, at: int, cells: tuple, rows: tuple) -> tuple:
+        """Every key's grain total and held count of a grouping, in key
+        order: the grain counts of cells, the column at `at` of the stored
+        rows that share stored, gathered at the grouping's positions (those
+        stored remembers, or counted for the grouping alone, so that no
+        key's Table adds to what its grouped table remembers), summed over
+        each key's span at the grouping's mask."""
+        positions, held, stops = rows
+        counts = stored.get(("grains", at, *clamp))
+        counts = gather((counts_of(cells) if counts is None else counts,), positions)[0]
+        starts = [0, *stops[:-1]]
+        spans = list(map(slice, starts, stops))
+        parts = map(counts.__getitem__, spans)
+        if held is None:
+            return _packed(list(map(sum, parts))), _packed(list(map(sub, stops, starts)))
+        masks = list(map(held.__getitem__, spans))
+        totals = list(map(sum, map(compress, parts, masks)))
+        return _packed(totals), _packed(list(map(bytes.count, masks, repeat(1))))
+
+    # The grouping whose pairs a key's Table last read, and those pairs:
+    # every key of one release reads the same.
+    last = [None, ()]
+
+    def total(table: Table) -> tuple[int, int]:
+        if not table.columns[index]:
+            return 0, 0
+        offset = table.offset
+        entry = table._origin[index] if table._origin else None
+        if offset is None or entry is None:
+            return table.derive(total_key, held_total, table, entry)
+        if last[0] is not table.stored:
+            last[:] = table.stored, table.derive(key, per_key, *entry, memo=table.stored)
+        totals, counts = last[1]
+        return totals[offset], counts[offset]
 
     return total, sensitivity, g_num, g_den
 
@@ -453,9 +492,9 @@ def make_sum(
 
     Each value is clamped to [low, high] and rounded to a multiple of the
     granularity; noise is added to the integer total of grid steps and the
-    result is scaled back, as one correctly rounded float.  The total
-    sums the grain counts remembered where the column is stored, at the
-    held rows, on every table (see _grains).
+    result is scaled back, as one correctly rounded float.  The total is
+    remembered per table and bounds, from the grain counts remembered
+    where the column is stored, at the held rows (see _grains).
     """
     grain_total, sensitivity, g_num, g_den = _grains(domain, column, low, high, granularity)
     privacy_function, sample, parameter = _noisy(noise, sensitivity)
@@ -482,8 +521,8 @@ def make_average(
     the sum's draw first, so its privacy function is the sum of two
     half-cost maps and equals the full cost at every distance.  The
     quotient is rounded once, from the noisy grain total and count.  The
-    total is make_sum's and the count is how many cells it read (see
-    _grains).
+    total is make_sum's and the count is how many held cells it sums,
+    remembered with it (see _grains).
     """
     half = _halve(noise)
     grain_total, sensitivity, g_num, g_den = _grains(domain, column, low, high, granularity)
@@ -632,19 +671,21 @@ def compose_per_group(
     quantile on its column alone and a count on the first key column.
     The read columns are gathered from the data at every key's rows at
     once, in key order, one pass per column in C, and each key's Table is
-    a slice of them, from its offset there.  Every table derives its
-    groups under ("groups", key names, read names), however it was built:
-    one keyed pass splits all its stored rows, in input order, into a
-    dict from each key to a Table of its rows under their mask.  So the
-    pass does the same work whatever a cut or a filter keeps, and a warm
-    release splits nothing and builds no Table but its result.  Every key's
-    Table shares one dict of stored-row data (Table.stored), and its
+    a slice of them; its offset is its place in that order.  Every table
+    derives its groups under ("groups", key names, read names), however it
+    was built: one keyed pass splits all its stored rows, in input order,
+    into a dict from each key to a Table of its rows under their mask.  So
+    the pass does the same work whatever a cut or a filter keeps, and a
+    warm release splits nothing and builds no Table but its result.  Every
+    key's Table shares one dict of stored-row data (Table.stored), and its
     _origin gives the numeric read columns as the grouped table's at the
-    keys' positions, so a sum or an average over a key's Table slices the
-    grain counts gathered there once (see _grains).  A key's Table counts
-    what it remembers in an order of its own (Table.derive), so the
-    grouping is one value under its table's source, whatever keys have
-    rows.  Absent keys share one empty Table.  Each key
+    grouping's positions, with its mask and each key's stop, so the first
+    sum or average of the grouping at given bounds derives every key's
+    grain total and count there in one pass, and each key's release reads
+    its own at its offset (see _grains).  A key's Table counts what it
+    remembers in an order of its own (Table.derive), so the grouping is one
+    value under its table's source, whatever keys have rows.  Absent keys
+    share one empty Table, whose sum reads and remembers nothing.  Each key
     costs one call of the per-group measurement, which draws and finishes
     its own value (see _noisy), in keyset order from the one generator;
     nothing is summed across keys, so the part is any Measurement on
@@ -682,20 +723,20 @@ def compose_per_group(
         indexes = list(map(table.schema.index_of, read_names))
         columns = gather([table.columns[i] for i in indexes], order)
         held = None if table.held is None else bytes(gather((table.held,), order)[0])
+        stops = list(accumulate(map(len, positions.values())))
+        starts = [0, *stops[:-1]]
         # Only a numeric column is summed, so only it keeps where its
-        # cells come from.
-        rows = array("q", order) if any(numeric) else None
+        # cells come from, with the grouping's positions, mask and stops.
+        rows = (array("q", order), held, array("q", stops)) if any(numeric) else None
         origin = tuple(
             table._origin_of(i, rows) if summed else None for i, summed in zip(indexes, numeric)
         )
-        stops = list(accumulate(map(len, positions.values())))
-        starts = [0, *stops[:-1]]
         spans = list(map(slice, starts, stops))
         columns = zip(*[map(getitem, repeat(cells), spans) for cells in columns])
         masks = repeat(None) if held is None else map(getitem, repeat(held), spans)
         parts = map(
             Table._trusted, repeat(read), columns, masks, repeat(origin if any(origin) else None),
-            repeat({}), repeat(None), repeat(None), starts,
+            repeat({}), repeat(None), repeat(None), range(len(stops)),
         )
         return dict(zip(positions, parts))
 

@@ -393,14 +393,15 @@ class Table(Record):
     its last reference.  `stored` is what the tables over the same stored
     rows share (see derive): a filter and a cut share their input's, a
     source and a step output that stores columns have their own, and a
-    grouping's key Tables share one, which holds their counts gathered in
-    key order; each key's stored rows start at `offset` there (None
+    grouping's key Tables share one, which holds each key's grain totals
+    in key order; a key's Table is the key at `offset` in that order (None
     elsewhere).  `_origin`, where not None, gives for each column where
     its cells come from: None for a column its stored rows computed, else
     (stored, index, cells, rows), the stored-row data and column at index
     of the stored rows that computed them, on the same stored rows (rows
     None: a filter's, a map's bare column, a fan-out-1 join's left one) or
-    at the positions rows lists (a grouping's rows in key order).
+    a grouping's (rows: the positions of its rows in key order, its mask
+    in that order, or None, and where each key's rows stop there).
     _trusted sets every field, in one order, with object.__setattr__, so
     CPython 3.11 and later keep them in the object, with no __dict__.
     """
@@ -479,9 +480,12 @@ class Table(Record):
 
     def _holding(self, held: bytes, memo: dict) -> "Table":
         """A filter's output or a cut: these stored rows, holding the rows
-        held marks, with the memo remembered with the mask."""
+        held marks, with the memo remembered with the mask.  One of a key's
+        Table has no _origin, so it counts its own cells (its grouping's
+        totals are of the key's rows under the key's mask)."""
+        origin = self._origin if self.offset is None else None
         return Table._trusted(
-            self.schema, self.columns, held, self._origin, self.stored, memo, ref(self._uses()),
+            self.schema, self.columns, held, origin, self.stored, memo, ref(self._uses()),
             self.offset,
         )
 
@@ -517,12 +521,15 @@ class Table(Record):
         derivation and its public parameters: in what the tables over the
         same stored rows share (`stored`), the canonical order (ORDER, see
         canonicalize) and a column's grain counts ("grains", column index,
-        low, high, g_num, g_den; see measurements._grains); in a table's
-        own memo, a cut ("cut", key names, bound), a sorted column
-        ("sorted", column index), a join index ("join", key names), the
-        groups ("groups", key names, read names), a dict from each key to a
-        Table of its rows in the read columns only, and a step's output
-        (see the make_* functions in transformations).  Every key is made
+        low, high, g_num, g_den; see measurements._grains), which a
+        grouping's key Tables hold as every key's grain total and count;
+        in a table's own memo, a sum's grain total and count ("total",
+        column index, low, high, g_num, g_den), a cut ("cut", key names,
+        bound), a sorted column ("sorted", column index), a join index
+        ("join", key names), the groups ("groups", key names, read names),
+        a dict from each key to a Table of its rows in the read columns
+        only, and a step's output (see the make_* functions in
+        transformations).  Every key is made
         of strings, ints and floats, which hash in C, and none holds a
         Table or a private cell.  Every caller gets the same value, so none
         may change it.  Every value remembered under a source, at any
@@ -532,7 +539,7 @@ class Table(Record):
         memo, and built again, equal, when asked again.  A grouping is one
         value there: each of its key Tables, which only the grouping holds,
         counts what it remembers (its sorted columns, the grouping's
-        gathered grain counts) in an order of its own, bounded by the same
+        per-key grain totals) in an order of its own, bounded by the same
         count and freed with the grouping, so what a source's order holds
         depends on the queries asked and not on which keys have rows.  A
         lookup hashes key three times, and a miss raises nothing.

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import ast
 import csv
+import gc
 import math
 import random
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -966,3 +968,57 @@ class LoggingRandom(random.Random):
     def getrandbits(self, k):
         self.calls.append(k)
         return super().getrandbits(k)
+
+
+# ---------------------------------------------------------------------------
+# Work counters.
+
+
+def python_calls(fn, only: frozenset = None) -> int:
+    """How many function calls running fn() makes, counted as the `call`
+    and `c_call` events of sys.setprofile: Python functions, and C
+    functions that Python code calls (not those a C loop such as map
+    calls); with `only`, a set of qualified names, the calls of the C
+    functions so named alone.  The garbage collector is off meanwhile, so
+    that no finalizer of older garbage (a generator's close, say) is
+    counted."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if only is None:
+            calls += event in ("call", "c_call")
+        else:
+            calls += event == "c_call" and getattr(arg, "__qualname__", None) in only
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return calls
+
+
+def python_lines(fn) -> int:
+    """How many lines of Python running fn() executes, counted as the
+    `line` events of sys.settrace, so a Python loop counts each pass; the
+    garbage collector is off meanwhile, as in python_calls."""
+    lines = 0
+
+    def trace(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return trace
+
+    gc.collect()
+    gc.disable()
+    sys.settrace(trace)
+    try:
+        fn()
+    finally:
+        sys.settrace(None)
+        gc.enable()
+    return lines

@@ -12,7 +12,6 @@ must give the rows of the oracle's row loops, which check every cell
 with check_value_reference.
 """
 
-import gc
 import math
 import random
 import sys
@@ -30,6 +29,8 @@ from helpers import (
     oracle_flat_map,
     oracle_map,
     oracle_projection,
+    python_calls,
+    python_lines,
 )
 from noisegate.errors import ExpressionTypeError
 from noisegate.expressions import compile_expression, compile_projection
@@ -296,51 +297,6 @@ def test_row_transformations_match_the_oracle_row_loops(seed):
         assert same(expanded, oracle_flat_map(table.rows, oracle_branches, max_rows))
 
 
-def python_calls(fn) -> int:
-    """How many function calls running fn() makes, counted as the `call`
-    and `c_call` events of sys.setprofile: Python functions, and C
-    functions that Python code calls (not those a C loop such as map
-    calls).  The garbage collector is off meanwhile, so that no finalizer
-    of older garbage (a generator's close, say) is counted."""
-    calls = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        calls += event in ("call", "c_call")
-
-    gc.collect()
-    gc.disable()
-    sys.setprofile(profile)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
-        gc.enable()
-    return calls
-
-
-def python_lines(fn) -> int:
-    """How many lines of Python running fn() executes, counted as the
-    `line` events of sys.settrace, so a Python loop counts each pass; the
-    garbage collector is off meanwhile, as in python_calls."""
-    lines = 0
-
-    def trace(frame, event, arg):
-        nonlocal lines
-        lines += event == "line"
-        return trace
-
-    gc.collect()
-    gc.disable()
-    sys.settrace(trace)
-    try:
-        fn()
-    finally:
-        sys.settrace(None)
-        gc.enable()
-    return lines
-
-
 # Two tables of one size whose values differ: on the first every left side
 # of `and` holds and nothing fails; on the second some left sides are false
 # and some rows fail (a float past the range, an int past a float's or
@@ -591,6 +547,7 @@ def test_a_float_its_bound_does_not_prove_finite_keeps_its_mask(text):
 ROW_HELD = [(k, k, 1.5 * k, 2.0, "a", "b") for k in range(6)]
 ROW_MOVED = ROW_HELD[:5] + [(1,) + ROW_HELD[5][1:]]
 COMPUTED_X = Schema.of(("i", ColumnType.INT64), ("x", ColumnType.FLOAT64))
+X_ONLY = Schema.of(("x", ColumnType.FLOAT64))
 MATCH_BELOW_FIVE = Table.of(
     Schema.of(("i", ColumnType.INT64), ("r", ColumnType.TEXT)), [(i, "r") for i in range(5)]
 )
@@ -599,16 +556,18 @@ BELOW_FIVE = ExpansionBranch({"i": "i", "x": "x"}, when="i < 5")
 
 
 # Each step as a transformation over DOMAIN, and as the query a session
-# builds it from, with the privacy unit that query needs.
+# builds it from, with the privacy unit that query needs; a grouping's
+# release is per key of BY_S, whose "a" holds every row and "z" none.
+BY_S = KeySet(Schema.of(("s", ColumnType.TEXT)), [("a",), ("z",)])
 WORK_STEPS = {
-    "filter": (make_filter(DOMAIN, "i < 5"), AddMaxRows(1), lambda q: q.filter("i < 5")),
+    "filter": (make_filter(DOMAIN, "i < 5"), AddMaxRows(1), lambda q: q.filter("i < 5"), None),
     "cut": (
         make_truncate_by_id(TableDomain(SCHEMA, "i"), 1), AddRemoveId("i"),
-        lambda q: q.truncate_by_id(1),
+        lambda q: q.truncate_by_id(1), None,
     ),
     "fan-out-1 join": (
         make_public_join(DOMAIN, MATCH_BELOW_FIVE, ["i"]), AddMaxRows(1),
-        lambda q: q.join_public(MATCH_BELOW_FIVE, ["i"]),
+        lambda q: q.join_public(MATCH_BELOW_FIVE, ["i"]), None,
     ),
     "map's computed column": (
         chain(
@@ -617,6 +576,7 @@ WORK_STEPS = {
         ),
         AddMaxRows(1),
         lambda q: q.filter("i < 5").map({"i": "i", "x": "x / 2.0"}, COMPUTED_X),
+        None,
     ),
     "map with a cell that can fail": (
         chain(
@@ -625,15 +585,25 @@ WORK_STEPS = {
         ),
         AddMaxRows(1),
         lambda q: q.filter("i < 5").map({"i": "i", "x": "x * 1.5"}, COMPUTED_X),
+        None,
     ),
     "flat map": (
         make_flat_map(DOMAIN, [BELOW_FIVE], COMPUTED_X, 1), AddMaxRows(1),
-        lambda q: q.flat_map([BELOW_FIVE], COMPUTED_X, 1),
+        lambda q: q.flat_map([BELOW_FIVE], COMPUTED_X, 1), None,
     ),
     "cut after a filter": (
         chain(make_filter(IDS, "i < 5", AddRemoveIds("i")), make_truncate_by_id(IDS, 2)),
         AddRemoveId("i"),
         lambda q: q.filter("i < 5").truncate_by_id(2),
+        None,
+    ),
+    "grouping after a filter": (
+        make_filter(DOMAIN, "i < 5"), AddMaxRows(1), lambda q: q.filter("i < 5").group_by(BY_S),
+        BY_S,
+    ),
+    "grouping after a cut": (
+        make_truncate_by_id(TableDomain(SCHEMA, "i"), 1), AddRemoveId("i"),
+        lambda q: q.truncate_by_id(1).group_by(BY_S), BY_S,
     ),
 }
 
@@ -663,8 +633,10 @@ def test_the_work_of_a_sum_over_a_mask_does_not_depend_on_which_rows_it_holds(st
     # every stored row, and a cut's pass reads every stored row in order.
     # A table built by hand is its own store, as a loaded one is, and so is
     # a released result, which a second session reads as its table: there
-    # the whole ask is counted, its draws too.
-    transformation, unit, form = WORK_STEPS[step]
+    # the whole ask is counted, its draws too.  A grouped release sums per
+    # key, cold when it splits its table and the grouping derives every
+    # key's total, warm when each key reads its own.
+    transformation, unit, form, keys = WORK_STEPS[step]
 
     def work(rows, count) -> list[int]:
         if source == "released":
@@ -678,6 +650,9 @@ def test_the_work_of_a_sum_over_a_mask_does_not_depend_on_which_rows_it_holds(st
             table = Table._trusted(SCHEMA, table.columns)
         domain = TableDomain(transformation.output_domain.schema)
         measured = make(domain, "x", 0, 6, Fraction(1, 100), PureDpNoise(1))
+        if keys is not None:
+            part = make(TableDomain(X_ONLY), "x", 0, 6, Fraction(1, 100), PureDpNoise(1))
+            measured = compose_per_group(domain, keys, part, X_ONLY.columns[0])
         return [
             count(lambda: measured.eval(transformation.apply(table), RngStream(5)))
             for _ in ("cold", "warm")

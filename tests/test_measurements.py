@@ -19,6 +19,7 @@ from helpers import (
     per_group_reference,
     product_pmf,
     pure_dp_divergence,
+    python_calls,
     quantile_pmf,
     quantile_scores_reference,
     randrange_discrete_gaussian,
@@ -427,6 +428,10 @@ def _grains_key(table, name, low, high, gamma):
     return ("grains", table.schema.index_of(name), low, high, gamma.numerator, gamma.denominator)
 
 
+def _total_key(table, name, low, high, gamma):
+    return ("total", *_grains_key(table, name, low, high, gamma)[1:])
+
+
 @pytest.mark.parametrize("low,high,gamma", GRAIN_CLAMPS)
 def test_totals_from_remembered_counts_are_exact_on_every_table_over_a_store(low, high, gamma):
     rng = random.Random(f"counts-{gamma}")
@@ -457,24 +462,47 @@ def test_totals_from_remembered_counts_are_exact_on_every_table_over_a_store(low
             column = source.columns[source.schema.index_of(name)]
             assert list(counts) == [grain_total_reference([c], low, high, gamma) for c in column]
             assert counts == counts_of(column)
-        # Each key's Table of a grouping is a slice of the grouping's rows,
-        # whose one dict of stored-row data gathers their counts once, from
-        # the grouped table's where it remembers them, so no key's Table
-        # remembers counts of its own; absent keys share one empty Table, a
-        # source, which stores no row.
+        # Each table but a key's remembers its pair in its own memo.  Each
+        # key's Table of a grouping is a slice of the grouping's rows, whose
+        # one dict of stored-row data holds every key's pair in place of
+        # per-row counts, gathered once from the grouped table's where it
+        # remembers them, so no key's Table remembers anything of its own
+        # and each reads its pair at its offset; absent keys share one empty
+        # Table, a source, which stores no row and remembers nothing.
+        for kind, table in tables.items():
+            for name in ("v", "w"):
+                if table.schema.has_column(name):
+                    cells = table.column(table.schema.index_of(name))
+                    pair = (grain_total_reference(cells, low, high, gamma), len(cells))
+                    assert remembered(table)[_total_key(table, name, low, high, gamma)] == pair
         by_hand = tables["built by hand"]
         for (kind, name), parts in per_key.items():
             present = [part for part in parts if part.offset is not None]
             assert all(remembered(part) == {} for part in present)
-            assert all(not len(part.columns[0]) for part in parts if part.offset is None)
+            assert all(
+                not len(part.columns[0]) and remembered(part) == {} and part.stored == {}
+                for part in parts if part.offset is None
+            )
             (shared,) = {id(part.stored): part.stored for part in present}.values()
             key = _grains_key(present[0], name, low, high, gamma)
             assert list(shared) == [key]
+            totals, counts = shared[key]
+            assert sorted(part.offset for part in present) == list(range(len(totals)))
+            assert len(counts) == len(totals)
+            for part in present:
+                cells = part.column(0)
+                pair = (grain_total_reference(cells, low, high, gamma), len(cells))
+                assert (totals[part.offset], counts[part.offset]) == pair
             grouped = by_hand if kind == "built by hand grouping" else source
             grouped_counts = grouped.stored[_grains_key(grouped, name, low, high, gamma)]
-            (stored, _, _, order), = present[0]._origin
-            assert stored is grouped.stored
-            assert list(shared[key]) == list(map(grouped_counts.__getitem__, order))
+            (stored, at, _, (order, held, stops)), = present[0]._origin
+            assert stored is grouped.stored and list(stops)[-1] == len(order)
+            ends = [0, *stops]
+            mask = [1] * len(order) if held is None else list(held)
+            assert list(totals) == [
+                sum(grouped_counts[order[i]] * mask[i] for i in range(start, stop))
+                for start, stop in zip(ends, ends[1:])
+            ]
 
 
 def _memo_keys(table):
@@ -530,8 +558,17 @@ def test_only_the_table_storing_a_column_remembers_its_counts_once_per_column_an
     def grains(table):
         return {key for key in table.stored if key[0] == "grains"}
 
+    def totals(table):
+        return {key for key in remembered(table) if key[0] == "total"}
+
     assert grains(source) == {("grains", v, *clamp) for clamp in clamped}
     assert all(len(source.stored[key]) == len(source.columns[0]) for key in grains(source))
+    # Every table remembers one pair per summed column and clamp in its
+    # own memo, whatever the measurement.
+    for kind, table in tables.items():
+        names = [name for name in ("v", "x") if table.schema.has_column(name)]
+        summed = list(map(table.schema.index_of, names))
+        assert totals(table) == {("total", i, *clamp) for i in summed for clamp in clamped}, kind
     for kind in shared:
         assert tables[kind].stored is source.stored
         assert not any(key[0] == "grains" for key in remembered(tables[kind])), kind
@@ -553,8 +590,8 @@ def test_only_the_table_storing_a_column_remembers_its_counts_once_per_column_an
     assert grains(tables["built by hand"]) == grains(source)
 
     # A grouping's key Tables share one dict of stored-row data, which
-    # holds one entry per clamp; absent keys share one empty Table, which
-    # stores no row.
+    # holds one entry per clamp, every key's total and count; absent keys
+    # share one empty Table, which stores no row and remembers nothing.
     per_key = {}
     for _ in range(2):
         per_key = _group_tables(tables, "v")
@@ -567,11 +604,119 @@ def test_only_the_table_storing_a_column_remembers_its_counts_once_per_column_an
         assert present and all(remembered(part) == {} for part in present)
         assert len({id(part.stored) for part in present}) == 1
         assert list(present[0].stored) == [("grains", 0, -7.0, 9.0, 1, 4)]
+        assert [len(entry) for entry in present[0].stored[("grains", 0, -7.0, 9.0, 1, 4)]] == [
+            len(present)
+        ] * 2
+        absent = [part for part in per_key[kind] if part.offset is None]
+        assert absent and all(remembered(part) == {} == part.stored for part in absent)
     # No memo key anywhere holds a Fraction, whose hash is a Python call.
     keys = [key for table in tables.values() for key in _memo_keys(table)]
     keys += [key for parts in per_key.values() for part in parts for key in _memo_keys(part)]
     assert any(key[0] == "grains" for key in keys if isinstance(key, tuple))
     assert not any(isinstance(item, Fraction) for key in keys for item in _flat(key))
+
+
+def test_a_filter_of_a_key_table_sums_its_own_held_rows():
+    # A key's Table reads its key's pair from its grouping, but a filter's
+    # output over it holds fewer rows: its total counts its own held cells.
+    low, high, gamma = -7.0, 9.0, Fraction(1, 4)
+    domain = TableDomain(Schema.of(("v", ColumnType.FLOAT64)))
+    rng = random.Random(1047)
+    for _ in range(4):
+        seen = []
+        release = compose_per_group(
+            STORED_PLAIN, BY_K, _recording_part_of("v", seen), ("n", ColumnType.INT64)
+        )
+        release.eval(Table.of(STORED, _stored_rows(rng, gamma)), stream())
+        total = _grains(domain, "v", low, high, gamma)[0]
+        dropped = 0
+        for part in seen:
+            for table in (part, make_filter(domain, "v > 0.0").apply(part)):
+                cells = table.column(0)
+                assert total(table) == (grain_total_reference(cells, low, high, gamma), len(cells))
+                dropped += len(part) - len(table)
+        assert dropped > 0
+
+
+# The tables of the warm-sum test: rows keyed by g in "abcd" and by id,
+# whose x lies past both clamp ends and on half grains.
+WARM = Schema.of(("id", ColumnType.INT64), ("g", ColumnType.TEXT), ("x", ColumnType.FLOAT64))
+WARM_DOMAIN = TableDomain(WARM)
+X_ONLY = Schema.of(("x", ColumnType.FLOAT64))
+BY_G = KeySet(Schema.of(("g", ColumnType.TEXT)), [("c",), ("a",), ("z",), ("b",), ("d",)])
+EXACT = PureDpNoise(10**40)  # every draw is 0 but with probability about e^-(10^40)
+WARM_CLAMP = (-2, 10, Fraction(1, 4))
+# The C functions through which a sum reads rows: a sum of counts and a
+# count of a mask's held rows.
+ROW_READERS = frozenset({"sum", "bytes.count"})
+# Each case's step before the aggregation (None for none), and whether the
+# aggregation is per key of BY_G.
+WARM_CASES = {
+    "source": (None, False),
+    "filter": (make_filter(WARM_DOMAIN, "x > 1.0"), False),
+    "cut": (make_truncate_by_id(TableDomain(WARM, "id"), 2), False),
+    "map's computed column": (
+        make_map(WARM_DOMAIN, {"g": "g", "x": "x * 0.5 + 1.0"}, Schema.of(*WARM.columns[1:])),
+        False,
+    ),
+    "unmasked grouping": (None, True),
+    "masked grouping": (make_filter(WARM_DOMAIN, "x > 1.0"), True),
+}
+
+
+def _warm_rows(n):
+    rng = random.Random(n)
+    xs = [rng.choice([rng.uniform(-5, 14), rng.randint(-24, 96) / 8]) for _ in range(n)]
+    return [(rng.randrange(n // 4), rng.choice("abcd"), x) for x in xs]
+
+
+def _exact_value(make, cells):
+    """The noise-free value of a sum or an average of cells at WARM_CLAMP,
+    by the grain-total oracle."""
+    low, high, gamma = WARM_CLAMP
+    total = grain_total_reference(cells, low, high, gamma) * gamma
+    return float(total if make is make_sum else total / max(1, len(cells)))
+
+
+@pytest.mark.parametrize("make", [make_sum, make_average], ids=["sum", "average"])
+@pytest.mark.parametrize("case", list(WARM_CASES))
+def test_a_warm_sum_or_average_reads_no_row(case, make):
+    # Cold, warm and, once the source has dropped every value it
+    # remembered, rebuilt releases are equal, and equal the oracle's.  A warm
+    # release reads its remembered total: it calls no function that reads
+    # rows, and makes as many calls on 10,000 rows as on 1,000.
+    step, grouped = WARM_CASES[case]
+    domain = WARM_DOMAIN if step is None else step.output_domain
+    measured = make(domain, "x", *WARM_CLAMP, EXACT)
+    if grouped:
+        part = make(TableDomain(X_ONLY), "x", *WARM_CLAMP, EXACT)
+        measured = compose_per_group(domain, BY_G, part, X_ONLY.columns[0])
+    calls = []
+    for n in (1000, 10_000):
+        table = Table.of(WARM, _warm_rows(n))
+
+        def release():
+            out = measured.eval(table if step is None else step.apply(table), stream())
+            return out.rows if grouped else out
+
+        cold, warm = release(), release()
+        assert python_calls(release, ROW_READERS) == 0
+        calls.append(python_calls(release))
+        for bound in range(MAX_REMEMBERED_OUTPUTS):
+            table.derive(("dropped", bound), int)
+        assert all(key[0] == "dropped" for key in remembered(table)) and not table.stored
+        rebuilt = release()
+        data = table if step is None else step.apply(table)
+        x, g = data.schema.index_of("x"), data.schema.index_of("g")
+        if grouped:
+            expected = tuple(
+                (key, _exact_value(make, [row[x] for row in data.rows if row[g] == key]))
+                for (key,) in BY_G.rows
+            )
+        else:
+            expected = _exact_value(make, data.column(x))
+        assert cold == warm == rebuilt == expected
+    assert calls[0] == calls[1]
 
 
 def test_sum_sensitivity_scales_privacy():
@@ -1248,12 +1393,15 @@ def test_a_session_group_holds_only_the_column_its_aggregation_reads(
             # masked one finds the filter's mask remembered on the source
             # (make_filter above asked for it first) and remembers its own
             # groups in the memo of that mask, a Table for every key of a
-            # stored row.  A sum's or an average's groups keep their grain
-            # counts in the grouping, so the table's stored rows remember
-            # none, whichever keys have rows.
+            # stored row.  A sum's or an average's groups keep every key's
+            # grain total and count in the grouping, so the table's stored
+            # rows remember none, whichever keys have rows, and no key's
+            # Table, nor the empty Table of absent keys, remembers anything
+            # but a quantile's sorted column.
             grouping = ("groups", ("g",), (read,))
             summed = name in ("make_sum", "make_average")
             grains = ("grains", 0, -2.0, 10.0, 1, 4)
+            own = {("sorted", 0)} if name == "make_quantile" else set()
             assert set(table.stored) == set()
             expected = {grouping}
             if masked:
@@ -1265,8 +1413,13 @@ def test_a_session_group_holds_only_the_column_its_aggregation_reads(
                 if key in remembered(held)[grouping]:
                     assert group is remembered(held)[grouping][key]
                     assert set(group.stored) == ({grains} if summed else set())
+                    assert set(remembered(group)) == own
+                    if summed:
+                        totals, counts = group.stored[grains]
+                        assert counts[group.offset] == len(group) and len(totals) == len(counts)
                 else:
                     assert group.offset is None and not len(group.columns[0])
+                    assert set(remembered(group)) == own and group.stored == {}
 
 
 def _recording_part(schema, seen):
@@ -1327,14 +1480,17 @@ def test_a_count_and_a_sum_on_one_table_remember_two_groupings(monkeypatch):
             for expr in (by_g.count(), by_g.sum("v", -2, 10)):
                 s.evaluate(expr, budget(1))
         # One split per read column, each its own entry; the warm releases
-        # split nothing.  The sum's groups keep their one counts entry in
-        # the grouping, and the table's stored rows remember none.
+        # split nothing.  The sum's groups keep their one entry of every
+        # key's total and count in the grouping, no key's Table remembers
+        # anything of its own, and the table's stored rows remember none.
         assert len(splits) == 2
         grains = ("grains", 0, -2.0, 10.0, 1, 100)
         assert set(remembered(table)) == {("groups", ("g",), (read,)) for read in ("g", "v")}
         assert set(table.stored) == set()
-        for group in remembered(table)[("groups", ("g",), ("v",))].values():
-            assert set(group.stored) == {grains}
+        summed = remembered(table)[("groups", ("g",), ("v",))].values()
+        for group in summed:
+            assert set(group.stored) == {grains} and remembered(group) == {}
+            assert [len(entry) for entry in group.stored[grains]] == [len(summed)] * 2
         assert {key: _group_rows(groups) for key, groups in remembered(table).items()} == {
             ("groups", ("g",), (read,)): _groups_reference(table, ("g",), (read,))
             for read in ("g", "v")
