@@ -388,31 +388,33 @@ def _grains(domain: TableDomain, column: str, low, high, granularity):
     in grains, g_num, g_den).
 
     total's pair is derived data, built once per table and bounds and then
-    read, so a warm sum or average reads no row; a table with no stored
-    rows gives (0, 0) and remembers nothing.  A table derives its pair in
-    its own memo under ("total", index, low, high, g_num, g_den), one
-    value toward MAX_REMEMBERED_OUTPUTS, by summing at its held rows, with
-    compress, in C, the grain counts that the stored rows which computed
-    the column derive once, in what every table over them shares
-    (Table.stored), under ("grains", its index there, low, high, g_num,
-    g_den) by _grain_counts, one int per stored row, held or not.  A
-    table's _origin says where a column's cells come from, and the counts
-    come from there too: a map's bare column or a fan-out-1 join's left
-    column reads its input's counts.  Only a column that stored rows hold
-    of their own (a loaded or hand-built table's, or one a map, a flat map
-    or a join computed) is rounded for them, once.
+    read, so a warm sum or average reads no row.  A table derives its pair
+    in its own memo under ("total", index, low, high, g_num, g_den), one
+    value toward MAX_REMEMBERED_OUTPUTS, however many rows it stores (a
+    private number on a loaded table or a join's output), by summing at
+    its held rows, with compress, in C, the grain counts that the stored
+    rows which computed the column derive once, in what every table over
+    them shares (Table.stored), under ("grains", its index there, low,
+    high, g_num, g_den) by _grain_counts, one int per stored row, held or
+    not.  A table's _origin says where a column's cells come from, and
+    the counts come from there too: a map's bare column or a fan-out-1
+    join's left column reads its input's counts.  Only a column that
+    stored rows hold of their own (a loaded or hand-built table's, or one
+    a map, a flat map or a join computed) is rounded for them, once.
 
     A key's Table of a grouping reads its key's pair at its offset from
     every key's totals and held counts, which the first sum of the
     grouping at these bounds derives in one pass, in what its key Tables
-    share, under the grains key of its read column: O(keys) ints, in place
+    share, under the total key of its read column: O(keys) ints, in place
     of any per-row counts.  The pass gathers the grouped table's counts
     where those are remembered (else it rounds the cells for itself, and
     leaves its grouped table's memo as it was) in key order, and sums each
-    key's span of them at the grouping's mask, all in C.  So what a source
-    remembers depends only on the queries asked,
-    never on which keys have rows, and a sum's work does not depend on
-    which rows are held, on a table of any kind.
+    key's span of them at the grouping's mask, all in C.  The one Table
+    of a grouping's absent keys (offset -1), which stores no row whatever
+    the data, gives (0, 0) and remembers nothing.  So what a source
+    remembers depends only on the queries asked, never on which keys have
+    rows, and a sum's work does not depend on which rows are held, on a
+    table of any kind.
 
     The per-row sensitivity is ceil(max(|low|, |high|) / granularity)."""
     _check_numeric_column(domain, column)
@@ -466,14 +468,14 @@ def _grains(domain: TableDomain, column: str, low, high, granularity):
     last = [None, ()]
 
     def total(table: Table) -> tuple[int, int]:
-        if not table.columns[index]:
-            return 0, 0
         offset = table.offset
+        if offset == -1:
+            return 0, 0
         entry = table._origin[index] if table._origin else None
         if offset is None or entry is None:
             return table.derive(total_key, held_total, table, entry)
         if last[0] is not table.stored:
-            last[:] = table.stored, table.derive(key, per_key, *entry, memo=table.stored)
+            last[:] = table.stored, table.derive(total_key, per_key, *entry, memo=table.stored)
         totals, counts = last[1]
         return totals[offset], counts[offset]
 
@@ -685,7 +687,8 @@ def compose_per_group(
     its own at its offset (see _grains).  A key's Table counts what it
     remembers in an order of its own (Table.derive), so the grouping is one
     value under its table's source, whatever keys have rows.  Absent keys
-    share one empty Table, whose sum reads and remembers nothing.  Each key
+    share one empty Table, at offset -1, whose sum reads and remembers
+    nothing.  Each key
     costs one call of the per-group measurement, which draws and finishes
     its own value (see _noisy), in keyset order from the one generator;
     nothing is summed across keys, so the part is any Measurement on
@@ -710,7 +713,8 @@ def compose_per_group(
     key_columns, read_names = keys.schema.names, read.names
     key_cells = columns_of(keys.rows, len(key_columns))
     group_keys = list(map(key_reader(keys.schema, key_columns), keys.rows))
-    empty = Table._of_rows(read, ())
+    # Absent keys share one Table, which stores no row, at offset -1.
+    empty = Table._trusted(read, columns_of((), len(read.columns)), offset=-1)
     release = per_group._eval
     numeric = [ctype is not ColumnType.TEXT for ctype in read.types]
 

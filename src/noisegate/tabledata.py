@@ -394,8 +394,8 @@ class Table(Record):
     rows share (see derive): a filter and a cut share their input's, a
     source and a step output that stores columns have their own, and a
     grouping's key Tables share one, which holds each key's grain totals
-    in key order; a key's Table is the key at `offset` in that order (None
-    elsewhere).  `_origin`, where not None, gives for each column where
+    in key order; a key's Table is the key at `offset` in that order, the
+    one Table of a grouping's absent keys is at -1 (None elsewhere).  `_origin`, where not None, gives for each column where
     its cells come from: None for a column its stored rows computed, else
     (stored, index, cells, rows), the stored-row data and column at index
     of the stored rows that computed them, on the same stored rows (rows
@@ -520,16 +520,16 @@ class Table(Record):
         own, built by build(*args) the first time.  The key names a
         derivation and its public parameters: in what the tables over the
         same stored rows share (`stored`), the canonical order (ORDER, see
-        canonicalize) and a column's grain counts ("grains", column index,
-        low, high, g_num, g_den; see measurements._grains), which a
-        grouping's key Tables hold as every key's grain total and count;
-        in a table's own memo, a sum's grain total and count ("total",
-        column index, low, high, g_num, g_den), a cut ("cut", key names,
-        bound), a sorted column ("sorted", column index), a join index
-        ("join", key names), the groups ("groups", key names, read names),
-        a dict from each key to a Table of its rows in the read columns
-        only, and a step's output (see the make_* functions in
-        transformations).  Every key is made
+        canonicalize), a column's grain counts ("grains", column index,
+        low, high, g_num, g_den; see measurements._grains), one per stored
+        row, and, in what a grouping's key Tables share, every key's grain
+        total and count (the "total" key below); in a table's own memo, a
+        sum's grain total and count ("total", column index, low, high,
+        g_num, g_den), a cut ("cut", key names, bound), a sorted column
+        ("sorted", column index), a join index ("join", key names), the
+        groups ("groups", key names, read names), a dict from each key to
+        a Table of its rows in the read columns only, and a step's output
+        (see the make_* functions in transformations).  Every key is made
         of strings, ints and floats, which hash in C, and none holds a
         Table or a private cell.  Every caller gets the same value, so none
         may change it.  Every value remembered under a source, at any

@@ -468,7 +468,7 @@ def test_totals_from_remembered_counts_are_exact_on_every_table_over_a_store(low
         # per-row counts, gathered once from the grouped table's where it
         # remembers them, so no key's Table remembers anything of its own
         # and each reads its pair at its offset; absent keys share one empty
-        # Table, a source, which stores no row and remembers nothing.
+        # Table, at offset -1, which stores no row and remembers nothing.
         for kind, table in tables.items():
             for name in ("v", "w"):
                 if table.schema.has_column(name):
@@ -477,14 +477,14 @@ def test_totals_from_remembered_counts_are_exact_on_every_table_over_a_store(low
                     assert remembered(table)[_total_key(table, name, low, high, gamma)] == pair
         by_hand = tables["built by hand"]
         for (kind, name), parts in per_key.items():
-            present = [part for part in parts if part.offset is not None]
+            present = [part for part in parts if part.offset >= 0]
             assert all(remembered(part) == {} for part in present)
             assert all(
                 not len(part.columns[0]) and remembered(part) == {} and part.stored == {}
-                for part in parts if part.offset is None
+                for part in parts if part.offset == -1
             )
             (shared,) = {id(part.stored): part.stored for part in present}.values()
-            key = _grains_key(present[0], name, low, high, gamma)
+            key = _total_key(present[0], name, low, high, gamma)
             assert list(shared) == [key]
             totals, counts = shared[key]
             assert sorted(part.offset for part in present) == list(range(len(totals)))
@@ -600,14 +600,14 @@ def test_only_the_table_storing_a_column_remembers_its_counts_once_per_column_an
                 summed = make_sum(TableDomain(part.schema), "v", -7, 9, 0.25, PureDpNoise(BIG))
                 summed.eval(part, stream())
     for kind in ("source grouping", "cut grouping", "filter grouping", "built by hand grouping"):
-        present = [part for part in per_key[kind] if part.offset is not None]
+        present = [part for part in per_key[kind] if part.offset >= 0]
         assert present and all(remembered(part) == {} for part in present)
         assert len({id(part.stored) for part in present}) == 1
-        assert list(present[0].stored) == [("grains", 0, -7.0, 9.0, 1, 4)]
-        assert [len(entry) for entry in present[0].stored[("grains", 0, -7.0, 9.0, 1, 4)]] == [
+        assert list(present[0].stored) == [("total", 0, -7.0, 9.0, 1, 4)]
+        assert [len(entry) for entry in present[0].stored[("total", 0, -7.0, 9.0, 1, 4)]] == [
             len(present)
         ] * 2
-        absent = [part for part in per_key[kind] if part.offset is None]
+        absent = [part for part in per_key[kind] if part.offset == -1]
         assert absent and all(remembered(part) == {} == part.stored for part in absent)
     # No memo key anywhere holds a Fraction, whose hash is a Python call.
     keys = [key for table in tables.values() for key in _memo_keys(table)]
@@ -1400,7 +1400,7 @@ def test_a_session_group_holds_only_the_column_its_aggregation_reads(
             # but a quantile's sorted column.
             grouping = ("groups", ("g",), (read,))
             summed = name in ("make_sum", "make_average")
-            grains = ("grains", 0, -2.0, 10.0, 1, 4)
+            total = ("total", 0, -2.0, 10.0, 1, 4)
             own = {("sorted", 0)} if name == "make_quantile" else set()
             assert set(table.stored) == set()
             expected = {grouping}
@@ -1412,13 +1412,13 @@ def test_a_session_group_holds_only_the_column_its_aggregation_reads(
             for group, (key,) in zip(seen, keys.rows):
                 if key in remembered(held)[grouping]:
                     assert group is remembered(held)[grouping][key]
-                    assert set(group.stored) == ({grains} if summed else set())
+                    assert set(group.stored) == ({total} if summed else set())
                     assert set(remembered(group)) == own
                     if summed:
-                        totals, counts = group.stored[grains]
+                        totals, counts = group.stored[total]
                         assert counts[group.offset] == len(group) and len(totals) == len(counts)
                 else:
-                    assert group.offset is None and not len(group.columns[0])
+                    assert group.offset == -1 and not len(group.columns[0])
                     assert set(remembered(group)) == own and group.stored == {}
 
 
@@ -1484,13 +1484,13 @@ def test_a_count_and_a_sum_on_one_table_remember_two_groupings(monkeypatch):
         # key's total and count in the grouping, no key's Table remembers
         # anything of its own, and the table's stored rows remember none.
         assert len(splits) == 2
-        grains = ("grains", 0, -2.0, 10.0, 1, 100)
+        total = ("total", 0, -2.0, 10.0, 1, 100)
         assert set(remembered(table)) == {("groups", ("g",), (read,)) for read in ("g", "v")}
         assert set(table.stored) == set()
         summed = remembered(table)[("groups", ("g",), ("v",))].values()
         for group in summed:
-            assert set(group.stored) == {grains} and remembered(group) == {}
-            assert [len(entry) for entry in group.stored[grains]] == [len(summed)] * 2
+            assert set(group.stored) == {total} and remembered(group) == {}
+            assert [len(entry) for entry in group.stored[total]] == [len(summed)] * 2
         assert {key: _group_rows(groups) for key, groups in remembered(table).items()} == {
             ("groups", ("g",), (read,)): _groups_reference(table, ("g",), (read,))
             for read in ("g", "v")

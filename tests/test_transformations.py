@@ -1362,10 +1362,23 @@ def _remembered_kinds():
     )
     by_income = ("groups", ("zip",), ("income",))
     grains = ("grains", PEOPLE.index_of("income"), 0, 60, 1, 1)
+    # A fan-out-2 join and a private join store only matched rows.
+    twice = Table.of(ZIP_TAGS, [("a", 1), ("a", 3), ("b", 2)])
+    users = Table.of(ZIP_USERS, [("a", 7), ("b", 8), ("b", 9), ("z", 5)])
+    fan_out = make_public_join(PEOPLE_PLAIN, twice, ["zip"])
+    private = make_private_join(PEOPLE_PLAIN, TableDomain(ZIP_USERS, None), ["zip"], 2, 2)
 
     def evaluated(measurement, table, key, memo):
         measurement.eval(table, RngStream(1))
         return table.derive(key, unbuilt, memo=memo(table))
+
+    def total(step=None, inputs=lambda table: table):
+        """A sum's remembered total over step's output (or the table)."""
+        domain = PEOPLE_PLAIN if step is None else step.output_domain
+        summed = make_sum(domain, "income", 0, 60, 1, PureDpNoise(10**40))
+        key = ("total", domain.schema.index_of("income"), 0, 60, 1, 1)
+        output = (lambda table: table) if step is None else lambda table: step.apply(inputs(table))
+        return lambda t: evaluated(summed, output(t), key, remembered)
 
     return kinds + [
         ("cut", cut.apply),
@@ -1376,6 +1389,9 @@ def _remembered_kinds():
         ("grouping", lambda t: evaluated(grouped, t, GROUP_KEY, remembered)),
         ("grouped sum", lambda t: evaluated(grouped_sum, t, by_income, remembered)),
         ("grouped quantile", lambda t: evaluated(grouped_quantile, t, by_income, remembered)),
+        ("sum total", total()),
+        ("sum over a fan-out-2 join", total(fan_out)),
+        ("sum over a private join", total(private, lambda t: (t, users))),
     ]
 
 
@@ -1422,6 +1438,8 @@ def test_a_remembered_output_equals_a_fresh_one_cold_warm_and_evicted(monkeypatc
         rows = _people(rng, rng.randrange(1, 30))
         if "group" in name and i % 2:  # no row has a key of the key set
             rows = [(row[0], "c", *row[2:]) for row in rows]
+        if name.startswith("sum") and i % 2:  # the summed table stores no row
+            rows = [] if name == "sum total" else [(row[0], "c", *row[2:]) for row in rows]
         # A second source of the same rows, built by hand, gives the fresh
         # reference: it remembers its values as a loaded or checked one does.
         # Each run asks with its own steps, so a public or right table
@@ -1446,11 +1464,14 @@ def test_a_remembered_output_equals_a_fresh_one_cold_warm_and_evicted(monkeypatc
         assert _value(cold) == _value(warm) == _value(evicted) == _value(fresh)
         # On a neighbour, the same asks hit, miss and evict the same keys in
         # the same order; a grouping's neighbour adds a row under a key of
-        # its key set that no row of rows has.
+        # its key set that no row of rows has, and a sum's a row that its
+        # table stores, where that stored none.
         ask = dict(_remembered_kinds())[name]
         (added,) = _people(rng, 1)
         if "group" in name:
             added = (added[0], "y", *added[2:])
+        if name.startswith("sum"):
+            added = (added[0], "a", *added[2:])
         neighbour = Table.of(PEOPLE, rows + [added])
         assert _logged_run(monkeypatch, neighbour, run)[1] == log
         if not isinstance(cold, Table):
