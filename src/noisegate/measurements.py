@@ -60,6 +60,7 @@ from .metrics import (
     PureDP,
     SymmetricDifference,
     ZCDP,
+    as_fraction,
     format_amount,
     linear_map,
     max_map,
@@ -127,7 +128,10 @@ class GeometricMechanism(Record):
     def __post_init__(self) -> None:
         # Solved once: every draw samples at this rate.  Not a field: it
         # follows from the two that are.
-        object.__setattr__(self, "rate", self.epsilon_unit / self.sensitivity)
+        rate = self.epsilon_unit
+        if self.sensitivity != 1:
+            rate = rate / self.sensitivity
+        object.__setattr__(self, "rate", rate)
 
     @property
     def privacy_function(self) -> DistanceMap:
@@ -147,11 +151,11 @@ class GaussianMechanism(Record):
 
     @property
     def privacy_function(self) -> DistanceMap:
-        return DistanceMap(0, Fraction(self.sensitivity**2) / (2 * self.sigma_squared))
+        return DistanceMap(0, self.sensitivity**2 / (2 * as_fraction(self.sigma_squared)))
 
 
 def make_geometric(epsilon_unit, sensitivity: int = 1) -> GeometricMechanism:
-    epsilon_unit = Fraction(epsilon_unit)
+    epsilon_unit = as_fraction(epsilon_unit)
     if epsilon_unit <= 0:
         raise NonPositiveEpsilon(f"epsilon must be positive, got {epsilon_unit}")
     if not is_int(sensitivity) or sensitivity < 1:
@@ -160,7 +164,7 @@ def make_geometric(epsilon_unit, sensitivity: int = 1) -> GeometricMechanism:
 
 
 def make_discrete_gaussian(sigma_squared, sensitivity: int = 1) -> GaussianMechanism:
-    sigma_squared = Fraction(sigma_squared)
+    sigma_squared = as_fraction(sigma_squared)
     if sigma_squared <= 0:
         raise NonPositiveSigma(f"sigma_squared must be positive, got {sigma_squared}")
     if not is_int(sensitivity) or sensitivity < 1:
@@ -201,8 +205,8 @@ NoiseSpec = Union[PureDpNoise, ZcdpNoise]
 
 def _halve(noise: NoiseSpec) -> NoiseSpec:
     if isinstance(noise, PureDpNoise):
-        return PureDpNoise(Fraction(noise.epsilon_unit) / 2)
-    return ZcdpNoise(Fraction(noise.rho_unit) / 2)
+        return PureDpNoise(as_fraction(noise.epsilon_unit) / 2)
+    return ZcdpNoise(as_fraction(noise.rho_unit) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +243,10 @@ def _noisy(noise: NoiseSpec, sensitivity: int) -> tuple[DistanceMap, Callable, A
     if isinstance(noise, PureDpNoise):
         mechanism = make_geometric(noise.epsilon_unit, sensitivity)
         return mechanism.privacy_function, sample_two_sided_geometric, mechanism.rate
-    rho_unit = Fraction(noise.rho_unit)
+    rho_unit = as_fraction(noise.rho_unit)
     if rho_unit <= 0:
         raise NonPositiveEpsilon(f"rho must be positive, got {rho_unit}")
-    mechanism = make_discrete_gaussian(
-        Fraction(sensitivity * sensitivity) / (2 * rho_unit), sensitivity
-    )
+    mechanism = make_discrete_gaussian(sensitivity * sensitivity / (2 * rho_unit), sensitivity)
     return mechanism.privacy_function, sample_discrete_gaussian, mechanism.sigma_squared
 
 
@@ -419,11 +421,13 @@ def _grains(domain: TableDomain, column: str, low, high, granularity):
     The per-row sensitivity is ceil(max(|low|, |high|) / granularity)."""
     _check_numeric_column(domain, column)
     low, high = _clamp_bounds(low, high)
-    gamma = Fraction(granularity)
+    gamma = as_fraction(granularity)
     if gamma <= 0:
         raise NonPositiveGranularity(f"granularity must be positive, got {granularity}")
-    sensitivity = math.ceil(max(abs(Fraction(low)), abs(Fraction(high))) / gamma)
     g_num, g_den = gamma.numerator, gamma.denominator
+    # ceil(top / gamma) for top = max(|low|, |high|) = n / d exactly, in ints.
+    n, d = max(abs(low), abs(high)).as_integer_ratio()
+    sensitivity = -(-n * g_den // (d * g_num))
     counts_of = _grain_counts(low, high, g_num, g_den)
     index = domain.schema.index_of(column)
     clamp = (low, high, g_num, g_den)
@@ -581,10 +585,12 @@ def make_quantile(
         raise BadQuantile(f"quantile rank must be in [0, 1], got {q!r}")
     if not is_int(bins) or not 1 <= bins <= MAX_QUANTILE_BINS:
         raise BadBounds(f"bins must be an int in 1..{MAX_QUANTILE_BINS}, got {bins!r}")
-    epsilon_unit = Fraction(epsilon_unit)
+    epsilon_unit = as_fraction(epsilon_unit)
     if epsilon_unit <= 0:
         raise NonPositiveEpsilon(f"epsilon must be positive, got {epsilon_unit}")
-    if epsilon_unit > sys.float_info.max:
+    # The largest float is an int, which a Fraction compares with exactly
+    # and without building a Fraction of it, as it would of the float.
+    if epsilon_unit > int(sys.float_info.max):
         raise NonPositiveEpsilon("epsilon is beyond the float64 range the bin weights use")
 
     width = (high - low) / bins
@@ -751,7 +757,7 @@ def compose_per_group(
 
     return Measurement(
         input_domain=domain,
-        input_metric=GroupedBy(tuple(key_columns), SymmetricDifference()),
+        input_metric=GroupedBy(tuple(key_columns), per_group.input_metric),
         output_measure=per_group.output_measure,
         privacy_function=per_group.privacy_function,
         _eval=evaluate,
@@ -842,7 +848,7 @@ class Queryable:
         return self._spent
 
     def remaining(self):
-        if self._total == INF:
+        if self._total is INF:
             return INF
         return self._total - self._spent
 
@@ -854,7 +860,7 @@ class Queryable:
         """
         with self._lock:
             spend = parse_budget_amount(spend)
-            if spend == INF:
+            if spend is INF:
                 # An infinite budget already admits any finite spend, so an
                 # infinite spend is never needed and would poison the ledger.
                 raise ValueError("spends must be finite")
@@ -874,14 +880,14 @@ class Queryable:
                     f"measurement loses {format_amount(loss)} at distance "
                     f"{at_distance}, more than the declared spend {format_amount(spend)}"
                 )
-            remaining = self.remaining()
-            if spend > remaining:
+            spent = self._spent + spend
+            if spent > self._total:
                 raise InsufficientBudget(
                     f"spend {format_amount(spend)} exceeds remaining budget "
-                    f"{format_amount(remaining)}"
+                    f"{format_amount(self.remaining())}"
                 )
             stream = self._rng.child(self._count)
-            self._spent += spend
+            self._spent = spent
             self._count += 1
             try:
                 return measurement.eval(self._data, stream)

@@ -40,23 +40,32 @@ def _parse_fraction(text: str) -> Fraction:
 def parse_budget_amount(amount):
     """The one rule for a budget or a spend: text ('inf', 'a/b' or a
     decimal), an int, a Fraction or INF becomes a non-negative Fraction or
-    INF.  A float (so accounting never inherits binary rounding), a
-    negative amount or a decimal exponent beyond ±4300 raises
-    TypeMismatch, as does a bool or any other type."""
-    expect(amount, (str, int, float, Fraction), TypeMismatch, "an amount", "text, int or Fraction")
-    if amount == INF or (
-        isinstance(amount, str) and amount.strip().lower() in ("inf", "infinity")
-    ):
-        return INF
-    if isinstance(amount, float):
-        raise TypeMismatch(f"budget amounts must be exact, not the float {amount!r}")
-    try:
-        value = _parse_fraction(amount) if isinstance(amount, str) else Fraction(amount)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise TypeMismatch(f"cannot parse budget amount {amount!r}") from exc
-    if value < 0:
-        raise TypeMismatch(f"budget amounts are non-negative, got {value}")
-    return value
+    INF, and a value that is exactly a Fraction is returned as it is.  A
+    float (so accounting never inherits binary rounding), a negative amount
+    or a decimal exponent beyond ±4300 raises TypeMismatch, as does a bool
+    or any other type.  INF comes back as INF itself, so `is INF` tells an
+    amount this returns from every finite one."""
+    if type(amount) is not Fraction:
+        expect(amount, (str, int, float, Fraction), TypeMismatch, "an amount", "text, int or Fraction")
+        if amount == INF or (
+            isinstance(amount, str) and amount.strip().lower() in ("inf", "infinity")
+        ):
+            return INF
+        if isinstance(amount, float):
+            raise TypeMismatch(f"budget amounts must be exact, not the float {amount!r}")
+        try:
+            amount = _parse_fraction(amount) if isinstance(amount, str) else Fraction(amount)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise TypeMismatch(f"cannot parse budget amount {amount!r}") from exc
+    if amount < 0:
+        raise TypeMismatch(f"budget amounts are non-negative, got {amount}")
+    return amount
+
+
+def as_fraction(value) -> Fraction:
+    """value as a Fraction: itself when it is exactly one, where
+    Fraction(value) would build an equal copy."""
+    return value if type(value) is Fraction else Fraction(value)
 
 
 def format_amount(amount) -> str:
@@ -156,19 +165,25 @@ class DistanceMap(Record):
     quadratic: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
+        # A coefficient that is exactly a Fraction is kept as it is, and a
+        # Fraction's sign is its numerator's.
         for name in ("slope", "quadratic"):
-            value = Fraction(getattr(self, name))
-            if value < 0:
+            value = getattr(self, name)
+            if type(value) is not Fraction:
+                value = Fraction(value)
+                object.__setattr__(self, name, value)
+            if value.numerator < 0:
                 raise ValueError(f"a distance map's {name} must be non-negative, got {value}")
-            object.__setattr__(self, name, value)
 
     def __call__(self, d: Distance) -> Distance:
         if d == INF:
             return INF if self.slope or self.quadratic else Fraction(0)
         if d < 0:
             raise ValueError(f"distances are non-negative, got {d!r}")
-        d = Fraction(d)
-        return self.slope * d + self.quadratic * d * d
+        if type(d) is not int:
+            d = as_fraction(d)
+        value = self.slope * d
+        return value + self.quadratic * (d * d) if self.quadratic else value
 
 
 def linear_map(slope: Fraction | int) -> DistanceMap:
@@ -176,11 +191,14 @@ def linear_map(slope: Fraction | int) -> DistanceMap:
 
 
 def compose_maps(outer: DistanceMap, inner: DistanceMap) -> DistanceMap:
-    """The map d -> outer(inner(d)), for a linear inner map."""
+    """The map d -> outer(inner(d)), for a linear inner map: outer itself
+    when inner is the identity."""
     if inner.quadratic:
         raise ValueError("compose_maps needs a linear inner map")
     s = inner.slope
-    return DistanceMap(outer.slope * s, outer.quadratic * s * s)
+    if s == 1:
+        return outer
+    return DistanceMap(outer.slope * s, outer.quadratic and outer.quadratic * s * s)
 
 
 def sum_maps(maps: Sequence[DistanceMap]) -> DistanceMap:
@@ -188,7 +206,12 @@ def sum_maps(maps: Sequence[DistanceMap]) -> DistanceMap:
     maps = list(maps)
     if not maps:
         raise ValueError("sum_maps needs at least one map")
-    return DistanceMap(sum(m.slope for m in maps), sum(m.quadratic for m in maps))
+    # Each sum starts from the first map's coefficient, not from the int 0.
+    first, *rest = maps
+    return DistanceMap(
+        sum((m.slope for m in rest), first.slope),
+        sum((m.quadratic for m in rest), first.quadratic),
+    )
 
 
 def max_map(maps: Sequence[DistanceMap]) -> DistanceMap:

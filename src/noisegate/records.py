@@ -19,9 +19,11 @@ records, and plain tuples of them, with an explicit stack rather than
 recursion, and a deep query can be compared, hashed, logged and used as a
 key like any other value.  The walk costs about a microsecond per
 comparison: equality of an 8-column TableDomain went from 0.5-0.75 to
-1.7-1.85 us (timeit, Python 3.11.7), and evaluate makes 7 to 10 record
-comparisons per query.  Values of other types are compared, hashed and
-written as they are.
+1.7-1.85 us (timeit, Python 3.11.7).  A warm evaluate makes 3 to 5
+record comparisons per query on the benchmark's scan workload and 5 to 7
+on ids, and a record compared with itself, as a chain's steps compare
+the domain and metric they share, is equal at once.  Values of other
+types are compared, hashed and written as they are.
 
 Measurement and Transformation stay dataclasses: callers rebuild them with
 dataclasses.replace.
@@ -146,6 +148,8 @@ class Record:
         """Check or normalise the fields; a record without checks has none."""
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if type(other) is not type(self):
             return NotImplemented
         # Pairs of value tuples of one length (two records' fields, or the

@@ -283,7 +283,8 @@ class _Relational(_Aggregable):
 
 class _Aggregation(QueryExpr):
     """A root node: _measurement(domain, noise) measures its child, per
-    group when the child is a GroupBy; value_column names the result."""
+    group when the child is a GroupBy; value_schema is the one column of
+    its result, built once with its class."""
 
 
 def _require_rows(last: tf.Transformation, what: str) -> None:
@@ -407,7 +408,7 @@ class GroupBy(_Aggregable, builder="group_by"):
 class Count(_Aggregation, builder="count"):
     child: QueryExpr
 
-    value_column = ("count", ColumnType.INT64)
+    value_schema = Schema.of(("count", ColumnType.INT64))
 
     def _measurement(self, domain, noise):
         return make_count(domain, noise)
@@ -425,7 +426,7 @@ class _Clamped(_Aggregation):
 
 
 class Sum(_Clamped, builder="sum"):
-    value_column = ("sum", ColumnType.FLOAT64)
+    value_schema = Schema.of(("sum", ColumnType.FLOAT64))
 
     def _measurement(self, domain, noise):
         return make_sum(
@@ -434,7 +435,7 @@ class Sum(_Clamped, builder="sum"):
 
 
 class Average(_Clamped, builder="average"):
-    value_column = ("average", ColumnType.FLOAT64)
+    value_schema = Schema.of(("average", ColumnType.FLOAT64))
 
     def _measurement(self, domain, noise):
         return make_average(
@@ -450,7 +451,7 @@ class Quantile(_Aggregation, builder="quantile"):
     high: float
     bins: int
 
-    value_column = ("quantile", ColumnType.FLOAT64)
+    value_schema = Schema.of(("quantile", ColumnType.FLOAT64))
 
     def _measurement(self, domain, noise):
         if not isinstance(noise, PureDpNoise):
@@ -509,6 +510,24 @@ def _root_parts(tables: Mapping[str, Any], unit: PrivacyUnit):
     return names, tuple(tables[name] for name in names), (unit.metric,) * len(names)
 
 
+class _Root(dict):
+    """Table domains by name, in name order, with what every query over
+    them under `unit` compiles from: each table's select step by name
+    (`steps`) and the unit distance.  A session builds its root once and
+    compiles each ask against it; compile_query given plain domains builds
+    one for the call."""
+
+    def __init__(self, table_domains: Mapping[str, TableDomain], unit: PrivacyUnit):
+        names, components, metrics = _root_parts(table_domains, unit)
+        super().__init__(zip(names, components))
+        self.unit = unit
+        self.steps = {
+            name: tf.make_select_table(components, metrics, i)
+            for i, name in enumerate(names)
+        }
+        self.distance = unit.distance(len(names))
+
+
 # How deeply private joins may nest, as each node counts them when it is
 # built (_join_depth).  Each nested join adds two frames to the stack that
 # compiling and evaluating a query need.
@@ -517,9 +536,10 @@ _MAX_JOIN_NESTING = 8
 # The frames evaluate needs below its own: the deepest query that the caps
 # allow (a 64-level predicate, a sum or nested `and`s, under private joins
 # nested 8 deep, grouped) evaluates with 90 frames of headroom on CPython
-# 3.10.13 and 3.11.7 and 89 on 3.12.1 and 3.13.0, and not with one fewer;
-# compiling the predicate takes most of them, since its column program
-# runs in a flat loop.  The rest is a margin.
+# 3.10.13 and 3.11.7 (91 while its tables have remembered nothing yet) and
+# 89 on 3.12.1 and 3.13.0, and not with one fewer; compiling the predicate
+# takes most of them, since its column program runs in a flat loop.  The
+# rest is a margin.
 _FRAME_BUDGET = 120
 
 
@@ -560,33 +580,24 @@ def compile_query(
     """Compile a query against table schemas alone; no data is touched.
 
     The mechanism parameter is solved so the end-to-end privacy function
-    at the unit distance equals `spend` exactly.
+    at the unit distance equals `spend` exactly.  A session passes its
+    root as the domains, so its asks reuse the select steps built with it.
     """
     spend = parse_budget_amount(spend)
-    if spend == INF:
+    if spend is INF:
         raise TypeCheckError(
             "spends must be finite; an infinite budget admits any finite spend"
         )
+    if not (isinstance(table_domains, _Root) and table_domains.unit is unit):
+        table_domains = _Root(table_domains, unit)
     try:
-        return _compile(expr, table_domains, unit, measure, spend)
+        return _compile(expr, table_domains, measure, spend)
     except _TYPE_ERRORS as exc:
         raise TypeCheckError(str(exc)) from exc
 
 
-def _compile(
-    expr: QueryExpr,
-    table_domains: Mapping[str, TableDomain],
-    unit: PrivacyUnit,
-    measure: Measure,
-    spend: Fraction,
-) -> CompiledQuery:
-    names, components, metrics = _root_parts(table_domains, unit)
-    distance = unit.distance(len(names))
-    tables = {
-        name: tf.make_select_table(components, metrics, i)
-        for i, name in enumerate(names)
-    }
-
+def _compile(expr: QueryExpr, root: _Root, measure: Measure, spend: Fraction) -> CompiledQuery:
+    tables, distance = root.steps, root.distance
     if not isinstance(expr, _Aggregation):
         raise TypeCheckError("queries must end in an aggregation")
     if expr._join_depth > _MAX_JOIN_NESTING:
@@ -601,8 +612,12 @@ def _compile(
     scaled = slope * distance  # distance seen by the aggregation
     # The spend is linear in the per-unit cost under PureDP, quadratic
     # under zCDP; at stability 0 any positive per-unit cost is exact.
-    power = 2 if isinstance(measure, ZCDP) else 1
-    per_unit = spend / scaled**power if scaled else Fraction(1)
+    if scaled == 1:
+        per_unit = spend
+    elif scaled:
+        per_unit = spend / scaled ** (2 if isinstance(measure, ZCDP) else 1)
+    else:
+        per_unit = Fraction(1)
     if per_unit <= 0:
         raise NonPositiveEpsilon(
             f"spend {spend} leaves no budget for noise at stability {slope}"
@@ -618,15 +633,20 @@ def _compile(
     if grouping is not None:
         # Each group's Table holds only the column the aggregation reads:
         # a sum's, an average's or a quantile's column, or for a count the
-        # first key column, which gives each group its length.
-        check_key_columns(domain.schema, grouping.keys.schema)
-        read = getattr(expr, "column", grouping.keys.schema.names[0])
-        domain = TableDomain(Schema(((read, domain.schema.type_of(read)),)))
+        # first key column, which gives each group its length; a count by
+        # one key column reads the keys' own schema.
+        keys = grouping.keys.schema
+        check_key_columns(domain.schema, keys)
+        column = getattr(expr, "column", None)
+        if column is None and len(keys.columns) == 1:
+            read = keys
+        else:
+            column = column or keys.columns[0][0]
+            read = Schema(((column, domain.schema.type_of(column)),))
+        domain = TableDomain(read)
     measured = expr._measurement(domain, noise)
-    value_column = expr.value_column
-
-    key_columns = () if grouping is None else tuple(grouping.keys.schema.columns)
-    output_schema = Schema(key_columns + (value_column,))
+    output_schema = value_schema = expr.value_schema
+    (value_column,) = value_schema.columns
     if grouping is None:
         value_type, evaluate = value_column[1], measured._eval
 
@@ -634,21 +654,18 @@ def _compile(
             value = result_cell(evaluate(table, rng), value_type)
             return Table._trusted(output_schema, ((value,),))
     else:
+        output_schema = Schema(grouping.keys.schema.columns + value_schema.columns)
         measured = compose_per_group(chain.output_domain, grouping.keys, measured, value_column)
         release = measured._eval
     apply = chain._apply
-    return CompiledQuery(
-        measurement=Measurement(
-            input_domain=chain.input_domain,
-            input_metric=chain.input_metric,
-            output_measure=measured.output_measure,
-            privacy_function=compose_maps(measured.privacy_function, chain.stability),
-            _eval=lambda data, rng: release(apply(data), rng),
-        ),
-        transformation=chain,
-        output_schema=output_schema,
-        unit_distance=distance,
+    measurement = Measurement(
+        input_domain=chain.input_domain,
+        input_metric=chain.input_metric,
+        output_measure=measured.output_measure,
+        privacy_function=compose_maps(measured.privacy_function, chain.stability),
+        _eval=lambda data, rng: release(apply(data), rng),
     )
+    return CompiledQuery(measurement, chain, output_schema, distance)
 
 
 # ---------------------------------------------------------------------------
@@ -663,22 +680,21 @@ class Session:
     randomness is consumed.
     """
 
-    def __init__(self, *, _queryable, _table_domains, _unit, _measure):
+    def __init__(self, *, _queryable, _root, _measure):
         self._queryable = _queryable
-        self._table_domains = _table_domains
-        self._unit = _unit
+        self._root = _root
         self._measure = _measure
 
     @property
     def privacy_unit(self) -> PrivacyUnit:
-        return self._unit
+        return self._root.unit
 
     @property
     def measure(self) -> Measure:
         return self._measure
 
     def table_schemas(self) -> dict[str, Schema]:
-        return {name: d.schema for name, d in self._table_domains.items()}
+        return {name: d.schema for name, d in self._root.items()}
 
     def remaining_budget(self) -> PrivacyBudget:
         return PrivacyBudget(self._measure, self._queryable.remaining())
@@ -710,9 +726,7 @@ class Session:
                 f"evaluate needs {_FRAME_BUDGET} frames of stack below the "
                 f"recursion limit and has {headroom}"
             )
-        compiled = compile_query(
-            expr, self._table_domains, self._unit, self._measure, spend.amount
-        )
+        compiled = compile_query(expr, self._root, self._root.unit, self._measure, spend.amount)
         return self._queryable.ask(
             compiled.measurement, spend.amount, compiled.unit_distance
         )
@@ -766,9 +780,4 @@ def build_session(
         budget.amount,
         RngStream(seed),
     )
-    return Session(
-        _queryable=queryable,
-        _table_domains=domains,
-        _unit=unit,
-        _measure=budget.measure,
-    )
+    return Session(_queryable=queryable, _root=_Root(domains, unit), _measure=budget.measure)

@@ -128,22 +128,23 @@ class Schema(Record):
                 raise SchemaMismatch(f"column {column!r}: expected a (name, type) tuple")
             name, ctype = column
             expect(name, str, SchemaMismatch, "a column name", "a string")
-            expect(ctype, ColumnType, SchemaMismatch, f"column {name!r}", "a ColumnType")
-        names = [name for name, _ in self.columns]
-        if any(not name for name in names):
+            # An Enum with members has no subclasses, so only a ColumnType
+            # passes expect, whose message is built only for a type that fails.
+            if type(ctype) is not ColumnType:
+                expect(ctype, ColumnType, SchemaMismatch, f"column {name!r}", "a ColumnType")
+        names = tuple(name for name, _ in columns)
+        if not all(names):
             raise SchemaMismatch("column names must be non-empty")
         if len(set(names)) != len(names):
-            raise DuplicateColumn(f"duplicate column names in {names}")
-        # Not a field: read once for each Table(...) built under the schema.
+            raise DuplicateColumn(f"duplicate column names in {list(names)}")
+        # Not fields: the types, read once for each Table(...) built under
+        # the schema, and the names, which each lookup by name reads.
+        object.__setattr__(self, "names", names)
         object.__setattr__(self, "types", tuple(ctype for _, ctype in columns))
 
     @classmethod
     def of(cls, *columns: tuple[str, ColumnType]) -> "Schema":
         return cls(tuple(columns))
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.columns)
 
     def type_of(self, name: str) -> ColumnType:
         for col, ctype in self.columns:
@@ -158,7 +159,7 @@ class Schema(Record):
         raise UnknownColumn(f"no column named {name!r}; have {list(self.names)}")
 
     def has_column(self, name: str) -> bool:
-        return any(col == name for col, _ in self.columns)
+        return name in self.names
 
 
 def is_int(value) -> bool:

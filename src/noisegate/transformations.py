@@ -90,11 +90,12 @@ def _names_and_types(schema: Schema) -> tuple[tuple[str, str], ...]:
 
 
 def _compile_branch(
-    columns: Columns, schema: Schema, new_schema: Schema
+    pairs: tuple[tuple[str, str], ...], schema: Schema, new_schema: Schema
 ) -> list[CompiledExpression]:
     """A map or flat-map branch's projections over rows of `schema`, in
-    new_schema's column order; the branch must name exactly its columns."""
-    columns = dict(column_pairs(columns))
+    new_schema's column order, from its pairs as column_pairs gives them;
+    the branch must name exactly its columns."""
+    columns = dict(pairs)
     if set(columns) != set(new_schema.names):
         raise SchemaMismatch(
             f"expressions cover {sorted(columns)} but the new schema has "
@@ -126,8 +127,11 @@ def chain(*steps: Transformation) -> Transformation:
     Each step must take the domain and metric the one before it yields,
     and the stabilities compose along the chain.  The pipeline calls the
     steps' functions one after another in a loop, so running a chain of
-    any length takes the same stack depth as running one step.
+    any length takes the same stack depth as running one step.  A chain of
+    one step is that step.
     """
+    if len(steps) == 1:
+        return steps[0]
     stability = steps[0].stability
     for before, after in zip(steps, steps[1:]):
         if after.input_domain != before.output_domain:

@@ -18,6 +18,7 @@ from helpers import (
     sd_distance,
     zcdp_divergence,
 )
+from noisegate.errors import TypeMismatch
 from noisegate.metrics import (
     INF,
     AddRemoveIds,
@@ -30,6 +31,7 @@ from noisegate.metrics import (
     format_amount,
     linear_map,
     max_map,
+    parse_budget_amount,
     sum_maps,
 )
 from noisegate.tabledata import ColumnType, Schema, Table
@@ -209,6 +211,80 @@ def test_distance_map_algebra_is_pointwise(f, d):
         assert compose_maps(f, linear_map(s))(d) == f(_times(s, d))
     for maps in ([f], [f, f], [f] + ALGEBRA_MAPS):
         assert sum_maps(maps)(d) == sum(m(d) for m in maps)
+
+
+class _Rational(Fraction):
+    """A Fraction subclass, which no exact-Fraction shortcut may keep."""
+
+
+@pytest.mark.parametrize(
+    "amount, expected",
+    [
+        (Fraction(1, 3), Fraction(1, 3)),
+        (Fraction(0), Fraction(0)),
+        (_Rational(2, 7), Fraction(2, 7)),
+        (_Rational(0), Fraction(0)),
+        (3, Fraction(3)),
+        ("1/10", Fraction(1, 10)),
+        ("inf", INF),
+        (INF, INF),
+        (Fraction(-1, 3), TypeMismatch),
+        (_Rational(-2, 7), TypeMismatch),
+        (-1, TypeMismatch),
+        ("-1/10", TypeMismatch),
+        (0.5, TypeMismatch),
+        (True, TypeMismatch),
+    ],
+)
+def test_an_amount_is_read_into_an_exact_fraction_once(amount, expected):
+    if expected is TypeMismatch:
+        with pytest.raises(TypeMismatch):
+            parse_budget_amount(amount)
+        return
+    value = parse_budget_amount(amount)
+    assert value == expected
+    if expected is INF:
+        assert value is INF
+    else:
+        assert type(value) is Fraction
+    if type(amount) is Fraction:
+        assert value is amount  # an exact Fraction is taken as it is
+
+
+@pytest.mark.parametrize(
+    "slope, quadratic",
+    [
+        (Fraction(1, 5), Fraction(0)),
+        (Fraction(0), Fraction(3, 4)),
+        (2, 0),
+        (_Rational(1, 5), _Rational(3, 4)),
+        (Fraction(-1, 5), Fraction(0)),
+        (Fraction(0), Fraction(-3, 4)),
+        (_Rational(-1, 5), 0),
+        (-2, 0),
+    ],
+)
+def test_a_distance_map_holds_exact_non_negative_fractions(slope, quadratic):
+    if slope < 0 or quadratic < 0:
+        with pytest.raises(ValueError, match="non-negative"):
+            DistanceMap(slope, quadratic)
+        return
+    f = DistanceMap(slope, quadratic)
+    for given, held in ((slope, f.slope), (quadratic, f.quadratic)):
+        assert type(held) is Fraction and held == given
+        if type(given) is Fraction:
+            assert held is given
+    # Its value at an int, a Fraction or a float distance is the closed form
+    # in exact Fractions, and at INF it is INF unless the map is 0.
+    for d in (0, 1, 7, Fraction(5, 3), 0.5):
+        exact = Fraction(d)
+        value = f(d)
+        assert type(value) is Fraction
+        assert value == Fraction(slope) * exact + Fraction(quadratic) * exact * exact
+    assert f(INF) == (INF if slope or quadratic else 0)
+    for d in (-1, Fraction(-1, 3), -0.5):
+        with pytest.raises(ValueError, match="non-negative"):
+            f(d)
 
 
 def test_distance_map_handles_infinity():

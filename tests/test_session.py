@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    LoggingRandom,
     dataset_distance,
     gaussian_pmf,
     join_nesting_reference,
@@ -45,9 +46,10 @@ from noisegate.errors import (
 )
 from noisegate.cli import parse_script
 from noisegate.measurements import MAX_QUANTILE_BINS, PureDpNoise, compose_per_group, make_count
-from noisegate import measurements, metrics, transformations
+from noisegate import measurements, metrics, session as session_module, transformations
 from noisegate.metrics import INF, AddRemoveIds, PureDP, SymmetricDifference, ZCDP
 from noisegate.records import record_fields
+from noisegate.rng import RngStream
 from noisegate.session import (
     _FRAME_BUDGET,
     _MAX_JOIN_NESTING,
@@ -536,7 +538,7 @@ def test_a_sampler_swapped_before_evaluate_sees_every_draw(monkeypatch):
 # Sessions end to end.
 
 
-def test_session_ledger_and_exhaustion():
+def test_session_ledger_and_exhaustion(monkeypatch):
     s = fresh_session(budget=PrivacyBudget.pure(1))
     s.evaluate(query("people").count(), PrivacyBudget.pure("2/5"))
     assert s.remaining_budget().amount == Fraction(3, 5)
@@ -544,6 +546,36 @@ def test_session_ledger_and_exhaustion():
     assert s.remaining_budget().amount == 0
     with pytest.raises(InsufficientBudget):
         s.evaluate(query("people").count(), PrivacyBudget.pure("1/100"))
+
+    # A long session stays exact: 300 asks whose spends cycle through 1/3,
+    # 2/7 and 1/10 spend a budget of their sum to exactly Fraction(0), and
+    # each draws what its query alone draws from the stream of its ordinal.
+    logs, generator = [], RngStream.generator
+
+    def logged(stream):
+        made = LoggingRandom(0)
+        made.setstate(generator(stream).getstate())
+        logs.append((stream.path, made.calls))
+        return made
+
+    monkeypatch.setattr(RngStream, "generator", logged)
+    spends = [Fraction(1, 3), Fraction(2, 7), Fraction(1, 10)] * 100
+    people = people_table()
+    s = fresh_session(budget=PrivacyBudget.pure(sum(spends)), tables={"people": people})
+    expr = query("people").count()
+    answers = [s.evaluate(expr, PrivacyBudget.pure(spend)).rows for spend in spends]
+    remaining = s.remaining_budget().amount
+    assert type(remaining) is Fraction and remaining == 0
+    with pytest.raises(InsufficientBudget):
+        s.evaluate(expr, PrivacyBudget.pure(Fraction(1, 10**9)))
+    assert s.remaining_budget().amount == 0
+    assert [path for path, _ in logs] == [(n,) for n in range(300)]
+    asked = [calls for _, calls in logs]
+    logs.clear()
+    for n, spend in enumerate(spends):
+        alone = compile_query(expr, DOMAINS, AddMaxRows(1), PureDP(), spend).measurement
+        assert alone.eval((people,), RngStream(7).child(n)).rows == answers[n]
+    assert [calls for _, calls in logs] == asked
 
 
 def test_a_remaining_budget_of_more_than_4300_digits_has_a_repr():
@@ -553,6 +585,50 @@ def test_a_remaining_budget_of_more_than_4300_digits_has_a_repr():
     assert remaining.amount == Fraction(2 * 10**4300 - 1, 2)
     text = f"PrivacyBudget(measure=PureDP(), amount=Fraction(1{'9' * 4300}, 2))"
     assert repr(remaining) == str(remaining) == text
+
+
+def test_a_session_builds_its_root_once(monkeypatch):
+    # Each table's select step is built with the session, never by an ask.
+    built, select = [], transformations.make_select_table
+
+    def counted(components, metrics, index):
+        built.append(index)
+        return select(components, metrics, index)
+
+    monkeypatch.setattr(transformations, "make_select_table", counted)
+    visits = Table.of(Schema.of(("id", INT64), ("site", TEXT)), [(0, "a"), (1, "b")])
+    s = fresh_session(tables={"people": people_table(), "visits": visits})
+    assert built == [0, 1]
+    for _ in range(5):
+        s.evaluate(query("visits").count(), PrivacyBudget.pure(1))
+    assert built == [0, 1]
+
+
+@pytest.mark.parametrize("id_unit", [False, True])
+def test_a_session_compiles_every_kind_as_compile_query_does_alone(monkeypatch, id_unit):
+    people = people_table()
+    visits = Table.of(Schema.of(("id", INT64), ("site", TEXT)), [(0, "a"), (1, "b")])
+    id_column = "id" if id_unit else None
+    domains = {
+        "people": TableDomain(people.schema, id_column),
+        "visits": TableDomain(visits.schema, id_column),
+    }
+    unit, source = (AddRemoveId("id"), _truncated) if id_unit else (AddMaxRows(2), query)
+    compiled, compile_alone = [], session_module.compile_query
+
+    def kept(*args):
+        compiled.append(compile_alone(*args))
+        return compiled[-1]
+
+    monkeypatch.setattr(session_module, "compile_query", kept)
+    s = build_session({"people": people, "visits": visits}, unit, PrivacyBudget.pure(100), 1)
+    spend = Fraction(1, 3)
+    for expr in _every_kind_queries(source):
+        s.evaluate(expr, PrivacyBudget.pure(spend))
+        ours, alone = compiled[-1], compile_alone(expr, domains, unit, PureDP(), spend)
+        assert ours.measurement.privacy_function == alone.measurement.privacy_function
+        assert (ours.unit_distance, ours.output_schema) == (alone.unit_distance, alone.output_schema)
+    assert len(compiled) == 8
 
 
 def test_failed_evaluate_charges_nothing():
