@@ -6,11 +6,12 @@ construction and is never observable through the public operations here:
 equality is multiset equality, and canonicalize gives the stored rows'
 positions in the one fixed order used wherever determinism matters.  A
 table remembers data derived from it, by key (Table.derive): cuts,
-groups, sorted columns, join indexes and the outputs of the steps over
-it, and the tables over the same stored rows share their order and grain
-counts (Table.stored).  Every value remembered under one source, of every
-kind, counts toward MAX_REMEMBERED_OUTPUTS (a grouping as one value), and
-no table refers to another, so a table is freed at its last reference.
+groups, sorted columns, quantiles' bin weights, join indexes and the
+outputs of the steps over it, and the tables over the same stored rows
+share their order and grain counts (Table.stored).  Every value
+remembered under one source, of every kind, counts toward
+MAX_REMEMBERED_OUTPUTS (a grouping as one value), and no table refers to
+another, so a table is freed at its last reference.
 key_reader is the one rule for how rows are keyed by named columns
 (Table.key_column reads the same keys from the columns), and split_by_key
 hands out each key's row positions by it, so grouping and joins take one
@@ -357,8 +358,10 @@ ORDER = "order"
 # count, never a size, since sizes depend on the rows: past it the value
 # used least recently is dropped, and built again, equal, when a query asks
 # for it.  Each value is data about a table under the source (a mask, a
-# position or count list, a tuple of columns, a grouping's key Tables), so
-# held memory is at most this many times that of such a table.
+# position or count list, a tuple of columns, a grouping's key Tables) or a
+# quantile's running bin weights, one double per bin, which its public bins
+# bound (measurements.MAX_QUANTILE_BINS, 0.8 MB), so held memory is at most
+# this many times the larger of such a table and that.
 MAX_REMEMBERED_OUTPUTS = 32
 
 # What Table.derive's lookup finds where nothing is remembered: no lookup
@@ -527,23 +530,28 @@ class Table(Record):
         total and count (the "total" key below); in a table's own memo, a
         sum's grain total and count ("total", column index, low, high,
         g_num, g_den), a cut ("cut", key names, bound), a sorted column
-        ("sorted", column index), a join index ("join", key names), the
+        ("sorted", column index), a quantile's running bin weights and
+        their total ("quantile", column index, rank type, rank numerator
+        and denominator, low, high, bins, epsilon / 2; see
+        measurements.make_quantile), a join index ("join", key names), the
         groups ("groups", key names, read names), a dict from each key to
         a Table of its rows in the read columns only, and a step's output
         (see the make_* functions in transformations).  Every key is made
-        of strings, ints and floats, which hash in C, and none holds a
-        Table or a private cell.  Every caller gets the same value, so none
-        may change it.  Every value remembered under a source, at any
-        depth, counts toward MAX_REMEMBERED_OUTPUTS in the source's one
-        order of use (_uses), which a table under it reads through a weak
-        reference; past it the least recently used is dropped from its
-        memo, and built again, equal, when asked again.  A grouping is one
-        value there: each of its key Tables, which only the grouping holds,
-        counts what it remembers (its sorted columns, the grouping's
-        per-key grain totals) in an order of its own, bounded by the same
-        count and freed with the grouping, so what a source's order holds
-        depends on the queries asked and not on which keys have rows.  A
-        lookup hashes key three times, and a miss raises nothing.
+        of strings, ints and floats (and a quantile's rank type), which
+        hash in C, and none holds a Table or a private cell.  Every caller
+        gets the same value, so none may change it.  Every value
+        remembered under a source, at any depth, counts toward
+        MAX_REMEMBERED_OUTPUTS in the source's one order of use (_uses),
+        which a table under it reads through a weak reference; past it the
+        least recently used is dropped from its memo, and built again,
+        equal, when asked again.  A grouping is one value there: each of
+        its key Tables, which only the grouping holds, counts what it
+        remembers (its sorted columns and quantiles' weights, the
+        grouping's per-key grain totals) in an order of its own, bounded
+        by the same count and freed with the grouping, so what a source's
+        order holds depends on the queries asked and not on which keys
+        have rows.  A lookup hashes key three times, and a miss raises
+        nothing.
         """
         order = self._uses()
         if memo is None:

@@ -428,6 +428,38 @@ def quantile_scores_reference(values, midpoints, q) -> list:
     return [-abs(sum(1 for v in values if v < mid) - target) for mid in midpoints]
 
 
+def quantile_weights_reference(values, q, low, high, bins, epsilon) -> tuple[list, float]:
+    """A quantile's bin weights, exp(epsilon / 2 * (score - top score))
+    in float64, as running sums added one at a time, and their fsum."""
+    low, high = float(low), float(high)
+    width = (high - low) / bins
+    midpoints = [low + (i + 0.5) * width for i in range(bins)]
+    scores = quantile_scores_reference(values, midpoints, q)
+    top = max(scores)
+    half_epsilon = float(Fraction(epsilon)) / 2
+    weights = [math.exp(half_epsilon * (s - top)) for s in scores]
+    running, partial = [], 0.0
+    for weight in weights:
+        partial += weight
+        running.append(partial)
+    return running, math.fsum(weights)
+
+
+def quantile_draw_reference(values, q, low, high, bins, epsilon, rng) -> float:
+    """The midpoint a quantile releases, drawn from rng's next 64 bits: the
+    first bin whose running weight reaches the draw, walked linearly, or
+    the last bin where rounding leaves the draw beyond every running sum."""
+    low, high = float(low), float(high)
+    width = (high - low) / bins
+    midpoints = [low + (i + 0.5) * width for i in range(bins)]
+    running, total = quantile_weights_reference(values, q, low, high, bins, epsilon)
+    draw = (rng.getrandbits(64) + 0.5) / 2.0**64 * total
+    for midpoint, partial in zip(midpoints, running):
+        if partial >= draw:
+            return midpoint
+    return midpoints[-1]
+
+
 def truncate_reference(rows, key_positions, bound) -> Counter:
     """The multiset kept by keeping, per key, the first `bound` rows with
     text cells ordered by their UTF-8 bytes."""

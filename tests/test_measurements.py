@@ -2,6 +2,8 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
+from array import array
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -21,7 +23,9 @@ from helpers import (
     pure_dp_divergence,
     python_calls,
     quantile_pmf,
+    quantile_draw_reference,
     quantile_scores_reference,
+    quantile_weights_reference,
     randrange_discrete_gaussian,
     randrange_two_sided_geometric,
     remembered,
@@ -52,6 +56,7 @@ from noisegate.measurements import (
     _grain_counts,
     _grains,
     _quantile_scores,
+    MAX_QUANTILE_BINS,
     GaussianMechanism,
     GeometricMechanism,
     Measurement,
@@ -851,6 +856,24 @@ def _quantile(column, q, low, high, bins):
     return make_quantile(COLUMNS_DOMAIN, column, q, low, high, bins, Fraction(1, 20))
 
 
+def _quantile_key(index, q, low, high, bins, epsilon=Fraction(1, 20)):
+    """The key under which a table remembers a quantile's running weights."""
+    ratio = q.as_integer_ratio()
+    return ("quantile", index, type(q), *ratio, float(low), float(high), bins, float(epsilon) / 2)
+
+
+def _weights(values, spec, epsilon=Fraction(1, 20)):
+    """What a table remembers of a quantile's weights, as lists, from the
+    oracle."""
+    _, q, low, high, bins = spec
+    return quantile_weights_reference(values, q, low, high, bins, epsilon)
+
+
+def _remembered_weights(table, key):
+    running, total = remembered(table)[key]
+    return list(running), total
+
+
 def test_a_warm_quantile_builds_nothing(monkeypatch):
     rng = random.Random(71)
     for _ in range(10):
@@ -861,37 +884,61 @@ def test_a_warm_quantile_builds_nothing(monkeypatch):
         values = table.derive(("sorted", 2), unbuilt)
         assert values == sorted(row[2] for row in rows)
 
-        def no_sort(*args, **kwargs):
-            raise AssertionError("a remembered column was sorted again")
+        def no_build(*args, **kwargs):
+            raise AssertionError("a remembered value was built again")
 
+        # Quantiles at other parameters weigh their own bins from the
+        # column the first one sorted.
         with monkeypatch.context() as patch:
-            patch.setattr(measurements, "sorted", no_sort, raising=False)
-            for measurement in [first, *others]:
+            patch.setattr(measurements, "sorted", no_build, raising=False)
+            for measurement in others:
                 measurement.eval(table, stream())
-        assert remembered(table) == {("sorted", 2): values}
+        keys = [_quantile_key(2, *spec[1:]) for spec in QUANTILES]
+        weights = {key: remembered(table)[key] for key in keys}
+        with monkeypatch.context() as patch:
+            patch.setattr(measurements, "sorted", no_build, raising=False)
+            patch.setattr(measurements, "_quantile_scores", no_build)
+            patch.setattr(math, "exp", no_build)
+            for seed, measurement in enumerate([first, *others]):
+                # A warm release draws one word, as the cold one did.
+                ours = LoggingRandom(seed)
+                measurement._eval(table, ours)
+                assert ours.calls == [64]
+        assert set(remembered(table)) == {("sorted", 2), *keys}
         assert table.derive(("sorted", 2), unbuilt) is values
+        for key, spec in zip(keys, QUANTILES):
+            assert table.derive(key, unbuilt) is weights[key]
+            assert _remembered_weights(table, key) == _weights(values, spec)
         # The table's own rows keep the order they were built with.
         assert table.rows == tuple(rows)
 
 
 def test_sorted_columns_of_other_columns_or_tables_never_share_an_entry():
     rng = random.Random(72)
+    n_spec, v_spec = ("n", 0.5, -5.0, 50.0, 11), ("v", 0.5, 0.0, 200.0, 10)
+    n_key, v_key = _quantile_key(1, *n_spec[1:]), _quantile_key(2, *v_spec[1:])
     for _ in range(10):
         rows = _columns_rows(rng)
         table = Table.of(COLUMNS, rows)
         for _ in range(2):  # cold, then warm
-            _quantile("n", 0.5, -5.0, 50.0, 11).eval(table, stream())
-            _quantile("v", 0.5, 0.0, 200.0, 10).eval(table, stream())
-        assert remembered(table) == {
-            ("sorted", 1): sorted(row[1] for row in rows),
-            ("sorted", 2): sorted(row[2] for row in rows),
-        }
+            _quantile(*n_spec).eval(table, stream())
+            _quantile(*v_spec).eval(table, stream())
+        n_values, v_values = sorted(row[1] for row in rows), sorted(row[2] for row in rows)
+        assert set(remembered(table)) == {("sorted", 1), ("sorted", 2), n_key, v_key}
+        assert remembered(table)[("sorted", 1)] == n_values
+        assert remembered(table)[("sorted", 2)] == v_values
+        assert _remembered_weights(table, n_key) == _weights(n_values, n_spec)
+        assert _remembered_weights(table, v_key) == _weights(v_values, v_spec)
         rebuilt = Table.of(COLUMNS, rows)
         assert remembered(rebuilt) == {}
         fewer = Table.of(COLUMNS, rows[1:])
-        _quantile("v", 0.5, 0.0, 200.0, 10).eval(fewer, stream())
-        assert remembered(fewer) == {("sorted", 2): sorted(row[2] for row in rows[1:])}
-        assert remembered(table)[("sorted", 2)] == sorted(row[2] for row in rows)
+        _quantile(*v_spec).eval(fewer, stream())
+        fewer_values = sorted(row[2] for row in rows[1:])
+        assert set(remembered(fewer)) == {("sorted", 2), v_key}
+        assert remembered(fewer)[("sorted", 2)] == fewer_values
+        assert _remembered_weights(fewer, v_key) == _weights(fewer_values, v_spec)
+        assert remembered(table)[("sorted", 2)] == v_values
+        assert _remembered_weights(table, v_key) == _weights(v_values, v_spec)
 
 
 def test_cold_and_warm_quantiles_draw_as_on_a_fresh_table():
@@ -909,6 +956,134 @@ def test_cold_and_warm_quantiles_draw_as_on_a_fresh_table():
                 assert ours.getrandbits(64) == theirs.getrandbits(64)
 
 
+class _FixedWord(random.Random):
+    """A generator whose every getrandbits gives one word."""
+
+    def __init__(self, word):
+        super().__init__(0)
+        self.word = word
+
+    def getrandbits(self, k):
+        return self.word
+
+
+def _signed(value):
+    """A float with the sign of its zero, which == does not compare."""
+    return value, math.copysign(1.0, value)
+
+
+def test_cold_and_warm_quantiles_draw_as_the_reference():
+    # Bit for bit, on tables of every size down to none, at every kind of
+    # rank, one bin or many, bounds at either zero, and epsilon from tiny to
+    # the weights' limit: the first release builds the table's running
+    # weights and the second reads them, and both draw what the reference's
+    # linear walk over the weights draws from the same word.
+    rng = random.Random(75)
+    values = [[], [100.0]] + [
+        [row[2] for row in _columns_rows(rng, rng.randrange(2, 30))] for _ in range(4)
+    ]
+    ranks = [0.5, 0.9, 0, 1, Fraction(1, 3), Fraction(1, 2)]
+    bounds = [(-0.0, 0.0), (0.0, 0.0), (-0.0, 210.0), (-10, -0.0), (-5, 250)]
+    epsilons = [Fraction(1, 10**30), Fraction(1, 20), Fraction(10**40)]
+    cases = product(range(len(values)), ranks, (1, 1000), bounds, epsilons)
+    for seed, (at, q, bins, (low, high), epsilon) in enumerate(cases):
+        cells = values[at]
+        table = Table.of(COLUMNS, [("a", 0, v) for v in cells])
+        measurement = make_quantile(COLUMNS_DOMAIN, "v", q, low, high, bins, epsilon)
+        ours, theirs = LoggingRandom(seed), LoggingRandom(seed)
+        for _ in range(2):  # cold, then warm
+            got = measurement._eval(table, ours)
+            expected = quantile_draw_reference(cells, q, low, high, bins, epsilon, theirs)
+            assert _signed(got) == _signed(expected)
+        assert ours.calls == theirs.calls == [64, 64]
+        assert set(remembered(table)) == {("sorted", 2), _quantile_key(2, q, low, high, bins, epsilon)}
+
+
+def test_a_draw_beyond_the_last_running_weight_takes_the_last_bin():
+    # Weights of e^-37, 1 and e^-37 add up, one at a time, to exactly 1,
+    # while their fsum rounds up past it; the largest word draws between
+    # the two, beyond every running sum, and gets the last bin, cold and
+    # warm, as the reference's walk does when it falls off the end.
+    cells, spec = [1.0, 2.0], (0.5, 0.0, 3.0, 3, Fraction(74))
+    running, total = quantile_weights_reference(cells, *spec)
+    word = 2**64 - 1
+    assert running[-1] == 1.0 < (word + 0.5) / 2.0**64 * total
+    table = Table.of(COLUMNS, [("a", 0, v) for v in cells])
+    measurement = make_quantile(COLUMNS_DOMAIN, "v", *spec)
+    for _ in range(2):  # cold, then warm
+        got = measurement._eval(table, _FixedWord(word))
+        assert got == quantile_draw_reference(cells, *spec, _FixedWord(word)) == 2.5
+    # A word that draws under the first running sum gets the first bin.
+    assert measurement._eval(table, _FixedWord(0)) == 0.5
+
+
+def test_a_draw_equal_to_a_running_weight_takes_its_bin():
+    # At a tiny epsilon every weight is exactly 1, so the running sums are
+    # 1, 2, 3 and 4, and the word 2^63 draws exactly 2: the walk's first
+    # running sum at or above it is the second bin's, cold and warm.
+    cells, spec = [1.0, 2.0, 3.0], (0.5, 0.0, 4.0, 4, Fraction(1, 10**30))
+    assert quantile_weights_reference(cells, *spec) == ([1.0, 2.0, 3.0, 4.0], 4.0)
+    table = Table.of(COLUMNS, [("a", 0, v) for v in cells])
+    measurement = make_quantile(COLUMNS_DOMAIN, "v", *spec)
+    for _ in range(2):  # cold, then warm
+        got = measurement._eval(table, _FixedWord(2**63))
+        assert got == quantile_draw_reference(cells, *spec, _FixedWord(2**63)) == 1.5
+
+
+def test_equal_ranks_of_different_types_never_share_an_entry():
+    # 0.5 and Fraction(1, 2) score in different arithmetic, so each has
+    # its own entry, and each releases what the reference does at its rank.
+    rng = random.Random(76)
+    for seed in range(10):
+        rows = _columns_rows(rng, rng.randrange(40))
+        table = Table.of(COLUMNS, rows)
+        cells = [row[2] for row in rows]
+        ranks = (0.5, Fraction(1, 2))
+        for _ in range(2):  # cold, then warm
+            for q in ranks:
+                ours, theirs = LoggingRandom(seed), LoggingRandom(seed)
+                got = _quantile("v", q, 0.0, 200.0, 64)._eval(table, ours)
+                assert got == quantile_draw_reference(cells, q, 0.0, 200.0, 64, Fraction(1, 20), theirs)
+        keys = {_quantile_key(2, q, 0.0, 200.0, 64) for q in ranks}
+        assert len(keys) == 2
+        assert set(remembered(table)) == {("sorted", 2), *keys}
+
+
+def test_compiling_a_quantile_builds_no_bins():
+    # The bins' midpoints are built with their weights, on a table's first
+    # release, not when the quantile compiles: 10^5 of them are about 3 MB.
+    tracemalloc.start()
+    try:
+        make_quantile(COLUMNS_DOMAIN, "v", 0.5, 0.0, 1.0, MAX_QUANTILE_BINS, Fraction(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_a_source_remembers_at_most_the_count_of_quantile_weights():
+    # Forty quantiles at distinct spends leave the source at its count of
+    # remembered values, the least recently used dropped; a dropped entry
+    # is built again equal, and its release is the reference's.
+    rng = random.Random(77)
+    rows = _columns_rows(rng, 200)
+    cells = [row[2] for row in rows]
+    table = Table.of(COLUMNS, rows)
+    spends = [Fraction(1, 20 + i) for i in range(40)]
+    for spend in spends:
+        make_quantile(COLUMNS_DOMAIN, "v", 0.9, 0.0, 400.0, 1000, spend).eval(table, stream())
+        assert len(remembered(table)) <= MAX_REMEMBERED_OUTPUTS
+    first = _quantile_key(2, 0.9, 0.0, 400.0, 1000, spends[0])
+    assert len(remembered(table)) == MAX_REMEMBERED_OUTPUTS and first not in remembered(table)
+    ours, theirs = LoggingRandom(3), LoggingRandom(3)
+    got = make_quantile(COLUMNS_DOMAIN, "v", 0.9, 0.0, 400.0, 1000, spends[0])._eval(table, ours)
+    assert got == quantile_draw_reference(cells, 0.9, 0.0, 400.0, 1000, spends[0], theirs)
+    running, total = remembered(table)[first]
+    assert isinstance(running, array) and running.typecode == "d"
+    assert (list(running), total) == quantile_weights_reference(cells, 0.9, 0.0, 400.0, 1000, spends[0])
+    assert len(remembered(table)) == MAX_REMEMBERED_OUTPUTS
+
+
 def test_a_grouped_quantile_still_scores_as_the_reference(monkeypatch):
     rng = random.Random(74)
     keys = KeySet(Schema.of(("g", ColumnType.TEXT)), [("a",), ("b",), ("c",)])
@@ -923,17 +1098,31 @@ def test_a_grouped_quantile_still_scores_as_the_reference(monkeypatch):
     for column, q, low, high, bins in QUANTILES:
         per_group = _quantile(column, q, low, high, bins)
         grouped = compose_per_group(COLUMNS_DOMAIN, keys, per_group, ("quantile", ColumnType.FLOAT64))
+        absent_scored = False
         for _ in range(5):
             rows = _columns_rows(rng, rng.randrange(40))
             table = Table.of(COLUMNS, rows)
-            for _ in range(2):  # each evaluate wraps the groups in new tables
-                scored.clear()
-                grouped.eval(table, stream())
-                assert len(scored) == len(keys.rows)
-                for (key,), (values, midpoints, q_seen, scores) in zip(keys.rows, scored):
-                    group = [row[2] for row in rows if row[0] == key]
-                    assert values == sorted(group) and q_seen == q
-                    assert scores == quantile_scores_reference(group, midpoints, q)
+            # The cold release scores every key's Table as the reference
+            # does: each present key's, and the one Table of the absent keys
+            # that the grouped measurement holds, on its first release with
+            # an absent key only, since that Table remembers its weights.
+            # The warm one finds every key's weights remembered on its
+            # Table, and scores none.
+            scoring = []
+            for (key,) in keys.rows:
+                group = [row[2] for row in rows if row[0] == key]
+                if group or not absent_scored:
+                    scoring.append(group)
+                    absent_scored = absent_scored or not group
+            scored.clear()
+            cold = grouped.eval(table, stream())
+            assert len(scored) == len(scoring)
+            for group, (values, midpoints, q_seen, scores) in zip(scoring, scored):
+                assert values == sorted(group) and q_seen == q
+                assert scores == quantile_scores_reference(group, midpoints, q)
+            scored.clear()
+            assert grouped.eval(table, stream()).rows == cold.rows
+            assert scored == []
 
 
 # ---------------------------------------------------------------------------
@@ -1397,11 +1586,12 @@ def test_a_session_group_holds_only_the_column_its_aggregation_reads(
             # grain total and count in the grouping, so the table's stored
             # rows remember none, whichever keys have rows, and no key's
             # Table, nor the empty Table of absent keys, remembers anything
-            # but a quantile's sorted column.
+            # but a quantile's sorted column and running weights.
             grouping = ("groups", ("g",), (read,))
             summed = name in ("make_sum", "make_average")
             total = ("total", 0, -2.0, 10.0, 1, 4)
-            own = {("sorted", 0)} if name == "make_quantile" else set()
+            weights = _quantile_key(0, 0.5, -2, 10, 8, Fraction(1))
+            own = {("sorted", 0), weights} if name == "make_quantile" else set()
             assert set(table.stored) == set()
             expected = {grouping}
             if masked:
