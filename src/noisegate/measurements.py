@@ -589,7 +589,9 @@ def make_quantile(
     getrandbits(64), finds the first running sum at or above the draw by
     bisection, as a walk adding the weights in order would, and returns
     that bin's midpoint.  q's type is in the key because 0.5 and
-    Fraction(1, 2) score in different arithmetic.
+    Fraction(1, 2) score in different arithmetic.  A grouping's key Table
+    remembers only its sorted column and weighs its bins on every release,
+    so a grouped quantile holds no weights beyond the release.
     """
     _check_numeric_column(domain, column)
     low, high = _clamp_bounds(low, high)
@@ -622,7 +624,12 @@ def make_quantile(
         return array("d", accumulate(weights)), math.fsum(weights)
 
     def evaluate(table: Table, rng: random.Random) -> float:
-        running, total = table.derive(key, weighed, table)
+        # A grouping's key Tables each count what they remember in an
+        # order of their own, so weights there would be held once per key.
+        if table.offset is None:
+            running, total = table.derive(key, weighed, table)
+        else:
+            running, total = weighed(table)
         draw = (rng.getrandbits(64) + 0.5) / 2.0**64 * total
         i = min(bisect_left(running, draw), bins - 1)
         return low + (i + 0.5) * width

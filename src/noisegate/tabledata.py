@@ -361,7 +361,8 @@ ORDER = "order"
 # position or count list, a tuple of columns, a grouping's key Tables) or a
 # quantile's running bin weights, one double per bin, which its public bins
 # bound (measurements.MAX_QUANTILE_BINS, 0.8 MB), so held memory is at most
-# this many times the larger of such a table and that.
+# this many times the larger of such a table and that.  A grouping's key
+# Tables remember no weights, only what is data of the grouping's rows.
 MAX_REMEMBERED_OUTPUTS = 32
 
 # What Table.derive's lookup finds where nothing is remembered: no lookup
@@ -546,12 +547,12 @@ class Table(Record):
         least recently used is dropped from its memo, and built again,
         equal, when asked again.  A grouping is one value there: each of
         its key Tables, which only the grouping holds, counts what it
-        remembers (its sorted columns and quantiles' weights, the
-        grouping's per-key grain totals) in an order of its own, bounded
-        by the same count and freed with the grouping, so what a source's
-        order holds depends on the queries asked and not on which keys
-        have rows.  A lookup hashes key three times, and a miss raises
-        nothing.
+        remembers (its sorted columns, the grouping's per-key grain
+        totals, never a quantile's weights) in an order of its own,
+        bounded by the same count and freed with the grouping, so what a
+        source's order holds depends on the queries asked and not on which
+        keys have rows.  A lookup hashes key three times, and a miss
+        raises nothing.
         """
         order = self._uses()
         if memo is None:

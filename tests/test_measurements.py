@@ -1098,35 +1098,48 @@ def test_a_grouped_quantile_still_scores_as_the_reference(monkeypatch):
     for column, q, low, high, bins in QUANTILES:
         per_group = _quantile(column, q, low, high, bins)
         grouped = compose_per_group(COLUMNS_DOMAIN, keys, per_group, ("quantile", ColumnType.FLOAT64))
-        absent_scored = False
         for _ in range(5):
             rows = _columns_rows(rng, rng.randrange(40))
             table = Table.of(COLUMNS, rows)
-            # The cold release scores every key's Table as the reference
-            # does: each present key's, and the one Table of the absent keys
-            # that the grouped measurement holds, on its first release with
-            # an absent key only, since that Table remembers its weights.
-            # The warm one finds every key's weights remembered on its
-            # Table, and scores none.
-            scoring = []
-            for (key,) in keys.rows:
-                group = [row[2] for row in rows if row[0] == key]
-                if group or not absent_scored:
-                    scoring.append(group)
-                    absent_scored = absent_scored or not group
-            scored.clear()
-            cold = grouped.eval(table, stream())
-            assert len(scored) == len(scoring)
-            for group, (values, midpoints, q_seen, scores) in zip(scoring, scored):
-                assert values == sorted(group) and q_seen == q
-                assert scores == quantile_scores_reference(group, midpoints, q)
-            scored.clear()
-            assert grouped.eval(table, stream()).rows == cold.rows
-            assert scored == []
+            # A grouping's key Tables remember no weights, so the warm
+            # release scores every key as the cold one did, from the
+            # sorted column its key's Table remembers, and releases the
+            # same rows.
+            released = []
+            for _ in range(2):  # cold, then warm
+                scored.clear()
+                released.append(grouped.eval(table, stream()).rows)
+                assert len(scored) == len(keys.rows)
+                for (key,), (values, midpoints, q_seen, scores) in zip(keys.rows, scored):
+                    group = [row[2] for row in rows if row[0] == key]
+                    assert values == sorted(group) and q_seen == q
+                    assert scores == quantile_scores_reference(group, midpoints, q)
+            assert released[0] == released[1]
 
 
-# ---------------------------------------------------------------------------
-# Composition.
+def test_a_grouped_quantile_keeps_no_weights_after_its_release():
+    # Each key's Table counts what it remembers in an order of its own,
+    # so weights kept there would be held once per key: 10 keys at
+    # MAX_QUANTILE_BINS would keep 8 MB.  After its release the grouping
+    # holds less than one key's weights, and after a second one its key
+    # Tables still remember only their sorted columns.
+    keys = KeySet(Schema.of(("g", ColumnType.TEXT)), [(f"k{i}",) for i in range(10)])
+    rows = [(f"k{i}", 0, float(i + j)) for i in range(10) for j in range(3)]
+    table = Table.of(COLUMNS, rows)
+    per_group = make_quantile(COLUMNS_DOMAIN, "v", 0.5, 0.0, 100.0, MAX_QUANTILE_BINS, Fraction(1))
+    grouped = compose_per_group(COLUMNS_DOMAIN, keys, per_group, ("quantile", ColumnType.FLOAT64))
+    tracemalloc.start()
+    try:
+        cold = grouped.eval(table, stream()).rows
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < MAX_QUANTILE_BINS * 8
+    assert grouped.eval(table, stream()).rows == cold
+    (groups,) = remembered(table).values()
+    assert len(groups) == 10
+    for group in groups.values():
+        assert remembered(group) == {("sorted", 2): sorted(group.column(2))}
 
 
 def test_compose_sequential_sums_privacy():
@@ -1586,12 +1599,11 @@ def test_a_session_group_holds_only_the_column_its_aggregation_reads(
             # grain total and count in the grouping, so the table's stored
             # rows remember none, whichever keys have rows, and no key's
             # Table, nor the empty Table of absent keys, remembers anything
-            # but a quantile's sorted column and running weights.
+            # but a quantile's sorted column: never its running weights.
             grouping = ("groups", ("g",), (read,))
             summed = name in ("make_sum", "make_average")
             total = ("total", 0, -2.0, 10.0, 1, 4)
-            weights = _quantile_key(0, 0.5, -2, 10, 8, Fraction(1))
-            own = {("sorted", 0), weights} if name == "make_quantile" else set()
+            own = {("sorted", 0)} if name == "make_quantile" else set()
             assert set(table.stored) == set()
             expected = {grouping}
             if masked:
