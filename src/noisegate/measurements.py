@@ -257,11 +257,25 @@ def _aggregation(
 
 
 def make_count(domain: TableDomain, noise: NoiseSpec) -> Measurement:
-    """A noisy row count.  Sensitivity 1 per unit of symmetric difference."""
+    """A noisy row count.  Sensitivity 1 per unit of symmetric difference.
+
+    The count is len(table), read without the call to Table.__len__,
+    which a grouped count would make once per key.  A table under a mask
+    (a filter's or a step's output, a cut) remembers its held count
+    ("count", see Table.derive), so a warm count reads no row; a
+    grouping's key Tables, which count what they remember apart, count
+    theirs on each release."""
     privacy_function, sample, parameter = _noisy(noise, 1)
 
     def evaluate(table: Table, rng: random.Random) -> int:
-        return len(table) + sample(parameter, rng)
+        held = table.held
+        if held is None:
+            count = len(table.columns[0])
+        elif table.offset is None:
+            count = table.derive("count", held.count, 1)
+        else:
+            count = held.count(1)
+        return count + sample(parameter, rng)
 
     return _aggregation(domain, noise, privacy_function, evaluate)
 

@@ -536,9 +536,10 @@ _MAX_JOIN_NESTING = 8
 # The frames evaluate needs below its own: the deepest query that the caps
 # allow (a 64-level predicate, a sum or nested `and`s, under private joins
 # nested 8 deep, grouped) evaluates with 90 frames of headroom on CPython
-# 3.10.13 and 3.11.7 (91 while its tables have remembered nothing yet) and
-# 89 on 3.12.1 and 3.13.0, and not with one fewer; compiling the predicate
-# takes most of them, since its column program runs in a flat loop.  The
+# 3.10.13 and 3.11.7 and 89 on 3.12.1 and 3.13.0, and not with one fewer,
+# on fresh tables and schemas as on tables that remember; compiling the
+# predicate takes most of them, since its column program runs in a flat
+# loop, so once its schema remembers the predicate it needs about 30.  The
 # rest is a margin.
 _FRAME_BUDGET = 120
 

@@ -139,9 +139,13 @@ class Schema(Record):
         if len(set(names)) != len(names):
             raise DuplicateColumn(f"duplicate column names in {list(names)}")
         # Not fields: the types, read once for each Table(...) built under
-        # the schema, and the names, which each lookup by name reads.
+        # the schema, the names, which each lookup by name reads, and the
+        # expressions compiled against it, which the compiler remembers
+        # here (see expressions.compile_expression), so that they are
+        # freed with the schema.
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "types", tuple(ctype for _, ctype in columns))
+        object.__setattr__(self, "compiled", OrderedDict())
 
     @classmethod
     def of(cls, *columns: tuple[str, ColumnType]) -> "Schema":
@@ -358,11 +362,14 @@ ORDER = "order"
 # count, never a size, since sizes depend on the rows: past it the value
 # used least recently is dropped, and built again, equal, when a query asks
 # for it.  Each value is data about a table under the source (a mask, a
-# position or count list, a tuple of columns, a grouping's key Tables) or a
-# quantile's running bin weights, one double per bin, which its public bins
-# bound (measurements.MAX_QUANTILE_BINS, 0.8 MB), so held memory is at most
-# this many times the larger of such a table and that.  A grouping's key
-# Tables remember no weights, only what is data of the grouping's rows.
+# position or count list, a held count, a tuple of columns, a grouping's
+# key Tables) or a quantile's running bin weights, one double per bin,
+# which its public bins bound (measurements.MAX_QUANTILE_BINS, 0.8 MB), so
+# held memory is at most this many times the larger of such a table and
+# that.  A grouping's key Tables remember no weights, only what is data of
+# the grouping's rows.  It is also how many compiled expressions a Schema
+# remembers (expressions.compile_expression), each the size of its text's
+# program, which no row changes.
 MAX_REMEMBERED_OUTPUTS = 32
 
 # What Table.derive's lookup finds where nothing is remembered: no lookup
@@ -530,29 +537,29 @@ class Table(Record):
         row, and, in what a grouping's key Tables share, every key's grain
         total and count (the "total" key below); in a table's own memo, a
         sum's grain total and count ("total", column index, low, high,
-        g_num, g_den), a cut ("cut", key names, bound), a sorted column
-        ("sorted", column index), a quantile's running bin weights and
-        their total ("quantile", column index, rank type, rank numerator
-        and denominator, low, high, bins, epsilon / 2; see
-        measurements.make_quantile), a join index ("join", key names), the
-        groups ("groups", key names, read names), a dict from each key to
-        a Table of its rows in the read columns only, and a step's output
-        (see the make_* functions in transformations).  Every key is made
-        of strings, ints and floats (and a quantile's rank type), which
-        hash in C, and none holds a Table or a private cell.  Every caller
-        gets the same value, so none may change it.  Every value
-        remembered under a source, at any depth, counts toward
-        MAX_REMEMBERED_OUTPUTS in the source's one order of use (_uses),
-        which a table under it reads through a weak reference; past it the
-        least recently used is dropped from its memo, and built again,
-        equal, when asked again.  A grouping is one value there: each of
-        its key Tables, which only the grouping holds, counts what it
-        remembers (its sorted columns, the grouping's per-key grain
-        totals, never a quantile's weights) in an order of its own,
-        bounded by the same count and freed with the grouping, so what a
-        source's order holds depends on the queries asked and not on which
-        keys have rows.  A lookup hashes key three times, and a miss
-        raises nothing.
+        g_num, g_den), a count's held rows ("count", on a table under a
+        mask; see measurements.make_count), a cut ("cut", key names,
+        bound), a sorted column ("sorted", column index), a quantile's
+        running bin weights and their total ("quantile", column index,
+        rank type, rank numerator and denominator, low, high, bins,
+        epsilon / 2; see measurements.make_quantile), a join index
+        ("join", key names), the groups ("groups", key names, read
+        names), a dict from each key to a Table of its rows in the read
+        columns only, and a step's output (see the make_* functions in
+        transformations).  Every key is made of strings, ints and floats
+        (and a quantile's rank type), which hash in C, and none holds a
+        Table or a private cell.  Every caller gets the same value, so none
+        may change it.  Every value remembered under a source, at any depth,
+        counts toward MAX_REMEMBERED_OUTPUTS in the source's one order of use
+        (_uses), which a table under it reads through a weak reference; past
+        it the least recently used is dropped from its memo, and built again,
+        equal, when asked again.  A grouping is one value there: each of its
+        key Tables, which only the grouping holds, counts what it remembers
+        (its sorted columns, the grouping's per-key grain totals, never a
+        quantile's weights) in an order of its own, bounded by the same count
+        and freed with the grouping, so what a source's order holds depends on
+        the queries asked and not on which keys have rows.  A lookup hashes
+        key three times, and a miss raises nothing.
         """
         order = self._uses()
         if memo is None:
