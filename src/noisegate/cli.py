@@ -24,6 +24,7 @@ import re
 import sys
 from dataclasses import MISSING
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -146,12 +147,15 @@ def _decode_float(value: int, where: str) -> float:
         raise ScriptError(f"{where}: {value} is outside the float64 range") from exc
 
 
-def _decode_rows(value, where: str) -> tuple[Schema, list[tuple]]:
-    """A schema object with a 'rows' array, as inline tables and keysets are."""
-    schema = schema_from_json(value)
-    floats = {i for i, (_, ctype) in enumerate(schema.columns) if ctype is ColumnType.FLOAT64}
-    rows = []
-    for r, row in enumerate(_array(_require(value, "rows", where), f"{where}.rows")):
+def _decode_rows(schema: Schema, rows: Sequence, where: str) -> list[tuple]:
+    """The rows of an inline table or keyset as tuples, each whole number
+    in a float64 column widened; in one C-level pass where no column is
+    float64."""
+    floats = {i for i, ctype in enumerate(schema.types) if ctype is ColumnType.FLOAT64}
+    if not floats and set(map(type, rows)) <= {list, tuple}:
+        return list(map(tuple, rows))
+    decoded = []
+    for r, row in enumerate(rows):
         # The location is formatted only for a row or cell that may fail:
         # keysets run to thousands of rows.
         if not isinstance(row, (list, tuple)):
@@ -163,11 +167,47 @@ def _decode_rows(value, where: str) -> tuple[Schema, list[tuple]]:
                 if i in floats and type(cell) is int else cell
                 for i, cell in enumerate(row)
             ]
-        rows.append(tuple(row))
-    return schema, rows
+        decoded.append(tuple(row))
+    return decoded
 
 
-def _decode_object(cls: type, obj, where: str, prefix: str):
+# The one type of the cells of each column type, as JSON spells them.
+_CELL_TYPES = {ColumnType.INT64: int, ColumnType.FLOAT64: float, ColumnType.TEXT: str}
+
+
+def _exact(schema: Schema, rows: Sequence[Sequence]) -> bool:
+    """Whether each cell of rows, each of the schema's width, is exactly of
+    its column's _CELL_TYPES type.  Python's == equates 1, 1.0 and True, so
+    of two equal lists of exact rows, each cell is the other's, type and
+    value."""
+    return all(
+        set(map(type, map(itemgetter(i), rows))) <= {_CELL_TYPES[ctype]}
+        for i, ctype in enumerate(schema.types)
+    )
+
+
+def _decode_public(build, value, where: str, public: dict):
+    """build(schema, rows), for Table.of or KeySet, from a schema object
+    with a 'rows' array, as inline public tables and keysets are.  `public`
+    lives for one parse_script call and holds, by build, columns and row
+    count, the rows of each value built whose cells are _exact, with what
+    the build made: a value whose rows are equal to those and _exact too
+    is that same object.  Any other value is decoded, and accepted or
+    refused, on its own."""
+    schema = schema_from_json(value)
+    rows = _array(_require(value, "rows", where), f"{where}.rows")
+    candidates = public.setdefault((build, schema.columns, len(rows)), [])
+    for earlier, made in candidates:
+        if rows == earlier and _exact(schema, rows):
+            return made
+    made = build(schema, _decode_rows(schema, rows, where))
+    # Built, so each row is a list or tuple of the schema's width.
+    if _exact(schema, rows):
+        candidates.append((rows, made))
+    return made
+
+
+def _decode_object(cls: type, obj, where: str, prefix: str, public: dict):
     """Build a record (a query node or a flat-map branch) from a JSON
     object, decoding a field by _DECODERS[its annotation], if any; a field
     with a default may be left out, and the record's refusal follows `prefix`."""
@@ -175,9 +215,9 @@ def _decode_object(cls: type, obj, where: str, prefix: str):
     args = {}
     for name, default in record_fields(cls).items():
         if name in obj:
-            decode = _DECODERS.get(cls._record_types[name], lambda value, where: value)
+            decode = _DECODERS.get(cls._record_types[name], lambda value, where, public: value)
             try:
-                args[name] = decode(obj[name], f"{where}.{name}")
+                args[name] = decode(obj[name], f"{where}.{name}", public)
             except ScriptError:
                 raise
             except NoisegateError as exc:
@@ -190,34 +230,42 @@ def _decode_object(cls: type, obj, where: str, prefix: str):
         raise ScriptError(f"{prefix}{exc}") from exc
 
 
-def _decode_expr(obj, where: str) -> QueryExpr:
+def _decode_expr(obj, where: str, public: dict) -> QueryExpr:
     kind = obj.get("kind") if isinstance(obj, Mapping) else None
     if not isinstance(kind, str) or kind not in QUERY_NODES:
         raise ScriptError(f"{where}: expected a query node object with a known 'kind'")
-    return _decode_object(QUERY_NODES[kind], obj, f"{where}/{kind}", f"{where}/")
+    return _decode_object(QUERY_NODES[kind], obj, f"{where}/{kind}", f"{where}/", public)
 
 
 # The decoders of JSON's spellings of objects and floats, by annotation;
-# nothing here is specific to one kind of node.
+# nothing here is specific to one kind of node.  Each takes the value, its
+# location and the parse's inline public values (see _decode_public).
 _DECODERS = {
     "QueryExpr": _decode_expr,
-    "float": lambda value, where: _decode_float(value, where) if type(value) is int else value,
-    "Schema": lambda value, where: schema_from_json(value),
-    "Table": lambda value, where: Table.of(*_decode_rows(value, where)),
-    "KeySet": lambda value, where: KeySet(*_decode_rows(value, where)),
-    "tuple[tf.ExpansionBranch, ...]": lambda value, where: tuple(
-        _decode_object(ExpansionBranch, branch, f"{where}[{i}]", f"{where}[{i}]: ")
+    "float": lambda value, where, public: (
+        _decode_float(value, where) if type(value) is int else value
+    ),
+    "Schema": lambda value, where, public: schema_from_json(value),
+    "Table": lambda value, where, public: _decode_public(Table.of, value, where, public),
+    "KeySet": lambda value, where, public: _decode_public(KeySet, value, where, public),
+    "tuple[tf.ExpansionBranch, ...]": lambda value, where, public: tuple(
+        _decode_object(ExpansionBranch, branch, f"{where}[{i}]", f"{where}[{i}]: ", public)
         for i, branch in enumerate(_array(value, where))
     ),
 }
 
 
 def parse_script(doc) -> list[ScriptQuery]:
-    """Parse a script document {"queries": [{name, spend, expr}, ...]}."""
+    """Parse a script document {"queries": [{name, spend, expr}, ...]}.
+
+    An inline public table or keyset that repeats one decoded before in
+    the same document is that same object (_decode_public), so it is
+    decoded and checked once, and what is derived from it is derived once."""
     if not isinstance(doc, Mapping) or "queries" not in doc:
         raise ScriptError("a script is an object with a 'queries' array")
     queries = []
     seen = set()
+    public: dict = {}
     for i, entry in enumerate(_array(doc["queries"], "queries")):
         where = f"queries[{i}]"
         expect(entry, Mapping, ScriptError, where, "an object")
@@ -237,7 +285,7 @@ def parse_script(doc) -> list[ScriptQuery]:
             raise ScriptError(f"{where}: 'spend': {exc}") from exc
         if spend == INF:
             raise ScriptError(f"{where}: spends must be finite")
-        expr = _decode_expr(_require(entry, "expr", where), where)
+        expr = _decode_expr(_require(entry, "expr", where), where, public)
         queries.append(ScriptQuery(name, spend, expr))
     return queries
 

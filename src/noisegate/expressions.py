@@ -53,7 +53,6 @@ from __future__ import annotations
 import ast
 import enum
 import sys
-import threading
 from itertools import repeat
 from math import inf, isfinite, nextafter
 from operator import add, and_, eq, ge, gt, le, lt, mul, ne, neg, not_, or_, sub, truediv
@@ -61,7 +60,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import ExpressionSyntaxError, ExpressionTypeError, SchemaMismatch, UnknownColumn
 from .records import Record
-from .tabledata import MAX_REMEMBERED_OUTPUTS, ColumnType, Schema, Table, check_value
+from .tabledata import ColumnType, Schema, Table, check_value
 
 
 class ExprType(enum.Enum):
@@ -501,54 +500,22 @@ def _compile(text: str, schema: Schema):
     return node, program, result_type, bound
 
 
-# Guards each schema's remembered compiles (Schema.compiled), so that
-# threads compiling against one schema never see one half moved.
-_REMEMBERING = threading.Lock()
-
-
-def _recall(schema: Schema, key: tuple) -> CompiledExpression | None:
-    """The expression remembered on schema under key, (text, target type or
-    None), now the most recently used; None if there is none, or if the
-    text is no exact str, whose hash and equality could be another's."""
-    if type(key[0]) is not str:
-        return None
-    with _REMEMBERING:
-        compiled = schema.compiled.get(key)
-        if compiled is not None:
-            schema.compiled.move_to_end(key)
-    return compiled
-
-
-def _remember(schema: Schema, key: tuple, compiled: CompiledExpression) -> CompiledExpression:
-    """compiled, or what another thread remembered under key first, kept on
-    schema; past MAX_REMEMBERED_OUTPUTS the least recently used is dropped,
-    and compiled again, equal, when asked for."""
-    if type(key[0]) is not str:
-        return compiled
-    with _REMEMBERING:
-        memo = schema.compiled
-        compiled = memo.setdefault(key, compiled)
-        if len(memo) > MAX_REMEMBERED_OUTPUTS:
-            memo.popitem(last=False)
-    return compiled
-
-
 def compile_expression(text: str, schema: Schema) -> CompiledExpression:
     """Parse and type-check an expression against a schema.
 
     A schema remembers each expression that compiles against it, by text
-    (and, for compile_projection, target type), at most
-    MAX_REMEMBERED_OUTPUTS of them, dropping the least recently used: the
-    result depends only on those, so a repeat returns the same
-    CompiledExpression and parses nothing.  A refusal is never remembered,
+    (and, for compile_projection, target type), among at most
+    MAX_REMEMBERED_OUTPUTS values, dropping the least recently used
+    (Schema.remember): the result depends only on those, so a repeat
+    returns the same CompiledExpression and parses nothing.  A refusal is never remembered,
     so it is raised again on every call.  The lookup returns before the
     compile starts, so a cold compile takes no frame more than _compile's."""
     key = (text, None)
-    compiled = _recall(schema, key)
+    compiled = schema.recall(key)
     if compiled is None:
         node, program, result_type, _ = _compile(text, schema)
         column = schema.index_of(node.id) if isinstance(node, ast.Name) else None
-        compiled = _remember(schema, key, CompiledExpression(result_type, tuple(program), column))
+        compiled = schema.remember(key, CompiledExpression(result_type, tuple(program), column))
     return compiled
 
 
@@ -596,7 +563,7 @@ def compile_projection(text: str, schema: Schema, target: ColumnType) -> Compile
     target).
     """
     key = (text, target)
-    compiled = _recall(schema, key)
+    compiled = schema.recall(key)
     if compiled is not None:
         return compiled
     node, program, result_type, bound = _compile(text, schema)
@@ -618,4 +585,4 @@ def compile_projection(text: str, schema: Schema, target: ColumnType) -> Compile
         program.emit(_checked(top, _int64))
     elif wanted is ExprType.FLOAT:
         program.emit(_mapped(add, top, program.emit(_literal(0.0))))
-    return _remember(schema, key, CompiledExpression(wanted, tuple(program), column))
+    return schema.remember(key, CompiledExpression(wanted, tuple(program), column))

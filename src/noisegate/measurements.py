@@ -73,7 +73,6 @@ from .rng import RngStream
 from .tabledata import (
     ColumnType,
     KeySet,
-    Schema,
     Table,
     TableDomain,
     TableListDomain,
@@ -82,7 +81,6 @@ from .tabledata import (
     expect,
     gather,
     is_int,
-    key_reader,
     result_cell,
     split_by_key,
 )
@@ -749,10 +747,8 @@ def compose_per_group(
     value_name, value_type = value_column
     if value_type is ColumnType.TEXT:
         raise SchemaMismatch(f"the value column {value_name!r} must be numeric, not text")
-    output_schema = Schema(tuple(keys.schema.columns) + ((value_name, value_type),))
+    output_schema = keys.result_schema((value_name, value_type))
     key_columns, read_names = keys.schema.names, read.names
-    key_cells = columns_of(keys.rows, len(key_columns))
-    group_keys = list(map(key_reader(keys.schema, key_columns), keys.rows))
     # Absent keys share one Table, which stores no row, at offset -1.
     empty = Table._trusted(read, columns_of((), len(read.columns)), offset=-1)
     release = per_group._eval
@@ -786,8 +782,8 @@ def compose_per_group(
 
     def evaluate(table: Table, rng: random.Random) -> Table:
         find = table.derive(("groups", key_columns, read_names), groups_of, table).get
-        values = [result_cell(release(find(key, empty), rng), value_type) for key in group_keys]
-        return Table._trusted(output_schema, (*key_cells, tuple(values)))
+        values = [result_cell(release(find(key, empty), rng), value_type) for key in keys.keys]
+        return Table._trusted(output_schema, (*keys.columns, tuple(values)))
 
     return Measurement(
         input_domain=domain,

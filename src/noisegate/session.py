@@ -597,6 +597,11 @@ def compile_query(
         raise TypeCheckError(str(exc)) from exc
 
 
+def _read_domain(schema: Schema, column: str) -> TableDomain:
+    """The domain of a grouping's key Tables that hold column of schema alone."""
+    return TableDomain(Schema(((column, schema.type_of(column)),)))
+
+
 def _compile(expr: QueryExpr, root: _Root, measure: Measure, spend: Fraction) -> CompiledQuery:
     tables, distance = root.steps, root.distance
     if not isinstance(expr, _Aggregation):
@@ -635,16 +640,16 @@ def _compile(expr: QueryExpr, root: _Root, measure: Measure, spend: Fraction) ->
         # Each group's Table holds only the column the aggregation reads:
         # a sum's, an average's or a quantile's column, or for a count the
         # first key column, which gives each group its length; a count by
-        # one key column reads the keys' own schema.
+        # one key column reads the keys' own schema.  A schema remembers
+        # the domain of each column read from it (Schema.derive).
         keys = grouping.keys.schema
         check_key_columns(domain.schema, keys)
         column = getattr(expr, "column", None)
         if column is None and len(keys.columns) == 1:
-            read = keys
+            domain = TableDomain(keys)
         else:
             column = column or keys.columns[0][0]
-            read = Schema(((column, domain.schema.type_of(column)),))
-        domain = TableDomain(read)
+            domain = domain.schema.derive(("read", column), _read_domain, domain.schema, column)
     measured = expr._measurement(domain, noise)
     output_schema = value_schema = expr.value_schema
     (value_column,) = value_schema.columns
@@ -655,7 +660,7 @@ def _compile(expr: QueryExpr, root: _Root, measure: Measure, spend: Fraction) ->
             value = result_cell(evaluate(table, rng), value_type)
             return Table._trusted(output_schema, ((value,),))
     else:
-        output_schema = Schema(grouping.keys.schema.columns + value_schema.columns)
+        output_schema = grouping.keys.result_schema(value_column)
         measured = compose_per_group(chain.output_domain, grouping.keys, measured, value_column)
         release = measured._eval
     apply = chain._apply

@@ -55,6 +55,7 @@ import io
 import json
 import math
 import sys
+import threading
 from collections import Counter, OrderedDict, defaultdict
 from collections.abc import Iterable
 from contextlib import contextmanager
@@ -139,10 +140,9 @@ class Schema(Record):
         if len(set(names)) != len(names):
             raise DuplicateColumn(f"duplicate column names in {list(names)}")
         # Not fields: the types, read once for each Table(...) built under
-        # the schema, the names, which each lookup by name reads, and the
-        # expressions compiled against it, which the compiler remembers
-        # here (see expressions.compile_expression), so that they are
-        # freed with the schema.
+        # the schema, the names, which each lookup by name reads, and what
+        # compile derives from the schema, which it remembers here (see
+        # remember), so that it is freed with the schema.
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "types", tuple(ctype for _, ctype in columns))
         object.__setattr__(self, "compiled", OrderedDict())
@@ -165,6 +165,68 @@ class Schema(Record):
 
     def has_column(self, name: str) -> bool:
         return name in self.names
+
+    def recall(self, key: tuple):
+        """What this schema remembers under key (see remember), now the most
+        recently used; None if it remembers nothing there, or if key is not
+        _plain."""
+        if not _plain(key):
+            return None
+        with _REMEMBERING:
+            value = self.compiled.get(key)
+            if value is not None:
+                self.compiled.move_to_end(key)
+        return value
+
+    def remember(self, key: tuple, value):
+        """value, or what another thread remembered under key first, kept in
+        `compiled`: what compile derives from this schema object and public
+        parameters alone, so a repeat is a lookup.  Its keys are an
+        expression's (text, target type or None) and a step's parts, named
+        first (see KeySet.result_schema, transformations._joined and
+        session._compile).  At most MAX_REMEMBERED_OUTPUTS values of every
+        kind are kept, past which the least recently used is dropped and
+        built again, equal, when asked for; nothing under a key that is not
+        _plain is kept.  A refusal raises before it is remembered, so it is
+        raised again on every call."""
+        if not _plain(key):
+            return value
+        with _REMEMBERING:
+            memo = self.compiled
+            value = memo.setdefault(key, value)
+            if len(memo) > MAX_REMEMBERED_OUTPUTS:
+                memo.popitem(last=False)
+        return value
+
+    def derive(self, key: tuple, build: Callable[..., object], *args):
+        """The value remembered under key, built by build(*args) and
+        remembered the first time."""
+        value = self.recall(key)
+        return self.remember(key, build(*args)) if value is None else value
+
+
+# Guards every schema's `compiled`, so that threads compiling against one
+# schema never see one half moved.
+_REMEMBERING = threading.Lock()
+
+# The types of what a key of Schema.compiled may hold, in tuples at any
+# depth: each hashes and compares in C, by its value alone, and equals no
+# value of another of them.  A bool, a float or a subclass of str could
+# equal a key of other cells.
+_PLAIN_TYPES = frozenset({str, int, type(None), ColumnType})
+
+
+def _plain(key: tuple) -> bool:
+    """Whether key holds only values of _PLAIN_TYPES, in tuples."""
+    stack = [key]
+    while stack:
+        for item in stack.pop():
+            kind = type(item)
+            if kind is tuple:
+                stack.append(item)
+            elif kind not in _PLAIN_TYPES:
+                return False
+    return True
 
 
 def is_int(value) -> bool:
@@ -367,9 +429,9 @@ ORDER = "order"
 # which its public bins bound (measurements.MAX_QUANTILE_BINS, 0.8 MB), so
 # held memory is at most this many times the larger of such a table and
 # that.  A grouping's key Tables remember no weights, only what is data of
-# the grouping's rows.  It is also how many compiled expressions a Schema
-# remembers (expressions.compile_expression), each the size of its text's
-# program, which no row changes.
+# the grouping's rows.  It is also how many values a Schema remembers
+# (Schema.remember): compiled expressions, each the size of its text's
+# program, and step schemas and domains, which no row changes.
 MAX_REMEMBERED_OUTPUTS = 32
 
 # What Table.derive's lookup finds where nothing is remembered: no lookup
@@ -543,12 +605,13 @@ class Table(Record):
         running bin weights and their total ("quantile", column index,
         rank type, rank numerator and denominator, low, high, bins,
         epsilon / 2; see measurements.make_quantile), a join index
-        ("join", key names), the groups ("groups", key names, read
-        names), a dict from each key to a Table of its rows in the read
-        columns only, and a step's output (see the make_* functions in
-        transformations).  Every key is made of strings, ints and floats
-        (and a quantile's rank type), which hash in C, and none holds a
-        Table or a private cell.  Every caller gets the same value, so none
+        ("join", key names) and, on a public table, its fan-out by them
+        ("fan out", key names) and its digest ("digest",), the groups
+        ("groups", key names, read names), a dict from each key to a Table
+        of its rows in the read columns only, and a step's output (see the
+        make_* functions in transformations).  Every key is made of
+        strings, ints and floats (and a quantile's rank type), which hash
+        in C, and none holds a Table or a private cell.  Every caller gets the same value, so none
         may change it.  Every value remembered under a source, at any depth,
         counts toward MAX_REMEMBERED_OUTPUTS in the source's one order of use
         (_uses), which a table under it reads through a weak reference; past
@@ -626,7 +689,10 @@ class KeySet(Record):
     first of any repeated keys, in order, so no KeySet holds an unchecked
     or repeated row.  Text cells of a key of several columns are shared as
     Table(...) shares them; a key of one column is a cell that no kept row
-    repeats, so nothing is shared.
+    repeats, so nothing is shared.  A KeySet is public and immutable, so it
+    keeps, built once with it, its kept rows' key columns (`columns`) and
+    each row's key as key_reader reads it by every key column (`keys`):
+    the bare cell for one column, the row itself for more.
     """
 
     schema: Schema
@@ -636,7 +702,20 @@ class KeySet(Record):
         columns = _checked_columns(self.schema, self.rows)
         if len(columns) > 1:
             columns = _shared_columns(columns, self.schema.types)
-        object.__setattr__(self, "rows", tuple(dict.fromkeys(zip(*columns))))
+        rows = tuple(dict.fromkeys(zip(*columns)))
+        if len(rows) < len(columns[0]):
+            columns = columns_of(rows, len(columns))
+        field = object.__setattr__
+        field(self, "rows", rows)
+        field(self, "columns", columns)
+        field(self, "keys", columns[0] if len(columns) == 1 else rows)
+
+    def result_schema(self, value_column: tuple[str, ColumnType]) -> Schema:
+        """The schema of a grouped release by these keys: the key columns,
+        then value_column; one object per key schema object and value
+        column, which the key schema remembers (Schema.derive)."""
+        columns = self.schema.columns + (value_column,)
+        return self.schema.derive(("grouped", *value_column), Schema, columns)
 
 
 def canonicalize(table: Table) -> list[int]:

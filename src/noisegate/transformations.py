@@ -9,7 +9,9 @@ measurements downstream rely on their stability bounds.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import add, and_, getitem, is_not, itemgetter, lt
@@ -371,11 +373,20 @@ def make_flat_map(
     )
 
 
+def _joined(left: Schema, right: Schema, on: Sequence[str], id_column: str | None) -> tuple:
+    """What _check_join_columns gives, one object per left schema object,
+    key names, right columns and id column, which the left schema
+    remembers (Schema.derive): so an expression compiled against the
+    joined schema is remembered there too."""
+    key = ("join", tuple(on), right.columns, id_column)
+    return left.derive(key, _check_join_columns, left, right, on, id_column)
+
+
 def _check_join_columns(
-    left: Schema, right: Schema, on: Sequence[str]
-) -> tuple[tuple[str, ...], Schema, list[int]]:
-    """Validate join keys; return them, the joined schema and the positions
-    of the right columns it carries."""
+    left: Schema, right: Schema, on: Sequence[str], id_column: str | None
+) -> tuple[tuple[str, ...], TableDomain, tuple[int, ...]]:
+    """Validate join keys; return them, the joined schema's domain with
+    id_column and the positions of the right columns it carries."""
     keys = tuple(on)
     if not keys or len(set(keys)) != len(keys):
         raise KeyTypeMismatch(f"join keys must be distinct and non-empty, got {on!r}")
@@ -395,8 +406,8 @@ def _check_join_columns(
             raise DuplicateColumn(
                 f"column {name!r} appears on both sides; rename before joining"
             )
-    carry = [right.index_of(name) for name, _ in carried]
-    return keys, Schema(tuple(left.columns) + tuple(carried)), carry
+    carry = tuple(right.index_of(name) for name, _ in carried)
+    return keys, TableDomain(Schema(tuple(left.columns) + tuple(carried)), id_column), carry
 
 
 def _join_index(right_table: Table, keys: tuple[str, ...]) -> dict:
@@ -423,7 +434,7 @@ def _join_index(right_table: Table, keys: tuple[str, ...]) -> dict:
     return right_table.derive(("join", keys), build)
 
 
-def _join(left: Table, right: Table, keys, carry: list[int], repeats: bool) -> tuple:
+def _join(left: Table, right: Table, keys, carry: Sequence[int], repeats: bool) -> tuple:
     """Each held row of left whose key (Table.key_column) is one of
     right's, once for each of right's rows with it, followed by that row's
     cells at `carry`, as left remembers it (Table._built_on).
@@ -461,6 +472,23 @@ def _join(left: Table, right: Table, keys, carry: list[int], repeats: bool) -> t
     return left._built_on(columns + gather([right.columns[i] for i in carry], matched))
 
 
+def _fan_out(public: Table, keys: tuple[str, ...]) -> int:
+    """The most held rows of public that one key matches."""
+    return max(map(len, _join_index(public, keys).values()), default=0)
+
+
+def _digest(public: Table) -> str:
+    """The SHA-256 of a public table's names, type names and held cells, in
+    row order, as JSON: equal for equal tables, whatever objects hold them,
+    and hashed in C with its hash kept, however many rows the table holds.
+    Every cell is an int, a finite float or a str, each of which JSON
+    writes apart from the others."""
+    schema = public.schema
+    columns = list(map(public.column, range(len(schema.names))))
+    text = json.dumps((schema.names, [ctype.value for ctype in schema.types], columns))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def make_public_join(domain: TableDomain, public: Table, on: Sequence[str]) -> Transformation:
     """Inner-join private rows against a fixed public table.
 
@@ -471,14 +499,15 @@ def make_public_join(domain: TableDomain, public: Table, on: Sequence[str]) -> T
     At fan-out 1 (or 0) the join carries the mask and stores every stored
     row of its input; above 1 it stores the matched rows only (see _join).
     The input remembers the output under ("public join", key names, the
-    public table's names, type names and held cells by value)
-    (Table.derive): the public table is public, and an equal table
-    inlined in another query finds the same output.
+    public table's digest by value) (Table.derive): the public table is
+    public, and an equal table inlined in another query finds the same
+    output.  The public table derives its digest and its fan-out by key
+    names next to its join index, so a warm compile reads none of its rows.
     """
-    keys, joined, carry = _check_join_columns(domain.schema, public.schema, on)
-    fan_out = max(map(len, _join_index(public, keys).values()), default=0)
-    held_cells = tuple(map(public.column, range(len(public.schema.columns))))
-    key = ("public join", keys, _names_and_types(public.schema), held_cells)
+    keys, output_domain, carry = _joined(domain.schema, public.schema, on, domain.id_column)
+    joined = output_domain.schema
+    fan_out = public.derive(("fan out", keys), _fan_out, public, keys)
+    key = ("public join", keys, public.derive(("digest",), _digest, public))
 
     def apply(table: Table) -> Table:
         data = table.derive(key, _join, table, public, keys, carry, fan_out > 1)
@@ -486,7 +515,7 @@ def make_public_join(domain: TableDomain, public: Table, on: Sequence[str]) -> T
 
     return Transformation(
         input_domain=domain,
-        output_domain=TableDomain(joined, domain.id_column),
+        output_domain=output_domain,
         input_metric=SymmetricDifference(),
         output_metric=SymmetricDifference(),
         stability=linear_map(fan_out),
@@ -565,8 +594,8 @@ def make_private_join(
     for bound in (left_bound, right_bound):
         if not is_int(bound) or bound < 1:
             raise NonPositiveBound(f"truncation bounds must be positive ints, got {bound!r}")
-    keys, joined, carry = _check_join_columns(left.schema, right.schema, on)
-
+    keys, output_domain, carry = _joined(left.schema, right.schema, on, None)
+    joined = output_domain.schema
     key = ("private join", keys, left_bound, right_bound)
 
     def join_cuts(left_table: Table, cut_right: Table) -> tuple:
@@ -584,7 +613,7 @@ def make_private_join(
 
     return Transformation(
         input_domain=TableTupleDomain((left, right)),
-        output_domain=TableDomain(joined, None),
+        output_domain=output_domain,
         input_metric=TableTuple((SymmetricDifference(), SymmetricDifference())),
         output_metric=SymmetricDifference(),
         stability=linear_map(2 * max(left_bound, right_bound)),

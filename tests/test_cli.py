@@ -884,6 +884,133 @@ def test_a_bad_keyset_row_is_named_by_its_index(rows, message):
     assert str(exc.value) == f"{where}: {message}"
 
 
+_ZIP_KEYS = {"columns": [{"name": "zip", "type": "text"}], "rows": [["981"], ["982"], ["983"]]}
+_REGIONS = {
+    "columns": [{"name": "zip", "type": "text"}, {"name": "region", "type": "text"}],
+    "rows": [["981", "west"], ["982", "east"]],
+}
+
+
+def _script(*exprs):
+    """A script document of these query expressions, each spelled in JSON
+    objects of its own, as a script file decodes."""
+    queries = [{"name": f"q{i}", "spend": "1", "expr": expr} for i, expr in enumerate(exprs)]
+    return json.loads(json.dumps({"queries": queries}))
+
+
+def _joined(child, table=_REGIONS):
+    return {"kind": "JoinPublic", "child": child, "table": table, "on": ["zip"]}
+
+
+def test_a_repeated_inline_keyset_or_public_table_is_one_object():
+    over_10 = {"kind": "Filter", "child": SOURCE, "predicate": "income > 10.0"}
+    doc = _script(
+        grouped_by(_ZIP_KEYS),
+        {"kind": "Count", "child": {"kind": "GroupBy", "child": _joined(over_10), "keys": _ZIP_KEYS}},
+        {"kind": "Count", "child": _joined(SOURCE)},
+        grouped_by(dict(_ZIP_KEYS, rows=_ZIP_KEYS["rows"][::-1])),
+        grouped_by(dict(_ZIP_KEYS, rows=_ZIP_KEYS["rows"][:2])),
+        {"kind": "Count", "child": _joined(SOURCE, _ZIP_KEYS)},
+    )
+    exprs = [q.expr for q in parse_script(doc)]
+    keysets = [exprs[i].child.keys for i in (0, 1, 3, 4)]
+    assert keysets[0] is keysets[1]
+    assert exprs[1].child.child.table is exprs[2].child.table
+    # Keys in another order or fewer are other keysets, and a public table
+    # spelled as the keyset is is a table of its own.
+    assert keysets[2] != keysets[0] != keysets[3]
+    assert exprs[5].child.table.rows == keysets[0].rows
+    assert exprs[5].child.table is not exprs[2].child.table
+    # What is shared lives in one parse: another one builds its own.
+    again = parse_script(doc)[0].expr.child.keys
+    assert again is not keysets[0] and again == keysets[0]
+
+
+# One cell, spelled four ways, of which Python's == equates the first three.
+_SPELLINGS = [1, True, 1.0, "1"]
+# The column of SCHEMA_DOC of each type, which a keyset or a public table
+# of that one column spells.
+_COLUMN_OF = {"int64": "id", "float64": "income", "text": "zip"}
+
+
+@pytest.mark.parametrize("public", [False, True], ids=["keyset", "public table"])
+@pytest.mark.parametrize("ctype", list(_COLUMN_OF))
+def test_a_cell_spelled_another_way_is_decoded_apart_and_refused_or_accepted_as_alone(ctype, public):
+    column = _COLUMN_OF[ctype]
+
+    def of(cell):
+        value = {"columns": [{"name": column, "type": ctype}], "rows": [[cell]]}
+        if public:
+            joined = {"kind": "JoinPublic", "child": SOURCE, "table": value, "on": [column]}
+            return {"kind": "Count", "child": joined}
+        return grouped_by(value)
+
+    def parsed(*exprs):
+        """Each query's public input, or the message of the script's refusal."""
+        try:
+            queries = parse_script(_script(*exprs))
+        except ScriptError as exc:
+            return str(exc)
+        return [getattr(q.expr.child, "table" if public else "keys", None) for q in queries]
+
+    # Only the one spelling of its cells is a cell of each column, and a
+    # whole number is a float64 cell too, widened.
+    legal = {"int64": [1], "float64": [1, 1.0], "text": ["1"]}[ctype]
+    for first in legal:
+        for cell in _SPELLINGS:
+            alone = parsed({"kind": "Count", "child": SOURCE}, of(cell))
+            after = parsed(of(first), of(cell))
+            accepted = any(type(cell) is type(good) and cell == good for good in legal)
+            if not accepted:
+                assert isinstance(alone, str) and alone.startswith("queries[1]/")
+                assert after == alone
+                continue
+            # Accepted alone and after the first, as an object of its own
+            # unless it is spelled as the first is; a float64 cell spelled
+            # as a whole number is widened, and never shared.
+            widened = ctype == "float64" and type(cell) is int
+            same = type(cell) is type(first) and cell == first and not widened
+            assert (after[1] is after[0]) == same
+            if public:
+                assert after[1].schema == alone[1].schema and after[1].rows == alone[1].rows
+                assert list(map(type, after[1].rows[0])) == list(map(type, alone[1].rows[0]))
+            else:
+                assert after[1] == alone[1]
+                assert list(map(type, after[1].rows[0])) == list(map(type, alone[1].rows[0]))
+
+
+def test_shared_public_inputs_release_the_rows_that_each_query_parsed_alone_releases():
+    over_10 = {"kind": "Filter", "child": SOURCE, "predicate": "income > 10.0"}
+    by_region = {"columns": [{"name": "region", "type": "text"}], "rows": [["west"], ["east"], ["north"]]}
+    exprs = [
+        {"kind": "Count", "child": {"kind": "GroupBy", "child": _joined(SOURCE), "keys": by_region}},
+        {
+            "kind": "Sum", "column": "income", "low": 0, "high": 50,
+            "child": {"kind": "GroupBy", "child": _joined(over_10), "keys": by_region},
+        },
+        {"kind": "Count", "child": _joined(over_10)},
+        {
+            "kind": "Average", "column": "income", "low": 0, "high": 50,
+            "child": {"kind": "GroupBy", "child": SOURCE, "keys": _ZIP_KEYS},
+        },
+        grouped_by(_ZIP_KEYS),
+    ]
+    shared = parse_script(_script(*exprs))
+    alone = [parse_script(_script(expr))[0] for expr in exprs]
+    assert shared[0].expr.child.keys is shared[1].expr.child.keys
+    assert alone[0].expr.child.keys is not alone[1].expr.child.keys
+    schema = Schema.of(("id", ColumnType.INT64), ("zip", ColumnType.TEXT), ("income", ColumnType.FLOAT64))
+    rows = [tuple(f(cell) for f, cell in zip((int, str, float), line.split(",")))
+            for line in PEOPLE_CSV.splitlines()[1:]]
+
+    def released(queries):
+        budget = noisegate.PrivacyBudget.pure(len(queries))
+        s = noisegate.build_session({"people": Table.of(schema, rows)}, noisegate.AddMaxRows(1), budget, 3)
+        return [s.evaluate(q.expr, noisegate.PrivacyBudget.pure(1)).rows for q in queries]
+
+    assert released(shared) == released(alone)
+
+
 def test_demo_script_decodes_to_builder_queries():
     demo = Path(__file__).resolve().parents[1] / "demo"
     doc = json.loads((demo / "script.json").read_text())

@@ -1,9 +1,11 @@
 import ast
 import gc
 import itertools
+import json
 import math
 import random
 import sys
+import threading
 import time
 import tracemalloc
 import typing
@@ -21,6 +23,8 @@ from helpers import (
     join_reference,
     levels_reference,
     perturb_rows,
+    python_calls,
+    python_lines,
     random_table,
     remembered,
     same_data,
@@ -46,7 +50,7 @@ from noisegate.errors import (
 )
 from noisegate.cli import parse_script
 from noisegate.measurements import MAX_QUANTILE_BINS, PureDpNoise, compose_per_group, make_count
-from noisegate import measurements, metrics, session as session_module, transformations
+from noisegate import expressions, measurements, metrics, session as session_module, transformations
 from noisegate.metrics import INF, AddRemoveIds, PureDP, SymmetricDifference, ZCDP
 from noisegate.records import record_fields
 from noisegate.rng import RngStream
@@ -1815,3 +1819,214 @@ def test_a_table_cut_at_many_bounds_remembers_at_most_the_count():
     assert len(remembered(table)) < MAX_REMEMBERED_OUTPUTS
     assert len(remembered(table)) + len(table.stored) <= MAX_REMEMBERED_OUTPUTS
     assert all(len(held) == 1000 for held, _ in remembered(table).values())
+
+
+# ---------------------------------------------------------------------------
+# Public inputs: a public join, a keyset and the schemas compile derives
+# from them cost once per value.
+
+
+def _zips_and_ages(n=40):
+    """A table of n people in zips z0..z4, and its schema, both new."""
+    schema = Schema.of(("zip", TEXT), ("age", INT64))
+    return Table.of(schema, [(f"z{i % 5}", 20 + i) for i in range(n)])
+
+
+def _public_regions(n):
+    """A public table of zips z0..z{n-1}, each in one of three regions."""
+    return Table.of(Schema.of(("zip", TEXT), ("region", TEXT)), [(f"z{i}", f"r{i % 3}") for i in range(n)])
+
+
+def test_a_warm_ask_over_a_public_join_does_the_same_work_with_5_and_20000_public_rows(monkeypatch):
+    # Every row's zip is among the first five public rows, so both joins
+    # hold every row, and each session draws from the same seed.  A third
+    # ask reads no cell of the public table.
+    read, column = [], Table.column
+
+    def reading(table, index):
+        read.append(table)
+        return column(table, index)
+
+    def warm(n, count):
+        public = _public_regions(n)
+        ask = query("p").join_public(public, ["zip"]).filter("age > 30").count()
+        s = build_session({"p": _zips_and_ages()}, AddMaxRows(1), PrivacyBudget.pure(3), seed=4)
+        cold = s.evaluate(ask, PrivacyBudget.pure(1)).rows
+        events = count(lambda: s.evaluate(ask, PrivacyBudget.pure(1)))
+        with monkeypatch.context() as patched:
+            patched.setattr(Table, "column", reading)
+            s.evaluate(ask, PrivacyBudget.pure(1))
+        assert public not in read
+        return cold, events
+
+    for count in (python_calls, python_lines):
+        small, large = warm(5, count), warm(20_000, count)
+        assert small == large, count.__name__
+
+
+def test_a_filter_after_a_public_join_parses_nothing_on_a_warm_ask(monkeypatch):
+    # The join's output schema is one object per input schema and public
+    # columns, so the filter compiled against it on the first ask is found
+    # there on the next, by this query and by one with an equal public
+    # table that is another object.
+    table = _zips_and_ages()
+    s = build_session({"p": table}, AddMaxRows(1), PrivacyBudget.pure(3), seed=4)
+    ask = query("p").join_public(_public_regions(5), ["zip"]).filter("age > 30 and region != 'r1'")
+    first = s.evaluate(ask.count(), PrivacyBudget.pure(1)).rows
+
+    def unparsed(text):
+        raise AssertionError(f"{text!r} was parsed again")
+
+    monkeypatch.setattr(expressions, "_parse", unparsed)
+    again = s.evaluate(ask.count(), PrivacyBudget.pure(1)).rows
+    other = query("p").join_public(_public_regions(5), ["zip"]).filter("age > 30 and region != 'r1'")
+    s.evaluate(other.count(), PrivacyBudget.pure(1))
+    assert len(first) == len(again) == 1
+
+
+def test_equal_public_tables_that_are_other_objects_give_equal_outputs():
+    # Two public tables of equal rows, one of them in another order: the
+    # same released rows and draws, in sessions of one seed, and within one
+    # session the second finds the join output the first remembered.
+    left, same = _public_regions(7), _public_regions(7)
+    shuffled = Table.of(_public_regions(7).schema, left.rows[::-1])
+    assert left is not same and left.schema is not same.schema
+
+    def released(public):
+        s = build_session({"p": _zips_and_ages()}, AddMaxRows(1), PrivacyBudget.pure(3), seed=4)
+        grouped = query("p").join_public(public, ["zip"]).group_by(
+            keyset_from_tuples([("region", TEXT)], [("r0",), ("r1",), ("r2",), ("r9",)])
+        )
+        return [s.evaluate(ask, PrivacyBudget.pure(1)).rows for ask in (
+            grouped.count(), grouped.average("age", 0, 100), query("p").join_public(public, ["zip"]).count()
+        )]
+
+    assert released(left) == released(same) == released(shuffled)
+    table = _zips_and_ages()
+    outputs = [
+        transformations.make_public_join(TableDomain(table.schema), public, ["zip"]).apply(table)
+        for public in (left, same)
+    ]
+    assert same_data(*outputs)
+    assert outputs[0].schema is outputs[1].schema
+
+
+def test_a_keyset_keeps_its_key_columns_and_keys_and_one_result_schema_per_value_column():
+    one = keyset_from_tuples([("zip", TEXT)], [("z1",), ("z0",), ("z1",)])
+    two = keyset_from_tuples([("zip", TEXT), ("age", INT64)], [("z1", 3), ("z0", 4), ("z1", 3)])
+    assert one.rows == (("z1",), ("z0",)) and one.columns == (("z1", "z0"),)
+    assert one.keys == ("z1", "z0")
+    assert two.columns == (("z1", "z0"), (3, 4)) and two.keys is two.rows
+    count = ("count", INT64)
+    assert one.result_schema(count) is one.result_schema(count)
+    assert one.result_schema(count) == Schema.of(("zip", TEXT), ("count", INT64))
+    assert one.result_schema(("sum", FLOAT64)) is not one.result_schema(count)
+    # A grouped release's table has that schema, on every ask.
+    s = build_session({"p": _zips_and_ages()}, AddMaxRows(1), PrivacyBudget.pure(2), seed=4)
+    released = [s.evaluate(query("p").group_by(one).count(), PrivacyBudget.pure(1)) for _ in range(2)]
+    assert released[0].schema is released[1].schema is one.result_schema(count)
+    with pytest.raises(DuplicateColumn):
+        one.result_schema(("zip", INT64))
+
+
+class _Text(str):
+    """A str subclass, whose hash and equality could be another's."""
+
+
+def test_a_schema_remembers_only_under_plain_keys_and_at_most_the_count():
+    schema = Schema.of(("zip", TEXT))
+    for key in [("read", _Text("zip")), ("read", True), ("read", 1.0), ("read", ["zip"])]:
+        assert schema.derive(key, object) is not schema.derive(key, object)
+    assert not schema.compiled
+    first = schema.derive(("read", "zip", (1, None, INT64)), object)
+    assert schema.derive(("read", "zip", (1, None, INT64)), object) is first
+    for i in range(MAX_REMEMBERED_OUTPUTS):
+        schema.derive(("step", i), object)
+    assert len(schema.compiled) == MAX_REMEMBERED_OUTPUTS
+    assert ("read", "zip", (1, None, INT64)) not in schema.compiled
+
+
+_KEYS_DOC = {"columns": [{"name": "zip", "type": "text"}], "rows": [[f"z{i}"] for i in range(8)]}
+_REGIONS_DOC = {
+    "columns": [{"name": "zip", "type": "text"}, {"name": "region", "type": "text"}],
+    "rows": [[f"z{i}", f"r{i % 3}"] for i in range(6)],
+}
+_SOURCE_DOC = {"kind": "Source", "table": "p"}
+_JOINED_DOC = {"kind": "JoinPublic", "child": _SOURCE_DOC, "table": _REGIONS_DOC, "on": ["zip"]}
+_OLDER_DOC = {"kind": "Filter", "child": _JOINED_DOC, "predicate": "age > 30 and region != 'r2'"}
+# One keyset and one public table, each spelled again in every query that
+# uses them, so the parsed script shares one KeySet and one Table.
+_SHARED_SCRIPT = {"queries": [
+    {"name": f"q{i}", "spend": "1/4", "expr": expr} for i, expr in enumerate([
+        {"kind": "Count", "child": {"kind": "GroupBy", "child": _SOURCE_DOC, "keys": _KEYS_DOC}},
+        {"kind": "Count", "child": {"kind": "GroupBy", "child": _OLDER_DOC, "keys": _KEYS_DOC}},
+        {
+            "kind": "Average", "column": "age", "low": 0, "high": 100,
+            "child": {"kind": "GroupBy", "child": _JOINED_DOC, "keys": _KEYS_DOC},
+        },
+        {"kind": "Sum", "column": "age", "low": 0, "high": 100, "child": _OLDER_DOC},
+        {"kind": "Count", "child": _JOINED_DOC},
+        {
+            "kind": "Quantile", "column": "age", "q": 0.5, "low": 0, "high": 300, "bins": 30,
+            "child": _OLDER_DOC,
+        },
+    ])
+]}
+
+
+def test_sessions_in_threads_over_shared_tables_and_one_script_release_what_they_release_in_turn(
+    monkeypatch,
+):
+    # Four threads each run three sessions over one set of tables and one
+    # parsed script, so they share its KeySet, its public table and what
+    # their schemas and tables remember, with a tiny switch interval.  Each
+    # session releases the same rows and draws the same bits as it does
+    # run after the others, over those tables and over fresh ones.
+    script = parse_script(json.loads(json.dumps(_SHARED_SCRIPT)))
+    assert len({id(q.expr.child.keys) for q in script[:3]}) == 1
+    current, generator = threading.local(), RngStream.generator
+
+    def logged(stream):
+        made = LoggingRandom(0)
+        made.setstate(generator(stream).getstate())
+        current.logs.append(made.calls)
+        return made
+
+    monkeypatch.setattr(RngStream, "generator", logged)
+
+    def released(tables, seed):
+        current.logs = []
+        budget = PrivacyBudget.pure(sum(q.spend for q in script))
+        s = build_session(tables, AddMaxRows(1), budget, seed)
+        rows = [s.evaluate(q.expr, PrivacyBudget.pure(q.spend)).rows for q in script]
+        return rows, [list(calls) for calls in current.logs]
+
+    seeds = [[10 * t + k for k in range(3)] for t in range(4)]
+    tables, threaded, problems = {"p": _zips_and_ages(200)}, {}, []
+    start = threading.Barrier(len(seeds), timeout=60)
+
+    def work(own):
+        start.wait()
+        try:
+            for seed in own:
+                threaded[seed] = released(tables, seed)
+        except Exception as exc:  # noqa: BLE001 - every raise is a failure here
+            problems.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(own,)) for own in seeds]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert problems == []
+    fresh = {"p": _zips_and_ages(200)}
+    for seed in itertools.chain.from_iterable(seeds):
+        rows, logs = threaded[seed]
+        assert len(rows) == len(logs) == len(script) and all(logs)
+        assert released(tables, seed) == released(fresh, seed) == threaded[seed]

@@ -722,7 +722,10 @@ def test_a_public_join_indexes_its_table_once(monkeypatch):
     assert splits == []
     assert again.stability.slope == first.stability.slope == 2
     assert again.apply(rows).multiset() == join_reference(rows, public, ["v"])
-    assert set(remembered(public)) == {("join", ("v",))}
+    # Next to its index, the public table remembers its fan-out by the key
+    # names and its digest, which a warm compile reads without a pass.
+    assert set(remembered(public)) == {("join", ("v",)), ("fan out", ("v",)), ("digest",)}
+    assert public.derive(("fan out", ("v",)), unbuilt) == 2
     index = public.derive(("join", ("v",)), unbuilt)
     assert _index_rows(index, public) == _index_reference(
         public.schema, public.rows, ("v",)
